@@ -40,8 +40,10 @@ from .forest import (
 from .linear import LinearCateFit, fit_interaction_ols, linear_cate
 from .meta import (
     MetaInput,
+    PooledProfiles,
     dl_theta2,
     pool_cate,
+    pool_profiles,
     prediction_interval,
     reml_theta2,
     restricted_log_likelihood,
@@ -82,7 +84,8 @@ __all__ = [
     "CausalForestModel", "CausalTree", "ForestParams", "fit_causal_forest",
     "forest_cate", "forest_cates",
     "LinearCateFit", "fit_interaction_ols", "linear_cate",
-    "MetaInput", "dl_theta2", "pool_cate", "prediction_interval",
+    "MetaInput", "PooledProfiles", "dl_theta2", "pool_cate", "pool_profiles",
+    "prediction_interval",
     "reml_theta2", "restricted_log_likelihood", "t_quantile",
     "CovariateProfile", "CoverageFlag", "PooledCate", "PredictionInterval",
     "StudyCateEstimate", "TrialDataset", "ValidationReport",

@@ -17,8 +17,11 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .bart import BartParams, bart_cate_normal, bart_cate_quantile, fit_bart_slearner
@@ -41,7 +44,8 @@ from .io import (
     write_predictions_csv,
 )
 from .linear import fit_interaction_ols, linear_cate
-from .meta import MetaInput, pool_cate, prediction_interval, reml_theta2
+# pool_cate, prediction_interval and reml_theta2 are bound only for perfbench/tracing.py.
+from .meta import pool_cate, pool_profiles, prediction_interval, reml_theta2  # noqa: F401
 from .model import validate_target_coverage, validate_trial
 from .rng import spawn_seed
 from .simulate import run_experiment
@@ -69,6 +73,7 @@ class _Manifest:
         self.timings: dict[str, float] = {}
         self.artifacts: list[dict] = []
         self.notes: list[str] = []
+        self.diagnostics: Counter[str] = Counter()
         payload = json.dumps(
             {
                 "version": __version__,
@@ -95,6 +100,7 @@ class _Manifest:
             "timings_seconds": {k: round(v, 6) for k, v in self.timings.items()},
             "artifacts": self.artifacts,
             "notes": self.notes,
+            "diagnostics": self.diagnostics,
         }
         (out_dir / "manifest.json").write_text(
             json.dumps(body, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -244,6 +250,8 @@ def _resolve_moderators(raw: str, names: tuple[str, ...]):
 
 
 def cmd_predict(args) -> int:
+    if not (0.0 < args.alpha < 1.0):
+        raise ConfigurationError(f"--alpha must be in (0, 1), got {args.alpha}")
     out = _out_dir(args)
     manifest = _Manifest("predict", [args.aggregates],
                          {"alpha": args.alpha, "svg": bool(args.svg)}, args.seed)
@@ -251,28 +259,35 @@ def cmd_predict(args) -> int:
         grouped = read_aggregates_csv(args.aggregates)
     rows = []
     with _Phase(manifest, "pool"):
+        by_k: dict[int, list[int]] = {}
         for pid in sorted(grouped):
-            estimates = grouped[pid]
-            k = len(estimates)
+            k = len(grouped[pid])
             if k < 2:
                 raise InputFormatError(
                     f"profile {pid} has only {k} study estimate(s); pooling needs >= 2",
                     args.aggregates,
                 )
-            meta = MetaInput(profile_id=pid, estimates=tuple(estimates))
-            theta2 = reml_theta2(meta)
-            pooled = pool_cate(meta, theta2)
             if k == 2:
                 print(
                     f"warning: profile {pid}: K=2 studies, no prediction interval "
                     "(df would be 0)", file=sys.stderr,
                 )
-                rows.append(PredictionRow(pid, pooled.tau_pooled, pooled.theta2,
-                                          None, None, None))
+            by_k.setdefault(k, []).append(pid)
+        for k, pids in sorted(by_k.items()):
+            tau = np.array([[e.tau_hat for e in grouped[pid]] for pid in pids]).T
+            v = np.array([[e.se2 for e in grouped[pid]] for pid in pids]).T
+            pooled = pool_profiles(tau, v, args.alpha if k > 2 else None)
+            manifest.diagnostics.update(pooled.diagnostics)
+            centers = pooled.tau_pooled.tolist()
+            theta2 = pooled.theta2.tolist()
+            if pooled.half_width is None:
+                rows += [PredictionRow(pid, c, t2, None, None, None)
+                         for pid, c, t2 in zip(pids, centers, theta2)]
                 continue
-            pi = prediction_interval(pooled, args.alpha, k)
-            rows.append(PredictionRow(pid, pi.center, pooled.theta2,
-                                      pi.lower, pi.upper, pi.df))
+            lower = (pooled.tau_pooled - pooled.half_width).tolist()
+            upper = (pooled.tau_pooled + pooled.half_width).tolist()
+            rows += [PredictionRow(pid, c, t2, lo, hi, k - 2)
+                     for pid, c, t2, lo, hi in zip(pids, centers, theta2, lower, upper)]
     with _Phase(manifest, "write"):
         csv_path = out / "predictions.csv"
         write_predictions_csv(str(csv_path), rows)

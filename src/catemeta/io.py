@@ -152,15 +152,25 @@ def read_aggregates_csv(path: str) -> dict[int, list[StudyCateEstimate]]:
     _, rows = _read_rows(path, AGGREGATE_HEADER)
     grouped: dict[int, list[StudyCateEstimate]] = {}
     for line, row in rows:
-        est = StudyCateEstimate(
-            profile_id=_parse_int(row[0], path, line, "profile_id"),
-            study_id=_parse_int(row[1], path, line, "study_id"),
-            tau_hat=_parse_float(row[2], path, line, "tau_hat"),
-            se2=_parse_float(row[3], path, line, "se2"),
-        )
+        try:
+            est = StudyCateEstimate(
+                profile_id=_parse_int(row[0], path, line, "profile_id"),
+                study_id=_parse_int(row[1], path, line, "study_id"),
+                tau_hat=_parse_float(row[2], path, line, "tau_hat"),
+                se2=_parse_float(row[3], path, line, "se2"),
+            )
+        except ValueError as err:  # non-finite tau_hat; negative or non-finite se2
+            raise InputFormatError(str(err), path, line)
         grouped.setdefault(est.profile_id, []).append(est)
-    for ests in grouped.values():
+    for pid, ests in grouped.items():
         ests.sort(key=lambda e: e.study_id)
+        for first, second in zip(ests, ests[1:]):
+            if first.study_id == second.study_id:
+                key = (pid, first.study_id)
+                line = [n for n, row in rows if (int(row[0]), int(row[1])) == key][1]
+                raise InputFormatError(
+                    f"duplicate row for profile {pid}, study {first.study_id}", path, line
+                )
     return grouped
 
 

@@ -11,11 +11,18 @@ likelihood (REML).  The DerSimonian-Laird moment estimator is provided as a
 cross-check.  Prediction intervals for the effect in a new setting use a
 t critical value with K-2 degrees of freedom, reflecting that both the
 pooled mean and theta2 are estimated from the data.
+
+All of Stage 2 is one array kernel over P profiles that share K studies
+(:func:`pool_profiles`).  Inside it a profile is a row of K values, so each
+sum runs over a contiguous last axis, in the same order whatever P is: the
+one-profile views (:func:`reml_theta2`, :func:`pool_cate`,
+:func:`prediction_interval`) are bit-identical to the batch.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +31,13 @@ from scipy.special import betaincinv
 from .errors import EstimationError, InsufficientStudiesError
 from .model import PooledCate, PredictionInterval, StudyCateEstimate
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_REML_XATOL = 1e-10
-_COARSE_GRID = 257
-_COARSE_GRID_BATCH = 65
+_GRID_FRAC = np.linspace(0.0, 1.0, 65)
+# Elements of one (profiles, grid, K) likelihood temporary (64 kB); larger
+# temporaries raise a run's peak resident memory.
+_GRID_CHUNK = 1 << 13
+_NEWTON_RTOL = 1e-12
+_MAX_STEPS = 200
+_BOUND_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,21 +71,40 @@ class MetaInput:
         return np.array([e.se2 for e in self.estimates])
 
 
+@dataclass(frozen=True)
+class PooledProfiles:
+    """Stage 2 for P profiles that share K studies, as (P,) arrays.
+
+    ``half_width`` is None when no interval was asked for.  ``diagnostics``
+    counts theta2 = 0 estimates, bound-doubling retries and Newton steps
+    replaced by bisection.
+    """
+
+    theta2: np.ndarray
+    tau_pooled: np.ndarray
+    var_pooled: np.ndarray
+    half_width: np.ndarray | None
+    diagnostics: Counter
+
+
 def _profile_log_likelihood(theta2, tau, v):
     """Vectorized restricted log likelihood over an array of theta2 values.
 
-    Constant terms that do not involve theta2 are dropped.
+    ``tau`` and ``v`` hold the K estimates on their last axis, shape (K,) or
+    (P, K); ``theta2`` has shape (T,) or (P, T).  Returns shape (T,) or
+    (P, T).  Constant terms that do not involve theta2 are dropped.
     """
     t2 = np.atleast_1d(np.asarray(theta2, dtype=np.float64))
-    total = v[:, None] + t2[None, :]
+    tau = np.asarray(tau)[..., None, :]
+    total = np.asarray(v)[..., None, :] + t2[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
         w = 1.0 / total
-        sw = w.sum(axis=0)
-        mu = (w * tau[:, None]).sum(axis=0) / sw
+        sw = w.sum(axis=-1)
+        mu = (w * tau).sum(axis=-1) / sw
         out = -0.5 * (
-            np.log(total).sum(axis=0)
+            np.log(total).sum(axis=-1)
             + np.log(sw)
-            + (((tau[:, None] - mu[None, :]) ** 2) * w).sum(axis=0)
+            + (((tau - mu[..., None]) ** 2) * w).sum(axis=-1)
         )
     return np.where(np.isfinite(out), out, -np.inf)
 
@@ -92,137 +121,171 @@ def restricted_log_likelihood(theta2: float, meta: MetaInput) -> float:
     return float(_profile_log_likelihood(theta2, meta.tau, meta.v)[0])
 
 
-def _golden_section_max(f, lo: float, hi: float, xatol: float):
-    """Maximize a scalar function on [lo, hi] by golden-section search."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > xatol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    x = c if fc >= fd else d
-    return x, max(fc, fd)
+def _score(theta2, tau, v):
+    """REML score and its derivative at one theta2 per row.
+
+    With w = 1/(v + theta2) and r = tau - mu(theta2) (Viechtbauer 2005):
+        score = (S(w^2 r^2) - S(w) + S(w^2)/S(w)) / 2
+        slope = (-2 S(w^3 r^2) + 2 S(w^2 r)^2/S(w) + S(w^2) - 2 S(w^3)/S(w)
+                 + (S(w^2)/S(w))^2) / 2,  S summing over studies.
+    """
+    w = 1.0 / (v + theta2[:, None])
+    sw = w.sum(axis=1)
+    r = tau - ((w * tau).sum(axis=1) / sw)[:, None]
+    w2, w3 = w * w, w * w * w
+    ratio = w2.sum(axis=1) / sw
+    score = 0.5 * ((w2 * r * r).sum(axis=1) - sw + ratio)
+    slope = 0.5 * (-2.0 * (w3 * r * r).sum(axis=1) + 2.0 * (w2 * r).sum(axis=1) ** 2 / sw
+                   + w2.sum(axis=1) - 2.0 * w3.sum(axis=1) / sw + ratio * ratio)
+    return score, slope
+
+
+def _solve(tau, v, bound, counts):
+    """REML theta2 per row over [0, bound]: grid scan, then safeguarded Newton.
+
+    The likelihood is scanned on 65 equally spaced points, in chunks of rows.
+    Newton on the score then runs between the best point's neighbours; each
+    step narrows the bracket by the sign of the score, and a step that would
+    leave it, or is taken where the likelihood is not concave, is replaced
+    by bisection.  A row stops once its step is at most 1e-12 * (1 + theta2).
+    theta2 = 0 wins whenever its likelihood is at least the refined point's.
+    """
+    n_rows, last = len(bound), _GRID_FRAC.size - 1
+    grid = bound[:, None] * _GRID_FRAC
+    best, f0 = np.empty(n_rows, dtype=np.intp), np.empty(n_rows)
+    chunk = max(1, _GRID_CHUNK // (_GRID_FRAC.size * tau.shape[1]))
+    for start in range(0, n_rows, chunk):
+        part = slice(start, start + chunk)
+        vals = _profile_log_likelihood(grid[part], tau[part], v[part])
+        best[part], f0[part] = vals.argmax(axis=1), vals[:, 0]
+    rows = np.arange(n_rows)
+    x = grid[rows, best]
+    lo = grid[rows, np.maximum(best - 1, 0)]
+    hi = grid[rows, np.minimum(best + 1, last)]
+    for _ in range(_MAX_STEPS):
+        if rows.size == 0:
+            break
+        xr = x[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score, slope = _score(xr, tau[rows], v[rows])
+            step = xr - score / slope
+        lor = np.where(score > 0.0, xr, lo[rows])
+        hir = np.where(score > 0.0, hi[rows], xr)
+        ok = (slope < 0.0) & (lor <= step) & (step <= hir)
+        # A bracket collapsed onto the grid's first or last point is not a fallback.
+        counts["reml_bisection_fallbacks"] += int(np.count_nonzero(~ok & (lor < hir)))
+        new = np.where(ok, step, 0.5 * (lor + hir))
+        x[rows], lo[rows], hi[rows] = new, lor, hir
+        rows = rows[np.abs(new - xr) > _NEWTON_RTOL * (1.0 + xr)]
+    fx = _profile_log_likelihood(x[:, None], tau, v)[:, 0]
+    return np.where(f0 >= fx, 0.0, x)
+
+
+def _reml_rows(tau, v, counts):
+    """REML theta2 for each row of (P, K) arrays.
+
+    theta2_max = 10 * var(tau_hat) + max(se2) bounds the search.  A row whose
+    maximizer lands on that bound is solved again, once, with the bound
+    doubled.  Equal estimates give theta2 = 0 without a search.
+    """
+    theta2 = np.zeros(len(tau))
+    active = np.ptp(tau, axis=1) > 0.0
+    if active.any():
+        t, s = tau[active], v[active]
+        bound = 10.0 * np.var(t, axis=1, ddof=1) + s.max(axis=1)
+        x = _solve(t, s, bound, counts)
+        hit = bound - x <= _BOUND_RTOL * bound
+        if hit.any():
+            bound2 = 2.0 * bound[hit]
+            x[hit] = _solve(t[hit], s[hit], bound2, counts)
+            if np.any(bound2 - x[hit] <= _BOUND_RTOL * bound2):
+                raise EstimationError(
+                    "REML maximizer exceeded its search bound after one retry"
+                )
+            counts["reml_bound_retries"] += int(np.count_nonzero(hit))
+        theta2[active] = x
+    counts["reml_boundary_hits"] += int(np.count_nonzero(theta2 == 0.0))
+    return theta2
+
+
+def _pool_rows(tau, v, theta2):
+    """Inverse-variance pooling of each row: (weights, tau_pooled, var_pooled).
+
+    A row with all se2 + theta2 exactly zero and equal estimates pools to
+    that estimate with variance 0 and nominal equal weights, since the true
+    weights are infinite; any other zero is an error.
+    """
+    total = v + theta2[:, None]
+    zero = total == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = 1.0 / total
+        sw = w.sum(axis=1)
+        tau_pooled = (w * tau).sum(axis=1) / sw
+        var_pooled = 1.0 / sw
+    degenerate = zero.any(axis=1)
+    if degenerate.any():
+        if not np.all(zero[degenerate].all(axis=1)
+                      & (np.ptp(tau[degenerate], axis=1) == 0.0)):
+            raise EstimationError("degenerate variance: some se2 + theta2 are exactly zero")
+        w[degenerate] = 1.0 / tau.shape[1]
+        tau_pooled[degenerate] = tau[degenerate, 0]
+        var_pooled[degenerate] = 0.0
+    return w, tau_pooled, var_pooled
+
+
+def _half_width(var_pooled, theta2, alpha: float, k_studies: int):
+    """t_{K-2, 1-alpha/2} * sqrt(var_pooled + theta2)."""
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("alpha must be in (0, 1)")
+    if k_studies < 3:
+        raise InsufficientStudiesError(
+            f"prediction intervals need K >= 3 studies, got {k_studies}"
+        )
+    return t_quantile(k_studies - 2, 1.0 - alpha / 2.0) * np.sqrt(var_pooled + theta2)
+
+
+def _as_rows(tau, v):
+    """Validate (K, P) inputs and return them as contiguous (P, K) rows."""
+    tau = np.asarray(tau, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if tau.shape != v.shape or tau.ndim != 2 or tau.shape[0] < 2:
+        raise ValueError("tau and v must both be (K, n_profiles) with K >= 2")
+    return np.ascontiguousarray(tau.T), np.ascontiguousarray(v.T)
 
 
 def reml_theta2(meta: MetaInput) -> float:
     """REML estimate of the between-study variance for one profile.
 
-    The objective is scanned on a coarse grid over [0, theta2_max] with
-    theta2_max = 10 * var(tau_hat) + max(se2), then refined around the best
-    grid point by golden-section search to absolute tolerance 1e-10.  The
-    boundary value 0 is always compared explicitly.  If the maximizer lands
-    on the upper bound, the bound is doubled and the search repeated once.
+    The kernel of :func:`pool_profiles` at one profile: a 65-point grid over
+    [0, 10 * var(tau_hat) + max(se2)], then safeguarded Newton on the REML
+    score.  theta2 = 0 is always compared explicitly, and a maximizer on the
+    upper bound doubles the bound for one more search.
     """
-    tau, v = meta.tau, meta.v
-    if np.ptp(tau) == 0.0:
-        return 0.0
-    bound = 10.0 * float(np.var(tau, ddof=1)) + float(v.max())
-
-    def solve(upper):
-        grid = np.linspace(0.0, upper, _COARSE_GRID)
-        vals = _profile_log_likelihood(grid, tau, v)
-        best = int(np.argmax(vals))
-        lo = grid[max(best - 1, 0)]
-        hi = grid[min(best + 1, _COARSE_GRID - 1)]
-        x, fx = _golden_section_max(
-            lambda t: float(_profile_log_likelihood(t, tau, v)[0]), lo, hi, _REML_XATOL
-        )
-        f0 = float(vals[0])
-        if f0 >= fx:
-            return 0.0, f0
-        return x, fx
-
-    x, _ = solve(bound)
-    if bound - x <= 1e-6 * bound:
-        bound *= 2.0
-        x, _ = solve(bound)
-        if bound - x <= 1e-6 * bound:
-            raise EstimationError(
-                "REML maximizer exceeded its search bound after one retry"
-            )
-    return max(float(x), 0.0)
-
-
-def _batch_ll(theta2, tau, v):
-    """Restricted log likelihood at one theta2 per profile; all (K, P)."""
-    total = v + theta2[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = 1.0 / total
-        sw = w.sum(axis=0)
-        mu = (w * tau).sum(axis=0) / sw
-        r = tau - mu[None, :]
-        out = -0.5 * (np.log(total).sum(axis=0) + np.log(sw) + (r * r * w).sum(axis=0))
-    return np.where(np.isfinite(out), out, -np.inf)
-
-
-def _golden_batch(tau, v, lo, hi, xatol):
-    """Element-wise golden-section maximization over [lo, hi] per profile."""
-    a, b = lo.copy(), hi.copy()
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = _batch_ll(c, tau, v)
-    fd = _batch_ll(d, tau, v)
-    while float((b - a).max()) > xatol:
-        take_left = fc >= fd
-        b = np.where(take_left, d, b)
-        a = np.where(take_left, a, c)
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc = _batch_ll(c, tau, v)
-        fd = _batch_ll(d, tau, v)
-    x = np.where(fc >= fd, c, d)
-    return x, np.maximum(fc, fd)
-
-
-def _solve_batch(tau, v, bound):
-    grid_frac = np.linspace(0.0, 1.0, _COARSE_GRID_BATCH)
-    vals = np.stack([_batch_ll(frac * bound, tau, v) for frac in grid_frac])
-    best = np.argmax(vals, axis=0)
-    lo = grid_frac[np.maximum(best - 1, 0)] * bound
-    hi = grid_frac[np.minimum(best + 1, _COARSE_GRID_BATCH - 1)] * bound
-    x, fx = _golden_batch(tau, v, lo, hi, _REML_XATOL)
-    f0 = vals[0]
-    return np.where(f0 >= fx, 0.0, x)
+    return float(_reml_rows(meta.tau[None], meta.v[None], Counter())[0])
 
 
 def reml_theta2_batch(tau: np.ndarray, v: np.ndarray) -> np.ndarray:
     """REML between-study variance for many profiles at once.
 
     ``tau`` and ``v`` have shape (K, n_profiles); returns one theta2 per
-    profile.  Same estimator as :func:`reml_theta2` (within the search
-    tolerance), vectorized for the simulation harness where hundreds of
-    profiles pool per replication.
+    profile, each bit-identical to :func:`reml_theta2` on its column.
     """
-    tau = np.asarray(tau, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if tau.shape != v.shape or tau.ndim != 2 or tau.shape[0] < 2:
-        raise ValueError("tau and v must both be (K, n_profiles) with K >= 2")
-    n_prof = tau.shape[1]
-    out = np.zeros(n_prof)
-    active = np.ptp(tau, axis=0) > 0.0
-    if not active.any():
-        return out
-    t_act, v_act = tau[:, active], v[:, active]
-    bound = 10.0 * np.var(t_act, axis=0, ddof=1) + v_act.max(axis=0)
-    x = _solve_batch(t_act, v_act, bound)
-    hit = bound - x <= 1e-6 * bound
-    if hit.any():
-        bound2 = 2.0 * bound[hit]
-        x2 = _solve_batch(t_act[:, hit], v_act[:, hit], bound2)
-        if np.any(bound2 - x2 <= 1e-6 * bound2):
-            raise EstimationError(
-                "REML maximizer exceeded its search bound after one retry"
-            )
-        x[hit] = x2
-    out[active] = np.maximum(x, 0.0)
-    return out
+    return _reml_rows(*_as_rows(tau, v), Counter())
+
+
+def pool_profiles(tau: np.ndarray, v: np.ndarray, alpha: float | None = None
+                  ) -> PooledProfiles:
+    """Stage 2 for many profiles at once: REML, pooling and intervals.
+
+    ``tau`` and ``v`` have shape (K, n_profiles).  With ``alpha`` given,
+    also forms the level 1 - alpha prediction half-width (needs K >= 3).
+    """
+    tau, v = _as_rows(tau, v)
+    counts = Counter(reml_boundary_hits=0, reml_bound_retries=0, reml_bisection_fallbacks=0)
+    theta2 = _reml_rows(tau, v, counts)
+    _, tau_pooled, var_pooled = _pool_rows(tau, v, theta2)
+    half = None if alpha is None else _half_width(var_pooled, theta2, alpha, tau.shape[1])
+    return PooledProfiles(theta2, tau_pooled, var_pooled, half, counts)
 
 
 def dl_theta2(meta: MetaInput) -> float:
@@ -251,32 +314,16 @@ def pool_cate(meta: MetaInput, theta2: float) -> PooledCate:
     """
     if theta2 < 0.0:
         raise ValueError("theta2 must be >= 0")
-    tau, v = meta.tau, meta.v
-    total = v + theta2
-    if np.any(total == 0.0):
-        if np.all(total == 0.0) and np.ptp(tau) == 0.0:
-            # True weights are infinite; record nominal equal weights.
-            k = meta.k_studies
-            return PooledCate(
-                profile_id=meta.profile_id,
-                tau_pooled=float(tau[0]),
-                var_pooled=0.0,
-                theta2=theta2,
-                k_studies=k,
-                weights=tuple([1.0 / k] * k),
-            )
-        raise EstimationError(
-            "degenerate variance: some se2 + theta2 are exactly zero"
-        )
-    w = 1.0 / total
-    sw = float(w.sum())
+    w, tau_pooled, var_pooled = _pool_rows(
+        meta.tau[None], meta.v[None], np.array([theta2], dtype=np.float64)
+    )
     return PooledCate(
         profile_id=meta.profile_id,
-        tau_pooled=float((w * tau).sum() / sw),
-        var_pooled=1.0 / sw,
+        tau_pooled=float(tau_pooled[0]),
+        var_pooled=float(var_pooled[0]),
         theta2=float(theta2),
         k_studies=meta.k_studies,
-        weights=tuple(float(wi) for wi in w),
+        weights=tuple(w[0].tolist()),
     )
 
 
@@ -307,21 +354,14 @@ def prediction_interval(
     degrees of freedom account for estimating both the pooled mean and the
     between-study variance, so at least 3 studies are required.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must be in (0, 1)")
     if k_studies != pooled.k_studies:
         raise ValueError("k_studies does not match the pooled estimate")
-    if k_studies < 3:
-        raise InsufficientStudiesError(
-            f"prediction intervals need K >= 3 studies, got {k_studies}"
-        )
-    df = k_studies - 2
-    half = t_quantile(df, 1.0 - alpha / 2.0) * math.sqrt(pooled.var_pooled + pooled.theta2)
+    half = float(_half_width(pooled.var_pooled, pooled.theta2, alpha, k_studies))
     return PredictionInterval(
         profile_id=pooled.profile_id,
         center=pooled.tau_pooled,
         lower=pooled.tau_pooled - half,
         upper=pooled.tau_pooled + half,
         level=1.0 - alpha,
-        df=df,
+        df=k_studies - 2,
     )

@@ -25,7 +25,8 @@ from .bart import BartParams, bart_cate_normal, fit_bart_slearner
 from .errors import CatemetaError, ConfigurationError
 from .forest import ForestParams, fit_causal_forest, forest_cates
 from .linear import fit_interaction_ols, linear_cate
-from .meta import MetaInput, pool_cate, prediction_interval, reml_theta2_batch
+# pool_cate, prediction_interval and reml_theta2_batch are bound only for perfbench/tracing.py.
+from .meta import pool_cate, pool_profiles, prediction_interval, reml_theta2_batch  # noqa: F401
 from .model import CovariateProfile, StudyCateEstimate, TrialDataset
 from .rng import spawn_seed, substream
 
@@ -299,19 +300,9 @@ def _run_replication(config, method, replication, profiles, forest_params,
         )
     tau = np.array([[est.tau_hat for est in study] for study in per_study])
     v = np.array([[est.se2 for est in study] for study in per_study])
-    theta2 = reml_theta2_batch(tau, v)
-    lower = np.empty(len(profiles))
-    center = np.empty(len(profiles))
-    upper = np.empty(len(profiles))
-    for i in range(len(profiles)):
-        meta = MetaInput(
-            profile_id=profiles[i].profile_id,
-            estimates=tuple(per_study[s][i] for s in range(config.k_studies)),
-        )
-        pooled = pool_cate(meta, float(theta2[i]))
-        pi = prediction_interval(pooled, alpha, config.k_studies)
-        lower[i], center[i], upper[i] = pi.lower, pi.center, pi.upper
-    return lower, center, upper
+    pooled = pool_profiles(tau, v, alpha)
+    center, half = pooled.tau_pooled, pooled.half_width
+    return center - half, center, center + half
 
 
 def _replication_worker(args):

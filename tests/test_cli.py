@@ -1,5 +1,7 @@
 """Command-line behavior: schemas, exit codes, determinism of artifacts."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,66 @@ class TestPredict:
         body = (out / "predictions.csv").read_text()
         assert ",positive" in body
         assert ",crosses_zero" in body
+
+
+    @pytest.mark.parametrize("tau_hat,se2", [
+        ("nan", "0.5"), ("inf", "0.5"), ("-inf", "0.5"),
+        ("1.5", "-0.5"), ("1.5", "nan"), ("1.5", "inf"),
+    ])
+    def test_bad_aggregate_value_exits_2(self, tmp_path, capsys, tau_hat, se2):
+        agg = tmp_path / "agg.csv"
+        agg.write_text(
+            "profile_id,study_id,tau_hat,se2\n"
+            f"0,1,1.0,0.5\n0,2,{tau_hat},{se2}\n0,3,2.0,0.5\n"
+        )
+        assert run(["predict", "--aggregates", agg, "--out-dir", tmp_path / "x"]) == 2
+        err = capsys.readouterr().err
+        assert f"{agg}:3:" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    def test_duplicate_profile_study_row_exits_2(self, tmp_path, capsys):
+        agg = tmp_path / "agg.csv"
+        agg.write_text(
+            "profile_id,study_id,tau_hat,se2\n"
+            "0,1,1.0,0.5\n0,2,1.5,0.5\n0,3,2.0,0.5\n0,2,1.5,0.5\n"
+        )
+        assert run(["predict", "--aggregates", agg, "--out-dir", tmp_path / "x"]) == 2
+        assert f"{agg}:5: duplicate row for profile 0, study 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "1", "-0.1", "nan"])
+    def test_alpha_outside_unit_interval_exits_3(self, tmp_path, capsys, k, alpha):
+        agg = tmp_path / "agg.csv"
+        agg.write_text("profile_id,study_id,tau_hat,se2\n"
+                       + "".join(f"0,{s},{s},0.5\n" for s in range(1, k + 1)))
+        out = tmp_path / "x"
+        assert run(["predict", "--aggregates", agg, "--alpha", alpha,
+                    "--out-dir", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: --alpha must be in (0, 1)")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_manifest_records_reml_diagnostics(self, tmp_path):
+        agg = tmp_path / "agg.csv"
+        rows = ["profile_id,study_id,tau_hat,se2"]
+        for s in (1, 2, 3, 4):
+            rows.append(f"0,{s},2.0,0.5")                  # equal estimates
+            rows.append(f"1,{s},{1.0 + 1e-3 * s},0.8")     # theta2 = 0 boundary
+            rows.append(f"2,{s},{float(s * s)},0.1")       # theta2 > 0
+        rows += ["3,1,0.0,0.5", "3,2,3.0,0.5"]             # K = 2, theta2 > 0
+        agg.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "pred"
+        assert run(["predict", "--aggregates", agg, "--out-dir", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"] == {
+            "reml_boundary_hits": 2,
+            "reml_bound_retries": 0,
+            "reml_bisection_fallbacks": 0,
+        }
+        theta2 = [float(line.split(",")[2])
+                  for line in (out / "predictions.csv").read_text().splitlines()[1:]]
+        assert [t == 0.0 for t in theta2] == [True, True, False, False]
 
 
 class TestCompareIntervals:

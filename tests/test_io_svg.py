@@ -1,5 +1,8 @@
 """CSV schemas, config parsing, and deterministic SVG emission."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -143,6 +146,18 @@ class TestSimConfigFile:
         assert cfg.n_per_study == 100
         assert cfg.master_seed == 9
         assert cfg.cate_setting == "linear"  # default
+        assert options.methods == ("linear", "forest_honest")
+        assert options.alpha == 0.05
+
+    def test_readme_example_parses(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+        assert len(blocks) == 1
+        path = tmp_path / "exp.cfg"
+        path.write_text(blocks[0], encoding="utf-8")
+        cfg, options = parse_sim_config(str(path))
+        assert (cfg.k_studies, cfg.cate_setting, cfg.master_seed) == (10, "linear", 3)
+        assert cfg.effect_distribution == "normal"
         assert options.methods == ("linear", "forest_honest")
         assert options.alpha == 0.05
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catemeta import (
     EstimationError,
@@ -12,12 +14,13 @@ from catemeta import (
     StudyCateEstimate,
     dl_theta2,
     pool_cate,
+    pool_profiles,
     prediction_interval,
     reml_theta2,
     restricted_log_likelihood,
     t_quantile,
 )
-from catemeta.meta import reml_theta2_batch
+from catemeta.meta import _score, reml_theta2_batch
 
 
 def meta_input(tau, v, profile_id=0):
@@ -105,8 +108,19 @@ class TestRemlTheta2:
         v = rng.uniform(0.05, 1.0, size=(k, n_prof))
         batch = reml_theta2_batch(tau, v)
         for j in range(n_prof):
-            scalar = reml_theta2(meta_input(tau[:, j], v[:, j]))
-            assert batch[j] == pytest.approx(scalar, abs=1e-6)
+            assert batch[j] == reml_theta2(meta_input(tau[:, j], v[:, j]))
+
+    def test_solves_the_score_equation(self):
+        # Interior maximizers are roots of the REML score to machine precision,
+        # which comparing likelihood values alone cannot reach.
+        rng = np.random.default_rng(5)
+        tau = rng.normal(0.0, 1.5, size=(8, 50))
+        v = rng.uniform(0.05, 1.0, size=(8, 50))
+        theta2 = reml_theta2_batch(tau, v)
+        inside = theta2 > 0.0
+        assert inside.sum() > 25
+        score, slope = _score(theta2[inside], tau.T[inside], v.T[inside])
+        assert np.all(np.abs(score / slope) <= 1e-11 * (1.0 + theta2[inside]))
 
     def test_batch_shape_validation(self):
         with pytest.raises(ValueError):
@@ -245,6 +259,129 @@ class TestPredictionInterval:
         pooled = pool_cate(meta_input([0.0, 1.0, 2.0], [1.0] * 3), theta2=0.5)
         with pytest.raises(ValueError):
             prediction_interval(pooled, 0.05, 4)
+
+
+class TestPoolProfiles:
+    def test_views_equal_kernel_columns(self):
+        rng = np.random.default_rng(9)
+        k, n_prof = 5, 30
+        tau = rng.normal(0.0, 1.0, size=(k, n_prof))
+        v = rng.uniform(0.05, 1.0, size=(k, n_prof))
+        tau[:, 0] = 0.7  # equal estimates: theta2 = 0 without a search
+        batch = pool_profiles(tau, v, alpha=0.1)
+        for j in range(n_prof):
+            mi = meta_input(tau[:, j], v[:, j])
+            pooled = pool_cate(mi, reml_theta2(mi))
+            pi = prediction_interval(pooled, 0.1, k)
+            assert pooled.theta2 == batch.theta2[j]
+            assert pooled.tau_pooled == batch.tau_pooled[j]
+            assert pooled.var_pooled == batch.var_pooled[j]
+            assert pi.lower == batch.tau_pooled[j] - batch.half_width[j]
+            assert pi.upper == batch.tau_pooled[j] + batch.half_width[j]
+        assert batch.diagnostics["reml_boundary_hits"] == (batch.theta2 == 0.0).sum() >= 1
+
+    def test_degenerate_all_zero_variance_equal_estimates(self):
+        batch = pool_profiles(np.full((3, 2), 2.0), np.zeros((3, 2)), alpha=0.05)
+        assert batch.theta2.tolist() == [0.0, 0.0]
+        assert batch.tau_pooled.tolist() == [2.0, 2.0]
+        assert batch.var_pooled.tolist() == [0.0, 0.0]
+        assert batch.half_width.tolist() == [0.0, 0.0]
+
+    def test_some_zero_variance_is_error(self):
+        tau = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
+        v = np.array([[0.0, 0.5], [0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(EstimationError):
+            pool_profiles(tau, v)
+
+    def test_interval_needs_three_studies(self):
+        batch = pool_profiles(np.array([[0.0], [1.0]]), np.ones((2, 1)))
+        assert batch.half_width is None
+        with pytest.raises(InsufficientStudiesError):
+            pool_profiles(np.array([[0.0], [1.0]]), np.ones((2, 1)), alpha=0.05)
+
+    def test_alpha_outside_unit_interval_is_error(self):
+        for alpha in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                pool_profiles(np.zeros((3, 1)), np.ones((3, 1)), alpha=alpha)
+
+
+@st.composite
+def stage2_inputs(draw, max_profiles=4):
+    k = draw(st.integers(3, 12))
+    n_prof = draw(st.integers(1, max_profiles))
+    values = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    variances = st.floats(1e-3, 10.0, allow_nan=False, allow_infinity=False)
+    tau = draw(st.lists(values, min_size=k * n_prof, max_size=k * n_prof))
+    v = draw(st.lists(variances, min_size=k * n_prof, max_size=k * n_prof))
+    return np.reshape(tau, (k, n_prof)), np.reshape(v, (k, n_prof))
+
+
+def theta2_tol(tau, v):
+    """Slack for theta2 after a perturbation of the inputs by rounding.
+
+    The theta2 = 0 comparison can flip for a maximizer within about 1e-8 of
+    the likelihood's scale from the boundary; elsewhere the kernel is exact
+    to about 1e-12.
+    """
+    return 1e-6 * (v.max(axis=0) + np.ptp(tau, axis=0) ** 2)
+
+
+class TestStage2Properties:
+    @settings(max_examples=200, deadline=None)
+    @given(stage2_inputs())
+    def test_theta2_nonnegative(self, inputs):
+        assert np.all(pool_profiles(*inputs).theta2 >= 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stage2_inputs(), st.floats(-50.0, 50.0))
+    def test_shift_moves_center_and_keeps_theta2(self, inputs, c):
+        tau, v = inputs
+        base = pool_profiles(tau, v)
+        moved = pool_profiles(tau + c, v)
+        assert np.all(np.abs(moved.theta2 - base.theta2) <= theta2_tol(tau, v))
+        scale = 1.0 + abs(c) + np.abs(tau).max(axis=0)
+        assert np.all(np.abs(moved.tau_pooled - (base.tau_pooled + c)) <= 1e-6 * scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stage2_inputs(), st.floats(0.1, 10.0))
+    def test_scale_equivariance(self, inputs, s):
+        tau, v = inputs
+        base = pool_profiles(tau, v)
+        scaled = pool_profiles(tau * s, v * s * s)
+        assert np.all(np.abs(scaled.theta2 - s * s * base.theta2)
+                      <= s * s * theta2_tol(tau, v))
+
+    @settings(max_examples=200, deadline=None)
+    @given(stage2_inputs())
+    def test_center_within_estimates(self, inputs):
+        tau, v = inputs
+        center = pool_profiles(tau, v).tau_pooled
+        slack = 1e-12 * (1.0 + np.abs(tau).max(axis=0))
+        assert np.all(tau.min(axis=0) - slack <= center)
+        assert np.all(center <= tau.max(axis=0) + slack)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stage2_inputs(), st.floats(0.001, 0.49), st.floats(0.5, 0.999))
+    def test_interval_symmetric_and_widens_as_alpha_falls(self, inputs, small, large):
+        tau, v = inputs
+        narrow = pool_profiles(tau, v, alpha=large)
+        wide = pool_profiles(tau, v, alpha=small)
+        assert np.all(narrow.half_width >= 0.0)
+        assert np.all(wide.half_width > narrow.half_width)
+        for j in range(tau.shape[1]):
+            pi = prediction_interval(
+                pool_cate(meta_input(tau[:, j], v[:, j]), float(wide.theta2[j])),
+                small, tau.shape[0],
+            )
+            assert pi.upper - pi.center == pytest.approx(pi.center - pi.lower, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stage2_inputs(max_profiles=8))
+    def test_batch_column_equals_scalar_exactly(self, inputs):
+        tau, v = inputs
+        batch = reml_theta2_batch(tau, v)
+        for j in range(tau.shape[1]):
+            assert batch[j] == reml_theta2(meta_input(tau[:, j], v[:, j]))
 
 
 class TestMetaInput:
