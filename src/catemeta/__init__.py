@@ -17,6 +17,7 @@ from .bart import (
     BartPosterior,
     bart_cate_normal,
     bart_cate_quantile,
+    bart_cates,
     fit_bart_slearner,
 )
 from .errors import (
@@ -36,8 +37,9 @@ from .forest import (
     fit_causal_forest,
     forest_cate,
     forest_cates,
+    forest_predict,
 )
-from .linear import LinearCateFit, fit_interaction_ols, linear_cate
+from .linear import LinearCateFit, fit_interaction_ols, linear_cate, linear_cates
 from .meta import (
     MetaInput,
     PooledProfiles,
@@ -65,6 +67,7 @@ from .simulate import (
     SimConfig,
     TrueEffectRecord,
     draw_study_effects,
+    estimate_study,
     gen_outcomes,
     gen_target_profiles,
     gen_trial_covariates,
@@ -77,20 +80,20 @@ from .simulate import (
 __all__ = [
     "__version__",
     "BartParams", "BartPosterior", "bart_cate_normal", "bart_cate_quantile",
-    "fit_bart_slearner",
+    "bart_cates", "fit_bart_slearner",
     "CatemetaError", "ConfigurationError", "DimensionMismatchError",
     "EstimationError", "InputFormatError", "InsufficientDataError",
     "InsufficientStudiesError", "SingularDesignError",
     "CausalForestModel", "CausalTree", "ForestParams", "fit_causal_forest",
-    "forest_cate", "forest_cates",
-    "LinearCateFit", "fit_interaction_ols", "linear_cate",
+    "forest_cate", "forest_cates", "forest_predict",
+    "LinearCateFit", "fit_interaction_ols", "linear_cate", "linear_cates",
     "MetaInput", "PooledProfiles", "dl_theta2", "pool_cate", "pool_profiles",
     "prediction_interval",
     "reml_theta2", "restricted_log_likelihood", "t_quantile",
     "CovariateProfile", "CoverageFlag", "PooledCate", "PredictionInterval",
     "StudyCateEstimate", "TrialDataset", "ValidationReport",
     "validate_target_coverage", "validate_trial",
-    "MetricsTable", "SimConfig", "TrueEffectRecord", "draw_study_effects",
+    "MetricsTable", "SimConfig", "TrueEffectRecord", "draw_study_effects", "estimate_study",
     "gen_outcomes", "gen_target_profiles", "gen_trial_covariates", "gen_study",
     "run_experiment", "target_effect_record", "true_cate",
 ]

@@ -15,7 +15,7 @@ default) and empirical quantiles of the per-draw differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import chi2
@@ -42,8 +42,9 @@ class BartParams:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_trees, self.n_burn, self.n_draws) < 1:
-            raise ConfigurationError("tree, burn and draw counts must be positive")
+        if min(self.n_trees, self.n_burn) < 1 or self.n_draws < 2:
+            # se2 is a sample variance across draws, so it needs two of them.
+            raise ConfigurationError("tree and burn counts must be >= 1, draws >= 2")
         if not (0.0 < self.alpha < 1.0) or self.beta <= 0.0:
             raise ConfigurationError("tree prior requires alpha in (0,1), beta > 0")
         if self.k <= 0.0 or self.nu <= 0.0 or not (0.0 < self.q < 1.0):
@@ -337,7 +338,8 @@ def fit_bart_slearner(
     The model input is (x, a): covariates plus the treatment indicator as an
     extra column.  For each profile both counterfactual inputs (x*, 0) and
     (x*, 1) are registered, and the posterior function draws at those points
-    are stored in outcome units.  Deterministic given ``params.seed``.
+    are stored in outcome units: the i-th profile's arms are draw columns 2i
+    and 2i + 1.  Deterministic given ``params.seed``.
     """
     if not profiles:
         raise ConfigurationError("at least one profile must be registered")
@@ -356,13 +358,10 @@ def fit_bart_slearner(
     y_scaled = (y - y_min) / y_range - 0.5
 
     z = np.column_stack([dataset.x, dataset.a.astype(np.float64)])
-    columns: dict = {}
-    eval_rows = []
-    for prof in profiles:
-        for arm in (0, 1):
-            columns[(prof.profile_id, arm)] = len(eval_rows)
-            eval_rows.append(np.append(prof.x, float(arm)))
-    eval_points = np.stack(eval_rows)
+    eval_points = np.repeat([np.append(prof.x, 0.0) for prof in profiles], 2, axis=0)
+    eval_points[1::2, p] = 1.0
+    columns = {(prof.profile_id, arm): 2 * i + arm
+               for i, prof in enumerate(profiles) for arm in (0, 1)}
 
     rng = substream(params.seed, "bart-chain")
     chain = _Chain(z, y_scaled, params, rng)
@@ -385,17 +384,37 @@ def fit_bart_slearner(
     )
 
 
-def bart_cate_normal(posterior: BartPosterior, profile: CovariateProfile) -> StudyCateEstimate:
-    """CATE with a normal approximation: arm variances added.
+def bart_cates(posterior: BartPosterior, level: float = 0.95):
+    """CATE arrays over the registered profiles, in registration order.
 
-    tau_hat is the difference of the posterior-mean outcomes under the two
-    arms; se2 is the sum of the two arms' sample variances across draws,
-    treating the arms as uncorrelated (the conservative choice).
+    Returns ``(tau, se2, lower, upper)``.  tau_hat is the difference of the
+    posterior-mean outcomes under the two arms; se2 is the sum of the two
+    arms' sample variances across draws, treating the arms as uncorrelated
+    (the conservative choice).  lower and upper are the ((1-level)/2,
+    1-(1-level)/2) quantiles of the per-draw differences f(x,1) - f(x,0),
+    with linear interpolation between order statistics.
     """
-    f1 = posterior.column(profile.profile_id, 1)
-    f0 = posterior.column(profile.profile_id, 0)
-    tau = float(f1.mean() - f0.mean())
-    se2 = float(np.var(f1, ddof=1) + np.var(f0, ddof=1))
+    if not (0.0 < level < 1.0):
+        raise ValueError("level must be in (0, 1)")
+    # One contiguous row per profile: each row reduces exactly like a 1-d column.
+    f1 = np.ascontiguousarray(posterior.draws[:, 1::2].T)
+    f0 = np.ascontiguousarray(posterior.draws[:, 0::2].T)
+    tau = f1.mean(axis=1) - f0.mean(axis=1)
+    se2 = np.var(f1, axis=1, ddof=1) + np.var(f0, axis=1, ddof=1)
+    tail = (1.0 - level) / 2.0
+    lower, upper = np.quantile(f1 - f0, [tail, 1.0 - tail], axis=1, method="linear")
+    return tau, se2, lower, upper
+
+
+def _at_profile(posterior: BartPosterior, profile: CovariateProfile, level: float):
+    """:func:`bart_cates` over one profile's two draw columns, as floats."""
+    arms = np.column_stack([posterior.column(profile.profile_id, arm) for arm in (0, 1)])
+    return [float(v[0]) for v in bart_cates(replace(posterior, draws=arms), level)]
+
+
+def bart_cate_normal(posterior: BartPosterior, profile: CovariateProfile) -> StudyCateEstimate:
+    """:func:`bart_cates` tau_hat and se2 (normal approximation) at one profile."""
+    tau, se2, _, _ = _at_profile(posterior, profile, 0.95)
     return StudyCateEstimate(
         study_id=posterior.study_id,
         profile_id=profile.profile_id,
@@ -407,15 +426,6 @@ def bart_cate_normal(posterior: BartPosterior, profile: CovariateProfile) -> Stu
 def bart_cate_quantile(
     posterior: BartPosterior, profile: CovariateProfile, level: float
 ) -> tuple[float, float, float]:
-    """CATE with an interval from empirical quantiles of per-draw differences.
-
-    Returns (tau_hat, lower, upper) where the bounds are the
-    ((1-level)/2, 1-(1-level)/2) quantiles of f(x,1) - f(x,0) across draws,
-    with linear interpolation between order statistics.
-    """
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must be in (0, 1)")
-    d = posterior.column(profile.profile_id, 1) - posterior.column(profile.profile_id, 0)
-    tail = (1.0 - level) / 2.0
-    lower, upper = np.quantile(d, [tail, 1.0 - tail], method="linear")
-    return float(d.mean()), float(lower), float(upper)
+    """:func:`bart_cates` (tau_hat, lower, upper) at one profile and level."""
+    tau, _, lower, upper = _at_profile(posterior, profile, level)
+    return tau, lower, upper

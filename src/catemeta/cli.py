@@ -19,19 +19,24 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bart import BartParams, bart_cate_normal, bart_cate_quantile, fit_bart_slearner
+# bart_cate_normal, bart_cate_quantile, fit_bart_slearner, fit_causal_forest, forest_cates,
+# fit_interaction_ols, linear_cate, pool_cate, prediction_interval and reml_theta2 are
+# bound only for perfbench/tracing.py.
+from .bart import BartParams, bart_cate_normal, bart_cate_quantile, fit_bart_slearner  # noqa: F401
 from .errors import (
     CatemetaError,
     ConfigurationError,
     InputFormatError,
     InsufficientStudiesError,
 )
-from .forest import ForestParams, fit_causal_forest, forest_cates
+from .forest import ForestParams, fit_causal_forest, forest_cates  # noqa: F401
 from .io import (
     PredictionRow,
     parse_sim_config,
@@ -43,12 +48,11 @@ from .io import (
     write_metrics_csv,
     write_predictions_csv,
 )
-from .linear import fit_interaction_ols, linear_cate
-# pool_cate, prediction_interval and reml_theta2 are bound only for perfbench/tracing.py.
+from .linear import fit_interaction_ols, linear_cate  # noqa: F401
 from .meta import pool_cate, pool_profiles, prediction_interval, reml_theta2  # noqa: F401
-from .model import validate_target_coverage, validate_trial
+from .model import StudyCateEstimate, validate_target_coverage, validate_trial
 from .rng import spawn_seed
-from .simulate import run_experiment
+from .simulate import estimate_study, run_experiment
 from .svg import compare_intervals_svg, coverage_boxplot_svg, prediction_intervals_svg
 
 _STUDY_CI_Z = 1.96
@@ -127,48 +131,25 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _fit_study_worker(job):
-    """Stage-1 fit for one study; top-level so worker pools can pickle it."""
-    dataset, profiles, stage1, opts, seed = job
-    if stage1 == "linear":
-        fit = fit_interaction_ols(dataset, opts["moderators"])
-        return dataset.study_id, [linear_cate(fit, p) for p in profiles], []
-    if stage1 == "forest":
-        params = ForestParams(
-            n_trees=opts["trees"],
-            honest=opts["honest"],
-            bag_size=opts["bag_size"],
-            seed=seed,
-        )
-        model = fit_causal_forest(dataset, params)
-        return dataset.study_id, forest_cates(model, profiles), []
-    params = BartParams(
-        n_trees=opts["trees"], n_burn=opts["burn"], n_draws=opts["draws"], seed=seed
-    )
-    posterior = fit_bart_slearner(dataset, profiles, params)
-    estimates = [bart_cate_normal(posterior, p) for p in profiles]
-    quantile_rows = []
-    if opts["interval"] == "quantile":
-        for p in profiles:
-            tau, lower, upper = bart_cate_quantile(posterior, p, 0.95)
-            quantile_rows.append((p.profile_id, dataset.study_id, tau, lower, upper))
-    return dataset.study_id, estimates, quantile_rows
-
-
 def cmd_estimate(args) -> int:
-    out = _out_dir(args)
     if args.stage1 == "linear":
         stage1_options = {"moderators": args.moderators}
+        params = None
     elif args.stage1 == "forest":
         stage1_options = {
             "honest": args.honest, "trees": args.trees or 1000,
             "bag_size": args.bag_size,
         }
+        params = ForestParams(n_trees=stage1_options["trees"], honest=args.honest,
+                              bag_size=args.bag_size)
     else:
         stage1_options = {
             "trees": args.trees or 50, "burn": args.burn, "draws": args.draws,
             "interval": args.interval,
         }
+        params = BartParams(n_trees=stage1_options["trees"], n_burn=args.burn,
+                            n_draws=args.draws)
+    out = _out_dir(args)
     manifest = _Manifest(
         "estimate",
         list(args.trials) + [args.profiles],
@@ -207,25 +188,38 @@ def cmd_estimate(args) -> int:
                 manifest.notes.append(note)
                 print(f"warning: {note}", file=sys.stderr)
 
-    opts = dict(stage1_options)
     if args.stage1 == "linear":
-        opts["moderators"] = _resolve_moderators(args.moderators, trials[0].covariate_names)
+        params = _resolve_moderators(args.moderators, trials[0].covariate_names)
+    points = np.array([p.x for p in profiles])
     with _Phase(manifest, "fit"):
-        jobs = [
-            (ds, profiles, args.stage1, opts, spawn_seed(args.seed, "study", ds.study_id))
+        study_params = [
+            replace(params, seed=spawn_seed(args.seed, "study", ds.study_id))
+            if hasattr(params, "seed") else params  # the moderator tuple has no seed
             for ds in trials
         ]
+        fit_args = (trials, repeat(points), repeat(args.stage1), study_params)
         if args.threads > 1:
             with ProcessPoolExecutor(max_workers=args.threads) as pool:
-                fitted = list(pool.map(_fit_study_worker, jobs))
+                fitted = list(pool.map(estimate_study, *fit_args))
         else:
-            fitted = [_fit_study_worker(job) for job in jobs]
+            fitted = list(map(estimate_study, *fit_args))
     with _Phase(manifest, "write"):
-        estimates = [e for _, ests, _ in sorted(fitted) for e in ests]
+        pids = [p.profile_id for p in profiles]
+        estimates, quantile_rows, studies = [], [], []
+        for ds, (tau, se2, diagnostics) in zip(trials, fitted):
+            sid = ds.study_id
+            estimates += map(StudyCateEstimate, repeat(sid), pids, tau.tolist(), se2.tolist())
+            if stage1_options.get("interval") == "quantile":
+                quantile_rows += zip(pids, repeat(sid), tau.tolist(),
+                                     diagnostics["quantile_lower"].tolist(),
+                                     diagnostics["quantile_upper"].tolist())
+            studies.append({"study_id": sid, **{
+                k: round(v, 6) for k, v in diagnostics.items() if not isinstance(v, np.ndarray)
+            }})
+        manifest.diagnostics["stage1"] = studies
         agg_path = out / "aggregates.csv"
         write_aggregates_csv(str(agg_path), estimates)
         manifest.add_artifact(agg_path)
-        quantile_rows = [row for _, _, rows in sorted(fitted) for row in rows]
         if quantile_rows:
             q_path = out / "study_quantile_intervals.csv"
             with open(q_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -337,26 +331,19 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     config, options = parse_sim_config(args.config)
     manifest = _Manifest("simulate", [args.config], {}, config.master_seed)
-    tables = []
+    forest_params = ForestParams(n_trees=options.forest_trees, bag_size=options.forest_bag_size)
+    bart_params = BartParams(
+        n_trees=options.bart_trees, n_burn=options.bart_burn, n_draws=options.bart_draws
+    )
     with _Phase(manifest, "run"):
-        for method in options.methods:
-            forest_params = ForestParams(
-                n_trees=options.forest_trees,
-                bag_size=options.forest_bag_size,
-                honest=(method == "forest_honest"),
+        tables = [
+            run_experiment(
+                config, method,
+                forest_params=forest_params, bart_params=bart_params,
+                alpha=options.alpha, n_workers=args.threads,
             )
-            bart_params = BartParams(
-                n_trees=options.bart_trees,
-                n_burn=options.bart_burn,
-                n_draws=options.bart_draws,
-            )
-            tables.append(
-                run_experiment(
-                    config, method,
-                    forest_params=forest_params, bart_params=bart_params,
-                    alpha=options.alpha, n_workers=args.threads,
-                )
-            )
+            for method in options.methods
+        ]
     with _Phase(manifest, "write"):
         metrics_path = out / "metrics.csv"
         write_metrics_csv(str(metrics_path), tables)
@@ -367,10 +354,10 @@ def cmd_simulate(args) -> int:
         manifest.add_artifact(svg_path)
         for table in tables:
             if table.aborted_replications:
-                manifest.notes.append(
-                    f"{table.method}: aborted replications "
-                    f"{list(table.aborted_replications)}"
-                )
+                manifest.notes.append(f"{table.method}: aborted replications " + "; ".join(
+                    f"{r}: {reason}"
+                    for r, reason in zip(table.aborted_replications, table.abort_reasons)
+                ))
     manifest.write(out)
     return 0
 
@@ -441,21 +428,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputFormatError as err:
+    except (InputFormatError, InsufficientStudiesError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ConfigurationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except InsufficientStudiesError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except CatemetaError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -89,10 +89,6 @@ class CausalTree:
     def n_nodes(self) -> int:
         return self.feature.shape[0]
 
-    @property
-    def n_leaves(self) -> int:
-        return int((self.feature < 0).sum())
-
 
 @dataclass(frozen=True)
 class CausalForestModel:
@@ -385,40 +381,47 @@ def _bag_se2(pred: np.ndarray, valid: np.ndarray, params: ForestParams, floor: f
     return se2
 
 
-def forest_cates(
-    model: CausalForestModel, profiles: list[CovariateProfile]
-) -> list[StudyCateEstimate]:
-    """Predict every profile at once; cheaper than per-profile calls.
+def forest_predict(model: CausalForestModel, points: np.ndarray):
+    """``(tau, se2, diagnostics)`` at the rows of ``points`` (P, p).
 
-    A tree is skipped for a profile when the profile lands in a leaf whose
-    estimation-set arm counts fall below the minima; if more than half the
-    trees are skipped the profile is an estimation error.
+    A tree is skipped for a point that lands in a leaf whose estimation-set
+    arm counts fall below the minima; more than half the trees skipped at
+    any point is an estimation error.  ``diagnostics`` holds the count of
+    se2 values clamped at the floor and the mean skipped-tree fraction.
     """
-    points = np.stack([p.x for p in profiles])
     pred = predict_matrix(model, points)
     valid = np.isfinite(pred)
     n_valid = valid.sum(axis=0)
-    skipped = [
-        profiles[j].profile_id
-        for j in range(len(profiles))
-        if 1.0 - n_valid[j] / pred.shape[0] > _MAX_SKIP_FRACTION
-    ]
-    if skipped:
+    skipped = 1.0 - n_valid / pred.shape[0]
+    too_many = np.flatnonzero(skipped > _MAX_SKIP_FRACTION)
+    if too_many.size:
         raise EstimationError(
-            f"more than half the trees were skipped for profiles {skipped}"
+            f"study {model.study_id}: more than half the trees were skipped "
+            f"at points {too_many.tolist()}"
         )
-    with np.errstate(invalid="ignore"):
-        tau = np.where(valid, pred, 0.0).sum(axis=0) / n_valid
+    tau = np.where(valid, pred, 0.0).sum(axis=0) / n_valid
     floor = max(model.se2_floor, 0.0)
     se2 = _bag_se2(pred, valid, model.params, floor)
+    diagnostics = {
+        "se2_floor_hits": int((se2 == floor).sum()),
+        "skipped_tree_frac": float(skipped.mean()),
+    }
+    return tau, se2, diagnostics
+
+
+def forest_cates(
+    model: CausalForestModel, profiles: list[CovariateProfile]
+) -> list[StudyCateEstimate]:
+    """:func:`forest_predict` at a list of profiles (point i is profile i)."""
+    tau, se2, _ = forest_predict(model, np.stack([p.x for p in profiles]))
     return [
         StudyCateEstimate(
             study_id=model.study_id,
-            profile_id=profiles[j].profile_id,
-            tau_hat=float(tau[j]),
-            se2=float(se2[j]),
+            profile_id=p.profile_id,
+            tau_hat=t,
+            se2=v,
         )
-        for j in range(len(profiles))
+        for p, t, v in zip(profiles, tau.tolist(), se2.tolist())
     ]
 
 

@@ -132,8 +132,12 @@ def read_profiles_csv(path: str) -> list[CovariateProfile]:
     header, rows = _read_rows(path, ("profile_id",), min_extra=1)
     names = tuple(header[1:])
     profiles = []
+    seen = set()
     for line, row in rows:
         pid = _parse_int(row[0], path, line, "profile_id")
+        if pid in seen:
+            raise InputFormatError(f"duplicate profile_id {pid}", path, line)
+        seen.add(pid)
         x = [_parse_float(row[1 + j], path, line, names[j]) for j in range(len(names))]
         profiles.append(CovariateProfile(profile_id=pid, x=np.array(x)))
     return profiles

@@ -134,28 +134,32 @@ def fit_interaction_ols(
     )
 
 
-def linear_cate(fit: LinearCateFit, profile: CovariateProfile) -> StudyCateEstimate:
-    """CATE point estimate and variance at a profile from a fitted model.
+def linear_cates(fit: LinearCateFit, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CATE point estimates and variances at the rows of ``points`` (P, p).
 
-    The contrast vector c has 1 at the treatment coefficient and the
-    moderator values of the profile at the interaction coefficients;
-    tau_hat = c . beta and se2 = c' Cov c.
+    Row i of the contrast matrix C has 1 at the treatment coefficient and
+    the moderator values of point i at the interaction coefficients;
+    tau_hat = C beta and se2 = diag(C Cov C'), clamped at 0.
     """
-    if profile.n_covariates != fit.n_covariates:
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != fit.n_covariates:
         raise DimensionMismatchError(
-            f"profile has {profile.n_covariates} covariates, fit expects {fit.n_covariates}"
+            f"points have shape {points.shape}, fit expects (P, {fit.n_covariates})"
         )
-    q = fit.coefficients.shape[0]
-    c = np.zeros(q)
-    c[fit.treatment_index] = 1.0
-    offset = fit.treatment_index + 1
-    for i, j in enumerate(fit.moderator_indices):
-        c[offset + i] = profile.x[j]
-    tau = float(c @ fit.coefficients)
-    se2 = float(c @ fit.covariance @ c)
+    contrast = np.zeros((points.shape[0], fit.coefficients.shape[0]))
+    contrast[:, fit.treatment_index] = 1.0
+    contrast[:, fit.treatment_index + 1:] = points[:, fit.moderator_indices]
+    tau = contrast @ fit.coefficients
+    se2 = ((contrast @ fit.covariance) * contrast).sum(axis=1)
+    return tau, np.maximum(se2, 0.0)
+
+
+def linear_cate(fit: LinearCateFit, profile: CovariateProfile) -> StudyCateEstimate:
+    """:func:`linear_cates` at a single profile."""
+    tau, se2 = linear_cates(fit, profile.x[None, :])
     return StudyCateEstimate(
         study_id=fit.study_id,
         profile_id=profile.profile_id,
-        tau_hat=tau,
-        se2=max(se2, 0.0),
+        tau_hat=float(tau[0]),
+        se2=float(se2[0]),
     )

@@ -135,11 +135,6 @@ class PooledCate:
             if abs(self.var_pooled - 1.0 / total) > _WEIGHT_TOL * max(1.0, self.var_pooled):
                 raise ValueError("var_pooled must equal 1/sum(weights)")
 
-    @property
-    def normalized_weights(self) -> np.ndarray:
-        w = np.asarray(self.weights)
-        return w / w.sum()
-
 
 @dataclass(frozen=True)
 class PredictionInterval:

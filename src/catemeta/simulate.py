@@ -15,19 +15,21 @@ target-population shifts are shipped constants, documented below.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
 
-from .bart import BartParams, bart_cate_normal, fit_bart_slearner
+# bart_cate_normal, forest_cates, linear_cate, pool_cate, prediction_interval and
+# reml_theta2_batch are bound only for perfbench/tracing.py.
+from .bart import BartParams, bart_cate_normal, bart_cates, fit_bart_slearner  # noqa: F401
 from .errors import CatemetaError, ConfigurationError
-from .forest import ForestParams, fit_causal_forest, forest_cates
-from .linear import fit_interaction_ols, linear_cate
-# pool_cate, prediction_interval and reml_theta2_batch are bound only for perfbench/tracing.py.
+from .forest import ForestParams, fit_causal_forest, forest_cates, forest_predict  # noqa: F401
+from .linear import fit_interaction_ols, linear_cate, linear_cates  # noqa: F401
 from .meta import pool_cate, pool_profiles, prediction_interval, reml_theta2_batch  # noqa: F401
-from .model import CovariateProfile, StudyCateEstimate, TrialDataset
+from .model import CovariateProfile, TrialDataset
 from .rng import spawn_seed, substream
 
 COVARIATE_NAMES = ("age", "sex", "smoking", "weight", "madrs")
@@ -120,6 +122,7 @@ class MetricsTable:
     bias: np.ndarray
     n_effective_replications: int
     aborted_replications: tuple[int, ...] = ()
+    abort_reasons: tuple[str, ...] = ()  # error message of each aborted replication
 
     def __post_init__(self):
         for name in ("coverage", "mean_length", "bias"):
@@ -240,80 +243,64 @@ def gen_study(config: SimConfig, replication: int, study: int) -> TrialDataset:
     )
 
 
-def _stage1_estimates(config, method, dataset, profiles, replication,
-                      forest_params, bart_params):
-    if method == "linear":
-        fit = fit_interaction_ols(dataset)
-        return [linear_cate(fit, p) for p in profiles]
-    if method in ("forest_honest", "forest_adaptive"):
-        seed = spawn_seed(config.master_seed, "rep", replication,
-                          "study", dataset.study_id, "stage1")
-        params = replace(
-            forest_params, honest=(method == "forest_honest"), seed=seed
-        )
-        model = fit_causal_forest(dataset, params)
-        return forest_cates(model, profiles)
-    if method == "bart":
-        seed = spawn_seed(config.master_seed, "rep", replication,
-                          "study", dataset.study_id, "stage1")
-        posterior = fit_bart_slearner(dataset, profiles, replace(bart_params, seed=seed))
-        return [bart_cate_normal(posterior, p) for p in profiles]
-    raise ConfigurationError(f"unknown stage1 method '{method}'")
+def estimate_study(dataset: TrialDataset, points: np.ndarray, learner: str, params):
+    """Stage 1 for one study: ``(tau, se2, diagnostics)`` at the rows of ``points``.
 
-
-def _oracle_estimates(config, replication, study, profiles):
-    """True study effects injected with negligible variance (no data drawn).
-
-    Uses the same effect stream as gen_study, so the oracle sees exactly
-    the study effects a data-based method's studies would have.
+    ``learner`` "linear", "forest" or "bart" takes as ``params`` the moderator
+    index tuple (None for all), a ForestParams or a BartParams with its seed
+    set.  ``diagnostics`` holds ``fit_seconds``, the forest's
+    ``se2_floor_hits`` and ``skipped_tree_frac``, and BART's 95% per-draw
+    quantile bounds ``quantile_lower`` and ``quantile_upper``.
     """
-    rng = substream(config.master_seed, "rep", replication, "study", study, "effects")
-    _, b, c = draw_study_effects(
-        config.heterogeneity_level, config.effect_distribution, rng
-    )
-    return [
-        StudyCateEstimate(
-            study_id=study,
-            profile_id=p.profile_id,
-            tau_hat=true_cate(p, config.cate_setting, (b, c)),
-            se2=_ORACLE_SE2,
-        )
-        for p in profiles
-    ]
+    start = time.perf_counter()
+    diagnostics = {}
+    if learner == "linear":
+        tau, se2 = linear_cates(fit_interaction_ols(dataset, params), points)
+    elif learner == "forest":
+        tau, se2, diagnostics = forest_predict(fit_causal_forest(dataset, params), points)
+    elif learner == "bart":
+        profiles = [CovariateProfile(i, x) for i, x in enumerate(points)]
+        tau, se2, lower, upper = bart_cates(fit_bart_slearner(dataset, profiles, params))
+        diagnostics = {"quantile_lower": lower, "quantile_upper": upper}
+    else:
+        raise ConfigurationError(f"unknown stage1 learner '{learner}'")
+    diagnostics["fit_seconds"] = time.perf_counter() - start
+    return tau, se2, diagnostics
 
 
-def _run_replication(config, method, replication, profiles, forest_params,
-                     bart_params, alpha):
+def _replication_worker(job):
     """One replication: K fresh studies, Stage 1 fits, pooling, intervals.
 
-    Returns (lower, center, upper) arrays over profiles.
+    ``learner`` None is the oracle: each study's true effects, drawn from
+    the same effect stream as gen_study, injected with negligible variance
+    and no data drawn.  Returns (replication, (lower, center, upper) arrays
+    over points, None), or (replication, None, reason) if it aborted.
     """
-    per_study = []
-    for s in range(1, config.k_studies + 1):
-        if method == "oracle":
-            per_study.append(_oracle_estimates(config, replication, s, profiles))
-            continue
-        dataset = gen_study(config, replication, s)
-        per_study.append(
-            _stage1_estimates(config, method, dataset, profiles, replication,
-                              forest_params, bart_params)
-        )
-    tau = np.array([[est.tau_hat for est in study] for study in per_study])
-    v = np.array([[est.se2 for est in study] for study in per_study])
-    pooled = pool_profiles(tau, v, alpha)
-    center, half = pooled.tau_pooled, pooled.half_width
-    return center - half, center, center + half
-
-
-def _replication_worker(args):
-    config, method, replication, forest_params, bart_params, alpha = args
-    profiles = gen_target_profiles(config, substream(config.master_seed, "target-profiles"))
+    config, learner, params, replication, points, alpha = job
+    shape = (config.k_studies, points.shape[0])
+    tau, v = np.empty(shape), np.empty(shape)
     try:
-        return replication, _run_replication(
-            config, method, replication, profiles, forest_params, bart_params, alpha
-        )
-    except CatemetaError:
-        return replication, None
+        for s in range(1, config.k_studies + 1):
+            if learner is None:
+                rng = substream(config.master_seed, "rep", replication, "study", s, "effects")
+                _, b, c = draw_study_effects(
+                    config.heterogeneity_level, config.effect_distribution, rng
+                )
+                tau[s - 1] = _cate_values(points[:, _AGE], config.cate_setting, b, c)
+                v[s - 1] = _ORACLE_SE2
+                continue
+            seeded = params
+            if params is not None:  # forest and BART params carry a seed
+                seed = spawn_seed(config.master_seed, "rep", replication, "study", s, "stage1")
+                seeded = replace(params, seed=seed)
+            tau[s - 1], v[s - 1], _ = estimate_study(
+                gen_study(config, replication, s), points, learner, seeded
+            )
+        pooled = pool_profiles(tau, v, alpha)
+    except CatemetaError as err:
+        return replication, None, str(err)
+    center, half = pooled.tau_pooled, pooled.half_width
+    return replication, (center - half, center, center + half), None
 
 
 def run_experiment(
@@ -337,21 +324,30 @@ def run_experiment(
         raise ConfigurationError(f"method must be one of {STAGE1_METHODS}")
     if config.k_studies < 3:
         raise ConfigurationError("prediction intervals need k_studies >= 3")
+    if not (0.0 < alpha < 1.0):
+        raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
     forest_params = forest_params if forest_params is not None else ForestParams()
-    bart_params = bart_params if bart_params is not None else BartParams()
+    learner, params = {
+        "linear": ("linear", None),
+        "forest_honest": ("forest", replace(forest_params, honest=True)),
+        "forest_adaptive": ("forest", replace(forest_params, honest=False)),
+        "bart": ("bart", bart_params if bart_params is not None else BartParams()),
+        "oracle": (None, None),
+    }[method]
 
     profiles = gen_target_profiles(config, substream(config.master_seed, "target-profiles"))
-    record = target_effect_record(config, profiles)
-    true_tau = record.true_tau
+    points = np.array([p.x for p in profiles])
+    points.setflags(write=False)
+    true_tau = target_effect_record(config, profiles).true_tau
 
     n_prof = len(profiles)
     covered = np.zeros(n_prof)
     width_sum = np.zeros(n_prof)
     bias_sum = np.zeros(n_prof)
-    aborted = []
+    aborted, reasons = [], []
 
     jobs = [
-        (config, method, r, forest_params, bart_params, alpha)
+        (config, learner, params, r, points, alpha)
         for r in range(config.n_replications)
     ]
     if n_workers > 1:
@@ -361,25 +357,24 @@ def run_experiment(
         results = [_replication_worker(job) for job in jobs]
 
     # Deterministic reduction in replication order.
-    for replication, payload in sorted(results, key=lambda item: item[0]):
+    for replication, payload, reason in sorted(results, key=lambda item: item[0]):
         if payload is None:
             aborted.append(replication)
+            reasons.append(reason)
             continue
         lower, center, upper = payload
         covered += (lower <= true_tau) & (true_tau <= upper)
         width_sum += upper - lower
         bias_sum += center - true_tau
     n_eff = config.n_replications - len(aborted)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        coverage = covered / n_eff if n_eff else np.full(n_prof, np.nan)
-        mean_length = width_sum / n_eff if n_eff else np.full(n_prof, np.nan)
-        bias = bias_sum / n_eff if n_eff else np.full(n_prof, np.nan)
+    divisor = n_eff if n_eff else np.nan  # all NaN when every replication aborted
     return MetricsTable(
         method=method,
         profile_ids=tuple(p.profile_id for p in profiles),
-        coverage=coverage,
-        mean_length=mean_length,
-        bias=bias,
+        coverage=covered / divisor,
+        mean_length=width_sum / divisor,
+        bias=bias_sum / divisor,
         n_effective_replications=n_eff,
         aborted_replications=tuple(aborted),
+        abort_reasons=tuple(reasons),
     )

@@ -189,6 +189,9 @@ def coverage_boxplot_svg(tables, digest: str = "") -> str:
         values = values[np.isfinite(values)]
         center_x = _MARGIN_LEFT + span * (g + 0.5) / n
         half = min(40.0, span / (3.0 * n))
+        if not values.size:  # every replication aborted: label only, no box
+            canvas.text(center_x, _HEIGHT - _MARGIN_BOTTOM + 16, table.method, anchor="middle")
+            continue
         q1, med, q3, w_lo, w_hi, outliers = _box_stats(values)
         canvas.line(center_x, scale(w_lo), center_x, scale(q1), _AXIS_COLOR)
         canvas.line(center_x, scale(q3), center_x, scale(w_hi), _AXIS_COLOR)

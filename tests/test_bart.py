@@ -42,6 +42,8 @@ class TestParams:
     def test_counts_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             BartParams(n_draws=0)
+        with pytest.raises(ConfigurationError):  # se2 is a sample variance over draws
+            BartParams(n_draws=1)
 
     def test_tree_prior_range(self):
         with pytest.raises(ConfigurationError):

@@ -53,6 +53,16 @@ class TestEstimate:
                         "--out-dir", out])
             assert code == 0
         assert (out1 / "aggregates.csv").read_bytes() == (out2 / "aggregates.csv").read_bytes()
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        studies = manifest["diagnostics"]["stage1"]
+        assert [d["study_id"] for d in studies] == [1, 2, 3, 4]
+        for diag in studies:
+            assert set(diag) == {"study_id", "fit_seconds", "se2_floor_hits",
+                                 "skipped_tree_frac"}
+            assert diag["fit_seconds"] >= 0.0
+            assert 0 <= diag["se2_floor_hits"] <= 6
+            assert 0.0 <= diag["skipped_tree_frac"] <= 0.5
+        assert set(manifest["timings_seconds"]) == {"read", "validate", "fit", "write"}
 
     def test_worker_pool_matches_single_thread(self, tmp_path):
         trials, profiles = write_inputs(tmp_path, n_rows=120)
@@ -103,6 +113,29 @@ class TestEstimate:
         lines = (out / "study_quantile_intervals.csv").read_text().splitlines()
         assert lines[0] == "profile_id,study_id,tau_hat,lower,upper"
         assert len(lines) - 1 == 2 * 2
+
+    def test_duplicate_profile_id_exits_2(self, tmp_path, capsys):
+        trials, _ = write_inputs(tmp_path)
+        profiles = tmp_path / "dup.csv"
+        profiles.write_text("profile_id,age,sex\n0,0.5,1.0\n1,0.1,0.0\n0,-0.5,0.0\n")
+        code = run(["estimate", "--trials", trials, "--profiles", profiles,
+                    "--stage1", "bart", "--trees", 5, "--burn", 10, "--draws", 20,
+                    "--out-dir", tmp_path / "x"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {profiles}:4: duplicate profile_id 0" in err
+        assert "Traceback" not in err
+
+    def test_bart_single_draw_exits_3(self, tmp_path, capsys):
+        trials, profiles = write_inputs(tmp_path)
+        out = tmp_path / "x"
+        code = run(["estimate", "--trials", trials, "--profiles", profiles,
+                    "--stage1", "bart", "--trees", 5, "--burn", 10, "--draws", 1,
+                    "--out-dir", out])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_bad_honest_value_exits_2(self, tmp_path):
         trials, profiles = write_inputs(tmp_path)
@@ -289,6 +322,27 @@ class TestSimulate:
         cfg.write_text("k_studeys = 4\n")
         assert run(["simulate", "--config", cfg, "--out-dir", tmp_path / "x"]) == 3
         assert "k_studeys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "1", "-0.1", "nan"])
+    def test_alpha_outside_unit_interval_exits_3(self, tmp_path, capsys, alpha):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"k_studies = 4\nn_replications = 1\nmethods = oracle\nalpha = {alpha}\n")
+        assert run(["simulate", "--config", cfg, "--out-dir", tmp_path / "x"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha must be in (0, 1)")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_manifest_notes_abort_reasons(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("k_studies = 3\nn_per_study = 20\nn_replications = 2\n"
+                       "methods = forest_honest\nforest_trees = 20\n")
+        out = tmp_path / "sim"
+        assert run(["simulate", "--config", cfg, "--out-dir", out]) == 0
+        notes = json.loads((out / "manifest.json").read_text())["notes"]
+        assert len(notes) == 1
+        assert notes[0].startswith("forest_honest: aborted replications 0: subsample too small")
+        assert "; 1: subsample too small" in notes[0]
+        assert (out / "coverage.svg").read_text().count('class="box"') == 0
 
     def test_missing_config_exits_2(self, tmp_path):
         assert run(["simulate", "--config", tmp_path / "nope.cfg",

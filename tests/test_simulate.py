@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from catemeta import (
+    BartParams,
     ConfigurationError,
     CovariateProfile,
     ForestParams,
     SimConfig,
     draw_study_effects,
+    estimate_study,
+    fit_bart_slearner,
+    fit_causal_forest,
+    fit_interaction_ols,
+    forest_cates,
     gen_outcomes,
     gen_study,
     gen_target_profiles,
@@ -205,6 +211,8 @@ class TestHarness:
                                   min_leaf_treated=50, min_leaf_control=50)
         table = run_experiment(cfg, "forest_honest", forest_params=bad_forest)
         assert table.aborted_replications == (0, 1, 2)
+        assert len(table.abort_reasons) == 3
+        assert all("subsample too small" in reason for reason in table.abort_reasons)
         assert table.n_effective_replications == 0
         assert np.all(np.isnan(table.coverage))
 
@@ -213,8 +221,6 @@ class TestHarness:
             run_experiment(config(), "kitchen_sink")
 
     def test_bart_method_runs_end_to_end(self):
-        from catemeta import BartParams
-
         cfg = config(n_replications=1, n_per_study=80)
         table = run_experiment(
             cfg, "bart",
@@ -254,3 +260,51 @@ class TestHarness:
                 covered[j] += pi.lower <= target[j] <= pi.upper
         coverage = covered / reps
         assert np.all(coverage >= 0.92) and np.all(coverage <= 0.98), coverage
+
+
+class TestEstimateStudy:
+    def test_agrees_with_per_profile_reference(self):
+        ds = gen_study(config(n_per_study=300), 0, 1)
+        profiles = gen_target_profiles(config(), substream(40, "t"))[:25]
+        points = np.array([p.x for p in profiles])
+        forest_params = ForestParams(n_trees=40, bag_size=20, seed=3)
+        bart_params = BartParams(n_trees=5, n_burn=20, n_draws=30, seed=4)
+
+        # Linear and BART references: the per-profile loops of the parent code.
+        fit = fit_interaction_ols(ds, (0, 3))
+        linear_ref = []
+        for p in profiles:
+            c = np.zeros(fit.coefficients.shape[0])
+            c[fit.treatment_index] = 1.0
+            c[fit.treatment_index + 1:] = p.x[[0, 3]]
+            linear_ref.append((c @ fit.coefficients, c @ fit.covariance @ c))
+        post = fit_bart_slearner(ds, profiles, bart_params)
+        bart_ref = [
+            (f1.mean() - f0.mean(), np.var(f1, ddof=1) + np.var(f0, ddof=1))
+            for f1, f0 in ((post.column(p.profile_id, 1), post.column(p.profile_id, 0))
+                           for p in profiles)
+        ]
+        forest_ref = [(e.tau_hat, e.se2)
+                      for e in forest_cates(fit_causal_forest(ds, forest_params), profiles)]
+        cases = {
+            "linear": ((0, 3), linear_ref),
+            "forest": (forest_params, forest_ref),
+            "bart": (bart_params, bart_ref),
+        }
+        for learner, (params, reference) in cases.items():
+            tau, se2, diagnostics = estimate_study(ds, points, learner, params)
+            want_tau, want_se2 = np.array(reference).T
+            if learner == "forest":
+                assert np.array_equal(tau, want_tau) and np.array_equal(se2, want_se2)
+                assert 0 <= diagnostics["se2_floor_hits"] <= len(profiles)
+                assert 0.0 <= diagnostics["skipped_tree_frac"] <= 0.5
+            else:
+                np.testing.assert_allclose(tau, want_tau, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(se2, want_se2, rtol=1e-12, atol=0.0)
+            assert diagnostics["fit_seconds"] >= 0.0
+        assert np.all(diagnostics["quantile_lower"] <= diagnostics["quantile_upper"])
+
+    def test_unknown_learner_rejected(self):
+        ds = gen_study(config(n_per_study=50), 0, 1)
+        with pytest.raises(ConfigurationError):
+            estimate_study(ds, np.zeros((1, 5)), "oracle", None)
