@@ -33,12 +33,14 @@ from .bart import BartParams, bart_cate_normal, bart_cate_quantile, fit_bart_sle
 from .errors import (
     CatemetaError,
     ConfigurationError,
+    EstimationError,
     InputFormatError,
     InsufficientStudiesError,
 )
 from .forest import ForestParams, fit_causal_forest, forest_cates  # noqa: F401
 from .io import (
     PredictionRow,
+    first_invalid_estimate,
     parse_sim_config,
     read_aggregates_csv,
     read_predictions_csv,
@@ -50,7 +52,7 @@ from .io import (
 )
 from .linear import fit_interaction_ols, linear_cate  # noqa: F401
 from .meta import pool_cate, pool_profiles, prediction_interval, reml_theta2  # noqa: F401
-from .model import StudyCateEstimate, validate_target_coverage, validate_trial
+from .model import validate_target_coverage, validate_trial
 from .rng import spawn_seed
 from .simulate import estimate_study, run_experiment
 from .svg import compare_intervals_svg, coverage_boxplot_svg, prediction_intervals_svg
@@ -137,15 +139,15 @@ def cmd_estimate(args) -> int:
         params = None
     elif args.stage1 == "forest":
         stage1_options = {
-            "honest": args.honest, "trees": args.trees or 1000,
+            "honest": args.honest, "trees": 1000 if args.trees is None else args.trees,
             "bag_size": args.bag_size,
         }
         params = ForestParams(n_trees=stage1_options["trees"], honest=args.honest,
                               bag_size=args.bag_size)
     else:
         stage1_options = {
-            "trees": args.trees or 50, "burn": args.burn, "draws": args.draws,
-            "interval": args.interval,
+            "trees": 50 if args.trees is None else args.trees, "burn": args.burn,
+            "draws": args.draws, "interval": args.interval,
         }
         params = BartParams(n_trees=stage1_options["trees"], n_burn=args.burn,
                             n_draws=args.draws)
@@ -159,9 +161,7 @@ def cmd_estimate(args) -> int:
     with _Phase(manifest, "read"):
         trials = read_trials_csv(list(args.trials))
         profiles = read_profiles_csv(args.profiles)
-        if not profiles:
-            raise InputFormatError("no target profiles", args.profiles)
-        if trials and profiles[0].n_covariates != trials[0].n_covariates:
+        if profiles[0].n_covariates != trials[0].n_covariates:
             raise InputFormatError(
                 f"profiles have {profiles[0].n_covariates} covariates but trials "
                 f"have {trials[0].n_covariates}", args.profiles
@@ -203,29 +203,30 @@ def cmd_estimate(args) -> int:
                 fitted = list(pool.map(estimate_study, *fit_args))
         else:
             fitted = list(map(estimate_study, *fit_args))
+    taus, se2s, diagnostics = zip(*fitted)
+    tau, se2 = np.concatenate(taus), np.concatenate(se2s)
+    pids = np.tile([p.profile_id for p in profiles], len(trials))
+    sids = np.repeat([ds.study_id for ds in trials], len(profiles))
+    invalid = first_invalid_estimate(tau, se2)
+    if invalid is not None:
+        i, reason = invalid
+        raise EstimationError(f"study {sids[i]}, profile {pids[i]}: {reason}")
     with _Phase(manifest, "write"):
-        pids = [p.profile_id for p in profiles]
-        estimates, quantile_rows, studies = [], [], []
-        for ds, (tau, se2, diagnostics) in zip(trials, fitted):
-            sid = ds.study_id
-            estimates += map(StudyCateEstimate, repeat(sid), pids, tau.tolist(), se2.tolist())
-            if stage1_options.get("interval") == "quantile":
-                quantile_rows += zip(pids, repeat(sid), tau.tolist(),
-                                     diagnostics["quantile_lower"].tolist(),
-                                     diagnostics["quantile_upper"].tolist())
-            studies.append({"study_id": sid, **{
-                k: round(v, 6) for k, v in diagnostics.items() if not isinstance(v, np.ndarray)
-            }})
-        manifest.diagnostics["stage1"] = studies
+        manifest.diagnostics["stage1"] = [
+            {"study_id": ds.study_id, **{k: round(v, 6) for k, v in diag.items()
+                                         if not isinstance(v, np.ndarray)}}
+            for ds, diag in zip(trials, diagnostics)
+        ]
         agg_path = out / "aggregates.csv"
-        write_aggregates_csv(str(agg_path), estimates)
+        write_aggregates_csv(str(agg_path), pids, sids, tau_hat=tau, se2=se2)
         manifest.add_artifact(agg_path)
-        if quantile_rows:
+        if stage1_options.get("interval") == "quantile":
             q_path = out / "study_quantile_intervals.csv"
-            with open(q_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("profile_id,study_id,tau_hat,lower,upper\n")
-                for pid, sid, tau, lower, upper in sorted(quantile_rows):
-                    fh.write(f"{pid},{sid},{tau!r},{lower!r},{upper!r}\n")
+            write_aggregates_csv(
+                str(q_path), pids, sids, tau_hat=tau,
+                lower=np.concatenate([d["quantile_lower"] for d in diagnostics]),
+                upper=np.concatenate([d["quantile_upper"] for d in diagnostics]),
+            )
             manifest.add_artifact(q_path)
     manifest.write(out)
     return 0
@@ -250,38 +251,30 @@ def cmd_predict(args) -> int:
     manifest = _Manifest("predict", [args.aggregates],
                          {"alpha": args.alpha, "svg": bool(args.svg)}, args.seed)
     with _Phase(manifest, "read"):
-        grouped = read_aggregates_csv(args.aggregates)
+        pid, _, tau, se2 = read_aggregates_csv(args.aggregates)
     rows = []
     with _Phase(manifest, "pool"):
-        by_k: dict[int, list[int]] = {}
-        for pid in sorted(grouped):
-            k = len(grouped[pid])
-            if k < 2:
-                raise InputFormatError(
-                    f"profile {pid} has only {k} study estimate(s); pooling needs >= 2",
-                    args.aggregates,
-                )
-            if k == 2:
-                print(
-                    f"warning: profile {pid}: K=2 studies, no prediction interval "
-                    "(df would be 0)", file=sys.stderr,
-                )
-            by_k.setdefault(k, []).append(pid)
-        for k, pids in sorted(by_k.items()):
-            tau = np.array([[e.tau_hat for e in grouped[pid]] for pid in pids]).T
-            v = np.array([[e.se2 for e in grouped[pid]] for pid in pids]).T
-            pooled = pool_profiles(tau, v, args.alpha if k > 2 else None)
+        pids, starts, ks = np.unique(pid, return_index=True, return_counts=True)
+        if (ks == 1).any():
+            raise InputFormatError(
+                f"profile {pids[ks == 1][0]} has only 1 study estimate; pooling needs >= 2",
+                args.aggregates,
+            )
+        for p in pids[ks == 2].tolist():
+            print(f"warning: profile {p}: K=2 studies, no prediction interval "
+                  "(df would be 0)", file=sys.stderr)
+        for k in np.unique(ks).tolist():
+            group = ks == k
+            cells = starts[group][:, None] + np.arange(k)  # (profiles, studies)
+            pooled = pool_profiles(tau[cells].T, se2[cells].T, args.alpha if k > 2 else None)
             manifest.diagnostics.update(pooled.diagnostics)
-            centers = pooled.tau_pooled.tolist()
-            theta2 = pooled.theta2.tolist()
-            if pooled.half_width is None:
-                rows += [PredictionRow(pid, c, t2, None, None, None)
-                         for pid, c, t2 in zip(pids, centers, theta2)]
-                continue
-            lower = (pooled.tau_pooled - pooled.half_width).tolist()
-            upper = (pooled.tau_pooled + pooled.half_width).tolist()
-            rows += [PredictionRow(pid, c, t2, lo, hi, k - 2)
-                     for pid, c, t2, lo, hi in zip(pids, centers, theta2, lower, upper)]
+            fields = [pids[group].tolist(), pooled.tau_pooled.tolist(), pooled.theta2.tolist()]
+            if pooled.half_width is None:  # K = 2: lower, upper and df stay empty
+                fields += [repeat(None)] * 3
+            else:
+                fields += [(pooled.tau_pooled - pooled.half_width).tolist(),
+                           (pooled.tau_pooled + pooled.half_width).tolist(), repeat(k - 2)]
+            rows += map(PredictionRow, *fields)
     with _Phase(manifest, "write"):
         csv_path = out / "predictions.csv"
         write_predictions_csv(str(csv_path), rows)
@@ -297,27 +290,24 @@ def cmd_predict(args) -> int:
 
 def cmd_compare_intervals(args) -> int:
     out = _out_dir(args)
-    wanted = [int(tok) for tok in args.profile.split(",") if tok.strip()]
     manifest = _Manifest("compare-intervals", [args.aggregates, args.predictions],
-                         {"profiles": wanted}, args.seed)
+                         {"profiles": args.profile}, args.seed)
     with _Phase(manifest, "read"):
-        grouped = read_aggregates_csv(args.aggregates)
+        pid, sid, tau, se2 = read_aggregates_csv(args.aggregates)
         predictions = {row.profile_id: row for row in read_predictions_csv(args.predictions)}
     per_profile = []
-    for pid in wanted:
-        if pid not in grouped or pid not in predictions:
-            raise InputFormatError(f"unknown profile id {pid}")
-        row = predictions[pid]
+    for wanted in args.profile:
+        in_profile = pid == wanted
+        if not in_profile.any() or wanted not in predictions:
+            raise InputFormatError(f"unknown profile id {wanted}")
+        row = predictions[wanted]
         if row.lower is None:
-            raise InputFormatError(f"profile {pid} has no prediction interval")
+            raise InputFormatError(f"profile {wanted} has no prediction interval")
         studies = [
-            (e.study_id,
-             e.tau_hat - _STUDY_CI_Z * e.se2**0.5,
-             e.tau_hat,
-             e.tau_hat + _STUDY_CI_Z * e.se2**0.5)
-            for e in grouped[pid]
+            (s, t - _STUDY_CI_Z * v**0.5, t, t + _STUDY_CI_Z * v**0.5)
+            for s, t, v in zip(*(col[in_profile].tolist() for col in (sid, tau, se2)))
         ]
-        per_profile.append((pid, studies, (row.lower, row.tau_pooled, row.upper)))
+        per_profile.append((wanted, studies, (row.lower, row.tau_pooled, row.upper)))
     with _Phase(manifest, "write"):
         svg_path = out / "compare_intervals.svg"
         svg_path.write_text(compare_intervals_svg(per_profile, manifest.digest),
@@ -360,6 +350,16 @@ def cmd_simulate(args) -> int:
                 ))
     manifest.write(out)
     return 0
+
+
+def _parse_profile_ids(value: str) -> list[int]:
+    try:
+        ids = [int(tok) for tok in value.split(",") if tok.strip()]
+    except ValueError:
+        ids = []
+    if not ids:
+        raise argparse.ArgumentTypeError(f"expected integer profile ids, got {value!r}")
+    return ids
 
 
 def _parse_bool(value: str) -> bool:
@@ -413,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="study confidence intervals beside the target interval")
     p_cmp.add_argument("--aggregates", required=True)
     p_cmp.add_argument("--predictions", required=True)
-    p_cmp.add_argument("--profile", required=True, help="comma-separated profile ids")
+    p_cmp.add_argument("--profile", type=_parse_profile_ids, required=True,
+                       help="comma-separated profile ids")
     add_common(p_cmp)
     p_cmp.set_defaults(func=cmd_compare_intervals)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, InputFormatError
-from .model import CovariateProfile, StudyCateEstimate, TrialDataset
+from .model import CovariateProfile, TrialDataset
 from .simulate import STAGE1_METHODS, SimConfig
 
 AGGREGATE_HEADER = ("profile_id", "study_id", "tau_hat", "se2")
@@ -49,9 +49,12 @@ def _parse_float(text: str, path: str, line: int, column: str) -> float:
 
 def _parse_int(text: str, path: str, line: int, column: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise InputFormatError(f"column '{column}': not an integer: {text!r}", path, line)
+    if not -2**63 <= value < 2**63:
+        raise InputFormatError(f"column '{column}': out of range: {text!r}", path, line)
+    return value
 
 
 def _read_rows(path: str, expected_prefix: tuple[str, ...], min_extra: int = 0):
@@ -86,18 +89,52 @@ def _read_rows(path: str, expected_prefix: tuple[str, ...], min_extra: int = 0):
         return header, rows
 
 
+def _read_columns(path: str, expected_prefix: tuple[str, ...], kinds: tuple[type, ...],
+                  min_extra: int = 0):
+    """Read a CSV as (header, line numbers, one array per column).
+
+    ``kinds`` holds ``int`` or ``float`` for each prefix column; the rest are
+    floats.  Values are parsed one by one only to name the line of a bad one.
+    """
+    header, rows = _read_rows(path, expected_prefix, min_extra)
+    lines = [line for line, _ in rows]
+    columns = []
+    all_texts = list(zip(*(row for _, row in rows))) or [()] * len(header)
+    for name, kind, texts in zip(header, kinds + (float,) * len(header), all_texts):
+        try:
+            columns.append(np.array(list(map(kind, texts)), dtype=kind))  # int64 or float64
+        except (ValueError, OverflowError):
+            for line, text in zip(lines, texts):
+                (_parse_int if kind is int else _parse_float)(text, path, line, name)
+            raise
+    return header, lines, columns
+
+
+def first_invalid_estimate(tau_hat: np.ndarray, se2: np.ndarray) -> tuple[int, str] | None:
+    """Index and reason of the first pair with a non-finite tau_hat or a non-finite
+    or negative se2; None if every pair is a valid estimate."""
+    bad_tau = ~np.isfinite(tau_hat)
+    bad = bad_tau | ~(np.isfinite(se2) & (se2 >= 0.0))
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return i, "tau_hat must be finite" if bad_tau[i] else "se2 must be finite and >= 0"
+
+
 def read_trials_csv(paths: list[str]) -> list[TrialDataset]:
     """Read one or more trial files and group rows into per-study datasets.
 
     All files must agree on the covariate columns.  Studies are returned
-    sorted by study_id.
+    sorted by study_id; rows keep their file order within a study.
     """
     if not paths:
         raise InputFormatError("no trial files given")
     cov_names: tuple[str, ...] | None = None
-    by_study: dict[int, list[tuple[float, int, list[float]]]] = {}
+    parts = []
     for path in paths:
-        header, rows = _read_rows(path, ("study_id", "y", "a"), min_extra=1)
+        header, lines, columns = _read_columns(
+            path, ("study_id", "y", "a"), (int, float, int), min_extra=1
+        )
         names = tuple(header[3:])
         if cov_names is None:
             cov_names = names
@@ -105,77 +142,70 @@ def read_trials_csv(paths: list[str]) -> list[TrialDataset]:
             raise InputFormatError(
                 f"covariate columns {names} do not match {cov_names}", path, 1
             )
-        for line, row in rows:
-            study = _parse_int(row[0], path, line, "study_id")
-            y = _parse_float(row[1], path, line, "y")
-            a = _parse_int(row[2], path, line, "a")
-            if a not in (0, 1):
-                raise InputFormatError(f"column 'a': must be 0 or 1, got {a}", path, line)
-            x = [_parse_float(row[3 + j], path, line, names[j]) for j in range(len(names))]
-            by_study.setdefault(study, []).append((y, a, x))
-    datasets = []
-    for study in sorted(by_study):
-        rows = by_study[study]
-        datasets.append(
-            TrialDataset(
-                study_id=study,
-                y=np.array([r[0] for r in rows]),
-                a=np.array([r[1] for r in rows]),
-                x=np.array([r[2] for r in rows]),
-                covariate_names=cov_names,
-            )
-        )
-    return datasets
+        a = columns[2]
+        bad = np.flatnonzero((a != 0) & (a != 1))
+        if bad.size:
+            i = bad[0]
+            raise InputFormatError(f"column 'a': must be 0 or 1, got {a[i]}", path, lines[i])
+        parts.append((*columns[:3], np.column_stack(columns[3:])))
+    study, y, a, x = (np.concatenate(column) for column in zip(*parts))
+    if not study.size:
+        raise InputFormatError("no trial rows", ", ".join(paths))
+    order = np.argsort(study, kind="stable")
+    ids, starts = np.unique(study[order], return_index=True)
+    return [
+        TrialDataset(study_id=sid, y=y[rows], a=a[rows], x=x[rows], covariate_names=cov_names)
+        for sid, rows in zip(ids.tolist(), np.split(order, starts[1:]))
+    ]
 
 
 def read_profiles_csv(path: str) -> list[CovariateProfile]:
-    header, rows = _read_rows(path, ("profile_id",), min_extra=1)
-    names = tuple(header[1:])
-    profiles = []
-    seen = set()
-    for line, row in rows:
-        pid = _parse_int(row[0], path, line, "profile_id")
-        if pid in seen:
-            raise InputFormatError(f"duplicate profile_id {pid}", path, line)
-        seen.add(pid)
-        x = [_parse_float(row[1 + j], path, line, names[j]) for j in range(len(names))]
-        profiles.append(CovariateProfile(profile_id=pid, x=np.array(x)))
-    return profiles
+    """Target profiles in file order; ids must be unique and covariates finite."""
+    header, lines, columns = _read_columns(path, ("profile_id",), (int,), min_extra=1)
+    pid = columns[0]
+    if not pid.size:
+        raise InputFormatError("no target profiles", path)
+    _, first, group = np.unique(pid, return_index=True, return_inverse=True)
+    repeats = np.flatnonzero(first[group] != np.arange(pid.size))
+    if repeats.size:
+        i = repeats[0]
+        raise InputFormatError(f"duplicate profile_id {pid[i]}", path, lines[i])
+    x = np.column_stack(columns[1:])
+    rows, cols = np.nonzero(~np.isfinite(x))
+    if rows.size:
+        i, j = rows[0], cols[0]
+        raise InputFormatError(
+            f"column '{header[1 + j]}': not finite: {float(x[i, j])}", path, lines[i]
+        )
+    return [CovariateProfile(profile_id=p, x=row) for p, row in zip(pid.tolist(), x)]
 
 
-def write_aggregates_csv(path: str, estimates: list[StudyCateEstimate]) -> None:
-    ordered = sorted(estimates, key=lambda e: (e.profile_id, e.study_id))
+def write_aggregates_csv(path: str, profile_id, study_id, **values) -> None:
+    """Write a profile x study table sorted by (profile_id, study_id); the keyword
+    arguments name its value columns in order (``tau_hat``, ``se2`` for aggregates)."""
+    order = np.lexsort((study_id, profile_id))
+    columns = [np.asarray(c)[order].tolist() for c in (profile_id, study_id, *values.values())]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(AGGREGATE_HEADER) + "\n")
-        for e in ordered:
-            fh.write(f"{e.profile_id},{e.study_id},{_fmt(e.tau_hat)},{_fmt(e.se2)}\n")
+        fh.write(",".join(("profile_id", "study_id", *values)) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in zip(*columns))
 
 
-def read_aggregates_csv(path: str) -> dict[int, list[StudyCateEstimate]]:
-    """Aggregates grouped by profile_id (each list sorted by study_id)."""
-    _, rows = _read_rows(path, AGGREGATE_HEADER)
-    grouped: dict[int, list[StudyCateEstimate]] = {}
-    for line, row in rows:
-        try:
-            est = StudyCateEstimate(
-                profile_id=_parse_int(row[0], path, line, "profile_id"),
-                study_id=_parse_int(row[1], path, line, "study_id"),
-                tau_hat=_parse_float(row[2], path, line, "tau_hat"),
-                se2=_parse_float(row[3], path, line, "se2"),
-            )
-        except ValueError as err:  # non-finite tau_hat; negative or non-finite se2
-            raise InputFormatError(str(err), path, line)
-        grouped.setdefault(est.profile_id, []).append(est)
-    for pid, ests in grouped.items():
-        ests.sort(key=lambda e: e.study_id)
-        for first, second in zip(ests, ests[1:]):
-            if first.study_id == second.study_id:
-                key = (pid, first.study_id)
-                line = [n for n, row in rows if (int(row[0]), int(row[1])) == key][1]
-                raise InputFormatError(
-                    f"duplicate row for profile {pid}, study {first.study_id}", path, line
-                )
-    return grouped
+def read_aggregates_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Aggregates as ``(profile_id, study_id, tau_hat, se2)`` arrays sorted by
+    profile_id, then study_id; each (profile, study) pair is one valid estimate."""
+    _, lines, columns = _read_columns(path, AGGREGATE_HEADER, (int, int, float, float))
+    invalid = first_invalid_estimate(columns[2], columns[3])
+    if invalid is not None:
+        raise InputFormatError(invalid[1], path, lines[invalid[0]])
+    order = np.lexsort((columns[1], columns[0]))
+    pid, sid, tau, se2 = (column[order] for column in columns)
+    repeats = np.flatnonzero((pid[1:] == pid[:-1]) & (sid[1:] == sid[:-1]))
+    if repeats.size:
+        i = repeats[0] + 1
+        raise InputFormatError(
+            f"duplicate row for profile {pid[i]}, study {sid[i]}", path, lines[order[i]]
+        )
+    return pid, sid, tau, se2
 
 
 def interval_flag(lower: float, upper: float) -> str:

@@ -74,14 +74,19 @@ class TestEstimate:
             assert code == 0
         assert (out1 / "aggregates.csv").read_bytes() == (out2 / "aggregates.csv").read_bytes()
 
-    def test_missing_a_column_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text,message", [
+        ("study_id,y,age\n1,1.0,0.5\n", "'a'"),
+        ("study_id,y,a,age\n", "no trial rows"),
+    ], ids=["no-a-column", "no-rows"])
+    def test_missing_a_column_exits_2(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.csv"
-        bad.write_text("study_id,y,age\n1,1.0,0.5\n")
+        bad.write_text(text)
         _, profiles = write_inputs(tmp_path)
         code = run(["estimate", "--trials", bad, "--profiles", profiles,
                     "--stage1", "linear", "--out-dir", tmp_path / "x"])
         assert code == 2
-        assert "'a'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_validation_failure_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "one_arm.csv"
@@ -114,28 +119,55 @@ class TestEstimate:
         assert lines[0] == "profile_id,study_id,tau_hat,lower,upper"
         assert len(lines) - 1 == 2 * 2
 
-    def test_duplicate_profile_id_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("last_row,message", [
+        ("0,-0.5,0.0", "duplicate profile_id 0"),
+        ("2,nan,0.0", "column 'age': not finite: nan"),
+        ("2,0.5,-inf", "column 'sex': not finite: -inf"),
+    ], ids=["duplicate", "nan-covariate", "inf-covariate"])
+    def test_duplicate_profile_id_exits_2(self, tmp_path, capsys, last_row, message):
         trials, _ = write_inputs(tmp_path)
         profiles = tmp_path / "dup.csv"
-        profiles.write_text("profile_id,age,sex\n0,0.5,1.0\n1,0.1,0.0\n0,-0.5,0.0\n")
+        profiles.write_text(f"profile_id,age,sex\n0,0.5,1.0\n1,0.1,0.0\n{last_row}\n")
         code = run(["estimate", "--trials", trials, "--profiles", profiles,
                     "--stage1", "bart", "--trees", 5, "--burn", 10, "--draws", 20,
                     "--out-dir", tmp_path / "x"])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"error: {profiles}:4: duplicate profile_id 0" in err
+        assert f"error: {profiles}:4: {message}" in err
         assert "Traceback" not in err
 
-    def test_bart_single_draw_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("learner_args", [
+        ["bart", "--trees", 5, "--burn", 10, "--draws", 1],
+        ["bart", "--trees", 0, "--burn", 10, "--draws", 20],
+        ["forest", "--trees", 0],
+    ], ids=["bart-draws-1", "bart-trees-0", "forest-trees-0"])
+    def test_bart_single_draw_exits_3(self, tmp_path, capsys, learner_args):
         trials, profiles = write_inputs(tmp_path)
         out = tmp_path / "x"
         code = run(["estimate", "--trials", trials, "--profiles", profiles,
-                    "--stage1", "bart", "--trees", 5, "--burn", 10, "--draws", 1,
-                    "--out-dir", out])
+                    "--stage1", *learner_args, "--out-dir", out])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    def test_invalid_stage1_estimate_exits_1(self, tmp_path, capsys, monkeypatch):
+        import catemeta.cli as cli
+
+        def nan_at_second_profile(dataset, points, learner, params):
+            tau = np.zeros(len(points))
+            tau[1] = np.nan
+            return tau, np.ones(len(points)), {}
+
+        monkeypatch.setattr(cli, "estimate_study", nan_at_second_profile)
+        trials, profiles = write_inputs(tmp_path)
+        out = tmp_path / "x"
+        code = run(["estimate", "--trials", trials, "--profiles", profiles,
+                    "--stage1", "linear", "--out-dir", out])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1] == "error: study 1, profile 1: tau_hat must be finite"
+        assert not (out / "aggregates.csv").exists()
 
     def test_bad_honest_value_exits_2(self, tmp_path):
         trials, profiles = write_inputs(tmp_path)
@@ -203,15 +235,17 @@ class TestPredict:
         assert ",crosses_zero" in body
 
 
-    @pytest.mark.parametrize("tau_hat,se2", [
-        ("nan", "0.5"), ("inf", "0.5"), ("-inf", "0.5"),
-        ("1.5", "-0.5"), ("1.5", "nan"), ("1.5", "inf"),
-    ])
-    def test_bad_aggregate_value_exits_2(self, tmp_path, capsys, tau_hat, se2):
+    @pytest.mark.parametrize("row", [
+        "0,2,nan,0.5", "0,2,inf,0.5", "0,2,-inf,0.5",
+        "0,2,1.5,-0.5", "0,2,1.5,nan", "0,2,1.5,inf",
+        "0,9223372036854775808,1.5,0.5",
+    ], ids=["nan-0.5", "inf-0.5", "-inf-0.5", "1.5--0.5", "1.5-nan", "1.5-inf",
+            "study-beyond-int64"])
+    def test_bad_aggregate_value_exits_2(self, tmp_path, capsys, row):
         agg = tmp_path / "agg.csv"
         agg.write_text(
             "profile_id,study_id,tau_hat,se2\n"
-            f"0,1,1.0,0.5\n0,2,{tau_hat},{se2}\n0,3,2.0,0.5\n"
+            f"0,1,1.0,0.5\n{row}\n0,3,2.0,0.5\n"
         )
         assert run(["predict", "--aggregates", agg, "--out-dir", tmp_path / "x"]) == 2
         err = capsys.readouterr().err
@@ -289,6 +323,16 @@ class TestCompareIntervals:
                     "--predictions", pred / "predictions.csv",
                     "--profile", "42", "--out-dir", tmp_path / "x"])
         assert code == 2
+
+    @pytest.mark.parametrize("profile", ["abc", "", ",", "1,x"])
+    def test_bad_profile_flag_exits_2(self, tmp_path, capsys, profile):
+        with pytest.raises(SystemExit) as exc:
+            run(["compare-intervals", "--aggregates", tmp_path / "agg.csv",
+                 "--predictions", tmp_path / "pred.csv", "--profile", profile,
+                 "--out-dir", tmp_path / "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "integer profile ids" in err and "Traceback" not in err
 
 
 class TestSimulate:

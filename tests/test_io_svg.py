@@ -22,10 +22,10 @@ from catemeta.svg import compare_intervals_svg, coverage_boxplot_svg, prediction
 
 TRIAL_CSV = """study_id,y,a,age,weight
 1,1.5,0,0.1,-0.2
-1,2.5,1,0.3,0.4
-1,0.5,0,-0.1,0.0
 2,1.0,1,0.2,0.1
+1,2.5,1,0.3,0.4
 2,2.0,0,0.0,0.3
+1,0.5,0,-0.1,0.0
 """
 
 
@@ -37,6 +37,8 @@ class TestTrialsCsv:
         assert [t.study_id for t in trials] == [1, 2]
         assert trials[0].n_rows == 3
         assert trials[0].covariate_names == ("age", "weight")
+        assert trials[0].y.tolist() == [1.5, 2.5, 0.5]  # file order within a study
+        assert trials[0].x[1].tolist() == [0.3, 0.4]
         assert trials[1].y[0] == 1.0
 
     def test_missing_a_column_names_it(self, tmp_path):
@@ -83,27 +85,25 @@ class TestProfilesCsv:
 
 class TestAggregatesCsv:
     def test_write_then_read_is_identity(self, tmp_path):
-        estimates = [
-            StudyCateEstimate(2, 0, 1.23456789e-3, 0.5),
-            StudyCateEstimate(1, 0, -2.0, 0.25),
-            StudyCateEstimate(1, 1, 0.1, 1e-9),
-        ]
         path = tmp_path / "agg.csv"
-        write_aggregates_csv(str(path), estimates)
-        grouped = read_aggregates_csv(str(path))
-        assert grouped[0][0].study_id == 1  # sorted by study within profile
-        assert grouped[0][1].tau_hat == 1.23456789e-3
-        assert grouped[1][0].se2 == 1e-9
+        write_aggregates_csv(str(path), [0, 0, 1], [2, 1, 1],
+                             tau_hat=[1.23456789e-3, -2.0, 0.1], se2=[0.5, 0.25, 1e-9])
+        pid, sid, tau, se2 = read_aggregates_csv(str(path))
+        assert pid.tolist() == [0, 0, 1]
+        assert sid.tolist() == [1, 2, 1]  # sorted by study within profile
+        assert tau[1] == 1.23456789e-3
+        assert se2[2] == 1e-9
 
     def test_reemitting_parsed_output_is_byte_identical(self, tmp_path):
-        estimates = [StudyCateEstimate(s, p, 0.1 * s + p / 3.0, 0.01 * s)
-                     for s in (1, 2, 3) for p in (0, 1)]
+        sid, pid = np.repeat([1, 2, 3], 2), np.tile([0, 1], 3)
         first = tmp_path / "a.csv"
-        write_aggregates_csv(str(first), estimates)
-        parsed = [e for ests in read_aggregates_csv(str(first)).values() for e in ests]
-        second = tmp_path / "b.csv"
-        write_aggregates_csv(str(second), parsed)
-        assert first.read_bytes() == second.read_bytes()
+        write_aggregates_csv(str(first), pid, sid, tau_hat=0.1 * sid + pid / 3.0, se2=0.01 * sid)
+        golden = Path(__file__).parent / "golden" / "aggregates_input.csv"
+        for source in (first, golden):
+            pid, sid, tau, se2 = read_aggregates_csv(str(source))
+            second = tmp_path / "b.csv"
+            write_aggregates_csv(str(second), pid, sid, tau_hat=tau, se2=se2)
+            assert second.read_bytes() == source.read_bytes()
 
 
 class TestPredictionsCsv:
