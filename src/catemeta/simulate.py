@@ -249,8 +249,9 @@ def estimate_study(dataset: TrialDataset, points: np.ndarray, learner: str, para
     ``learner`` "linear", "forest" or "bart" takes as ``params`` the moderator
     index tuple (None for all), a ForestParams or a BartParams with its seed
     set.  ``diagnostics`` holds ``fit_seconds``, the forest's
-    ``se2_floor_hits`` and ``skipped_tree_frac``, and BART's 95% per-draw
-    quantile bounds ``quantile_lower`` and ``quantile_upper``.
+    ``se2_floor_hits``, ``skipped_tree_frac``, ``nodes_per_tree`` and
+    ``usable_leaf_frac``, and BART's 95% per-draw quantile bounds
+    ``quantile_lower`` and ``quantile_upper``.
     """
     start = time.perf_counter()
     diagnostics = {}

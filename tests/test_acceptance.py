@@ -351,3 +351,30 @@ def test_criterion_11_golden_files(tmp_path):
         ok,
         f"rerun identical={repeat_ok}; golden mismatches={mismatched or 'none'}",
     )
+
+
+@pytest.mark.parametrize("honest,golden_name", [
+    ("true", "forest_aggregates.csv"),
+    ("false", "forest_aggregates_adaptive.csv"),
+], ids=["honest", "adaptive"])
+def test_criterion_11_forest_golden_aggregates(tmp_path, honest, golden_name):
+    # estimate --stage1 forest on 4 studies x 300 rows (age, binary smoker,
+    # weight rounded to two decimals, so values tie) and 30 profiles; the
+    # aggregates must keep their bytes at every worker count.
+    import pathlib
+
+    golden = pathlib.Path(__file__).parent / "golden"
+    mismatched = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        _run_cli(["estimate", "--trials", golden / "forest_trials.csv",
+                  "--profiles", golden / "forest_profiles.csv", "--stage1", "forest",
+                  "--honest", honest, "--trees", 100, "--seed", 5,
+                  "--threads", threads, "--out-dir", out])
+        if (out / "aggregates.csv").read_bytes() != (golden / golden_name).read_bytes():
+            mismatched.append(threads)
+    report(
+        f"criterion 11 (forest golden aggregates, honest={honest})",
+        not mismatched,
+        f"golden mismatches at threads={mismatched or 'none'}",
+    )

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from catemeta.cli import main
+from catemeta.forest import ForestParams, fit_causal_forest
+from catemeta.io import read_trials_csv
+from catemeta.rng import spawn_seed
 
 
 def write_inputs(tmp_path, n_studies=4, n_rows=50, n_profiles=6, seed=5):
@@ -56,12 +59,20 @@ class TestEstimate:
         manifest = json.loads((out1 / "manifest.json").read_text())
         studies = manifest["diagnostics"]["stage1"]
         assert [d["study_id"] for d in studies] == [1, 2, 3, 4]
-        for diag in studies:
+        for diag, dataset in zip(studies, read_trials_csv([str(trials)])):
             assert set(diag) == {"study_id", "fit_seconds", "se2_floor_hits",
-                                 "skipped_tree_frac"}
+                                 "skipped_tree_frac", "nodes_per_tree", "usable_leaf_frac"}
             assert diag["fit_seconds"] >= 0.0
             assert 0 <= diag["se2_floor_hits"] <= 6
             assert 0.0 <= diag["skipped_tree_frac"] <= 0.5
+            # The growth statistics of the study's forest, refitted here.
+            model = fit_causal_forest(dataset, ForestParams(
+                n_trees=40, seed=spawn_seed(7, "study", dataset.study_id)))
+            leaves = np.concatenate([t.leaf_tau[t.feature < 0] for t in model.trees])
+            nodes = sum(t.n_nodes for t in model.trees) / 40
+            assert nodes > 1.0
+            assert diag["nodes_per_tree"] == round(nodes, 6)
+            assert diag["usable_leaf_frac"] == round(float(np.isfinite(leaves).mean()), 6)
         assert set(manifest["timings_seconds"]) == {"read", "validate", "fit", "write"}
 
     def test_worker_pool_matches_single_thread(self, tmp_path):

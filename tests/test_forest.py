@@ -1,10 +1,20 @@
-"""Causal forest: recovery, honesty, determinism, the bag variance estimator."""
+"""Causal forest: recovery, honesty, determinism, the bag variance estimator,
+the threshold rule, mtry draws and agreement with the recursive grower."""
 
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from forest_reference import fit_reference_forest, reference_predict_matrix
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import catemeta
 from catemeta import (
     CausalForestModel,
     CausalTree,
@@ -14,9 +24,13 @@ from catemeta import (
     ForestParams,
     TrialDataset,
     fit_causal_forest,
+    forest,
     forest_cate,
     forest_cates,
+    grower,
 )
+from catemeta.forest import predict_matrix
+from catemeta.grower import node_candidates
 
 
 def make_dataset(n, tau_fn, seed, p=5, noise=0.1, main_fn=None):
@@ -128,6 +142,15 @@ class TestGrowth:
         )
         assert split_features.size > 0
         assert not np.any(split_features == 1)  # the copy never wins a tie
+
+    def test_no_covariates_gives_one_leaf_trees(self):
+        rng = np.random.default_rng(12)
+        a = rng.integers(0, 2, 200)
+        ds = TrialDataset(1, 2.0 * a + rng.normal(size=200), a, np.empty((200, 0)), ())
+        model = fit_causal_forest(ds, ForestParams(n_trees=20, bag_size=20, seed=3))
+        assert all(tree.n_nodes == 1 for tree in model.trees)
+        tau, _, _ = forest.forest_predict(model, np.empty((2, 0)))
+        assert tau[0] == tau[1] and abs(tau[0] - 2.0) < 0.5
 
     def test_infeasible_minima_rejected_up_front(self):
         ds = make_dataset(40, lambda x: np.ones(x.shape[0]), seed=7)
@@ -256,3 +279,216 @@ class TestInvariances:
         e1 = forest_cates(m1, profiles)
         assert [e.tau_hat for e in e1] == [-e.tau_hat for e in e0]
         assert [e.se2 for e in e1] == [e.se2 for e in e0]
+
+
+def heap_labels(tree):
+    """Heap index of every node (root 1, children 2h and 2h + 1)."""
+    heap = np.zeros(tree.n_nodes, dtype=object)
+    heap[0] = 1
+    for node in range(tree.n_nodes):  # level order: parents before children
+        if tree.feature[node] >= 0:
+            heap[tree.left[node]] = 2 * heap[node]
+            heap[tree.right[node]] = 2 * heap[node] + 1
+    return heap
+
+
+def canonical(tree):
+    """A tree's nodes keyed by heap index, with every float as its bits."""
+    nodes = {}
+    for node, h in enumerate(heap_labels(tree)):
+        nodes[h] = (
+            int(tree.feature[node]),
+            np.float64(tree.threshold[node]).tobytes(),
+            np.float64(tree.leaf_tau[node]).tobytes(),
+            int(tree.leaf_n_treated[node]),
+            int(tree.leaf_n_control[node]),
+        )
+    return nodes
+
+
+def leaf_of_rows(tree, x, rows):
+    """Heap index of the leaf each of ``rows`` is routed to."""
+    heap = heap_labels(tree)
+    out = []
+    for row in rows:
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = x[row, tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        out.append(heap[node])
+    return out
+
+
+@st.composite
+def forest_cases(draw):
+    """Small datasets with continuous, binary, tied and duplicated columns."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(30, 160))
+    kinds = draw(st.lists(st.sampled_from(["normal", "binary", "tied", "copy"]),
+                          min_size=1, max_size=4))
+    rng = np.random.default_rng(seed)
+    columns = []
+    for kind in kinds:
+        if kind == "normal":
+            columns.append(rng.normal(size=n))
+        elif kind == "binary":
+            columns.append(rng.integers(0, 2, n).astype(float))
+        elif kind == "tied":
+            columns.append(np.round(rng.normal(size=n), 1))
+        else:
+            columns.append(columns[-1].copy() if columns else rng.normal(size=n))
+    x = np.column_stack(columns)
+    a = rng.integers(0, 2, n)
+    y = x[:, 0] + a * (1.0 + 2.0 * (x[:, -1] > 0)) + rng.normal(0.0, 0.5, n)
+    bag_size = draw(st.integers(1, 4))
+    params = ForestParams(
+        n_trees=bag_size * draw(st.integers(1, 3)),
+        bag_size=bag_size,
+        honest=draw(st.booleans()),
+        min_leaf_treated=draw(st.integers(2, 6)),
+        min_leaf_control=draw(st.integers(2, 6)),
+        subsample_fraction=draw(st.sampled_from([0.5, 0.8, 1.0])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    names = tuple(f"c{j}" for j in range(x.shape[1]))
+    return TrialDataset(1, y, a, x, names), params
+
+
+class TestAgainstRecursiveGrower:
+    @settings(max_examples=150, deadline=None)
+    @given(forest_cases(), st.booleans())
+    def test_trees_and_predictions_bit_identical(self, case, one_by_one):
+        # one_by_one grows each tree alone and searches each node alone.
+        dataset, params = case
+        with pytest.MonkeyPatch.context() as mp:
+            if one_by_one:
+                mp.setattr(forest, "_BATCH_ROWS", 1)
+                mp.setattr(grower, "_SEARCH_CELLS", 1)
+            try:
+                model = fit_causal_forest(dataset, params)
+            except ConfigurationError:
+                assume(False)
+        reference = fit_reference_forest(dataset, params)
+        for tree, ref in zip(model.trees, reference.trees, strict=True):
+            assert np.array_equal(tree.split_rows, ref.split_rows)
+            assert np.array_equal(tree.est_rows, ref.est_rows)
+            assert canonical(tree) == canonical(ref)
+            splits = {(f, thr) for f, thr, _, _, _ in canonical(tree).values() if f >= 0}
+            assert splits == {(f, thr) for f, thr, _, _, _ in canonical(ref).values() if f >= 0}
+            for rows in (tree.split_rows, tree.est_rows):
+                assert leaf_of_rows(tree, dataset.x, rows) == leaf_of_rows(ref, dataset.x, rows)
+        points = np.vstack([dataset.x[:10], np.random.default_rng(0).normal(size=(5, dataset.n_covariates))])
+        got = predict_matrix(model, points)
+        assert got.tobytes() == reference_predict_matrix(reference, points).tobytes()
+        assert got.tobytes() == predict_matrix(reference, points).tobytes()
+
+
+EPS = float(np.finfo(float).eps)
+TWO_VALUE_CASES = {
+    "adjacent-doubles": (1.0 + EPS, 1.0 + 2.0 * EPS),
+    "overflow": (1.0e308, 1.7e308),
+    "negative-overflow": (-1.7e308, -1.0e308),
+}
+
+
+def two_value_trial(lo, hi, n=400, seed=0):
+    """One covariate taking two values; the effect is 0 at ``lo`` and 5 at ``hi``."""
+    rng = np.random.default_rng(seed)
+    upper = rng.permutation(n) < n // 2
+    a = rng.integers(0, 2, n)
+    y = 5.0 * a * upper + rng.normal(0.0, 0.5, n)
+    return TrialDataset(1, y, a, np.where(upper, hi, lo)[:, None], ("c0",))
+
+
+def run_cli_with_timeout(args, timeout):
+    """Exit code of ``catemeta.cli`` run in a fresh process group, killed on timeout."""
+    src = str(Path(catemeta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen([sys.executable, "-m", "catemeta.cli", *map(str, args)],
+                            env=env, start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        return proc.wait(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        pytest.fail(f"catemeta {args[0]} did not finish within {timeout} s")
+
+
+class TestThresholdRule:
+    @pytest.mark.parametrize("lo,hi", TWO_VALUE_CASES.values(), ids=TWO_VALUE_CASES.keys())
+    def test_threshold_separates_the_two_values(self, lo, hi):
+        # The midpoint of these pairs rounds or overflows out of [lo, hi);
+        # the threshold falls back to lo, and both effects are recovered.
+        ds = two_value_trial(lo, hi)
+        model = fit_causal_forest(ds, ForestParams(n_trees=20, bag_size=20, seed=1))
+        for tree in model.trees:
+            assert tree.feature[0] == 0
+            assert lo <= tree.threshold[0] < hi
+        tau = [e.tau_hat for e in forest_cates(
+            model, [CovariateProfile(0, np.array([lo])), CovariateProfile(1, np.array([hi]))])]
+        assert abs(tau[0]) < 0.5 and abs(tau[1] - 5.0) < 0.5
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("honest", ["true", "false"])
+    def test_adjacent_doubles_cli_fit_terminates_and_splits(self, tmp_path, honest, threads):
+        # Adaptive mode used to split every row into one child and never return.
+        lo, hi = TWO_VALUE_CASES["adjacent-doubles"]
+        lines = ["study_id,y,a,c0"]
+        for sid, seed in ((1, 3), (2, 4)):
+            ds = two_value_trial(lo, hi, seed=seed)
+            lines += [f"{sid},{y!r},{a},{x!r}"
+                      for y, a, x in zip(ds.y.tolist(), ds.a.tolist(), ds.x[:, 0].tolist())]
+        (tmp_path / "trials.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "profiles.csv").write_text(f"profile_id,c0\n0,{lo!r}\n1,{hi!r}\n")
+        out = tmp_path / "out"
+        code = run_cli_with_timeout(
+            ["estimate", "--trials", tmp_path / "trials.csv", "--profiles",
+             tmp_path / "profiles.csv", "--stage1", "forest", "--honest", honest,
+             "--trees", 20, "--threads", threads, "--out-dir", out], timeout=120)
+        assert code == 0
+        rows = (out / "aggregates.csv").read_text().splitlines()[1:]
+        tau = {(int(r.split(",")[0]), int(r.split(",")[1])): float(r.split(",")[2]) for r in rows}
+        for sid in (1, 2):
+            assert abs(tau[0, sid]) < 0.5 and abs(tau[1, sid] - 5.0) < 0.5
+
+
+class TestMtry:
+    def fit(self, mtry, seed=3, honest=True):
+        ds = make_dataset(400, lambda x: 1.0 + x[:, 1] - x[:, 3], seed=9, noise=0.5)
+        return ds, fit_causal_forest(ds, ForestParams(n_trees=20, bag_size=10, mtry=mtry,
+                                                      honest=honest, seed=seed))
+
+    def test_rerun_is_deterministic(self):
+        _, m1 = self.fit(mtry=1)
+        _, m2 = self.fit(mtry=1)
+        assert [canonical(t) for t in m1.trees] == [canonical(t) for t in m2.trees]
+
+    @pytest.mark.parametrize("mtry", [1, 2])
+    @pytest.mark.parametrize("honest", [True, False])
+    def test_split_features_are_the_node_candidates(self, mtry, honest):
+        ds, model = self.fit(mtry=mtry, honest=honest)
+        n_splits = 0
+        for t, tree in enumerate(model.trees):
+            for node, heap in enumerate(heap_labels(tree)):
+                if tree.feature[node] >= 0:
+                    n_splits += 1
+                    cand = node_candidates(3, t, heap, ds.n_covariates, mtry)
+                    assert cand.shape == (mtry,) and tree.feature[node] in cand
+        assert n_splits > len(model.trees)
+
+    @pytest.mark.parametrize("mtry", [5, 7])
+    def test_mtry_at_least_p_equals_default(self, mtry):
+        ds, default = self.fit(mtry=None)
+        _, model = self.fit(mtry=mtry)
+        assert [canonical(t) for t in model.trees] == [canonical(t) for t in default.trees]
+        points = ds.x[:20]
+        assert predict_matrix(model, points).tobytes() == predict_matrix(default, points).tobytes()
+
+    def test_draws_do_not_depend_on_the_batch(self, monkeypatch):
+        _, together = self.fit(mtry=2)
+        monkeypatch.setattr(forest, "_BATCH_ROWS", 1)  # one tree per batch
+        monkeypatch.setattr(grower, "_SEARCH_CELLS", 1)  # one node per search
+        _, alone = self.fit(mtry=2)
+        assert [canonical(t) for t in alone.trees] == [canonical(t) for t in together.trees]
