@@ -1,10 +1,22 @@
 """Stage-1 CATE estimation with a Bayesian additive regression trees S-learner.
 
-A single sum-of-trees model is fit over the inputs (covariates, treatment)
-by backfitting MCMC with grow/prune/change proposals and conjugate updates
-for leaf means and the error variance.  Outcomes are rescaled to
-[-0.5, 0.5] before sampling (the usual convention that makes the default
-priors reasonable) and de-scaled on output.
+One sum-of-trees model is fit over z = (covariates, treatment) by
+backfitting MCMC with grow/prune/change proposals and conjugate updates for
+leaf means and the error variance (Chipman, George & McCulloch 2010, *Ann.
+Appl. Stat.*).  Outcomes are rescaled to [-0.5, 0.5] before sampling (the
+usual convention that makes the default priors reasonable) and de-scaled
+on output.
+
+The cutpoints of a column of z are all its distinct values but the largest
+(``numcut`` at its maximum in the BART R package), found once per study.
+Data rows and evaluation points carry a rank per column, so "z <= cut c
+goes left" is "rank <= c" for both.  A rule is a column drawn uniformly
+among those where the node's box allows a cut, then a cut drawn uniformly
+in that range; it reads no data.  A grow or change that would leave a child
+with no data rows is rejected: the chain targets the prior restricted to
+non-empty leaves.  Each tree maps the data rows, then the evaluation
+points, to leaves in one index vector; leaf statistics come from
+``np.bincount``.
 
 The CATE at a profile is obtained by differencing the posterior function at
 treatment 1 and treatment 0.  Two interval constructions are supported:
@@ -15,7 +27,7 @@ default) and empirical quantiles of the per-draw differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.stats import chi2
@@ -27,6 +39,7 @@ from .rng import substream
 _MOVE_GROW = 0.5
 _MOVE_PRUNE = 0.4
 # change probability is the remainder, 0.1
+_MOVES = ("grow", "prune", "change")
 
 
 @dataclass(frozen=True)
@@ -56,7 +69,9 @@ class BartPosterior:
     """Posterior function draws at the registered (profile, arm) points.
 
     ``draws`` has one row per kept MCMC iteration and one column per
-    evaluation point, already de-scaled to outcome units.
+    evaluation point, already de-scaled to outcome units.  ``diagnostics``
+    holds the ``proposed`` and ``accepted`` counts of each move kind and the
+    ``(n_draws, n_trees)`` ``leaf_counts`` of the kept draws.
     """
 
     study_id: int
@@ -65,6 +80,7 @@ class BartPosterior:
     y_min: float
     y_max: float
     params: BartParams
+    diagnostics: dict = field(default_factory=dict)
 
     def column(self, profile_id: int, arm: int) -> np.ndarray:
         key = (profile_id, arm)
@@ -73,259 +89,191 @@ class BartPosterior:
         return self.draws[:, self.columns[key]]
 
 
-class _Node:
-    __slots__ = ("feature", "value", "left", "right", "rows", "mu", "depth")
+class _Tree:
+    """One tree as flat per-slot lists; pruned slots are reused.  ``feature`` is
+    -1 at a leaf; ``[lo, hi)`` is the range of cut indexes a node's box allows
+    per column, and ``avail`` lists the columns where it is non-empty (a leaf
+    with any is growable).  ``leaf_of`` maps the data rows, then the points,
+    to leaf slots; ``count`` and ``mu`` are indexed by slot."""
 
-    def __init__(self, rows, depth):
-        self.feature = -1
-        self.value = 0.0
-        self.left = None
-        self.right = None
-        self.rows = rows
-        self.mu = 0.0
-        self.depth = depth
+    def __init__(self, n_rows, n_points, n_cuts):
+        self.feature, self.left, self.right, self.parent, self.depth = [-1], [-1], [-1], [-1], [0]
+        self.lo, self.hi = [[0] * len(n_cuts)], [list(n_cuts)]
+        self.avail = [[f for f, k in enumerate(n_cuts) if k > 0]]
+        self.growable = [0] if self.avail[0] else []
+        self.prunable, self.free = [], []
+        self.leaf_of = np.zeros(n_points, dtype=np.intp)
+        self.count = np.array([n_rows, 0, 0, 0])
+        self.mu = np.zeros(4)
 
-    @property
-    def is_leaf(self):
-        return self.left is None
+    def _slot(self):
+        if self.free:
+            return self.free.pop()
+        for column in (self.feature, self.left, self.right, self.parent, self.depth,
+                       self.lo, self.hi, self.avail):
+            column.append(-1)
+        slot = len(self.feature) - 1
+        if slot == self.mu.shape[0]:  # the caller redraws every mean
+            self.mu = np.zeros(2 * slot)
+        return slot
 
+    def set_rule(self, node, f, c):
+        """Split ``node`` at (f, c), giving it two fresh leaf children."""
+        if self.feature[node] < 0:  # grow
+            self.growable.remove(node)
+            self.prunable.append(node)
+            if self.parent[node] in self.prunable:
+                self.prunable.remove(self.parent[node])
+            self.left[node], self.right[node] = self._slot(), self._slot()
+        else:  # change: the children are leaves
+            self.growable = [i for i in self.growable
+                             if i != self.left[node] and i != self.right[node]]
+        self.feature[node] = f
+        for child, lo_f, hi_f in ((self.left[node], self.lo[node][f], c),
+                                  (self.right[node], c + 1, self.hi[node][f])):
+            self.feature[child], self.left[child], self.right[child] = -1, -1, -1
+            self.parent[child], self.depth[child] = node, self.depth[node] + 1
+            self.lo[child], self.hi[child] = list(self.lo[node]), list(self.hi[node])
+            self.lo[child][f], self.hi[child][f] = lo_f, hi_f
+            self.avail[child] = [g for g in self.avail[node] if g != f or lo_f < hi_f]
+            if self.avail[child]:
+                self.growable.append(child)
 
-def _leaves(node):
-    if node.is_leaf:
-        return [node]
-    return _leaves(node.left) + _leaves(node.right)
-
-
-def _prunable(node):
-    """Internal nodes whose both children are leaves."""
-    if node.is_leaf:
-        return []
-    if node.left.is_leaf and node.right.is_leaf:
-        return [node]
-    return _prunable(node.left) + _prunable(node.right)
+    def prune(self, node):
+        """Turn ``node``, whose children are leaves, back into a leaf."""
+        for child in (self.left[node], self.right[node]):
+            if self.avail[child]:
+                self.growable.remove(child)
+            self.free.append(child)
+        self.feature[node], self.left[node], self.right[node] = -1, -1, -1
+        self.prunable.remove(node)
+        self.growable.append(node)
+        parent = self.parent[node]
+        if parent >= 0 and (self.feature[self.left[parent]]
+                            == self.feature[self.right[parent]] == -1):
+            self.prunable.append(parent)
 
 
 class _Chain:
-    """Backfitting sampler state for one study."""
+    """Backfitting sampler state for one study.  ``resid`` is y minus the sum
+    of trees on the data rows, then minus the sum of trees at the points."""
 
-    def __init__(self, z, y_scaled, params, rng):
-        self.z = z
-        self.y = y_scaled
-        self.params = params
-        self.rng = rng
+    def __init__(self, ranks, n_cuts, y_scaled, params, rng):
         n = y_scaled.shape[0]
-        self.n = n
+        self.n, self.ranks, self.params, self.rng = n, ranks, params, rng
         self.sigma_mu = 0.5 / (params.k * math.sqrt(params.n_trees))
         sd = float(np.std(y_scaled, ddof=1)) if n > 1 else 1.0
         sd = max(sd, 1e-12)
         # lambda places the q-quantile of the sigma prior at the sample sd
         self.lam = sd * sd * float(chi2.ppf(1.0 - params.q, params.nu)) / params.nu
         self.sigma2 = sd * sd
-        all_rows = np.arange(n)
-        self.roots = [_Node(all_rows, 0) for _ in range(params.n_trees)]
-        self.fits = np.zeros((params.n_trees, n))
-        self.total_fit = np.zeros(n)
+        self.trees = [_Tree(n, ranks.shape[1], n_cuts) for _ in range(params.n_trees)]
+        self.resid = np.concatenate([y_scaled, np.zeros(ranks.shape[1] - n)])
+        self.proposed = dict.fromkeys(_MOVES, 0)
+        self.accepted = dict.fromkeys(_MOVES, 0)
 
-    def _p_split(self, depth):
-        return self.params.alpha * (1.0 + depth) ** (-self.params.beta)
+    def _log_prior_ratio(self, depth):
+        """Log prior ratio of splitting a leaf at ``depth``, less the rule's
+        prior probability, which cancels against the proposal's."""
+        ps, ps_child = (self.params.alpha * (1.0 + d) ** -self.params.beta
+                        for d in (depth, depth + 1))
+        return math.log(ps) + 2.0 * math.log1p(-ps_child) - math.log1p(-ps)
 
-    def _log_marginal(self, rows_sum, rows_sq, count):
-        s2 = self.sigma2
-        sm2 = self.sigma_mu**2
-        denom = s2 + count * sm2
-        return (
-            -0.5 * count * math.log(2.0 * math.pi * s2)
-            + 0.5 * math.log(s2 / denom)
-            - rows_sq / (2.0 * s2)
-            + (sm2 * rows_sum * rows_sum) / (2.0 * s2 * denom)
+    def _log_marginal(self, rows_sum, count):
+        """A leaf's log marginal likelihood, less the terms that cancel in
+        every ratio: the row sum of squares and count * log(2 pi sigma2)."""
+        return self._lm_const[count] + self._lm_coef[count] * rows_sum * rows_sum
+
+    def _split(self, tree, node, in_node, n_all, s_all, log_rest, u, r):
+        """Propose a rule for ``node`` (rows ``in_node``); accept it at log
+        ratio ``log_rest`` plus the children's marginals unless a child is empty."""
+        avail = tree.avail[node]
+        f = avail[int(u[2] * len(avail))]
+        lo, hi = tree.lo[node][f], tree.hi[node][f]
+        c = lo + int(u[3] * (hi - lo))
+        right = in_node & (self.ranks[f] > c)
+        n_r = int(np.count_nonzero(right[: self.n]))
+        if n_r == 0 or n_r == n_all:
+            return False
+        s_r = float(r @ right[: self.n])
+        log_ratio = (log_rest + self._log_marginal(s_all - s_r, n_all - n_r)
+                     + self._log_marginal(s_r, n_r))
+        if math.log1p(-u[4]) >= log_ratio:
+            return False
+        tree.set_rule(node, f, c)
+        tree.leaf_of[in_node] = tree.left[node]
+        tree.leaf_of[right] = tree.right[node]
+        return True
+
+    def _grow(self, tree, leaf, u, counts, sums, r):
+        n_all, s_all = counts[leaf], sums[leaf]
+        n_prunable = len(tree.prunable) + 1 - (tree.parent[leaf] in tree.prunable)
+        log_rest = (self._log_prior_ratio(tree.depth[leaf]) - self._log_marginal(s_all, n_all)
+                    + math.log(_MOVE_PRUNE / _MOVE_GROW * len(tree.growable) / n_prunable))
+        return self._split(tree, leaf, tree.leaf_of == leaf, n_all, s_all, log_rest, u, r)
+
+    def _prune(self, tree, node, u, counts, sums, r):
+        left, right = tree.left[node], tree.right[node]
+        n_l, n_r, s_l, s_r = counts[left], counts[right], sums[left], sums[right]
+        n_growable = len(tree.growable) + 1 - bool(tree.avail[left]) - bool(tree.avail[right])
+        log_ratio = (
+            self._log_marginal(s_l + s_r, n_l + n_r) - self._log_marginal(s_l, n_l)
+            - self._log_marginal(s_r, n_r) - self._log_prior_ratio(tree.depth[node])
+            + math.log(_MOVE_GROW / _MOVE_PRUNE * len(tree.prunable) / n_growable)
         )
+        if math.log1p(-u[4]) >= log_ratio:
+            return False
+        tree.prune(node)
+        leaf_of = tree.leaf_of
+        leaf_of[(leaf_of == left) | (leaf_of == right)] = node
+        return True
 
-    def _node_marginal(self, resid, rows):
-        r = resid[rows]
-        return self._log_marginal(float(r.sum()), float((r * r).sum()), rows.shape[0])
+    def _change(self, tree, node, u, counts, sums, r):
+        left, right = tree.left[node], tree.right[node]
+        n_l, n_r, s_l, s_r = counts[left], counts[right], sums[left], sums[right]
+        log_rest = -self._log_marginal(s_l, n_l) - self._log_marginal(s_r, n_r)
+        in_node = (tree.leaf_of == left) | (tree.leaf_of == right)
+        return self._split(tree, node, in_node, n_l + n_r, s_l + s_r, log_rest, u, r)
 
-    def _propose_rule(self, rows):
-        """Draw (feature, value) from the splitting prior at a node.
-
-        Feature uniform over covariates with >= 2 distinct values in the
-        node; value uniform over that feature's distinct values excluding
-        the maximum (rule: z <= value goes left). Returns None if the node
-        cannot be split.
-        """
-        zr = self.z[rows]
-        spread = zr.max(axis=0) > zr.min(axis=0)
-        avail = np.flatnonzero(spread)
-        if avail.shape[0] == 0:
-            return None
-        f = int(avail[self.rng.integers(avail.shape[0])])
-        values = np.unique(zr[:, f])
-        v = float(values[self.rng.integers(values.shape[0] - 1)])
-        return f, v
-
-    def _grow(self, root, resid):
-        leaves = [lf for lf in _leaves(root) if lf.rows.shape[0] >= 2]
-        if not leaves:
-            return
-        leaf = leaves[int(self.rng.integers(len(leaves)))]
-        rule = self._propose_rule(leaf.rows)
-        if rule is None:
-            return
-        f, v = rule
-        go_left = self.z[leaf.rows, f] <= v
-        rows_l = leaf.rows[go_left]
-        rows_r = leaf.rows[~go_left]
-        d = leaf.depth
-        log_like = (
-            self._node_marginal(resid, rows_l)
-            + self._node_marginal(resid, rows_r)
-            - self._node_marginal(resid, leaf.rows)
-        )
-        ps, ps_child = self._p_split(d), self._p_split(d + 1)
-        log_prior = (
-            math.log(ps) + 2.0 * math.log(1.0 - ps_child) - math.log(1.0 - ps)
-        )
-        # transition: grow chosen among growable leaves, reverse prune among
-        # prunable nodes of the proposed tree; growing the leaf makes it
-        # prunable but may strip that status from its parent
-        parent_was_prunable = (leaf is not root) and _sibling_is_leaf(root, leaf)
-        n_prunable_after = len(_prunable(root)) + 1 - (1 if parent_was_prunable else 0)
-        log_trans = (
-            math.log(_MOVE_PRUNE / _MOVE_GROW)
-            + math.log(len(leaves))
-            - math.log(max(n_prunable_after, 1))
-        )
-        if math.log(self.rng.random()) < log_like + log_prior + log_trans:
-            leaf.feature = f
-            leaf.value = v
-            leaf.left = _Node(rows_l, d + 1)
-            leaf.right = _Node(rows_r, d + 1)
-
-    def _prune(self, root, resid):
-        nodes = _prunable(root)
-        if not nodes:
-            return
-        node = nodes[int(self.rng.integers(len(nodes)))]
-        rows_l, rows_r = node.left.rows, node.right.rows
-        log_like = (
-            self._node_marginal(resid, node.rows)
-            - self._node_marginal(resid, rows_l)
-            - self._node_marginal(resid, rows_r)
-        )
-        d = node.depth
-        ps, ps_child = self._p_split(d), self._p_split(d + 1)
-        log_prior = -(
-            math.log(ps) + 2.0 * math.log(1.0 - ps_child) - math.log(1.0 - ps)
-        )
-        n_growable_after = len(
-            [lf for lf in _leaves(root) if lf.rows.shape[0] >= 2]
-        ) - sum(1 for lf in (node.left, node.right) if lf.rows.shape[0] >= 2) + 1
-        log_trans = (
-            math.log(_MOVE_GROW / _MOVE_PRUNE)
-            + math.log(len(nodes))
-            - math.log(max(n_growable_after, 1))
-        )
-        if math.log(self.rng.random()) < log_like + log_prior + log_trans:
-            node.left = None
-            node.right = None
-            node.feature = -1
-
-    def _change(self, root, resid):
-        nodes = _prunable(root)
-        if not nodes:
-            return
-        node = nodes[int(self.rng.integers(len(nodes)))]
-        rule = self._propose_rule(node.rows)
-        if rule is None:
-            return
-        f, v = rule
-        go_left = self.z[node.rows, f] <= v
-        rows_l = node.rows[go_left]
-        rows_r = node.rows[~go_left]
-        log_like = (
-            self._node_marginal(resid, rows_l)
-            + self._node_marginal(resid, rows_r)
-            - self._node_marginal(resid, node.left.rows)
-            - self._node_marginal(resid, node.right.rows)
-        )
-        if math.log(self.rng.random()) < log_like:
-            node.feature = f
-            node.value = v
-            node.left.rows = rows_l
-            node.right.rows = rows_r
-
-    def _draw_leaf_means(self, root, resid):
-        for leaf in _leaves(root):
-            rows = leaf.rows
-            count = rows.shape[0]
-            prec = count / self.sigma2 + 1.0 / self.sigma_mu**2
-            var = 1.0 / prec
-            mean = var * float(resid[rows].sum()) / self.sigma2
-            leaf.mu = mean + math.sqrt(var) * float(self.rng.standard_normal())
-
-    def _tree_fit(self, root):
-        out = np.empty(self.n)
-        for leaf in _leaves(root):
-            out[leaf.rows] = leaf.mu
-        return out
-
-    def update_tree(self, j):
-        resid = self.y - (self.total_fit - self.fits[j])
-        root = self.roots[j]
-        u = self.rng.random()
-        if u < _MOVE_GROW:
-            self._grow(root, resid)
-        elif u < _MOVE_GROW + _MOVE_PRUNE:
-            self._prune(root, resid)
+    def update_tree(self, tree, u):
+        """One move, then fresh leaf means.  ``u`` holds five uniforms: move,
+        node, the rule's column and cut, and acceptance."""
+        n, resid, leaf_of = self.n, self.resid, tree.leaf_of
+        resid += tree.mu[leaf_of]
+        r = resid[:n]
+        sums = np.bincount(leaf_of[:n], weights=r, minlength=tree.mu.shape[0])
+        if u[0] < _MOVE_GROW:
+            move, nodes, step = "grow", tree.growable, self._grow
+        elif u[0] < _MOVE_GROW + _MOVE_PRUNE:
+            move, nodes, step = "prune", tree.prunable, self._prune
         else:
-            self._change(root, resid)
-        self._draw_leaf_means(root, resid)
-        new_fit = self._tree_fit(root)
-        self.total_fit += new_fit - self.fits[j]
-        self.fits[j] = new_fit
+            move, nodes, step = "change", tree.prunable, self._change
+        self.proposed[move] += bool(nodes)
+        if nodes and step(tree, nodes[int(u[1] * len(nodes))], u, tree.count.tolist(),
+                          sums.tolist(), r):
+            self.accepted[move] += 1
+            size = tree.mu.shape[0]
+            tree.count = np.bincount(leaf_of[:n], minlength=size)
+            sums = np.bincount(leaf_of[:n], weights=r, minlength=size)
+        noise = self.rng.standard_normal(sums.shape[0])
+        tree.mu = sums * self._shrink[tree.count] + self._post_sd[tree.count] * noise
+        resid -= tree.mu[leaf_of]
 
-    def update_sigma2(self):
-        err = self.y - self.total_fit
+    def sweep(self):
+        """Update every tree once, then the error variance."""
+        # A leaf of c rows: mu has posterior mean shrink[c] * sum, sd post_sd[c].
+        s2, sm2 = self.sigma2, self.sigma_mu**2
+        denom = s2 + np.arange(self.n + 1) * sm2
+        self._shrink = sm2 / denom
+        self._post_sd = np.sqrt(s2 * self._shrink)
+        self._lm_const = (0.5 * np.log(s2 / denom)).tolist()
+        self._lm_coef = (self._shrink / (2.0 * s2)).tolist()
+        for tree, u in zip(self.trees, self.rng.random((len(self.trees), 5)).tolist()):
+            self.update_tree(tree, u)
+        err = self.resid[: self.n]
         shape = self.params.nu + self.n
         scale = self.params.nu * self.lam + float(err @ err)
         self.sigma2 = scale / float(self.rng.chisquare(shape))
-
-    def eval_points(self, points):
-        out = np.zeros(points.shape[0])
-        for root in self.roots:
-            out += _route_eval(root, points)
-        return out
-
-
-def _sibling_is_leaf(root, target):
-    """Whether the sibling of ``target`` is currently a leaf."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            continue
-        if node.left is target:
-            return node.right.is_leaf
-        if node.right is target:
-            return node.left.is_leaf
-        stack.append(node.left)
-        stack.append(node.right)
-    return False
-
-
-def _route_eval(root, points):
-    out = np.empty(points.shape[0])
-    stack = [(root, np.arange(points.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.shape[0] == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.mu
-            continue
-        go_left = points[idx, node.feature] <= node.value
-        stack.append((node.left, idx[go_left]))
-        stack.append((node.right, idx[~go_left]))
-    return out
 
 
 def fit_bart_slearner(
@@ -350,11 +298,8 @@ def fit_bart_slearner(
                 f"profile {prof.profile_id} has {prof.n_covariates} covariates, expected {p}"
             )
     y = dataset.y
-    y_min = float(y.min())
-    y_max = float(y.max())
-    y_range = y_max - y_min
-    if y_range == 0.0:
-        y_range = 1.0
+    y_min, y_max = float(y.min()), float(y.max())
+    y_range = (y_max - y_min) or 1.0
     y_scaled = (y - y_min) / y_range - 0.5
 
     z = np.column_stack([dataset.x, dataset.a.astype(np.float64)])
@@ -363,16 +308,26 @@ def fit_bart_slearner(
     columns = {(prof.profile_id, arm): 2 * i + arm
                for i, prof in enumerate(profiles) for arm in (0, 1)}
 
-    rng = substream(params.seed, "bart-chain")
-    chain = _Chain(z, y_scaled, params, rng)
+    # Cut c of column j is its c-th smallest distinct value, and a value's
+    # rank counts the distinct values below it: v <= cut c iff rank <= c.
+    stacked = np.vstack([z, eval_points])
+    ranks = np.empty((z.shape[1], stacked.shape[0]), dtype=np.intp)
+    n_cuts = []
+    for j in range(z.shape[1]):
+        values = np.unique(z[:, j])
+        n_cuts.append(values.shape[0] - 1)
+        ranks[j] = np.searchsorted(values, stacked[:, j], "left")
+
+    chain = _Chain(ranks, n_cuts, y_scaled, params, substream(params.seed, "bart-chain"))
+    n = y.shape[0]
     draws = np.empty((params.n_draws, eval_points.shape[0]))
+    leaf_counts = np.empty((params.n_draws, params.n_trees), dtype=np.int64)
     for it in range(params.n_burn + params.n_draws):
-        for j in range(params.n_trees):
-            chain.update_tree(j)
-        chain.update_sigma2()
+        chain.sweep()
         if it >= params.n_burn:
-            f_scaled = chain.eval_points(eval_points)
-            draws[it - params.n_burn] = (f_scaled + 0.5) * y_range + y_min
+            draws[it - params.n_burn] = (0.5 - chain.resid[n:]) * y_range + y_min
+            leaf_counts[it - params.n_burn] = [  # L leaves use 2L - 1 slots
+                (len(tree.feature) - len(tree.free) + 1) // 2 for tree in chain.trees]
     draws.setflags(write=False)
     return BartPosterior(
         study_id=dataset.study_id,
@@ -381,6 +336,8 @@ def fit_bart_slearner(
         y_min=y_min,
         y_max=y_max,
         params=params,
+        diagnostics={"proposed": chain.proposed, "accepted": chain.accepted,
+                     "leaf_counts": leaf_counts},
     )
 
 

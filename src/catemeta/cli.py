@@ -362,6 +362,12 @@ def _parse_profile_ids(value: str) -> list[int]:
     return ids
 
 
+def _parse_threads(value: str) -> int:
+    if not value.isdecimal() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _parse_bool(value: str) -> bool:
     if value == "true":
         return True
@@ -381,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--threads", type=int, default=1, help="worker processes")
+        p.add_argument("--threads", type=_parse_threads, default=1, help="worker processes")
         p.add_argument("--out-dir", default=".", help="output directory")
 
     p_est = sub.add_parser("estimate", help="fit Stage-1 models, write aggregates")

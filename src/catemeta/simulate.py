@@ -251,7 +251,10 @@ def estimate_study(dataset: TrialDataset, points: np.ndarray, learner: str, para
     set.  ``diagnostics`` holds ``fit_seconds``, the forest's
     ``se2_floor_hits``, ``skipped_tree_frac``, ``nodes_per_tree`` and
     ``usable_leaf_frac``, and BART's 95% per-draw quantile bounds
-    ``quantile_lower`` and ``quantile_upper``.
+    ``quantile_lower`` and ``quantile_upper``, its ``grow_accept_rate``,
+    ``prune_accept_rate`` and ``change_accept_rate`` (accepted over proposed
+    moves, 0 when none was proposed) and the ``mean_leaves_per_tree`` of the
+    kept draws.
     """
     start = time.perf_counter()
     diagnostics = {}
@@ -261,8 +264,13 @@ def estimate_study(dataset: TrialDataset, points: np.ndarray, learner: str, para
         tau, se2, diagnostics = forest_predict(fit_causal_forest(dataset, params), points)
     elif learner == "bart":
         profiles = [CovariateProfile(i, x) for i, x in enumerate(points)]
-        tau, se2, lower, upper = bart_cates(fit_bart_slearner(dataset, profiles, params))
+        posterior = fit_bart_slearner(dataset, profiles, params)
+        tau, se2, lower, upper = bart_cates(posterior)
+        moves = posterior.diagnostics
         diagnostics = {"quantile_lower": lower, "quantile_upper": upper}
+        for move, proposed in moves["proposed"].items():
+            diagnostics[f"{move}_accept_rate"] = moves["accepted"][move] / max(proposed, 1)
+        diagnostics["mean_leaves_per_tree"] = float(moves["leaf_counts"].mean())
     else:
         raise ConfigurationError(f"unknown stage1 learner '{learner}'")
     diagnostics["fit_seconds"] = time.perf_counter() - start

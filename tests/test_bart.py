@@ -1,5 +1,7 @@
 """BART S-learner: sampler behavior, interval options, determinism."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from catemeta import (
     TrialDataset,
     bart_cate_normal,
     bart_cate_quantile,
+    bart_cates,
     fit_bart_slearner,
 )
 
@@ -102,6 +105,60 @@ class TestSampler:
         for prof in profiles:
             for arm in (0, 1):
                 assert (prof.profile_id, arm) in post.columns
+
+
+def tree_prior_leaf_shares(alpha, beta, max_leaves):
+    """P(a tree has L leaves), L = 1..max_leaves, when a node at depth d splits
+    with probability alpha * (1 + d)^-beta into two independent subtrees."""
+
+    @lru_cache(maxsize=None)
+    def share(depth, leaves):
+        p_split = alpha * (1.0 + depth) ** -beta
+        if leaves == 1:
+            return 1.0 - p_split
+        return p_split * sum(share(depth + 1, left) * share(depth + 1, leaves - left)
+                             for left in range(1, leaves))
+
+    return np.array([share(0, leaves) for leaves in range(1, max_leaves + 1)])
+
+
+class TestTreePrior:
+    def test_prior_only_chain_matches_branching_process(self):
+        # k = 1e12 makes sigma_mu ~ 1e-14, so every marginal-likelihood ratio
+        # is 1 to within ~1e-24 and the chain samples the tree prior alone.
+        ds, rng = make_dataset(500, lambda x, a: np.zeros(x.shape[0]), seed=10)
+        params = BartParams(n_trees=20, n_burn=100, n_draws=1900, k=1e12, seed=5)
+        post = fit_bart_slearner(ds, [CovariateProfile(0, rng.normal(size=3))], params)
+        leaf_counts = post.diagnostics["leaf_counts"]
+        assert leaf_counts.shape == (1900, 20)
+        shares = np.array([np.mean(leaf_counts == leaves) for leaves in range(1, 5)])
+        exact = tree_prior_leaf_shares(params.alpha, params.beta, 4)
+        # 38,000 autocorrelated tree draws: 0.02 is several standard errors.
+        np.testing.assert_allclose(shares, exact, atol=0.02)
+
+
+class TestRecovery:
+    @staticmethod
+    def covariates(rng, n, spread):
+        x = rng.normal(0.0, spread, size=(n, 5))
+        x[:, 1] = rng.random(n) < 0.6
+        x[:, 2] = rng.random(n) < 0.3
+        return x
+
+    @pytest.mark.parametrize("data_seed", [1, 2, 3])
+    def test_heterogeneous_effect_recovered(self, data_seed):
+        rng = np.random.default_rng(data_seed)
+        x = self.covariates(rng, 1000, 1.0)
+        a = rng.integers(0, 2, 1000)
+        y = -17.4 - 2.0 * x[:, 4] + a * (2.5 + 0.8 * x[:, 0]) + rng.normal(0.0, 0.5, 1000)
+        ds = TrialDataset(1, y, a, x, tuple(f"c{j}" for j in range(5)))
+        px = self.covariates(rng, 20, 0.5)
+        post = fit_bart_slearner(ds, [CovariateProfile(i, row) for i, row in enumerate(px)],
+                                 BartParams(n_burn=100, n_draws=200))
+        tau_hat = bart_cates(post)[0]
+        tau = 2.5 + 0.8 * px[:, 0]
+        assert np.corrcoef(tau_hat, tau)[0, 1] >= 0.85
+        assert np.mean(np.abs(tau_hat - tau)) <= 0.3
 
 
 class TestNormalOption:

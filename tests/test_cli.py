@@ -75,6 +75,28 @@ class TestEstimate:
             assert diag["usable_leaf_frac"] == round(float(np.isfinite(leaves).mean()), 6)
         assert set(manifest["timings_seconds"]) == {"read", "validate", "fit", "write"}
 
+    def test_bart_move_diagnostics_identical_across_reruns_and_threads(self, tmp_path):
+        trials, profiles = write_inputs(tmp_path, n_studies=3, n_rows=60, n_profiles=3)
+        fields = ("grow_accept_rate", "prune_accept_rate", "change_accept_rate",
+                  "mean_leaves_per_tree")
+        runs = []
+        for name, threads in (("r1", 1), ("r2", 1), ("r3", 2)):
+            out = tmp_path / name
+            code = run(["estimate", "--trials", trials, "--profiles", profiles,
+                        "--stage1", "bart", "--trees", 8, "--burn", 20, "--draws", 30,
+                        "--interval", "quantile", "--seed", 4, "--threads", threads,
+                        "--out-dir", out])
+            assert code == 0
+            studies = json.loads((out / "manifest.json").read_text())["diagnostics"]["stage1"]
+            runs.append(([{k: d[k] for k in fields} for d in studies],
+                         [(out / f).read_bytes() for f in
+                          ("aggregates.csv", "study_quantile_intervals.csv")]))
+        assert runs[0] == runs[1] == runs[2]
+        for diag in runs[0][0]:
+            for field in fields[:3]:
+                assert 0.0 <= diag[field] <= 1.0
+            assert diag["mean_leaves_per_tree"] >= 1.0
+
     def test_worker_pool_matches_single_thread(self, tmp_path):
         trials, profiles = write_inputs(tmp_path, n_rows=120)
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
@@ -405,6 +427,21 @@ class TestSimulate:
 
 
 class TestExitCodeMapping:
+    @pytest.mark.parametrize("threads", ["0", "-1", "x"])
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--trials", "t.csv", "--profiles", "p.csv", "--stage1", "bart"],
+        ["simulate", "--config", "exp.cfg"],
+    ], ids=["estimate", "simulate"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, command, threads):
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--threads", threads, "--out-dir", tmp_path / "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"--threads: expected an integer >= 1, got '{threads}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_runtime_estimation_failure_exits_1(self, tmp_path, monkeypatch):
         from catemeta import EstimationError
         import catemeta.cli as cli
