@@ -7,6 +7,15 @@ Appl. Stat.*).  Outcomes are rescaled to [-0.5, 0.5] before sampling (the
 usual convention that makes the default priors reasonable) and de-scaled
 on output.
 
+The error variance has the scaled inverse-chi-square prior nu * lambda /
+chi2_nu, with lambda set so that Pr(sigma < sd) = q for the sample sd of the
+scaled outcome: lambda = sd^2 * 2 P^-1(nu/2, 1 - q) / nu, where P^-1 is the
+inverse regularized lower incomplete gamma function (``gammaincinv``).  That
+is the chi-square quantile ``scipy.stats.chi2.ppf(1 - q, nu)`` bit for bit,
+without the cost of importing ``scipy.stats``.  Settings whose quantile is
+not finite (q at or below 2^-54, about 5.6e-17, where 1 - q rounds to 1)
+are rejected.
+
 The cutpoints of a column of z are all its distinct values but the largest
 (``numcut`` at its maximum in the BART R package), found once per study.
 Data rows and evaluation points carry a rank per column, so "z <= cut c
@@ -30,7 +39,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .errors import ConfigurationError, DimensionMismatchError
 from .model import CovariateProfile, StudyCateEstimate, TrialDataset
@@ -62,6 +71,16 @@ class BartParams:
             raise ConfigurationError("tree prior requires alpha in (0,1), beta > 0")
         if self.k <= 0.0 or self.nu <= 0.0 or not (0.0 < self.q < 1.0):
             raise ConfigurationError("invalid leaf or variance prior settings")
+        if not math.isfinite(_chi2_quantile(1.0 - self.q, self.nu)):
+            # 1 - q rounds to 1 for q <= 2**-54, and lambda would be inf
+            raise ConfigurationError(
+                f"sigma prior quantile is not finite at nu={self.nu!r}, q={self.q!r}")
+
+
+def _chi2_quantile(p, nu):
+    """The p-quantile of a chi-square with ``nu`` degrees of freedom, as
+    ``scipy.stats.chi2.ppf`` computes it, without importing ``scipy.stats``."""
+    return 2.0 * float(gammaincinv(0.5 * nu, p))
 
 
 @dataclass(frozen=True)
@@ -165,7 +184,7 @@ class _Chain:
         sd = float(np.std(y_scaled, ddof=1)) if n > 1 else 1.0
         sd = max(sd, 1e-12)
         # lambda places the q-quantile of the sigma prior at the sample sd
-        self.lam = sd * sd * float(chi2.ppf(1.0 - params.q, params.nu)) / params.nu
+        self.lam = sd * sd * _chi2_quantile(1.0 - params.q, params.nu) / params.nu
         self.sigma2 = sd * sd
         self.trees = [_Tree(n, ranks.shape[1], n_cuts) for _ in range(params.n_trees)]
         self.resid = np.concatenate([y_scaled, np.zeros(ranks.shape[1] - n)])

@@ -41,7 +41,7 @@ class TrialDataset:
 
     def __post_init__(self):
         y = _readonly(self.y)
-        a = _readonly(self.a, dtype=np.int8)
+        a = np.asarray(self.a)
         x = _readonly(self.x)
         if x.ndim != 2:
             raise ValueError("x must be a 2-d array of shape (n, p)")
@@ -50,9 +50,12 @@ class TrialDataset:
             raise ValueError("y, a and x must have the same number of rows")
         if x.shape[1] != len(self.covariate_names):
             raise ValueError("covariate_names length must match x columns")
-        bad = set(np.unique(a)) - {0, 1}
-        if bad:
-            raise ValueError(f"treatment must be coded 0/1, found {sorted(bad)}")
+        # checked before the int8 cast, which would truncate 0.5 or wrap 256 to 0
+        bad = (a != 0) & (a != 1)
+        if bad.any():
+            raise ValueError(
+                f"treatment must be coded 0/1, found {np.unique(a[bad]).tolist()}")
+        a = _readonly(a, dtype=np.int8)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "x", x)

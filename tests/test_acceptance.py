@@ -378,3 +378,30 @@ def test_criterion_11_forest_golden_aggregates(tmp_path, honest, golden_name):
         not mismatched,
         f"golden mismatches at threads={mismatched or 'none'}",
     )
+
+
+def test_criterion_11_bart_golden_aggregates(tmp_path):
+    # estimate --stage1 bart with quantile intervals on the forest golden
+    # inputs; the aggregates and the per-study quantile intervals must keep
+    # their bytes at every worker count.
+    import pathlib
+
+    golden = pathlib.Path(__file__).parent / "golden"
+    expected = {
+        "aggregates.csv": golden / "bart_aggregates.csv",
+        "study_quantile_intervals.csv": golden / "bart_quantile_intervals.csv",
+    }
+    mismatched = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        _run_cli(["estimate", "--trials", golden / "forest_trials.csv",
+                  "--profiles", golden / "forest_profiles.csv", "--stage1", "bart",
+                  "--interval", "quantile", "--trees", 10, "--burn", 10,
+                  "--draws", 20, "--seed", 5, "--threads", threads, "--out-dir", out])
+        mismatched += [(threads, name) for name, path in expected.items()
+                       if (out / name).read_bytes() != path.read_bytes()]
+    report(
+        "criterion 11 (BART golden aggregates and quantile intervals)",
+        not mismatched,
+        f"golden mismatches (threads, file)={mismatched or 'none'}",
+    )

@@ -52,6 +52,30 @@ class TestParams:
         with pytest.raises(ConfigurationError):
             BartParams(alpha=1.5)
 
+    @pytest.mark.parametrize("nu", [3.0, 1e-300])
+    def test_sigma_prior_quantile_must_be_finite(self, nu):
+        # 1 - 1e-17 rounds to 1, where the chi-square quantile is inf; the
+        # sampler would then return all-NaN CATEs.
+        with pytest.raises(ConfigurationError, match="sigma prior quantile"):
+            BartParams(nu=nu, q=1e-17)
+        BartParams(nu=nu, q=1e-15)
+
+
+class TestSigmaPrior:
+    def test_lambda_matches_scipy_stats_chi2_bit_for_bit(self):
+        from scipy.stats import chi2
+
+        from catemeta.bart import _Chain
+
+        y = np.random.default_rng(3).uniform(-0.5, 0.5, 40)
+        sd = float(np.std(y, ddof=1))
+        ranks = np.zeros((1, y.shape[0]), dtype=np.intp)
+        for nu in (0.5, 1.0, 3.0, 10.0, 100.0):
+            for q in (0.5, 0.75, 0.9, 0.99):
+                params = BartParams(n_trees=1, nu=nu, q=q)
+                chain = _Chain(ranks, [0], y, params, rng=None)
+                assert chain.lam == sd * sd * float(chi2.ppf(1.0 - q, nu)) / nu, (nu, q)
+
 
 class TestSampler:
     def test_intercept_only_recovers_constant(self):

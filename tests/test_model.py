@@ -1,5 +1,7 @@
 """Domain types and data validation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -44,8 +46,12 @@ class TestTrialDataset:
             TrialDataset(1, np.zeros(3), np.zeros(3, dtype=int), np.zeros((3, 2)), ("a",))
 
     def test_treatment_must_be_binary(self):
-        with pytest.raises(ValueError, match="0/1"):
-            TrialDataset(1, np.zeros(3), np.array([0, 1, 2]), np.zeros((3, 1)), ("a",))
+        # 0.5, 256.0 and NaN used to be cast to int8 first and stored as 0
+        for value, shown in ((2, "[2]"), (0.5, "[0.5]"), (256.0, "[256.0]"),
+                             (np.nan, "[nan]"), (-1, "[-1]")):
+            with pytest.raises(ValueError, match=re.escape(f"coded 0/1, found {shown}")):
+                TrialDataset(1, np.zeros(3), np.array([value, 1, 0]), np.zeros((3, 1)),
+                             ("a",))
 
 
 class TestValidateTrial:
