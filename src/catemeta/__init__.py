@@ -35,7 +35,6 @@ from .forest import (
     CausalTree,
     ForestParams,
     fit_causal_forest,
-    forest_cate,
     forest_cates,
     forest_predict,
 )
@@ -48,7 +47,6 @@ from .meta import (
     pool_profiles,
     prediction_interval,
     reml_theta2,
-    restricted_log_likelihood,
     t_quantile,
 )
 from .model import (
@@ -65,7 +63,6 @@ from .model import (
 from .simulate import (
     MetricsTable,
     SimConfig,
-    TrueEffectRecord,
     draw_study_effects,
     estimate_study,
     gen_outcomes,
@@ -73,7 +70,6 @@ from .simulate import (
     gen_trial_covariates,
     gen_study,
     run_experiment,
-    target_effect_record,
     true_cate,
 )
 
@@ -85,15 +81,15 @@ __all__ = [
     "EstimationError", "InputFormatError", "InsufficientDataError",
     "InsufficientStudiesError", "SingularDesignError",
     "CausalForestModel", "CausalTree", "ForestParams", "fit_causal_forest",
-    "forest_cate", "forest_cates", "forest_predict",
+    "forest_cates", "forest_predict",
     "LinearCateFit", "fit_interaction_ols", "linear_cate", "linear_cates",
     "MetaInput", "PooledProfiles", "dl_theta2", "pool_cate", "pool_profiles",
     "prediction_interval",
-    "reml_theta2", "restricted_log_likelihood", "t_quantile",
+    "reml_theta2", "t_quantile",
     "CovariateProfile", "CoverageFlag", "PooledCate", "PredictionInterval",
     "StudyCateEstimate", "TrialDataset", "ValidationReport",
     "validate_target_coverage", "validate_trial",
-    "MetricsTable", "SimConfig", "TrueEffectRecord", "draw_study_effects", "estimate_study",
+    "MetricsTable", "SimConfig", "draw_study_effects", "estimate_study",
     "gen_outcomes", "gen_target_profiles", "gen_trial_covariates", "gen_study",
-    "run_experiment", "target_effect_record", "true_cate",
+    "run_experiment", "true_cate",
 ]

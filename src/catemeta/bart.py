@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import gammaincinv
 
 from .errors import ConfigurationError, DimensionMismatchError
-from .model import CovariateProfile, StudyCateEstimate, TrialDataset
+from .model import StudyCateEstimate, TrialDataset
 from .rng import substream
 
 _MOVE_GROW = 0.5
@@ -85,27 +85,21 @@ def _chi2_quantile(p, nu):
 
 @dataclass(frozen=True)
 class BartPosterior:
-    """Posterior function draws at the registered (profile, arm) points.
+    """Posterior function draws at the evaluation points.
 
-    ``draws`` has one row per kept MCMC iteration and one column per
-    evaluation point, already de-scaled to outcome units.  ``diagnostics``
-    holds the ``proposed`` and ``accepted`` counts of each move kind and the
-    ``(n_draws, n_trees)`` ``leaf_counts`` of the kept draws.
+    ``draws`` has one row per kept MCMC iteration and, for the i-th point,
+    columns 2i (treatment 0) and 2i + 1 (treatment 1), already de-scaled to
+    outcome units.  ``diagnostics`` holds the ``proposed`` and ``accepted``
+    counts of each move kind and the ``(n_draws, n_trees)`` ``leaf_counts``
+    of the kept draws.
     """
 
     study_id: int
     draws: np.ndarray
-    columns: dict
     y_min: float
     y_max: float
     params: BartParams
     diagnostics: dict = field(default_factory=dict)
-
-    def column(self, profile_id: int, arm: int) -> np.ndarray:
-        key = (profile_id, arm)
-        if key not in self.columns:
-            raise KeyError(f"profile {profile_id} arm {arm} was not registered at fit time")
-        return self.draws[:, self.columns[key]]
 
 
 class _Tree:
@@ -297,35 +291,33 @@ class _Chain:
 
 def fit_bart_slearner(
     dataset: TrialDataset,
-    profiles: list[CovariateProfile],
+    points: np.ndarray,
     params: BartParams,
 ) -> BartPosterior:
-    """Sample the sum-of-trees posterior and record draws at every profile/arm.
+    """Sample the sum-of-trees posterior and record draws at every point/arm.
 
     The model input is (x, a): covariates plus the treatment indicator as an
-    extra column.  For each profile both counterfactual inputs (x*, 0) and
-    (x*, 1) are registered, and the posterior function draws at those points
-    are stored in outcome units: the i-th profile's arms are draw columns 2i
-    and 2i + 1.  Deterministic given ``params.seed``.
+    extra column.  For each row x* of ``points`` (P, p) both counterfactual
+    inputs (x*, 0) and (x*, 1) are registered, and the posterior function
+    draws at those inputs are stored in outcome units: row i's arms are draw
+    columns 2i and 2i + 1.  Deterministic given ``params.seed``.
     """
-    if not profiles:
-        raise ConfigurationError("at least one profile must be registered")
+    points = np.asarray(points, dtype=np.float64)
+    if not points.size:
+        raise ConfigurationError("at least one point must be registered")
     p = dataset.n_covariates
-    for prof in profiles:
-        if prof.n_covariates != p:
-            raise DimensionMismatchError(
-                f"profile {prof.profile_id} has {prof.n_covariates} covariates, expected {p}"
-            )
+    if points.ndim != 2 or points.shape[1] != p:
+        raise DimensionMismatchError(f"points have shape {points.shape}, expected (P, {p})")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
     y = dataset.y
     y_min, y_max = float(y.min()), float(y.max())
     y_range = (y_max - y_min) or 1.0
     y_scaled = (y - y_min) / y_range - 0.5
 
     z = np.column_stack([dataset.x, dataset.a.astype(np.float64)])
-    eval_points = np.repeat([np.append(prof.x, 0.0) for prof in profiles], 2, axis=0)
+    eval_points = np.repeat(np.column_stack([points, np.zeros(len(points))]), 2, axis=0)
     eval_points[1::2, p] = 1.0
-    columns = {(prof.profile_id, arm): 2 * i + arm
-               for i, prof in enumerate(profiles) for arm in (0, 1)}
 
     # Cut c of column j is its c-th smallest distinct value, and a value's
     # rank counts the distinct values below it: v <= cut c iff rank <= c.
@@ -351,7 +343,6 @@ def fit_bart_slearner(
     return BartPosterior(
         study_id=dataset.study_id,
         draws=draws,
-        columns=columns,
         y_min=y_min,
         y_max=y_max,
         params=params,
@@ -361,7 +352,7 @@ def fit_bart_slearner(
 
 
 def bart_cates(posterior: BartPosterior, level: float = 0.95):
-    """CATE arrays over the registered profiles, in registration order.
+    """CATE arrays over the evaluation points, in row order.
 
     Returns ``(tau, se2, lower, upper)``.  tau_hat is the difference of the
     posterior-mean outcomes under the two arms; se2 is the sum of the two
@@ -372,7 +363,7 @@ def bart_cates(posterior: BartPosterior, level: float = 0.95):
     """
     if not (0.0 < level < 1.0):
         raise ValueError("level must be in (0, 1)")
-    # One contiguous row per profile: each row reduces exactly like a 1-d column.
+    # One contiguous row per point: each row reduces exactly like a 1-d column.
     f1 = np.ascontiguousarray(posterior.draws[:, 1::2].T)
     f0 = np.ascontiguousarray(posterior.draws[:, 0::2].T)
     tau = f1.mean(axis=1) - f0.mean(axis=1)
@@ -382,26 +373,29 @@ def bart_cates(posterior: BartPosterior, level: float = 0.95):
     return tau, se2, lower, upper
 
 
-def _at_profile(posterior: BartPosterior, profile: CovariateProfile, level: float):
-    """:func:`bart_cates` over one profile's two draw columns, as floats."""
-    arms = np.column_stack([posterior.column(profile.profile_id, arm) for arm in (0, 1)])
+def _at_point(posterior: BartPosterior, i: int, level: float):
+    """:func:`bart_cates` over point ``i``'s two draw columns, as floats."""
+    if not 0 <= i < posterior.draws.shape[1] // 2:
+        raise IndexError(f"point {i} was not registered at fit time")
+    arms = posterior.draws[:, 2 * i: 2 * i + 2]
     return [float(v[0]) for v in bart_cates(replace(posterior, draws=arms), level)]
 
 
-def bart_cate_normal(posterior: BartPosterior, profile: CovariateProfile) -> StudyCateEstimate:
-    """:func:`bart_cates` tau_hat and se2 (normal approximation) at one profile."""
-    tau, se2, _, _ = _at_profile(posterior, profile, 0.95)
+def bart_cate_normal(posterior: BartPosterior, i: int) -> StudyCateEstimate:
+    """:func:`bart_cates` tau_hat and se2 (normal approximation) at point ``i``,
+    reported as profile ``i``."""
+    tau, se2, _, _ = _at_point(posterior, i, 0.95)
     return StudyCateEstimate(
         study_id=posterior.study_id,
-        profile_id=profile.profile_id,
+        profile_id=i,
         tau_hat=tau,
         se2=se2,
     )
 
 
 def bart_cate_quantile(
-    posterior: BartPosterior, profile: CovariateProfile, level: float
+    posterior: BartPosterior, i: int, level: float
 ) -> tuple[float, float, float]:
-    """:func:`bart_cates` (tau_hat, lower, upper) at one profile and level."""
-    tau, _, lower, upper = _at_profile(posterior, profile, level)
+    """:func:`bart_cates` (tau_hat, lower, upper) at point ``i`` and level."""
+    tau, _, lower, upper = _at_point(posterior, i, level)
     return tau, lower, upper

@@ -160,12 +160,7 @@ def cmd_estimate(args) -> int:
     )
     with _Phase(manifest, "read"):
         trials = read_trials_csv(list(args.trials))
-        profiles = read_profiles_csv(args.profiles)
-        if profiles[0].n_covariates != trials[0].n_covariates:
-            raise InputFormatError(
-                f"profiles have {profiles[0].n_covariates} covariates but trials "
-                f"have {trials[0].n_covariates}", args.profiles
-            )
+        profiles = read_profiles_csv(args.profiles, trials[0].covariate_names)
     with _Phase(manifest, "validate"):
         problems = []
         for dataset in trials:

@@ -296,7 +296,3 @@ def forest_cates(
         for p, t, v in zip(profiles, tau.tolist(), se2.tolist())
     ]
 
-
-def forest_cate(model: CausalForestModel, profile: CovariateProfile) -> StudyCateEstimate:
-    """Point estimate and between-bag variance for a single profile."""
-    return forest_cates(model, [profile])[0]

@@ -159,9 +159,15 @@ def read_trials_csv(paths: list[str]) -> list[TrialDataset]:
     ]
 
 
-def read_profiles_csv(path: str) -> list[CovariateProfile]:
-    """Target profiles in file order; ids must be unique and covariates finite."""
+def read_profiles_csv(path: str, covariate_names: tuple[str, ...]) -> list[CovariateProfile]:
+    """Target profiles in file order; the covariate columns must be
+    ``covariate_names`` in that order, ids unique and covariates finite."""
     header, lines, columns = _read_columns(path, ("profile_id",), (int,), min_extra=1)
+    names = tuple(header[1:])
+    if names != tuple(covariate_names):
+        raise InputFormatError(
+            f"covariate columns {names} do not match {tuple(covariate_names)}", path, 1
+        )
     pid = columns[0]
     if not pid.size:
         raise InputFormatError("no target profiles", path)

@@ -90,10 +90,10 @@ def fit_interaction_ols(
     """Least-squares fit of the interaction model for one study.
 
     ``moderators`` are 0-based covariate indices; when omitted, every
-    covariate is treated as a moderator.  Solved by SVD; columns whose
-    singular values fall below 1e-10 times the largest are treated as rank
-    deficiencies and reported by name.  The saturated case n == q is allowed
-    (residual variance 0); n < q raises.
+    covariate is treated as a moderator.  Solved by SVD; singular values
+    below 1e-10 times the largest are rank deficiencies, and the first
+    column that depends on the columns before it is reported by name.  The
+    saturated case n == q is allowed (residual variance 0); n < q raises.
     """
     p = dataset.n_covariates
     if moderators is None:
@@ -111,11 +111,12 @@ def fit_interaction_ols(
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     rank = int(np.sum(s > _RANK_RTOL * s[0]))
     if rank < q:
-        # Name the first dependent column via column-pivoted QR.
-        from scipy.linalg import qr
-
-        _, _, piv = qr(design, mode="economic", pivoting=True)
-        raise SingularDesignError(names[int(piv[rank])])
+        # Name the first column whose prefix fails the same rank test; the
+        # whole design fails it, so the search ends at the last column.
+        for j in range(q):
+            s_j = np.linalg.svd(design[:, : j + 1], compute_uv=False)
+            if np.count_nonzero(s_j > _RANK_RTOL * s_j[0]) <= j:
+                raise SingularDesignError(names[j])
     coef = vt.T @ ((u.T @ dataset.y) / s)
     resid = dataset.y - design @ coef
     rss = float(resid @ resid)

@@ -109,18 +109,6 @@ def _profile_log_likelihood(theta2, tau, v):
     return np.where(np.isfinite(out), out, -np.inf)
 
 
-def restricted_log_likelihood(theta2: float, meta: MetaInput) -> float:
-    """REML objective at a given between-study variance (up to a constant).
-
-    Returns -1/2 sum(log(v_s + theta2)) - 1/2 log(sum(1/(v_s + theta2)))
-    - 1/2 sum((tau_s - mu(theta2))^2 / (v_s + theta2)), where mu(theta2) is
-    the weighted mean at that theta2.
-    """
-    if theta2 < 0.0:
-        raise ValueError("theta2 must be >= 0")
-    return float(_profile_log_likelihood(theta2, meta.tau, meta.v)[0])
-
-
 def _score(theta2, tau, v):
     """REML score and its derivative at one theta2 per row.
 
@@ -288,14 +276,20 @@ def pool_profiles(tau: np.ndarray, v: np.ndarray, alpha: float | None = None
     return PooledProfiles(theta2, tau_pooled, var_pooled, half, counts)
 
 
-def dl_theta2(meta: MetaInput) -> float:
+def dl_theta2(tau: np.ndarray, v: np.ndarray) -> float:
     """DerSimonian-Laird moment estimate of the between-study variance.
 
-    With fixed-effect weights w_s = 1/v_s, computes
+    ``tau`` and ``v`` hold the K >= 2 estimates and their variances.  With
+    fixed-effect weights w_s = 1/v_s, computes
     max(0, (Q - (K-1)) / (sum(w) - sum(w^2)/sum(w))) where Q is the usual
     heterogeneity statistic.  Requires all v_s > 0 (weights must be finite).
     """
-    tau, v = meta.tau, meta.v
+    tau = np.asarray(tau, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if tau.shape != v.shape or tau.ndim != 1:
+        raise ValueError("tau and v must both be (K,) arrays")
+    if tau.shape[0] < 2:
+        raise InsufficientStudiesError("pooling requires at least 2 studies")
     if np.any(v == 0.0):
         raise EstimationError("DerSimonian-Laird requires all se2 > 0")
     w = 1.0 / v
@@ -303,7 +297,7 @@ def dl_theta2(meta: MetaInput) -> float:
     mu = float((w * tau).sum() / sw)
     q = float((w * (tau - mu) ** 2).sum())
     denom = float(sw - (w**2).sum() / sw)
-    k = meta.k_studies
+    k = tau.shape[0]
     return max(0.0, (q - (k - 1)) / denom)
 
 

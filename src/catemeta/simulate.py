@@ -29,7 +29,7 @@ from .errors import CatemetaError, ConfigurationError
 from .forest import ForestParams, fit_causal_forest, forest_cates, forest_predict  # noqa: F401
 from .linear import fit_interaction_ols, linear_cate, linear_cates  # noqa: F401
 from .meta import pool_cate, pool_profiles, prediction_interval, reml_theta2_batch  # noqa: F401
-from .model import CovariateProfile, TrialDataset
+from .model import TrialDataset
 from .rng import spawn_seed, substream
 
 COVARIATE_NAMES = ("age", "sex", "smoking", "weight", "madrs")
@@ -99,19 +99,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class TrueEffectRecord:
-    """Frozen target-setting effect draw and the implied true CATEs."""
-
-    target_effects: tuple[float, float, float]
-    true_tau: np.ndarray
-
-    def __post_init__(self):
-        tau = np.asarray(self.true_tau, dtype=np.float64)
-        tau.setflags(write=False)
-        object.__setattr__(self, "true_tau", tau)
-
-
-@dataclass(frozen=True)
 class MetricsTable:
     """Per-profile coverage, mean interval length and bias for one method."""
 
@@ -163,29 +150,29 @@ def _sample_covariates(means, n, rng) -> np.ndarray:
     return x
 
 
-def gen_trial_covariates(config: SimConfig, study: int, rng) -> np.ndarray:
+def gen_trial_covariates(config: SimConfig, rng) -> np.ndarray:
     """Covariate matrix (n, 5) for one study: draw means, then rows."""
     means = _study_means(config, rng)
     return _sample_covariates(means, config.n_per_study, rng)
 
 
-def gen_target_profiles(config: SimConfig, rng) -> list[CovariateProfile]:
-    """The frozen target sample: 100 profiles from the shifted distribution."""
+def gen_target_profiles(config: SimConfig, rng) -> np.ndarray:
+    """The frozen target sample: a read-only (100, 5) array of profiles drawn
+    from the shifted distribution."""
     means = _MEAN_CENTERS + _TARGET_SHIFTS
     x = _sample_covariates(means, _N_TARGET_PROFILES, rng)
-    return [CovariateProfile(profile_id=i, x=x[i]) for i in range(_N_TARGET_PROFILES)]
+    x.setflags(write=False)
+    return x
 
 
-def _cate_values(age, setting: str, b: float, c: float):
+def true_cate(x: np.ndarray, setting: str, effects: tuple[float, float, float]) -> np.ndarray:
+    """True treatment effects at the rows of ``x`` (n, 5), read from its age
+    column, for one draw of study shifts (a, b, c); ``a`` does not enter."""
+    _, b, c = effects
+    age = x[:, _AGE]
     if setting == "linear":
         return (2.505 + b) + (0.82 + c) * age
     return (2.20 + b) * np.exp((0.35 + c) * age)
-
-
-def true_cate(profile: CovariateProfile, setting: str, effects: tuple[float, float]) -> float:
-    """True treatment effect at a profile for given (b, c) study shifts."""
-    b, c = effects
-    return float(_cate_values(profile.x[_AGE], setting, b, c))
 
 
 def draw_study_effects(level: int, distribution: str, rng) -> tuple[float, float, float]:
@@ -202,7 +189,7 @@ def draw_study_effects(level: int, distribution: str, rng) -> tuple[float, float
 
 def gen_outcomes(covariates, treatments, setting: str, effects, rng) -> np.ndarray:
     """Outcomes Y = m(X) + A * tau(X) + noise for one study."""
-    a_eff, b_eff, c_eff = effects
+    a_eff, _, _ = effects
     age = covariates[:, _AGE]
     if setting == "linear":
         main = (
@@ -213,29 +200,22 @@ def gen_outcomes(covariates, treatments, setting: str, effects, rng) -> np.ndarr
         )
     else:
         main = (-17.52 + a_eff) - 0.08 * age
-    tau = _cate_values(age, setting, b_eff, c_eff)
+    tau = true_cate(covariates, setting, effects)
     noise = rng.normal(0.0, _NOISE_SD, size=covariates.shape[0])
     return main + treatments * tau + noise
 
 
-def target_effect_record(config: SimConfig, profiles) -> TrueEffectRecord:
-    """Draw the target setting's effects once and fix the true CATEs."""
-    rng = substream(config.master_seed, "target-effects")
-    effects = draw_study_effects(config.heterogeneity_level, config.effect_distribution, rng)
-    _, b, c = effects
-    tau = np.array([true_cate(p, config.cate_setting, (b, c)) for p in profiles])
-    return TrueEffectRecord(target_effects=effects, true_tau=tau)
+def _study_effects(config: SimConfig, replication: int, study: int):
+    """One study's (a, b, c) draw, shared by gen_study and the oracle."""
+    rng = substream(config.master_seed, "rep", replication, "study", study, "effects")
+    return draw_study_effects(config.heterogeneity_level, config.effect_distribution, rng)
 
 
 def gen_study(config: SimConfig, replication: int, study: int) -> TrialDataset:
     """Assemble one simulated trial from its derived random streams."""
     base = (config.master_seed, "rep", replication, "study", study)
-    effects = draw_study_effects(
-        config.heterogeneity_level,
-        config.effect_distribution,
-        substream(*base, "effects"),
-    )
-    x = gen_trial_covariates(config, study, substream(*base, "covariates"))
+    effects = _study_effects(config, replication, study)
+    x = gen_trial_covariates(config, substream(*base, "covariates"))
     a = substream(*base, "treatment").integers(0, 2, size=config.n_per_study)
     y = gen_outcomes(x, a, config.cate_setting, effects, substream(*base, "noise"))
     return TrialDataset(
@@ -263,8 +243,7 @@ def estimate_study(dataset: TrialDataset, points: np.ndarray, learner: str, para
     elif learner == "forest":
         tau, se2, diagnostics = forest_predict(fit_causal_forest(dataset, params), points)
     elif learner == "bart":
-        profiles = [CovariateProfile(i, x) for i, x in enumerate(points)]
-        posterior = fit_bart_slearner(dataset, profiles, params)
+        posterior = fit_bart_slearner(dataset, points, params)
         tau, se2, lower, upper = bart_cates(posterior)
         moves = posterior.diagnostics
         diagnostics = {"quantile_lower": lower, "quantile_upper": upper}
@@ -291,11 +270,8 @@ def _replication_worker(job):
     try:
         for s in range(1, config.k_studies + 1):
             if learner is None:
-                rng = substream(config.master_seed, "rep", replication, "study", s, "effects")
-                _, b, c = draw_study_effects(
-                    config.heterogeneity_level, config.effect_distribution, rng
-                )
-                tau[s - 1] = _cate_values(points[:, _AGE], config.cate_setting, b, c)
+                effects = _study_effects(config, replication, s)
+                tau[s - 1] = true_cate(points, config.cate_setting, effects)
                 v[s - 1] = _ORACLE_SE2
                 continue
             seeded = params
@@ -344,12 +320,15 @@ def run_experiment(
         "oracle": (None, None),
     }[method]
 
-    profiles = gen_target_profiles(config, substream(config.master_seed, "target-profiles"))
-    points = np.array([p.x for p in profiles])
-    points.setflags(write=False)
-    true_tau = target_effect_record(config, profiles).true_tau
+    points = gen_target_profiles(config, substream(config.master_seed, "target-profiles"))
+    # The target setting's own effect draw, frozen for the whole experiment.
+    target_effects = draw_study_effects(
+        config.heterogeneity_level, config.effect_distribution,
+        substream(config.master_seed, "target-effects"),
+    )
+    true_tau = true_cate(points, config.cate_setting, target_effects)
 
-    n_prof = len(profiles)
+    n_prof = points.shape[0]
     covered = np.zeros(n_prof)
     width_sum = np.zeros(n_prof)
     bias_sum = np.zeros(n_prof)
@@ -379,7 +358,7 @@ def run_experiment(
     divisor = n_eff if n_eff else np.nan  # all NaN when every replication aborted
     return MetricsTable(
         method=method,
-        profile_ids=tuple(p.profile_id for p in profiles),
+        profile_ids=tuple(range(n_prof)),
         coverage=covered / divisor,
         mean_length=width_sum / divisor,
         bias=bias_sum / divisor,

@@ -152,8 +152,8 @@ def test_criterion_04_reml_matches_grid_oracle():
 
 
 def test_criterion_05_dl_exact_values():
-    three = dl_theta2(meta_input([0.0, 1.0, 2.0], [0.5, 0.5, 0.5]))
-    two = dl_theta2(meta_input([0.0, 2.0], [1.0, 1.0]))
+    three = dl_theta2(np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.5, 0.5]))
+    two = dl_theta2(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
     ok = three == pytest.approx(0.5, abs=1e-15) and two == pytest.approx(1.0, abs=1e-15)
     report("criterion 5 (DerSimonian-Laird exact values)", ok,
            f"tau2(0,1,2)={three} (0.5); tau2(0,2)={two} (1.0)")
@@ -275,22 +275,22 @@ def test_criterion_09_bart_sanity():
     a = rng.integers(0, 2, 1000)
     y = x[:, 0] + np.sin(x[:, 1]) + rng.normal(0, 0.3, 1000)
     ds = TrialDataset(1, y, a, x, ("c0", "c1", "c2"))
-    profiles = [CovariateProfile(i, rng.normal(size=3)) for i in range(20)]
+    points = rng.normal(size=(20, 3))
     post = fit_bart_slearner(
-        ds, profiles, BartParams(n_trees=50, n_burn=300, n_draws=400, seed=10)
+        ds, points, BartParams(n_trees=50, n_burn=300, n_draws=400, seed=10)
     )
-    taus = [bart_cate_normal(post, p).tau_hat for p in profiles]
+    taus = [bart_cate_normal(post, i).tau_hat for i in range(20)]
     mean_abs = float(np.mean(np.abs(taus)))
 
-    est = bart_cate_normal(post, profiles[0])
-    f1 = post.column(profiles[0].profile_id, 1)
-    f0 = post.column(profiles[0].profile_id, 0)
+    est = bart_cate_normal(post, 0)
+    f1 = post.draws[:, 1]
+    f0 = post.draws[:, 0]
     identity_ok = est.se2 == float(np.var(f1, ddof=1) + np.var(f0, ddof=1))
 
     small_params = BartParams(n_trees=10, n_burn=30, n_draws=40, seed=11)
-    small_profiles = profiles[:3]
-    d1 = fit_bart_slearner(ds, small_profiles, small_params).draws
-    d2 = fit_bart_slearner(ds, small_profiles, small_params).draws
+    small_points = points[:3]
+    d1 = fit_bart_slearner(ds, small_points, small_params).draws
+    d2 = fit_bart_slearner(ds, small_points, small_params).draws
     deterministic = np.array_equal(d1, d2)
 
     ok = mean_abs <= 0.2 and identity_ok and deterministic

@@ -169,6 +169,24 @@ class TestEstimate:
         assert f"error: {profiles}:4: {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("header,rows", [
+        ("profile_id,sex,age", "0,1.0,0.5\n1,0.0,0.1\n"),
+        ("profile_id,foo,bar", "0,0.5,1.0\n1,0.1,0.0\n"),
+        ("profile_id,age", "0,0.5\n1,0.1\n"),
+    ], ids=["reordered", "renamed", "missing"])
+    def test_profile_columns_must_match_trials_by_name(self, tmp_path, capsys, header, rows):
+        # Columns used to be paired with the trials' by position alone.
+        trials, _ = write_inputs(tmp_path)
+        profiles = tmp_path / "cols.csv"
+        profiles.write_text(f"{header}\n{rows}")
+        code = run(["estimate", "--trials", trials, "--profiles", profiles,
+                    "--stage1", "linear", "--out-dir", tmp_path / "x"])
+        assert code == 2
+        err = capsys.readouterr().err
+        names = tuple(header.split(",")[1:])
+        assert err == (f"error: {profiles}:1: covariate columns {names} "
+                       "do not match ('age', 'sex')\n")
+
     @pytest.mark.parametrize("learner_args", [
         ["bart", "--trees", 5, "--burn", 10, "--draws", 1],
         ["bart", "--trees", 0, "--burn", 10, "--draws", 20],

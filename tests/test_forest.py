@@ -20,13 +20,14 @@ from catemeta import (
     CausalTree,
     ConfigurationError,
     CovariateProfile,
+    DimensionMismatchError,
     EstimationError,
     ForestParams,
     TrialDataset,
     fit_causal_forest,
     forest,
-    forest_cate,
     forest_cates,
+    forest_predict,
     grower,
 )
 from catemeta.forest import predict_matrix
@@ -188,15 +189,15 @@ class TestRecovery:
 class TestVarianceEstimator:
     def test_identical_trees_clamp_to_floor(self):
         model = manual_model([2.0] * 40, outcome_variance=1.0)
-        est = forest_cate(model, CovariateProfile(0, np.zeros(2)))
-        assert est.tau_hat == 2.0
-        assert est.se2 == model.se2_floor == 1e-6
+        tau, se2, _ = forest_predict(model, np.zeros((1, 2)))
+        assert tau[0] == 2.0
+        assert se2[0] == model.se2_floor == 1e-6
 
     def test_two_bags_hand_example(self):
         model = manual_model([1.0] * 20 + [3.0] * 20)
-        est = forest_cate(model, CovariateProfile(0, np.zeros(2)))
-        assert est.tau_hat == 2.0
-        assert est.se2 == 2.0  # var({1, 3}, ddof=1), within-bag variance zero
+        tau, se2, _ = forest_predict(model, np.zeros((1, 2)))
+        assert tau[0] == 2.0
+        assert se2[0] == 2.0  # var({1, 3}, ddof=1), within-bag variance zero
 
     def test_se2_never_below_floor(self):
         ds = make_dataset(600, lambda x: x[:, 0], seed=20, noise=0.5)
@@ -230,19 +231,19 @@ class TestPredictionEdgeCases:
                               min_leaf_control=2)
         model = CausalForestModel(1, tuple(usable + skipped), params, 2, 1.0)
         with pytest.raises(EstimationError):
-            forest_cate(model, CovariateProfile(0, np.zeros(2)))
+            forest_predict(model, np.zeros((1, 2)))
 
     def test_minority_skipped_is_tolerated(self):
         trees = [single_leaf_tree(1.0)] * 15 + [single_leaf_tree(np.nan, n1=0)] * 5
         params = ForestParams(n_trees=20, bag_size=20, seed=0)
         model = CausalForestModel(1, tuple(trees), params, 2, 1.0)
-        est = forest_cate(model, CovariateProfile(0, np.zeros(2)))
-        assert est.tau_hat == 1.0
+        tau, _, _ = forest_predict(model, np.zeros((1, 2)))
+        assert tau[0] == 1.0
 
     def test_dimension_mismatch(self):
         model = manual_model([1.0] * 20)
-        with pytest.raises(Exception):
-            forest_cate(model, CovariateProfile(0, np.zeros(7)))
+        with pytest.raises(DimensionMismatchError):
+            forest_predict(model, np.zeros((1, 7)))
 
 
 class TestInvariances:

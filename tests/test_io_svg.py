@@ -78,7 +78,7 @@ class TestProfilesCsv:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "profiles.csv"
         path.write_text("profile_id,age,weight\n0,0.5,-1.25\n3,1.5,0.0\n")
-        profiles = read_profiles_csv(str(path))
+        profiles = read_profiles_csv(str(path), ("age", "weight"))
         assert [p.profile_id for p in profiles] == [0, 3]
         assert profiles[1].x[0] == 1.5
 

@@ -53,7 +53,22 @@ def test_duplicated_covariate_column_is_singular():
     y = rng.normal(size=30)
     with pytest.raises(SingularDesignError) as err:
         fit_interaction_ols(dataset_from(y, a, x, ("height", "height_copy")), moderators=())
-    assert "height" in str(err.value)
+    assert err.value.column_name == "height_copy"
+
+
+def test_constant_covariate_is_named_not_the_intercept():
+    # A binary covariate whose study mean clamps to 1 is all ones, the same
+    # column as the intercept; the covariate is the one that depends on it.
+    # A wide age column makes column-pivoted QR pick it first, then name the
+    # intercept as the dependent one.
+    rng = np.random.default_rng(3)
+    x = np.column_stack([10.0 * rng.normal(size=40), np.ones(40)])
+    a = rng.integers(0, 2, 40)
+    y = rng.normal(size=40)
+    with pytest.raises(SingularDesignError) as err:
+        fit_interaction_ols(dataset_from(y, a, x, ("age", "sex")))
+    assert err.value.column_name == "sex"
+    assert "column 'sex' is linearly dependent on earlier columns" in str(err.value)
 
 
 def test_too_few_rows_is_insufficient_data():

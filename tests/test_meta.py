@@ -17,10 +17,9 @@ from catemeta import (
     pool_profiles,
     prediction_interval,
     reml_theta2,
-    restricted_log_likelihood,
     t_quantile,
 )
-from catemeta.meta import _score, reml_theta2_batch
+from catemeta.meta import _profile_log_likelihood, _score, reml_theta2_batch
 
 
 def meta_input(tau, v, profile_id=0):
@@ -40,8 +39,6 @@ def grid_argmax(meta, upper, coarse=1e-3, fine=1e-6):
     the coarse winner; equivalent to a full fine grid when the coarse scan
     brackets the global maximum.
     """
-    from catemeta.meta import _profile_log_likelihood
-
     tau, v = meta.tau, meta.v
     coarse_grid = np.arange(0.0, upper + coarse, coarse)
     vals = _profile_log_likelihood(coarse_grid, tau, v)
@@ -54,23 +51,19 @@ def grid_argmax(meta, upper, coarse=1e-3, fine=1e-6):
 
 class TestRestrictedLogLikelihood:
     def test_hand_value_two_equal_studies(self):
-        mi = meta_input([1.0, 1.0], [1.0, 1.0])
-        assert restricted_log_likelihood(0.0, mi) == pytest.approx(-0.5 * math.log(2.0), abs=1e-12)
+        value = _profile_log_likelihood(0.0, [1.0, 1.0], [1.0, 1.0])[0]
+        assert value == pytest.approx(-0.5 * math.log(2.0), abs=1e-12)
 
     def test_decreases_as_theta2_grows_large(self):
-        mi = meta_input([0.0, 1.0, 3.0], [0.5, 1.0, 2.0])
-        values = [restricted_log_likelihood(t2, mi) for t2 in (10.0, 100.0, 1000.0, 10000.0)]
+        tau, v = [0.0, 1.0, 3.0], [0.5, 1.0, 2.0]
+        values = _profile_log_likelihood([10.0, 100.0, 1000.0, 10000.0], tau, v)
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_identical_estimates_maximized_at_zero(self):
-        mi = meta_input([2.0, 2.0, 2.0], [0.3, 0.6, 0.9])
-        at_zero = restricted_log_likelihood(0.0, mi)
+        tau, v = [2.0, 2.0, 2.0], [0.3, 0.6, 0.9]
+        at_zero = _profile_log_likelihood(0.0, tau, v)[0]
         for t2 in (0.01, 0.1, 1.0):
-            assert restricted_log_likelihood(t2, mi) < at_zero
-
-    def test_negative_theta2_rejected(self):
-        with pytest.raises(ValueError):
-            restricted_log_likelihood(-0.1, meta_input([0.0, 1.0], [1.0, 1.0]))
+            assert _profile_log_likelihood(t2, tau, v)[0] < at_zero
 
 
 class TestRemlTheta2:
@@ -129,17 +122,23 @@ class TestRemlTheta2:
 
 class TestDlTheta2:
     def test_two_study_hand_example(self):
-        assert dl_theta2(meta_input([0.0, 2.0], [1.0, 1.0])) == pytest.approx(1.0, abs=1e-15)
+        assert dl_theta2([0.0, 2.0], [1.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_three_study_hand_example(self):
-        assert dl_theta2(meta_input([0.0, 1.0, 2.0], [0.5, 0.5, 0.5])) == pytest.approx(0.5, abs=1e-15)
+        assert dl_theta2([0.0, 1.0, 2.0], [0.5, 0.5, 0.5]) == pytest.approx(0.5, abs=1e-15)
 
     def test_identical_estimates_clamp_to_zero(self):
-        assert dl_theta2(meta_input([1.3, 1.3, 1.3], [0.4, 0.8, 1.2])) == 0.0
+        assert dl_theta2([1.3, 1.3, 1.3], [0.4, 0.8, 1.2]) == 0.0
 
     def test_zero_variance_is_error(self):
         with pytest.raises(EstimationError):
-            dl_theta2(meta_input([0.0, 1.0], [0.0, 1.0]))
+            dl_theta2([0.0, 1.0], [0.0, 1.0])
+
+    def test_needs_two_studies_of_matching_shape(self):
+        with pytest.raises(InsufficientStudiesError):
+            dl_theta2([1.0], [0.5])
+        with pytest.raises(ValueError):
+            dl_theta2([0.0, 1.0, 2.0], [0.5, 0.5])
 
 
 class TestPoolCate:

@@ -170,12 +170,13 @@ class TestLearnerUniformity:
         linear_fit = fit_interaction_ols(ds)
         forest = fit_causal_forest(ds, ForestParams(n_trees=20, bag_size=20, seed=1))
         posterior = fit_bart_slearner(
-            ds, profiles, BartParams(n_trees=5, n_burn=20, n_draws=30, seed=2)
+            ds, np.array([p.x for p in profiles]),
+            BartParams(n_trees=5, n_burn=20, n_draws=30, seed=2),
         )
         batches = [
             [linear_cate(linear_fit, p) for p in profiles],
             forest_cates(forest, profiles),
-            [bart_cate_normal(posterior, p) for p in profiles],
+            [bart_cate_normal(posterior, i) for i in range(len(profiles))],
         ]
         for batch in batches:
             for est, prof in zip(batch, profiles):

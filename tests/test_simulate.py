@@ -20,7 +20,6 @@ from catemeta import (
     gen_target_profiles,
     gen_trial_covariates,
     run_experiment,
-    target_effect_record,
     true_cate,
 )
 from catemeta.meta import reml_theta2_batch
@@ -55,14 +54,14 @@ class TestConfig:
 class TestTrialCovariates:
     def test_same_mode_centers_age_at_zero(self):
         cfg = config(covariate_mode="same", n_per_study=2000)
-        x = gen_trial_covariates(cfg, 1, substream(1, "cov"))
+        x = gen_trial_covariates(cfg, substream(1, "cov"))
         assert abs(x[:, 0].mean()) <= 3.0 / np.sqrt(2000)
 
     def test_variable_mode_age_means_spread(self):
         cfg = config(n_per_study=500)
         means = []
         for s in range(200):
-            x = gen_trial_covariates(cfg, s, substream(2, "cov", s))
+            x = gen_trial_covariates(cfg, substream(2, "cov", s))
             means.append(x[:, 0].mean())
         observed_sd = np.std(means, ddof=1)
         # across-study sd of observed age means: sqrt(0.2^2 + 1/n)
@@ -70,17 +69,17 @@ class TestTrialCovariates:
 
     def test_age_only_variable_fixes_other_means(self):
         cfg = config(covariate_mode="age_only_variable", n_per_study=4000)
-        x = gen_trial_covariates(cfg, 1, substream(3, "cov"))
+        x = gen_trial_covariates(cfg, substream(3, "cov"))
         assert abs(x[:, 3].mean()) <= 3.0 / np.sqrt(4000)  # weight centered
 
     def test_binary_columns_are_binary(self):
         cfg = config(n_per_study=300)
-        x = gen_trial_covariates(cfg, 1, substream(4, "cov"))
+        x = gen_trial_covariates(cfg, substream(4, "cov"))
         assert set(np.unique(x[:, 1])) <= {0.0, 1.0}
         assert set(np.unique(x[:, 2])) <= {0.0, 1.0}
 
     def test_shape(self):
-        x = gen_trial_covariates(config(), 1, substream(5, "cov"))
+        x = gen_trial_covariates(config(), substream(5, "cov"))
         assert x.shape == (400, 5)
 
 
@@ -89,32 +88,40 @@ class TestTargetProfiles:
         cfg = config()
         p1 = gen_target_profiles(cfg, substream(6, "t"))
         p2 = gen_target_profiles(cfg, substream(6, "t"))
-        assert len(p1) == 100
-        assert all(p.n_covariates == 5 for p in p1)
-        assert all(np.array_equal(a.x, b.x) for a, b in zip(p1, p2))
+        assert p1.shape == (100, 5)
+        assert not p1.flags.writeable
+        assert np.array_equal(p1, p2)
 
     def test_target_is_older_in_expectation(self):
         cfg = config(n_per_study=100)
         target_ages, trial_ages = [], []
         for r in range(200):
             profs = gen_target_profiles(cfg, substream(7, "t", r))
-            target_ages.extend(p.x[0] for p in profs)
-            trial_ages.extend(gen_trial_covariates(cfg, 1, substream(7, "c", r))[:, 0])
+            target_ages.extend(profs[:, 0])
+            trial_ages.extend(gen_trial_covariates(cfg, substream(7, "c", r))[:, 0])
         assert np.mean(target_ages) > np.mean(trial_ages)
 
 
 class TestTrueCate:
     def test_linear_at_origin(self):
-        prof = CovariateProfile(0, np.zeros(5))
-        assert true_cate(prof, "linear", (0.0, 0.0)) == 2.505
+        assert true_cate(np.zeros((1, 5)), "linear", (0.0, 0.0, 0.0))[0] == 2.505
 
     def test_nonlinear_at_origin(self):
-        prof = CovariateProfile(0, np.zeros(5))
-        assert true_cate(prof, "nonlinear", (0.0, 0.0)) == 2.20
+        assert true_cate(np.zeros((1, 5)), "nonlinear", (0.0, 0.0, 0.0))[0] == 2.20
 
     def test_linear_hand_arithmetic(self):
-        prof = CovariateProfile(0, np.array([1.0, 0, 0, 0, 0]))
-        assert true_cate(prof, "linear", (0.5, -0.82)) == pytest.approx(3.005, abs=1e-12)
+        x = np.array([[1.0, 0, 0, 0, 0]])
+        assert true_cate(x, "linear", (0.0, 0.5, -0.82))[0] == pytest.approx(3.005, abs=1e-12)
+
+    def test_reads_age_of_each_row_only(self):
+        x = np.random.default_rng(12).normal(size=(6, 5))
+        aged = np.zeros((6, 5))
+        aged[:, 0] = x[:, 0]
+        for setting in ("linear", "nonlinear"):
+            tau = true_cate(x, setting, (9.0, 0.1, -0.2))
+            assert np.array_equal(tau, true_cate(aged, setting, (0.0, 0.1, -0.2)))
+            assert [true_cate(x[i:i + 1], setting, (0.0, 0.1, -0.2))[0]
+                    for i in range(6)] == tau.tolist()
 
 
 class TestOutcomes:
@@ -144,7 +151,7 @@ class TestOutcomes:
                                substream(25, "a"))
         control = gen_outcomes(x, np.zeros(n, dtype=int), "linear", (0.3, 0.1, -0.2),
                                substream(25, "b"))
-        expected = true_cate(CovariateProfile(0, x[0]), "linear", (0.1, -0.2))
+        expected = true_cate(x[:1], "linear", (0.3, 0.1, -0.2))[0]
         assert treated.mean() - control.mean() == pytest.approx(expected, abs=0.002)
 
 
@@ -173,11 +180,14 @@ class TestHarness:
         ds_r0 = gen_study(cfg, 0, 1)
         ds_r1 = gen_study(cfg, 1, 1)
         assert not np.array_equal(ds_r0.y, ds_r1.y)
-        profiles = gen_target_profiles(cfg, substream(cfg.master_seed, "target-profiles"))
-        rec1 = target_effect_record(cfg, profiles)
-        rec2 = target_effect_record(cfg, profiles)
-        assert rec1.target_effects == rec2.target_effects
-        assert np.array_equal(rec1.true_tau, rec2.true_tau)
+        points = gen_target_profiles(cfg, substream(cfg.master_seed, "target-profiles"))
+        effects1, effects2 = (
+            draw_study_effects(1, "normal", substream(cfg.master_seed, "target-effects"))
+            for _ in range(2)
+        )
+        assert effects1 == effects2
+        assert np.array_equal(true_cate(points, "linear", effects1),
+                              true_cate(points, "linear", effects2))
 
     def test_gen_study_is_deterministic(self):
         cfg = config()
@@ -235,10 +245,9 @@ class TestHarness:
         # negligible variance) and a fresh target draw each replication, the
         # interval should be close to nominal for every profile.
         cfg = config(k_studies=10, master_seed=77)
-        profiles = gen_target_profiles(cfg, substream(cfg.master_seed, "target-profiles"))[:10]
-        ages = np.array([p.x[0] for p in profiles])
+        ages = gen_target_profiles(cfg, substream(cfg.master_seed, "target-profiles"))[:10, 0]
         reps = 2000
-        covered = np.zeros(len(profiles))
+        covered = np.zeros(len(ages))
         from catemeta.meta import MetaInput, pool_cate, prediction_interval
 
         for r in range(reps):
@@ -251,7 +260,7 @@ class TestHarness:
             target = (2.505 + b_new) + (0.82 + c_new) * ages
             v = np.full_like(tau, 1e-6)
             theta2 = reml_theta2_batch(tau, v)
-            for j in range(len(profiles)):
+            for j in range(len(ages)):
                 mi = MetaInput(j, tuple(
                     StudyCateEstimate(s + 1, j, float(tau[s, j]), 1e-6)
                     for s in range(cfg.k_studies)
@@ -265,24 +274,24 @@ class TestHarness:
 class TestEstimateStudy:
     def test_agrees_with_per_profile_reference(self):
         ds = gen_study(config(n_per_study=300), 0, 1)
-        profiles = gen_target_profiles(config(), substream(40, "t"))[:25]
-        points = np.array([p.x for p in profiles])
+        points = gen_target_profiles(config(), substream(40, "t"))[:25]
+        profiles = [CovariateProfile(i, x) for i, x in enumerate(points)]
         forest_params = ForestParams(n_trees=40, bag_size=20, seed=3)
         bart_params = BartParams(n_trees=5, n_burn=20, n_draws=30, seed=4)
 
         # Linear and BART references: the per-profile loops of the parent code.
         fit = fit_interaction_ols(ds, (0, 3))
         linear_ref = []
-        for p in profiles:
+        for x in points:
             c = np.zeros(fit.coefficients.shape[0])
             c[fit.treatment_index] = 1.0
-            c[fit.treatment_index + 1:] = p.x[[0, 3]]
+            c[fit.treatment_index + 1:] = x[[0, 3]]
             linear_ref.append((c @ fit.coefficients, c @ fit.covariance @ c))
-        post = fit_bart_slearner(ds, profiles, bart_params)
+        post = fit_bart_slearner(ds, points, bart_params)
         bart_ref = [
             (f1.mean() - f0.mean(), np.var(f1, ddof=1) + np.var(f0, ddof=1))
-            for f1, f0 in ((post.column(p.profile_id, 1), post.column(p.profile_id, 0))
-                           for p in profiles)
+            for f1, f0 in ((post.draws[:, 2 * i + 1], post.draws[:, 2 * i])
+                           for i in range(len(points)))
         ]
         forest_ref = [(e.tau_hat, e.se2)
                       for e in forest_cates(fit_causal_forest(ds, forest_params), profiles)]
