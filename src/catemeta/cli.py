@@ -39,7 +39,6 @@ from .errors import (
 )
 from .forest import ForestParams, fit_causal_forest, forest_cates  # noqa: F401
 from .io import (
-    PredictionRow,
     first_invalid_estimate,
     parse_sim_config,
     read_aggregates_csv,
@@ -247,7 +246,6 @@ def cmd_predict(args) -> int:
                          {"alpha": args.alpha, "svg": bool(args.svg)}, args.seed)
     with _Phase(manifest, "read"):
         pid, _, tau, se2 = read_aggregates_csv(args.aggregates)
-    rows = []
     with _Phase(manifest, "pool"):
         pids, starts, ks = np.unique(pid, return_index=True, return_counts=True)
         if (ks == 1).any():
@@ -258,26 +256,26 @@ def cmd_predict(args) -> int:
         for p in pids[ks == 2].tolist():
             print(f"warning: profile {p}: K=2 studies, no prediction interval "
                   "(df would be 0)", file=sys.stderr)
+        center, theta2, lower, upper = np.full((4, pids.size), np.nan)
         for k in np.unique(ks).tolist():
             group = ks == k
             cells = starts[group][:, None] + np.arange(k)  # (profiles, studies)
             pooled = pool_profiles(tau[cells].T, se2[cells].T, args.alpha if k > 2 else None)
             manifest.diagnostics.update(pooled.diagnostics)
-            fields = [pids[group].tolist(), pooled.tau_pooled.tolist(), pooled.theta2.tolist()]
-            if pooled.half_width is None:  # K = 2: lower, upper and df stay empty
-                fields += [repeat(None)] * 3
-            else:
-                fields += [(pooled.tau_pooled - pooled.half_width).tolist(),
-                           (pooled.tau_pooled + pooled.half_width).tolist(), repeat(k - 2)]
-            rows += map(PredictionRow, *fields)
+            center[group], theta2[group] = pooled.tau_pooled, pooled.theta2
+            if pooled.half_width is not None:  # K = 2 keeps NaN bounds: no interval
+                lower[group] = pooled.tau_pooled - pooled.half_width
+                upper[group] = pooled.tau_pooled + pooled.half_width
     with _Phase(manifest, "write"):
         csv_path = out / "predictions.csv"
-        write_predictions_csv(str(csv_path), rows)
+        write_predictions_csv(str(csv_path), pids, center, theta2, lower, upper, ks)
         manifest.add_artifact(csv_path)
         if args.svg:
             svg_path = out / "predictions.svg"
-            svg_path.write_text(prediction_intervals_svg(rows, manifest.digest),
-                                encoding="utf-8")
+            svg_path.write_text(
+                prediction_intervals_svg(pids, center, lower, upper, manifest.digest),
+                encoding="utf-8",
+            )
             manifest.add_artifact(svg_path)
     manifest.write(out)
     return 0
@@ -289,20 +287,20 @@ def cmd_compare_intervals(args) -> int:
                          {"profiles": args.profile}, args.seed)
     with _Phase(manifest, "read"):
         pid, sid, tau, se2 = read_aggregates_csv(args.aggregates)
-        predictions = {row.profile_id: row for row in read_predictions_csv(args.predictions)}
+        pred_pid, center, _, lower, upper, _ = read_predictions_csv(args.predictions)
     per_profile = []
     for wanted in args.profile:
         in_profile = pid == wanted
-        if not in_profile.any() or wanted not in predictions:
+        row = np.searchsorted(pred_pid, wanted)
+        if not in_profile.any() or row == pred_pid.size or pred_pid[row] != wanted:
             raise InputFormatError(f"unknown profile id {wanted}")
-        row = predictions[wanted]
-        if row.lower is None:
+        if np.isnan(lower[row]):
             raise InputFormatError(f"profile {wanted} has no prediction interval")
         studies = [
             (s, t - _STUDY_CI_Z * v**0.5, t, t + _STUDY_CI_Z * v**0.5)
             for s, t, v in zip(*(col[in_profile].tolist() for col in (sid, tau, se2)))
         ]
-        per_profile.append((wanted, studies, (row.lower, row.tau_pooled, row.upper)))
+        per_profile.append((wanted, studies, tuple(float(v[row]) for v in (lower, center, upper))))
     with _Phase(manifest, "write"):
         svg_path = out / "compare_intervals.svg"
         svg_path.write_text(compare_intervals_svg(per_profile, manifest.digest),

@@ -1,8 +1,13 @@
 """CSV schemas and config-file parsing.
 
 All files are UTF-8 with ``.`` decimal separators and LF line endings.
-Floats are emitted with ``repr``, the shortest round-tripping form, so
-parsing our own output and re-emitting it is byte-identical.
+Every table is read by ``_read_columns``: it checks the whole header before
+any value, then returns one array per column.  A bad header, field count or
+value, or a row that breaks a reader's rules, raises one ``InputFormatError``
+naming ``file:line``.  Every table is written by ``_write_table``: integers
+as integers, floats with ``repr`` (the shortest round-tripping form), strings
+as they are and ``None`` as an empty field, so parsing our own output and
+writing it again is byte-identical.
 
 Schemas:
   trials       study_id,y,a,<covariate_1>,...,<covariate_p>
@@ -35,49 +40,75 @@ METRICS_HEADER = (
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
 
 
-def _parse_float(text: str, path: str, line: int, column: str) -> float:
+# Field text of a value, by the kind of its column's dtype; other kinds go through _fmt.
+_FORMATS = {"f": repr, "i": str, "U": str}
+
+
+def _write_table(path: str, header: tuple[str, ...], columns) -> None:
+    """Write equal-length columns under ``header``, one row per index; ``None``
+    is an empty field."""
+    texts = [list(map(_FORMATS.get(c.dtype.kind, _fmt), c.tolist()))
+             for c in map(np.asarray, columns)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*texts))
+
+
+def _parse_column(texts, kind: type, name: str, path: str, lines: list[int]) -> np.ndarray:
+    """Field texts as an int64, float64 or str array.  Values are parsed one by
+    one only to name the line of a bad one."""
     try:
-        return float(text)
-    except ValueError:
-        raise InputFormatError(f"column '{column}': not a number: {text!r}", path, line)
+        return np.array(list(map(kind, texts)), dtype=kind)
+    except (ValueError, OverflowError):
+        for line, text in zip(lines, texts):
+            try:
+                np.array(kind(text), dtype=kind)
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise InputFormatError(f"column '{name}': not {what}: {text!r}", path, line)
+            except OverflowError:
+                raise InputFormatError(f"column '{name}': out of range: {text!r}", path, line)
+        raise
 
 
-def _parse_int(text: str, path: str, line: int, column: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise InputFormatError(f"column '{column}': not an integer: {text!r}", path, line)
-    if not -2**63 <= value < 2**63:
-        raise InputFormatError(f"column '{column}': out of range: {text!r}", path, line)
-    return value
+def _read_columns(path: str, fixed: tuple[str, ...], kinds: tuple[type, ...],
+                  covariates: tuple[str, ...] | None = ()):
+    """Read a CSV as (header, line numbers, one array per column).
 
-
-def _read_rows(path: str, expected_prefix: tuple[str, ...], min_extra: int = 0):
-    """Read a CSV, check the fixed header prefix, yield (line, row) pairs."""
+    The header must be ``fixed`` followed by the float columns ``covariates``,
+    or by at least one float column of any name when ``covariates`` is None.
+    It is checked before any value is parsed.  ``kinds`` holds ``int``,
+    ``float`` or ``str`` for each fixed column.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             raise InputFormatError("empty file", path, 1)
-        for pos, name in enumerate(expected_prefix):
+        for pos, name in enumerate(fixed):
             if pos >= len(header) or header[pos] != name:
                 raise InputFormatError(
                     f"expected column {pos + 1} to be '{name}', "
                     f"got {header[pos] if pos < len(header) else 'nothing'}",
                     path, 1,
                 )
-        if len(header) < len(expected_prefix) + min_extra:
+        names = tuple(header[len(fixed):])
+        if covariates is None and not names:
+            raise InputFormatError(f"expected at least one covariate column after {fixed}",
+                                   path, 1)
+        if covariates is not None and names != covariates:
             raise InputFormatError(
-                f"expected at least {min_extra} column(s) after {expected_prefix}",
-                path, 1,
+                f"covariate columns {names} do not match {covariates}" if covariates
+                else f"unexpected column(s) {names} after {fixed}", path, 1,
             )
-        rows = []
+        lines, rows = [], []
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -85,28 +116,13 @@ def _read_rows(path: str, expected_prefix: tuple[str, ...], min_extra: int = 0):
                 raise InputFormatError(
                     f"expected {len(header)} fields, got {len(row)}", path, line
                 )
-            rows.append((line, row))
-        return header, rows
-
-
-def _read_columns(path: str, expected_prefix: tuple[str, ...], kinds: tuple[type, ...],
-                  min_extra: int = 0):
-    """Read a CSV as (header, line numbers, one array per column).
-
-    ``kinds`` holds ``int`` or ``float`` for each prefix column; the rest are
-    floats.  Values are parsed one by one only to name the line of a bad one.
-    """
-    header, rows = _read_rows(path, expected_prefix, min_extra)
-    lines = [line for line, _ in rows]
-    columns = []
-    all_texts = list(zip(*(row for _, row in rows))) or [()] * len(header)
-    for name, kind, texts in zip(header, kinds + (float,) * len(header), all_texts):
-        try:
-            columns.append(np.array(list(map(kind, texts)), dtype=kind))  # int64 or float64
-        except (ValueError, OverflowError):
-            for line, text in zip(lines, texts):
-                (_parse_int if kind is int else _parse_float)(text, path, line, name)
-            raise
+            lines.append(line)
+            rows.append(row)
+    all_texts = list(zip(*rows)) or [()] * len(header)
+    columns = [
+        _parse_column(texts, kind, name, path, lines)
+        for name, kind, texts in zip(header, kinds + (float,) * len(names), all_texts)
+    ]
     return header, lines, columns
 
 
@@ -133,15 +149,9 @@ def read_trials_csv(paths: list[str]) -> list[TrialDataset]:
     parts = []
     for path in paths:
         header, lines, columns = _read_columns(
-            path, ("study_id", "y", "a"), (int, float, int), min_extra=1
+            path, ("study_id", "y", "a"), (int, float, int), cov_names
         )
-        names = tuple(header[3:])
-        if cov_names is None:
-            cov_names = names
-        elif names != cov_names:
-            raise InputFormatError(
-                f"covariate columns {names} do not match {cov_names}", path, 1
-            )
+        cov_names = tuple(header[3:])
         a = columns[2]
         bad = np.flatnonzero((a != 0) & (a != 1))
         if bad.size:
@@ -162,12 +172,7 @@ def read_trials_csv(paths: list[str]) -> list[TrialDataset]:
 def read_profiles_csv(path: str, covariate_names: tuple[str, ...]) -> list[CovariateProfile]:
     """Target profiles in file order; the covariate columns must be
     ``covariate_names`` in that order, ids unique and covariates finite."""
-    header, lines, columns = _read_columns(path, ("profile_id",), (int,), min_extra=1)
-    names = tuple(header[1:])
-    if names != tuple(covariate_names):
-        raise InputFormatError(
-            f"covariate columns {names} do not match {tuple(covariate_names)}", path, 1
-        )
+    header, lines, columns = _read_columns(path, ("profile_id",), (int,), tuple(covariate_names))
     pid = columns[0]
     if not pid.size:
         raise InputFormatError("no target profiles", path)
@@ -190,10 +195,8 @@ def write_aggregates_csv(path: str, profile_id, study_id, **values) -> None:
     """Write a profile x study table sorted by (profile_id, study_id); the keyword
     arguments name its value columns in order (``tau_hat``, ``se2`` for aggregates)."""
     order = np.lexsort((study_id, profile_id))
-    columns = [np.asarray(c)[order].tolist() for c in (profile_id, study_id, *values.values())]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(("profile_id", "study_id", *values)) + "\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in zip(*columns))
+    _write_table(path, ("profile_id", "study_id", *values),
+                 [np.asarray(c)[order] for c in (profile_id, study_id, *values.values())])
 
 
 def read_aggregates_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -214,75 +217,69 @@ def read_aggregates_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return pid, sid, tau, se2
 
 
-def interval_flag(lower: float, upper: float) -> str:
-    if lower > 0.0:
-        return "positive"
-    if upper < 0.0:
-        return "negative"
-    return "crosses_zero"
+def _flags(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """flag_nonoverlap of each interval; empty where the bounds are NaN (K = 2)."""
+    return np.select([np.isnan(lower), lower > 0.0, upper < 0.0],
+                     ["", "positive", "negative"], "crosses_zero")
 
 
-@dataclass(frozen=True)
-class PredictionRow:
-    """One output row of the predict command; interval fields are None at K=2."""
-
-    profile_id: int
-    tau_pooled: float
-    theta2: float
-    lower: float | None
-    upper: float | None
-    df: int | None
-
-    @property
-    def flag(self) -> str:
-        if self.lower is None:
-            return ""
-        return interval_flag(self.lower, self.upper)
+def write_predictions_csv(path: str, profile_id, tau_pooled, theta2, lower, upper, k) -> None:
+    """Write one row per profile, sorted by profile_id, with df = k - 2.  ``lower``
+    and ``upper`` are NaN where K = 2; those rows leave lower, upper, df and the
+    flag empty."""
+    order = np.argsort(profile_id, kind="stable")
+    pid, tau, theta2, lower, upper, k = (
+        np.asarray(c)[order] for c in (profile_id, tau_pooled, theta2, lower, upper, k)
+    )
+    given = ~np.isnan(lower)
+    _write_table(path, PREDICTION_HEADER, (
+        pid, tau, theta2, np.where(given, lower, None), np.where(given, upper, None),
+        np.where(given, k - 2, None), _flags(lower, upper),
+    ))
 
 
-def write_predictions_csv(path: str, rows: list[PredictionRow]) -> None:
-    ordered = sorted(rows, key=lambda r: r.profile_id)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(PREDICTION_HEADER) + "\n")
-        for r in ordered:
-            interval = (
-                f"{_fmt(r.lower)},{_fmt(r.upper)},{r.df}" if r.lower is not None else ",,"
-            )
-            fh.write(
-                f"{r.profile_id},{_fmt(r.tau_pooled)},{_fmt(r.theta2)},"
-                f"{interval},{r.flag}\n"
-            )
-
-
-def read_predictions_csv(path: str) -> list[PredictionRow]:
-    _, rows = _read_rows(path, PREDICTION_HEADER)
-    out = []
-    for line, row in rows:
-        has_interval = row[3] != ""
-        out.append(
-            PredictionRow(
-                profile_id=_parse_int(row[0], path, line, "profile_id"),
-                tau_pooled=_parse_float(row[1], path, line, "tau_pooled"),
-                theta2=_parse_float(row[2], path, line, "theta2"),
-                lower=_parse_float(row[3], path, line, "lower") if has_interval else None,
-                upper=_parse_float(row[4], path, line, "upper") if has_interval else None,
-                df=_parse_int(row[5], path, line, "df") if has_interval else None,
-            )
-        )
-    return out
+def read_predictions_csv(path: str):
+    """Predictions as the ``(profile_id, tau_pooled, theta2, lower, upper, k)``
+    arrays that write_predictions_csv takes, sorted by profile_id.  Empty lower,
+    upper and df fields mean K = 2: the bounds read as NaN and k as 2."""
+    _, lines, (pid, tau, theta2, lower, upper, df, flag) = _read_columns(
+        path, PREDICTION_HEADER, (int, float, float, str, str, str, str)
+    )
+    given = lower != ""
+    partly = ((upper != "") != given) | ((df != "") != given)
+    if partly.any():
+        raise InputFormatError("lower, upper and df must be all given or all empty (K = 2)",
+                               path, lines[np.argmax(partly)])
+    lower, upper = (_parse_column(np.where(given, text, "nan").tolist(), float, name, path, lines)
+                    for text, name in ((lower, "lower"), (upper, "upper")))
+    k = _parse_column(np.where(given, df, "0").tolist(), int, "df", path, lines) + 2
+    for bad, message in (
+        (~np.isfinite(tau), "tau_pooled must be finite"),
+        (~(np.isfinite(theta2) & (theta2 >= 0.0)), "theta2 must be finite and >= 0"),
+        (given & ~(np.isfinite(lower) & np.isfinite(upper)), "lower and upper must be finite"),
+        (given & ~((lower <= tau) & (tau <= upper)), "expected lower <= tau_pooled <= upper"),
+        (given & (k < 3), "df must be >= 1"),
+        (flag != _flags(lower, upper), "flag_nonoverlap does not match lower and upper"),
+    ):
+        if bad.any():
+            raise InputFormatError(message, path, lines[np.argmax(bad)])
+    order = np.argsort(pid, kind="stable")
+    sorted_pid = pid[order]
+    repeats = np.flatnonzero(sorted_pid[1:] == sorted_pid[:-1])
+    if repeats.size:
+        i = order[repeats[0] + 1]
+        raise InputFormatError(f"duplicate profile_id {pid[i]}", path, lines[i])
+    return tuple(column[order] for column in (pid, tau, theta2, lower, upper, k))
 
 
 def write_metrics_csv(path: str, tables: list) -> None:
     """Write MetricsTable objects, one row per (profile, method)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(METRICS_HEADER) + "\n")
-        for table in tables:
-            for i, pid in enumerate(table.profile_ids):
-                fh.write(
-                    f"{pid},{table.method},{_fmt(table.coverage[i])},"
-                    f"{_fmt(table.mean_length[i])},{_fmt(table.bias[i])},"
-                    f"{table.n_effective_replications}\n"
-                )
+    parts = [
+        (t.profile_ids, [t.method] * len(t.profile_ids), t.coverage, t.mean_length, t.bias,
+         [t.n_effective_replications] * len(t.profile_ids))
+        for t in tables
+    ]
+    _write_table(path, METRICS_HEADER, [np.concatenate(column) for column in zip(*parts)])
 
 
 @dataclass(frozen=True)

@@ -102,29 +102,29 @@ def _frame(canvas: _Canvas, scale: _YScale, x_label: str, y_label: str):
     canvas.text(15, _HEIGHT / 2, y_label, anchor="middle", size=12)
 
 
-def prediction_intervals_svg(rows, digest: str = "") -> str:
+def prediction_intervals_svg(profile_id, center, lower, upper, digest: str = "") -> str:
     """One vertical interval per profile, ordered by the point estimate.
 
-    Rows without interval columns (K = 2 output) are skipped.  A horizontal
-    zero line marks sign changes.
+    The four arguments are (P,) arrays.  Profiles with NaN bounds (K = 2
+    output) are skipped.  A horizontal zero line marks sign changes.
     """
-    rows = [r for r in rows if r.lower is not None]
-    rows = sorted(rows, key=lambda r: (r.tau_pooled, r.profile_id))
+    shown = ~np.isnan(lower)
+    order = np.lexsort((profile_id[shown], center[shown]))
+    center, lower, upper = (v[shown][order] for v in (center, lower, upper))
     canvas = _Canvas("Prediction intervals by profile", digest)
-    lo = min([r.lower for r in rows], default=-1.0)
-    hi = max([r.upper for r in rows], default=1.0)
+    lo = float(lower.min()) if lower.size else -1.0
+    hi = float(upper.max()) if upper.size else 1.0
     scale = _YScale(min(lo, 0.0), max(hi, 0.0))
     _frame(canvas, scale, "profiles ordered by estimated effect", "effect")
     zero_y = scale(0.0)
     canvas.line(_MARGIN_LEFT, zero_y, _WIDTH - _MARGIN_RIGHT, zero_y,
                 _ZERO_COLOR, cls="zero-line", dash="4 3")
     span = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
-    n = len(rows)
-    for i, row in enumerate(rows):
+    n = len(center)
+    for i, (mid, bottom, top) in enumerate(zip(center.tolist(), lower.tolist(), upper.tolist())):
         x = _MARGIN_LEFT + span * (i + 0.5) / max(n, 1)
-        canvas.line(x, scale(row.lower), x, scale(row.upper),
-                    _INTERVAL_COLOR, cls="interval")
-        canvas.circle(x, scale(row.tau_pooled), 1.6, _CENTER_COLOR, cls="center")
+        canvas.line(x, scale(bottom), x, scale(top), _INTERVAL_COLOR, cls="interval")
+        canvas.circle(x, scale(mid), 1.6, _CENTER_COLOR, cls="center")
     return canvas.render()
 
 

@@ -353,6 +353,28 @@ def test_criterion_11_golden_files(tmp_path):
     )
 
 
+def test_criterion_11_compare_intervals_golden(tmp_path):
+    # compare-intervals on the golden aggregates and predictions, two profiles;
+    # the figure must keep its bytes at every worker count.
+    import pathlib
+
+    golden = pathlib.Path(__file__).parent / "golden"
+    mismatched = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        _run_cli(["compare-intervals", "--aggregates", golden / "aggregates_input.csv",
+                  "--predictions", golden / "predictions.csv", "--profile", "0,3",
+                  "--threads", threads, "--out-dir", out])
+        svg = (out / "compare_intervals.svg").read_bytes()
+        if svg != (golden / "compare_intervals.svg").read_bytes():
+            mismatched.append(threads)
+    report(
+        "criterion 11 (compare-intervals golden figure)",
+        not mismatched,
+        f"golden mismatches at threads={mismatched or 'none'}",
+    )
+
+
 @pytest.mark.parametrize("honest,golden_name", [
     ("true", "forest_aggregates.csv"),
     ("false", "forest_aggregates_adaptive.csv"),

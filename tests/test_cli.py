@@ -1,6 +1,7 @@
 """Command-line behavior: schemas, exit codes, determinism of artifacts."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,7 +174,8 @@ class TestEstimate:
         ("profile_id,sex,age", "0,1.0,0.5\n1,0.0,0.1\n"),
         ("profile_id,foo,bar", "0,0.5,1.0\n1,0.1,0.0\n"),
         ("profile_id,age", "0,0.5\n1,0.1\n"),
-    ], ids=["reordered", "renamed", "missing"])
+        ("profile_id,foo,bar", "1,x,0.0\n"),
+    ], ids=["reordered", "renamed", "missing", "renamed-bad-value"])
     def test_profile_columns_must_match_trials_by_name(self, tmp_path, capsys, header, rows):
         # Columns used to be paired with the trials' by position alone.
         trials, _ = write_inputs(tmp_path)
@@ -384,6 +386,36 @@ class TestCompareIntervals:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "integer profile ids" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("row,line", [
+        ("0,0.5,0.1,-1.0,2.0,2,crosses_zero", 8),
+        ("0,nan,0.1,-1.0,2.0,2,crosses_zero", 2),
+        ("0,0.5,0.1,2.0,-1.0,2,crosses_zero", 2),
+        ("0,0.5,-0.1,-1.0,2.0,2,crosses_zero", 2),
+        ("0,0.5,inf,-1.0,2.0,2,crosses_zero", 2),
+        ("0,0.5,0.1,,2.0,2,crosses_zero", 2),
+        ("0,0.5,0.1,-1.0,2.0,,crosses_zero", 2),
+        ("0,0.5,0.1,-inf,2.0,2,crosses_zero", 2),
+        ("0,0.5,0.1,-1.0,nan,2,crosses_zero", 2),
+        ("0,3.0,0.1,-1.0,2.0,2,crosses_zero", 2),
+        ("0,0.5,0.1,-1.0,2.0,0,crosses_zero", 2),
+        ("0,0.5,0.1,-1.0,2.0,2,positive", 2),
+    ], ids=["repeated-profile", "tau-nan", "lower-above-upper", "theta2-negative",
+            "theta2-inf", "lower-only-empty", "df-only-empty", "lower-inf", "upper-nan",
+            "tau-outside-interval", "df-zero", "wrong-flag"])
+    def test_bad_predictions_exit_2(self, tmp_path, capsys, row, line):
+        # The golden predictions with profile 0's row (line 2) replaced, or, for a
+        # repeated profile, with a second row for profile 0 appended as line 8.
+        golden = Path(__file__).parent / "golden"
+        lines = (golden / "predictions.csv").read_text().splitlines()
+        lines = lines + [row] if line == 8 else lines[:1] + [row] + lines[2:]
+        pred = tmp_path / "pred.csv"
+        pred.write_text("\n".join(lines) + "\n")
+        code = run(["compare-intervals", "--aggregates", golden / "aggregates_input.csv",
+                    "--predictions", pred, "--profile", "0,3", "--out-dir", tmp_path / "x"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pred}:{line}: ") and len(err.splitlines()) == 1
 
 
 class TestSimulate:

@@ -8,8 +8,6 @@ import pytest
 
 from catemeta import ConfigurationError, InputFormatError, MetricsTable, StudyCateEstimate
 from catemeta.io import (
-    PredictionRow,
-    interval_flag,
     parse_sim_config,
     read_aggregates_csv,
     read_predictions_csv,
@@ -72,6 +70,9 @@ class TestTrialsCsv:
         p2.write_text("study_id,y,a,weight\n2,1.0,0,0.1\n")
         with pytest.raises(InputFormatError, match="do not match"):
             read_trials_csv([str(p1), str(p2)])
+        p2.write_text("study_id,y,a,weight\n2,1.0,0,x\n")  # header checked first
+        with pytest.raises(InputFormatError, match="b.csv:1: covariate columns"):
+            read_trials_csv([str(p1), str(p2)])
 
 
 class TestProfilesCsv:
@@ -106,32 +107,49 @@ class TestAggregatesCsv:
             assert second.read_bytes() == source.read_bytes()
 
 
-class TestPredictionsCsv:
-    def rows(self):
-        return [
-            PredictionRow(0, 1.0, 0.5, -1.0, 3.0, 8),
-            PredictionRow(1, 2.0, 0.1, 0.5, 3.5, 8),
-            PredictionRow(2, -1.0, 0.0, None, None, None),  # K = 2 profile
-        ]
+def prediction_columns():
+    """(profile_id, tau_pooled, theta2, lower, upper, k); profile 2 has K = 2."""
+    return (np.array([0, 1, 2]), np.array([1.0, 2.0, -1.0]), np.array([0.5, 0.1, 0.0]),
+            np.array([-1.0, 0.5, np.nan]), np.array([3.0, 3.5, np.nan]), np.array([10, 10, 2]))
 
-    def test_flags(self):
-        assert interval_flag(-1.0, 3.0) == "crosses_zero"
-        assert interval_flag(0.5, 3.0) == "positive"
-        assert interval_flag(-3.0, -0.5) == "negative"
-        rows = self.rows()
-        assert rows[0].flag == "crosses_zero"
-        assert rows[1].flag == "positive"
-        assert rows[2].flag == ""
+
+def interval_columns(n):
+    """n profiles with intervals center +/- 1 around centers 0, 1, ..., n - 1."""
+    center = np.arange(n, dtype=float)
+    return np.arange(n), center, center - 1.0, center + 1.0
+
+
+class TestPredictionsCsv:
+    def test_flags(self, tmp_path):
+        pid, tau, theta2, lower, upper, k = prediction_columns()
+        path = tmp_path / "pred.csv"
+        write_predictions_csv(str(path), np.append(pid, 3), np.append(tau, -1.0),
+                              np.append(theta2, 0.2), np.append(lower, -3.0),
+                              np.append(upper, -0.5), np.append(k, 10))
+        flags = [line.split(",")[-1] for line in path.read_text().splitlines()[1:]]
+        assert flags == ["crosses_zero", "positive", "", "negative"]
 
     def test_roundtrip_including_empty_interval(self, tmp_path):
         path = tmp_path / "pred.csv"
-        write_predictions_csv(str(path), self.rows())
+        write_predictions_csv(str(path), *prediction_columns())
+        assert path.read_text().splitlines()[3] == "2,-1.0,0.0,,,,"
         parsed = read_predictions_csv(str(path))
-        assert parsed[2].lower is None and parsed[2].df is None
-        assert parsed[0].lower == -1.0
+        _, _, _, lower, upper, k = parsed
+        assert np.isnan(lower[2]) and np.isnan(upper[2]) and k[2] == 2
+        assert lower[0] == -1.0 and k[0] == 10
         second = tmp_path / "again.csv"
-        write_predictions_csv(str(second), parsed)
+        write_predictions_csv(str(second), *parsed)
         assert path.read_bytes() == second.read_bytes()
+
+    def test_rows_sorted_by_profile_id(self, tmp_path):
+        sorted_path, shuffled_path = tmp_path / "sorted.csv", tmp_path / "shuffled.csv"
+        columns = prediction_columns()
+        write_predictions_csv(str(sorted_path), *columns)
+        write_predictions_csv(str(shuffled_path), *(c[[2, 0, 1]] for c in columns))
+        assert shuffled_path.read_bytes() == sorted_path.read_bytes()
+        lines = sorted_path.read_text().splitlines()
+        shuffled_path.write_text("\n".join(lines[:1] + lines[3:0:-1]) + "\n")
+        assert read_predictions_csv(str(shuffled_path))[0].tolist() == [0, 1, 2]
 
 
 class TestSimConfigFile:
@@ -188,19 +206,20 @@ class TestSimConfigFile:
 
 class TestSvg:
     def test_prediction_intervals_segment_count(self):
-        rows = [PredictionRow(i, float(i), 0.1, i - 1.0, i + 1.0, 8) for i in range(7)]
-        svg = prediction_intervals_svg(rows)
+        svg = prediction_intervals_svg(*interval_columns(7))
         assert svg.count('class="interval"') == 7
         assert svg.count('class="zero-line"') == 1
         assert svg.startswith("<?xml")
 
     def test_prediction_intervals_deterministic(self):
-        rows = [PredictionRow(i, float(i), 0.1, i - 1.0, i + 1.0, 8) for i in range(5)]
-        assert prediction_intervals_svg(rows) == prediction_intervals_svg(rows)
+        columns = interval_columns(5)
+        assert prediction_intervals_svg(*columns) == prediction_intervals_svg(*columns)
+        # Ordered by the point estimate, not by the order of the input.
+        shuffled = [c[[3, 0, 4, 1, 2]] for c in columns]
+        assert prediction_intervals_svg(*shuffled) == prediction_intervals_svg(*columns)
 
     def test_digest_comment_embedded(self):
-        rows = [PredictionRow(0, 0.0, 0.1, -1.0, 1.0, 8)]
-        svg = prediction_intervals_svg(rows, digest="abc123")
+        svg = prediction_intervals_svg(*interval_columns(1), digest="abc123")
         assert "<!-- manifest:abc123 -->" in svg
 
     def test_compare_intervals_segments(self):
