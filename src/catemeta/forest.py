@@ -20,20 +20,21 @@ half-sample of the data, and the variance of bag means (minus the
 within-bag Monte-Carlo component) estimates the sampling variability of
 the forest prediction.
 
-Everything is deterministic given (dataset, params, seed): bag, tree and
-node streams are derived from (seed, bag index), (seed, tree index) and
-(seed, tree index, heap index), so tree growth can be distributed without
-changing results.
+Everything is deterministic given (dataset, params, seed): the bag and
+tree streams are derived from (seed, bag index) and (seed, tree index),
+and a tree does not depend on the trees grown beside it, so tree growth
+can be distributed without changing results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, EstimationError
-from .grower import grow_trees
+from .grower import grow_trees, run_stat
 from .model import CovariateProfile, StudyCateEstimate, TrialDataset
 from .rng import substream
 
@@ -58,7 +59,6 @@ class ForestParams:
     min_leaf_treated: int = 5
     min_leaf_control: int = 5
     subsample_fraction: float = 0.5
-    mtry: int | None = None
     bag_size: int = 20
     seed: int = 0
 
@@ -71,8 +71,6 @@ class ForestParams:
             raise ConfigurationError("per-arm leaf minima must be >= 2")
         if not (0.0 < self.subsample_fraction <= 1.0):
             raise ConfigurationError("subsample_fraction must be in (0, 1]")
-        if self.mtry is not None and self.mtry < 1:
-            raise ConfigurationError("mtry must be >= 1")
 
     @property
     def n_bags(self) -> int:
@@ -161,7 +159,7 @@ def fit_causal_forest(dataset: TrialDataset, params: ForestParams) -> CausalFore
             perm = pool[substream(params.seed, "tree", t).permutation(half)[:m]].astype(np.int32)
             samples.append((perm[: m // 2], perm[m // 2 :]) if params.honest else (perm, perm))
         for nodes, (split_rows, est_rows) in zip(
-            grow_trees(x, y, a, values, ranks, samples, first, params), samples
+            grow_trees(x, y, a, values, ranks, samples, params), samples
         ):
             trees.append(CausalTree(*nodes, split_rows=split_rows, est_rows=est_rows))
     return CausalForestModel(
@@ -203,22 +201,6 @@ def predict_matrix(model: CausalForestModel, points: np.ndarray) -> np.ndarray:
         idx = np.where(inner, np.where(go_left, left[idx], right[idx]), idx)
 
 
-def _masked_row_stat(values, mask, stat, min_count, empty):
-    """``stat`` over the masked entries of each row, kept in row order.
-
-    Rows with fewer than ``min_count`` masked entries get ``empty``.  Rows
-    with equal counts are packed into one contiguous array, so ``stat`` (a
-    reduction along axis 1) sums each row exactly as a 1-D array.
-    """
-    counts = mask.sum(axis=1)
-    packed = np.take_along_axis(values, np.argsort(~mask, axis=1, kind="stable"), axis=1)
-    out = np.full(values.shape[0], empty)
-    for count in np.unique(counts[counts >= min_count]):
-        rows = np.flatnonzero(counts == count)
-        out[rows] = stat(packed[rows, :count])
-    return out
-
-
 def _bag_se2(pred: np.ndarray, valid: np.ndarray, params: ForestParams, floor: float):
     """Between-bag variance estimate per profile, clamped at the floor.
 
@@ -237,15 +219,18 @@ def _bag_se2(pred: np.ndarray, valid: np.ndarray, params: ForestParams, floor: f
         sq = (np.where(bags_valid, bags_pred - means[:, None, :], 0.0) ** 2).sum(axis=1)
         within = sq / (counts - 1)
 
-    has_mean = (counts > 0).T
-    between = _masked_row_stat(
-        means.T, has_mean, lambda v: np.var(v, axis=1, ddof=1), min_count=2, empty=np.nan
-    )
-    within_mean = _masked_row_stat(
-        within.T, (counts > 1).T, lambda v: v.mean(axis=1), min_count=1, empty=0.0
-    )
-    return np.where(has_mean.sum(axis=1) >= 2,
-                    np.maximum(between - within_mean / g, floor), floor)
+    # Boolean indexing packs each profile's bag terms in bag order, one run
+    # per profile.  A profile with under two bag means stays at the floor.
+    has_mean, has_within = (counts > 0).T, (counts > 1).T
+    n_mean, n_within = has_mean.sum(axis=1), has_within.sum(axis=1)
+    rows = np.flatnonzero(n_mean >= 2)
+    between = run_stat(means.T[has_mean], (np.cumsum(n_mean) - n_mean)[rows], n_mean[rows],
+                       partial(np.var, ddof=1))
+    within_sum = run_stat(within.T[has_within], (np.cumsum(n_within) - n_within)[rows],
+                          n_within[rows], np.sum)
+    se2 = np.full(n_profiles, floor)
+    se2[rows] = np.maximum(between - within_sum / np.maximum(n_within[rows], 1) / g, floor)
+    return se2
 
 
 def forest_predict(model: CausalForestModel, points: np.ndarray):

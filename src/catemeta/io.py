@@ -1,6 +1,7 @@
 """CSV schemas and config-file parsing.
 
-All files are UTF-8 with ``.`` decimal separators and LF line endings.
+All files are UTF-8 with ``.`` decimal separators, written with LF line
+endings; the CSV readers also accept a byte-order mark and CRLF.
 Every table is read by ``_read_columns``: it checks the whole header before
 any value, then returns one array per column.  A bad header, field count or
 value, or a row that breaks a reader's rules, raises one ``InputFormatError``
@@ -61,9 +62,19 @@ def _write_table(path: str, header: tuple[str, ...], columns) -> None:
         fh.writelines(",".join(row) + "\n" for row in zip(*texts))
 
 
+def _plain(text: str) -> bool:
+    return text.isascii() and "_" not in text
+
+
 def _parse_column(texts, kind: type, name: str, path: str, lines: list[int]) -> np.ndarray:
-    """Field texts as an int64, float64 or str array.  Values are parsed one by
-    one only to name the line of a bad one."""
+    """Field texts as an int64, float64 or str array.  A number may not hold
+    ``_`` or a non-ASCII character, which Python's ``int`` and ``float`` would
+    read (``1_0`` as 10).  Values are parsed one by one only to name the line
+    of a bad one."""
+    what = "an integer" if kind is int else "a number"
+    if kind is not str and not _plain("".join(texts)):
+        line, text = next((line, text) for line, text in zip(lines, texts) if not _plain(text))
+        raise InputFormatError(f"column '{name}': not {what}: {text!r}", path, line)
     try:
         return np.array(list(map(kind, texts)), dtype=kind)
     except (ValueError, OverflowError):
@@ -71,7 +82,6 @@ def _parse_column(texts, kind: type, name: str, path: str, lines: list[int]) -> 
             try:
                 np.array(kind(text), dtype=kind)
             except ValueError:
-                what = "an integer" if kind is int else "a number"
                 raise InputFormatError(f"column '{name}': not {what}: {text!r}", path, line)
             except OverflowError:
                 raise InputFormatError(f"column '{name}': out of range: {text!r}", path, line)
@@ -87,7 +97,7 @@ def _read_columns(path: str, fixed: tuple[str, ...], kinds: tuple[type, ...],
     It is checked before any value is parsed.  ``kinds`` holds ``int``,
     ``float`` or ``str`` for each fixed column.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -295,16 +305,10 @@ class SimulateOptions:
     alpha: float = 0.05
 
 
-_SIM_CONFIG_FIELDS = {f.name: f.type for f in fields(SimConfig)}
-_OPTION_KEYS = {
-    "methods", "forest_trees", "forest_bag_size",
-    "bart_trees", "bart_burn", "bart_draws", "alpha",
-}
-_INT_KEYS = {
-    "k_studies", "n_per_study", "heterogeneity_level", "n_replications",
-    "master_seed", "forest_trees", "forest_bag_size",
-    "bart_trees", "bart_burn", "bart_draws",
-}
+_SIM_CONFIG_FIELDS = {f.name for f in fields(SimConfig)}
+_OPTION_KEYS = {f.name for f in fields(SimulateOptions)}
+# Annotations are strings: both modules postpone their evaluation.
+_INT_KEYS = {f.name for f in fields(SimConfig) + fields(SimulateOptions) if f.type == "int"}
 
 
 def parse_sim_config(path: str) -> tuple[SimConfig, SimulateOptions]:

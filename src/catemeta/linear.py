@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    EstimationError,
     InsufficientDataError,
     SingularDesignError,
 )
@@ -94,6 +95,7 @@ def fit_interaction_ols(
     below 1e-10 times the largest are rank deficiencies, and the first
     column that depends on the columns before it is reported by name.  The
     saturated case n == q is allowed (residual variance 0); n < q raises.
+    Coefficients or a covariance that overflow raise ``EstimationError``.
     """
     p = dataset.n_covariates
     if moderators is None:
@@ -117,13 +119,20 @@ def fit_interaction_ols(
             s_j = np.linalg.svd(design[:, : j + 1], compute_uv=False)
             if np.count_nonzero(s_j > _RANK_RTOL * s_j[0]) <= j:
                 raise SingularDesignError(names[j])
-    coef = vt.T @ ((u.T @ dataset.y) / s)
-    resid = dataset.y - design @ coef
-    rss = float(resid @ resid)
-    sigma2 = rss / (n - q) if n > q else 0.0
-    xtx_inv = (vt.T / s**2) @ vt
-    cov = sigma2 * xtx_inv
-    cov = 0.5 * (cov + cov.T)
+    # Outcomes near the float range overflow; the check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = vt.T @ ((u.T @ dataset.y) / s)
+        resid = dataset.y - design @ coef
+        rss = float(resid @ resid)
+        sigma2 = rss / (n - q) if n > q else 0.0
+        xtx_inv = (vt.T / s**2) @ vt
+        cov = sigma2 * xtx_inv
+        cov = 0.5 * (cov + cov.T)
+    if not (np.isfinite(coef).all() and np.isfinite(cov).all()):
+        raise EstimationError(
+            f"study {dataset.study_id}: the least-squares coefficients or their "
+            "covariance are not finite"
+        )
     return LinearCateFit(
         study_id=dataset.study_id,
         coefficients=coef,

@@ -96,8 +96,10 @@ def _profile_log_likelihood(theta2, tau, v):
     """
     t2 = np.atleast_1d(np.asarray(theta2, dtype=np.float64))
     tau = np.asarray(tau)[..., None, :]
-    total = np.asarray(v)[..., None, :] + t2[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # An se2 near either end of the float range overflows to inf on the way;
+    # a likelihood that is not finite reads as -inf.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        total = np.asarray(v)[..., None, :] + t2[..., None]
         w = 1.0 / total
         sw = w.sum(axis=-1)
         mu = (w * tau).sum(axis=-1) / sw
@@ -154,7 +156,7 @@ def _solve(tau, v, bound, counts):
         if rows.size == 0:
             break
         xr = x[rows]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             score, slope = _score(xr, tau[rows], v[rows])
             step = xr - score / slope
         lor = np.where(score > 0.0, xr, lo[rows])

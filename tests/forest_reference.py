@@ -4,8 +4,8 @@
 batched array operations.  This module keeps the straightforward recursive
 grower: each node sorts its own rows and scans its split candidates, and
 children are grown depth-first.  Both sides use the same threshold rule
-(``_midpoint``), so on the default ``mtry`` the two growers must agree bit
-for bit; ``tests/test_forest.py`` checks that they do.
+(``_midpoint``), so the two growers must agree bit for bit;
+``tests/test_forest.py`` checks that they do.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ def _midpoint(lo, hi):
     return np.where((lo <= mid) & (mid < hi), mid, lo)
 
 
-def _best_split(x, y, a, split_rows, est_rows, cand, min_t, min_c, honest):
+def _best_split(x, y, a, split_rows, est_rows, min_t, min_c, honest):
     """Scan all (covariate, threshold) candidates in one vectorized pass.
 
     Returns (feature, threshold) or None.  Thresholds are midpoints between
@@ -37,7 +37,7 @@ def _best_split(x, y, a, split_rows, est_rows, cand, min_t, min_c, honest):
     m = split_rows.shape[0]
     if m < 2:
         return None
-    xs = x[np.ix_(split_rows, cand)]
+    xs = x[split_rows]
     ys = y[split_rows]
     as_ = a[split_rows]
 
@@ -66,7 +66,7 @@ def _best_split(x, y, a, split_rows, est_rows, cand, min_t, min_c, honest):
     if honest:
         if est_rows.shape[0] == 0:
             return None
-        xe = x[np.ix_(est_rows, cand)]
+        xe = x[est_rows]
         ae = a[est_rows]
         eorder = np.argsort(xe, axis=0, kind="stable")
         xe_sorted = np.take_along_axis(xe, eorder, axis=0)
@@ -76,7 +76,7 @@ def _best_split(x, y, a, split_rows, est_rows, cand, min_t, min_c, honest):
         te1 = int(ce1[-1, 0])
         te0 = int(ce0[-1, 0])
         thresholds = _midpoint(x_sorted[:-1], x_sorted[1:])
-        for j in range(cand.shape[0]):
+        for j in range(x.shape[1]):
             if not ok[:, j].any():
                 continue
             pos = np.searchsorted(xe_sorted[:, j], thresholds[:, j], side="right")
@@ -105,12 +105,11 @@ def _best_split(x, y, a, split_rows, est_rows, cand, min_t, min_c, honest):
         return None
     j, i = divmod(best, m - 1)
     threshold = _midpoint(x_sorted[i, j], x_sorted[i + 1, j])
-    return int(cand[j]), float(threshold)
+    return int(j), float(threshold)
 
 
 def _grow_tree(x, y, a, pool, params: ForestParams, rng) -> CausalTree:
-    n, p = x.shape
-    mtry = p if params.mtry is None else min(params.mtry, p)
+    n = x.shape[0]
     m = min(max(int(params.subsample_fraction * n), 1), pool.shape[0])
     perm = pool[rng.permutation(pool.shape[0])[:m]]
     if params.honest:
@@ -142,12 +141,8 @@ def _grow_tree(x, y, a, pool, params: ForestParams, rng) -> CausalTree:
         node = stack.pop()
         split_rows = node_split[node]
         est_rows = node_est[node]
-        if mtry < p:
-            cand = np.sort(rng.choice(p, size=mtry, replace=False))
-        else:
-            cand = np.arange(p)
         found = _best_split(
-            x, y, a, split_rows, est_rows, cand,
+            x, y, a, split_rows, est_rows,
             params.min_leaf_treated, params.min_leaf_control, params.honest,
         )
         if found is None:

@@ -30,8 +30,7 @@ from catemeta import (
     fit_interaction_ols,
     forest_cates,
     linear_cate,
-    pool_cate,
-    prediction_interval,
+    pool_profiles,
     reml_theta2,
     run_experiment,
     t_quantile,
@@ -66,16 +65,16 @@ def test_criterion_01_hierarchy_calibration():
     v = np.linspace(0.1, 1.0, k)
     sd = np.sqrt(v)
     start = time.perf_counter()
-    covered = 0
-    for _ in range(reps):
+    tau_hat, tau_new = np.empty((k, reps)), np.empty(reps)
+    for r in range(reps):
         tau_s = rng.normal(0.0, 1.0, k)
-        tau_hat = rng.normal(tau_s, sd)
-        tau_new = rng.normal(0.0, 1.0)
-        mi = meta_input(tau_hat, v)
-        pi = prediction_interval(pool_cate(mi, reml_theta2(mi)), 0.05, k)
-        covered += pi.lower <= tau_new <= pi.upper
+        tau_hat[:, r] = rng.normal(tau_s, sd)
+        tau_new[r] = rng.normal(0.0, 1.0)
+    pooled = pool_profiles(tau_hat, np.repeat(v[:, None], reps, axis=1), alpha=0.05)
+    lower = pooled.tau_pooled - pooled.half_width
+    upper = pooled.tau_pooled + pooled.half_width
     elapsed = time.perf_counter() - start
-    coverage = covered / reps
+    coverage = float(np.mean((lower <= tau_new) & (tau_new <= upper)))
     ok = 0.935 <= coverage <= 0.965 and elapsed < 60.0
     report(
         "criterion 1 (hierarchy calibration)",

@@ -8,8 +8,11 @@ import pytest
 
 from catemeta.cli import main
 from catemeta.forest import ForestParams, fit_causal_forest
-from catemeta.io import read_trials_csv
+from catemeta.io import read_aggregates_csv, read_predictions_csv, read_trials_csv
 from catemeta.rng import spawn_seed
+from test_acceptance import grid_argmax
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_inputs(tmp_path, n_studies=4, n_rows=50, n_profiles=6, seed=5):
@@ -34,6 +37,17 @@ def write_inputs(tmp_path, n_studies=4, n_rows=50, n_profiles=6, seed=5):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def golden_with_cell(tmp_path, name, line, column, value):
+    """A copy of golden file ``name`` with one cell replaced."""
+    lines = (GOLDEN / name).read_text().splitlines()
+    fields = lines[line].split(",")
+    fields[column] = value
+    lines[line] = ",".join(fields)
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 class TestEstimate:
@@ -222,6 +236,21 @@ class TestEstimate:
         assert err[-1] == "error: study 1, profile 1: tau_hat must be finite"
         assert not (out / "aggregates.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_outcome_linear_exits_1(self, tmp_path, capsys):
+        # The squared residuals overflow and the covariance turns NaN; this
+        # used to end in a LinAlgError traceback from the PSD check.
+        trials = golden_with_cell(tmp_path, "forest_trials.csv", 1, 1, "1e308")
+        out = tmp_path / "x"
+        code = run(["estimate", "--trials", trials, "--profiles", GOLDEN / "forest_profiles.csv",
+                    "--stage1", "linear", "--out-dir", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "Warning" not in err
+        assert err.strip().splitlines()[-1] == (
+            "error: study 3: the least-squares coefficients or their covariance are not finite")
+        assert not (out / "aggregates.csv").exists()
+
     def test_bad_honest_value_exits_2(self, tmp_path):
         trials, profiles = write_inputs(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -268,6 +297,24 @@ class TestPredict:
         assert "no prediction interval" in capsys.readouterr().err
         line = (out / "predictions.csv").read_text().splitlines()[1]
         assert line.endswith(",,,")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("se2", ["1e308", "5e-324"])
+    def test_extreme_se2_predicts_without_warnings(self, tmp_path, capsys, se2):
+        # The likelihood scan overflows to inf on the way; that used to print
+        # numpy RuntimeWarnings on a run that exits 0.
+        agg = golden_with_cell(tmp_path, "aggregates_input.csv", 1, 3, se2)
+        out = tmp_path / "pred"
+        assert run(["predict", "--aggregates", agg, "--out-dir", out]) == 0
+        assert "Warning" not in capsys.readouterr().err
+        pid, tau_pooled, theta2, lower, upper, k = read_predictions_csv(out / "predictions.csv")
+        assert np.isfinite(tau_pooled).all() and np.isfinite(theta2).all()
+        assert np.isfinite(lower[k >= 3]).all() and np.isfinite(upper[k >= 3]).all()
+        apid, _, tau, v = read_aggregates_csv(agg)
+        tau, v = tau[apid == 0], v[apid == 0]
+        # The search bound of criterion 4, without the extreme study's se2.
+        bound = 10.0 * float(np.var(tau, ddof=1)) + float(v[1:].max())
+        assert abs(theta2[pid == 0][0] - grid_argmax(tau, v, bound)) <= 1e-4
 
     def test_single_study_profile_exits_2(self, tmp_path):
         agg = tmp_path / "agg.csv"

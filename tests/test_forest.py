@@ -1,11 +1,13 @@
 """Causal forest: recovery, honesty, determinism, the bag variance estimator,
-the threshold rule, mtry draws and agreement with the recursive grower."""
+the threshold rule, exact ragged-run reductions and agreement with the
+recursive grower."""
 
 import os
 import signal
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from catemeta import (
     grower,
 )
 from catemeta.forest import predict_matrix
-from catemeta.grower import node_candidates
+from catemeta.grower import run_stat
 
 
 def make_dataset(n, tau_fn, seed, p=5, noise=0.1, main_fn=None):
@@ -455,41 +457,18 @@ class TestThresholdRule:
             assert abs(tau[0, sid]) < 0.5 and abs(tau[1, sid] - 5.0) < 0.5
 
 
-class TestMtry:
-    def fit(self, mtry, seed=3, honest=True):
-        ds = make_dataset(400, lambda x: 1.0 + x[:, 1] - x[:, 3], seed=9, noise=0.5)
-        return ds, fit_causal_forest(ds, ForestParams(n_trees=20, bag_size=10, mtry=mtry,
-                                                      honest=honest, seed=seed))
-
-    def test_rerun_is_deterministic(self):
-        _, m1 = self.fit(mtry=1)
-        _, m2 = self.fit(mtry=1)
-        assert [canonical(t) for t in m1.trees] == [canonical(t) for t in m2.trees]
-
-    @pytest.mark.parametrize("mtry", [1, 2])
-    @pytest.mark.parametrize("honest", [True, False])
-    def test_split_features_are_the_node_candidates(self, mtry, honest):
-        ds, model = self.fit(mtry=mtry, honest=honest)
-        n_splits = 0
-        for t, tree in enumerate(model.trees):
-            for node, heap in enumerate(heap_labels(tree)):
-                if tree.feature[node] >= 0:
-                    n_splits += 1
-                    cand = node_candidates(3, t, heap, ds.n_covariates, mtry)
-                    assert cand.shape == (mtry,) and tree.feature[node] in cand
-        assert n_splits > len(model.trees)
-
-    @pytest.mark.parametrize("mtry", [5, 7])
-    def test_mtry_at_least_p_equals_default(self, mtry):
-        ds, default = self.fit(mtry=None)
-        _, model = self.fit(mtry=mtry)
-        assert [canonical(t) for t in model.trees] == [canonical(t) for t in default.trees]
-        points = ds.x[:20]
-        assert predict_matrix(model, points).tobytes() == predict_matrix(default, points).tobytes()
-
-    def test_draws_do_not_depend_on_the_batch(self, monkeypatch):
-        _, together = self.fit(mtry=2)
-        monkeypatch.setattr(forest, "_BATCH_ROWS", 1)  # one tree per batch
-        monkeypatch.setattr(grower, "_SEARCH_CELLS", 1)  # one node per search
-        _, alone = self.fit(mtry=2)
-        assert [canonical(t) for t in alone.trees] == [canonical(t) for t in together.trees]
+class TestRunStat:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(2, 40), min_size=1, max_size=30), st.integers(0, 2**32 - 1))
+    def test_each_run_reduced_as_on_its_own(self, lengths, seed):
+        # The leaf means and the bag variance terms rely on this exactness.
+        rng = np.random.default_rng(seed)
+        lengths = np.array(lengths)
+        values = rng.normal(size=lengths.sum()) * 10.0 ** rng.integers(-8, 9, lengths.sum())
+        shuffle = rng.permutation(lengths.shape[0])
+        starts, lengths = (np.cumsum(lengths) - lengths)[shuffle], lengths[shuffle]
+        for stat, alone in ((np.mean, lambda v: v.mean()),
+                            (partial(np.var, ddof=1), lambda v: np.var(v, ddof=1))):
+            got = run_stat(values, starts, lengths, stat)
+            want = [alone(values[s:s + n]) for s, n in zip(starts, lengths)]
+            assert got.tobytes() == np.array(want).tobytes()

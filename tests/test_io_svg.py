@@ -107,6 +107,51 @@ class TestAggregatesCsv:
             assert second.read_bytes() == source.read_bytes()
 
 
+GOLDEN_AGGREGATES = Path(__file__).parent / "golden" / "aggregates_input.csv"
+
+
+def wrap_fields(text, wrap):
+    """``text`` with every field below the header passed through ``wrap``."""
+    header, *rows = text.splitlines()
+    return "\n".join([header] + [",".join(map(wrap, row.split(","))) for row in rows]) + "\n"
+
+
+ACCEPTED_FORMS = {
+    "bom": lambda text: "\ufeff" + text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "trailing-blank-lines": lambda text: text + "\n\n",
+    "quoted-fields": lambda text: wrap_fields(text, lambda field: f'"{field}"'),
+    "surrounding-spaces": lambda text: wrap_fields(text, lambda field: f" {field} "),
+}
+
+
+class TestLenientForms:
+    @pytest.mark.parametrize("form", ACCEPTED_FORMS.values(), ids=ACCEPTED_FORMS.keys())
+    def test_accepted_forms_read_as_the_plain_file(self, tmp_path, form):
+        path = tmp_path / "agg.csv"
+        path.write_bytes(form(GOLDEN_AGGREGATES.read_text()).encode("utf-8"))
+        pid, sid, tau, se2 = read_aggregates_csv(str(path))
+        out = tmp_path / "out.csv"
+        write_aggregates_csv(str(out), pid, sid, tau_hat=tau, se2=se2)
+        assert out.read_bytes() == GOLDEN_AGGREGATES.read_bytes()
+
+    @pytest.mark.parametrize("field,value", [
+        (0, "1_0"), (1, "2_0"), (2, "1_000.5"), (3, "0.5e1_0"),
+        (0, "\uff11"), (2, "\u0661.5"), (3, "0.5\u00a0"),
+    ], ids=["pid-underscore", "sid-underscore", "tau-underscore", "se2-underscore",
+            "pid-fullwidth-digit", "tau-arabic-digit", "se2-nbsp"])
+    def test_underscores_and_non_ascii_rejected(self, tmp_path, field, value):
+        # Python's int and float read these; 1_0 used to become profile 10.
+        lines = GOLDEN_AGGREGATES.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[field] = value
+        lines[3] = ",".join(fields)
+        path = tmp_path / "agg.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match=f"agg.csv:4: column '[a-z_0-9]+': not an? "):
+            read_aggregates_csv(str(path))
+
+
 def prediction_columns():
     """(profile_id, tau_pooled, theta2, lower, upper, k); profile 2 has K = 2."""
     return (np.array([0, 1, 2]), np.array([1.0, 2.0, -1.0]), np.array([0.5, 0.1, 0.0]),
