@@ -12,9 +12,10 @@ chi2_nu, with lambda set so that Pr(sigma < sd) = q for the sample sd of the
 scaled outcome: lambda = sd^2 * 2 P^-1(nu/2, 1 - q) / nu, where P^-1 is the
 inverse regularized lower incomplete gamma function (``gammaincinv``).  That
 is the chi-square quantile ``scipy.stats.chi2.ppf(1 - q, nu)`` bit for bit,
-without the cost of importing ``scipy.stats``.  Settings whose quantile is
-not finite (q at or below 2^-54, about 5.6e-17, where 1 - q rounds to 1)
-are rejected.
+without the cost of importing ``scipy.stats``; ``scipy.special`` itself is
+imported on the first call, so only a process that builds BART settings
+loads it.  Settings whose quantile is not finite (q at or below 2^-54, about
+5.6e-17, where 1 - q rounds to 1) are rejected.
 
 The cutpoints of a column of z are all its distinct values but the largest
 (``numcut`` at its maximum in the BART R package), found once per study.
@@ -39,7 +40,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .errors import ConfigurationError, DimensionMismatchError
 from .model import StudyCateEstimate, TrialDataset
@@ -80,6 +80,8 @@ class BartParams:
 def _chi2_quantile(p, nu):
     """The p-quantile of a chi-square with ``nu`` degrees of freedom, as
     ``scipy.stats.chi2.ppf`` computes it, without importing ``scipy.stats``."""
+    from scipy.special import gammaincinv
+
     return 2.0 * float(gammaincinv(0.5 * nu, p))
 
 

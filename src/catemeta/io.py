@@ -312,8 +312,9 @@ _INT_KEYS = {f.name for f in fields(SimConfig) + fields(SimulateOptions) if f.ty
 
 
 def parse_sim_config(path: str) -> tuple[SimConfig, SimulateOptions]:
-    """Parse a flat ``key = value`` experiment file."""
-    raw: dict[str, str] = {}
+    """Parse a flat ``key = value`` experiment file.  A number may not hold
+    ``_`` or a non-ASCII character, as in the CSV readers."""
+    raw: dict[str, tuple[int, str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
@@ -329,30 +330,30 @@ def parse_sim_config(path: str) -> tuple[SimConfig, SimulateOptions]:
                 raise ConfigurationError(f"{path}:{line_no}: unknown key '{key}'")
             if key in raw:
                 raise ConfigurationError(f"{path}:{line_no}: duplicate key '{key}'")
-            raw[key] = value.strip()
+            raw[key] = line_no, value.strip()
 
-    def convert(key: str, value: str):
-        try:
-            if key in _INT_KEYS:
-                return int(value)
-            if key == "alpha":
-                return float(value)
-            if key == "methods":
-                methods = tuple(m.strip() for m in value.split(",") if m.strip())
-                for m in methods:
-                    if m not in STAGE1_METHODS:
-                        raise ConfigurationError(
-                            f"{path}: key 'methods': unknown method '{m}'"
-                        )
-                return methods
-            return value
-        except ValueError:
-            raise ConfigurationError(f"{path}: key '{key}': bad value {value!r}")
+    def convert(key: str, line_no: int, value: str):
+        where = f"{path}:{line_no}: key '{key}'"
+        if key in _INT_KEYS or key == "alpha":
+            kind = int if key in _INT_KEYS else float
+            try:
+                if _plain(value):
+                    return kind(value)
+            except ValueError:
+                pass
+            raise ConfigurationError(f"{where}: bad value {value!r}")
+        if key == "methods":
+            methods = tuple(m.strip() for m in value.split(",") if m.strip())
+            for m in methods:
+                if m not in STAGE1_METHODS:
+                    raise ConfigurationError(f"{where}: unknown method '{m}'")
+            return methods
+        return value
 
     config_kwargs = {}
     option_kwargs = {}
-    for key, value in raw.items():
-        parsed = convert(key, value)
+    for key, (line_no, value) in raw.items():
+        parsed = convert(key, line_no, value)
         if key in _SIM_CONFIG_FIELDS:
             config_kwargs[key] = parsed
         else:

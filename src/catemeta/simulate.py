@@ -20,7 +20,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 # bart_cate_normal, forest_cates, linear_cate, pool_cate, prediction_interval and
 # reml_theta2_batch are bound only for perfbench/tracing.py.
@@ -28,7 +27,9 @@ from .bart import BartParams, bart_cate_normal, bart_cates, fit_bart_slearner  #
 from .errors import CatemetaError, ConfigurationError
 from .forest import ForestParams, fit_causal_forest, forest_cates, forest_predict  # noqa: F401
 from .linear import fit_interaction_ols, linear_cate, linear_cates  # noqa: F401
-from .meta import pool_cate, pool_profiles, prediction_interval, reml_theta2_batch  # noqa: F401
+from .meta import (  # noqa: F401
+    ndtri, pool_cate, pool_profiles, prediction_interval, reml_theta2_batch,
+)
 from .model import TrialDataset
 from .rng import spawn_seed, substream
 
@@ -316,9 +317,11 @@ def run_experiment(
         "linear": ("linear", None),
         "forest_honest": ("forest", replace(forest_params, honest=True)),
         "forest_adaptive": ("forest", replace(forest_params, honest=False)),
-        "bart": ("bart", bart_params if bart_params is not None else BartParams()),
+        "bart": ("bart", bart_params),
         "oracle": (None, None),
     }[method]
+    if learner == "bart" and params is None:
+        params = BartParams()  # built only here: it loads scipy.special
 
     points = gen_target_profiles(config, substream(config.master_seed, "target-profiles"))
     # The target setting's own effect draw, frozen for the whole experiment.

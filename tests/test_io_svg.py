@@ -242,6 +242,18 @@ class TestSimConfigFile:
         with pytest.raises(ConfigurationError, match="n_replications"):
             parse_sim_config(str(path))
 
+    @pytest.mark.parametrize("line", [
+        "k_studies = 1_0", "forest_trees = \u0662\u0660", "alpha = 0.0_5", "n_replications = soon",
+    ], ids=["underscore-int", "arabic-indic-digits", "underscore-float", "word"])
+    def test_bad_number_named_with_its_line(self, tmp_path, line):
+        # Python's int and float read 1_0 as 10 and Arabic-Indic digits as
+        # digits; the CSV readers reject both, and so does the config reader.
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"# experiment\nmaster_seed = 1\n{line}\n", encoding="utf-8")
+        key = line.partition("=")[0].strip()
+        with pytest.raises(ConfigurationError, match=rf"exp\.cfg:3: key '{key}': bad value"):
+            parse_sim_config(str(path))
+
     def test_unknown_method_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("methods = linear, quantum\n")

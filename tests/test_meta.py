@@ -19,7 +19,7 @@ from catemeta import (
     reml_theta2,
     t_quantile,
 )
-from catemeta.meta import _profile_log_likelihood, _score, reml_theta2_batch
+from catemeta.meta import _profile_log_likelihood, _score, ndtri, reml_theta2_batch
 
 
 def meta_input(tau, v, profile_id=0):
@@ -210,6 +210,49 @@ class TestTQuantile:
             t_quantile(3, 0.0)
         with pytest.raises(ValueError):
             t_quantile(3, 1.0)
+
+
+class TestQuantilesAgainstScipy:
+    def test_t_quantile(self):
+        # SciPy's value at each tail: sqrt(df (1 - x) / x) with
+        # x = betaincinv(df/2, 1/2, 2 tail).  Once t^2 << df, 1 - x keeps
+        # only a few digits (7e-11 relative at df = 10^6 and 7e-7 at
+        # 2^31 - 1, against 60-digit mpmath), and at df = 1, tail 1e-300,
+        # x underflows to 0.  There the reference is SciPy's t quantile
+        # stdtrit, within 1e-15 of mpmath at those points.
+        from scipy.special import betaincinv, stdtrit
+
+        misses = []
+        for df in [*range(1, 201), 10**3, 10**6, 2**31 - 1]:
+            for tail in (0.4, 0.1, 0.025, 1e-3, 1e-8, 1e-30, 1e-300):
+                x = float(betaincinv(0.5 * df, 0.5, 2.0 * tail))
+                if df <= 10**3 and x > 0.0:
+                    expected = math.sqrt(df * (1.0 - x) / x)
+                else:
+                    expected = -float(stdtrit(df, tail))
+                got = -t_quantile(df, tail)
+                if not abs(got - expected) <= 1e-12 * expected:
+                    misses.append((df, tail, got, expected))
+        assert not misses
+
+    def test_ndtri(self):
+        from scipy.special import ndtri as scipy_ndtri
+
+        rng = np.random.default_rng(2026)
+        ps = [*rng.random(2000), *10.0 ** rng.uniform(-300.0, 0.0, 1000),
+              1e-300, 1e-20, 0.5 + 1e-17, 0.5 - 1e-17, math.nextafter(0.5, 0.0),
+              math.nextafter(0.5, 1.0), 1.0 - 2.0**-53]
+        for p in ps:
+            expected = float(scipy_ndtri(p))
+            assert ndtri(p) == pytest.approx(expected, rel=1e-14, abs=0.0), p
+
+    def test_df_must_be_integral(self):
+        with pytest.raises(ValueError, match="integer"):
+            t_quantile(2.5, 0.9)
+        for df in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                t_quantile(df, 0.9)
+        assert t_quantile(8.0, 0.975) == t_quantile(8, 0.975)
 
 
 class TestPredictionInterval:

@@ -1,5 +1,7 @@
 """Synthetic multi-study generator and the replication harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from catemeta import (
     run_experiment,
     true_cate,
 )
+from catemeta import simulate
 from catemeta.meta import reml_theta2_batch
 from catemeta.model import StudyCateEstimate
 from catemeta.rng import substream
@@ -239,6 +242,25 @@ class TestHarness:
         assert table.n_effective_replications == 1
         assert np.all(np.isfinite(table.mean_length))
         assert np.all(table.mean_length > 0.0)
+
+    def test_bart_without_params_runs_on_the_defaults(self, monkeypatch):
+        # BartParams() is built only when the BART method runs; a full
+        # default chain takes seconds, so the learner is replaced by a stub
+        # that records the settings it is given.
+        seen = []
+
+        def stub(dataset, points, learner, params):
+            seen.append((learner, params))
+            return np.zeros(points.shape[0]), np.ones(points.shape[0]), {}
+
+        monkeypatch.setattr(simulate, "estimate_study", stub)
+        table = run_experiment(config(k_studies=3, n_replications=2, n_per_study=40), "bart")
+        assert table.n_effective_replications == 2
+        assert len(seen) == 6
+        assert {(learner, replace(params, seed=0)) for learner, params in seen} == {
+            ("bart", BartParams())
+        }
+        assert len({params.seed for _, params in seen}) == 6
 
     def test_oracle_pipeline_calibration_with_redrawn_target(self):
         # Under exactly-matched generation (true study effects injected with
