@@ -8,14 +8,12 @@ usual convention that makes the default priors reasonable) and de-scaled
 on output.
 
 The error variance has the scaled inverse-chi-square prior nu * lambda /
-chi2_nu, with lambda set so that Pr(sigma < sd) = q for the sample sd of the
-scaled outcome: lambda = sd^2 * 2 P^-1(nu/2, 1 - q) / nu, where P^-1 is the
-inverse regularized lower incomplete gamma function (``gammaincinv``).  That
-is the chi-square quantile ``scipy.stats.chi2.ppf(1 - q, nu)`` bit for bit,
-without the cost of importing ``scipy.stats``; ``scipy.special`` itself is
-imported on the first call, so only a process that builds BART settings
-loads it.  Settings whose quantile is not finite (q at or below 2^-54, about
-5.6e-17, where 1 - q rounds to 1) are rejected.
+chi2_nu with nu = 3, and lambda places the q = 0.90 quantile of sigma at the
+sample sd of the scaled outcome: lambda = sd^2 * chi2_{3}^{-1}(0.10) / 3.
+These are the defaults of Chipman, George & McCulloch, fixed here; the
+chi-square quantile is the constant ``_CHI2_Q``, the value that
+``scipy.stats.chi2.ppf(1.0 - 0.90, 3.0)`` returns (1.0 - 0.90 is
+0.09999999999999998, not 0.1), so no SciPy module is loaded.
 
 The cutpoints of a column of z are all its distinct values but the largest
 (``numcut`` at its maximum in the BART R package), found once per study.
@@ -49,6 +47,8 @@ _MOVE_GROW = 0.5
 _MOVE_PRUNE = 0.4
 # change probability is the remainder, 0.1
 _MOVES = ("grow", "prune", "change")
+_NU = 3.0  # degrees of freedom of the sigma prior
+_CHI2_Q = 0.5843743741551833  # chi2.ppf(1.0 - 0.90, 3.0): Pr(sigma < sd) = 0.90
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,6 @@ class BartParams:
     alpha: float = 0.95
     beta: float = 2.0
     k: float = 2.0
-    nu: float = 3.0
-    q: float = 0.90
     seed: int = 0
 
     def __post_init__(self):
@@ -69,20 +67,8 @@ class BartParams:
             raise ConfigurationError("tree and burn counts must be >= 1, draws >= 2")
         if not (0.0 < self.alpha < 1.0) or self.beta <= 0.0:
             raise ConfigurationError("tree prior requires alpha in (0,1), beta > 0")
-        if self.k <= 0.0 or self.nu <= 0.0 or not (0.0 < self.q < 1.0):
-            raise ConfigurationError("invalid leaf or variance prior settings")
-        if not math.isfinite(_chi2_quantile(1.0 - self.q, self.nu)):
-            # 1 - q rounds to 1 for q <= 2**-54, and lambda would be inf
-            raise ConfigurationError(
-                f"sigma prior quantile is not finite at nu={self.nu!r}, q={self.q!r}")
-
-
-def _chi2_quantile(p, nu):
-    """The p-quantile of a chi-square with ``nu`` degrees of freedom, as
-    ``scipy.stats.chi2.ppf`` computes it, without importing ``scipy.stats``."""
-    from scipy.special import gammaincinv
-
-    return 2.0 * float(gammaincinv(0.5 * nu, p))
+        if self.k <= 0.0:
+            raise ConfigurationError("leaf prior requires k > 0")
 
 
 @dataclass(frozen=True)
@@ -98,8 +84,6 @@ class BartPosterior:
 
     study_id: int
     draws: np.ndarray
-    y_min: float
-    y_max: float
     params: BartParams
     diagnostics: dict = field(default_factory=dict)
 
@@ -179,8 +163,8 @@ class _Chain:
         self.sigma_mu = 0.5 / (params.k * math.sqrt(params.n_trees))
         sd = float(np.std(y_scaled, ddof=1)) if n > 1 else 1.0
         sd = max(sd, 1e-12)
-        # lambda places the q-quantile of the sigma prior at the sample sd
-        self.lam = sd * sd * _chi2_quantile(1.0 - params.q, params.nu) / params.nu
+        # lambda places the 0.90 quantile of the sigma prior at the sample sd
+        self.lam = sd * sd * _CHI2_Q / _NU
         self.sigma2 = sd * sd
         self.trees = [_Tree(n, ranks.shape[1], n_cuts) for _ in range(params.n_trees)]
         self.resid = np.concatenate([y_scaled, np.zeros(ranks.shape[1] - n)])
@@ -286,8 +270,8 @@ class _Chain:
         for tree, u in zip(self.trees, self.rng.random((len(self.trees), 5)).tolist()):
             self.update_tree(tree, u)
         err = self.resid[: self.n]
-        shape = self.params.nu + self.n
-        scale = self.params.nu * self.lam + float(err @ err)
+        shape = _NU + self.n
+        scale = _NU * self.lam + float(err @ err)
         self.sigma2 = scale / float(self.rng.chisquare(shape))
 
 
@@ -345,8 +329,6 @@ def fit_bart_slearner(
     return BartPosterior(
         study_id=dataset.study_id,
         draws=draws,
-        y_min=y_min,
-        y_max=y_max,
         params=params,
         diagnostics={"proposed": chain.proposed, "accepted": chain.accepted,
                      "leaf_counts": leaf_counts},

@@ -256,14 +256,17 @@ def _pool_rows(tau, v, theta2):
 
 
 def _half_width(var_pooled, theta2, alpha: float, k_studies: int):
-    """t_{K-2, 1-alpha/2} * sqrt(var_pooled + theta2)."""
+    """t_{K-2, 1-alpha/2} * sqrt(var_pooled + theta2).
+
+    The quantile is taken from the lower tail alpha/2, which keeps its digits
+    where 1 - alpha/2 would round (to 1 below alpha of about 1.1e-16)."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be in (0, 1)")
     if k_studies < 3:
         raise InsufficientStudiesError(
             f"prediction intervals need K >= 3 studies, got {k_studies}"
         )
-    return t_quantile(k_studies - 2, 1.0 - alpha / 2.0) * np.sqrt(var_pooled + theta2)
+    return -t_quantile(k_studies - 2, alpha / 2.0) * np.sqrt(var_pooled + theta2)
 
 
 def _as_rows(tau, v):

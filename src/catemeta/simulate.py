@@ -313,6 +313,7 @@ def run_experiment(
     if not (0.0 < alpha < 1.0):
         raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
     forest_params = forest_params if forest_params is not None else ForestParams()
+    bart_params = bart_params if bart_params is not None else BartParams()
     learner, params = {
         "linear": ("linear", None),
         "forest_honest": ("forest", replace(forest_params, honest=True)),
@@ -320,8 +321,6 @@ def run_experiment(
         "bart": ("bart", bart_params),
         "oracle": (None, None),
     }[method]
-    if learner == "bart" and params is None:
-        params = BartParams()  # built only here: it loads scipy.special
 
     points = gen_target_profiles(config, substream(config.master_seed, "target-profiles"))
     # The target setting's own effect draw, frozen for the whole experiment.

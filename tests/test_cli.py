@@ -1,6 +1,7 @@
 """Command-line behavior: schemas, exit codes, determinism of artifacts."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +376,25 @@ class TestPredict:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", ["1e-20", "1e-300"])
+    def test_tiny_alpha_gives_finite_intervals(self, tmp_path, capsys, alpha):
+        # 1 - alpha/2 rounds to 1 here; the half-width takes the t quantile
+        # from the lower tail alpha/2 instead, which used to end in a traceback.
+        agg = GOLDEN / "aggregates_input.csv"
+        widths = []
+        for level in ("0.05", alpha):
+            out = tmp_path / level
+            assert run(["predict", "--aggregates", agg, "--alpha", level,
+                        "--out-dir", out]) == 0
+            _, center, _, lower, upper, k = read_predictions_csv(out / "predictions.csv")
+            assert (k == 4).all() and np.isfinite(lower).all() and np.isfinite(upper).all()
+            assert (lower < center).all() and (center < upper).all()
+            widths.append(upper - lower)
+        assert capsys.readouterr().err == ""
+        # t_2 at upper tail u is (1 - 2u) / sqrt(2u (1 - u))
+        t2 = [(1.0 - 2.0 * u) / math.sqrt(2.0 * u * (1.0 - u)) for u in (0.025, float(alpha) / 2)]
+        np.testing.assert_allclose(widths[1] / widths[0], t2[1] / t2[0], rtol=1e-12)
+
     def test_manifest_records_reml_diagnostics(self, tmp_path):
         agg = tmp_path / "agg.csv"
         rows = ["profile_id,study_id,tau_hat,se2"]
@@ -505,6 +525,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: alpha must be in (0, 1)")
         assert len(err.strip().splitlines()) == 1
+
+    def test_tiny_alpha_gives_finite_lengths(self, tmp_path, capsys):
+        # 1 - alpha/2 rounds to 1 at alpha = 1e-20; this used to end in a
+        # "p must be in (0, 1)" traceback.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG + "alpha = 1e-20\n")
+        out = tmp_path / "sim"
+        assert run(["simulate", "--config", cfg, "--out-dir", out]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+        lengths = np.array([float(row[3]) for row in rows])
+        assert len(rows) == 200 and np.isfinite(lengths).all() and (lengths > 1e6).all()
 
     def test_manifest_notes_abort_reasons(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -1,14 +1,13 @@
-"""Import graph: only BART loads SciPy, and then only ``scipy.special``.
+"""Import graph: catemeta runs on numpy alone.
 
-Every command and replication that runs no BART chain loads numpy and no
-``scipy`` module at all: the t and normal quantiles are catemeta's own, and
-``scipy.special`` (about 0.36 s of a 0.61 s ``import catemeta.cli``) is
-imported inside ``bart._chi2_quantile``.  A BART fit may load
-``scipy.special`` but never ``scipy.stats`` (about 0.8 s and 40 MB in every
-process, scipy 1.17.1 on a 2-vCPU host) or ``scipy.linalg`` (about 0.07 s
-and 5 MB).  A module that pulls one of them in again would undo the
-cold-start budget without any test output changing, so each check runs in a
-fresh process and compares module sets, not times.
+No command or replication loads any ``scipy`` module: the t and normal
+quantiles are catemeta's own, and the BART sigma prior is fixed at nu = 3,
+q = 0.90, so its chi-square quantile is a constant.  At scipy 1.17.1 on a
+2-vCPU host, ``scipy.special`` took about 0.36 s of a 0.61 s
+``import catemeta.cli``, and ``scipy.stats`` about 0.8 s and 40 MB.  A module
+that pulls SciPy in again would undo that cold-start budget without any
+test output changing, so the check runs every command in a fresh process
+and compares module sets, not times.
 """
 
 import os
@@ -19,26 +18,34 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
-WITHOUT_BART = """
+EVERY_COMMAND = """
+import pathlib
 import sys
 import tempfile
 
 import numpy as np
 
-from catemeta import (ForestParams, SimConfig, SingularDesignError, TrialDataset,
-                      fit_interaction_ols, run_experiment)
+from catemeta import (BartParams, ForestParams, SimConfig, SingularDesignError,
+                      TrialDataset, fit_bart_slearner, fit_interaction_ols, run_experiment)
 from catemeta.cli import main
 from catemeta.simulate import gen_study
 
 golden = sys.argv[1]
 trials = ["--trials", f"{golden}/forest_trials.csv", "--profiles", f"{golden}/forest_profiles.csv"]
 with tempfile.TemporaryDirectory() as out:
+    config = pathlib.Path(out, "exp.cfg")
+    config.write_text("k_studies = 3\\nn_per_study = 60\\nn_replications = 1\\n"
+                      "methods = linear, bart\\nbart_trees = 3\\nbart_burn = 2\\n"
+                      "bart_draws = 4\\n")
     for args in (
         ["predict", "--aggregates", f"{golden}/aggregates_input.csv", "--svg"],
         ["estimate", *trials, "--stage1", "linear"],
         ["estimate", *trials, "--stage1", "forest", "--trees", "4", "--bag-size", "2"],
+        ["estimate", *trials, "--stage1", "bart", "--trees", "3", "--burn", "2",
+         "--draws", "4", "--interval", "quantile"],
         ["compare-intervals", "--aggregates", f"{golden}/aggregates_input.csv",
          "--predictions", f"{golden}/predictions.csv", "--profile", "0,3"],
+        ["simulate", "--config", str(config)],
     ):
         if main([*args, "--out-dir", f"{out}/{args[0]}{len(args)}"]) != 0:
             sys.exit(f"exit status != 0: {args}")
@@ -46,7 +53,10 @@ with tempfile.TemporaryDirectory() as out:
 config = SimConfig(k_studies=3, n_per_study=120, n_replications=1, master_seed=1)
 for method in ("linear", "forest_honest", "forest_adaptive", "oracle"):
     run_experiment(config, method, forest_params=ForestParams(n_trees=4, bag_size=2))
+BartParams()  # the defaults, which run_experiment builds when given none
+run_experiment(config, "bart", bart_params=BartParams(n_trees=3, n_burn=2, n_draws=4))
 data = gen_study(config, 0, 1)
+fit_bart_slearner(data, data.x[:1], BartParams(n_trees=2, n_burn=2, n_draws=2))
 twin = TrialDataset(1, data.y, data.a, np.column_stack([data.x[:, :1]] * 2), ("u", "u_copy"))
 try:
     fit_interaction_ols(twin)
@@ -59,36 +69,9 @@ if loaded:
     sys.exit(1)
 """
 
-WITH_BART = """
-import sys
 
-from catemeta import BartParams, SimConfig, fit_bart_slearner, run_experiment
-from catemeta.simulate import gen_study
-
-config = SimConfig(k_studies=3, n_per_study=120, n_replications=1, master_seed=1)
-run_experiment(config, "bart", bart_params=BartParams(n_trees=3, n_burn=2, n_draws=4))
-data = gen_study(config, 0, 1)
-fit_bart_slearner(data, data.x[:1], BartParams(n_trees=2, n_burn=2, n_draws=2))
-loaded = sorted(m for m in sys.modules
-                if ".".join(m.split(".")[:2]) in ("scipy.stats", "scipy.linalg"))
-if loaded:
-    print("loaded:", ", ".join(loaded))
-    sys.exit(1)
-if "scipy.special" not in sys.modules:
-    sys.exit("the BART sigma prior did not load scipy.special")
-"""
-
-
-def _run(script: str):
+def test_no_scipy_module_loaded():
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", script, str(GOLDEN)], env=env,
+    done = subprocess.run([sys.executable, "-c", EVERY_COMMAND, str(GOLDEN)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
-
-
-def test_no_scipy_module_without_bart():
-    _run(WITHOUT_BART)
-
-
-def test_scipy_stats_never_imported():
-    _run(WITH_BART)

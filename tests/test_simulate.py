@@ -244,9 +244,8 @@ class TestHarness:
         assert np.all(table.mean_length > 0.0)
 
     def test_bart_without_params_runs_on_the_defaults(self, monkeypatch):
-        # BartParams() is built only when the BART method runs; a full
-        # default chain takes seconds, so the learner is replaced by a stub
-        # that records the settings it is given.
+        # A full default chain takes seconds, so the learner is replaced by
+        # a stub that records the settings it is given.
         seen = []
 
         def stub(dataset, points, learner, params):
