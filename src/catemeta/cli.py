@@ -13,12 +13,12 @@ Exit codes: 0 success, 1 runtime estimation failure, 2 input/schema error,
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import hashlib
 import json
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
@@ -193,7 +193,7 @@ def cmd_estimate(args) -> int:
         ]
         fit_args = (trials, repeat(points), repeat(args.stage1), study_params)
         if args.threads > 1:
-            with ProcessPoolExecutor(max_workers=args.threads) as pool:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=args.threads) as pool:
                 fitted = list(pool.map(estimate_study, *fit_args))
         else:
             fitted = list(map(estimate_study, *fit_args))

@@ -1,11 +1,15 @@
 """CSV schemas and config-file parsing.
 
 All files are UTF-8 with ``.`` decimal separators, written with LF line
-endings; the CSV readers also accept a byte-order mark and CRLF.
+endings; the CSV readers also accept a byte-order mark, CRLF and lone CR.
 Every table is read by ``_read_columns``: it checks the whole header before
-any value, then returns one array per column.  A bad header, field count or
-value, or a row that breaks a reader's rules, raises one ``InputFormatError``
-naming ``file:line``.  Every table is written by ``_write_table``: integers
+any value, then parses the rows with one ``np.loadtxt`` call into one array
+per column.  The row scan, ``_scan_columns``, is the rule: it decides whether
+an input is bad and names the line of a bad row, and it runs only where
+``loadtxt`` fails or cannot be trusted.  A bad header, field count or value,
+or a row that breaks a reader's rules, raises one ``InputFormatError`` naming
+``file:line``, the line on which the row starts; a line number is worked out
+only for an error.  Every table is written by ``_write_table``: integers
 as integers, floats with ``repr`` (the shortest round-tripping form), strings
 as they are and ``None`` as an empty field, so parsing our own output and
 writing it again is byte-identical.
@@ -23,6 +27,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, fields
+from functools import partial
+from io import StringIO
+from itertools import islice
 
 import numpy as np
 
@@ -66,36 +73,80 @@ def _plain(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-def _parse_column(texts, kind: type, name: str, path: str, lines: list[int]) -> np.ndarray:
-    """Field texts as an int64, float64 or str array.  A number may not hold
-    ``_`` or a non-ASCII character, which Python's ``int`` and ``float`` would
-    read (``1_0`` as 10).  Values are parsed one by one only to name the line
-    of a bad one."""
+def _parse_column(texts, kind: type, name: str, path: str, line) -> np.ndarray:
+    """Field texts as an int64, float64 or str array; ``line(i)`` is the line of
+    text ``i``.  A number may not hold ``_`` or a non-ASCII character, which
+    Python's ``int`` and ``float`` would read (``1_0`` as 10).  Values are
+    parsed one by one only to name the line of a bad one."""
     what = "an integer" if kind is int else "a number"
     if kind is not str and not _plain("".join(texts)):
-        line, text = next((line, text) for line, text in zip(lines, texts) if not _plain(text))
-        raise InputFormatError(f"column '{name}': not {what}: {text!r}", path, line)
+        i, text = next((i, text) for i, text in enumerate(texts) if not _plain(text))
+        raise InputFormatError(f"column '{name}': not {what}: {text!r}", path, line(i))
     try:
         return np.array(list(map(kind, texts)), dtype=kind)
     except (ValueError, OverflowError):
-        for line, text in zip(lines, texts):
+        for i, text in enumerate(texts):
             try:
                 np.array(kind(text), dtype=kind)
             except ValueError:
-                raise InputFormatError(f"column '{name}': not {what}: {text!r}", path, line)
+                raise InputFormatError(f"column '{name}': not {what}: {text!r}", path, line(i))
             except OverflowError:
-                raise InputFormatError(f"column '{name}': out of range: {text!r}", path, line)
+                raise InputFormatError(f"column '{name}': out of range: {text!r}", path, line(i))
         raise
+
+
+def _records(body: str, line: int):
+    """(line, fields) of each non-blank row of a CSV body whose first line is
+    ``line``.  A row's line is the one it starts on: a quoted field may span
+    lines."""
+    reader = csv.reader(StringIO(body, newline=""))
+    start = line
+    for row in reader:
+        if row:
+            yield start, row
+        start = line + reader.line_num
+
+
+def _row_line(body: str, line: int, index: int) -> int:
+    """Line on which row ``index`` of a CSV body whose first line is ``line`` starts."""
+    return next(islice(_records(body, line), index, None))[0]
+
+
+def _scan_columns(body: str, line: int, header: list[str], kinds, path: str) -> list[np.ndarray]:
+    """The columns of a CSV body whose first line is ``line``, parsed row by
+    row: the rule that decides whether a table is valid, and the one that
+    names the line of a bad one."""
+    rows = []
+    for at, row in _records(body, line):
+        if len(row) != len(header):
+            raise InputFormatError(f"expected {len(header)} fields, got {len(row)}", path, at)
+        rows.append(row)
+    all_texts = list(zip(*rows)) or [()] * len(header)
+    row_line = partial(_row_line, body, line)
+    return [_parse_column(texts, kind, name, path, row_line)
+            for name, kind, texts in zip(header, kinds, all_texts)]
+
+
+_DTYPES = {int: "i8", float: "f8", str: "O"}
 
 
 def _read_columns(path: str, fixed: tuple[str, ...], kinds: tuple[type, ...],
                   covariates: tuple[str, ...] | None = ()):
-    """Read a CSV as (header, line numbers, one array per column).
+    """Read a CSV as (header, one array per column, ``line``), where ``line(i)``
+    is the line on which data row ``i`` starts.
 
     The header must be ``fixed`` followed by the float columns ``covariates``,
     or by at least one float column of any name when ``covariates`` is None.
     It is checked before any value is parsed.  ``kinds`` holds ``int``,
     ``float`` or ``str`` for each fixed column.
+
+    An ASCII body with a row in it is parsed by one ``np.loadtxt`` call (on
+    no row it warns).  Where that fails, and on any other body,
+    ``_scan_columns`` parses it: it either raises the error that names the
+    bad line or returns the same columns.  ``loadtxt`` must accept no body
+    that the row scan rejects: it strips Unicode whitespace such as a
+    no-break space around a number, hence the ASCII gate, and
+    ``comments=None`` keeps a ``#`` in a field.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -118,22 +169,21 @@ def _read_columns(path: str, fixed: tuple[str, ...], kinds: tuple[type, ...],
                 f"covariate columns {names} do not match {covariates}" if covariates
                 else f"unexpected column(s) {names} after {fixed}", path, 1,
             )
-        lines, rows = [], []
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputFormatError(
-                    f"expected {len(header)} fields, got {len(row)}", path, line
-                )
-            lines.append(line)
-            rows.append(row)
-    all_texts = list(zip(*rows)) or [()] * len(header)
-    columns = [
-        _parse_column(texts, kind, name, path, lines)
-        for name, kind, texts in zip(header, kinds + (float,) * len(names), all_texts)
-    ]
-    return header, lines, columns
+        first = reader.line_num + 1
+        body = fh.read()
+    kinds = kinds + (float,) * len(names)
+    line = partial(_row_line, body, first)
+    if body.isascii() and body.strip("\r\n"):
+        dtype = [(f"f{i}", _DTYPES[kind]) for i, kind in enumerate(kinds)]
+        try:
+            table = np.loadtxt(StringIO(body), dtype=dtype, delimiter=",",
+                               quotechar='"', comments=None, ndmin=1)
+        except ValueError:
+            pass
+        else:
+            return header, [table[name].astype(str) if kind is str else table[name]
+                            for (name, _), kind in zip(dtype, kinds)], line
+    return header, _scan_columns(body, first, header, kinds, path), line
 
 
 def first_invalid_estimate(tau_hat: np.ndarray, se2: np.ndarray) -> tuple[int, str] | None:
@@ -158,7 +208,7 @@ def read_trials_csv(paths: list[str]) -> list[TrialDataset]:
     cov_names: tuple[str, ...] | None = None
     parts = []
     for path in paths:
-        header, lines, columns = _read_columns(
+        header, columns, line = _read_columns(
             path, ("study_id", "y", "a"), (int, float, int), cov_names
         )
         cov_names = tuple(header[3:])
@@ -166,7 +216,7 @@ def read_trials_csv(paths: list[str]) -> list[TrialDataset]:
         bad = np.flatnonzero((a != 0) & (a != 1))
         if bad.size:
             i = bad[0]
-            raise InputFormatError(f"column 'a': must be 0 or 1, got {a[i]}", path, lines[i])
+            raise InputFormatError(f"column 'a': must be 0 or 1, got {a[i]}", path, line(i))
         parts.append((*columns[:3], np.column_stack(columns[3:])))
     study, y, a, x = (np.concatenate(column) for column in zip(*parts))
     if not study.size:
@@ -182,7 +232,7 @@ def read_trials_csv(paths: list[str]) -> list[TrialDataset]:
 def read_profiles_csv(path: str, covariate_names: tuple[str, ...]) -> list[CovariateProfile]:
     """Target profiles in file order; the covariate columns must be
     ``covariate_names`` in that order, ids unique and covariates finite."""
-    header, lines, columns = _read_columns(path, ("profile_id",), (int,), tuple(covariate_names))
+    header, columns, line = _read_columns(path, ("profile_id",), (int,), tuple(covariate_names))
     pid = columns[0]
     if not pid.size:
         raise InputFormatError("no target profiles", path)
@@ -190,13 +240,13 @@ def read_profiles_csv(path: str, covariate_names: tuple[str, ...]) -> list[Covar
     repeats = np.flatnonzero(first[group] != np.arange(pid.size))
     if repeats.size:
         i = repeats[0]
-        raise InputFormatError(f"duplicate profile_id {pid[i]}", path, lines[i])
+        raise InputFormatError(f"duplicate profile_id {pid[i]}", path, line(i))
     x = np.column_stack(columns[1:])
     rows, cols = np.nonzero(~np.isfinite(x))
     if rows.size:
         i, j = rows[0], cols[0]
         raise InputFormatError(
-            f"column '{header[1 + j]}': not finite: {float(x[i, j])}", path, lines[i]
+            f"column '{header[1 + j]}': not finite: {float(x[i, j])}", path, line(i)
         )
     return [CovariateProfile(profile_id=p, x=row) for p, row in zip(pid.tolist(), x)]
 
@@ -212,17 +262,19 @@ def write_aggregates_csv(path: str, profile_id, study_id, **values) -> None:
 def read_aggregates_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Aggregates as ``(profile_id, study_id, tau_hat, se2)`` arrays sorted by
     profile_id, then study_id; each (profile, study) pair is one valid estimate."""
-    _, lines, columns = _read_columns(path, AGGREGATE_HEADER, (int, int, float, float))
+    _, columns, line = _read_columns(path, AGGREGATE_HEADER, (int, int, float, float))
+    if not columns[0].size:
+        raise InputFormatError("no aggregate rows", path)
     invalid = first_invalid_estimate(columns[2], columns[3])
     if invalid is not None:
-        raise InputFormatError(invalid[1], path, lines[invalid[0]])
+        raise InputFormatError(invalid[1], path, line(invalid[0]))
     order = np.lexsort((columns[1], columns[0]))
     pid, sid, tau, se2 = (column[order] for column in columns)
     repeats = np.flatnonzero((pid[1:] == pid[:-1]) & (sid[1:] == sid[:-1]))
     if repeats.size:
         i = repeats[0] + 1
         raise InputFormatError(
-            f"duplicate row for profile {pid[i]}, study {sid[i]}", path, lines[order[i]]
+            f"duplicate row for profile {pid[i]}, study {sid[i]}", path, line(order[i])
         )
     return pid, sid, tau, se2
 
@@ -252,17 +304,17 @@ def read_predictions_csv(path: str):
     """Predictions as the ``(profile_id, tau_pooled, theta2, lower, upper, k)``
     arrays that write_predictions_csv takes, sorted by profile_id.  Empty lower,
     upper and df fields mean K = 2: the bounds read as NaN and k as 2."""
-    _, lines, (pid, tau, theta2, lower, upper, df, flag) = _read_columns(
+    _, (pid, tau, theta2, lower, upper, df, flag), line = _read_columns(
         path, PREDICTION_HEADER, (int, float, float, str, str, str, str)
     )
     given = lower != ""
     partly = ((upper != "") != given) | ((df != "") != given)
     if partly.any():
         raise InputFormatError("lower, upper and df must be all given or all empty (K = 2)",
-                               path, lines[np.argmax(partly)])
-    lower, upper = (_parse_column(np.where(given, text, "nan").tolist(), float, name, path, lines)
+                               path, line(np.argmax(partly)))
+    lower, upper = (_parse_column(np.where(given, text, "nan").tolist(), float, name, path, line)
                     for text, name in ((lower, "lower"), (upper, "upper")))
-    k = _parse_column(np.where(given, df, "0").tolist(), int, "df", path, lines) + 2
+    k = _parse_column(np.where(given, df, "0").tolist(), int, "df", path, line) + 2
     for bad, message in (
         (~np.isfinite(tau), "tau_pooled must be finite"),
         (~(np.isfinite(theta2) & (theta2 >= 0.0)), "theta2 must be finite and >= 0"),
@@ -272,13 +324,13 @@ def read_predictions_csv(path: str):
         (flag != _flags(lower, upper), "flag_nonoverlap does not match lower and upper"),
     ):
         if bad.any():
-            raise InputFormatError(message, path, lines[np.argmax(bad)])
+            raise InputFormatError(message, path, line(np.argmax(bad)))
     order = np.argsort(pid, kind="stable")
     sorted_pid = pid[order]
     repeats = np.flatnonzero(sorted_pid[1:] == sorted_pid[:-1])
     if repeats.size:
         i = order[repeats[0] + 1]
-        raise InputFormatError(f"duplicate profile_id {pid[i]}", path, lines[i])
+        raise InputFormatError(f"duplicate profile_id {pid[i]}", path, line(i))
     return tuple(column[order] for column in (pid, tau, theta2, lower, upper, k))
 
 

@@ -15,8 +15,8 @@ target-population shifts are shipped constants, documented below.
 
 from __future__ import annotations
 
+import concurrent.futures
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -341,7 +341,7 @@ def run_experiment(
         for r in range(config.n_replications)
     ]
     if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_replication_worker, jobs, chunksize=1))
     else:
         results = [_replication_worker(job) for job in jobs]

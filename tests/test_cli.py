@@ -362,6 +362,27 @@ class TestPredict:
         assert run(["predict", "--aggregates", agg, "--out-dir", tmp_path / "x"]) == 2
         assert f"{agg}:5: duplicate row for profile 0, study 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value,message", [
+        ("x", "column 'tau_hat': not a number: 'x'"), ("nan", "tau_hat must be finite"),
+    ], ids=["not-a-number", "not-finite"])
+    def test_error_after_multiline_quoted_field_names_its_line(self, tmp_path, capsys,
+                                                                value, message):
+        # Rows used to be numbered by record, which put this row on line 4.
+        agg = tmp_path / "agg.csv"
+        agg.write_text('profile_id,study_id,tau_hat,se2\n1,1,"0.5\n",0.1\n'
+                       f"1,2,0.7,0.1\n2,1,{value},0.1\n")
+        assert run(["predict", "--aggregates", agg, "--out-dir", tmp_path / "x"]) == 2
+        assert capsys.readouterr().err == f"error: {agg}:5: {message}\n"
+
+    @pytest.mark.parametrize("body", ["", "\n\n"], ids=["header-only", "blank-lines"])
+    def test_header_only_aggregates_exit_2(self, tmp_path, capsys, body):
+        agg = tmp_path / "agg.csv"
+        agg.write_text("profile_id,study_id,tau_hat,se2\n" + body)
+        out = tmp_path / "x"
+        assert run(["predict", "--aggregates", agg, "--svg", "--out-dir", out]) == 2
+        assert capsys.readouterr().err == f"error: {agg}: no aggregate rows\n"
+        assert not (out / "predictions.csv").exists()
+
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("alpha", ["1.5", "0", "1", "-0.1", "nan"])
     def test_alpha_outside_unit_interval_exits_3(self, tmp_path, capsys, k, alpha):

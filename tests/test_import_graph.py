@@ -1,4 +1,4 @@
-"""Import graph: catemeta runs on numpy alone.
+"""Import graph: catemeta runs on numpy alone, and one process needs no pool.
 
 No command or replication loads any ``scipy`` module: the t and normal
 quantiles are catemeta's own, and the BART sigma prior is fixed at nu = 3,
@@ -9,6 +9,12 @@ that pulls SciPy in again would undo that cold-start budget without any
 test output changing, so one fresh process runs every command, first those
 that run no BART chain and then the BART ones, and the tests compare the
 module sets it reports after each half, not times.
+
+Likewise, only ``--threads > 1`` starts a process pool, and
+``concurrent.futures.process`` loads ``multiprocessing``, ``pickle``,
+``socket`` and about 25 more modules: 15-22 ms of every start-up on a 2-vCPU
+host.  No command in the first half runs a pool, so none of them is loaded
+there.
 """
 
 import json
@@ -36,8 +42,8 @@ from catemeta.cli import main
 from catemeta.simulate import gen_study
 
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def modules(package):
+    return sorted(m for m in sys.modules if m.split(".")[0] == package)
 
 
 def run(commands, out):
@@ -67,7 +73,8 @@ with tempfile.TemporaryDirectory() as out:
         sys.exit("the design with a duplicated column was not singular")
     except SingularDesignError:
         pass
-    without_bart = scipy_modules()
+    without_bart = modules("scipy")
+    pool_modules = modules("multiprocessing")
 
     cfg = pathlib.Path(out, "exp.cfg")
     cfg.write_text("k_studies = 3\\nn_per_study = 60\\nn_replications = 1\\n"
@@ -81,13 +88,15 @@ with tempfile.TemporaryDirectory() as out:
     BartParams()  # the defaults, which run_experiment builds when given none
     run_experiment(config, "bart", bart_params=BartParams(n_trees=3, n_burn=2, n_draws=4))
     fit_bart_slearner(data, data.x[:1], BartParams(n_trees=2, n_burn=2, n_draws=2))
-print(json.dumps({"without_bart": without_bart, "every_command": scipy_modules()}))
+print(json.dumps({"without_bart": without_bart, "pool_modules": pool_modules,
+                  "every_command": modules("scipy")}))
 """
 
 
 @pytest.fixture(scope="module")
 def loaded():
-    """The ``scipy`` modules loaded after the non-BART half and after every command."""
+    """The ``scipy`` modules loaded after the non-BART half and after every command,
+    and the ``multiprocessing`` modules loaded after the non-BART half."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", EVERY_COMMAND, str(GOLDEN)], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -107,3 +116,7 @@ def test_scipy_stats_never_imported(loaded):
 
 def test_no_scipy_module_loaded(loaded):
     assert loaded["every_command"] == []
+
+
+def test_no_multiprocessing_module_without_a_pool(loaded):
+    assert loaded["pool_modules"] == []

@@ -1,10 +1,13 @@
 """CSV schemas, config parsing, and deterministic SVG emission."""
 
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catemeta import ConfigurationError, InputFormatError, MetricsTable, StudyCateEstimate
 from catemeta.io import (
@@ -107,7 +110,8 @@ class TestAggregatesCsv:
             assert second.read_bytes() == source.read_bytes()
 
 
-GOLDEN_AGGREGATES = Path(__file__).parent / "golden" / "aggregates_input.csv"
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_AGGREGATES = GOLDEN / "aggregates_input.csv"
 
 
 def wrap_fields(text, wrap):
@@ -122,6 +126,7 @@ ACCEPTED_FORMS = {
     "trailing-blank-lines": lambda text: text + "\n\n",
     "quoted-fields": lambda text: wrap_fields(text, lambda field: f'"{field}"'),
     "surrounding-spaces": lambda text: wrap_fields(text, lambda field: f" {field} "),
+    "lone-cr": lambda text: text.replace("\n", "\r"),
 }
 
 
@@ -150,6 +155,82 @@ class TestLenientForms:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(InputFormatError, match=f"agg.csv:4: column '[a-z_0-9]+': not an? "):
             read_aggregates_csv(str(path))
+
+    def test_hash_starts_no_comment(self, tmp_path):
+        path = tmp_path / "agg.csv"
+        path.write_text("profile_id,study_id,tau_hat,se2\n0,1,0.5,0.1#\n0,2,0.5,0.1\n")
+        with pytest.raises(InputFormatError, match="agg.csv:2: column 'se2': not a number"):
+            read_aggregates_csv(str(path))
+
+
+READERS = {
+    "aggregates_input.csv": read_aggregates_csv,
+    "forest_trials.csv": lambda path: read_trials_csv([path]),
+    "forest_profiles.csv": lambda path: read_profiles_csv(path, ("age", "smoker", "weight")),
+    "predictions.csv": read_predictions_csv,
+}
+CELLS = ["", "nan", "-nan", "inf", "Infinity", "-0", "+1", "007", "1.", ".5", "1e308",
+         "5e-324", "1e400", "9223372036854775808", "x", '" 1"', '"1"', "1_0", "0x10", "1d3",
+         '0"5', "\xa01.5", "0.5\xa0", "\u20031", "1\u3000"]
+
+
+@st.composite
+def mutated_golden(draw):
+    """A golden input file's name and its text with up to two cells replaced, up
+    to two blank or whitespace-only lines added, maybe one field quoted around a
+    newline, and the line endings and byte-order mark changed."""
+    name = draw(st.sampled_from(sorted(READERS)))
+    header, *body = (GOLDEN / name).read_text().splitlines()
+    rows = [line.split(",") for line in body]
+    cell = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, len(rows[0]) - 1))
+    for (i, j), value in draw(st.lists(st.tuples(cell, st.sampled_from(CELLS)), max_size=2)):
+        rows[i][j] = value
+    if draw(st.booleans()):
+        i, j = draw(cell)
+        rows[i][j] = f'"{rows[i][j]}\n"'
+    lines = [",".join(row) for row in rows]
+    for at, blank in draw(st.lists(st.tuples(st.integers(0, len(lines)),
+                                             st.sampled_from(["", " ", "\t"])), max_size=2)):
+        lines.insert(at, blank)
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return name, draw(st.sampled_from(["", "\ufeff"])) + ending.join([header, *lines]) + ending
+
+
+def read_outcome(read, path):
+    """The error message, or the dtype, shape and bytes of every array returned;
+    a warning fails the test."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = read(path)
+    except InputFormatError as err:
+        return str(err)
+    arrays = result if isinstance(result, tuple) else [
+        value for item in result for value in vars(item).values()]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays)]
+
+
+def row_scan_only(*args, **kwargs):
+    raise ValueError("loadtxt disabled")
+
+
+@pytest.fixture(scope="class")
+def mutated_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+class TestReaderMatchesRowScan:
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(case=mutated_golden())
+    def test_same_message_or_bit_identical_arrays(self, mutated_dir, case):
+        name, text = case
+        path = mutated_dir / name
+        path.write_bytes(text.encode("utf-8"))
+        read = READERS[name]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "loadtxt", row_scan_only)
+            scanned = read_outcome(read, str(path))
+        assert read_outcome(read, str(path)) == scanned
 
 
 def prediction_columns():
