@@ -5,16 +5,20 @@ tau_child^2, where tau_child is the treated-minus-control mean outcome
 difference in the child.  The trees given (a batch of a forest) grow one
 depth at a time, and each depth is one split search over every open node
 of every tree, as in breadth-first boosting with batched nodes.  At each
-depth the open nodes' split rows are sorted by each covariate, node by
-node, with ties in draw order.  The search lays the open nodes out as the
-rows of padded arrays, one covariate at a time, and takes running sums
-along each row.  That is the same arithmetic in the same order as
-searching each node on its own, with the same tie-break (lowest covariate
-index, then smallest threshold), so a tree does not depend on the trees
-grown beside it.  In honest mode a split must also leave the per-arm
-minima of the node's estimation rows on both sides; for each node and
-covariate the thresholds that do form one interval
-(:meth:`_Entries.threshold_bounds`).
+depth the open nodes' split rows are sorted by each covariate with more
+than two values, node by node, with ties in draw order.  The search lays
+the open nodes out as the rows of padded arrays, one covariate at a time,
+and takes running sums along each row.  A two-valued covariate has one
+candidate threshold per node, so it is neither sorted nor padded: per-node
+counts and outcome sums over its lower value and over all rows, taken with
+``np.bincount`` in (node, value, row) order, score that one split
+(:func:`_count_splits`).  A constant covariate is never searched.  That is the same
+arithmetic in the same order as searching each node on its own, with the
+same tie-break (lowest covariate index, then smallest threshold), so a
+tree does not depend on the trees grown beside it.  In honest mode a split
+must also leave the per-arm minima of the node's estimation rows on both
+sides; for each node and covariate the thresholds that do form one
+interval (:meth:`_Entries.threshold_bounds`).
 
 A split threshold is the midpoint of two consecutive distinct values
 ``lo < hi``, unless rounding or overflow puts the midpoint outside
@@ -66,22 +70,29 @@ class _Entries:
         self.seg_len = np.array(sizes)
         self.seg_treated = np.bincount(self.seg[self.arm == 1], minlength=len(sizes))
 
+    def searched(self, sel):
+        """The entries of segments ``sel``, in entry order."""
+        # Closed entries (segment -1) read the extra last slot, which stays False.
+        searched = np.zeros(self.seg_len.shape[0] + 1, dtype=bool)
+        searched[sel] = True
+        return np.flatnonzero(searched[self.seg])
+
     def sort_by(self, ranks, n_values, sel):
         """Per covariate ``j``, the entries of segments ``sel`` sorted by it.
 
         The entries come segment by segment, each segment sorted by
-        covariate ``j`` with ties in entry order.
+        covariate ``j`` with ties in entry order.  Only covariates with more
+        than two values are sorted; the others get None, as
+        :func:`_count_splits` searches a two-valued covariate and a constant
+        one is never searched.
         """
         # (segment, rank, entry) keys are distinct, so any sort orders them
         # stably.  They fit in int64 for studies of up to about 5e6 rows.
-        # Closed entries (segment -1) read the extra last slot, which stays False.
-        searched = np.zeros(self.seg_len.shape[0] + 1, dtype=bool)
-        searched[sel] = True
-        ent = np.flatnonzero(searched[self.seg])
+        ent = self.searched(sel)
         seg, rows = self.seg[ent], self.rows[ent]
         n = self.rows.shape[0]
         return [ent[np.argsort((seg * n_values[j] + ranks[j][rows]) * n + ent)]
-                for j in range(len(n_values))]
+                if n_values[j] > 2 else None for j in range(len(n_values))]
 
     def split(self, x, seg_split, feature, threshold, first_child):
         """Move each split segment's entries into its two children.
@@ -111,10 +122,14 @@ class _Entries:
         when ``values[low] <= t < values[high]``: ``low`` is the larger rank
         of the ``min_t``-th treated and the ``min_c``-th control entry from
         below, ``high`` the smaller of the same from above.  Each segment
-        must hold twice the minima of each arm.
+        must hold twice the minima of each arm.  A constant covariate gets
+        None.  For a two-valued one, ``low`` is 0 exactly when the rank-0
+        entries hold both minima, and ``high`` is 1 exactly when the rank-1
+        entries do.
         """
         live = self.seg >= 0
         seg, rows, arm = self.seg[live], self.rows[live], self.arm[live]
+        n_seg = self.seg_len.shape[0]
         # Sorted by (segment, rank), every covariate has the same segment
         # blocks, so the targets below are the same for all of them.
         t_before = (np.cumsum(self.seg_treated) - self.seg_treated)[sel]
@@ -125,6 +140,16 @@ class _Entries:
         counts = np.arange(1, seg.shape[0] + 1)
         bounds = []
         for rank, n in zip(ranks, n_values):
+            if n == 1:
+                bounds.append(None)
+                continue
+            if n == 2:
+                # cells[s, r, arm]: segment s's entries of rank r in that arm.
+                cells = np.bincount((seg * 2 + rank[rows]) * 2 + arm,
+                                    minlength=4 * n_seg).reshape(n_seg, 2, 2)[sel]
+                holds = (cells[:, :, 1] >= min_t) & (cells[:, :, 0] >= min_c)
+                bounds.append((np.where(holds[:, 0], 0, 1), np.where(holds[:, 1], 1, 0)))
+                continue
             # Ties do not change the counts, so any order within a rank will do.
             keys = np.sort((seg * n + rank[rows]) * 2 + arm)
             treated = np.cumsum(keys & 1)
@@ -146,25 +171,60 @@ def _search_groups(lens):
         start = stop
 
 
-def _best_splits(split, order, starts, sel, y1, y0, values, ranks, bounds, params: ForestParams):
-    """Search segments ``sel`` of ``split`` for their best admissible split.
+def _criterion(n_left, n_right, n1_left, treated, left1, left0, total1, total0, params):
+    """``(ok, crit)`` of candidate splits from their left and total sums.
+
+    ``crit = n_left * tau_left**2 + n_right * tau_right**2``, computed in
+    place; ``left1`` and ``left0`` sum the outcomes of the left child's
+    treated and control entries, and ``total1`` and ``total0`` those of the
+    whole segment.  ``ok`` holds where both children keep the per-arm minima.
+    """
+    n0_left = n_left - n1_left
+    n1_right = treated - n1_left
+    n0_right = n_right - n1_right
+    ok = (
+        (n1_left >= params.min_leaf_treated)
+        & (n0_left >= params.min_leaf_control)
+        & (n1_right >= params.min_leaf_treated)
+        & (n0_right >= params.min_leaf_control)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crit = left1 / n1_left
+        crit -= left0 / n0_left
+        crit *= crit
+        crit *= n_left
+        tau_right = total1 - left1
+        tau_right /= n1_right
+        tau_right -= (total0 - left0) / n0_right
+        tau_right *= tau_right
+        tau_right *= n_right
+        crit += tau_right
+    return ok, crit
+
+
+def _best_splits(split, order, starts, sel, group, y1, y0, values, ranks, bounds,
+                 params: ForestParams):
+    """Search segments ``sel[group]`` of ``split`` for their best admissible split.
 
     ``order`` is :meth:`_Entries.sort_by` of ``split`` over the segments
-    searched at this depth, and segment ``sel[r]`` starts at ``starts[r]``
-    in it.  Returns ``(found, feature, threshold)`` per segment.  A split is
-    admissible when both children keep at least the per-arm minima in the
-    split set and, in honest mode, in the estimation set as well: there
-    ``bounds[j]`` holds the estimation set's threshold bounds for
-    covariate ``j`` (see :meth:`_Entries.threshold_bounds`), else it is
-    None.  ``y1`` and ``y0`` are each split entry's outcome times its
-    treatment and control indicator.  Ties on the criterion break to the
-    lowest covariate index, then the smallest threshold.
+    ``sel`` searched at this depth, and segment ``sel[r]`` starts at
+    ``starts[r]`` in it.  Returns ``(best, threshold)``: per segment of the
+    group and covariate, the best criterion and its threshold, or -inf where
+    no split is admissible.  Covariates that ``sort_by`` left unsorted stay
+    at -inf (see :func:`_count_splits`).  A split is admissible when both
+    children keep at least the per-arm minima in the split set and, in
+    honest mode, in the estimation set as well: there ``bounds[j]`` holds
+    the estimation set's threshold bounds for covariate ``j`` over ``sel``
+    (see :meth:`_Entries.threshold_bounds`), else ``bounds`` is None.
+    ``y1`` and ``y0`` are each split entry's outcome times its treatment and
+    control indicator.  Ties on the criterion break to the smallest
+    threshold.
 
     Segment ``r`` is row ``r`` of a padded array; positions past its end
     hold other segments' entries, and their running treated count
     leaves no treated rows to the right, so the minima reject them.
     """
-    min_t, min_c = params.min_leaf_treated, params.min_leaf_control
+    starts, sel = starts[group], sel[group]
     lens = split.seg_len[sel]
     width = lens.max()
     at = starts[:, None] + np.arange(width)
@@ -177,43 +237,68 @@ def _best_splits(split, order, starts, sel, y1, y0, values, ranks, bounds, param
     best = np.full((sel.shape[0], p), -np.inf)
     best_threshold = np.empty((sel.shape[0], p))
     for j in range(p):
+        if order[j] is None:
+            continue
         ent = np.take(order[j], at, mode="clip")
         rank = ranks[j][split.rows[ent]]
         n1_left = np.cumsum(split.arm[ent], axis=1, dtype=np.float64)[:, :-1]
-        n0_left = n_left - n1_left
-        n1_right = treated - n1_left
-        n0_right = n_right - n1_right
-        ok = (
-            (rank[:, :-1] < rank[:, 1:])
-            & (n1_left >= min_t)
-            & (n0_left >= min_c)
-            & (n1_right >= min_t)
-            & (n0_right >= min_c)
-        )
-        thr = _midpoint(values[j][rank[:, :-1]], values[j][rank[:, 1:]])
-        if bounds is not None:
-            low, high = bounds[j]
-            ok &= (values[j][low][:, None] <= thr) & (thr < values[j][high][:, None])
         cy1 = np.cumsum(y1[ent], axis=1)
         cy0 = np.cumsum(y0[ent], axis=1)
-        # crit = n_left * tau_left**2 + n_right * tau_right**2, in place.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            crit = cy1[:, :-1] / n1_left
-            crit -= cy0[:, :-1] / n0_left
-            crit *= crit
-            crit *= n_left
-            tau_right = cy1[rows, last][:, None] - cy1[:, :-1]
-            tau_right /= n1_right
-            tau_right -= (cy0[rows, last][:, None] - cy0[:, :-1]) / n0_right
-            tau_right *= tau_right
-            tau_right *= n_right
-            crit += tau_right
+        ok, crit = _criterion(n_left, n_right, n1_left, treated, cy1[:, :-1], cy0[:, :-1],
+                              cy1[rows, last][:, None], cy0[rows, last][:, None], params)
+        ok &= rank[:, :-1] < rank[:, 1:]
+        thr = _midpoint(values[j][rank[:, :-1]], values[j][rank[:, 1:]])
+        if bounds is not None:
+            low, high = bounds[j][0][group], bounds[j][1][group]
+            ok &= (values[j][low][:, None] <= thr) & (thr < values[j][high][:, None])
         crit = np.where(ok, crit, -np.inf)
         i = crit.argmax(axis=1)
         best[:, j] = crit[rows, i]
         best_threshold[:, j] = thr[rows, i]
-    feature = best.argmax(axis=1)
-    return best[rows, feature] != -np.inf, feature, best_threshold[rows, feature]
+    return best, best_threshold
+
+
+def _count_splits(split, sel, y, values, ranks, bounds, params: ForestParams, best, best_threshold):
+    """Score the one split of each two-valued covariate in every segment of ``sel``.
+
+    Writes the criterion, or -inf where the split is not admissible, into
+    ``best[:, j]`` and its threshold into ``best_threshold[:, j]``, beside
+    :func:`_best_splits`' results.  The entries are taken rank-0 first, each
+    rank in entry order, so one weighted ``np.bincount`` per segment and arm
+    sums the outcomes left of the split and another carries on to the
+    segment's total.  These are the padded scan's running sums at its one
+    admissible position, less the zero terms of the other arm, which can
+    change only the sign of a zero that the criterion squares away.
+    """
+    two_valued = [j for j, v in enumerate(values) if v.shape[0] == 2]
+    if not two_valued:
+        return
+    ent = split.searched(sel)
+    rows = split.rows[ent]
+    key = split.seg[ent] * 2 + split.arm[ent]
+    y_ent = y[rows]
+    n_bins = 2 * split.seg_len.shape[0]
+    lens = split.seg_len[sel]
+    treated = split.seg_treated[sel]
+    for j in two_valued:
+        rank = ranks[j][rows]
+        lower = np.flatnonzero(rank == 0)
+        # Index gathers: a random boolean mask gathers several times slower.
+        by_rank = np.concatenate([lower, np.flatnonzero(rank)])
+        k, w = key[by_rank], y_ent[by_rank]
+        m = lower.shape[0]
+        counts = np.bincount(k[:m], minlength=n_bins).reshape(-1, 2)[sel].astype(np.float64)
+        left = np.bincount(k[:m], weights=w[:m], minlength=n_bins).reshape(-1, 2)[sel]
+        total = np.bincount(k, weights=w, minlength=n_bins).reshape(-1, 2)[sel]
+        n_left = counts[:, 0] + counts[:, 1]
+        ok, crit = _criterion(n_left, lens - n_left, counts[:, 1], treated,
+                              left[:, 1], left[:, 0], total[:, 1], total[:, 0], params)
+        thr = _midpoint(values[j][0], values[j][1])
+        if bounds is not None:
+            low, high = bounds[j]
+            ok &= (values[j][low] <= thr) & (thr < values[j][high])
+        best[:, j] = np.where(ok, crit, -np.inf)
+        best_threshold[:, j] = thr
 
 
 def run_stat(values, starts, lengths, stat):
@@ -264,18 +349,20 @@ def grow_trees(x, y, a, values, ranks, samples, params: ForestParams):
         bounds = None
         if params.honest:
             bounds = est.threshold_bounds(sel, ranks, n_values, min_t, min_c)
-        found = np.empty(sel.shape[0], dtype=bool)
-        feature = np.empty(sel.shape[0], dtype=np.intp)
-        threshold = np.empty(sel.shape[0])
+        best = np.full((sel.shape[0], p), -np.inf)
+        best_threshold = np.empty((sel.shape[0], p))
         order = split.sort_by(ranks, n_values, sel)
         lens = split.seg_len[sel]
         starts = np.cumsum(lens) - lens
         for group in _search_groups(lens):
-            found[group], feature[group], threshold[group] = _best_splits(
-                split, order, starts[group], sel[group], y1, y0, values, ranks,
-                None if bounds is None else [(low[group], high[group]) for low, high in bounds],
-                params,
-            )
+            best[group], best_threshold[group] = _best_splits(
+                split, order, starts, sel, group, y1, y0, values, ranks, bounds, params)
+        _count_splits(split, sel, y, values, ranks, bounds, params, best, best_threshold)
+        # Ties on the criterion break to the lowest covariate index.
+        feature = best.argmax(axis=1)
+        at = np.arange(sel.shape[0])
+        found = best[at, feature] != -np.inf
+        threshold = best_threshold[at, feature]
         sel = sel[found]
         if sel.shape[0] == 0:
             break

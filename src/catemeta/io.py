@@ -1,7 +1,10 @@
 """CSV schemas and config-file parsing.
 
 All files are UTF-8 with ``.`` decimal separators, written with LF line
-endings; the CSV readers also accept a byte-order mark, CRLF and lone CR.
+endings.  Every file is read by ``_read_text``: it drops a leading
+byte-order mark and decodes strict UTF-8, and a byte that does not decode
+is an error naming its file and line.  The readers accept CRLF and lone CR
+endings too.
 Every table is read by ``_read_columns``: it checks the whole header before
 any value, then parses the rows with one ``np.loadtxt`` call into one array
 per column.  The row scan, ``_scan_columns``, is the rule: it decides whether
@@ -25,7 +28,9 @@ Schemas:
 
 from __future__ import annotations
 
+import codecs
 import csv
+import re
 from dataclasses import dataclass, fields
 from functools import partial
 from io import StringIO
@@ -130,6 +135,48 @@ def _scan_columns(body: str, line: int, header: list[str], kinds, path: str) -> 
 _DTYPES = {int: "i8", float: "f8", str: "O"}
 
 
+def _read_text(path: str, error=InputFormatError) -> str:
+    """The text of a UTF-8 file, less a leading byte-order mark.
+
+    A byte that does not decode raises ``error`` (``InputFormatError`` or
+    ``ConfigurationError``) naming the file and the line of the byte.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    data = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = before.count(b"\n") + 1
+        message = f"not UTF-8: byte 0x{data[exc.start]:02x}"
+        if error is InputFormatError:
+            raise InputFormatError(message, path, line) from None
+        raise error(f"{path}:{line}: {message}") from None
+
+
+# One line with its ending (CRLF, LF or lone CR), as a file opened with
+# ``newline=""`` yields it.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def _split_header(text: str):
+    """``(header, line, body)`` of a CSV text: the header's fields (None if
+    the text is empty), the line on which the body starts, and the body.
+    The lines are taken one at a time, as a quoted field may span lines."""
+    end = 0
+
+    def lines():
+        nonlocal end
+        for match in _LINE.finditer(text):
+            end = match.end()
+            yield match.group()
+
+    reader = csv.reader(lines())
+    header = next(reader, None)
+    return header, reader.line_num + 1, text[end:]
+
+
 def _read_columns(path: str, fixed: tuple[str, ...], kinds: tuple[type, ...],
                   covariates: tuple[str, ...] | None = ()):
     """Read a CSV as (header, one array per column, ``line``), where ``line(i)``
@@ -148,29 +195,25 @@ def _read_columns(path: str, fixed: tuple[str, ...], kinds: tuple[type, ...],
     no-break space around a number, hence the ASCII gate, and
     ``comments=None`` keeps a ``#`` in a field.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputFormatError("empty file", path, 1)
-        for pos, name in enumerate(fixed):
-            if pos >= len(header) or header[pos] != name:
-                raise InputFormatError(
-                    f"expected column {pos + 1} to be '{name}', "
-                    f"got {header[pos] if pos < len(header) else 'nothing'}",
-                    path, 1,
-                )
-        names = tuple(header[len(fixed):])
-        if covariates is None and not names:
-            raise InputFormatError(f"expected at least one covariate column after {fixed}",
-                                   path, 1)
-        if covariates is not None and names != covariates:
+    header, first, body = _split_header(_read_text(path))
+    if header is None:
+        raise InputFormatError("empty file", path, 1)
+    for pos, name in enumerate(fixed):
+        if pos >= len(header) or header[pos] != name:
             raise InputFormatError(
-                f"covariate columns {names} do not match {covariates}" if covariates
-                else f"unexpected column(s) {names} after {fixed}", path, 1,
+                f"expected column {pos + 1} to be '{name}', "
+                f"got {header[pos] if pos < len(header) else 'nothing'}",
+                path, 1,
             )
-        first = reader.line_num + 1
-        body = fh.read()
+    names = tuple(header[len(fixed):])
+    if covariates is None and not names:
+        raise InputFormatError(f"expected at least one covariate column after {fixed}",
+                               path, 1)
+    if covariates is not None and names != covariates:
+        raise InputFormatError(
+            f"covariate columns {names} do not match {covariates}" if covariates
+            else f"unexpected column(s) {names} after {fixed}", path, 1,
+        )
     kinds = kinds + (float,) * len(names)
     line = partial(_row_line, body, first)
     if body.isascii() and body.strip("\r\n"):
@@ -367,7 +410,7 @@ def parse_sim_config(path: str) -> tuple[SimConfig, SimulateOptions]:
     """Parse a flat ``key = value`` experiment file.  A number may not hold
     ``_`` or a non-ASCII character, as in the CSV readers."""
     raw: dict[str, tuple[int, str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with StringIO(_read_text(path, ConfigurationError)) as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):

@@ -83,6 +83,7 @@ def test_criterion_01_hierarchy_calibration():
     )
 
 
+@pytest.mark.slow
 def test_criterion_02_desk_scale_coverage():
     config = SimConfig(
         k_studies=10, n_per_study=500, cate_setting="linear",

@@ -576,6 +576,50 @@ class TestSimulate:
                     "--out-dir", tmp_path / "x"]) == 2
 
 
+class TestTextDecoding:
+    """Every input file is strict UTF-8 less a leading byte-order mark; a bad
+    byte used to end in a UnicodeDecodeError traceback."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_bad_byte_in_aggregates_exits_2(self, tmp_path, capsys, newline):
+        agg = tmp_path / "agg.csv"
+        rows = ["profile_id,study_id,tau_hat,se2", "0,1,1.0,0.5", "0,2,1.5,0.5", "0,3,2.0,0.5"]
+        agg.write_bytes(newline.join(rows).encode().replace(b"1.5", b"1.5\xff") + b"\n")
+        out = tmp_path / "x"
+        assert run(["predict", "--aggregates", agg, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == f"error: {agg}:3: not UTF-8: byte 0xff\n"
+        assert not (out / "predictions.csv").exists()
+
+    def test_bad_byte_in_trials_exits_2(self, tmp_path, capsys):
+        lines = (GOLDEN / "forest_trials.csv").read_bytes().split(b"\n")
+        lines[4] = lines[4].replace(b",", b",\xff", 1)
+        trials = tmp_path / "trials.csv"
+        trials.write_bytes(b"\n".join(lines))
+        out = tmp_path / "x"
+        assert run(["estimate", "--trials", trials, "--profiles", GOLDEN / "forest_profiles.csv",
+                    "--stage1", "forest", "--trees", 20, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == f"error: {trials}:5: not UTF-8: byte 0xff\n"
+
+    def test_latin1_comment_in_config_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes((GOLDEN / "experiment.cfg").read_bytes() + "# café\n".encode("latin-1"))
+        n_lines = (GOLDEN / "experiment.cfg").read_text().count("\n")
+        assert run(["simulate", "--config", cfg, "--out-dir", tmp_path / "x"]) == 3
+        assert capsys.readouterr().err == f"error: {cfg}:{n_lines + 1}: not UTF-8: byte 0xe9\n"
+
+    def test_config_with_byte_order_mark_reads_as_the_plain_file(self, tmp_path, capsys):
+        # The first key used to keep the mark: "unknown key '\ufeffk_studies'".
+        metrics = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(prefix + (GOLDEN / "experiment.cfg").read_bytes())
+            out = tmp_path / name
+            assert run(["simulate", "--config", cfg, "--out-dir", out]) == 0
+            metrics.append((out / "metrics.csv").read_bytes())
+        assert metrics[0] == metrics[1]
+        assert capsys.readouterr().err == ""
+
+
 class TestExitCodeMapping:
     @pytest.mark.parametrize("threads", ["0", "-1", "x"])
     @pytest.mark.parametrize("command", [

@@ -1,6 +1,7 @@
 """Causal forest: recovery, honesty, determinism, the bag variance estimator,
-the threshold rule, exact ragged-run reductions and agreement with the
-recursive grower."""
+the threshold rule, exact ragged-run reductions, agreement with the
+recursive grower, and the count search of two-valued covariates against the
+padded scan."""
 
 import os
 import signal
@@ -274,6 +275,29 @@ class TestInvariances:
         t1 = np.array([e.tau_hat for e in forest_cates(m1, profiles)])
         assert np.allclose(t0, t1, rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("honest", [True, False], ids=["honest", "adaptive"])
+    def test_constant_column_only_shifts_feature_indices(self, honest):
+        # A constant covariate is never searched, so inserting one at index 0
+        # leaves every tree as it was, with each split on the next index.
+        rng = np.random.default_rng(43)
+        n = 400
+        x = np.column_stack([rng.normal(size=n), rng.integers(0, 2, n).astype(float),
+                             rng.normal(size=n)])
+        a = rng.integers(0, 2, n)
+        y = x[:, 0] + a * (1.0 + x[:, 1] + x[:, 2]) + rng.normal(0, 0.5, n)
+        params = ForestParams(n_trees=40, bag_size=20, honest=honest, seed=44)
+        base = fit_causal_forest(TrialDataset(1, y, a, x, ("u", "v", "w")), params)
+        wider = fit_causal_forest(
+            TrialDataset(1, y, a, np.column_stack([np.full(n, 3.0), x]), ("k", "u", "v", "w")),
+            params)
+        for tree, other in zip(base.trees, wider.trees, strict=True):
+            shifted = np.where(tree.feature >= 0, tree.feature + 1, -1).astype(np.int32)
+            assert other.feature.tobytes() == shifted.tobytes()
+            for name in ("threshold", "left", "right", "leaf_tau", "leaf_n_treated",
+                         "leaf_n_control", "split_rows", "est_rows"):
+                assert getattr(other, name).tobytes() == getattr(tree, name).tobytes()
+        assert any((tree.feature == 1).any() for tree in base.trees)
+
     def test_treatment_label_antisymmetry_bit_exact(self):
         m0, m1, profiles = self.fit_pair(
             lambda y, a, x: TrialDataset(1, y, 1 - a, x, ("u", "v", "w"))
@@ -282,6 +306,61 @@ class TestInvariances:
         e1 = forest_cates(m1, profiles)
         assert [e.tau_hat for e in e1] == [-e.tau_hat for e in e0]
         assert [e.se2 for e in e1] == [e.se2 for e in e0]
+
+
+class TestCountSearch:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scores_and_bounds_equal_the_padded_scan_bit_for_bit(self, seed):
+        # The trees hardly depend on the last bits of the criterion, so the
+        # recursive oracle cannot tell a change in summation order; this
+        # compares the scores themselves on many roots.
+        rng = np.random.default_rng(seed)
+        n = 600
+        # Each two-valued column is rare on one side, so some roots miss the
+        # minima there.
+        x = np.column_stack([(rng.random(n) < 0.15).astype(float),
+                             np.where(rng.random(n) < 0.15, -2.5, 4.0),
+                             rng.normal(size=n)])
+        a = rng.integers(0, 2, n)
+        y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, n)
+        values, ranks = zip(*(np.unique(column, return_inverse=True) for column in x.T))
+        params = ForestParams(n_trees=40, bag_size=20, seed=0, min_leaf_treated=3,
+                              min_leaf_control=2)
+        split = grower._Entries([rng.permutation(n)[:m] for m in rng.integers(20, 300, 40)], a)
+        # As grow_trees does, search only segments with twice the minima.
+        can_split = (split.seg_treated >= 6) & (split.seg_len - split.seg_treated >= 4)
+        sel = np.flatnonzero(can_split & (rng.random(40) < 0.8))
+        y1, y0 = y[split.rows] * split.arm, y[split.rows] * (1 - split.arm)
+        # Sorted as if every column had more values, the padded scan takes all.
+        padded_n_values = [3] * x.shape[1]
+        lens = split.seg_len[sel]
+        want, want_threshold = grower._best_splits(
+            split, split.sort_by(ranks, padded_n_values, sel), np.cumsum(lens) - lens, sel,
+            np.arange(sel.shape[0]), y1, y0, values, ranks, None, params)
+        got = np.full_like(want, -np.inf)
+        got_threshold = np.empty_like(want_threshold)
+        grower._count_splits(split, sel, y, values, ranks, None, params, got, got_threshold)
+        assert np.isfinite(got[:, :2]).sum() > 20
+        assert got[:, :2].tobytes() == want[:, :2].tobytes()
+        finite = np.isfinite(got[:, :2])
+        assert got_threshold[:, :2][finite].tobytes() == want_threshold[:, :2][finite].tobytes()
+        assert (got[:, 2] == -np.inf).all()
+
+        bounds = split.threshold_bounds(sel, ranks, [v.shape[0] for v in values], 3, 2)
+        general = split.threshold_bounds(sel, ranks, padded_n_values, 3, 2)
+        for j in (0, 1):
+            for got_rank, want_rank in zip(bounds[j], general[j]):
+                assert np.array_equal(got_rank, want_rank)
+        low, high = np.concatenate(bounds[:2], axis=1)
+        assert set(low) == set(high) == {0, 1}
+
+
+EPS = float(np.finfo(float).eps)
+TWO_VALUE_CASES = {
+    "adjacent-doubles": (1.0 + EPS, 1.0 + 2.0 * EPS),
+    "overflow": (1.0e308, 1.7e308),
+    "negative-overflow": (-1.7e308, -1.0e308),
+}
 
 
 def heap_labels(tree):
@@ -324,10 +403,12 @@ def leaf_of_rows(tree, x, rows):
 
 @st.composite
 def forest_cases(draw):
-    """Small datasets with continuous, binary, tied and duplicated columns."""
+    """Small datasets with continuous, binary, two-valued, constant, tied and
+    duplicated columns."""
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(30, 160))
-    kinds = draw(st.lists(st.sampled_from(["normal", "binary", "tied", "copy"]),
+    kinds = draw(st.lists(st.sampled_from(["normal", "binary", "two_valued", "constant",
+                                           "tied", "copy"]),
                           min_size=1, max_size=4))
     rng = np.random.default_rng(seed)
     columns = []
@@ -336,6 +417,11 @@ def forest_cases(draw):
             columns.append(rng.normal(size=n))
         elif kind == "binary":
             columns.append(rng.integers(0, 2, n).astype(float))
+        elif kind == "two_valued":
+            lo, hi = draw(st.sampled_from([(-2.5, 4.0), *TWO_VALUE_CASES.values()]))
+            columns.append(np.where(rng.random(n) < draw(st.sampled_from([0.1, 0.5])), lo, hi))
+        elif kind == "constant":
+            columns.append(np.full(n, rng.normal()))
         elif kind == "tied":
             columns.append(np.round(rng.normal(size=n), 1))
         else:
@@ -384,14 +470,6 @@ class TestAgainstRecursiveGrower:
         got = predict_matrix(model, points)
         assert got.tobytes() == reference_predict_matrix(reference, points).tobytes()
         assert got.tobytes() == predict_matrix(reference, points).tobytes()
-
-
-EPS = float(np.finfo(float).eps)
-TWO_VALUE_CASES = {
-    "adjacent-doubles": (1.0 + EPS, 1.0 + 2.0 * EPS),
-    "overflow": (1.0e308, 1.7e308),
-    "negative-overflow": (-1.7e308, -1.0e308),
-}
 
 
 def two_value_trial(lo, hi, n=400, seed=0):

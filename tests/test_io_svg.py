@@ -220,6 +220,7 @@ def mutated_dir(tmp_path_factory):
 
 
 class TestReaderMatchesRowScan:
+    @pytest.mark.slow
     @settings(derandomize=True, max_examples=500, deadline=None)
     @given(case=mutated_golden())
     def test_same_message_or_bit_identical_arrays(self, mutated_dir, case):

@@ -261,6 +261,7 @@ class TestHarness:
         }
         assert len({params.seed for _, params in seen}) == 6
 
+    @pytest.mark.slow
     def test_oracle_pipeline_calibration_with_redrawn_target(self):
         # Under exactly-matched generation (true study effects injected with
         # negligible variance) and a fresh target draw each replication, the
