@@ -351,7 +351,10 @@ def bart_cates(posterior: BartPosterior, level: float = 0.95):
     f1 = np.ascontiguousarray(posterior.draws[:, 1::2].T)
     f0 = np.ascontiguousarray(posterior.draws[:, 0::2].T)
     tau = f1.mean(axis=1) - f0.mean(axis=1)
-    se2 = np.var(f1, axis=1, ddof=1) + np.var(f0, axis=1, ddof=1)
+    # Draws near the end of the float range overflow se2 to inf; the se2
+    # check downstream names the study.
+    with np.errstate(over="ignore"):
+        se2 = np.var(f1, axis=1, ddof=1) + np.var(f0, axis=1, ddof=1)
     tail = (1.0 - level) / 2.0
     lower, upper = np.quantile(f1 - f0, [tail, 1.0 - tail], axis=1, method="linear")
     return tau, se2, lower, upper

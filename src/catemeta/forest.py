@@ -162,12 +162,16 @@ def fit_causal_forest(dataset: TrialDataset, params: ForestParams) -> CausalFore
             grow_trees(x, y, a, values, ranks, samples, params), samples
         ):
             trees.append(CausalTree(*nodes, split_rows=split_rows, est_rows=est_rows))
+    # An outcome near the end of the float range overflows the variance, and
+    # with it the se2 floor, to inf; the se2 check downstream names the study.
+    with np.errstate(over="ignore"):
+        outcome_variance = float(np.var(y, ddof=1)) if n > 1 else 0.0
     return CausalForestModel(
         study_id=dataset.study_id,
         trees=tuple(trees),
         params=params,
         n_covariates=dataset.n_covariates,
-        outcome_variance=float(np.var(y, ddof=1)) if n > 1 else 0.0,
+        outcome_variance=outcome_variance,
         covariate_names=dataset.covariate_names,
     )
 

@@ -32,7 +32,12 @@ import numpy as np
 from .errors import EstimationError, InsufficientStudiesError
 from .model import PooledCate, PredictionInterval, StudyCateEstimate
 
-_GRID_FRAC = np.linspace(0.0, 1.0, 65)
+# The likelihood scan's points as fractions of the search bound, uniform in
+# the cube root: 9 of the 17 lie in the lowest eighth.  The bound,
+# 10 * var(tau_hat) + max(se2), is loose by design, so the maximizer and the
+# likelihood's bends usually sit low in it.  0 and 1 are exact grid points,
+# as the theta2 = 0 comparison and the bound-hit test need.
+_GRID_FRAC = np.linspace(0.0, 1.0, 17) ** 3
 # Elements of one (profiles, grid, K) likelihood temporary (64 kB); larger
 # temporaries raise a run's peak resident memory.
 _GRID_CHUNK = 1 << 13
@@ -165,11 +170,12 @@ def _score(theta2, tau, v):
 def _solve(tau, v, bound, counts):
     """REML theta2 per row over [0, bound]: grid scan, then safeguarded Newton.
 
-    The likelihood is scanned on 65 equally spaced points, in chunks of rows.
-    Newton on the score then runs between the best point's neighbours; each
-    step narrows the bracket by the sign of the score, and a step that would
-    leave it, or is taken where the likelihood is not concave, is replaced
-    by bisection.  A row stops once its step is at most 1e-12 * (1 + theta2).
+    The likelihood is scanned on 17 points uniform in the cube root of
+    theta2 / bound (``_GRID_FRAC``), in chunks of rows.  Newton on the score
+    then runs between the best point's neighbours; each step narrows the
+    bracket by the sign of the score, and a step that would leave it, or is
+    taken where the likelihood is not concave, is replaced by bisection.  A
+    row stops once its step is at most 1e-12 * (1 + theta2).
     theta2 = 0 wins whenever its likelihood is at least the refined point's.
     """
     n_rows, last = len(bound), _GRID_FRAC.size - 1
@@ -281,10 +287,11 @@ def _as_rows(tau, v):
 def reml_theta2(meta: MetaInput) -> float:
     """REML estimate of the between-study variance for one profile.
 
-    The kernel of :func:`pool_profiles` at one profile: a 65-point grid over
-    [0, 10 * var(tau_hat) + max(se2)], then safeguarded Newton on the REML
-    score.  theta2 = 0 is always compared explicitly, and a maximizer on the
-    upper bound doubles the bound for one more search.
+    The kernel of :func:`pool_profiles` at one profile: a 17-point grid over
+    [0, bound], bound = 10 * var(tau_hat) + max(se2), uniform in the cube root
+    of theta2 / bound, then safeguarded Newton on the REML score.  theta2 = 0
+    is always compared explicitly, and a maximizer on the upper bound doubles
+    the bound for one more search.
     """
     return float(_reml_rows(meta.tau[None], meta.v[None], Counter())[0])
 

@@ -252,6 +252,30 @@ class TestEstimate:
             "error: study 3: the least-squares coefficients or their covariance are not finite")
         assert not (out / "aggregates.csv").exists()
 
+    def _overflowing_outcome_exits_1(self, tmp_path, capsys, learner):
+        # The outcome variance (the forest's se2 floor) or the draws' variance
+        # (BART's se2) overflows to inf; this used to print a numpy
+        # RuntimeWarning before the error line.
+        trials = golden_with_cell(tmp_path, "forest_trials.csv", 1, 1, "1e308")
+        out = tmp_path / "x"
+        code = run(["estimate", "--trials", trials, "--profiles", GOLDEN / "forest_profiles.csv",
+                    "--stage1", *learner, "--out-dir", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "Warning" not in err
+        assert err.strip().splitlines()[-1] == (
+            "error: study 3, profile 2: se2 must be finite and >= 0")
+        assert not (out / "aggregates.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_outcome_forest_exits_1(self, tmp_path, capsys):
+        self._overflowing_outcome_exits_1(tmp_path, capsys, ["forest", "--trees", 20])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_outcome_bart_exits_1(self, tmp_path, capsys):
+        self._overflowing_outcome_exits_1(
+            tmp_path, capsys, ["bart", "--trees", 5, "--burn", 10, "--draws", 20])
+
     def test_bad_honest_value_exits_2(self, tmp_path):
         trials, profiles = write_inputs(tmp_path)
         with pytest.raises(SystemExit) as exc:

@@ -19,7 +19,13 @@ from catemeta import (
     reml_theta2,
     t_quantile,
 )
-from catemeta.meta import _profile_log_likelihood, _score, ndtri, reml_theta2_batch
+from catemeta.meta import (
+    _GRID_FRAC,
+    _profile_log_likelihood,
+    _score,
+    ndtri,
+    reml_theta2_batch,
+)
 
 
 def meta_input(tau, v, profile_id=0):
@@ -118,6 +124,210 @@ class TestRemlTheta2:
     def test_batch_shape_validation(self):
         with pytest.raises(ValueError):
             reml_theta2_batch(np.zeros((1, 4)), np.ones((1, 4)))
+
+
+# (tau_hat, se2) of profiles whose restricted likelihood has more than one
+# local maximum on [0, 10 * var(tau_hat) + max(se2)].  Drawn by a seeded
+# search over 40,000 profiles: K uniform on 3..7, tau_hat ~ N(0, sd) with
+# sd ~ U(0.1, 10), and log10 se2 ~ U(-6, 4) for half the draws, U(-3, 2) for
+# the other half.  Kept: the 81 of the 97 multimodal draws whose global
+# maximum a 65-point uniform scan plus Newton reaches within 1e-9, rounded to
+# 6 significant digits (every case stays multimodal).
+MULTIMODAL_CASES = (
+    ((-1.00432, -1.67288, -1.66018, -1.8322, 1.4225, -3.12729, -0.843844),
+     (18.961, 0.00243311, 0.000143767, 1.94676, 1.13544, 0.266382, 171.13)),
+    ((-2.40335, -0.559132, -0.622343),
+     (0.298326, 0.00186676, 2.13857e-05)),
+    ((-5.20852, 11.5219, -10.7461, -8.92078),
+     (1411.97, 62.3071, 0.0186447, 0.240278)),
+    ((-2.44157, 5.73517, -0.105223, -2.33639),
+     (0.00795591, 565.001, 0.682142, 1.20581e-06)),
+    ((-2.21142, 6.87042, -5.4525, -12.8725, -8.1658, -2.24712),
+     (3.41743e-06, 1097.45, 2246.16, 22.5855, 3.13408, 0.0227677)),
+    ((2.27246, -1.71231, 0.0654907, -1.65271, -2.21035, 0.301317),
+     (2.16759, 7.08186e-06, 1.43526, 0.00131753, 1809.44, 1812.63)),
+    ((1.73146, 2.88562, -3.3087, 4.30718, -3.12041),
+     (99.2527, 2.32873, 2.41877e-05, 23.2956, 0.000180414)),
+    ((0.827575, -3.65994, 0.639135, -0.790904, -2.61623),
+     (0.00335195, 3.16337, 0.102116, 18.2493, 108.989)),
+    ((12.484, 0.52775, 1.26493),
+     (22.0217, 0.279853, 0.000290093)),
+    ((-3.28369, -2.53103, -13.4208, -3.42569, 6.76205, 9.89566, -2.2693),
+     (0.0200973, 0.000512799, 399.56, 8.73357e-06, 1047.79, 9.71864, 14.0144)),
+    ((-2.77722, 10.0129, -2.55489),
+     (0.137529, 14.1243, 0.00351495)),
+    ((-11.1728, -4.13477, 3.26387, -4.1779),
+     (4.04039, 0.00225252, 2.54817, 7.29944e-05)),
+    ((-1.7361, 2.85026, 2.7005, -2.78828, 1.43706),
+     (16.7277, 0.0298592, 0.151873, 4.4703, 72.74)),
+    ((-7.90016, 0.630678, -24.2398, 0.655359),
+     (4451.29, 2.98579e-06, 47.2048, 0.000162846)),
+    ((-0.31402, 3.84867, 3.45339, -4.89359),
+     (91.7715, 0.151964, 0.00090636, 5.53383)),
+    ((-7.14738, 9.52899, 9.92213, 4.23381),
+     (18.0274, 0.0855114, 0.0164078, 2936.86)),
+    ((5.75807, -0.871594, 6.12371, -0.667324, -0.85147),
+     (30.3365, 0.0477864, 1.63033, 2.99578e-05, 0.00950145)),
+    ((3.10069, 2.89539, 19.7466),
+     (4.31917e-06, 0.0026246, 23.6709)),
+    ((2.16337, -0.555311, 2.2233, 2.45194, 3.17062),
+     (0.000157091, 0.773727, 0.00508424, 177.755, 0.651261)),
+    ((1.40398, 5.63842, -2.665, 1.76894),
+     (0.00415952, 2.47603, 108.778, 0.0771455)),
+    ((6.62814, 4.10821, 2.22237, 6.32099, -5.57376, -3.85593),
+     (0.00640766, 27.3389, 2038.52, 2.19118e-06, 808.18, 12.5977)),
+    ((-0.409396, 0.315043, -0.448982, 0.557173),
+     (0.000204155, 0.0802377, 4.78651e-05, 0.200631)),
+    ((0.536714, 0.788935, 0.533415, -0.392345, -2.79071, 1.40682),
+     (0.0464819, 0.000242201, 0.0143358, 55.7674, 0.979254, 9.76851)),
+    ((0.537367, 7.51098, 5.61553, -5.17135, -7.71347, 0.504256),
+     (0.00281723, 30.1483, 9424.91, 3.48754, 17.1615, 3.57325e-06)),
+    ((-4.7684, 3.81813, 3.60377),
+     (5.61506, 0.0267424, 1.42086e-06)),
+    ((3.09045, 2.87993, -8.90777, 4.9182, 2.73858),
+     (0.07589, 1.22388e-05, 14.8176, 2.8046, 19.0693)),
+    ((-2.31315, 0.681775, -0.715019, -1.01204, 2.84338, -7.99847),
+     (712.851, 2129.31, 1.09413e-06, 0.0032555, 18.6109, 6.52559)),
+    ((-1.00167, -13.2035, 6.15465, 10.493, -1.49798),
+     (0.402872, 3415.52, 1049.1, 16.3512, 0.000120568)),
+    ((0.23112, -0.69157, 5.74377, 5.12896, -6.68783, 0.226678),
+     (0.000658286, 1826.4, 5.15411, 654.938, 2.09027, 3.91706e-05)),
+    ((18.2295, 5.66519, 6.75247, 5.68925),
+     (15.858, 1.50924, 1066.54, 0.000282483)),
+    ((0.711831, 2.77326, -0.711446, -1.09302),
+     (158.752, 2.18259, 4.46759e-06, 0.000426306)),
+    ((-2.01732, -2.01884, -9.73893),
+     (0.00207379, 0.00318022, 6.40661)),
+    ((21.5318, -6.26632, 21.1373),
+     (0.0231814, 25.9212, 0.125867)),
+    ((0.08695, 0.22904, 0.978822, -1.44754),
+     (0.00362249, 0.00230122, 0.144376, 0.475644)),
+    ((-9.03569, 1.69505, 1.42925, -7.23885, -3.68568),
+     (93.4365, 0.0187427, 0.00138521, 7.80303, 6.94138)),
+    ((-9.92209, 0.763147, -1.45827),
+     (18.2439, 5.41218, 0.00107674)),
+    ((-0.0351102, -0.198535, -0.00427712, 6.98591, 0.592314),
+     (7.51492, 0.252174, 0.220948, 5.36209, 4.20632)),
+    ((-2.07228, -6.57902, -2.22013, 8.22862),
+     (0.0015863, 3.79607, 0.0388076, 10.3084)),
+    ((9.93293, -5.18582, -6.72776),
+     (35.6478, 0.0316333, 3.56718)),
+    ((-6.27445, -5.94484, 4.9396),
+     (0.0810772, 0.209172, 7.93534)),
+    ((0.453863, -0.180306, -8.59904, 0.553851, -0.00755586, 4.92154, 3.3139),
+     (0.013322, 86.8654, 6.71959, 0.0693081, 0.0704601, 18.6036, 14.5991)),
+    ((4.06755, 3.86196, 5.27741, -6.03747),
+     (0.72182, 0.0011082, 22.0413, 8.22886)),
+    ((-4.3238, 5.00902, -5.86746, 5.03595),
+     (46.7056, 0.0145784, 20.8875, 0.570001)),
+    ((2.67673, -9.72098, -9.70737, -1.76916),
+     (65.7096, 0.113121, 0.103981, 10.1881)),
+    ((-1.41319, 0.0538147, -7.80747, -1.38532),
+     (0.0485637, 94.4297, 3.84407, 0.027787)),
+    ((-0.196289, 1.08426, -6.61984, 2.81354, 2.59971, -2.80543, 4.01402),
+     (7.75914, 6.80187, 53.5922, 0.0327891, 0.0452911, 2.38259, 4.61505)),
+    ((-0.630335, 2.13612, -0.61781),
+     (0.0049848, 0.392749, 0.00263242)),
+    ((2.20497, -1.92271, -1.33834, 2.07592, -0.541641),
+     (0.0059326, 3.5858, 2.01228, 0.00671302, 29.2857)),
+    ((-4.35073, 12.8897, -5.2448),
+     (0.00118416, 50.3224, 3.61855)),
+    ((1.29741, 1.47749, -9.78341),
+     (0.00247527, 0.11504, 8.41392)),
+    ((-14.5474, 7.09543, -6.4699, -6.4031),
+     (5.90129, 11.4486, 0.0510162, 0.219539)),
+    ((1.68779, 0.19534, 0.627395, 1.78861, -3.01764, 1.7091),
+     (0.00140591, 25.2395, 40.0416, 0.774164, 0.964482, 0.0270768)),
+    ((3.50415, 0.0512535, 0.296735),
+     (1.30686, 0.00723518, 0.00123484)),
+    ((5.89906, 13.4657, -8.32346, -5.77236, 6.2081, -5.7524),
+     (22.1579, 36.9267, 23.5037, 0.0021677, 66.6872, 0.549284)),
+    ((-0.141753, 0.0555677, 0.283784, -1.9312, 0.799305, 0.228393, -0.1557),
+     (0.00327476, 80.7732, 1.45567, 0.448805, 12.7966, 7.76015, 0.0210039)),
+    ((-4.71888, 0.180398, 5.00398, 0.128959, -8.59599, -0.0555593, -1.13627),
+     (5.16454, 0.0689269, 3.32825, 0.00592384, 20.0736, 16.6945, 10.8137)),
+    ((0.327332, -0.0588862, 0.323792),
+     (0.00287814, 0.0261984, 0.0024764)),
+    ((-5.57245, -0.516603, -0.692901, -0.566204, 3.52255),
+     (3.55513, 0.00720992, 0.00193499, 16.4471, 29.5667)),
+    ((-6.39407, 8.64496, 7.02637),
+     (29.0039, 3.5437, 0.563907)),
+    ((-7.07968, -7.23808, 12.9538, 3.97464),
+     (0.0369732, 1.90997, 90.7061, 44.775)),
+    ((1.52721, -0.054746, -0.457799, -4.19618),
+     (1.49367, 0.32699, 1.44268, 3.83945)),
+    ((-0.109904, 0.0148179, 5.54475, -0.300227),
+     (0.0649212, 14.3655, 4.36956, 0.175253)),
+    ((-5.49524, -0.593803, -5.60939, 14.688),
+     (0.680894, 21.9396, 0.0353683, 37.6502)),
+    ((3.13789, -0.59739, 3.17361, -1.3863),
+     (0.124135, 51.638, 0.00329611, 3.03612)),
+    ((-2.57218, -2.44559, 4.89422),
+     (0.051675, 0.00274554, 5.37786)),
+    ((1.20384, 6.80632, -7.48387, 5.28152),
+     (42.2067, 2.04057, 18.9247, 0.0327324)),
+    ((-2.39263, 0.816031, -0.962587, 0.0539489),
+     (2.95651, 0.362469, 0.484442, 0.00293422)),
+    ((0.642741, -0.331475, -3.0072, -1.43427, 0.788173),
+     (2.02451, 0.00433085, 1.69104, 44.0139, 0.924015)),
+    ((0.767916, 2.21499, 2.97738, 3.01855, -2.05971, -1.74102, 1.45046),
+     (40.4343, 1.29128, 0.00102753, 0.0103116, 4.83766, 6.09884, 0.608823)),
+    ((2.06214, -5.3937, 1.42609),
+     (0.992339, 7.99534, 0.00183067)),
+    ((-5.43533, -8.89694, -5.47666, 6.21662, -7.69484),
+     (0.0991332, 39.6358, 0.0447275, 5.86763, 6.73521)),
+    ((1.77131, 0.675248, 5.35576, -5.26791, 0.783161),
+     (1.32692, 0.00107288, 8.4831, 3.85847, 0.182784)),
+    ((-3.89594, 4.09506, -2.91197, -3.11862, -2.55795, -4.09417),
+     (7.82382, 4.00838, 0.314379, 60.7959, 0.245829, 1.30754)),
+    ((1.01211, -2.34169, 1.50344, -2.35378),
+     (96.4592, 0.0494174, 2.34135, 0.0181929)),
+    ((7.4516, -9.49897, 4.59499, 2.80874),
+     (23.3777, 22.4755, 3.87443, 0.00116999)),
+    ((-8.47531, -0.882328, -8.66644, 2.19933),
+     (0.0220743, 58.3475, 0.00178214, 5.42978)),
+    ((13.6065, -14.3899, -3.66976, -3.09614),
+     (36.4673, 18.7901, 0.0143969, 0.510662)),
+    ((15.0766, 4.78477, 3.52215, 4.3913, 5.89958, -4.39359),
+     (8.09594, 0.0114486, 1.50821, 0.00975928, 5.66033, 65.5449)),
+    ((-0.426332, 0.121293, -8.94777, 2.12769, 5.25399, -0.246112),
+     (0.00252165, 3.15977, 4.44204, 8.28423, 42.9113, 0.00229186)),
+    ((-0.804222, 9.23943, -0.0631973, -0.381244, -4.95419),
+     (0.315728, 11.1231, 0.00160355, 19.0203, 23.2047)),
+    ((-3.46027, 3.78962, -2.93516, -9.80313),
+     (0.215255, 5.03576, 0.00139213, 74.1592)),
+)
+
+
+def n_local_maxima(values):
+    """Local maxima of a scan, ends included, over steps larger than rounding."""
+    step = np.diff(values)
+    sign = np.sign(step[np.abs(step) > 1e-12 * (1.0 + np.abs(values).max())])
+    return (int(sign[0] < 0) + int(sign[-1] > 0)
+            + int(np.count_nonzero((sign[:-1] > 0) & (sign[1:] < 0))))
+
+
+class TestMultimodalLikelihood:
+    def test_grid_holds_both_ends_and_increases(self):
+        # The theta2 = 0 comparison reads the first point, the bound-hit test
+        # the last.
+        assert _GRID_FRAC[0] == 0.0
+        assert _GRID_FRAC[-1] == 1.0
+        assert np.all(np.diff(_GRID_FRAC) > 0.0)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    def test_reaches_the_fine_scan_maximum(self, k):
+        cases = [case for case in MULTIMODAL_CASES if len(case[0]) == k]
+        assert cases
+        tau, v = (np.array(arrays, dtype=np.float64).T for arrays in zip(*cases))
+        theta2 = pool_profiles(tau, v).theta2
+        for j in range(len(cases)):
+            bound = 10.0 * np.var(tau[:, j], ddof=1) + v[:, j].max()
+            fine = _profile_log_likelihood(
+                bound * np.linspace(0.0, 1.0, 4097), tau[:, j], v[:, j])
+            assert n_local_maxima(fine) >= 2, f"case {cases[j]}"
+            reached = _profile_log_likelihood(theta2[j], tau[:, j], v[:, j])[0]
+            assert reached >= fine.max() - 1e-9, f"case {cases[j]}"
 
 
 class TestDlTheta2:
