@@ -352,6 +352,9 @@ def _parse_profile_ids(value: str) -> list[int]:
         ids = []
     if not ids:
         raise argparse.ArgumentTypeError(f"expected integer profile ids, got {value!r}")
+    for i, pid in enumerate(ids):
+        if pid in ids[:i]:
+            raise argparse.ArgumentTypeError(f"repeated profile id {pid} in {value!r}")
     return ids
 
 

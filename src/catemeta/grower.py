@@ -4,21 +4,22 @@ Splits maximize the heterogeneity criterion sum_children n_child *
 tau_child^2, where tau_child is the treated-minus-control mean outcome
 difference in the child.  The trees given (a batch of a forest) grow one
 depth at a time, and each depth is one split search over every open node
-of every tree, as in breadth-first boosting with batched nodes.  At each
-depth the open nodes' split rows are sorted by each covariate with more
-than two values, node by node, with ties in draw order.  The search lays
-the open nodes out as the rows of padded arrays, one covariate at a time,
-and takes running sums along each row.  A two-valued covariate has one
-candidate threshold per node, so it is neither sorted nor padded: per-node
-counts and outcome sums over its lower value and over all rows, taken with
-``np.bincount`` in (node, value, row) order, score that one split
-(:func:`_count_splits`).  A constant covariate is never searched.  That is the same
-arithmetic in the same order as searching each node on its own, with the
-same tie-break (lowest covariate index, then smallest threshold), so a
-tree does not depend on the trees grown beside it.  In honest mode a split
-must also leave the per-arm minima of the node's estimation rows on both
-sides; for each node and covariate the thresholds that do form one
-interval (:meth:`_Entries.threshold_bounds`).
+of every tree, as in breadth-first boosting with batched nodes.  Only the
+entries of the nodes being searched go on to the next depth
+(:class:`_Entries`).  The searched nodes' split rows are sorted by each
+covariate with more than two values, node by node, with ties in draw
+order.  The search lays the nodes out as the rows of padded arrays, one
+covariate at a time, and takes running sums along each row.  A two-valued
+covariate has one candidate threshold per node, so it is neither sorted
+nor padded: per-node counts and outcome sums over its lower value and over
+all rows, taken with ``np.bincount`` in (node, value, row) order, score
+that one split (:func:`_count_splits`).  A constant covariate is never
+searched.  That is the same arithmetic in the same order as searching each
+node on its own, with the same tie-break (lowest covariate index, then
+smallest threshold), so a tree does not depend on the trees grown beside
+it.  In honest mode a split must also leave the per-arm minima of the
+node's estimation rows on both sides; for each node and covariate the
+thresholds that do form one interval (:meth:`_Entries.threshold_bounds`).
 
 A split threshold is the midpoint of two consecutive distinct values
 ``lo < hi``, unless rounding or overflow puts the midpoint outside
@@ -53,32 +54,41 @@ def _midpoint(lo, hi):
 class _Entries:
     """One row set (split or estimation rows) of every tree in a batch.
 
-    Entry ``e`` is row ``rows[e]`` of tree ``tree[e]``; entries run tree by
-    tree and, within a tree, in subsample draw order.  The open nodes are
-    the segments ``0 .. S-1``, each in its tree's order; ``seg_len`` and
-    ``seg_treated`` count their entries and treated entries.  ``seg[e]`` is
-    the segment holding entry ``e`` (-1 once its node has closed) and
-    ``node[e]`` its node id, which ends as the entry's leaf.
+    Every entry belongs to an open node, one still being searched: the open
+    nodes are the segments ``0 .. S-1``, each in its tree's order, and
+    :meth:`keep` is the one place that closes segments and drops their
+    entries.  Entry ``e`` is row ``rows[e]`` of segment ``seg[e]``; entries
+    run tree by tree and, within a tree, in subsample draw order.
+    ``seg_len`` and ``seg_treated`` count each segment's entries and treated
+    entries.  Dropped entries end in the leaves they were in, so ``node``
+    and ``all_rows`` keep every entry the row set started with: starting
+    entry ``i`` is row ``all_rows[i]`` in node ``node[i]``, and ``index[e]``
+    is entry ``e``'s starting position ``i``.
     """
 
     def __init__(self, row_sets, a):
         sizes = [rows.shape[0] for rows in row_sets]
-        self.rows = np.concatenate(row_sets)
+        self.all_rows = self.rows = np.concatenate(row_sets)
         self.arm = a[self.rows]
+        self.index = np.arange(self.rows.shape[0])
         self.node = np.repeat(np.arange(len(row_sets)), sizes)
         self.seg = self.node.copy()
         self.seg_len = np.array(sizes)
-        self.seg_treated = np.bincount(self.seg[self.arm == 1], minlength=len(sizes))
+        self.seg_treated = np.bincount(self.seg, weights=self.arm, minlength=len(sizes))
 
-    def searched(self, sel):
-        """The entries of segments ``sel``, in entry order."""
-        # Closed entries (segment -1) read the extra last slot, which stays False.
-        searched = np.zeros(self.seg_len.shape[0] + 1, dtype=bool)
-        searched[sel] = True
-        return np.flatnonzero(searched[self.seg])
+    def keep(self, kept):
+        """Close the segments where ``kept`` is False and drop their entries.
 
-    def sort_by(self, ranks, n_values, sel):
-        """Per covariate ``j``, the entries of segments ``sel`` sorted by it.
+        The other entries keep their order, and their segments are
+        renumbered ``0 .. S-1`` in order.
+        """
+        ent, segs = np.flatnonzero(kept[self.seg]), np.flatnonzero(kept)
+        self.rows, self.arm, self.index = self.rows[ent], self.arm[ent], self.index[ent]
+        self.seg = (np.cumsum(kept) - 1)[self.seg[ent]]
+        self.seg_len, self.seg_treated = self.seg_len[segs], self.seg_treated[segs]
+
+    def sort_by(self, ranks, n_values):
+        """Per covariate ``j``, the entries sorted by it within each segment.
 
         The entries come segment by segment, each segment sorted by
         covariate ``j`` with ties in entry order.  Only covariates with more
@@ -88,33 +98,28 @@ class _Entries:
         """
         # (segment, rank, entry) keys are distinct, so any sort orders them
         # stably.  They fit in int64 for studies of up to about 5e6 rows.
-        ent = self.searched(sel)
-        seg, rows = self.seg[ent], self.rows[ent]
         n = self.rows.shape[0]
-        return [ent[np.argsort((seg * n_values[j] + ranks[j][rows]) * n + ent)]
+        ent = np.arange(n)
+        return [np.argsort((self.seg * n_values[j] + ranks[j][self.rows]) * n + ent)
                 if n_values[j] > 2 else None for j in range(len(n_values))]
 
-    def split(self, x, seg_split, feature, threshold, first_child):
-        """Move each split segment's entries into its two children.
+    def split(self, x, found, feature, threshold, first_child):
+        """Close the segments where ``found`` is False and split the others.
 
-        ``seg_split[s]`` is segment ``s``'s index ``k`` among the split
-        segments, or -1 if it closes.  Split ``k`` sends ``x <= threshold[k]``
-        on ``feature[k]`` to segment ``2k`` (node ``first_child + 2k``) and
-        the rest to segment ``2k + 1``.
+        Split ``k``, the ``k``-th segment where ``found`` holds, sends
+        ``x <= threshold[k]`` on ``feature[k]`` to segment ``2k`` (node
+        ``first_child + 2k``) and the rest to segment ``2k + 1``.
         """
-        n_split = feature.shape[0]
-        k = np.append(seg_split, -1)[self.seg]
-        live = np.flatnonzero(k >= 0)
-        k = k[live]
-        self.seg = np.full(self.seg.shape[0], -1)
-        self.seg[live] = 2 * k + (x[self.rows[live], feature[k]] > threshold[k])
-        self.node[live] = first_child + self.seg[live]
-        self.seg_len = np.bincount(self.seg[live], minlength=2 * n_split)
-        self.seg_treated = np.bincount(self.seg[live][self.arm[live] == 1],
-                                       minlength=2 * n_split)
+        self.keep(found)
+        n_seg = 2 * feature.shape[0]
+        k = self.seg
+        self.seg = 2 * k + (x[self.rows, feature[k]] > threshold[k])
+        self.node[self.index] = first_child + self.seg
+        self.seg_len = np.bincount(self.seg, minlength=n_seg)
+        self.seg_treated = np.bincount(self.seg, weights=self.arm, minlength=n_seg)
 
-    def threshold_bounds(self, sel, ranks, n_values, min_t, min_c):
-        """Per covariate ``j``, ranks ``(low, high)`` for each segment in ``sel``.
+    def threshold_bounds(self, ranks, n_values, min_t, min_c):
+        """Per covariate ``j``, ranks ``(low, high)`` for each segment.
 
         ``ranks[j]`` ranks the study's rows by covariate ``j``, which has
         ``n_values[j]`` distinct values.  A threshold ``t`` leaves at least
@@ -127,16 +132,15 @@ class _Entries:
         entries hold both minima, and ``high`` is 1 exactly when the rank-1
         entries do.
         """
-        live = self.seg >= 0
-        seg, rows, arm = self.seg[live], self.rows[live], self.arm[live]
+        seg, rows, arm = self.seg, self.rows, self.arm
         n_seg = self.seg_len.shape[0]
         # Sorted by (segment, rank), every covariate has the same segment
         # blocks, so the targets below are the same for all of them.
-        t_before = (np.cumsum(self.seg_treated) - self.seg_treated)[sel]
-        c_before = (np.cumsum(self.seg_len) - self.seg_len)[sel] - t_before
+        t_before = np.cumsum(self.seg_treated) - self.seg_treated
+        c_before = np.cumsum(self.seg_len) - self.seg_len - t_before
         targets = (t_before + min_t, c_before + min_c,
-                   t_before + self.seg_treated[sel] - min_t + 1,
-                   c_before + self.seg_len[sel] - self.seg_treated[sel] - min_c + 1)
+                   t_before + self.seg_treated - min_t + 1,
+                   c_before + self.seg_len - self.seg_treated - min_c + 1)
         counts = np.arange(1, seg.shape[0] + 1)
         bounds = []
         for rank, n in zip(ranks, n_values):
@@ -146,7 +150,7 @@ class _Entries:
             if n == 2:
                 # cells[s, r, arm]: segment s's entries of rank r in that arm.
                 cells = np.bincount((seg * 2 + rank[rows]) * 2 + arm,
-                                    minlength=4 * n_seg).reshape(n_seg, 2, 2)[sel]
+                                    minlength=4 * n_seg).reshape(n_seg, 2, 2)
                 holds = (cells[:, :, 1] >= min_t) & (cells[:, :, 0] >= min_c)
                 bounds.append((np.where(holds[:, 0], 0, 1), np.where(holds[:, 1], 1, 0)))
                 continue
@@ -202,20 +206,20 @@ def _criterion(n_left, n_right, n1_left, treated, left1, left0, total1, total0, 
     return ok, crit
 
 
-def _best_splits(split, order, starts, sel, group, y1, y0, values, ranks, bounds,
+def _best_splits(split, order, starts, group, y1, y0, values, ranks, bounds,
                  params: ForestParams):
-    """Search segments ``sel[group]`` of ``split`` for their best admissible split.
+    """Search segments ``group`` of ``split`` for their best admissible split.
 
-    ``order`` is :meth:`_Entries.sort_by` of ``split`` over the segments
-    ``sel`` searched at this depth, and segment ``sel[r]`` starts at
-    ``starts[r]`` in it.  Returns ``(best, threshold)``: per segment of the
-    group and covariate, the best criterion and its threshold, or -inf where
-    no split is admissible.  Covariates that ``sort_by`` left unsorted stay
-    at -inf (see :func:`_count_splits`).  A split is admissible when both
-    children keep at least the per-arm minima in the split set and, in
-    honest mode, in the estimation set as well: there ``bounds[j]`` holds
-    the estimation set's threshold bounds for covariate ``j`` over ``sel``
-    (see :meth:`_Entries.threshold_bounds`), else ``bounds`` is None.
+    ``order`` is :meth:`_Entries.sort_by` of ``split``, and segment ``s``
+    starts at ``starts[s]`` in it.  Returns ``(best, threshold)``: per
+    segment of the group and covariate, the best criterion and its
+    threshold, or -inf where no split is admissible.  Covariates that
+    ``sort_by`` left unsorted stay at -inf (see :func:`_count_splits`).  A
+    split is admissible when both children keep at least the per-arm minima
+    in the split set and, in honest mode, in the estimation set as well:
+    there ``bounds[j]`` holds the estimation set's threshold bounds for
+    covariate ``j`` (see :meth:`_Entries.threshold_bounds`), else
+    ``bounds`` is None.
     ``y1`` and ``y0`` are each split entry's outcome times its treatment and
     control indicator.  Ties on the criterion break to the smallest
     threshold.
@@ -224,18 +228,18 @@ def _best_splits(split, order, starts, sel, group, y1, y0, values, ranks, bounds
     hold other segments' entries, and their running treated count
     leaves no treated rows to the right, so the minima reject them.
     """
-    starts, sel = starts[group], sel[group]
-    lens = split.seg_len[sel]
+    starts = starts[group]
+    lens = split.seg_len[group]
     width = lens.max()
     at = starts[:, None] + np.arange(width)
-    rows = np.arange(sel.shape[0])
+    rows = np.arange(group.shape[0])
     last = lens - 1
     n_left = np.arange(1.0, width)
     n_right = lens[:, None] - n_left
-    treated = split.seg_treated[sel][:, None]
+    treated = split.seg_treated[group][:, None]
     p = len(values)
-    best = np.full((sel.shape[0], p), -np.inf)
-    best_threshold = np.empty((sel.shape[0], p))
+    best = np.full((group.shape[0], p), -np.inf)
+    best_threshold = np.empty((group.shape[0], p))
     for j in range(p):
         if order[j] is None:
             continue
@@ -258,8 +262,8 @@ def _best_splits(split, order, starts, sel, group, y1, y0, values, ranks, bounds
     return best, best_threshold
 
 
-def _count_splits(split, sel, y, values, ranks, bounds, params: ForestParams, best, best_threshold):
-    """Score the one split of each two-valued covariate in every segment of ``sel``.
+def _count_splits(split, y, values, ranks, bounds, params: ForestParams, best, best_threshold):
+    """Score the one split of each two-valued covariate in every segment.
 
     Writes the criterion, or -inf where the split is not admissible, into
     ``best[:, j]`` and its threshold into ``best_threshold[:, j]``, beside
@@ -273,13 +277,10 @@ def _count_splits(split, sel, y, values, ranks, bounds, params: ForestParams, be
     two_valued = [j for j, v in enumerate(values) if v.shape[0] == 2]
     if not two_valued:
         return
-    ent = split.searched(sel)
-    rows = split.rows[ent]
-    key = split.seg[ent] * 2 + split.arm[ent]
+    rows = split.rows
+    key = split.seg * 2 + split.arm
     y_ent = y[rows]
     n_bins = 2 * split.seg_len.shape[0]
-    lens = split.seg_len[sel]
-    treated = split.seg_treated[sel]
     for j in two_valued:
         rank = ranks[j][rows]
         lower = np.flatnonzero(rank == 0)
@@ -287,11 +288,11 @@ def _count_splits(split, sel, y, values, ranks, bounds, params: ForestParams, be
         by_rank = np.concatenate([lower, np.flatnonzero(rank)])
         k, w = key[by_rank], y_ent[by_rank]
         m = lower.shape[0]
-        counts = np.bincount(k[:m], minlength=n_bins).reshape(-1, 2)[sel].astype(np.float64)
-        left = np.bincount(k[:m], weights=w[:m], minlength=n_bins).reshape(-1, 2)[sel]
-        total = np.bincount(k, weights=w, minlength=n_bins).reshape(-1, 2)[sel]
+        counts = np.bincount(k[:m], minlength=n_bins).reshape(-1, 2).astype(np.float64)
+        left = np.bincount(k[:m], weights=w[:m], minlength=n_bins).reshape(-1, 2)
+        total = np.bincount(k, weights=w, minlength=n_bins).reshape(-1, 2)
         n_left = counts[:, 0] + counts[:, 1]
-        ok, crit = _criterion(n_left, lens - n_left, counts[:, 1], treated,
+        ok, crit = _criterion(n_left, split.seg_len - n_left, counts[:, 1], split.seg_treated,
                               left[:, 1], left[:, 0], total[:, 1], total[:, 0], params)
         thr = _midpoint(values[j][0], values[j][1])
         if bounds is not None:
@@ -328,8 +329,7 @@ def grow_trees(x, y, a, values, ranks, samples, params: ForestParams):
     n_values = [v.shape[0] for v in values]
     split = _Entries([s for s, _ in samples], a)
     est = _Entries([e for _, e in samples], a) if params.honest else split
-    y1 = y[split.rows] * split.arm
-    y0 = y[split.rows] * (1 - split.arm)
+    row_sets = (split, est) if params.honest else (split,)
 
     n_trees = len(samples)
     seg_node = np.arange(n_trees)
@@ -339,45 +339,43 @@ def grow_trees(x, y, a, values, ranks, samples, params: ForestParams):
     while p and seg_node.shape[0]:
         # Only a node with enough rows of each arm for two children is searched.
         can_split = np.ones(seg_node.shape[0], dtype=bool)
-        for entries in (split, est):
+        for entries in row_sets:
             can_split &= (entries.seg_treated >= 2 * min_t) & (
                 entries.seg_len - entries.seg_treated >= 2 * min_c
             )
-        sel = np.flatnonzero(can_split)
-        if sel.shape[0] == 0:
+        if not can_split.any():
             break
+        for entries in row_sets:
+            entries.keep(can_split)
+        seg_node = seg_node[can_split]
         bounds = None
         if params.honest:
-            bounds = est.threshold_bounds(sel, ranks, n_values, min_t, min_c)
-        best = np.full((sel.shape[0], p), -np.inf)
-        best_threshold = np.empty((sel.shape[0], p))
-        order = split.sort_by(ranks, n_values, sel)
-        lens = split.seg_len[sel]
-        starts = np.cumsum(lens) - lens
-        for group in _search_groups(lens):
+            bounds = est.threshold_bounds(ranks, n_values, min_t, min_c)
+        best = np.full((seg_node.shape[0], p), -np.inf)
+        best_threshold = np.empty((seg_node.shape[0], p))
+        order = split.sort_by(ranks, n_values)
+        y1 = y[split.rows] * split.arm
+        y0 = y[split.rows] * (1 - split.arm)
+        starts = np.cumsum(split.seg_len) - split.seg_len
+        for group in _search_groups(split.seg_len):
             best[group], best_threshold[group] = _best_splits(
-                split, order, starts, sel, group, y1, y0, values, ranks, bounds, params)
-        _count_splits(split, sel, y, values, ranks, bounds, params, best, best_threshold)
+                split, order, starts, group, y1, y0, values, ranks, bounds, params)
+        _count_splits(split, y, values, ranks, bounds, params, best, best_threshold)
         # Ties on the criterion break to the lowest covariate index.
         feature = best.argmax(axis=1)
-        at = np.arange(sel.shape[0])
+        at = np.arange(seg_node.shape[0])
         found = best[at, feature] != -np.inf
-        threshold = best_threshold[at, feature]
-        sel = sel[found]
-        if sel.shape[0] == 0:
+        if not found.any():
             break
-        seg_split = np.full(seg_node.shape[0], -1)
-        seg_split[sel] = np.arange(sel.shape[0])
-        feature, threshold = feature[found], threshold[found]
-        split.split(x, seg_split, feature, threshold, n_nodes)
-        if params.honest:
-            est.split(x, seg_split, feature, threshold, n_nodes)
-        parents.append(seg_node[sel])
+        feature, threshold = feature[found], best_threshold[at, feature][found]
+        for entries in row_sets:
+            entries.split(x, found, feature, threshold, n_nodes)
+        parents.append(seg_node[found])
         features.append(feature)
         thresholds.append(threshold)
-        node_tree.append(np.repeat(node_tree[-1][sel], 2))
-        seg_node = n_nodes + np.arange(2 * sel.shape[0])
-        n_nodes += 2 * sel.shape[0]
+        node_tree.append(np.repeat(node_tree[-1][can_split][found], 2))
+        seg_node = n_nodes + np.arange(2 * feature.shape[0])
+        n_nodes += 2 * feature.shape[0]
 
     node_tree = np.concatenate(node_tree)
     node_feature = np.full(n_nodes, -1, dtype=np.int32)
@@ -391,7 +389,7 @@ def grow_trees(x, y, a, values, ranks, samples, params: ForestParams):
         node_left[parents] = n_trees + 2 * np.arange(parents.shape[0])
 
     # Leaf effects from each leaf's estimation rows, summed in draw order.
-    group = 2 * est.node + est.arm
+    group = 2 * est.node + a[est.all_rows]
     n_est = group.shape[0]
     order = np.argsort(group * n_est + np.arange(n_est))
     counts = np.bincount(group, minlength=2 * n_nodes)
@@ -399,7 +397,7 @@ def grow_trees(x, y, a, values, ranks, samples, params: ForestParams):
     n0, n1 = counts[0::2], counts[1::2]
     usable = np.flatnonzero((node_feature < 0) & (n1 >= min_t) & (n0 >= min_c))
     leaf_tau = np.full(n_nodes, np.nan)
-    y_sorted = y[est.rows[order]]
+    y_sorted = y[est.all_rows[order]]
     leaf_tau[usable] = (
         run_stat(y_sorted, starts[2 * usable + 1], n1[usable], np.mean)
         - run_stat(y_sorted, starts[2 * usable], n0[usable], np.mean)

@@ -439,9 +439,13 @@ def parse_sim_config(path: str) -> tuple[SimConfig, SimulateOptions]:
             raise ConfigurationError(f"{where}: bad value {value!r}")
         if key == "methods":
             methods = tuple(m.strip() for m in value.split(",") if m.strip())
-            for m in methods:
+            if not methods:
+                raise ConfigurationError(f"{where}: no method given")
+            for i, m in enumerate(methods):
                 if m not in STAGE1_METHODS:
                     raise ConfigurationError(f"{where}: unknown method '{m}'")
+                if m in methods[:i]:
+                    raise ConfigurationError(f"{where}: repeated method '{m}'")
             return methods
         return value
 

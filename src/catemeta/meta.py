@@ -214,13 +214,20 @@ def _reml_rows(tau, v, counts):
 
     theta2_max = 10 * var(tau_hat) + max(se2) bounds the search.  A row whose
     maximizer lands on that bound is solved again, once, with the bound
-    doubled.  Equal estimates give theta2 = 0 without a search.
+    doubled.  Equal estimates give theta2 = 0 without a search, and
+    estimates whose variance overflows raise ``EstimationError``.
     """
     theta2 = np.zeros(len(tau))
     active = np.ptp(tau, axis=1) > 0.0
     if active.any():
         t, s = tau[active], v[active]
-        bound = 10.0 * np.var(t, axis=1, ddof=1) + s.max(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = 10.0 * np.var(t, axis=1, ddof=1) + s.max(axis=1)
+        if not np.isfinite(bound).all():
+            raise EstimationError(
+                "the spread of the estimates overflows: "
+                "REML search bound 10 * var(tau_hat) + max(se2) is not finite"
+            )
         x = _solve(t, s, bound, counts)
         hit = bound - x <= _BOUND_RTOL * bound
         if hit.any():

@@ -341,6 +341,20 @@ class TestPredict:
         bound = 10.0 * float(np.var(tau, ddof=1)) + float(v[1:].max())
         assert abs(theta2[pid == 0][0] - grid_argmax(tau, v, bound)) <= 1e-4
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_spread_exits_1(self, tmp_path, capsys):
+        # np.var overflows to inf; this used to print two numpy
+        # RuntimeWarnings and blame the REML search bound's retry.
+        agg = tmp_path / "agg.csv"
+        agg.write_text("profile_id,study_id,tau_hat,se2\n"
+                       "0,1,1e200,0.5\n0,2,-1e200,0.5\n0,3,0,0.5\n")
+        out = tmp_path / "x"
+        assert run(["predict", "--aggregates", agg, "--out-dir", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: the spread of the estimates overflows: "
+            "REML search bound 10 * var(tau_hat) + max(se2) is not finite\n")
+        assert not (out / "predictions.csv").exists()
+
     def test_single_study_profile_exits_2(self, tmp_path):
         agg = tmp_path / "agg.csv"
         agg.write_text("profile_id,study_id,tau_hat,se2\n0,1,1.0,0.5\n")
@@ -499,6 +513,18 @@ class TestCompareIntervals:
         err = capsys.readouterr().err
         assert "integer profile ids" in err and "Traceback" not in err
 
+    def test_repeated_profile_flag_exits_2(self, tmp_path, capsys):
+        # This used to draw profile 0 twice.
+        with pytest.raises(SystemExit) as exc:
+            run(["compare-intervals", "--aggregates", tmp_path / "agg.csv",
+                 "--predictions", tmp_path / "pred.csv", "--profile", "0,1,0",
+                 "--out-dir", tmp_path / "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert err.strip().splitlines()[-1].endswith(
+            "argument --profile: repeated profile id 0 in '0,1,0'")
+
     @pytest.mark.parametrize("row,line", [
         ("0,0.5,0.1,-1.0,2.0,2,crosses_zero", 8),
         ("0,nan,0.1,-1.0,2.0,2,crosses_zero", 2),
@@ -561,6 +587,19 @@ class TestSimulate:
         cfg.write_text("k_studeys = 4\n")
         assert run(["simulate", "--config", cfg, "--out-dir", tmp_path / "x"]) == 3
         assert "k_studeys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("methods, message", [
+        ("linear, linear", "repeated method 'linear'"), ("", "no method given"),
+    ], ids=["repeated", "empty"])
+    def test_repeated_or_no_methods_exit_3(self, tmp_path, capsys, methods, message):
+        # Both used to exit 0: a repeated method wrote every (profile_id,
+        # method) row twice, no method a header-only metrics.csv.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"k_studies = 4\nn_replications = 1\nmethods = {methods}\n")
+        out = tmp_path / "x"
+        assert run(["simulate", "--config", cfg, "--out-dir", out]) == 3
+        assert capsys.readouterr().err == f"error: {cfg}:3: key 'methods': {message}\n"
+        assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize("alpha", ["1.5", "0", "1", "-0.1", "nan"])
     def test_alpha_outside_unit_interval_exits_3(self, tmp_path, capsys, alpha):

@@ -329,25 +329,25 @@ class TestCountSearch:
         split = grower._Entries([rng.permutation(n)[:m] for m in rng.integers(20, 300, 40)], a)
         # As grow_trees does, search only segments with twice the minima.
         can_split = (split.seg_treated >= 6) & (split.seg_len - split.seg_treated >= 4)
-        sel = np.flatnonzero(can_split & (rng.random(40) < 0.8))
+        split.keep(can_split & (rng.random(40) < 0.8))
         y1, y0 = y[split.rows] * split.arm, y[split.rows] * (1 - split.arm)
         # Sorted as if every column had more values, the padded scan takes all.
         padded_n_values = [3] * x.shape[1]
-        lens = split.seg_len[sel]
+        lens = split.seg_len
         want, want_threshold = grower._best_splits(
-            split, split.sort_by(ranks, padded_n_values, sel), np.cumsum(lens) - lens, sel,
-            np.arange(sel.shape[0]), y1, y0, values, ranks, None, params)
+            split, split.sort_by(ranks, padded_n_values), np.cumsum(lens) - lens,
+            np.arange(lens.shape[0]), y1, y0, values, ranks, None, params)
         got = np.full_like(want, -np.inf)
         got_threshold = np.empty_like(want_threshold)
-        grower._count_splits(split, sel, y, values, ranks, None, params, got, got_threshold)
+        grower._count_splits(split, y, values, ranks, None, params, got, got_threshold)
         assert np.isfinite(got[:, :2]).sum() > 20
         assert got[:, :2].tobytes() == want[:, :2].tobytes()
         finite = np.isfinite(got[:, :2])
         assert got_threshold[:, :2][finite].tobytes() == want_threshold[:, :2][finite].tobytes()
         assert (got[:, 2] == -np.inf).all()
 
-        bounds = split.threshold_bounds(sel, ranks, [v.shape[0] for v in values], 3, 2)
-        general = split.threshold_bounds(sel, ranks, padded_n_values, 3, 2)
+        bounds = split.threshold_bounds(ranks, [v.shape[0] for v in values], 3, 2)
+        general = split.threshold_bounds(ranks, padded_n_values, 3, 2)
         for j in (0, 1):
             for got_rank, want_rank in zip(bounds[j], general[j]):
                 assert np.array_equal(got_rank, want_rank)
