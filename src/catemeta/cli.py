@@ -159,23 +159,19 @@ def cmd_estimate(args) -> int:
     )
     with _Phase(manifest, "read"):
         trials = read_trials_csv(list(args.trials))
-        profiles = read_profiles_csv(args.profiles, trials[0].covariate_names)
+        profile_ids, points = read_profiles_csv(args.profiles, trials[0].covariate_names)
     with _Phase(manifest, "validate"):
-        problems = []
         for dataset in trials:
             report = validate_trial(dataset)
-            for violation in report.violations:
-                problems.append(f"study {dataset.study_id}: {violation}")
             print(
                 f"study {dataset.study_id}: n={dataset.n_rows} "
                 f"propensity={report.propensity:.3f}",
                 file=sys.stderr,
             )
-        if problems:
-            for problem in problems:
-                print(f"error: {problem}", file=sys.stderr)
-            return 2
-        for flag in validate_target_coverage(profiles, trials):
+            if not report.ok:
+                raise InputFormatError(
+                    f"study {dataset.study_id}: " + "; ".join(report.violations))
+        for flag in validate_target_coverage(profile_ids, points, trials):
             if flag.flagged:
                 names = ",".join(flag.out_of_range)
                 note = f"profile {flag.profile_id} outside pooled trial range on: {names}"
@@ -184,7 +180,6 @@ def cmd_estimate(args) -> int:
 
     if args.stage1 == "linear":
         params = _resolve_moderators(args.moderators, trials[0].covariate_names)
-    points = np.array([p.x for p in profiles])
     with _Phase(manifest, "fit"):
         study_params = [
             replace(params, seed=spawn_seed(args.seed, "study", ds.study_id))
@@ -199,8 +194,8 @@ def cmd_estimate(args) -> int:
             fitted = list(map(estimate_study, *fit_args))
     taus, se2s, diagnostics = zip(*fitted)
     tau, se2 = np.concatenate(taus), np.concatenate(se2s)
-    pids = np.tile([p.profile_id for p in profiles], len(trials))
-    sids = np.repeat([ds.study_id for ds in trials], len(profiles))
+    pids = np.tile(profile_ids, len(trials))
+    sids = np.repeat([ds.study_id for ds in trials], len(profile_ids))
     invalid = first_invalid_estimate(tau, se2)
     if invalid is not None:
         i, reason = invalid

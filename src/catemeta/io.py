@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import os
 import re
 from dataclasses import dataclass, fields
 from functools import partial
@@ -39,7 +40,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConfigurationError, InputFormatError
-from .model import CovariateProfile, TrialDataset
+from .model import TrialDataset
 from .simulate import STAGE1_METHODS, SimConfig
 
 AGGREGATE_HEADER = ("profile_id", "study_id", "tau_hat", "se2")
@@ -229,6 +230,27 @@ def _read_columns(path: str, fixed: tuple[str, ...], kinds: tuple[type, ...],
     return header, _scan_columns(body, first, header, kinds, path), line
 
 
+def _reject_nonfinite(header, columns, path: str, line) -> None:
+    """Raise for the first non-finite value in the float columns of a table,
+    taking the rows in file order and each row's cells from left to right."""
+    names, floats = zip(*((name, c) for name, c in zip(header, columns) if c.dtype.kind == "f"))
+    rows, cols = np.nonzero(~np.isfinite(np.column_stack(floats)))
+    if rows.size:
+        i, j = rows[0], cols[0]
+        raise InputFormatError(f"column '{names[j]}': not finite: {float(floats[j][i])}",
+                               path, line(i))
+
+
+def _first_repeat(*keys: np.ndarray) -> tuple[int | None, np.ndarray]:
+    """``(i, order)``: the index of the first row, in file order, whose keys
+    (equal-length columns) all equal those of an earlier row, None if no row
+    repeats one, and the stable order that sorts the rows by the keys, the
+    first key most significant."""
+    order = np.lexsort(keys[::-1])  # stable: equal keys keep their file order
+    same = np.logical_and.reduce([k[order][1:] == k[order][:-1] for k in keys])
+    return (int(order[1:][same].min()) if same.any() else None), order
+
+
 def first_invalid_estimate(tau_hat: np.ndarray, se2: np.ndarray) -> tuple[int, str] | None:
     """Index and reason of the first pair with a non-finite tau_hat or a non-finite
     or negative se2; None if every pair is a valid estimate."""
@@ -243,14 +265,17 @@ def first_invalid_estimate(tau_hat: np.ndarray, se2: np.ndarray) -> tuple[int, s
 def read_trials_csv(paths: list[str]) -> list[TrialDataset]:
     """Read one or more trial files and group rows into per-study datasets.
 
-    All files must agree on the covariate columns.  Studies are returned
+    All files must agree on the covariate columns, and no file may be given
+    twice.  Outcomes and covariates must be finite.  Studies are returned
     sorted by study_id; rows keep their file order within a study.
     """
     if not paths:
         raise InputFormatError("no trial files given")
     cov_names: tuple[str, ...] | None = None
     parts = []
-    for path in paths:
+    for n, path in enumerate(paths):
+        if any(os.path.samefile(path, earlier) for earlier in paths[:n]):
+            raise InputFormatError("trial file given more than once", path)
         header, columns, line = _read_columns(
             path, ("study_id", "y", "a"), (int, float, int), cov_names
         )
@@ -260,6 +285,7 @@ def read_trials_csv(paths: list[str]) -> list[TrialDataset]:
         if bad.size:
             i = bad[0]
             raise InputFormatError(f"column 'a': must be 0 or 1, got {a[i]}", path, line(i))
+        _reject_nonfinite(header, columns, path, line)
         parts.append((*columns[:3], np.column_stack(columns[3:])))
     study, y, a, x = (np.concatenate(column) for column in zip(*parts))
     if not study.size:
@@ -272,26 +298,20 @@ def read_trials_csv(paths: list[str]) -> list[TrialDataset]:
     ]
 
 
-def read_profiles_csv(path: str, covariate_names: tuple[str, ...]) -> list[CovariateProfile]:
-    """Target profiles in file order; the covariate columns must be
-    ``covariate_names`` in that order, ids unique and covariates finite."""
+def read_profiles_csv(path: str, covariate_names: tuple[str, ...]
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Target profiles in file order as ``(profile_id, points)``, one row of
+    ``points`` per id; the covariate columns must be ``covariate_names`` in
+    that order, ids unique and covariates finite."""
     header, columns, line = _read_columns(path, ("profile_id",), (int,), tuple(covariate_names))
     pid = columns[0]
     if not pid.size:
         raise InputFormatError("no target profiles", path)
-    _, first, group = np.unique(pid, return_index=True, return_inverse=True)
-    repeats = np.flatnonzero(first[group] != np.arange(pid.size))
-    if repeats.size:
-        i = repeats[0]
+    i, _ = _first_repeat(pid)
+    if i is not None:
         raise InputFormatError(f"duplicate profile_id {pid[i]}", path, line(i))
-    x = np.column_stack(columns[1:])
-    rows, cols = np.nonzero(~np.isfinite(x))
-    if rows.size:
-        i, j = rows[0], cols[0]
-        raise InputFormatError(
-            f"column '{header[1 + j]}': not finite: {float(x[i, j])}", path, line(i)
-        )
-    return [CovariateProfile(profile_id=p, x=row) for p, row in zip(pid.tolist(), x)]
+    _reject_nonfinite(header, columns, path, line)
+    return pid, np.column_stack(columns[1:])
 
 
 def write_aggregates_csv(path: str, profile_id, study_id, **values) -> None:
@@ -311,15 +331,12 @@ def read_aggregates_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     invalid = first_invalid_estimate(columns[2], columns[3])
     if invalid is not None:
         raise InputFormatError(invalid[1], path, line(invalid[0]))
-    order = np.lexsort((columns[1], columns[0]))
-    pid, sid, tau, se2 = (column[order] for column in columns)
-    repeats = np.flatnonzero((pid[1:] == pid[:-1]) & (sid[1:] == sid[:-1]))
-    if repeats.size:
-        i = repeats[0] + 1
+    i, order = _first_repeat(columns[0], columns[1])
+    if i is not None:
         raise InputFormatError(
-            f"duplicate row for profile {pid[i]}, study {sid[i]}", path, line(order[i])
+            f"duplicate row for profile {columns[0][i]}, study {columns[1][i]}", path, line(i)
         )
-    return pid, sid, tau, se2
+    return tuple(column[order] for column in columns)
 
 
 def _flags(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -368,11 +385,8 @@ def read_predictions_csv(path: str):
     ):
         if bad.any():
             raise InputFormatError(message, path, line(np.argmax(bad)))
-    order = np.argsort(pid, kind="stable")
-    sorted_pid = pid[order]
-    repeats = np.flatnonzero(sorted_pid[1:] == sorted_pid[:-1])
-    if repeats.size:
-        i = order[repeats[0] + 1]
+    i, order = _first_repeat(pid)
+    if i is not None:
         raise InputFormatError(f"duplicate profile_id {pid[i]}", path, line(i))
     return tuple(column[order] for column in (pid, tau, theta2, lower, upper, k))
 

@@ -212,22 +212,25 @@ def _solve(tau, v, bound, counts):
 def _reml_rows(tau, v, counts):
     """REML theta2 for each row of (P, K) arrays.
 
+    Each row is solved in its own units, tau_hat / 2^e and se2 / 4^e with 2^e
+    the least power of two above the range of tau_hat, so that the Newton
+    stop and the weights' powers in ``_score`` suit any scale; theta2 is the
+    solution times 4^e.  Powers of two scale exactly.
+
     theta2_max = 10 * var(tau_hat) + max(se2) bounds the search.  A row whose
     maximizer lands on that bound is solved again, once, with the bound
-    doubled.  Equal estimates give theta2 = 0 without a search, and
-    estimates whose variance overflows raise ``EstimationError``.
+    doubled.  Equal estimates give theta2 = 0 without a search, and a theta2
+    that overflows raises ``EstimationError``.
     """
     theta2 = np.zeros(len(tau))
     active = np.ptp(tau, axis=1) > 0.0
     if active.any():
-        t, s = tau[active], v[active]
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = 10.0 * np.var(t, axis=1, ddof=1) + s.max(axis=1)
-        if not np.isfinite(bound).all():
-            raise EstimationError(
-                "the spread of the estimates overflows: "
-                "REML search bound 10 * var(tau_hat) + max(se2) is not finite"
-            )
+        e = np.frexp(np.ptp(0.5 * tau[active], axis=1))[1] + 1
+        with np.errstate(over="ignore", under="ignore"):
+            t = np.ldexp(tau[active], -e[:, None])
+            # An se2 past the float range in these units weighs nothing.
+            s = np.minimum(np.ldexp(v[active], -2 * e[:, None]), np.finfo(np.float64).max)
+        bound = 10.0 * np.var(t, axis=1, ddof=1) + s.max(axis=1)
         x = _solve(t, s, bound, counts)
         hit = bound - x <= _BOUND_RTOL * bound
         if hit.any():
@@ -238,7 +241,10 @@ def _reml_rows(tau, v, counts):
                     "REML maximizer exceeded its search bound after one retry"
                 )
             counts["reml_bound_retries"] += int(np.count_nonzero(hit))
-        theta2[active] = x
+        with np.errstate(over="ignore"):
+            theta2[active] = np.ldexp(x, 2 * e)
+        if not np.isfinite(theta2).all():
+            raise EstimationError("the REML estimate of theta2 overflows")
     counts["reml_boundary_hits"] += int(np.count_nonzero(theta2 == 0.0))
     return theta2
 
@@ -246,22 +252,23 @@ def _reml_rows(tau, v, counts):
 def _pool_rows(tau, v, theta2):
     """Inverse-variance pooling of each row: (weights, tau_pooled, var_pooled).
 
-    A row with all se2 + theta2 exactly zero and equal estimates pools to
-    that estimate with variance 0 and nominal equal weights, since the true
-    weights are infinite; any other zero is an error.
+    A row with all weights infinite (se2 + theta2 zero, or too small for its
+    inverse to be a float) and equal estimates pools to that estimate with
+    variance 0 and nominal equal weights; any other infinite weight is an
+    error.
     """
-    total = v + theta2[:, None]
-    zero = total == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = 1.0 / total
+    with np.errstate(divide="ignore", over="ignore"):
+        w = 1.0 / (v + theta2[:, None])
+    with np.errstate(invalid="ignore"):
         sw = w.sum(axis=1)
         tau_pooled = (w * tau).sum(axis=1) / sw
         var_pooled = 1.0 / sw
+    zero = np.isinf(w)
     degenerate = zero.any(axis=1)
     if degenerate.any():
         if not np.all(zero[degenerate].all(axis=1)
                       & (np.ptp(tau[degenerate], axis=1) == 0.0)):
-            raise EstimationError("degenerate variance: some se2 + theta2 are exactly zero")
+            raise EstimationError("degenerate variance: some 1/(se2 + theta2) are infinite")
         w[degenerate] = 1.0 / tau.shape[1]
         tau_pooled[degenerate] = tau[degenerate, 0]
         var_pooled[degenerate] = 0.0

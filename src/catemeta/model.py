@@ -26,11 +26,11 @@ def _readonly(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
 class TrialDataset:
     """Individual-level data for one study: outcome, binary treatment, covariates.
 
-    Construction enforces structural consistency (matching shapes, treatment
-    coded 0/1).  Statistical preconditions such as both arms being present or
-    all values being finite are checked by :func:`validate_trial`, which
-    reports violations instead of raising, so that malformed datasets can
-    still be inspected.
+    Construction enforces matching shapes, treatment coded 0/1 and finite
+    outcomes and covariates, raising ``ValueError`` naming the first bad row.
+    Whether both arms have enough rows is checked by :func:`validate_trial`,
+    which reports instead of raising, so that such a dataset can still be
+    inspected.
     """
 
     study_id: int
@@ -55,6 +55,11 @@ class TrialDataset:
         if bad.any():
             raise ValueError(
                 f"treatment must be coded 0/1, found {np.unique(a[bad]).tolist()}")
+        if not (np.isfinite(y).all() and np.isfinite(x).all()):
+            bad = ~np.isfinite(np.column_stack([y, x]))
+            i, j = np.unravel_index(bad.argmax(), bad.shape)
+            what = "outcome" if j == 0 else f"covariate '{self.covariate_names[j - 1]}'"
+            raise ValueError(f"row {i}: non-finite {what}")
         a = _readonly(a, dtype=np.int8)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "a", a)
@@ -201,73 +206,51 @@ _MIN_ARM_ROWS = 2
 
 
 def validate_trial(dataset: TrialDataset) -> ValidationReport:
-    """Check a trial against the preconditions all Stage-1 learners rely on.
+    """Check that each arm of a trial has the rows all Stage-1 learners rely on.
 
-    Pure and idempotent: returns a report, never raises. Checks each arm has
-    at least two rows (a cheap positivity proxy for randomized data), that
-    all outcomes and covariates are finite, and that dimensions agree.
+    Pure and idempotent: returns a report, never raises.  Each arm needs at
+    least two rows (a cheap positivity proxy for randomized data); finite
+    values and matching dimensions are already enforced by
+    :class:`TrialDataset`.
     """
-    violations: list[str] = []
     n = dataset.n_rows
     n_treated = int(dataset.a.sum())
     n_control = n - n_treated
-    for arm, count in ((0, n_control), (1, n_treated)):
-        if count < _MIN_ARM_ROWS:
-            violations.append(f"arm a={arm} has <{_MIN_ARM_ROWS} rows ({count})")
-    bad_y = np.flatnonzero(~np.isfinite(dataset.y))
-    for i in bad_y:
-        violations.append(f"row {int(i)}: non-finite outcome")
-    bad_rows, bad_cols = np.nonzero(~np.isfinite(dataset.x))
-    for i, j in zip(bad_rows, bad_cols):
-        name = dataset.covariate_names[int(j)]
-        violations.append(f"row {int(i)}: non-finite covariate '{name}'")
-    if dataset.x.shape[1] != len(dataset.covariate_names):
-        violations.append("covariate dimension mismatch")
-    propensity = n_treated / n if n else 0.0
     return ValidationReport(
         study_id=dataset.study_id,
-        violations=tuple(violations),
+        violations=tuple(f"arm a={arm} has <{_MIN_ARM_ROWS} rows ({count})"
+                         for arm, count in ((0, n_control), (1, n_treated))
+                         if count < _MIN_ARM_ROWS),
         n_treated=n_treated,
         n_control=n_control,
-        propensity=propensity,
+        propensity=n_treated / n if n else 0.0,
     )
 
 
 def validate_target_coverage(
-    profiles: list[CovariateProfile], trials: list[TrialDataset]
+    profile_ids, points: np.ndarray, trials: list[TrialDataset]
 ) -> list[CoverageFlag]:
     """Flag profiles with any covariate outside the pooled trial range.
 
-    The pooled range for covariate j is [min, max] over all rows of all
-    trials (closed interval; a profile exactly at the boundary is not
-    flagged).  This is a cheap, conservative box heuristic: flagged profiles
-    are still processed downstream but should be marked in reports.
+    ``points`` holds one row per id in ``profile_ids``, in the trials'
+    covariate order; every trial has those covariates.  The pooled range for
+    covariate j is [min, max] over all rows of all trials (closed interval; a
+    profile exactly at the boundary is not flagged).  This is a cheap,
+    conservative box heuristic: flagged profiles are still processed
+    downstream but should be marked in reports.  Returns one flag per
+    profile, in order.
     """
     if not trials:
         raise ValueError("at least one trial is required")
-    p = trials[0].n_covariates
     names = trials[0].covariate_names
-    for t in trials:
-        if t.n_covariates != p:
-            raise DimensionMismatchError(
-                f"study {t.study_id} has {t.n_covariates} covariates, expected {p}"
-            )
-    lo = np.full(p, np.inf)
-    hi = np.full(p, -np.inf)
-    for t in trials:
-        lo = np.minimum(lo, np.nanmin(t.x, axis=0))
-        hi = np.maximum(hi, np.nanmax(t.x, axis=0))
-    flags = []
-    for prof in profiles:
-        if prof.n_covariates != p:
-            raise DimensionMismatchError(
-                f"profile {prof.profile_id} has {prof.n_covariates} covariates, expected {p}"
-            )
-        outside = (prof.x < lo) | (prof.x > hi)
-        flags.append(
-            CoverageFlag(
-                profile_id=prof.profile_id,
-                out_of_range=tuple(names[j] for j in np.flatnonzero(outside)),
-            )
+    ids = np.asarray(profile_ids).tolist()
+    points = np.asarray(points, dtype=np.float64)
+    if points.shape != (len(ids), len(names)):
+        raise DimensionMismatchError(
+            f"profile points have shape {points.shape}, expected {(len(ids), len(names))}"
         )
-    return flags
+    lo = np.min([t.x.min(axis=0) for t in trials], axis=0)
+    hi = np.max([t.x.max(axis=0) for t in trials], axis=0)
+    outside = (points < lo) | (points > hi)
+    return [CoverageFlag(pid, tuple(names[j] for j in np.flatnonzero(row)))
+            for pid, row in zip(ids, outside)]

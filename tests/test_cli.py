@@ -40,6 +40,15 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def one_error_line(err):
+    """The ``error:`` line that ends the stderr text ``err`` of a failed run;
+    fails on a traceback, or on any other ``error:`` line."""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:], err
+    return lines[-1]
+
+
 def golden_with_cell(tmp_path, name, line, column, value):
     """A copy of golden file ``name`` with one cell replaced."""
     lines = (GOLDEN / name).read_text().splitlines()
@@ -147,6 +156,51 @@ class TestEstimate:
                     "--stage1", "linear", "--out-dir", tmp_path / "x"])
         assert code == 2
         assert "arm a=0" in capsys.readouterr().err
+
+    def test_first_failing_study_ends_the_run(self, tmp_path, capsys):
+        # Each failing study used to print an error line of its own.
+        trials = tmp_path / "one_arm.csv"
+        rows = [f"{s},{i}.0,{s - 1},0.{i}" for s in (1, 2) for i in range(10)]
+        trials.write_text("study_id,y,a,age\n" + "\n".join(rows) + "\n")
+        profiles = tmp_path / "p.csv"
+        profiles.write_text("profile_id,age\n0,0.5\n")
+        code = run(["estimate", "--trials", trials, "--profiles", profiles,
+                    "--stage1", "linear", "--out-dir", tmp_path / "x"])
+        assert code == 2
+        assert one_error_line(capsys.readouterr().err) == (
+            "error: study 1: arm a=1 has <2 rows (0)")
+
+    @pytest.mark.parametrize("column,value,shown", [
+        (1, "nan", "column 'y': not finite: nan"),
+        (5, "-inf", "column 'weight': not finite: -inf"),
+        (3, "1e400", "column 'age': not finite: inf"),
+    ], ids=["nan-outcome", "inf-covariate", "overflowing-covariate"])
+    def test_non_finite_trial_value_exits_2(self, tmp_path, capsys, column, value, shown):
+        # Each bad row used to get an error line of its own, naming the row by
+        # its 0-based index within its study rather than by its file line.
+        lines = (GOLDEN / "forest_trials.csv").read_text().splitlines()
+        for at in (9, 49, 50):  # file lines 10, 50 and 51
+            fields = lines[at].split(",")
+            fields[column] = value
+            lines[at] = ",".join(fields)
+        trials = tmp_path / "trials.csv"
+        trials.write_text("\n".join(lines) + "\n")
+        code = run(["estimate", "--trials", trials, "--profiles", GOLDEN / "forest_profiles.csv",
+                    "--stage1", "linear", "--out-dir", tmp_path / "x"])
+        assert code == 2
+        assert one_error_line(capsys.readouterr().err) == f"error: {trials}:10: {shown}"
+
+    def test_repeated_trials_path_exits_2(self, tmp_path, capsys):
+        # The file used to be read twice: each study doubled and its se2 halved.
+        trials, profiles = write_inputs(tmp_path)
+        again = f"{tmp_path}/./{trials.name}"
+        out = tmp_path / "x"
+        code = run(["estimate", "--trials", trials, again, "--profiles", profiles,
+                    "--stage1", "linear", "--out-dir", out])
+        assert code == 2
+        assert one_error_line(capsys.readouterr().err) == (
+            f"error: {again}: trial file given more than once")
+        assert not (out / "aggregates.csv").exists()
 
     def test_out_of_range_profile_warns_but_succeeds(self, tmp_path, capsys):
         trials, _ = write_inputs(tmp_path)
@@ -343,16 +397,14 @@ class TestPredict:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_spread_exits_1(self, tmp_path, capsys):
-        # np.var overflows to inf; this used to print two numpy
+        # theta2 is about 1e400; this used to print two numpy
         # RuntimeWarnings and blame the REML search bound's retry.
         agg = tmp_path / "agg.csv"
         agg.write_text("profile_id,study_id,tau_hat,se2\n"
                        "0,1,1e200,0.5\n0,2,-1e200,0.5\n0,3,0,0.5\n")
         out = tmp_path / "x"
         assert run(["predict", "--aggregates", agg, "--out-dir", out]) == 1
-        assert capsys.readouterr().err == (
-            "error: the spread of the estimates overflows: "
-            "REML search bound 10 * var(tau_hat) + max(se2) is not finite\n")
+        assert capsys.readouterr().err == "error: the REML estimate of theta2 overflows\n"
         assert not (out / "predictions.csv").exists()
 
     def test_single_study_profile_exits_2(self, tmp_path):

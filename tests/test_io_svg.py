@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from catemeta import ConfigurationError, InputFormatError, MetricsTable, StudyCateEstimate
 from catemeta.io import (
+    PREDICTION_HEADER,
     parse_sim_config,
     read_aggregates_csv,
     read_predictions_csv,
@@ -82,9 +83,9 @@ class TestProfilesCsv:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "profiles.csv"
         path.write_text("profile_id,age,weight\n0,0.5,-1.25\n3,1.5,0.0\n")
-        profiles = read_profiles_csv(str(path), ("age", "weight"))
-        assert [p.profile_id for p in profiles] == [0, 3]
-        assert profiles[1].x[0] == 1.5
+        profile_id, points = read_profiles_csv(str(path), ("age", "weight"))
+        assert profile_id.tolist() == [0, 3]
+        assert points[1, 0] == 1.5
 
 
 class TestAggregatesCsv:
@@ -108,6 +109,25 @@ class TestAggregatesCsv:
             second = tmp_path / "b.csv"
             write_aggregates_csv(str(second), pid, sid, tau_hat=tau, se2=se2)
             assert second.read_bytes() == source.read_bytes()
+
+
+class TestFirstRepeat:
+    @pytest.mark.parametrize("read,text,message", [
+        (read_aggregates_csv,
+         "profile_id,study_id,tau_hat,se2\n0,1,1.0,0.5\n1,1,1.0,0.5\n1,1,1.0,0.5\n0,1,1.0,0.5\n",
+         "duplicate row for profile 1, study 1"),
+        (read_predictions_csv,
+         ",".join(PREDICTION_HEADER) + "\n"
+         + "".join(f"{p},1.0,0.5,-1.0,3.0,2,crosses_zero\n" for p in (5, 1, 5, 1)),
+         "duplicate profile_id 5"),
+    ], ids=["aggregates", "predictions"])
+    def test_names_the_first_row_that_repeats_an_earlier_one(self, tmp_path, read, text,
+                                                             message):
+        # The first repeat in sorted order used to be named: line 5 here.
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        with pytest.raises(InputFormatError, match=f"in.csv:4: {message}$"):
+            read(str(path))
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -545,6 +545,19 @@ class TestPoolProfiles:
         with pytest.raises(EstimationError):
             pool_profiles(tau, v)
 
+    @pytest.mark.parametrize("c", [1e-150, 1e-6, 1e-5, 1e80, 1e120, 1e150])
+    def test_theta2_scales_with_the_square_of_the_units(self, c):
+        # The Newton stop was absolute for a small theta2 (6% off at c = 1e-5),
+        # and the score's w^2 underflowed for a large one (some theta2 fell to
+        # 0 at c = 1e120).
+        rng = np.random.default_rng(21)
+        tau = rng.normal(0.0, rng.uniform(0.3, 2.0, 400), size=(8, 400))
+        v = rng.uniform(0.05, 1.5, size=(8, 400))
+        base = pool_profiles(tau, v).theta2
+        scaled = pool_profiles(tau * c, v * c * c).theta2 / (c * c)
+        assert np.array_equal(scaled == 0.0, base == 0.0)
+        np.testing.assert_allclose(scaled, base, rtol=1e-10)
+
     def test_interval_needs_three_studies(self):
         batch = pool_profiles(np.array([[0.0], [1.0]]), np.ones((2, 1)))
         assert batch.half_width is None

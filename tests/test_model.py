@@ -73,17 +73,15 @@ class TestValidateTrial:
         ds = make_trial()
         y = ds.y.copy()
         y[3] = np.nan
-        bad = TrialDataset(ds.study_id, y, ds.a, ds.x, ds.covariate_names)
-        report = validate_trial(bad)
-        assert "row 3: non-finite outcome" in report.violations
+        with pytest.raises(ValueError, match=re.escape("row 3: non-finite outcome")):
+            TrialDataset(ds.study_id, y, ds.a, ds.x, ds.covariate_names)
 
     def test_nan_covariate_names_row_and_column(self):
         ds = make_trial()
         x = ds.x.copy()
         x[5, 2] = np.inf
-        bad = TrialDataset(ds.study_id, ds.y, ds.a, x, ds.covariate_names)
-        report = validate_trial(bad)
-        assert "row 5: non-finite covariate 'c2'" in report.violations
+        with pytest.raises(ValueError, match=re.escape("row 5: non-finite covariate 'c2'")):
+            TrialDataset(ds.study_id, ds.y, ds.a, x, ds.covariate_names)
 
     def test_idempotent_and_pure(self):
         ds = make_trial()
@@ -104,15 +102,13 @@ class TestValidateTargetCoverage:
 
     def test_profile_equal_to_trial_row_not_flagged(self):
         trials = self.trials()
-        prof = CovariateProfile(0, trials[0].x[4])
-        flags = validate_target_coverage([prof], trials)
+        flags = validate_target_coverage([0], trials[0].x[4:5], trials)
         assert not flags[0].flagged
 
     def test_profile_outside_range_flagged_by_name(self):
         trials = self.trials()
         pooled_max = max(t.x[:, 0].max() for t in trials)
-        prof = CovariateProfile(7, np.array([pooled_max + 10.0, 0.0]))
-        flags = validate_target_coverage([prof], trials)
+        flags = validate_target_coverage([7], np.array([[pooled_max + 10.0, 0.0]]), trials)
         assert flags[0].flagged
         assert flags[0].out_of_range == ("age",)
         assert flags[0].profile_id == 7
@@ -120,27 +116,26 @@ class TestValidateTargetCoverage:
     def test_boundary_is_closed(self):
         trials = self.trials()
         pooled_min = min(t.x[:, 1].min() for t in trials)
-        prof = CovariateProfile(1, np.array([0.0, pooled_min]))
-        flags = validate_target_coverage([prof], trials)
+        flags = validate_target_coverage([1], np.array([[0.0, pooled_min]]), trials)
         assert not flags[0].flagged
 
     def test_widening_a_range_never_adds_flags(self):
         trials = self.trials()
         rng = np.random.default_rng(11)
-        profiles = [CovariateProfile(i, rng.uniform(-2, 3, 2)) for i in range(40)]
-        before = validate_target_coverage(profiles, trials)
+        ids, points = np.arange(40), rng.uniform(-2, 3, (40, 2))
+        before = validate_target_coverage(ids, points, trials)
         widened = trials + [
             TrialDataset(3, np.zeros(4), np.array([0, 0, 1, 1]),
                          np.array([[-5.0, -5.0], [5.0, 5.0], [0.0, 0.0], [1.0, 1.0]]),
                          ("age", "weight"))
         ]
-        after = validate_target_coverage(profiles, widened)
+        after = validate_target_coverage(ids, points, widened)
         for fb, fa in zip(before, after):
             assert set(fa.out_of_range) <= set(fb.out_of_range)
 
     def test_dimension_mismatch_is_hard_error(self):
         with pytest.raises(DimensionMismatchError):
-            validate_target_coverage([CovariateProfile(0, np.zeros(3))], self.trials())
+            validate_target_coverage([0], np.zeros((1, 3)), self.trials())
 
 
 class TestLearnerUniformity:
