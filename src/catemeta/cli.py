@@ -359,6 +359,12 @@ def _parse_threads(value: str) -> int:
     return int(value)
 
 
+def _parse_seed(value: str) -> int:
+    if not (value.isascii() and value.isdecimal()) or int(value) >= 1 << 64:
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {value!r}")
+    return int(value)
+
+
 def _parse_bool(value: str) -> bool:
     if value == "true":
         return True
@@ -377,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--seed", type=_parse_seed, default=0, help="master seed")
         p.add_argument("--threads", type=_parse_threads, default=1, help="worker processes")
         p.add_argument("--out-dir", default=".", help="output directory")
 

@@ -5,10 +5,12 @@ is halved: one half chooses splits, the other estimates leaf effects, and
 no outcome contributes to both.  The trees grow level-synchronously, in
 batches of at most ``_BATCH_ROWS`` subsample rows (to bound memory), by
 :func:`catemeta.grower.grow_trees`: one batched split search per depth,
-bit-identical to growing each node on its own.  Each covariate is ranked
-once per study.  A split threshold is the midpoint of two consecutive
-distinct values, or the lower value where rounding or overflow puts the
-midpoint outside them.
+bit-identical to growing each node on its own.  Each batch pays every
+depth's fixed costs once, so the bound lets up to 131 trees at n = 500
+(250 subsample rows each) grow in one pass; the 1,000-tree default takes
+8.  Each covariate is ranked once per study.  A split threshold is the
+midpoint of two consecutive distinct values, or the lower value where
+rounding or overflow puts the midpoint outside them.
 
 :func:`forest_predict` routes every tree at once and also reports the
 forest's growth statistics (mean nodes per tree, fraction of usable
@@ -41,7 +43,10 @@ from .rng import substream
 _SE2_FLOOR_FACTOR = 1e-6
 _MAX_SKIP_FRACTION = 0.5
 # Subsample rows of the trees grown together; bounds the growth's memory.
-_BATCH_ROWS = 12500
+# Each depth of a pass pays fixed per-call costs, so fewer passes are faster.
+# At 2**15 a 100-tree forest at n = 500 (25,000 rows) grows in one pass: its
+# fit's tracemalloc peak is 2.44 MB, against 1.51 MB in two passes at 12,500.
+_BATCH_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)

@@ -255,16 +255,30 @@ def _pool_rows(tau, v, theta2):
     A row with all weights infinite (se2 + theta2 zero, or too small for its
     inverse to be a float) and equal estimates pools to that estimate with
     variance 0 and nominal equal weights; any other infinite weight is an
-    error.
+    error.  A row of finite weights whose sum or weighted sum overflows is
+    pooled on its weights times 2**-e, e the exponent of its largest weight;
+    the scaling is exact and leaves the other rows alone.  If that row still
+    overflows, it is an error.
     """
     with np.errstate(divide="ignore", over="ignore"):
         w = 1.0 / (v + theta2[:, None])
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         sw = w.sum(axis=1)
-        tau_pooled = (w * tau).sum(axis=1) / sw
+        weighted = (w * tau).sum(axis=1)
+        tau_pooled = weighted / sw
         var_pooled = 1.0 / sw
     zero = np.isinf(w)
     degenerate = zero.any(axis=1)
+    overflow = ~degenerate & ~(np.isfinite(sw) & np.isfinite(weighted))
+    if overflow.any():
+        e = np.frexp(w[overflow].max(axis=1))[1]
+        scaled = np.ldexp(w[overflow], -e[:, None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            sw = scaled.sum(axis=1)
+            tau_pooled[overflow] = (scaled * tau[overflow]).sum(axis=1) / sw
+        var_pooled[overflow] = np.ldexp(1.0 / sw, -e)
+        if not np.isfinite(tau_pooled[overflow]).all():
+            raise EstimationError("the pooled estimate overflows")
     if degenerate.any():
         if not np.all(zero[degenerate].all(axis=1)
                       & (np.ptp(tau[degenerate], axis=1) == 0.0)):

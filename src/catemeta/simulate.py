@@ -87,6 +87,8 @@ class SimConfig:
             raise ConfigurationError("k_studies must be >= 2")
         if self.n_per_study < 1 or self.n_replications < 1:
             raise ConfigurationError("sample and replication counts must be positive")
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ConfigurationError("master_seed must be in [0, 2**64)")
         if self.cate_setting not in CATE_SETTINGS:
             raise ConfigurationError(f"cate_setting must be one of {CATE_SETTINGS}")
         if self.heterogeneity_level not in _HETEROGENEITY_SIGMAS:

@@ -407,6 +407,34 @@ class TestPredict:
         assert capsys.readouterr().err == "error: the REML estimate of theta2 overflows\n"
         assert not (out / "predictions.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau, se2, row", [
+        ("1.0", "1e-308", "0,1.0,0.0,1.0,1.0,1,positive"),
+        ("1e300", "1e-10", "0,1e+300,0.0,1e+300,1e+300,1,positive"),
+    ], ids=["weight-sum", "weighted-sum"])
+    def test_overflowing_weight_sums_pool(self, tmp_path, tau, se2, row):
+        # The sums of the weights 1/se2 (1e308 each), or of the weighted
+        # estimates (1e310 each), overflow; these used to write tau_pooled
+        # nan with an empty interval, or inf, and a numpy RuntimeWarning.
+        agg = tmp_path / "agg.csv"
+        agg.write_text("profile_id,study_id,tau_hat,se2\n"
+                       + "".join(f"0,{s},{tau},{se2}\n" for s in (1, 2, 3)))
+        out = tmp_path / "x"
+        assert run(["predict", "--aggregates", agg, "--out-dir", out]) == 0
+        assert (out / "predictions.csv").read_text().splitlines()[1] == row
+        assert run(["compare-intervals", "--aggregates", agg, "--predictions",
+                    out / "predictions.csv", "--profile", "0", "--out-dir", out]) == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_pooled_estimate_exits_1(self, tmp_path, capsys):
+        agg = tmp_path / "agg.csv"
+        agg.write_text("profile_id,study_id,tau_hat,se2\n"
+                       + "".join(f"0,{s},1.7e308,1e-300\n" for s in (1, 2, 3)))
+        out = tmp_path / "x"
+        assert run(["predict", "--aggregates", agg, "--out-dir", out]) == 1
+        assert capsys.readouterr().err == "error: the pooled estimate overflows\n"
+        assert not (out / "predictions.csv").exists()
+
     def test_single_study_profile_exits_2(self, tmp_path):
         agg = tmp_path / "agg.csv"
         agg.write_text("profile_id,study_id,tau_hat,se2\n0,1,1.0,0.5\n")
@@ -653,6 +681,16 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {cfg}:3: key 'methods': {message}\n"
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("seed", ["18446744073709551619", "-1"])
+    def test_master_seed_outside_64_bits_exits_3(self, tmp_path, capsys, seed):
+        # 2**64 + 3 used to write the metrics.csv of master_seed = 3.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG.replace("master_seed = 11", f"master_seed = {seed}"))
+        out = tmp_path / "x"
+        assert run(["simulate", "--config", cfg, "--out-dir", out]) == 3
+        assert capsys.readouterr().err == "error: master_seed must be in [0, 2**64)\n"
+        assert not (out / "metrics.csv").exists()
+
     @pytest.mark.parametrize("alpha", ["1.5", "0", "1", "-0.1", "nan"])
     def test_alpha_outside_unit_interval_exits_3(self, tmp_path, capsys, alpha):
         cfg = tmp_path / "exp.cfg"
@@ -748,6 +786,23 @@ class TestExitCodeMapping:
         err = capsys.readouterr().err
         assert err.startswith("usage: ")
         assert f"--threads: expected an integer >= 1, got '{threads}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--trials", "t.csv", "--profiles", "p.csv", "--stage1", "forest"],
+        ["predict", "--aggregates", "agg.csv"],
+    ], ids=["estimate", "predict"])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, command, seed):
+        # These seeds used to be masked to 64 bits: 2**64 wrote the bytes of
+        # seed 0, and -1 those of 2**64 - 1.
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--seed", seed, "--out-dir", tmp_path / "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"--seed: expected an integer in [0, 2**64), got '{seed}'" in err
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
