@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError
+from .errors import ConfigurationError, DimensionMismatchError, EstimationError
 from .model import StudyCateEstimate, TrialDataset
 from .rng import substream
 
@@ -69,6 +69,8 @@ class BartParams:
             raise ConfigurationError("tree prior requires alpha in (0,1), beta > 0")
         if self.k <= 0.0:
             raise ConfigurationError("leaf prior requires k > 0")
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigurationError("seed must be in [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -286,7 +288,8 @@ def fit_bart_slearner(
     extra column.  For each row x* of ``points`` (P, p) both counterfactual
     inputs (x*, 0) and (x*, 1) are registered, and the posterior function
     draws at those inputs are stored in outcome units: row i's arms are draw
-    columns 2i and 2i + 1.  Deterministic given ``params.seed``.
+    columns 2i and 2i + 1.  Deterministic given ``params.seed``.  The points
+    are taken to be finite, as ``estimate_study`` checks.
     """
     points = np.asarray(points, dtype=np.float64)
     if not points.size:
@@ -294,11 +297,11 @@ def fit_bart_slearner(
     p = dataset.n_covariates
     if points.ndim != 2 or points.shape[1] != p:
         raise DimensionMismatchError(f"points have shape {points.shape}, expected (P, {p})")
-    if not np.isfinite(points).all():
-        raise ValueError("points must be finite")
     y = dataset.y
     y_min, y_max = float(y.min()), float(y.max())
     y_range = (y_max - y_min) or 1.0
+    if math.isinf(y_range):
+        raise EstimationError(f"study {dataset.study_id}: the outcome range overflows")
     y_scaled = (y - y_min) / y_range - 0.5
 
     z = np.column_stack([dataset.x, dataset.a.astype(np.float64)])
@@ -350,13 +353,13 @@ def bart_cates(posterior: BartPosterior, level: float = 0.95):
     # One contiguous row per point: each row reduces exactly like a 1-d column.
     f1 = np.ascontiguousarray(posterior.draws[:, 1::2].T)
     f0 = np.ascontiguousarray(posterior.draws[:, 0::2].T)
-    tau = f1.mean(axis=1) - f0.mean(axis=1)
-    # Draws near the end of the float range overflow se2 to inf; the se2
-    # check downstream names the study.
-    with np.errstate(over="ignore"):
-        se2 = np.var(f1, axis=1, ddof=1) + np.var(f0, axis=1, ddof=1)
     tail = (1.0 - level) / 2.0
-    lower, upper = np.quantile(f1 - f0, [tail, 1.0 - tail], axis=1, method="linear")
+    # Draws near the end of the float range overflow these to inf or NaN; the
+    # checks downstream name the study.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau = f1.mean(axis=1) - f0.mean(axis=1)
+        se2 = np.var(f1, axis=1, ddof=1) + np.var(f0, axis=1, ddof=1)
+        lower, upper = np.quantile(f1 - f0, [tail, 1.0 - tail], axis=1, method="linear")
     return tau, se2, lower, upper
 
 

@@ -178,7 +178,7 @@ def cmd_estimate(args) -> int:
                 manifest.notes.append(note)
                 print(f"warning: {note}", file=sys.stderr)
 
-    if args.stage1 == "linear":
+    if params is None:  # linear: the moderators name the trials' covariates
         params = _resolve_moderators(args.moderators, trials[0].covariate_names)
     with _Phase(manifest, "fit"):
         study_params = [
@@ -186,7 +186,7 @@ def cmd_estimate(args) -> int:
             if hasattr(params, "seed") else params  # the moderator tuple has no seed
             for ds in trials
         ]
-        fit_args = (trials, repeat(points), repeat(args.stage1), study_params)
+        fit_args = (trials, repeat(points), study_params)
         if args.threads > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.threads) as pool:
                 fitted = list(pool.map(estimate_study, *fit_args))

@@ -76,6 +76,8 @@ class ForestParams:
             raise ConfigurationError("per-arm leaf minima must be >= 2")
         if not (0.0 < self.subsample_fraction <= 1.0):
             raise ConfigurationError("subsample_fraction must be in (0, 1]")
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigurationError("seed must be in [0, 2**64)")
 
     @property
     def n_bags(self) -> int:
@@ -168,8 +170,9 @@ def fit_causal_forest(dataset: TrialDataset, params: ForestParams) -> CausalFore
         ):
             trees.append(CausalTree(*nodes, split_rows=split_rows, est_rows=est_rows))
     # An outcome near the end of the float range overflows the variance, and
-    # with it the se2 floor, to inf; the se2 check downstream names the study.
-    with np.errstate(over="ignore"):
+    # with it the se2 floor, to inf or NaN; the se2 check downstream names the
+    # study.
+    with np.errstate(over="ignore", invalid="ignore"):
         outcome_variance = float(np.var(y, ddof=1)) if n > 1 else 0.0
     return CausalForestModel(
         study_id=dataset.study_id,
@@ -214,7 +217,9 @@ def _bag_se2(pred: np.ndarray, valid: np.ndarray, params: ForestParams, floor: f
     """Between-bag variance estimate per profile, clamped at the floor.
 
     se2 = max(var(bag means) - mean(within-bag var)/bag_size, floor),
-    computed over bags that have valid trees.
+    computed over bags that have valid trees.  Called under
+    :func:`forest_predict`'s ``np.errstate``: bags without two valid trees
+    divide by zero.
     """
     n_profiles = pred.shape[1]
     g = params.bag_size
@@ -222,11 +227,9 @@ def _bag_se2(pred: np.ndarray, valid: np.ndarray, params: ForestParams, floor: f
     bags_valid = valid.reshape(params.n_bags, g, n_profiles)
     counts = bags_valid.sum(axis=1)
     safe = np.where(bags_valid, bags_pred, 0.0)
-    sums = safe.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        means = sums / counts
-        sq = (np.where(bags_valid, bags_pred - means[:, None, :], 0.0) ** 2).sum(axis=1)
-        within = sq / (counts - 1)
+    means = safe.sum(axis=1) / counts
+    sq = (np.where(bags_valid, bags_pred - means[:, None, :], 0.0) ** 2).sum(axis=1)
+    within = sq / (counts - 1)
 
     # Boolean indexing packs each profile's bag terms in bag order, one run
     # per profile.  A profile with under two bag means stays at the floor.
@@ -262,9 +265,12 @@ def forest_predict(model: CausalForestModel, points: np.ndarray):
             f"study {model.study_id}: more than half the trees were skipped "
             f"at points {too_many.tolist()}"
         )
-    tau = np.where(valid, pred, 0.0).sum(axis=0) / n_valid
     floor = max(model.se2_floor, 0.0)
-    se2 = _bag_se2(pred, valid, model.params, floor)
+    # Leaf effects near the float range overflow tau and se2 to inf or NaN;
+    # the checks downstream name the study.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        tau = np.where(valid, pred, 0.0).sum(axis=0) / n_valid
+        se2 = _bag_se2(pred, valid, model.params, floor)
     leaf_tau = np.concatenate([tree.leaf_tau[tree.feature < 0] for tree in model.trees])
     diagnostics = {
         "se2_floor_hits": int((se2 == floor).sum()),

@@ -17,9 +17,12 @@ that one split (:func:`_count_splits`).  A constant covariate is never
 searched.  That is the same arithmetic in the same order as searching each
 node on its own, with the same tie-break (lowest covariate index, then
 smallest threshold), so a tree does not depend on the trees grown beside
-it.  In honest mode a split must also leave the per-arm minima of the
-node's estimation rows on both sides; for each node and covariate the
-thresholds that do form one interval (:meth:`_Entries.threshold_bounds`).
+it.  Outcomes near the float range can make a criterion NaN (inf - inf);
+``argmax`` then picks the first NaN in that same order, as the one-node
+grower of the tests does.  In honest mode a split must also leave the
+per-arm minima of the node's estimation rows on both sides; for each node
+and covariate the thresholds that do form one interval
+(:meth:`_Entries.threshold_bounds`).
 
 A split threshold is the midpoint of two consecutive distinct values
 ``lo < hi``, unless rounding or overflow puts the midpoint outside
@@ -192,7 +195,7 @@ def _criterion(n_left, n_right, n1_left, treated, left1, left0, total1, total0, 
         & (n1_right >= params.min_leaf_treated)
         & (n0_right >= params.min_leaf_control)
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         crit = left1 / n1_left
         crit -= left0 / n0_left
         crit *= crit
@@ -310,9 +313,10 @@ def run_stat(values, starts, lengths, stat):
     which numpy reduces exactly as it reduces each run on its own.
     """
     out = np.empty(starts.shape[0])
-    for length in np.unique(lengths):
-        runs = np.flatnonzero(lengths == length)
-        out[runs] = stat(values[starts[runs, None] + np.arange(length)], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # values near the float range
+        for length in np.unique(lengths):
+            runs = np.flatnonzero(lengths == length)
+            out[runs] = stat(values[starts[runs, None] + np.arange(length)], axis=1)
     return out
 
 
@@ -357,9 +361,10 @@ def grow_trees(x, y, a, values, ranks, samples, params: ForestParams):
         y1 = y[split.rows] * split.arm
         y0 = y[split.rows] * (1 - split.arm)
         starts = np.cumsum(split.seg_len) - split.seg_len
-        for group in _search_groups(split.seg_len):
-            best[group], best_threshold[group] = _best_splits(
-                split, order, starts, group, y1, y0, values, ranks, bounds, params)
+        with np.errstate(over="ignore"):  # running outcome sums near the float range
+            for group in _search_groups(split.seg_len):
+                best[group], best_threshold[group] = _best_splits(
+                    split, order, starts, group, y1, y0, values, ranks, bounds, params)
         _count_splits(split, y, values, ranks, bounds, params, best, best_threshold)
         # Ties on the criterion break to the lowest covariate index.
         feature = best.argmax(axis=1)
@@ -398,10 +403,11 @@ def grow_trees(x, y, a, values, ranks, samples, params: ForestParams):
     usable = np.flatnonzero((node_feature < 0) & (n1 >= min_t) & (n0 >= min_c))
     leaf_tau = np.full(n_nodes, np.nan)
     y_sorted = y[est.all_rows[order]]
-    leaf_tau[usable] = (
-        run_stat(y_sorted, starts[2 * usable + 1], n1[usable], np.mean)
-        - run_stat(y_sorted, starts[2 * usable], n0[usable], np.mean)
-    )
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN leaf, skipped by predictions
+        leaf_tau[usable] = (
+            run_stat(y_sorted, starts[2 * usable + 1], n1[usable], np.mean)
+            - run_stat(y_sorted, starts[2 * usable], n0[usable], np.mean)
+        )
 
     # Renumber each tree's nodes from 0; ids already run in level order.
     by_tree = np.argsort(node_tree, kind="stable")

@@ -31,7 +31,6 @@ from __future__ import annotations
 import codecs
 import csv
 import os
-import re
 from dataclasses import dataclass, fields
 from functools import partial
 from io import StringIO
@@ -156,26 +155,15 @@ def _read_text(path: str, error=InputFormatError) -> str:
         raise error(f"{path}:{line}: {message}") from None
 
 
-# One line with its ending (CRLF, LF or lone CR), as a file opened with
-# ``newline=""`` yields it.
-_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
-
-
 def _split_header(text: str):
     """``(header, line, body)`` of a CSV text: the header's fields (None if
     the text is empty), the line on which the body starts, and the body.
-    The lines are taken one at a time, as a quoted field may span lines."""
-    end = 0
-
-    def lines():
-        nonlocal end
-        for match in _LINE.finditer(text):
-            end = match.end()
-            yield match.group()
-
-    reader = csv.reader(lines())
+    The reader takes one line at a time, as a quoted field may span lines,
+    so ``fh.tell()`` ends the header's last line."""
+    fh = StringIO(text, newline="")
+    reader = csv.reader(fh)
     header = next(reader, None)
-    return header, reader.line_num + 1, text[end:]
+    return header, reader.line_num + 1, text[fh.tell():]
 
 
 def _read_columns(path: str, fixed: tuple[str, ...], kinds: tuple[type, ...],

@@ -304,11 +304,21 @@ def _half_width(var_pooled, theta2, alpha: float, k_studies: int):
 
 
 def _as_rows(tau, v):
-    """Validate (K, P) inputs and return them as contiguous (P, K) rows."""
+    """Validate (K, P) inputs and return them as contiguous (P, K) rows.
+
+    Every tau_hat must be finite and every se2 >= 0.  An infinite se2 gives
+    its study weight 0, but a profile needs at least one finite se2.
+    """
     tau = np.asarray(tau, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if tau.shape != v.shape or tau.ndim != 2 or tau.shape[0] < 2:
         raise ValueError("tau and v must both be (K, n_profiles) with K >= 2")
+    if not np.isfinite(tau).all():
+        raise EstimationError("tau_hat must be finite")
+    if not (v >= 0.0).all():  # also false for NaN
+        raise EstimationError("se2 must be >= 0 and not NaN")
+    if np.isinf(v).all(axis=0).any():
+        raise EstimationError("a profile needs at least one finite se2")
     return np.ascontiguousarray(tau.T), np.ascontiguousarray(v.T)
 
 

@@ -226,26 +226,28 @@ def gen_study(config: SimConfig, replication: int, study: int) -> TrialDataset:
     )
 
 
-def estimate_study(dataset: TrialDataset, points: np.ndarray, learner: str, params):
+def estimate_study(dataset: TrialDataset, points: np.ndarray, params=None):
     """Stage 1 for one study: ``(tau, se2, diagnostics)`` at the rows of ``points``.
 
-    ``learner`` "linear", "forest" or "bart" takes as ``params`` the moderator
-    index tuple (None for all), a ForestParams or a BartParams with its seed
-    set.  ``diagnostics`` holds ``fit_seconds``, the forest's
+    ``params`` picks the learner: a seeded ForestParams or BartParams, or the
+    moderator index tuple of the interaction regression (None for all).  Any
+    other value raises ``ConfigurationError``; a non-finite point raises
+    ``ValueError``.  ``diagnostics`` holds ``fit_seconds``, the forest's
     ``se2_floor_hits``, ``skipped_tree_frac``, ``nodes_per_tree`` and
     ``usable_leaf_frac``, and BART's 95% per-draw quantile bounds
     ``quantile_lower`` and ``quantile_upper``, its ``grow_accept_rate``,
     ``prune_accept_rate`` and ``change_accept_rate`` (accepted over proposed
-    moves, 0 when none was proposed) and the ``mean_leaves_per_tree`` of the
-    kept draws.
+    moves, 0 if none) and the ``mean_leaves_per_tree`` of the kept draws.
     """
     start = time.perf_counter()
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
     diagnostics = {}
-    if learner == "linear":
+    if params is None or isinstance(params, tuple):
         tau, se2 = linear_cates(fit_interaction_ols(dataset, params), points)
-    elif learner == "forest":
+    elif isinstance(params, ForestParams):
         tau, se2, diagnostics = forest_predict(fit_causal_forest(dataset, params), points)
-    elif learner == "bart":
+    elif isinstance(params, BartParams):
         posterior = fit_bart_slearner(dataset, points, params)
         tau, se2, lower, upper = bart_cates(posterior)
         moves = posterior.diagnostics
@@ -254,7 +256,7 @@ def estimate_study(dataset: TrialDataset, points: np.ndarray, learner: str, para
             diagnostics[f"{move}_accept_rate"] = moves["accepted"][move] / max(proposed, 1)
         diagnostics["mean_leaves_per_tree"] = float(moves["leaf_counts"].mean())
     else:
-        raise ConfigurationError(f"unknown stage1 learner '{learner}'")
+        raise ConfigurationError(f"no stage1 learner takes params of type {type(params).__name__}")
     diagnostics["fit_seconds"] = time.perf_counter() - start
     return tau, se2, diagnostics
 
@@ -262,17 +264,17 @@ def estimate_study(dataset: TrialDataset, points: np.ndarray, learner: str, para
 def _replication_worker(job):
     """One replication: K fresh studies, Stage 1 fits, pooling, intervals.
 
-    ``learner`` None is the oracle: each study's true effects, drawn from
-    the same effect stream as gen_study, injected with negligible variance
-    and no data drawn.  Returns (replication, (lower, center, upper) arrays
-    over points, None), or (replication, None, reason) if it aborted.
+    With ``oracle`` set, each study's true effects, drawn from the same
+    effect stream as gen_study, are injected with negligible variance and no
+    data is drawn.  Returns (replication, (lower, center, upper) arrays over
+    points, None), or (replication, None, reason) if it aborted.
     """
-    config, learner, params, replication, points, alpha = job
+    config, params, oracle, replication, points, alpha = job
     shape = (config.k_studies, points.shape[0])
     tau, v = np.empty(shape), np.empty(shape)
     try:
         for s in range(1, config.k_studies + 1):
-            if learner is None:
+            if oracle:
                 effects = _study_effects(config, replication, s)
                 tau[s - 1] = true_cate(points, config.cate_setting, effects)
                 v[s - 1] = _ORACLE_SE2
@@ -282,8 +284,7 @@ def _replication_worker(job):
                 seed = spawn_seed(config.master_seed, "rep", replication, "study", s, "stage1")
                 seeded = replace(params, seed=seed)
             tau[s - 1], v[s - 1], _ = estimate_study(
-                gen_study(config, replication, s), points, learner, seeded
-            )
+                gen_study(config, replication, s), points, seeded)
         pooled = pool_profiles(tau, v, alpha)
     except CatemetaError as err:
         return replication, None, str(err)
@@ -316,12 +317,12 @@ def run_experiment(
         raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
     forest_params = forest_params if forest_params is not None else ForestParams()
     bart_params = bart_params if bart_params is not None else BartParams()
-    learner, params = {
-        "linear": ("linear", None),
-        "forest_honest": ("forest", replace(forest_params, honest=True)),
-        "forest_adaptive": ("forest", replace(forest_params, honest=False)),
-        "bart": ("bart", bart_params),
-        "oracle": (None, None),
+    params = {
+        "linear": None,
+        "forest_honest": replace(forest_params, honest=True),
+        "forest_adaptive": replace(forest_params, honest=False),
+        "bart": bart_params,
+        "oracle": None,
     }[method]
 
     points = gen_target_profiles(config, substream(config.master_seed, "target-profiles"))
@@ -339,7 +340,7 @@ def run_experiment(
     aborted, reasons = [], []
 
     jobs = [
-        (config, learner, params, r, points, alpha)
+        (config, params, method == "oracle", r, points, alpha)
         for r in range(config.n_replications)
     ]
     if n_workers > 1:

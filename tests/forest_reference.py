@@ -20,7 +20,8 @@ def _midpoint(lo, hi):
     The midpoint, unless rounding or overflow puts it outside ``[lo, hi)``;
     then ``lo``.
     """
-    mid = 0.5 * (lo + hi)
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
     return np.where((lo <= mid) & (mid < hi), mid, lo)
 
 
@@ -48,8 +49,9 @@ def _best_split(x, y, a, split_rows, est_rows, min_t, min_c, honest):
 
     cn1 = np.cumsum(a_sorted, axis=0)
     cn0 = np.cumsum(1 - a_sorted, axis=0)
-    cy1 = np.cumsum(y_sorted * a_sorted, axis=0)
-    cy0 = np.cumsum(y_sorted * (1 - a_sorted), axis=0)
+    with np.errstate(over="ignore"):  # outcomes near the float range
+        cy1 = np.cumsum(y_sorted * a_sorted, axis=0)
+        cy0 = np.cumsum(y_sorted * (1 - a_sorted), axis=0)
 
     n1_left = cn1[:-1]
     n0_left = cn0[:-1]
@@ -91,7 +93,7 @@ def _best_split(x, y, a, split_rows, est_rows, min_t, min_c, honest):
     if not ok.any():
         return None
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         tau_left = cy1[:-1] / n1_left - cy0[:-1] / n0_left
         tau_right = (cy1[-1] - cy1[:-1]) / n1_right - (cy0[-1] - cy0[:-1]) / n0_right
         n_left = np.arange(1, m)[:, None]
@@ -180,7 +182,8 @@ def _grow_tree(x, y, a, pool, params: ForestParams, rng) -> CausalTree:
         leaf_n0[node] = n0
         if n1 >= params.min_leaf_treated and n0 >= params.min_leaf_control:
             yr = y[rows]
-            leaf_tau[node] = float(yr[arm == 1].mean()) - float(yr[arm == 0].mean())
+            with np.errstate(over="ignore", invalid="ignore"):
+                leaf_tau[node] = float(yr[arm == 1].mean()) - float(yr[arm == 0].mean())
     return CausalTree(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=np.float64),
@@ -215,12 +218,14 @@ def fit_reference_forest(dataset, params: ForestParams) -> CausalForestModel:
         )
         for t in range(params.n_trees)
     )
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcome_variance = float(np.var(y, ddof=1)) if n > 1 else 0.0
     return CausalForestModel(
         study_id=dataset.study_id,
         trees=trees,
         params=params,
         n_covariates=dataset.n_covariates,
-        outcome_variance=float(np.var(y, ddof=1)) if n > 1 else 0.0,
+        outcome_variance=outcome_variance,
         covariate_names=dataset.covariate_names,
     )
 

@@ -53,6 +53,12 @@ class TestParams:
         with pytest.raises(ConfigurationError, match="k > 0"):
             BartParams(k=0.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match=r"seed must be in \[0, 2\*\*64\)"):
+            BartParams(seed=seed)
+        assert BartParams(seed=2**64 - 1).seed == 2**64 - 1
+
 
 class TestSigmaPrior:
     def test_lambda_matches_scipy_stats_chi2_bit_for_bit(self):
@@ -113,13 +119,13 @@ class TestSampler:
         with pytest.raises(ConfigurationError):
             fit_bart_slearner(ds, np.empty((0, 3)), FAST)
 
-    def test_points_must_match_covariates_and_be_finite(self):
+    def test_points_must_match_covariates(self):
+        # The finite-point rule is estimate_study's, tested for every learner
+        # in tests/test_simulate.py::TestEstimateStudy.
         ds, _ = make_dataset(50, lambda x, a: a.astype(float), seed=6)
         for bad in (np.zeros((2, 4)), np.zeros(3)):
             with pytest.raises(DimensionMismatchError):
                 fit_bart_slearner(ds, bad, FAST)
-        with pytest.raises(ValueError, match="points must be finite"):
-            fit_bart_slearner(ds, [[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]], FAST)
 
     def test_posterior_draw_count_and_columns(self):
         ds, rng = make_dataset(80, lambda x, a: a.astype(float), seed=7)

@@ -51,10 +51,17 @@ def one_error_line(err):
 
 def golden_with_cell(tmp_path, name, line, column, value):
     """A copy of golden file ``name`` with one cell replaced."""
+    return golden_with_cells(tmp_path, name, {(line, column): value})
+
+
+def golden_with_cells(tmp_path, name, cells):
+    """A copy of golden file ``name`` with the cells ``{(line, column): value}``
+    replaced."""
     lines = (GOLDEN / name).read_text().splitlines()
-    fields = lines[line].split(",")
-    fields[column] = value
-    lines[line] = ",".join(fields)
+    for (line, column), value in cells.items():
+        fields = lines[line].split(",")
+        fields[column] = value
+        lines[line] = ",".join(fields)
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -276,7 +283,7 @@ class TestEstimate:
     def test_invalid_stage1_estimate_exits_1(self, tmp_path, capsys, monkeypatch):
         import catemeta.cli as cli
 
-        def nan_at_second_profile(dataset, points, learner, params):
+        def nan_at_second_profile(dataset, points, params):
             tau = np.zeros(len(points))
             tau[1] = np.nan
             return tau, np.ones(len(points)), {}
@@ -329,6 +336,35 @@ class TestEstimate:
     def test_overflowing_outcome_bart_exits_1(self, tmp_path, capsys):
         self._overflowing_outcome_exits_1(
             tmp_path, capsys, ["bart", "--trees", 5, "--burn", 10, "--draws", 20])
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_study_outcomes_forest_prints_one_error_line(self, tmp_path, capsys):
+        # Study 3's outcomes times 1e306 overflow the split criterion and the
+        # bag variance; this used to print three numpy RuntimeWarnings first.
+        rows = [line.split(",") for line in
+                (GOLDEN / "forest_trials.csv").read_text().splitlines()]
+        trials = golden_with_cells(tmp_path, "forest_trials.csv", {
+            (i, 1): repr(float(row[1]) * 1e306) for i, row in enumerate(rows) if row[0] == "3"})
+        code = run(["estimate", "--trials", trials, "--profiles", GOLDEN / "forest_profiles.csv",
+                    "--stage1", "forest", "--trees", 20, "--out-dir", tmp_path / "x"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Warning" not in err
+        assert one_error_line(err) == "error: study 3, profile 2: se2 must be finite and >= 0"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_outcome_range_bart_exits_1(self, tmp_path, capsys):
+        # BART rescales the outcomes by their range, which overflows here; this
+        # used to print numpy RuntimeWarnings and sample on NaN outcomes.
+        trials = golden_with_cells(tmp_path, "forest_trials.csv",
+                                   {(1, 1): "1.5e308", (2, 1): "-1.5e308"})
+        code = run(["estimate", "--trials", trials, "--profiles", GOLDEN / "forest_profiles.csv",
+                    "--stage1", "bart", "--trees", 5, "--burn", 10, "--draws", 20,
+                    "--out-dir", tmp_path / "x"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Warning" not in err
+        assert one_error_line(err) == "error: study 3: the outcome range overflows"
 
     def test_bad_honest_value_exits_2(self, tmp_path):
         trials, profiles = write_inputs(tmp_path)

@@ -89,6 +89,13 @@ class TestForestParams:
         with pytest.raises(ConfigurationError):
             ForestParams(subsample_fraction=0.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # Such a seed used to construct and fail later in the stream encoder.
+        with pytest.raises(ConfigurationError, match=r"seed must be in \[0, 2\*\*64\)"):
+            ForestParams(seed=seed)
+        assert ForestParams(seed=2**64 - 1).seed == 2**64 - 1
+
 
 class TestGrowth:
     def test_determinism_bit_exact(self):
@@ -444,7 +451,7 @@ def forest_cases(draw):
 
 
 class TestAgainstRecursiveGrower:
-    @settings(max_examples=150, deadline=None)
+    @settings(derandomize=True, max_examples=150, deadline=None)
     @given(forest_cases(), st.booleans())
     def test_trees_and_predictions_bit_identical(self, case, one_by_one):
         # one_by_one grows each tree alone and searches each node alone.
@@ -536,7 +543,7 @@ class TestThresholdRule:
 
 
 class TestRunStat:
-    @settings(max_examples=100, deadline=None)
+    @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.lists(st.integers(2, 40), min_size=1, max_size=30), st.integers(0, 2**32 - 1))
     def test_each_run_reduced_as_on_its_own(self, lengths, seed):
         # The leaf means and the bag variance terms rely on this exactness.

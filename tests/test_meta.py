@@ -569,6 +569,49 @@ class TestPoolProfiles:
             with pytest.raises(ValueError):
                 pool_profiles(np.zeros((3, 1)), np.ones((3, 1)), alpha=alpha)
 
+    TAU = np.array([[0.1], [0.5], [0.9]])
+
+    def test_negative_se2_is_error(self):
+        # Used to pool to theta2 0 and tau_pooled 0.2647 with no error.
+        with pytest.raises(EstimationError, match="se2 must be >= 0"):
+            pool_profiles(self.TAU, np.array([[0.1], [-0.5], [0.3]]), alpha=0.05)
+
+    def test_all_negative_se2_is_error(self):
+        # Used to give a NaN half-width and a numpy RuntimeWarning from sqrt.
+        with pytest.raises(EstimationError, match="se2 must be >= 0"):
+            pool_profiles(self.TAU, np.array([[-0.1], [-0.5], [-0.3]]), alpha=0.05)
+
+    @pytest.mark.parametrize("study", [0, 1, 2])
+    def test_nan_se2_is_error(self, study):
+        # Used to raise "the pooled estimate overflows", which names the wrong cause.
+        v = np.array([[0.1], [0.2], [0.3]])
+        v[study] = np.nan
+        with pytest.raises(EstimationError, match="se2 must be >= 0 and not NaN"):
+            pool_profiles(self.TAU, v, alpha=0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tau_is_error(self, bad):
+        tau = self.TAU.copy()
+        tau[1] = bad
+        with pytest.raises(EstimationError, match="tau_hat must be finite"):
+            pool_profiles(tau, np.full((3, 1), 0.1), alpha=0.05)
+
+    def test_infinite_se2_has_weight_zero(self):
+        # The study drops out: the other two studies pool as they do alone.
+        pooled = pool_profiles(self.TAU, np.array([[0.1], [np.inf], [0.3]]), alpha=0.05)
+        alone = pool_profiles(self.TAU[[0, 2]], np.array([[0.1], [0.3]]))
+        np.testing.assert_allclose(pooled.theta2, [0.12], rtol=1e-12)
+        np.testing.assert_allclose(pooled.theta2, alone.theta2, rtol=1e-12)
+        np.testing.assert_allclose(pooled.tau_pooled, alone.tau_pooled, rtol=1e-12)
+        np.testing.assert_allclose(pooled.tau_pooled, [0.375], rtol=1e-12)
+        assert np.isfinite(pooled.half_width).all()
+
+    def test_all_infinite_se2_is_error(self):
+        # No study would carry weight; this used to warn and pool to NaN.
+        v = np.array([[np.inf, 0.1], [np.inf, 0.2], [np.inf, 0.3]])
+        with pytest.raises(EstimationError, match="at least one finite se2"):
+            pool_profiles(np.hstack([self.TAU, self.TAU]), v, alpha=0.05)
+
 
 @st.composite
 def stage2_inputs(draw, max_profiles=4):
@@ -592,12 +635,12 @@ def theta2_tol(tau, v):
 
 
 class TestStage2Properties:
-    @settings(max_examples=200, deadline=None)
+    @settings(derandomize=True, max_examples=200, deadline=None)
     @given(stage2_inputs())
     def test_theta2_nonnegative(self, inputs):
         assert np.all(pool_profiles(*inputs).theta2 >= 0.0)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(derandomize=True, max_examples=200, deadline=None)
     @given(stage2_inputs(), st.floats(-50.0, 50.0))
     def test_shift_moves_center_and_keeps_theta2(self, inputs, c):
         tau, v = inputs
@@ -607,7 +650,7 @@ class TestStage2Properties:
         scale = 1.0 + abs(c) + np.abs(tau).max(axis=0)
         assert np.all(np.abs(moved.tau_pooled - (base.tau_pooled + c)) <= 1e-6 * scale)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(derandomize=True, max_examples=200, deadline=None)
     @given(stage2_inputs(), st.floats(0.1, 10.0))
     def test_scale_equivariance(self, inputs, s):
         tau, v = inputs
@@ -616,7 +659,7 @@ class TestStage2Properties:
         assert np.all(np.abs(scaled.theta2 - s * s * base.theta2)
                       <= s * s * theta2_tol(tau, v))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(derandomize=True, max_examples=200, deadline=None)
     @given(stage2_inputs())
     def test_center_within_estimates(self, inputs):
         tau, v = inputs
@@ -625,7 +668,7 @@ class TestStage2Properties:
         assert np.all(tau.min(axis=0) - slack <= center)
         assert np.all(center <= tau.max(axis=0) + slack)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(derandomize=True, max_examples=200, deadline=None)
     @given(stage2_inputs(), st.floats(0.001, 0.49), st.floats(0.5, 0.999))
     def test_interval_symmetric_and_widens_as_alpha_falls(self, inputs, small, large):
         tau, v = inputs
@@ -640,7 +683,7 @@ class TestStage2Properties:
             )
             assert pi.upper - pi.center == pytest.approx(pi.center - pi.lower, rel=1e-12)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(derandomize=True, max_examples=200, deadline=None)
     @given(stage2_inputs(max_profiles=8))
     def test_batch_column_equals_scalar_exactly(self, inputs):
         tau, v = inputs

@@ -248,18 +248,16 @@ class TestHarness:
         # a stub that records the settings it is given.
         seen = []
 
-        def stub(dataset, points, learner, params):
-            seen.append((learner, params))
+        def stub(dataset, points, params):
+            seen.append(params)
             return np.zeros(points.shape[0]), np.ones(points.shape[0]), {}
 
         monkeypatch.setattr(simulate, "estimate_study", stub)
         table = run_experiment(config(k_studies=3, n_replications=2, n_per_study=40), "bart")
         assert table.n_effective_replications == 2
         assert len(seen) == 6
-        assert {(learner, replace(params, seed=0)) for learner, params in seen} == {
-            ("bart", BartParams())
-        }
-        assert len({params.seed for _, params in seen}) == 6
+        assert {replace(params, seed=0) for params in seen} == {BartParams()}
+        assert len({params.seed for params in seen}) == 6
 
     @pytest.mark.slow
     def test_oracle_pipeline_calibration_with_redrawn_target(self):
@@ -323,7 +321,7 @@ class TestEstimateStudy:
             "bart": (bart_params, bart_ref),
         }
         for learner, (params, reference) in cases.items():
-            tau, se2, diagnostics = estimate_study(ds, points, learner, params)
+            tau, se2, diagnostics = estimate_study(ds, points, params)
             want_tau, want_se2 = np.array(reference).T
             if learner == "forest":
                 assert np.array_equal(tau, want_tau) and np.array_equal(se2, want_se2)
@@ -336,6 +334,22 @@ class TestEstimateStudy:
         assert np.all(diagnostics["quantile_lower"] <= diagnostics["quantile_upper"])
 
     def test_unknown_learner_rejected(self):
+        # The params object picks the learner; any other value is refused.
         ds = gen_study(config(n_per_study=50), 0, 1)
-        with pytest.raises(ConfigurationError):
-            estimate_study(ds, np.zeros((1, 5)), "oracle", None)
+        for params in ("oracle", "forest", {}, [0, 3]):
+            with pytest.raises(ConfigurationError, match=type(params).__name__):
+                estimate_study(ds, np.zeros((1, 5)), params)
+
+    @pytest.mark.parametrize("params", [
+        None, (0, 3), ForestParams(n_trees=20, seed=3),
+        BartParams(n_trees=2, n_burn=2, n_draws=2, seed=4),
+    ], ids=["linear-all", "linear-moderators", "forest", "bart"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_rejected(self, params, bad):
+        # One rule for every learner: linear used to return NaN, the forest a
+        # finite value, and only BART raised.
+        ds = gen_study(config(n_per_study=100), 0, 1)
+        points = np.zeros((3, 5))
+        points[1, 2] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            estimate_study(ds, points, params)
