@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, EstimationError
-from .model import StudyCateEstimate, TrialDataset
+from .model import StudyCateEstimate, TrialDataset, check_integers
 from .rng import substream
 
 _MOVE_GROW = 0.5
@@ -62,6 +62,7 @@ class BartParams:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, "n_trees", "n_burn", "n_draws", "seed")
         if min(self.n_trees, self.n_burn) < 1 or self.n_draws < 2:
             # se2 is a sample variance across draws, so it needs two of them.
             raise ConfigurationError("tree and burn counts must be >= 1, draws >= 2")

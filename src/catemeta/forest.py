@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError, EstimationError
 from .grower import grow_trees, run_stat
-from .model import CovariateProfile, StudyCateEstimate, TrialDataset
+from .model import CovariateProfile, StudyCateEstimate, TrialDataset, check_integers
 from .rng import substream
 
 _SE2_FLOOR_FACTOR = 1e-6
@@ -68,6 +68,7 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, "n_trees", "min_leaf_treated", "min_leaf_control", "bag_size", "seed")
         if self.n_trees < 1:
             raise ConfigurationError("n_trees must be >= 1")
         if self.bag_size < 1 or self.n_trees % self.bag_size != 0:

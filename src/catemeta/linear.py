@@ -1,12 +1,18 @@
 """Stage-1 CATE estimation by least squares with treatment-moderator interactions.
 
-Fits, within a single study, the regression
+Fits, within each study, the regression
 
     E[Y] = b0 + b1.X + b2*A + b3.(X_mod * A)
 
 where X_mod is the declared subset of moderator covariates.  The CATE at a
 profile x* is then b2 + b3 . x*_mod, with variance given by the matching
 quadratic form of the coefficient covariance.
+
+One kernel fits K studies of one shape: their designs fill one (K, n, q)
+stack, one ``np.linalg.svd`` call factors it, and ``matmul``, which works
+matrix by matrix, forms the coefficients and covariances, so a study gets
+the same bits alone as in a stack.  One contrast matrix then gives the
+(K, P) CATEs.  :func:`fit_interaction_ols` is the kernel with K = 1.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .errors import (
     InsufficientDataError,
     SingularDesignError,
 )
-from .model import CovariateProfile, StudyCateEstimate, TrialDataset
+from .model import CovariateProfile, StudyCateEstimate, TrialDataset, check_points
 
 _RANK_RTOL = 1e-10
 _COV_SYMMETRY_TOL = 1e-10
@@ -71,18 +77,77 @@ class LinearCateFit:
         return 1 + self.n_covariates
 
 
-def _design_matrix(dataset: TrialDataset, moderators: tuple[int, ...]):
-    x = dataset.x
-    a = dataset.a.astype(np.float64)
-    cols = [np.ones(dataset.n_rows), x, a[:, None], x[:, moderators] * a[:, None]]
-    design = np.column_stack(cols)
-    names = (
-        ("intercept",)
-        + dataset.covariate_names
-        + ("treatment",)
-        + tuple(f"treatment:{dataset.covariate_names[j]}" for j in moderators)
-    )
-    return design, names
+def _moderators(moderators, p: int) -> tuple[int, ...]:
+    if moderators is None:
+        return tuple(range(p))
+    mods = tuple(sorted(set(int(m) for m in moderators)))
+    if mods and (mods[0] < 0 or mods[-1] >= p):
+        raise ValueError(f"moderator indices must be in [0, {p})")
+    return mods
+
+
+def _column_names(names: tuple[str, ...], mods: tuple[int, ...]) -> tuple[str, ...]:
+    return ("intercept", *names, "treatment", *(f"treatment:{names[j]}" for j in mods))
+
+
+def _fit_stack(datasets, mods: tuple[int, ...]):
+    """``(coef (K, q), cov (K, q, q), sigma2 (K,))`` of K studies of one shape.
+
+    Checks run study by study, in order, so the first singular or
+    non-finite study raises what it raises when fitted alone.
+    """
+    n, p = datasets[0].x.shape
+    k, q = len(datasets), 2 + p + len(mods)
+    if n < q:
+        raise InsufficientDataError(
+            f"need at least {q} rows to fit {q} coefficients, got {n}"
+        )
+    design = np.empty((k, n, q))
+    design[:, :, 0] = 1.0
+    for d, rows in zip(datasets, design):
+        rows[:, 1:p + 1] = d.x
+        rows[:, p + 1] = d.a
+    np.multiply(design[:, :, [1 + j for j in mods]], design[:, :, p + 1:p + 2],
+                out=design[:, :, p + 2:])
+    y = np.stack([d.y for d in datasets])[:, :, None]
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    v = vt.swapaxes(1, 2)
+    # Outcomes near the float range overflow and a singular design divides
+    # by zero; the checks below report both.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        coef = v @ ((u.swapaxes(1, 2) @ y) / s[:, :, None])
+        resid = y - design @ coef
+        sigma2 = (resid.swapaxes(1, 2) @ resid)[:, 0, 0] / (n - q) if n > q else np.zeros(k)
+        cov = sigma2[:, None, None] * ((v / s[:, None, :] ** 2) @ vt)
+        cov = 0.5 * (cov + cov.swapaxes(1, 2))
+    full_rank = (s > _RANK_RTOL * s[:, :1]).sum(axis=1) == q
+    finite = np.isfinite(coef).all(axis=(1, 2)) & np.isfinite(cov).all(axis=(1, 2))
+    for i in range(k):
+        if not full_rank[i]:
+            # Name the first column whose prefix fails the same rank test;
+            # the whole design fails it, so the search ends at the last column.
+            for j in range(q):
+                s_j = np.linalg.svd(design[i, :, : j + 1], compute_uv=False)
+                if np.count_nonzero(s_j > _RANK_RTOL * s_j[0]) <= j:
+                    raise SingularDesignError(
+                        _column_names(datasets[i].covariate_names, mods)[j])
+        if not finite[i]:
+            raise EstimationError(
+                f"study {datasets[i].study_id}: the least-squares coefficients or "
+                "their covariance are not finite"
+            )
+    return coef[:, :, 0], cov, sigma2
+
+
+def _contrast(coef, cov, mods: tuple[int, ...], points):
+    """``(tau, se2)``, each (K, P), from the one contrast matrix of ``points``."""
+    treatment = coef.shape[1] - len(mods) - 1
+    contrast = np.zeros((points.shape[0], coef.shape[1]))
+    contrast[:, treatment] = 1.0
+    contrast[:, treatment + 1:] = points[:, mods]
+    tau = (contrast @ coef[:, :, None])[:, :, 0]
+    se2 = ((contrast @ cov) * contrast).sum(axis=2)
+    return tau, np.maximum(se2, 0.0)
 
 
 def fit_interaction_ols(
@@ -91,57 +156,37 @@ def fit_interaction_ols(
     """Least-squares fit of the interaction model for one study.
 
     ``moderators`` are 0-based covariate indices; when omitted, every
-    covariate is treated as a moderator.  Solved by SVD; singular values
-    below 1e-10 times the largest are rank deficiencies, and the first
-    column that depends on the columns before it is reported by name.  The
-    saturated case n == q is allowed (residual variance 0); n < q raises.
-    Coefficients or a covariance that overflow raise ``EstimationError``.
+    covariate is treated as a moderator.  This is the stacked kernel with
+    K = 1.  Singular values below 1e-10 times the largest are rank
+    deficiencies, and the first column that depends on the columns before
+    it is reported by name.  The saturated case n == q is allowed (residual
+    variance 0); n < q raises.  Coefficients or a covariance that overflow
+    raise ``EstimationError``.
     """
-    p = dataset.n_covariates
-    if moderators is None:
-        mods = tuple(range(p))
-    else:
-        mods = tuple(sorted(set(int(m) for m in moderators)))
-        if mods and (mods[0] < 0 or mods[-1] >= p):
-            raise ValueError(f"moderator indices must be in [0, {p})")
-    design, names = _design_matrix(dataset, mods)
-    n, q = design.shape
-    if n < q:
-        raise InsufficientDataError(
-            f"need at least {q} rows to fit {q} coefficients, got {n}"
-        )
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    rank = int(np.sum(s > _RANK_RTOL * s[0]))
-    if rank < q:
-        # Name the first column whose prefix fails the same rank test; the
-        # whole design fails it, so the search ends at the last column.
-        for j in range(q):
-            s_j = np.linalg.svd(design[:, : j + 1], compute_uv=False)
-            if np.count_nonzero(s_j > _RANK_RTOL * s_j[0]) <= j:
-                raise SingularDesignError(names[j])
-    # Outcomes near the float range overflow; the check below reports it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        coef = vt.T @ ((u.T @ dataset.y) / s)
-        resid = dataset.y - design @ coef
-        rss = float(resid @ resid)
-        sigma2 = rss / (n - q) if n > q else 0.0
-        xtx_inv = (vt.T / s**2) @ vt
-        cov = sigma2 * xtx_inv
-        cov = 0.5 * (cov + cov.T)
-    if not (np.isfinite(coef).all() and np.isfinite(cov).all()):
-        raise EstimationError(
-            f"study {dataset.study_id}: the least-squares coefficients or their "
-            "covariance are not finite"
-        )
+    mods = _moderators(moderators, dataset.n_covariates)
+    coef, cov, sigma2 = _fit_stack([dataset], mods)
     return LinearCateFit(
         study_id=dataset.study_id,
-        coefficients=coef,
-        covariance=cov,
+        coefficients=coef[0],
+        covariance=cov[0],
         moderator_indices=mods,
-        n_covariates=p,
-        residual_variance=sigma2,
-        column_names=names,
+        n_covariates=dataset.n_covariates,
+        residual_variance=float(sigma2[0]),
+        column_names=_column_names(dataset.covariate_names, mods),
     )
+
+
+def linear_cates_stack(datasets, points, moderators=None):
+    """``(tau, se2)``, each (K, P), of K studies with the same row count.
+
+    ``points`` (P, p) is checked before any fit (see ``model.check_points``).
+    The first study, in order, that cannot be fitted raises what
+    :func:`fit_interaction_ols` raises for it.
+    """
+    points = check_points(points, datasets[0].n_covariates)
+    mods = _moderators(moderators, datasets[0].n_covariates)
+    coef, cov, _ = _fit_stack(datasets, mods)
+    return _contrast(coef, cov, mods, points)
 
 
 def linear_cates(fit: LinearCateFit, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,12 +201,9 @@ def linear_cates(fit: LinearCateFit, points: np.ndarray) -> tuple[np.ndarray, np
         raise DimensionMismatchError(
             f"points have shape {points.shape}, fit expects (P, {fit.n_covariates})"
         )
-    contrast = np.zeros((points.shape[0], fit.coefficients.shape[0]))
-    contrast[:, fit.treatment_index] = 1.0
-    contrast[:, fit.treatment_index + 1:] = points[:, fit.moderator_indices]
-    tau = contrast @ fit.coefficients
-    se2 = ((contrast @ fit.covariance) * contrast).sum(axis=1)
-    return tau, np.maximum(se2, 0.0)
+    tau, se2 = _contrast(fit.coefficients[None], fit.covariance[None],
+                         fit.moderator_indices, points)
+    return tau[0], se2[0]
 
 
 def linear_cate(fit: LinearCateFit, profile: CovariateProfile) -> StudyCateEstimate:

@@ -6,11 +6,12 @@ instances can be shared freely across worker processes and threads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import ConfigurationError, DimensionMismatchError
 
 _WEIGHT_TOL = 1e-12
 _SYMMETRY_TOL = 1e-10
@@ -73,6 +74,27 @@ class TrialDataset:
     @property
     def n_covariates(self) -> int:
         return self.x.shape[1]
+
+
+def check_integers(params, *names: str) -> None:
+    """Raise ``ConfigurationError`` for the first of ``names`` whose value is
+    not an integer; numpy integers are, a float such as 2.0 is not."""
+    for name in names:
+        if not isinstance(getattr(params, name), numbers.Integral):
+            raise ConfigurationError(f"{name} must be an integer, got {getattr(params, name)!r}")
+
+
+def check_points(points, n_covariates: int) -> np.ndarray:
+    """``points`` as a float array of shape (P, n_covariates), every value
+    finite: the one rule for Stage-1 points, checked before any fit.  Another
+    shape raises ``DimensionMismatchError``, a non-finite value ``ValueError``."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != n_covariates:
+        raise DimensionMismatchError(
+            f"points have shape {points.shape}, expected (P, {n_covariates})")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
+    return points
 
 
 @dataclass(frozen=True)

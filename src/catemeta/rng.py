@@ -8,17 +8,19 @@ regardless of how many other streams were created before it.  This is what
 makes replications parallelizable without losing bit-level reproducibility.
 
 Each part is a 64-bit value: an integer in [0, 2**64) as it is, a label as
-the first 8 bytes of its BLAKE2s hash.  An integer outside that range
-raises ``ValueError``, so no two seeds share a stream.  The entropy handed
-to ``SeedSequence`` is the values' 32-bit words, each value giving its low
-word, then its high word when that is non-zero.  That is numpy's own
-coercion of a list of Python ints (``[0]`` for 0), which it does one int
-at a time; a ``uint32`` array skips it and gives the same streams.
+the first 8 bytes of its BLAKE2s hash.  An integer outside that range, or a
+part that is neither an integer (numpy integers are) nor a string, such as
+the float 1.9, raises ``ValueError``, so no two seeds share a stream.  The
+entropy handed to ``SeedSequence`` is the values' 32-bit words, each value
+giving its low word, then its high word when that is non-zero.  That is
+numpy's own coercion of a list of Python ints (``[0]`` for 0), which it does
+one int at a time; a ``uint32`` array skips it and gives the same streams.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -29,7 +31,11 @@ def _encode(part: int | str) -> int:
     if isinstance(part, str):
         digest = hashlib.blake2s(part.encode("utf-8"), digest_size=8).digest()
         return int.from_bytes(digest, "little")
-    value = int(part)
+    try:
+        value = operator.index(part)
+    except TypeError:
+        raise ValueError(
+            f"a seed or path part must be an integer or a string, got {part!r}") from None
     if not 0 <= value < 1 << 64:
         raise ValueError(f"a seed or path integer must be in [0, 2**64), got {value}")
     return value

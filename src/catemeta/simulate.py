@@ -16,21 +16,22 @@ target-population shifts are shipped constants, documented below.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-# bart_cate_normal, forest_cates, linear_cate, pool_cate, prediction_interval and
-# reml_theta2_batch are bound only for perfbench/tracing.py.
+# bart_cate_normal, fit_interaction_ols, forest_cates, linear_cate, pool_cate,
+# prediction_interval and reml_theta2_batch are bound only for perfbench/tracing.py.
 from .bart import BartParams, bart_cate_normal, bart_cates, fit_bart_slearner  # noqa: F401
 from .errors import CatemetaError, ConfigurationError
 from .forest import ForestParams, fit_causal_forest, forest_cates, forest_predict  # noqa: F401
-from .linear import fit_interaction_ols, linear_cate, linear_cates  # noqa: F401
+from .linear import fit_interaction_ols, linear_cate, linear_cates_stack  # noqa: F401
 from .meta import (  # noqa: F401
     ndtri, pool_cate, pool_profiles, prediction_interval, reml_theta2_batch,
 )
-from .model import TrialDataset
+from .model import TrialDataset, check_integers, check_points
 from .rng import spawn_seed, substream
 
 COVARIATE_NAMES = ("age", "sex", "smoking", "weight", "madrs")
@@ -83,6 +84,8 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, "k_studies", "n_per_study", "heterogeneity_level",
+                       "n_replications", "master_seed")
         if self.k_studies < 2:
             raise ConfigurationError("k_studies must be >= 2")
         if self.n_per_study < 1 or self.n_replications < 1:
@@ -145,11 +148,23 @@ def _study_means(config: SimConfig, rng) -> np.ndarray:
     return means
 
 
+@functools.cache
+def _factor_t() -> np.ndarray:
+    """The transposed Cholesky factor of the covariance: a row of standard
+    normals times it is one latent draw, bit for bit what
+    ``Generator.multivariate_normal(method="cholesky")`` draws.  Computed once,
+    on first use, so that importing the module runs no LAPACK routine (the
+    first call pages in about 0.25 MB of library code)."""
+    factor = np.linalg.cholesky(_COVARIANCE).T
+    factor.setflags(write=False)
+    return factor
+
+
 def _sample_covariates(means, n, rng) -> np.ndarray:
-    latent = rng.multivariate_normal(means, _COVARIANCE, size=n, method="cholesky")
-    x = latent.copy()
+    x = np.dot(rng.standard_normal((n, 5)), _factor_t())
+    x += means
     for j in _BINARY_COLUMNS:
-        x[:, j] = _draw_binary(latent[:, j], means[j], n)
+        x[:, j] = _draw_binary(x[:, j], means[j], n)
     return x
 
 
@@ -231,20 +246,21 @@ def estimate_study(dataset: TrialDataset, points: np.ndarray, params=None):
 
     ``params`` picks the learner: a seeded ForestParams or BartParams, or the
     moderator index tuple of the interaction regression (None for all).  Any
-    other value raises ``ConfigurationError``; a non-finite point raises
-    ``ValueError``.  ``diagnostics`` holds ``fit_seconds``, the forest's
-    ``se2_floor_hits``, ``skipped_tree_frac``, ``nodes_per_tree`` and
-    ``usable_leaf_frac``, and BART's 95% per-draw quantile bounds
-    ``quantile_lower`` and ``quantile_upper``, its ``grow_accept_rate``,
-    ``prune_accept_rate`` and ``change_accept_rate`` (accepted over proposed
-    moves, 0 if none) and the ``mean_leaves_per_tree`` of the kept draws.
+    other value raises ``ConfigurationError``.  Before any fit, ``points``
+    that are not (P, p) raise ``DimensionMismatchError`` and a non-finite
+    point ``ValueError`` (``model.check_points``).  ``diagnostics`` holds
+    ``fit_seconds``, the forest's ``se2_floor_hits``, ``skipped_tree_frac``,
+    ``nodes_per_tree`` and ``usable_leaf_frac``, and BART's 95% per-draw
+    quantile bounds ``quantile_lower`` and ``quantile_upper``, its
+    ``grow_accept_rate``, ``prune_accept_rate`` and ``change_accept_rate``
+    (accepted over proposed moves, 0 if none) and the
+    ``mean_leaves_per_tree`` of the kept draws.
     """
     start = time.perf_counter()
-    if not np.isfinite(points).all():
-        raise ValueError("points must be finite")
+    points = check_points(points, dataset.n_covariates)
     diagnostics = {}
     if params is None or isinstance(params, tuple):
-        tau, se2 = linear_cates(fit_interaction_ols(dataset, params), points)
+        (tau,), (se2,) = linear_cates_stack([dataset], points, params)
     elif isinstance(params, ForestParams):
         tau, se2, diagnostics = forest_predict(fit_causal_forest(dataset, params), points)
     elif isinstance(params, BartParams):
@@ -264,27 +280,32 @@ def estimate_study(dataset: TrialDataset, points: np.ndarray, params=None):
 def _replication_worker(job):
     """One replication: K fresh studies, Stage 1 fits, pooling, intervals.
 
+    The linear learner fits the K studies as one stack
+    (:func:`linear_cates_stack`); the forest and BART fit them one by one.
+
     With ``oracle`` set, each study's true effects, drawn from the same
     effect stream as gen_study, are injected with negligible variance and no
     data is drawn.  Returns (replication, (lower, center, upper) arrays over
     points, None), or (replication, None, reason) if it aborted.
     """
     config, params, oracle, replication, points, alpha = job
+    studies = range(1, config.k_studies + 1)
     shape = (config.k_studies, points.shape[0])
     tau, v = np.empty(shape), np.empty(shape)
     try:
-        for s in range(1, config.k_studies + 1):
-            if oracle:
+        if oracle:
+            for s in studies:
                 effects = _study_effects(config, replication, s)
                 tau[s - 1] = true_cate(points, config.cate_setting, effects)
-                v[s - 1] = _ORACLE_SE2
-                continue
-            seeded = params
-            if params is not None:  # forest and BART params carry a seed
+            v[:] = _ORACLE_SE2
+        elif params is None:  # linear: the K studies fitted as one stack
+            tau, v = linear_cates_stack(
+                [gen_study(config, replication, s) for s in studies], points)
+        else:  # forest and BART params carry a seed
+            for s in studies:
                 seed = spawn_seed(config.master_seed, "rep", replication, "study", s, "stage1")
-                seeded = replace(params, seed=seed)
-            tau[s - 1], v[s - 1], _ = estimate_study(
-                gen_study(config, replication, s), points, seeded)
+                tau[s - 1], v[s - 1], _ = estimate_study(
+                    gen_study(config, replication, s), points, replace(params, seed=seed))
         pooled = pool_profiles(tau, v, alpha)
     except CatemetaError as err:
         return replication, None, str(err)

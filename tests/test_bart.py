@@ -59,6 +59,14 @@ class TestParams:
             BartParams(seed=seed)
         assert BartParams(seed=2**64 - 1).seed == 2**64 - 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 2.5), ("n_trees", 5.0), ("n_burn", 10.0), ("n_draws", 20.0),
+    ])
+    def test_integer_fields_must_be_integers(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            BartParams(**{field: value})
+        assert BartParams(**{field: np.int64(value)})
+
 
 class TestSigmaPrior:
     def test_lambda_matches_scipy_stats_chi2_bit_for_bit(self):

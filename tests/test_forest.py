@@ -96,6 +96,15 @@ class TestForestParams:
             ForestParams(seed=seed)
         assert ForestParams(seed=2**64 - 1).seed == 2**64 - 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 2.5), ("n_trees", 40.0), ("bag_size", 20.0), ("min_leaf_treated", 5.0),
+    ])
+    def test_integer_fields_must_be_integers(self, field, value):
+        # ForestParams(seed=2.5) used to construct and grow the seed-2 forest.
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            ForestParams(**{"n_trees": 40, field: value})
+        assert ForestParams(**{"n_trees": 40, field: np.int64(value)})
+
 
 class TestGrowth:
     def test_determinism_bit_exact(self):

@@ -1,18 +1,25 @@
 """Interaction least squares: exact recovery, contrasts, failure modes."""
 
+import re
+
 import numpy as np
 import pytest
 
 from catemeta import (
     CovariateProfile,
     DimensionMismatchError,
+    EstimationError,
     InsufficientDataError,
     LinearCateFit,
     SingularDesignError,
     TrialDataset,
     fit_interaction_ols,
     linear_cate,
+    linear_cates,
 )
+from catemeta.linear import linear_cates_stack
+from catemeta.rng import substream
+from catemeta.simulate import SimConfig, gen_study, gen_target_profiles
 
 
 def dataset_from(y, a, x, names=None):
@@ -177,3 +184,63 @@ def test_noiseless_generative_model_reproduced_at_profiles():
         xp = rng.normal(size=p)
         est = linear_cate(fit, CovariateProfile(i, xp))
         assert est.tau_hat == pytest.approx(beta2 + xp @ beta3, abs=1e-8)
+
+
+def scalar_reference(dataset, moderators, points):
+    """One study's fit and CATEs as a per-study loop computes them: the
+    stacked kernel must give these bits for every study of the stack."""
+    p = dataset.n_covariates
+    mods = tuple(range(p)) if moderators is None else moderators
+    x, a = dataset.x, dataset.a.astype(np.float64)
+    design = np.column_stack([np.ones(dataset.n_rows), x, a[:, None], x[:, mods] * a[:, None]])
+    n, q = design.shape
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    coef = vt.T @ ((u.T @ dataset.y) / s)
+    resid = dataset.y - design @ coef
+    cov = float(resid @ resid) / (n - q) * ((vt.T / s**2) @ vt)
+    cov = 0.5 * (cov + cov.T)
+    contrast = np.zeros((points.shape[0], q))
+    contrast[:, p + 1] = 1.0
+    contrast[:, p + 2:] = points[:, mods]
+    return contrast @ coef, np.maximum(((contrast @ cov) * contrast).sum(axis=1), 0.0)
+
+
+class TestStack:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("moderators", [None, (0,), ()], ids=["all", "age", "none"])
+    def test_equals_per_study_fits_bit_for_bit(self, seed, moderators):
+        cfg = SimConfig(n_per_study=200, master_seed=seed)
+        studies = [gen_study(cfg, 0, s) for s in range(1, cfg.k_studies + 1)]
+        points = gen_target_profiles(cfg, substream(seed, "target-profiles"))
+        tau, se2 = linear_cates_stack(studies, points, moderators)
+        for k, study in enumerate(studies):
+            want_tau, want_se2 = scalar_reference(study, moderators, points)
+            assert np.array_equal(tau[k], want_tau) and np.array_equal(se2[k], want_se2)
+            fit_tau, fit_se2 = linear_cates(fit_interaction_ols(study, moderators), points)
+            assert np.array_equal(tau[k], fit_tau) and np.array_equal(se2[k], fit_se2)
+
+    def test_first_failing_study_raises_in_study_order(self):
+        rng = np.random.default_rng(8)
+        x, a, y = rng.normal(size=(40, 2)), rng.integers(0, 2, 40), rng.normal(size=40)
+        sex = np.column_stack([x[:, 0], np.ones(40)])  # the same column as the intercept
+        ok = dataset_from(y, a, x, ("age", "sex"))
+        singular = dataset_from(y, a, sex, ("age", "sex"))
+        huge = dataset_from(1e300 * y, a, x, ("age", "sex"))  # its squared residuals overflow
+        points = np.zeros((2, 2))
+        for stack, error, says in (([ok, huge, singular], EstimationError, "study 2: "),
+                                   ([ok, singular, huge], SingularDesignError, "'sex'")):
+            stack = [TrialDataset(s + 1, d.y, d.a, d.x, d.covariate_names)
+                     for s, d in enumerate(stack)]
+            with pytest.raises(error, match=says) as err:
+                linear_cates_stack(stack, points)
+            with pytest.raises(error) as alone:
+                fit_interaction_ols(stack[1])
+            assert str(err.value) == str(alone.value)
+
+    @pytest.mark.parametrize("points", [np.zeros(5), np.zeros((3, 4))], ids=["1-d", "wrong-width"])
+    def test_points_checked_before_any_fit(self, points):
+        # The design of this study is singular: the shape error comes first.
+        study = dataset_from(np.zeros(30), np.zeros(30, dtype=int), np.ones((30, 5)))
+        want = f"points have shape {points.shape}, expected (P, 5)"
+        with pytest.raises(DimensionMismatchError, match=re.escape(want)):
+            linear_cates_stack([study], points)

@@ -57,3 +57,14 @@ def test_integer_outside_64_bits_raises(seed, path):
         substream(seed, *path)
     with pytest.raises(ValueError, match=r"must be in \[0, 2\*\*64\)"):
         spawn_seed(seed, *path)
+
+
+@pytest.mark.parametrize("seed, path", [
+    (1.9, ()), (1.0, ()), (0, ("rep", 2.5)), (0, (np.float64(3.0),)),
+], ids=["seed-1.9", "seed-1.0", "path-2.5", "float64-path"])
+def test_non_integer_part_raises(seed, path):
+    # These used to be truncated, so 1.9 gave the stream of 1.
+    with pytest.raises(ValueError, match="must be an integer or a string"):
+        substream(seed, *path)
+    with pytest.raises(ValueError, match="must be an integer or a string"):
+        spawn_seed(seed, *path)

@@ -9,6 +9,7 @@ from catemeta import (
     BartParams,
     ConfigurationError,
     CovariateProfile,
+    DimensionMismatchError,
     ForestParams,
     SimConfig,
     draw_study_effects,
@@ -53,6 +54,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             config(n_replications=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("k_studies", 3.5), ("n_per_study", 20.5), ("n_replications", 2.0),
+        ("master_seed", 1.5), ("heterogeneity_level", 1.0),
+    ])
+    def test_integer_fields_must_be_integers(self, field, value):
+        # These used to construct: master_seed 1.5 ran as seed 1, and a float
+        # count failed inside run_experiment with a TypeError.
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            config(**{field: value})
+        assert getattr(config(**{field: np.int64(value)}), field) == int(value)
+
 
 class TestTrialCovariates:
     def test_same_mode_centers_age_at_zero(self):
@@ -84,6 +96,21 @@ class TestTrialCovariates:
     def test_shape(self):
         x = gen_trial_covariates(config(), substream(5, "cov"))
         assert x.shape == (400, 5)
+
+
+class TestCovariateDraw:
+    def test_equals_numpys_cholesky_draw_bit_for_bit(self):
+        # The latent rows are standard normals times the constant Cholesky
+        # factor, which is what multivariate_normal(method="cholesky") draws.
+        for seed in range(25):
+            means = substream(seed, "means").normal(size=5)
+            got = simulate._sample_covariates(means, 64, substream(seed, "rows"))
+            latent = substream(seed, "rows").multivariate_normal(
+                means, simulate._COVARIANCE, size=64, method="cholesky")
+            want = latent.copy()
+            for j in simulate._BINARY_COLUMNS:
+                want[:, j] = simulate._draw_binary(latent[:, j], means[j], 64)
+            assert np.array_equal(got, want), seed
 
 
 class TestTargetProfiles:
@@ -233,6 +260,19 @@ class TestHarness:
         with pytest.raises(ConfigurationError):
             run_experiment(config(), "kitchen_sink")
 
+    @pytest.mark.parametrize("seed, replication, column", [
+        (2, 32, "sex"),  # studies 5 (sex) and 10 (smoking) are singular
+        (0, 30, "treatment:sex"),  # study 8
+    ])
+    def test_singular_study_aborts_with_its_reason(self, seed, replication, column):
+        # A binary covariate whose clamped study mean makes its column
+        # constant; the first singular study, in study order, is reported.
+        table = run_experiment(SimConfig(master_seed=seed, n_replications=replication + 1))
+        assert table.aborted_replications[-1] == replication
+        assert table.abort_reasons[-1] == (
+            f"design matrix is singular: column '{column}' is linearly dependent on "
+            "earlier columns")
+
     def test_bart_method_runs_end_to_end(self):
         cfg = config(n_replications=1, n_per_study=80)
         table = run_experiment(
@@ -339,6 +379,23 @@ class TestEstimateStudy:
         for params in ("oracle", "forest", {}, [0, 3]):
             with pytest.raises(ConfigurationError, match=type(params).__name__):
                 estimate_study(ds, np.zeros((1, 5)), params)
+
+    @pytest.mark.parametrize("points", [np.zeros(5), np.zeros((3, 4))], ids=["1-d", "wrong-width"])
+    def test_point_shape_checked_before_any_fit(self, monkeypatch, points):
+        # The forest used to grow every tree before its predictor refused
+        # the points, and each learner worded the error its own way.
+        def no_fit(*args):
+            raise AssertionError("a learner was fitted before the points were checked")
+
+        monkeypatch.setattr(simulate, "fit_causal_forest", no_fit)
+        monkeypatch.setattr(simulate, "fit_bart_slearner", no_fit)
+        ds = gen_study(config(n_per_study=100), 0, 1)
+        messages = set()
+        for params in (None, (0, 3), ForestParams(n_trees=200, seed=3), BartParams(seed=4)):
+            with pytest.raises(DimensionMismatchError) as err:
+                estimate_study(ds, points, params)
+            messages.add(str(err.value))
+        assert messages == {f"points have shape {points.shape}, expected (P, 5)"}
 
     @pytest.mark.parametrize("params", [
         None, (0, 3), ForestParams(n_trees=20, seed=3),
