@@ -38,7 +38,7 @@ from .forest import (
     forest_cates,
     forest_predict,
 )
-from .linear import LinearCateFit, fit_interaction_ols, linear_cate, linear_cates
+from .linear import LinearCateFit, fit_interaction_ols, linear_cate
 from .meta import (
     MetaInput,
     PooledProfiles,
@@ -82,7 +82,7 @@ __all__ = [
     "InsufficientStudiesError", "SingularDesignError",
     "CausalForestModel", "CausalTree", "ForestParams", "fit_causal_forest",
     "forest_cates", "forest_predict",
-    "LinearCateFit", "fit_interaction_ols", "linear_cate", "linear_cates",
+    "LinearCateFit", "fit_interaction_ols", "linear_cate",
     "MetaInput", "PooledProfiles", "dl_theta2", "pool_cate", "pool_profiles",
     "prediction_interval",
     "reml_theta2", "t_quantile",

@@ -39,8 +39,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError, EstimationError
-from .model import StudyCateEstimate, TrialDataset, check_integers
+from .errors import ConfigurationError, EstimationError
+from .model import StudyCateEstimate, TrialDataset, check_integers, check_points, check_seed
 from .rng import substream
 
 _MOVE_GROW = 0.5
@@ -70,8 +70,7 @@ class BartParams:
             raise ConfigurationError("tree prior requires alpha in (0,1), beta > 0")
         if self.k <= 0.0:
             raise ConfigurationError("leaf prior requires k > 0")
-        if not 0 <= self.seed < 1 << 64:
-            raise ConfigurationError("seed must be in [0, 2**64)")
+        check_seed(self, "seed")
 
 
 @dataclass(frozen=True)
@@ -290,14 +289,12 @@ def fit_bart_slearner(
     inputs (x*, 0) and (x*, 1) are registered, and the posterior function
     draws at those inputs are stored in outcome units: row i's arms are draw
     columns 2i and 2i + 1.  Deterministic given ``params.seed``.  The points
-    are taken to be finite, as ``estimate_study`` checks.
+    are checked by ``model.check_points``.
     """
-    points = np.asarray(points, dtype=np.float64)
+    p = dataset.n_covariates
+    points = check_points(points, p)
     if not points.size:
         raise ConfigurationError("at least one point must be registered")
-    p = dataset.n_covariates
-    if points.ndim != 2 or points.shape[1] != p:
-        raise DimensionMismatchError(f"points have shape {points.shape}, expected (P, {p})")
     y = dataset.y
     y_min, y_max = float(y.min()), float(y.max())
     y_range = (y_max - y_min) or 1.0

@@ -138,14 +138,15 @@ def cmd_estimate(args) -> int:
         params = None
     elif args.stage1 == "forest":
         stage1_options = {
-            "honest": args.honest, "trees": 1000 if args.trees is None else args.trees,
+            "honest": args.honest,
+            "trees": ForestParams.n_trees if args.trees is None else args.trees,
             "bag_size": args.bag_size,
         }
         params = ForestParams(n_trees=stage1_options["trees"], honest=args.honest,
                               bag_size=args.bag_size)
     else:
         stage1_options = {
-            "trees": 50 if args.trees is None else args.trees, "burn": args.burn,
+            "trees": BartParams.n_trees if args.trees is None else args.trees, "burn": args.burn,
             "draws": args.draws, "interval": args.interval,
         }
         params = BartParams(n_trees=stage1_options["trees"], n_burn=args.burn,
@@ -396,10 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--honest", type=_parse_bool, default=True,
                        help="true|false (forest)")
     p_est.add_argument("--trees", type=int, default=None,
-                       help="tree count (forest default 1000, bart default 50)")
-    p_est.add_argument("--bag-size", type=int, default=20, help="trees per variance bag")
-    p_est.add_argument("--burn", type=int, default=500, help="bart burn-in draws")
-    p_est.add_argument("--draws", type=int, default=1000, help="bart kept draws")
+                       help=f"tree count (forest default {ForestParams.n_trees}, "
+                            f"bart default {BartParams.n_trees})")
+    p_est.add_argument("--bag-size", type=int, default=ForestParams.bag_size,
+                       help="trees per variance bag")
+    p_est.add_argument("--burn", type=int, default=BartParams.n_burn, help="bart burn-in draws")
+    p_est.add_argument("--draws", type=int, default=BartParams.n_draws, help="bart kept draws")
     p_est.add_argument("--interval", choices=("normal", "quantile"), default="normal",
                        help="bart interval construction")
     add_common(p_est)

@@ -35,9 +35,16 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError, EstimationError
+from .errors import ConfigurationError, EstimationError
 from .grower import grow_trees, run_stat
-from .model import CovariateProfile, StudyCateEstimate, TrialDataset, check_integers
+from .model import (
+    CovariateProfile,
+    StudyCateEstimate,
+    TrialDataset,
+    check_integers,
+    check_points,
+    check_seed,
+)
 from .rng import substream
 
 _SE2_FLOOR_FACTOR = 1e-6
@@ -77,8 +84,7 @@ class ForestParams:
             raise ConfigurationError("per-arm leaf minima must be >= 2")
         if not (0.0 < self.subsample_fraction <= 1.0):
             raise ConfigurationError("subsample_fraction must be in (0, 1]")
-        if not 0 <= self.seed < 1 << 64:
-            raise ConfigurationError("seed must be in [0, 2**64)")
+        check_seed(self, "seed")
 
     @property
     def n_bags(self) -> int:
@@ -190,11 +196,7 @@ def predict_matrix(model: CausalForestModel, points: np.ndarray) -> np.ndarray:
 
     Every tree is routed at once, over the trees' node arrays laid end to end.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != model.n_covariates:
-        raise DimensionMismatchError(
-            f"points must have shape (k, {model.n_covariates})"
-        )
+    points = check_points(points, model.n_covariates)
     feature, threshold, left, right, leaf_tau = (
         np.concatenate([getattr(tree, name) for tree in model.trees])
         for name in ("feature", "threshold", "left", "right", "leaf_tau")

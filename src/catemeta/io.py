@@ -38,7 +38,9 @@ from itertools import islice
 
 import numpy as np
 
+from .bart import BartParams
 from .errors import ConfigurationError, InputFormatError
+from .forest import ForestParams
 from .model import TrialDataset
 from .simulate import STAGE1_METHODS, SimConfig
 
@@ -394,11 +396,11 @@ class SimulateOptions:
     """Experiment-file settings beyond the generative model itself."""
 
     methods: tuple[str, ...] = ("linear",)
-    forest_trees: int = 100
-    forest_bag_size: int = 20
-    bart_trees: int = 50
-    bart_burn: int = 500
-    bart_draws: int = 1000
+    forest_trees: int = 100  # the harness's own: it grows K forests per replication
+    forest_bag_size: int = ForestParams.bag_size
+    bart_trees: int = BartParams.n_trees
+    bart_burn: int = BartParams.n_burn
+    bart_draws: int = BartParams.n_draws
     alpha: float = 0.05
 
 

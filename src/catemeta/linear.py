@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EstimationError,
-    InsufficientDataError,
-    SingularDesignError,
-)
+from .errors import EstimationError, InsufficientDataError, SingularDesignError
 from .model import CovariateProfile, StudyCateEstimate, TrialDataset, check_points
 
 _RANK_RTOL = 1e-10
@@ -189,29 +184,14 @@ def linear_cates_stack(datasets, points, moderators=None):
     return _contrast(coef, cov, mods, points)
 
 
-def linear_cates(fit: LinearCateFit, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CATE point estimates and variances at the rows of ``points`` (P, p).
-
-    Row i of the contrast matrix C has 1 at the treatment coefficient and
-    the moderator values of point i at the interaction coefficients;
-    tau_hat = C beta and se2 = diag(C Cov C'), clamped at 0.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != fit.n_covariates:
-        raise DimensionMismatchError(
-            f"points have shape {points.shape}, fit expects (P, {fit.n_covariates})"
-        )
-    tau, se2 = _contrast(fit.coefficients[None], fit.covariance[None],
-                         fit.moderator_indices, points)
-    return tau[0], se2[0]
-
-
 def linear_cate(fit: LinearCateFit, profile: CovariateProfile) -> StudyCateEstimate:
-    """:func:`linear_cates` at a single profile."""
-    tau, se2 = linear_cates(fit, profile.x[None, :])
+    """The CATE and its variance at one profile of a fitted study."""
+    point = check_points(profile.x[None, :], fit.n_covariates)
+    tau, se2 = _contrast(fit.coefficients[None], fit.covariance[None],
+                         fit.moderator_indices, point)
     return StudyCateEstimate(
         study_id=fit.study_id,
         profile_id=profile.profile_id,
-        tau_hat=float(tau[0]),
-        se2=float(se2[0]),
+        tau_hat=float(tau[0, 0]),
+        se2=float(se2[0, 0]),
     )

@@ -84,6 +84,13 @@ def check_integers(params, *names: str) -> None:
             raise ConfigurationError(f"{name} must be an integer, got {getattr(params, name)!r}")
 
 
+def check_seed(params, name: str) -> None:
+    """Raise ``ConfigurationError`` unless ``params.<name>`` is in [0, 2**64),
+    the range of one stream part (``rng.substream``)."""
+    if not 0 <= getattr(params, name) < 1 << 64:
+        raise ConfigurationError(f"{name} must be in [0, 2**64)")
+
+
 def check_points(points, n_covariates: int) -> np.ndarray:
     """``points`` as a float array of shape (P, n_covariates), every value
     finite: the one rule for Stage-1 points, checked before any fit.  Another
@@ -119,7 +126,10 @@ class CovariateProfile:
 
 @dataclass(frozen=True)
 class StudyCateEstimate:
-    """Point estimate and squared standard error of one study's CATE at one profile."""
+    """Point estimate and squared standard error of one study's CATE at one profile.
+
+    An infinite ``se2`` is rejected here; ``meta.pool_profiles`` gives it weight 0.
+    """
 
     study_id: int
     profile_id: int
@@ -266,11 +276,9 @@ def validate_target_coverage(
         raise ValueError("at least one trial is required")
     names = trials[0].covariate_names
     ids = np.asarray(profile_ids).tolist()
-    points = np.asarray(points, dtype=np.float64)
-    if points.shape != (len(ids), len(names)):
-        raise DimensionMismatchError(
-            f"profile points have shape {points.shape}, expected {(len(ids), len(names))}"
-        )
+    points = check_points(points, len(names))
+    if points.shape[0] != len(ids):
+        raise DimensionMismatchError(f"{points.shape[0]} points for {len(ids)} profile ids")
     lo = np.min([t.x.min(axis=0) for t in trials], axis=0)
     hi = np.max([t.x.max(axis=0) for t in trials], axis=0)
     outside = (points < lo) | (points > hi)

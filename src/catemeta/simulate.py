@@ -31,7 +31,7 @@ from .linear import fit_interaction_ols, linear_cate, linear_cates_stack  # noqa
 from .meta import (  # noqa: F401
     ndtri, pool_cate, pool_profiles, prediction_interval, reml_theta2_batch,
 )
-from .model import TrialDataset, check_integers, check_points
+from .model import TrialDataset, check_integers, check_points, check_seed
 from .rng import spawn_seed, substream
 
 COVARIATE_NAMES = ("age", "sex", "smoking", "weight", "madrs")
@@ -90,8 +90,7 @@ class SimConfig:
             raise ConfigurationError("k_studies must be >= 2")
         if self.n_per_study < 1 or self.n_replications < 1:
             raise ConfigurationError("sample and replication counts must be positive")
-        if not 0 <= self.master_seed < 1 << 64:
-            raise ConfigurationError("master_seed must be in [0, 2**64)")
+        check_seed(self, "master_seed")
         if self.cate_setting not in CATE_SETTINGS:
             raise ConfigurationError(f"cate_setting must be one of {CATE_SETTINGS}")
         if self.heterogeneity_level not in _HETEROGENEITY_SIGMAS:

@@ -1,5 +1,6 @@
 """BART S-learner: sampler behavior, interval options, determinism."""
 
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -128,12 +129,14 @@ class TestSampler:
             fit_bart_slearner(ds, np.empty((0, 3)), FAST)
 
     def test_points_must_match_covariates(self):
-        # The finite-point rule is estimate_study's, tested for every learner
-        # in tests/test_simulate.py::TestEstimateStudy.
         ds, _ = make_dataset(50, lambda x, a: a.astype(float), seed=6)
         for bad in (np.zeros((2, 4)), np.zeros(3)):
-            with pytest.raises(DimensionMismatchError):
+            want = f"points have shape {bad.shape}, expected (P, 3)"
+            with pytest.raises(DimensionMismatchError, match=re.escape(want)):
                 fit_bart_slearner(ds, bad, FAST)
+        for value in (np.nan, -np.inf):
+            with pytest.raises(ValueError, match="points must be finite"):
+                fit_bart_slearner(ds, np.array([[0.0, value, 0.0]]), FAST)
 
     def test_posterior_draw_count_and_columns(self):
         ds, rng = make_dataset(80, lambda x, a: a.astype(float), seed=7)

@@ -4,6 +4,7 @@ recursive grower, and the count search of two-valued covariates against the
 padded scan."""
 
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -261,8 +262,13 @@ class TestPredictionEdgeCases:
 
     def test_dimension_mismatch(self):
         model = manual_model([1.0] * 20)
-        with pytest.raises(DimensionMismatchError):
-            forest_predict(model, np.zeros((1, 7)))
+        for bad in (np.zeros((1, 7)), np.zeros(2)):
+            want = f"points have shape {bad.shape}, expected (P, 2)"
+            with pytest.raises(DimensionMismatchError, match=re.escape(want)):
+                forest_predict(model, bad)
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="points must be finite"):
+                forest_predict(model, np.array([[0.0, value]]))
 
 
 class TestInvariances:

@@ -15,7 +15,6 @@ from catemeta import (
     TrialDataset,
     fit_interaction_ols,
     linear_cate,
-    linear_cates,
 )
 from catemeta.linear import linear_cates_stack
 from catemeta.rng import substream
@@ -126,7 +125,8 @@ class TestLinearCate:
 
     def test_dimension_mismatch(self):
         fit = self.manual_fit([0.0, 0.0, 2.0, 3.0], np.eye(4))
-        with pytest.raises(DimensionMismatchError):
+        want = "points have shape (1, 2), expected (P, 1)"
+        with pytest.raises(DimensionMismatchError, match=re.escape(want)):
             linear_cate(fit, CovariateProfile(0, np.array([1.0, 2.0])))
 
     def test_se2_nonnegative_over_random_fits(self):
@@ -216,8 +216,8 @@ class TestStack:
         for k, study in enumerate(studies):
             want_tau, want_se2 = scalar_reference(study, moderators, points)
             assert np.array_equal(tau[k], want_tau) and np.array_equal(se2[k], want_se2)
-            fit_tau, fit_se2 = linear_cates(fit_interaction_ols(study, moderators), points)
-            assert np.array_equal(tau[k], fit_tau) and np.array_equal(se2[k], fit_se2)
+            alone_tau, alone_se2 = linear_cates_stack([study], points, moderators)
+            assert np.array_equal(tau[k], alone_tau[0]) and np.array_equal(se2[k], alone_se2[0])
 
     def test_first_failing_study_raises_in_study_order(self):
         rng = np.random.default_rng(8)

@@ -134,8 +134,15 @@ class TestValidateTargetCoverage:
             assert set(fa.out_of_range) <= set(fb.out_of_range)
 
     def test_dimension_mismatch_is_hard_error(self):
-        with pytest.raises(DimensionMismatchError):
-            validate_target_coverage([0], np.zeros((1, 3)), self.trials())
+        trials = self.trials()
+        want = "points have shape (1, 3), expected (P, 2)"
+        with pytest.raises(DimensionMismatchError, match=re.escape(want)):
+            validate_target_coverage([0], np.zeros((1, 3)), trials)
+        with pytest.raises(DimensionMismatchError, match="1 points for 2 profile ids"):
+            validate_target_coverage([0, 1], np.zeros((1, 2)), trials)
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="points must be finite"):
+                validate_target_coverage([0], np.array([[value, 0.0]]), trials)
 
 
 class TestLearnerUniformity:
