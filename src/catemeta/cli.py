@@ -1,10 +1,11 @@
 """Command-line orchestration: estimate, predict, simulate, compare-intervals.
 
 Every run writes its artifacts into --out-dir together with a manifest.json
-recording a content digest of the inputs and options, per-phase timings and
-the SHA-256 of each artifact.  SVG artifacts embed the manifest digest as a
-comment; CSV schemas are fixed, so CSV artifacts are linked to the digest
-through the manifest's artifact registry instead.
+recording a content digest of the inputs and options, per-phase timings,
+the SHA-256 of each artifact and each warning printed; ``_Manifest`` keeps
+that record.  SVG artifacts embed the manifest digest as a comment; CSV
+schemas are fixed, so CSV artifacts are linked to the digest through the
+manifest's artifact registry instead.
 
 Exit codes: 0 success, 1 runtime estimation failure, 2 input/schema error,
 3 config error.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import sys
@@ -63,20 +65,32 @@ def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _sha256_file(path: str) -> str:
+def _sha256_file(path: str | Path) -> str:
     return _sha256_bytes(Path(path).read_bytes())
 
 
 class _Manifest:
-    """Run provenance: digest of (version, command, options, input contents)."""
+    """The record of one run, and its only writer.
 
-    def __init__(self, subcommand: str, input_paths: list[str], options: dict, seed: int):
+    Creating it creates ``out_dir``.  ``digest`` hashes (version, command,
+    options, input contents, seed); SVG artifacts embed it.  ``phase(name)``
+    times a block into ``timings_seconds``; ``artifact(name)`` returns
+    ``out_dir / name`` and registers it; ``warn(note)`` prints ``warning:
+    <note>`` to stderr and keeps the note.  ``write()`` hashes the artifacts in
+    the order they were registered, writes manifest.json and returns the exit
+    code 0.
+    """
+
+    def __init__(self, subcommand: str, out_dir: str, input_paths: list[str], options: dict,
+                 seed: int):
+        self.out_dir = Path(out_dir)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.subcommand = subcommand
         self.input_paths = list(input_paths)
         self.options = dict(options)
         self.seed = seed
         self.timings: dict[str, float] = {}
-        self.artifacts: list[dict] = []
+        self.artifacts: list[Path] = []
         self.notes: list[str] = []
         self.diagnostics: Counter[str] = Counter()
         payload = json.dumps(
@@ -91,10 +105,22 @@ class _Manifest:
         )
         self.digest = _sha256_bytes(payload.encode("utf-8"))
 
-    def add_artifact(self, path: Path):
-        self.artifacts.append({"path": path.name, "sha256": _sha256_file(str(path))})
+    @contextlib.contextmanager
+    def phase(self, name: str):
+        start = time.perf_counter()
+        yield
+        self.timings[name] = time.perf_counter() - start
 
-    def write(self, out_dir: Path):
+    def artifact(self, name: str) -> Path:
+        path = self.out_dir / name
+        self.artifacts.append(path)
+        return path
+
+    def warn(self, note: str):
+        print(f"warning: {note}", file=sys.stderr)
+        self.notes.append(note)
+
+    def write(self) -> int:
         body = {
             "digest": self.digest,
             "version": __version__,
@@ -103,33 +129,14 @@ class _Manifest:
             "options": self.options,
             "seed": self.seed,
             "timings_seconds": {k: round(v, 6) for k, v in self.timings.items()},
-            "artifacts": self.artifacts,
+            "artifacts": [{"path": p.name, "sha256": _sha256_file(p)} for p in self.artifacts],
             "notes": self.notes,
             "diagnostics": self.diagnostics,
         }
-        (out_dir / "manifest.json").write_text(
+        (self.out_dir / "manifest.json").write_text(
             json.dumps(body, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-
-
-class _Phase:
-    def __init__(self, manifest: _Manifest, name: str):
-        self.manifest = manifest
-        self.name = name
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.manifest.timings[self.name] = time.perf_counter() - self.start
-        return False
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        return 0
 
 
 def cmd_estimate(args) -> int:
@@ -151,17 +158,12 @@ def cmd_estimate(args) -> int:
         }
         params = BartParams(n_trees=stage1_options["trees"], n_burn=args.burn,
                             n_draws=args.draws)
-    out = _out_dir(args)
-    manifest = _Manifest(
-        "estimate",
-        list(args.trials) + [args.profiles],
-        {"stage1": args.stage1, **stage1_options},
-        args.seed,
-    )
-    with _Phase(manifest, "read"):
+    manifest = _Manifest("estimate", args.out_dir, list(args.trials) + [args.profiles],
+                         {"stage1": args.stage1, **stage1_options}, args.seed)
+    with manifest.phase("read"):
         trials = read_trials_csv(list(args.trials))
         profile_ids, points = read_profiles_csv(args.profiles, trials[0].covariate_names)
-    with _Phase(manifest, "validate"):
+    with manifest.phase("validate"):
         for dataset in trials:
             report = validate_trial(dataset)
             print(
@@ -174,14 +176,12 @@ def cmd_estimate(args) -> int:
                     f"study {dataset.study_id}: " + "; ".join(report.violations))
         for flag in validate_target_coverage(profile_ids, points, trials):
             if flag.flagged:
-                names = ",".join(flag.out_of_range)
-                note = f"profile {flag.profile_id} outside pooled trial range on: {names}"
-                manifest.notes.append(note)
-                print(f"warning: {note}", file=sys.stderr)
+                manifest.warn(f"profile {flag.profile_id} outside pooled trial range on: "
+                              + ",".join(flag.out_of_range))
 
     if params is None:  # linear: the moderators name the trials' covariates
         params = _resolve_moderators(args.moderators, trials[0].covariate_names)
-    with _Phase(manifest, "fit"):
+    with manifest.phase("fit"):
         study_params = [
             replace(params, seed=spawn_seed(args.seed, "study", ds.study_id))
             if hasattr(params, "seed") else params  # the moderator tuple has no seed
@@ -201,25 +201,21 @@ def cmd_estimate(args) -> int:
     if invalid is not None:
         i, reason = invalid
         raise EstimationError(f"study {sids[i]}, profile {pids[i]}: {reason}")
-    with _Phase(manifest, "write"):
+    with manifest.phase("write"):
         manifest.diagnostics["stage1"] = [
             {"study_id": ds.study_id, **{k: round(v, 6) for k, v in diag.items()
                                          if not isinstance(v, np.ndarray)}}
             for ds, diag in zip(trials, diagnostics)
         ]
-        agg_path = out / "aggregates.csv"
-        write_aggregates_csv(str(agg_path), pids, sids, tau_hat=tau, se2=se2)
-        manifest.add_artifact(agg_path)
+        write_aggregates_csv(manifest.artifact("aggregates.csv"), pids, sids,
+                             tau_hat=tau, se2=se2)
         if stage1_options.get("interval") == "quantile":
-            q_path = out / "study_quantile_intervals.csv"
             write_aggregates_csv(
-                str(q_path), pids, sids, tau_hat=tau,
+                manifest.artifact("study_quantile_intervals.csv"), pids, sids, tau_hat=tau,
                 lower=np.concatenate([d["quantile_lower"] for d in diagnostics]),
                 upper=np.concatenate([d["quantile_upper"] for d in diagnostics]),
             )
-            manifest.add_artifact(q_path)
-    manifest.write(out)
-    return 0
+    return manifest.write()
 
 
 def _resolve_moderators(raw: str, names: tuple[str, ...]):
@@ -237,12 +233,11 @@ def _resolve_moderators(raw: str, names: tuple[str, ...]):
 def cmd_predict(args) -> int:
     if not (0.0 < args.alpha < 1.0):
         raise ConfigurationError(f"--alpha must be in (0, 1), got {args.alpha}")
-    out = _out_dir(args)
-    manifest = _Manifest("predict", [args.aggregates],
+    manifest = _Manifest("predict", args.out_dir, [args.aggregates],
                          {"alpha": args.alpha, "svg": bool(args.svg)}, args.seed)
-    with _Phase(manifest, "read"):
+    with manifest.phase("read"):
         pid, _, tau, se2 = read_aggregates_csv(args.aggregates)
-    with _Phase(manifest, "pool"):
+    with manifest.phase("pool"):
         pids, starts, ks = np.unique(pid, return_index=True, return_counts=True)
         if (ks == 1).any():
             raise InputFormatError(
@@ -250,8 +245,7 @@ def cmd_predict(args) -> int:
                 args.aggregates,
             )
         for p in pids[ks == 2].tolist():
-            print(f"warning: profile {p}: K=2 studies, no prediction interval "
-                  "(df would be 0)", file=sys.stderr)
+            manifest.warn(f"profile {p}: K=2 studies, no prediction interval (df would be 0)")
         center, theta2, lower, upper = np.full((4, pids.size), np.nan)
         for k in np.unique(ks).tolist():
             group = ks == k
@@ -262,26 +256,21 @@ def cmd_predict(args) -> int:
             if pooled.half_width is not None:  # K = 2 keeps NaN bounds: no interval
                 lower[group] = pooled.tau_pooled - pooled.half_width
                 upper[group] = pooled.tau_pooled + pooled.half_width
-    with _Phase(manifest, "write"):
-        csv_path = out / "predictions.csv"
-        write_predictions_csv(str(csv_path), pids, center, theta2, lower, upper, ks)
-        manifest.add_artifact(csv_path)
+    with manifest.phase("write"):
+        write_predictions_csv(manifest.artifact("predictions.csv"),
+                              pids, center, theta2, lower, upper, ks)
         if args.svg:
-            svg_path = out / "predictions.svg"
-            svg_path.write_text(
+            manifest.artifact("predictions.svg").write_text(
                 prediction_intervals_svg(pids, center, lower, upper, manifest.digest),
                 encoding="utf-8",
             )
-            manifest.add_artifact(svg_path)
-    manifest.write(out)
-    return 0
+    return manifest.write()
 
 
 def cmd_compare_intervals(args) -> int:
-    out = _out_dir(args)
-    manifest = _Manifest("compare-intervals", [args.aggregates, args.predictions],
+    manifest = _Manifest("compare-intervals", args.out_dir, [args.aggregates, args.predictions],
                          {"profiles": args.profile}, args.seed)
-    with _Phase(manifest, "read"):
+    with manifest.phase("read"):
         pid, sid, tau, se2 = read_aggregates_csv(args.aggregates)
         pred_pid, center, _, lower, upper, _ = read_predictions_csv(args.predictions)
     per_profile = []
@@ -297,24 +286,20 @@ def cmd_compare_intervals(args) -> int:
             for s, t, v in zip(*(col[in_profile].tolist() for col in (sid, tau, se2)))
         ]
         per_profile.append((wanted, studies, tuple(float(v[row]) for v in (lower, center, upper))))
-    with _Phase(manifest, "write"):
-        svg_path = out / "compare_intervals.svg"
-        svg_path.write_text(compare_intervals_svg(per_profile, manifest.digest),
-                            encoding="utf-8")
-        manifest.add_artifact(svg_path)
-    manifest.write(out)
-    return 0
+    with manifest.phase("write"):
+        manifest.artifact("compare_intervals.svg").write_text(
+            compare_intervals_svg(per_profile, manifest.digest), encoding="utf-8")
+    return manifest.write()
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     config, options = parse_sim_config(args.config)
-    manifest = _Manifest("simulate", [args.config], {}, config.master_seed)
+    manifest = _Manifest("simulate", args.out_dir, [args.config], {}, config.master_seed)
     forest_params = ForestParams(n_trees=options.forest_trees, bag_size=options.forest_bag_size)
     bart_params = BartParams(
         n_trees=options.bart_trees, n_burn=options.bart_burn, n_draws=options.bart_draws
     )
-    with _Phase(manifest, "run"):
+    with manifest.phase("run"):
         tables = [
             run_experiment(
                 config, method,
@@ -323,22 +308,17 @@ def cmd_simulate(args) -> int:
             )
             for method in options.methods
         ]
-    with _Phase(manifest, "write"):
-        metrics_path = out / "metrics.csv"
-        write_metrics_csv(str(metrics_path), tables)
-        manifest.add_artifact(metrics_path)
-        svg_path = out / "coverage.svg"
-        svg_path.write_text(coverage_boxplot_svg(tables, manifest.digest),
-                            encoding="utf-8")
-        manifest.add_artifact(svg_path)
-        for table in tables:
-            if table.aborted_replications:
-                manifest.notes.append(f"{table.method}: aborted replications " + "; ".join(
-                    f"{r}: {reason}"
-                    for r, reason in zip(table.aborted_replications, table.abort_reasons)
-                ))
-    manifest.write(out)
-    return 0
+    for table in tables:
+        if table.aborted_replications:
+            manifest.warn(f"{table.method}: aborted replications " + "; ".join(
+                f"{r}: {reason}"
+                for r, reason in zip(table.aborted_replications, table.abort_reasons)
+            ))
+    with manifest.phase("write"):
+        write_metrics_csv(manifest.artifact("metrics.csv"), tables)
+        manifest.artifact("coverage.svg").write_text(
+            coverage_boxplot_svg(tables, manifest.digest), encoding="utf-8")
+    return manifest.write()
 
 
 def _parse_profile_ids(value: str) -> list[int]:
@@ -383,8 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=_parse_seed, default=0, help="master seed")
+    def add_common(p, seed=True):
+        if seed:  # simulate's only seed is its config's master_seed
+            p.add_argument("--seed", type=_parse_seed, default=0, help="master seed")
         p.add_argument("--threads", type=_parse_threads, default=1, help="worker processes")
         p.add_argument("--out-dir", default=".", help="output directory")
 
@@ -426,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run the replication experiment")
     p_sim.add_argument("--config", required=True, help="flat key = value experiment file")
-    add_common(p_sim)
+    add_common(p_sim, seed=False)
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

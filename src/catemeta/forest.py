@@ -30,7 +30,7 @@ can be distributed without changing results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -124,7 +124,6 @@ class CausalForestModel:
     params: ForestParams
     n_covariates: int
     outcome_variance: float
-    covariate_names: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def se2_floor(self) -> float:
@@ -187,7 +186,6 @@ def fit_causal_forest(dataset: TrialDataset, params: ForestParams) -> CausalFore
         params=params,
         n_covariates=dataset.n_covariates,
         outcome_variance=outcome_variance,
-        covariate_names=dataset.covariate_names,
     )
 
 

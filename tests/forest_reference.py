@@ -226,7 +226,6 @@ def fit_reference_forest(dataset, params: ForestParams) -> CausalForestModel:
         params=params,
         n_covariates=dataset.n_covariates,
         outcome_variance=outcome_variance,
-        covariate_names=dataset.covariate_names,
     )
 
 

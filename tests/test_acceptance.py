@@ -8,7 +8,6 @@ here is deterministic.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest

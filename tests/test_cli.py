@@ -1,5 +1,6 @@
 """Command-line behavior: schemas, exit codes, determinism of artifacts."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -842,6 +843,18 @@ class TestExitCodeMapping:
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    def test_simulate_takes_no_seed(self, tmp_path, capsys):
+        # --seed used to be parsed and ignored: the bytes were those of a run
+        # without it, and the manifest recorded master_seed.
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--config", GOLDEN / "experiment.cfg", "--seed", "5",
+                 "--out-dir", tmp_path / "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "unrecognized arguments: --seed 5" in err
+        assert not (tmp_path / "x").exists()
+
     def test_runtime_estimation_failure_exits_1(self, tmp_path, monkeypatch):
         from catemeta import EstimationError
         import catemeta.cli as cli
@@ -853,3 +866,61 @@ class TestExitCodeMapping:
         agg = tmp_path / "agg.csv"
         agg.write_text("profile_id,study_id,tau_hat,se2\n0,1,1.0,0.5\n0,2,2.0,0.5\n")
         assert run(["predict", "--aggregates", agg, "--out-dir", tmp_path / "x"]) == 1
+
+
+class TestManifest:
+    ABORTING = ("k_studies = 3\nn_per_study = 20\nn_replications = 2\n"
+                "methods = forest_honest\nforest_trees = 20\n")
+
+    def warning_run(self, tmp_path, command):
+        if command == "estimate":
+            trials, _ = write_inputs(tmp_path)
+            profiles = tmp_path / "far.csv"
+            profiles.write_text("profile_id,age,sex\n0,99.0,0.0\n1,0.0,9.0\n")
+            return ["estimate", "--trials", trials, "--profiles", profiles, "--stage1", "linear"]
+        if command == "predict":
+            agg = tmp_path / "agg.csv"
+            agg.write_text("profile_id,study_id,tau_hat,se2\n0,1,1.0,0.5\n0,2,2.0,0.5\n"
+                           "1,1,1.0,0.5\n1,2,2.0,0.5\n1,3,0.0,0.5\n2,1,3.0,0.5\n2,2,2.0,0.5\n")
+            return ["predict", "--aggregates", agg]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.ABORTING)
+        return ["simulate", "--config", cfg]
+
+    @pytest.mark.parametrize("command, n_notes", [
+        ("estimate", 2), ("predict", 2), ("simulate", 1),
+    ])
+    def test_every_warning_is_a_manifest_note(self, tmp_path, capsys, command, n_notes):
+        # predict's K = 2 warnings used to reach stderr only, and simulate's
+        # aborted replications the manifest only.
+        out = tmp_path / "out"
+        assert run(self.warning_run(tmp_path, command) + ["--out-dir", out]) == 0
+        notes = json.loads((out / "manifest.json").read_text())["notes"]
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(notes) == n_notes
+        assert warnings == [f"warning: {note}" for note in notes]
+
+    @pytest.mark.parametrize("command, artifacts", [
+        (["estimate", "--trials", GOLDEN / "forest_trials.csv",
+          "--profiles", GOLDEN / "forest_profiles.csv", "--stage1", "bart", "--trees", 5,
+          "--burn", 5, "--draws", 5, "--interval", "quantile"],
+         ["aggregates.csv", "study_quantile_intervals.csv"]),
+        (["predict", "--aggregates", GOLDEN / "aggregates_input.csv", "--svg"],
+         ["predictions.csv", "predictions.svg"]),
+        (["compare-intervals", "--aggregates", GOLDEN / "aggregates_input.csv",
+          "--predictions", GOLDEN / "predictions.csv", "--profile", "0"],
+         ["compare_intervals.svg"]),
+        (["simulate", "--config", GOLDEN / "experiment.cfg"], ["metrics.csv", "coverage.svg"]),
+    ], ids=["estimate", "predict", "compare-intervals", "simulate"])
+    def test_artifacts_are_hashed_in_write_order(self, tmp_path, command, artifacts):
+        out = tmp_path / "out"
+        assert run(command + ["--out-dir", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == {"digest", "version", "subcommand", "inputs", "options", "seed",
+                                 "timings_seconds", "artifacts", "notes", "diagnostics"}
+        assert manifest["artifacts"] == [
+            {"path": name, "sha256": hashlib.sha256((out / name).read_bytes()).hexdigest()}
+            for name in artifacts
+        ]
+        assert sorted(path.name for path in out.iterdir()) == sorted(artifacts + ["manifest.json"])

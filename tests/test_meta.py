@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catemeta import (
@@ -634,6 +634,16 @@ def theta2_tol(tau, v):
     return 1e-6 * (v.max(axis=0) + np.ptp(tau, axis=0) ** 2)
 
 
+def normal_scalings(tau, v, pooled):
+    """The k for which tau * 2**k, v * 4**k, the outputs and the squares of
+    the tau-scale values are all zero or normal floats, as (lowest, highest)."""
+    tau_scale = np.concatenate([tau.ravel(), pooled.tau_pooled, pooled.half_width])
+    v_scale = np.concatenate([v.ravel(), pooled.theta2, pooled.var_pooled])
+    log2 = np.concatenate([2.0 * np.log2(np.abs(tau_scale[tau_scale != 0.0])),
+                           np.log2(v_scale[v_scale != 0.0])])
+    return math.ceil((-1021.0 - log2.min()) / 2.0), math.floor((1023.0 - log2.max()) / 2.0)
+
+
 class TestStage2Properties:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(stage2_inputs())
@@ -682,6 +692,36 @@ class TestStage2Properties:
                 small, tau.shape[0],
             )
             assert pi.upper - pi.center == pytest.approx(pi.center - pi.lower, rel=1e-12)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(stage2_inputs(), st.data())
+    def test_power_of_two_scaling_is_exact(self, inputs, data):
+        # Scaling by powers of two changes only exponents, so while every
+        # value stays a normal float the outputs scale without rounding;
+        # the widest k take theta2 far past 1e154, where its square overflows.
+        tau, v = inputs
+        tau = np.where(np.abs(tau) < 1e-150, 0.0, tau)  # a tiny tau_hat's square is subnormal
+        base = pool_profiles(tau, v, alpha=0.05)
+        lowest, highest = normal_scalings(tau, v, base)
+        assume(lowest <= 0 <= highest)
+        k = data.draw(st.integers(lowest, highest), label="k")
+        scaled = pool_profiles(np.ldexp(tau, k), np.ldexp(v, 2 * k), alpha=0.05)
+        assert np.array_equal(scaled.theta2, np.ldexp(base.theta2, 2 * k))
+        assert np.array_equal(scaled.var_pooled, np.ldexp(base.var_pooled, 2 * k))
+        assert np.array_equal(scaled.tau_pooled, np.ldexp(base.tau_pooled, k))
+        assert np.array_equal(scaled.half_width, np.ldexp(base.half_width, k))
+        assert scaled.diagnostics == base.diagnostics
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(stage2_inputs(max_profiles=8), st.data())
+    def test_permuting_profiles_permutes_outputs_exactly(self, inputs, data):
+        tau, v = inputs
+        order = data.draw(st.permutations(range(tau.shape[1])), label="order")
+        base = pool_profiles(tau, v, alpha=0.05)
+        moved = pool_profiles(tau[:, order], v[:, order], alpha=0.05)
+        for name in ("theta2", "tau_pooled", "var_pooled", "half_width"):
+            assert np.array_equal(getattr(moved, name), getattr(base, name)[order])
+        assert moved.diagnostics == base.diagnostics
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(stage2_inputs(max_profiles=8))
