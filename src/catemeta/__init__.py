@@ -15,8 +15,6 @@ __version__ = "0.1.0"
 from .bart import (
     BartParams,
     BartPosterior,
-    bart_cate_normal,
-    bart_cate_quantile,
     bart_cates,
     fit_bart_slearner,
 )
@@ -35,26 +33,17 @@ from .forest import (
     CausalTree,
     ForestParams,
     fit_causal_forest,
-    forest_cates,
     forest_predict,
 )
-from .linear import LinearCateFit, fit_interaction_ols, linear_cate
+from .linear import LinearCateFit, fit_interaction_ols
 from .meta import (
-    MetaInput,
     PooledProfiles,
     dl_theta2,
-    pool_cate,
     pool_profiles,
-    prediction_interval,
-    reml_theta2,
     t_quantile,
 )
 from .model import (
-    CovariateProfile,
     CoverageFlag,
-    PooledCate,
-    PredictionInterval,
-    StudyCateEstimate,
     TrialDataset,
     ValidationReport,
     validate_target_coverage,
@@ -75,19 +64,14 @@ from .simulate import (
 
 __all__ = [
     "__version__",
-    "BartParams", "BartPosterior", "bart_cate_normal", "bart_cate_quantile",
-    "bart_cates", "fit_bart_slearner",
+    "BartParams", "BartPosterior", "bart_cates", "fit_bart_slearner",
     "CatemetaError", "ConfigurationError", "DimensionMismatchError",
     "EstimationError", "InputFormatError", "InsufficientDataError",
     "InsufficientStudiesError", "SingularDesignError",
-    "CausalForestModel", "CausalTree", "ForestParams", "fit_causal_forest",
-    "forest_cates", "forest_predict",
-    "LinearCateFit", "fit_interaction_ols", "linear_cate",
-    "MetaInput", "PooledProfiles", "dl_theta2", "pool_cate", "pool_profiles",
-    "prediction_interval",
-    "reml_theta2", "t_quantile",
-    "CovariateProfile", "CoverageFlag", "PooledCate", "PredictionInterval",
-    "StudyCateEstimate", "TrialDataset", "ValidationReport",
+    "CausalForestModel", "CausalTree", "ForestParams", "fit_causal_forest", "forest_predict",
+    "LinearCateFit", "fit_interaction_ols",
+    "PooledProfiles", "dl_theta2", "pool_profiles", "t_quantile",
+    "CoverageFlag", "TrialDataset", "ValidationReport",
     "validate_target_coverage", "validate_trial",
     "MetricsTable", "SimConfig", "draw_study_effects", "estimate_study",
     "gen_outcomes", "gen_target_profiles", "gen_trial_covariates", "gen_study",

@@ -35,12 +35,12 @@ default) and empirical quantiles of the per-draw differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, EstimationError
-from .model import StudyCateEstimate, TrialDataset, check_integers, check_points, check_seed
+from .model import TrialDataset, check_integers, check_points, check_seed
 from .rng import substream
 
 _MOVE_GROW = 0.5
@@ -359,31 +359,3 @@ def bart_cates(posterior: BartPosterior, level: float = 0.95):
         se2 = np.var(f1, axis=1, ddof=1) + np.var(f0, axis=1, ddof=1)
         lower, upper = np.quantile(f1 - f0, [tail, 1.0 - tail], axis=1, method="linear")
     return tau, se2, lower, upper
-
-
-def _at_point(posterior: BartPosterior, i: int, level: float):
-    """:func:`bart_cates` over point ``i``'s two draw columns, as floats."""
-    if not 0 <= i < posterior.draws.shape[1] // 2:
-        raise IndexError(f"point {i} was not registered at fit time")
-    arms = posterior.draws[:, 2 * i: 2 * i + 2]
-    return [float(v[0]) for v in bart_cates(replace(posterior, draws=arms), level)]
-
-
-def bart_cate_normal(posterior: BartPosterior, i: int) -> StudyCateEstimate:
-    """:func:`bart_cates` tau_hat and se2 (normal approximation) at point ``i``,
-    reported as profile ``i``."""
-    tau, se2, _, _ = _at_point(posterior, i, 0.95)
-    return StudyCateEstimate(
-        study_id=posterior.study_id,
-        profile_id=i,
-        tau_hat=tau,
-        se2=se2,
-    )
-
-
-def bart_cate_quantile(
-    posterior: BartPosterior, i: int, level: float
-) -> tuple[float, float, float]:
-    """:func:`bart_cates` (tau_hat, lower, upper) at point ``i`` and level."""
-    tau, _, lower, upper = _at_point(posterior, i, level)
-    return tau, lower, upper

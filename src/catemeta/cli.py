@@ -28,10 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-# bart_cate_normal, bart_cate_quantile, fit_bart_slearner, fit_causal_forest, forest_cates,
-# fit_interaction_ols, linear_cate, pool_cate, prediction_interval and reml_theta2 are
-# bound only for perfbench/tracing.py.
-from .bart import BartParams, bart_cate_normal, bart_cate_quantile, fit_bart_slearner  # noqa: F401
+# fit_bart_slearner, fit_causal_forest and fit_interaction_ols are bound only for
+# perfbench/tracing.py.
+from .bart import BartParams, fit_bart_slearner  # noqa: F401
 from .errors import (
     CatemetaError,
     ConfigurationError,
@@ -39,8 +38,9 @@ from .errors import (
     InputFormatError,
     InsufficientStudiesError,
 )
-from .forest import ForestParams, fit_causal_forest, forest_cates  # noqa: F401
+from .forest import ForestParams, fit_causal_forest  # noqa: F401
 from .io import (
+    _plain,
     first_invalid_estimate,
     parse_sim_config,
     read_aggregates_csv,
@@ -51,12 +51,18 @@ from .io import (
     write_metrics_csv,
     write_predictions_csv,
 )
-from .linear import fit_interaction_ols, linear_cate  # noqa: F401
-from .meta import pool_cate, pool_profiles, prediction_interval, reml_theta2  # noqa: F401
+from .linear import fit_interaction_ols  # noqa: F401
+from .meta import pool_profiles
 from .model import validate_target_coverage, validate_trial
 from .rng import spawn_seed
 from .simulate import estimate_study, run_experiment
 from .svg import compare_intervals_svg, coverage_boxplot_svg, prediction_intervals_svg
+
+# perfbench/tracing.py wraps these retired one-profile names; each is bound to
+# the entry that replaced it, which no code reaches by this name, so their
+# spans read 0 calls.  ROADMAP item 1 deletes this block.
+linear_cate = forest_cates = bart_cate_normal = bart_cate_quantile = estimate_study
+reml_theta2 = pool_cate = prediction_interval = pool_profiles
 
 _STUDY_CI_Z = 1.96
 
@@ -226,6 +232,8 @@ def _resolve_moderators(raw: str, names: tuple[str, ...]):
         token = token.strip()
         if token not in names:
             raise InputFormatError(f"unknown moderator covariate '{token}'")
+        if names.index(token) in indices:
+            raise InputFormatError(f"repeated moderator covariate '{token}'")
         indices.append(names.index(token))
     return tuple(indices)
 
@@ -321,10 +329,31 @@ def cmd_simulate(args) -> int:
     return manifest.write()
 
 
+def _number(kind, expected: str, valid=lambda number: True):
+    """An argparse type: a ``kind`` (int or float) written as the file readers
+    take numbers (``io._plain``: ASCII, no ``_``) for which ``valid`` holds.
+    Any other text makes argparse exit 2, saying what was expected."""
+    def parse(value: str):
+        try:
+            number = kind(value) if _plain(value) else None
+        except ValueError:
+            number = None
+        if number is None or not valid(number):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+        return number
+    return parse
+
+
+_parse_int = _number(int, "an integer")
+_parse_float = _number(float, "a number")
+_parse_threads = _number(int, "an integer >= 1", lambda n: n >= 1)
+_parse_seed = _number(int, "an integer in [0, 2**64)", lambda n: 0 <= n < 1 << 64)
+
+
 def _parse_profile_ids(value: str) -> list[int]:
     try:
-        ids = [int(tok) for tok in value.split(",") if tok.strip()]
-    except ValueError:
+        ids = [_parse_int(tok) for tok in value.split(",") if tok.strip()]
+    except argparse.ArgumentTypeError:
         ids = []
     if not ids:
         raise argparse.ArgumentTypeError(f"expected integer profile ids, got {value!r}")
@@ -332,18 +361,6 @@ def _parse_profile_ids(value: str) -> list[int]:
         if pid in ids[:i]:
             raise argparse.ArgumentTypeError(f"repeated profile id {pid} in {value!r}")
     return ids
-
-
-def _parse_threads(value: str) -> int:
-    if not value.isdecimal() or int(value) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def _parse_seed(value: str) -> int:
-    if not (value.isascii() and value.isdecimal()) or int(value) >= 1 << 64:
-        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {value!r}")
-    return int(value)
 
 
 def _parse_bool(value: str) -> bool:
@@ -377,13 +394,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated covariate names, or 'all' (linear)")
     p_est.add_argument("--honest", type=_parse_bool, default=True,
                        help="true|false (forest)")
-    p_est.add_argument("--trees", type=int, default=None,
+    p_est.add_argument("--trees", type=_parse_int, default=None,
                        help=f"tree count (forest default {ForestParams.n_trees}, "
                             f"bart default {BartParams.n_trees})")
-    p_est.add_argument("--bag-size", type=int, default=ForestParams.bag_size,
+    p_est.add_argument("--bag-size", type=_parse_int, default=ForestParams.bag_size,
                        help="trees per variance bag")
-    p_est.add_argument("--burn", type=int, default=BartParams.n_burn, help="bart burn-in draws")
-    p_est.add_argument("--draws", type=int, default=BartParams.n_draws, help="bart kept draws")
+    p_est.add_argument("--burn", type=_parse_int, default=BartParams.n_burn,
+                       help="bart burn-in draws")
+    p_est.add_argument("--draws", type=_parse_int, default=BartParams.n_draws,
+                       help="bart kept draws")
     p_est.add_argument("--interval", choices=("normal", "quantile"), default="normal",
                        help="bart interval construction")
     add_common(p_est)
@@ -391,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pred = sub.add_parser("predict", help="pool aggregates, write prediction intervals")
     p_pred.add_argument("--aggregates", required=True, help="aggregate CSV from estimate")
-    p_pred.add_argument("--alpha", type=float, default=0.05)
+    p_pred.add_argument("--alpha", type=_parse_float, default=0.05)
     p_pred.add_argument("--svg", action="store_true", help="also write predictions.svg")
     add_common(p_pred)
     p_pred.set_defaults(func=cmd_predict)

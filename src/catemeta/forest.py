@@ -38,8 +38,6 @@ import numpy as np
 from .errors import ConfigurationError, EstimationError
 from .grower import grow_trees, run_stat
 from .model import (
-    CovariateProfile,
-    StudyCateEstimate,
     TrialDataset,
     check_integers,
     check_points,
@@ -280,20 +278,3 @@ def forest_predict(model: CausalForestModel, points: np.ndarray):
         "usable_leaf_frac": float(np.isfinite(leaf_tau).mean()),
     }
     return tau, se2, diagnostics
-
-
-def forest_cates(
-    model: CausalForestModel, profiles: list[CovariateProfile]
-) -> list[StudyCateEstimate]:
-    """:func:`forest_predict` at a list of profiles (point i is profile i)."""
-    tau, se2, _ = forest_predict(model, np.stack([p.x for p in profiles]))
-    return [
-        StudyCateEstimate(
-            study_id=model.study_id,
-            profile_id=p.profile_id,
-            tau_hat=t,
-            se2=v,
-        )
-        for p, t, v in zip(profiles, tau.tolist(), se2.tolist())
-    ]
-

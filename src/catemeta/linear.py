@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, InsufficientDataError, SingularDesignError
-from .model import CovariateProfile, StudyCateEstimate, TrialDataset, check_points
+from .model import TrialDataset, check_points
 
 _RANK_RTOL = 1e-10
 _COV_SYMMETRY_TOL = 1e-10
@@ -182,16 +182,3 @@ def linear_cates_stack(datasets, points, moderators=None):
     mods = _moderators(moderators, datasets[0].n_covariates)
     coef, cov, _ = _fit_stack(datasets, mods)
     return _contrast(coef, cov, mods, points)
-
-
-def linear_cate(fit: LinearCateFit, profile: CovariateProfile) -> StudyCateEstimate:
-    """The CATE and its variance at one profile of a fitted study."""
-    point = check_points(profile.x[None, :], fit.n_covariates)
-    tau, se2 = _contrast(fit.coefficients[None], fit.covariance[None],
-                         fit.moderator_indices, point)
-    return StudyCateEstimate(
-        study_id=fit.study_id,
-        profile_id=profile.profile_id,
-        tau_hat=float(tau[0, 0]),
-        se2=float(se2[0, 0]),
-    )

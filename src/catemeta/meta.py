@@ -16,9 +16,8 @@ alone, so Stage 2 loads no SciPy module.
 
 All of Stage 2 is one array kernel over P profiles that share K studies
 (:func:`pool_profiles`).  Inside it a profile is a row of K values, so each
-sum runs over a contiguous last axis, in the same order whatever P is: the
-one-profile views (:func:`reml_theta2`, :func:`pool_cate`,
-:func:`prediction_interval`) are bit-identical to the batch.
+sum runs over a contiguous last axis, in the same order whatever P is: a
+profile pools to the same bits alone as in a batch.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError, InsufficientStudiesError
-from .model import PooledCate, PredictionInterval, StudyCateEstimate
 
 # The likelihood scan's points as fractions of the search bound, uniform in
 # the cube root: 9 of the 17 lie in the lowest eighth.  The bound,
@@ -75,37 +73,6 @@ _AS241_FAR = (
 )
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class MetaInput:
-    """Per-study estimates for one covariate profile, ready for pooling."""
-
-    profile_id: int
-    estimates: tuple[StudyCateEstimate, ...]
-
-    def __post_init__(self):
-        if len(self.estimates) < 2:
-            raise InsufficientStudiesError("pooling requires at least 2 studies")
-        for est in self.estimates:
-            if est.profile_id != self.profile_id:
-                raise ValueError(
-                    f"estimate for profile {est.profile_id} mixed into "
-                    f"input for profile {self.profile_id}"
-                )
-        object.__setattr__(self, "estimates", tuple(self.estimates))
-
-    @property
-    def k_studies(self) -> int:
-        return len(self.estimates)
-
-    @property
-    def tau(self) -> np.ndarray:
-        return np.array([e.tau_hat for e in self.estimates])
-
-    @property
-    def v(self) -> np.ndarray:
-        return np.array([e.se2 for e in self.estimates])
 
 
 @dataclass(frozen=True)
@@ -322,23 +289,12 @@ def _as_rows(tau, v):
     return np.ascontiguousarray(tau.T), np.ascontiguousarray(v.T)
 
 
-def reml_theta2(meta: MetaInput) -> float:
-    """REML estimate of the between-study variance for one profile.
-
-    The kernel of :func:`pool_profiles` at one profile: a 17-point grid over
-    [0, bound], bound = 10 * var(tau_hat) + max(se2), uniform in the cube root
-    of theta2 / bound, then safeguarded Newton on the REML score.  theta2 = 0
-    is always compared explicitly, and a maximizer on the upper bound doubles
-    the bound for one more search.
-    """
-    return float(_reml_rows(meta.tau[None], meta.v[None], Counter())[0])
-
-
 def reml_theta2_batch(tau: np.ndarray, v: np.ndarray) -> np.ndarray:
     """REML between-study variance for many profiles at once.
 
     ``tau`` and ``v`` have shape (K, n_profiles); returns one theta2 per
-    profile, each bit-identical to :func:`reml_theta2` on its column.
+    profile, the ``theta2`` of :func:`pool_profiles` bit for bit, without
+    the pooling.
     """
     return _reml_rows(*_as_rows(tau, v), Counter())
 
@@ -381,26 +337,6 @@ def dl_theta2(tau: np.ndarray, v: np.ndarray) -> float:
     denom = float(sw - (w**2).sum() / sw)
     k = tau.shape[0]
     return max(0.0, (q - (k - 1)) / denom)
-
-
-def pool_cate(meta: MetaInput, theta2: float) -> PooledCate:
-    """Inverse-variance weighted pooling at a given between-study variance.
-
-    Weights are w_s = 1/(se2_s + theta2); the pooled variance is 1/sum(w).
-    """
-    if theta2 < 0.0:
-        raise ValueError("theta2 must be >= 0")
-    w, tau_pooled, var_pooled = _pool_rows(
-        meta.tau[None], meta.v[None], np.array([theta2], dtype=np.float64)
-    )
-    return PooledCate(
-        profile_id=meta.profile_id,
-        tau_pooled=float(tau_pooled[0]),
-        var_pooled=float(var_pooled[0]),
-        theta2=float(theta2),
-        k_studies=meta.k_studies,
-        weights=tuple(w[0].tolist()),
-    )
 
 
 def _rational(coefficients, x):
@@ -539,25 +475,3 @@ def t_quantile(df: int, p: float) -> float:
             if abs(step) <= 1e-13:
                 break
     return t if p > 0.5 else -t
-
-
-def prediction_interval(
-    pooled: PooledCate, alpha: float, k_studies: int
-) -> PredictionInterval:
-    """Interval for the treatment effect in a new setting at level 1 - alpha.
-
-    Half-width is t_{K-2, 1-alpha/2} * sqrt(var_pooled + theta2); K - 2
-    degrees of freedom account for estimating both the pooled mean and the
-    between-study variance, so at least 3 studies are required.
-    """
-    if k_studies != pooled.k_studies:
-        raise ValueError("k_studies does not match the pooled estimate")
-    half = float(_half_width(pooled.var_pooled, pooled.theta2, alpha, k_studies))
-    return PredictionInterval(
-        profile_id=pooled.profile_id,
-        center=pooled.tau_pooled,
-        lower=pooled.tau_pooled - half,
-        upper=pooled.tau_pooled + half,
-        level=1.0 - alpha,
-        df=k_studies - 2,
-    )

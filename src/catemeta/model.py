@@ -1,7 +1,8 @@
-"""Domain types for multi-study CATE estimation, pooling and prediction.
+"""Domain types and input checks for multi-study CATE estimation.
 
-All types are immutable after construction: arrays are stored read-only, so
-instances can be shared freely across worker processes and threads.
+Stage-1 and Stage-2 results are plain arrays.  All types are immutable
+after construction: arrays are stored read-only, so instances can be shared
+freely across worker processes and threads.
 """
 
 from __future__ import annotations
@@ -12,9 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DimensionMismatchError
-
-_WEIGHT_TOL = 1e-12
-_SYMMETRY_TOL = 1e-10
 
 
 def _readonly(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -102,109 +100,6 @@ def check_points(points, n_covariates: int) -> np.ndarray:
     if not np.isfinite(points).all():
         raise ValueError("points must be finite")
     return points
-
-
-@dataclass(frozen=True)
-class CovariateProfile:
-    """A single covariate vector for which a treatment effect is predicted."""
-
-    profile_id: int
-    x: np.ndarray
-
-    def __post_init__(self):
-        x = _readonly(self.x)
-        if x.ndim != 1:
-            raise ValueError("profile x must be a 1-d vector")
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"profile {self.profile_id} has non-finite values")
-        object.__setattr__(self, "x", x)
-
-    @property
-    def n_covariates(self) -> int:
-        return self.x.shape[0]
-
-
-@dataclass(frozen=True)
-class StudyCateEstimate:
-    """Point estimate and squared standard error of one study's CATE at one profile.
-
-    An infinite ``se2`` is rejected here; ``meta.pool_profiles`` gives it weight 0.
-    """
-
-    study_id: int
-    profile_id: int
-    tau_hat: float
-    se2: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.tau_hat):
-            raise ValueError("tau_hat must be finite")
-        if not (np.isfinite(self.se2) and self.se2 >= 0.0):
-            raise ValueError("se2 must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class PooledCate:
-    """Inverse-variance weighted cross-study summary for one profile.
-
-    ``weights`` are the raw weights 1/(se2_s + theta2); ``var_pooled`` equals
-    1/sum(weights).  In the fully degenerate case (all variances exactly zero
-    with identical estimates) ``var_pooled`` is 0 and nominal equal weights
-    are recorded, since the true weights are infinite.
-    """
-
-    profile_id: int
-    tau_pooled: float
-    var_pooled: float
-    theta2: float
-    k_studies: int
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.k_studies < 2:
-            raise ValueError("pooling requires at least 2 studies")
-        if len(self.weights) != self.k_studies:
-            raise ValueError("one weight per study required")
-        w = np.asarray(self.weights, dtype=np.float64)
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise ValueError("weights must be finite and strictly positive")
-        if self.theta2 < 0.0 or self.var_pooled < 0.0:
-            raise ValueError("variances must be >= 0")
-        if self.var_pooled > 0.0:
-            total = float(w.sum())
-            if abs(self.var_pooled - 1.0 / total) > _WEIGHT_TOL * max(1.0, self.var_pooled):
-                raise ValueError("var_pooled must equal 1/sum(weights)")
-
-
-@dataclass(frozen=True)
-class PredictionInterval:
-    """t-based interval for the treatment effect in a new, unobserved setting."""
-
-    profile_id: int
-    center: float
-    lower: float
-    upper: float
-    level: float
-    df: int
-
-    def __post_init__(self):
-        if not (0.0 < self.level < 1.0):
-            raise ValueError("level must be in (0, 1)")
-        if self.df < 1:
-            raise ValueError("df must be >= 1")
-        if not (self.lower <= self.center <= self.upper):
-            raise ValueError("interval must satisfy lower <= center <= upper")
-        half_lo = self.center - self.lower
-        half_hi = self.upper - self.center
-        if abs(half_hi - half_lo) > _SYMMETRY_TOL * max(1.0, half_hi):
-            raise ValueError("interval must be symmetric about its center")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
 
 
 @dataclass(frozen=True)

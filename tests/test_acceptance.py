@@ -16,21 +16,16 @@ from scipy.optimize import brentq
 
 from catemeta import (
     BartParams,
-    CovariateProfile,
     ForestParams,
-    MetaInput,
     SimConfig,
-    StudyCateEstimate,
     TrialDataset,
-    bart_cate_normal,
+    bart_cates,
     dl_theta2,
+    estimate_study,
     fit_bart_slearner,
     fit_causal_forest,
-    fit_interaction_ols,
-    forest_cates,
-    linear_cate,
+    forest_predict,
     pool_profiles,
-    reml_theta2,
     run_experiment,
     t_quantile,
 )
@@ -43,16 +38,6 @@ EXPERIMENT_SEED = 3  # frozen: the target-setting effect draw is typical
 def report(name: str, ok: bool, detail: str):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}", flush=True)
     assert ok, f"{name}: {detail}"
-
-
-def meta_input(tau, v, profile_id=0):
-    return MetaInput(
-        profile_id=profile_id,
-        estimates=tuple(
-            StudyCateEstimate(s + 1, profile_id, float(t), float(vi))
-            for s, (t, vi) in enumerate(zip(tau, v))
-        ),
-    )
 
 
 def test_criterion_01_hierarchy_calibration():
@@ -141,7 +126,7 @@ def test_criterion_04_reml_matches_grid_oracle():
         k = int(rng.integers(3, 13))
         tau = rng.normal(0.0, rng.uniform(0.3, 2.0), size=k)
         v = rng.uniform(0.05, 1.5, size=k)
-        estimate = reml_theta2(meta_input(tau, v))
+        estimate = float(pool_profiles(tau[:, None], v[:, None]).theta2[0])
         upper = 10.0 * float(np.var(tau, ddof=1)) + float(v.max())
         oracle = grid_argmax(tau, v, upper)
         worst = max(worst, abs(estimate - oracle))
@@ -196,14 +181,9 @@ def test_criterion_07_stage1_linear_exactness():
     beta2 = 1.3
     beta3 = np.array([0.7, -0.4, 0.0, 1.9])
     y = 2.0 + x @ np.array([0.5, 1.0, -1.0, 0.2]) + a * (beta2 + x @ beta3)
-    fit = fit_interaction_ols(
-        TrialDataset(1, y, a, x, tuple(f"c{j}" for j in range(p)))
-    )
-    worst = 0.0
-    for i in range(20):
-        xp = rng.normal(size=p)
-        est = linear_cate(fit, CovariateProfile(i, xp))
-        worst = max(worst, abs(est.tau_hat - (beta2 + xp @ beta3)))
+    points = rng.normal(size=(20, p))
+    tau, _, _ = estimate_study(TrialDataset(1, y, a, x, tuple(f"c{j}" for j in range(p))), points)
+    worst = float(np.abs(tau - (beta2 + points @ beta3)).max())
     ok = worst <= 1e-8
     report("criterion 7 (noiseless interaction model recovered)", ok,
            f"max |tau_hat - tau| = {worst:.2e} (<= 1e-8) at 20 profiles")
@@ -211,7 +191,7 @@ def test_criterion_07_stage1_linear_exactness():
 
 def test_criterion_08_forest_sanity():
     rng = np.random.default_rng(808)
-    profiles = [CovariateProfile(i, rng.normal(size=5)) for i in range(50)]
+    points = rng.normal(size=(50, 5))
 
     def dgp(n, tau_fn, seed, noise):
         g = np.random.default_rng(seed)
@@ -222,15 +202,11 @@ def test_criterion_08_forest_sanity():
 
     const = dgp(2000, lambda x: np.full(x.shape[0], 2.0), seed=1, noise=0.1)
     model = fit_causal_forest(const, ForestParams(n_trees=100, bag_size=20, seed=2))
-    const_err = float(np.abs(
-        np.array([e.tau_hat for e in forest_cates(model, profiles)]) - 2.0
-    ).mean())
+    const_err = float(np.abs(forest_predict(model, points)[0] - 2.0).mean())
 
     null = dgp(2000, lambda x: np.zeros(x.shape[0]), seed=3, noise=1.0)
     null_model = fit_causal_forest(null, ForestParams(n_trees=100, bag_size=20, seed=4))
-    null_err = float(np.abs(
-        np.array([e.tau_hat for e in forest_cates(null_model, profiles)])
-    ).mean())
+    null_err = float(np.abs(forest_predict(null_model, points)[0]).mean())
 
     honest_ok = True
     for tree in model.trees + null_model.trees:
@@ -251,10 +227,10 @@ def test_criterion_08_forest_sanity():
     swapped = fit_causal_forest(
         TrialDataset(1, small.y, 1 - small.a, small.x, small.covariate_names), params
     )
-    few = profiles[:20]
-    t_base = np.array([e.tau_hat for e in forest_cates(base, few)])
-    t_shift = np.array([e.tau_hat for e in forest_cates(shifted, few)])
-    t_swap = np.array([e.tau_hat for e in forest_cates(swapped, few)])
+    few = points[:20]
+    t_base = forest_predict(base, few)[0]
+    t_shift = forest_predict(shifted, few)[0]
+    t_swap = forest_predict(swapped, few)[0]
     shift_dev = float(np.abs(t_base - t_shift).max())
     shift_ok = shift_dev <= 1e-9
     antisym_ok = np.array_equal(t_swap, -t_base)
@@ -278,13 +254,12 @@ def test_criterion_09_bart_sanity():
     post = fit_bart_slearner(
         ds, points, BartParams(n_trees=50, n_burn=300, n_draws=400, seed=10)
     )
-    taus = [bart_cate_normal(post, i).tau_hat for i in range(20)]
+    taus, se2, _, _ = bart_cates(post)
     mean_abs = float(np.mean(np.abs(taus)))
 
-    est = bart_cate_normal(post, 0)
     f1 = post.draws[:, 1]
     f0 = post.draws[:, 0]
-    identity_ok = est.se2 == float(np.var(f1, ddof=1) + np.var(f0, ddof=1))
+    identity_ok = se2[0] == float(np.var(f1, ddof=1) + np.var(f0, ddof=1))
 
     small_params = BartParams(n_trees=10, n_burn=30, n_draws=40, seed=11)
     small_points = points[:3]

@@ -12,8 +12,6 @@ from catemeta import (
     ConfigurationError,
     DimensionMismatchError,
     TrialDataset,
-    bart_cate_normal,
-    bart_cate_quantile,
     bart_cates,
     fit_bart_slearner,
 )
@@ -101,7 +99,7 @@ class TestSampler:
         post = fit_bart_slearner(
             ds, rng.normal(size=(15, 3)), BartParams(n_trees=50, n_burn=300, n_draws=400, seed=3)
         )
-        taus = [abs(bart_cate_normal(post, i).tau_hat) for i in range(15)]
+        taus = np.abs(bart_cates(post)[0])
         assert np.mean(taus) <= 0.2
 
     def test_same_seed_bit_identical(self):
@@ -118,10 +116,8 @@ class TestSampler:
         points = rng.normal(size=(5, 3))
         p1 = fit_bart_slearner(ds, points, FAST)
         p10 = fit_bart_slearner(scaled, points, FAST)
-        for i in range(5):
-            t1 = bart_cate_normal(p1, i).tau_hat
-            t10 = bart_cate_normal(p10, i).tau_hat
-            assert t10 == pytest.approx(10.0 * t1, rel=1e-10)
+        t1, t10 = bart_cates(p1)[0], bart_cates(p10)[0]
+        assert t10 == pytest.approx(10.0 * t1, rel=1e-10)
 
     def test_requires_at_least_one_profile(self):
         ds, _ = make_dataset(50, lambda x, a: a.astype(float), seed=6)
@@ -207,39 +203,33 @@ class TestRecovery:
 class TestNormalOption:
     def test_degenerate_draws(self):
         post = manual_posterior([1.0, 1.0], [3.0, 3.0])
-        est = bart_cate_normal(post, 0)
-        assert est.tau_hat == 2.0
-        assert est.se2 == 0.0
+        tau, se2, _, _ = bart_cates(post)
+        assert tau[0] == 2.0
+        assert se2[0] == 0.0
 
     def test_hand_arithmetic(self):
         post = manual_posterior([0.0, 2.0], [2.0, 4.0])
-        est = bart_cate_normal(post, 0)
-        assert est.tau_hat == 2.0
-        assert est.se2 == 4.0  # sample variances 2 + 2, divisor n-1
+        tau, se2, _, _ = bart_cates(post)
+        assert tau[0] == 2.0
+        assert se2[0] == 4.0  # sample variances 2 + 2, divisor n-1
 
     def test_se2_equals_sum_of_arm_variances(self):
         rng = np.random.default_rng(8)
         col0, col1 = rng.normal(size=200), rng.normal(2.0, 1.5, size=200)
         post = manual_posterior(col0, col1)
-        est = bart_cate_normal(post, 0)
-        assert est.se2 == float(np.var(col1, ddof=1) + np.var(col0, ddof=1))
-
-    def test_unregistered_profile_is_error(self):
-        post = manual_posterior([0.0, 1.0], [1.0, 2.0])
-        for i in (1, 99, -1):
-            with pytest.raises(IndexError):
-                bart_cate_normal(post, i)
+        assert bart_cates(post)[1][0] == float(np.var(col1, ddof=1) + np.var(col0, ddof=1))
 
 
 class TestQuantileOption:
     def test_constant_differences(self):
         post = manual_posterior([0.0] * 4, [1.0] * 4)
-        assert bart_cate_quantile(post, 0, 0.5) == (1.0, 1.0, 1.0)
+        tau, _, lower, upper = bart_cates(post, 0.5)
+        assert (tau[0], lower[0], upper[0]) == (1.0, 1.0, 1.0)
 
     def test_linear_interpolation_hand_example(self):
         d = np.arange(101, dtype=float)
         post = manual_posterior(np.zeros(101), d)
-        tau, lower, upper = bart_cate_quantile(post, 0, 0.95)
+        (tau,), _, (lower,), (upper,) = bart_cates(post, 0.95)
         assert tau == 50.0
         assert lower == pytest.approx(2.5, abs=1e-12)
         assert upper == pytest.approx(97.5, abs=1e-12)
@@ -249,10 +239,10 @@ class TestQuantileOption:
         d = rng.normal(size=63)
         post = manual_posterior(np.zeros(63), d)
         for level in (0.5, 0.8, 0.95, 0.99):
-            tau, lower, upper = bart_cate_quantile(post, 0, level)
+            _, _, (lower,), (upper,) = bart_cates(post, level)
             assert d.min() <= lower <= upper <= d.max()
 
     def test_level_must_be_in_unit_interval(self):
         post = manual_posterior([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
-            bart_cate_quantile(post, 0, 1.0)
+            bart_cates(post, 1.0)

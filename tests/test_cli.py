@@ -382,6 +382,18 @@ class TestEstimate:
                     "--out-dir", tmp_path / "x"])
         assert code == 2
 
+    @pytest.mark.parametrize("moderators", ["age,age", "age, sex,age"])
+    def test_repeated_moderator_exits_2(self, tmp_path, capsys, moderators):
+        # age,age used to fit what age fits, with a byte-identical aggregates.csv.
+        trials, profiles = write_inputs(tmp_path)
+        code = run(["estimate", "--trials", trials, "--profiles", profiles,
+                    "--stage1", "linear", "--moderators", moderators,
+                    "--out-dir", tmp_path / "x"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert one_error_line(err) == "error: repeated moderator covariate 'age'"
+        assert not (tmp_path / "x" / "aggregates.csv").exists()
+
 
 class TestPredict:
     def aggregates(self, tmp_path, k=4):
@@ -840,6 +852,35 @@ class TestExitCodeMapping:
         err = capsys.readouterr().err
         assert err.startswith("usage: ")
         assert f"--seed: expected an integer in [0, 2**64), got '{seed}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    ESTIMATE = ["estimate", "--trials", GOLDEN / "forest_trials.csv",
+                "--profiles", GOLDEN / "forest_profiles.csv"]
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (ESTIMATE + ["--stage1", "forest", "--trees", "20"], "--trees", "2_0"),
+        (ESTIMATE + ["--stage1", "forest", "--trees", "20"], "--bag-size", "\u0662\u0660"),
+        (ESTIMATE + ["--stage1", "forest", "--trees", "20"], "--threads", "\u0661"),
+        (ESTIMATE + ["--stage1", "forest", "--trees", "20"], "--seed", "1_0"),
+        (ESTIMATE + ["--stage1", "bart", "--trees", "5"], "--burn", "1_0"),
+        (ESTIMATE + ["--stage1", "bart", "--trees", "5"], "--draws", "\u0663\u0660"),
+        (["predict", "--aggregates", GOLDEN / "aggregates_input.csv"], "--alpha", "0.0_5"),
+        (["compare-intervals", "--aggregates", GOLDEN / "aggregates_input.csv",
+          "--predictions", GOLDEN / "predictions.csv"], "--profile", "0_1"),
+    ], ids=["trees", "bag-size", "threads", "seed", "burn", "draws", "alpha", "profile"])
+    def test_number_flags_take_the_readers_numbers(self, tmp_path, capsys, command, flag,
+                                                    value):
+        # A number flag follows the readers' rule: ASCII, no "_".  Python's
+        # int and float read these texts, so --trees 2_0 --bag-size (Arabic-Indic
+        # 20) --threads (Arabic-Indic 1) grew 20 trees, --alpha 0.0_5 pooled at
+        # 0.05 and --profile 0_1 drew profile 1, each with exit 0.
+        with pytest.raises(SystemExit) as exc:
+            run(command + [flag, value, "--out-dir", tmp_path / "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument {flag}: expected " in err and f"got {value!r}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 

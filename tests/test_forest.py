@@ -23,14 +23,12 @@ from catemeta import (
     CausalForestModel,
     CausalTree,
     ConfigurationError,
-    CovariateProfile,
     DimensionMismatchError,
     EstimationError,
     ForestParams,
     TrialDataset,
     fit_causal_forest,
     forest,
-    forest_cates,
     forest_predict,
     grower,
 )
@@ -48,8 +46,7 @@ def make_dataset(n, tau_fn, seed, p=5, noise=0.1, main_fn=None):
 
 
 def random_profiles(k, p, seed):
-    rng = np.random.default_rng(seed)
-    return [CovariateProfile(i, rng.normal(size=p)) for i in range(k)]
+    return np.random.default_rng(seed).normal(size=(k, p))
 
 
 def single_leaf_tree(tau, n1=5, n0=5):
@@ -114,10 +111,10 @@ class TestGrowth:
         m1 = fit_causal_forest(ds, params)
         m2 = fit_causal_forest(ds, params)
         profiles = random_profiles(10, 5, seed=1)
-        e1 = forest_cates(m1, profiles)
-        e2 = forest_cates(m2, profiles)
-        assert [e.tau_hat for e in e1] == [e.tau_hat for e in e2]
-        assert [e.se2 for e in e1] == [e.se2 for e in e2]
+        tau1, se2_1, _ = forest_predict(m1, profiles)
+        tau2, se2_2, _ = forest_predict(m2, profiles)
+        assert tau1.tolist() == tau2.tolist()
+        assert se2_1.tolist() == se2_2.tolist()
         for t1, t2 in zip(m1.trees, m2.trees):
             assert np.array_equal(t1.feature, t2.feature)
             assert np.array_equal(t1.threshold, t2.threshold, equal_nan=True)
@@ -184,25 +181,23 @@ class TestRecovery:
     def test_constant_effect(self):
         ds = make_dataset(2000, lambda x: np.full(x.shape[0], 2.0), seed=10)
         model = fit_causal_forest(ds, ForestParams(n_trees=100, bag_size=20, seed=11))
-        taus = np.array([e.tau_hat for e in forest_cates(model, random_profiles(50, 5, 12))])
+        taus, _, _ = forest_predict(model, random_profiles(50, 5, 12))
         assert np.abs(taus - 2.0).mean() <= 0.25
 
     def test_zero_effect(self):
         ds = make_dataset(2000, lambda x: np.zeros(x.shape[0]), seed=13, noise=1.0)
         model = fit_causal_forest(ds, ForestParams(n_trees=100, bag_size=20, seed=14))
-        taus = np.array([e.tau_hat for e in forest_cates(model, random_profiles(50, 5, 15))])
+        taus, _, _ = forest_predict(model, random_profiles(50, 5, 15))
         assert np.abs(taus).mean() <= 0.15
 
     def test_step_moderator_recovered(self):
         ds = make_dataset(4000, lambda x: 3.0 * (x[:, 0] > 0), seed=16, noise=0.5)
         model = fit_causal_forest(ds, ForestParams(n_trees=100, bag_size=20, seed=17))
         rng = np.random.default_rng(18)
-        below = [CovariateProfile(i, np.concatenate([[-1.0], rng.normal(size=4)]))
-                 for i in range(10)]
-        above = [CovariateProfile(i, np.concatenate([[1.0], rng.normal(size=4)]))
-                 for i in range(10)]
-        t_below = np.mean([e.tau_hat for e in forest_cates(model, below)])
-        t_above = np.mean([e.tau_hat for e in forest_cates(model, above)])
+        below = np.column_stack([np.full(10, -1.0), rng.normal(size=(10, 4))])
+        above = np.column_stack([np.full(10, 1.0), rng.normal(size=(10, 4))])
+        t_below = np.mean(forest_predict(model, below)[0])
+        t_above = np.mean(forest_predict(model, above)[0])
         assert t_above - t_below >= 2.0
 
 
@@ -222,8 +217,8 @@ class TestVarianceEstimator:
     def test_se2_never_below_floor(self):
         ds = make_dataset(600, lambda x: x[:, 0], seed=20, noise=0.5)
         model = fit_causal_forest(ds, ForestParams(n_trees=40, bag_size=20, seed=21))
-        for est in forest_cates(model, random_profiles(20, 5, 22)):
-            assert est.se2 >= model.se2_floor > 0.0
+        _, se2, _ = forest_predict(model, random_profiles(20, 5, 22))
+        assert (se2 >= model.se2_floor).all() and model.se2_floor > 0.0
 
     def test_calibration_against_fresh_data_refits(self):
         # Monte-Carlo oracle at reduced scale: the bag estimator should sit
@@ -234,9 +229,9 @@ class TestVarianceEstimator:
         for r in range(40):
             ds = make_dataset(600, lambda x: np.full(x.shape[0], 2.0),
                               seed=1000 + r, p=3, noise=1.0)
-            ests = forest_cates(fit_causal_forest(ds, replace(params, seed=r)), profiles)
-            taus.append([e.tau_hat for e in ests])
-            se2s.append([e.se2 for e in ests])
+            tau, se2, _ = forest_predict(fit_causal_forest(ds, replace(params, seed=r)), profiles)
+            taus.append(tau)
+            se2s.append(se2)
         mc_var = np.array(taus).var(axis=0, ddof=1)
         mean_se2 = np.array(se2s).mean(axis=0)
         ratio = mean_se2 / mc_var
@@ -293,8 +288,8 @@ class TestInvariances:
         m0, m1, profiles = self.fit_pair(
             lambda y, a, x: TrialDataset(1, y + 1000.0, a, x, ("u", "v", "w"))
         )
-        t0 = np.array([e.tau_hat for e in forest_cates(m0, profiles)])
-        t1 = np.array([e.tau_hat for e in forest_cates(m1, profiles)])
+        t0, _, _ = forest_predict(m0, profiles)
+        t1, _, _ = forest_predict(m1, profiles)
         assert np.allclose(t0, t1, rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("honest", [True, False], ids=["honest", "adaptive"])
@@ -324,10 +319,10 @@ class TestInvariances:
         m0, m1, profiles = self.fit_pair(
             lambda y, a, x: TrialDataset(1, y, 1 - a, x, ("u", "v", "w"))
         )
-        e0 = forest_cates(m0, profiles)
-        e1 = forest_cates(m1, profiles)
-        assert [e.tau_hat for e in e1] == [-e.tau_hat for e in e0]
-        assert [e.se2 for e in e1] == [e.se2 for e in e0]
+        tau0, se2_0, _ = forest_predict(m0, profiles)
+        tau1, se2_1, _ = forest_predict(m1, profiles)
+        assert tau1.tolist() == (-tau0).tolist()
+        assert se2_1.tolist() == se2_0.tolist()
 
 
 class TestCountSearch:
@@ -529,8 +524,7 @@ class TestThresholdRule:
         for tree in model.trees:
             assert tree.feature[0] == 0
             assert lo <= tree.threshold[0] < hi
-        tau = [e.tau_hat for e in forest_cates(
-            model, [CovariateProfile(0, np.array([lo])), CovariateProfile(1, np.array([hi]))])]
+        tau, _, _ = forest_predict(model, np.array([[lo], [hi]]))
         assert abs(tau[0]) < 0.5 and abs(tau[1] - 5.0) < 0.5
 
     @pytest.mark.parametrize("threads", [1, 2])

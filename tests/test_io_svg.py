@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catemeta import ConfigurationError, InputFormatError, MetricsTable, StudyCateEstimate
+from catemeta import ConfigurationError, InputFormatError, MetricsTable, pool_profiles
 from catemeta.io import (
     PREDICTION_HEADER,
     parse_sim_config,
@@ -391,16 +391,13 @@ class TestSvg:
     def test_prediction_interval_spans_study_midpoints(self):
         # Study intervals 1 +/- 1, 2 +/- 1, 3 +/- 1: the pooled prediction
         # interval at K = 3 (t_1 quantile) must span all three midpoints.
-        from catemeta import MetaInput, pool_cate, prediction_interval, reml_theta2
-
         se2 = (1.0 / 1.96) ** 2
-        mi = MetaInput(0, tuple(
-            StudyCateEstimate(s, 0, float(s), se2) for s in (1, 2, 3)
-        ))
-        pi = prediction_interval(pool_cate(mi, reml_theta2(mi)), 0.05, 3)
-        assert pi.lower < 1.0 and pi.upper > 3.0
+        pooled = pool_profiles(np.array([[1.0], [2.0], [3.0]]), np.full((3, 1), se2), 0.05)
+        center, half = float(pooled.tau_pooled[0]), float(pooled.half_width[0])
+        lower, upper = center - half, center + half
+        assert lower < 1.0 and upper > 3.0
         studies = [(s, s - 1.0, float(s), s + 1.0) for s in (1, 2, 3)]
-        svg = compare_intervals_svg([(0, studies, (pi.lower, pi.center, pi.upper))])
+        svg = compare_intervals_svg([(0, studies, (lower, center, upper))])
         assert svg.count('class="study-ci"') == 3
         assert svg.count('class="target-pi"') == 1
 

@@ -6,17 +6,14 @@ import numpy as np
 import pytest
 
 from catemeta import (
-    CovariateProfile,
     DimensionMismatchError,
     EstimationError,
     InsufficientDataError,
-    LinearCateFit,
     SingularDesignError,
     TrialDataset,
     fit_interaction_ols,
-    linear_cate,
 )
-from catemeta.linear import linear_cates_stack
+from catemeta.linear import _contrast, linear_cates_stack
 from catemeta.rng import substream
 from catemeta.simulate import SimConfig, gen_study, gen_target_profiles
 
@@ -93,41 +90,34 @@ def test_moderators_default_to_all_covariates():
 
 
 class TestLinearCate:
-    def manual_fit(self, coefficients, covariance, p=1, moderators=(0,)):
-        return LinearCateFit(
-            study_id=1,
-            coefficients=np.asarray(coefficients, dtype=float),
-            covariance=np.asarray(covariance, dtype=float),
-            moderator_indices=moderators,
-            n_covariates=p,
-            residual_variance=1.0,
-            column_names=("intercept", "x0", "treatment", "treatment:x0"),
-        )
+    def contrast(self, coefficients, covariance, x):
+        """(tau_hat, se2) at the one-covariate point ``x`` of a study with the
+        given coefficients (intercept, x0, treatment, treatment:x0)."""
+        tau, se2 = _contrast(np.array([coefficients], dtype=float),
+                             np.array([covariance], dtype=float), (0,), np.array([[x]]))
+        return tau[0, 0], se2[0, 0]
 
     def test_hand_contrast_example(self):
         # beta2 = 2, beta3 = 3, x_mod = 1, identity covariance
-        fit = self.manual_fit([0.0, 0.0, 2.0, 3.0], np.eye(4))
-        est = linear_cate(fit, CovariateProfile(0, np.array([1.0])))
-        assert est.tau_hat == 5.0
-        assert est.se2 == 2.0
+        tau, se2 = self.contrast([0.0, 0.0, 2.0, 3.0], np.eye(4), 1.0)
+        assert tau == 5.0
+        assert se2 == 2.0
 
     def test_zero_moderator_value_reduces_to_treatment_coefficient(self):
         cov = np.diag([0.1, 0.2, 0.7, 0.9])
-        fit = self.manual_fit([0.5, 1.0, 2.0, 3.0], cov)
-        est = linear_cate(fit, CovariateProfile(0, np.array([0.0])))
-        assert est.tau_hat == 2.0
-        assert est.se2 == 0.7
+        tau, se2 = self.contrast([0.5, 1.0, 2.0, 3.0], cov, 0.0)
+        assert tau == 2.0
+        assert se2 == 0.7
 
     def test_zero_covariance_gives_zero_se2(self):
-        fit = self.manual_fit([0.0, 0.0, 2.0, 3.0], np.zeros((4, 4)))
-        est = linear_cate(fit, CovariateProfile(0, np.array([2.0])))
-        assert est.se2 == 0.0
+        _, se2 = self.contrast([0.0, 0.0, 2.0, 3.0], np.zeros((4, 4)), 2.0)
+        assert se2 == 0.0
 
     def test_dimension_mismatch(self):
-        fit = self.manual_fit([0.0, 0.0, 2.0, 3.0], np.eye(4))
+        study = dataset_from([0.0, 1.0, 2.0, 4.0], [0, 0, 1, 1], [[0.0], [1.0], [0.0], [1.0]])
         want = "points have shape (1, 2), expected (P, 1)"
         with pytest.raises(DimensionMismatchError, match=re.escape(want)):
-            linear_cate(fit, CovariateProfile(0, np.array([1.0, 2.0])))
+            linear_cates_stack([study], np.array([[1.0, 2.0]]))
 
     def test_se2_nonnegative_over_random_fits(self):
         rng = np.random.default_rng(3)
@@ -136,10 +126,8 @@ class TestLinearCate:
             x = rng.normal(size=(n, p))
             a = rng.integers(0, 2, n)
             y = rng.normal(size=n)
-            fit = fit_interaction_ols(dataset_from(y, a, x))
-            for _ in range(5):
-                est = linear_cate(fit, CovariateProfile(0, rng.normal(size=p)))
-                assert est.se2 >= 0.0
+            _, se2 = linear_cates_stack([dataset_from(y, a, x)], rng.normal(size=(5, p)))
+            assert (se2 >= 0.0).all()
 
 
 def test_outcome_shift_leaves_cate_unchanged():
@@ -148,13 +136,10 @@ def test_outcome_shift_leaves_cate_unchanged():
     x = rng.normal(size=(n, p))
     a = rng.integers(0, 2, n)
     y = 1.0 + x[:, 0] + a * (0.5 + 0.3 * x[:, 1]) + rng.normal(0, 0.4, n)
-    profiles = [CovariateProfile(i, rng.normal(size=p)) for i in range(10)]
-    fit = fit_interaction_ols(dataset_from(y, a, x))
-    fit_shifted = fit_interaction_ols(dataset_from(y + 17.3, a, x))
-    for prof in profiles:
-        t0 = linear_cate(fit, prof).tau_hat
-        t1 = linear_cate(fit_shifted, prof).tau_hat
-        assert t1 == pytest.approx(t0, abs=1e-9)
+    points = rng.normal(size=(10, p))
+    (t0,), _ = linear_cates_stack([dataset_from(y, a, x)], points)
+    (t1,), _ = linear_cates_stack([dataset_from(y + 17.3, a, x)], points)
+    assert t1 == pytest.approx(t0, abs=1e-9)
 
 
 def test_treatment_label_swap_negates_cate():
@@ -163,13 +148,9 @@ def test_treatment_label_swap_negates_cate():
     x = rng.normal(size=(n, p))
     a = rng.integers(0, 2, n)
     y = x[:, 0] + a * (1.0 + 0.5 * x[:, 0]) + rng.normal(0, 0.3, n)
-    fit = fit_interaction_ols(dataset_from(y, a, x))
-    fit_swapped = fit_interaction_ols(dataset_from(y, 1 - a, x))
-    for i in range(10):
-        prof = CovariateProfile(i, rng.normal(size=p))
-        assert linear_cate(fit_swapped, prof).tau_hat == pytest.approx(
-            -linear_cate(fit, prof).tau_hat, abs=1e-9
-        )
+    tau, _ = linear_cates_stack([dataset_from(y, a, x), dataset_from(y, 1 - a, x)],
+                                rng.normal(size=(10, p)))
+    assert tau[1] == pytest.approx(-tau[0], abs=1e-9)
 
 
 def test_noiseless_generative_model_reproduced_at_profiles():
@@ -179,11 +160,9 @@ def test_noiseless_generative_model_reproduced_at_profiles():
     a = rng.integers(0, 2, n)
     beta2, beta3 = 1.7, np.array([0.4, -0.9, 0.0, 2.2])
     y = 0.3 + x @ np.array([1.0, -1.0, 0.5, 0.0]) + a * (beta2 + x @ beta3)
-    fit = fit_interaction_ols(dataset_from(y, a, x))
-    for i in range(20):
-        xp = rng.normal(size=p)
-        est = linear_cate(fit, CovariateProfile(i, xp))
-        assert est.tau_hat == pytest.approx(beta2 + xp @ beta3, abs=1e-8)
+    points = rng.normal(size=(20, p))
+    (tau,), _ = linear_cates_stack([dataset_from(y, a, x)], points)
+    assert tau == pytest.approx(beta2 + points @ beta3, abs=1e-8)
 
 
 def scalar_reference(dataset, moderators, points):

@@ -10,17 +10,14 @@ from hypothesis import strategies as st
 from catemeta import (
     EstimationError,
     InsufficientStudiesError,
-    MetaInput,
-    StudyCateEstimate,
     dl_theta2,
-    pool_cate,
     pool_profiles,
-    prediction_interval,
-    reml_theta2,
     t_quantile,
 )
 from catemeta.meta import (
     _GRID_FRAC,
+    _half_width,
+    _pool_rows,
     _profile_log_likelihood,
     _score,
     ndtri,
@@ -28,24 +25,33 @@ from catemeta.meta import (
 )
 
 
-def meta_input(tau, v, profile_id=0):
-    return MetaInput(
-        profile_id=profile_id,
-        estimates=tuple(
-            StudyCateEstimate(s + 1, profile_id, float(t), float(vi))
-            for s, (t, vi) in enumerate(zip(tau, v))
-        ),
-    )
+def theta2_of(tau, v):
+    """The REML theta2 of one profile's K estimates."""
+    return float(pool_profiles(np.c_[tau], np.c_[v]).theta2[0])
 
 
-def grid_argmax(meta, upper, coarse=1e-3, fine=1e-6):
+def pool_at(tau, v, theta2):
+    """(weights, tau_pooled, var_pooled) of one profile pooled at a fixed theta2."""
+    w, center, var = _pool_rows(np.array([tau], dtype=np.float64),
+                                np.array([v], dtype=np.float64), np.array([theta2]))
+    return w[0], float(center[0]), float(var[0])
+
+
+def interval_at(tau, v, theta2, alpha):
+    """(lower, center, upper) of the level 1 - alpha prediction interval of one
+    profile pooled at a fixed theta2."""
+    _, center, var = pool_at(tau, v, theta2)
+    half = float(_half_width(var, theta2, alpha, len(tau)))
+    return center - half, center, center + half
+
+
+def grid_argmax(tau, v, upper, coarse=1e-3, fine=1e-6):
     """Brute-force grid maximizer of the restricted log likelihood.
 
     Coarse scan over [0, upper], then a dense scan at the fine step around
     the coarse winner; equivalent to a full fine grid when the coarse scan
     brackets the global maximum.
     """
-    tau, v = meta.tau, meta.v
     coarse_grid = np.arange(0.0, upper + coarse, coarse)
     vals = _profile_log_likelihood(coarse_grid, tau, v)
     center = coarse_grid[int(np.argmax(vals))]
@@ -74,12 +80,12 @@ class TestRestrictedLogLikelihood:
 
 class TestRemlTheta2:
     def test_identical_estimates_give_zero(self):
-        assert reml_theta2(meta_input([3.0, 3.0, 3.0], [0.5, 1.0, 2.0])) == 0.0
+        assert theta2_of([3.0, 3.0, 3.0], [0.5, 1.0, 2.0]) == 0.0
 
     def test_matches_grid_oracle_on_stated_example(self):
-        mi = meta_input([0.0, 1.0, 2.0], [0.5, 0.5, 0.5])
-        oracle = grid_argmax(mi, upper=20.0)
-        assert reml_theta2(mi) == pytest.approx(oracle, abs=1e-4)
+        tau, v = [0.0, 1.0, 2.0], [0.5, 0.5, 0.5]
+        oracle = grid_argmax(tau, v, upper=20.0)
+        assert theta2_of(tau, v) == pytest.approx(oracle, abs=1e-4)
 
     def test_matches_grid_oracle_on_random_instances(self):
         rng = np.random.default_rng(42)
@@ -87,18 +93,16 @@ class TestRemlTheta2:
             k = int(rng.integers(3, 13))
             tau = rng.normal(0.0, rng.uniform(0.2, 2.0), size=k)
             v = rng.uniform(0.05, 1.5, size=k)
-            mi = meta_input(tau, v)
             upper = 10.0 * float(np.var(tau, ddof=1)) + float(v.max())
-            assert reml_theta2(mi) == pytest.approx(
-                grid_argmax(mi, upper=upper), abs=1e-4
+            assert theta2_of(tau, v) == pytest.approx(
+                grid_argmax(tau, v, upper=upper), abs=1e-4
             ), f"instance {trial}"
 
     def test_nonnegative_always(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             k = int(rng.integers(2, 8))
-            mi = meta_input(rng.normal(size=k), rng.uniform(0.1, 2.0, size=k))
-            assert reml_theta2(mi) >= 0.0
+            assert theta2_of(rng.normal(size=k), rng.uniform(0.1, 2.0, size=k)) >= 0.0
 
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(3)
@@ -106,8 +110,8 @@ class TestRemlTheta2:
         tau = rng.normal(0.0, 1.0, size=(k, n_prof))
         v = rng.uniform(0.05, 1.0, size=(k, n_prof))
         batch = reml_theta2_batch(tau, v)
-        for j in range(n_prof):
-            assert batch[j] == reml_theta2(meta_input(tau[:, j], v[:, j]))
+        for j in range(n_prof):  # each profile solved alone gives the same bits
+            assert batch[j] == reml_theta2_batch(tau[:, j:j + 1], v[:, j:j + 1])[0]
 
     def test_solves_the_score_equation(self):
         # Interior maximizers are roots of the REML score to machine precision,
@@ -124,6 +128,8 @@ class TestRemlTheta2:
     def test_batch_shape_validation(self):
         with pytest.raises(ValueError):
             reml_theta2_batch(np.zeros((1, 4)), np.ones((1, 4)))
+        with pytest.raises(ValueError, match="K >= 2"):  # pooling needs two studies
+            pool_profiles(np.zeros((1, 4)), np.ones((1, 4)))
 
 
 # (tau_hat, se2) of profiles whose restricted likelihood has more than one
@@ -353,40 +359,39 @@ class TestDlTheta2:
 
 class TestPoolCate:
     def test_hand_example(self):
-        pooled = pool_cate(meta_input([0.0, 2.0], [1.0, 1.0]), theta2=1.0)
-        assert pooled.tau_pooled == pytest.approx(1.0)
-        assert pooled.var_pooled == pytest.approx(1.0)
-        assert pooled.weights == (0.5, 0.5)
+        w, center, var = pool_at([0.0, 2.0], [1.0, 1.0], theta2=1.0)
+        assert center == pytest.approx(1.0)
+        assert var == pytest.approx(1.0)
+        assert w.tolist() == [0.5, 0.5]
 
     def test_dominant_study_takes_over(self):
-        pooled = pool_cate(meta_input([5.0, 0.0, 0.0], [1e-8, 1.0, 1.0]), theta2=0.0)
-        assert pooled.tau_pooled == pytest.approx(5.0, abs=1e-4)
+        _, center, _ = pool_at([5.0, 0.0, 0.0], [1e-8, 1.0, 1.0], theta2=0.0)
+        assert center == pytest.approx(5.0, abs=1e-4)
 
     def test_huge_theta2_approaches_unweighted_mean(self):
         tau = [0.0, 1.0, 5.0]
-        pooled = pool_cate(meta_input(tau, [0.1, 1.0, 3.0]), theta2=1e12)
-        assert pooled.tau_pooled == pytest.approx(np.mean(tau), abs=1e-6)
+        _, center, _ = pool_at(tau, [0.1, 1.0, 3.0], theta2=1e12)
+        assert center == pytest.approx(np.mean(tau), abs=1e-6)
 
     def test_degenerate_all_zero_variance_equal_estimates(self):
-        pooled = pool_cate(meta_input([2.0, 2.0], [0.0, 0.0]), theta2=0.0)
-        assert pooled.tau_pooled == 2.0
-        assert pooled.var_pooled == 0.0
+        _, center, var = pool_at([2.0, 2.0], [0.0, 0.0], theta2=0.0)
+        assert center == 2.0
+        assert var == 0.0
 
     def test_degenerate_all_zero_variance_unequal_estimates_is_error(self):
         with pytest.raises(EstimationError):
-            pool_cate(meta_input([1.0, 2.0], [0.0, 0.0]), theta2=0.0)
+            pool_at([1.0, 2.0], [0.0, 0.0], theta2=0.0)
 
     def test_pooled_estimate_is_convex_combination(self):
         rng = np.random.default_rng(12)
         for _ in range(30):
             k = int(rng.integers(2, 9))
             tau = rng.normal(size=k)
-            mi = meta_input(tau, rng.uniform(0.1, 2.0, size=k))
-            pooled = pool_cate(mi, float(rng.uniform(0.0, 2.0)))
-            assert tau.min() - 1e-12 <= pooled.tau_pooled <= tau.max() + 1e-12
-            w = np.array(pooled.weights)
+            w, center, var = pool_at(tau, rng.uniform(0.1, 2.0, size=k),
+                                     float(rng.uniform(0.0, 2.0)))
+            assert tau.min() - 1e-12 <= center <= tau.max() + 1e-12
             assert (w / w.sum()).sum() == pytest.approx(1.0, abs=1e-12)
-            assert pooled.var_pooled == pytest.approx(1.0 / w.sum(), abs=1e-12)
+            assert var == pytest.approx(1.0 / w.sum(), abs=1e-12)
 
 
 class TestTQuantile:
@@ -467,14 +472,12 @@ class TestQuantilesAgainstScipy:
 
 class TestPredictionInterval:
     def test_hand_example_k4(self):
-        mi = meta_input([1.0, 1.0, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0])
-        pooled = pool_cate(mi, theta2=0.0)  # var_pooled = 0.5
-        pi = prediction_interval(pooled, alpha=0.05, k_studies=4)
+        # var_pooled = 0.5; K = 4 gives t_2
+        lower, center, upper = interval_at([1.0] * 4, [2.0] * 4, theta2=0.0, alpha=0.05)
         half = t_quantile(2, 0.975) * math.sqrt(0.5)
-        assert pi.center == 1.0
-        assert pi.lower == pytest.approx(1.0 - half, abs=1e-10)
-        assert pi.upper == pytest.approx(1.0 + half, abs=1e-10)
-        assert pi.df == 2 and pi.level == 0.95
+        assert center == 1.0
+        assert lower == pytest.approx(1.0 - half, abs=1e-10)
+        assert upper == pytest.approx(1.0 + half, abs=1e-10)
 
     def test_stated_numeric_example(self):
         # center 1, var_pooled 1, theta2 1, K = 4
@@ -483,38 +486,29 @@ class TestPredictionInterval:
         assert 1.0 + half == pytest.approx(7.0853, abs=1e-3)
 
     def test_degenerate_interval_is_a_point(self):
-        pooled = pool_cate(meta_input([2.0, 2.0, 2.0], [0.0, 0.0, 0.0]), theta2=0.0)
-        pi = prediction_interval(pooled, alpha=0.05, k_studies=3)
-        assert pi.lower == pi.center == pi.upper == 2.0
+        lower, center, upper = interval_at([2.0] * 3, [0.0] * 3, theta2=0.0, alpha=0.05)
+        assert lower == center == upper == 2.0
 
     def test_more_studies_narrower_interval(self):
         # t_1 > t_28 and var_pooled shrinks with K at matched per-study variances
-        mi3 = meta_input([0.0, 0.5, 1.0], [1.0, 1.0, 1.0])
-        mi30 = meta_input([0.0, 0.5, 1.0] * 10, [1.0] * 30)
-        w3 = prediction_interval(pool_cate(mi3, 1.0), 0.05, 3).width
-        w30 = prediction_interval(pool_cate(mi30, 1.0), 0.05, 30).width
-        assert w3 > w30
+        lower3, _, upper3 = interval_at([0.0, 0.5, 1.0], [1.0] * 3, 1.0, 0.05)
+        lower30, _, upper30 = interval_at([0.0, 0.5, 1.0] * 10, [1.0] * 30, 1.0, 0.05)
+        assert upper3 - lower3 > upper30 - lower30
 
     def test_halfwidth_monotone_in_theta2(self):
-        mi = meta_input([0.0, 1.0, 2.0, 3.0], [0.5] * 4)
-        widths = [
-            prediction_interval(pool_cate(mi, t2), 0.05, 4).width for t2 in (0.0, 0.5, 2.0)
-        ]
+        widths = [upper - lower for lower, _, upper in (
+            interval_at([0.0, 1.0, 2.0, 3.0], [0.5] * 4, t2, 0.05) for t2 in (0.0, 0.5, 2.0))]
         assert widths[0] < widths[1] < widths[2]
 
     def test_too_few_studies_is_error(self):
-        pooled = pool_cate(meta_input([0.0, 1.0], [1.0, 1.0]), theta2=0.5)
         with pytest.raises(InsufficientStudiesError):
-            prediction_interval(pooled, 0.05, 2)
-
-    def test_k_must_match_pooled(self):
-        pooled = pool_cate(meta_input([0.0, 1.0, 2.0], [1.0] * 3), theta2=0.5)
-        with pytest.raises(ValueError):
-            prediction_interval(pooled, 0.05, 4)
+            interval_at([0.0, 1.0], [1.0, 1.0], theta2=0.5, alpha=0.05)
 
 
 class TestPoolProfiles:
     def test_views_equal_kernel_columns(self):
+        # One profile pooled alone, or at the batch's theta2 by the pooling
+        # and interval steps, gives the batch's bits.
         rng = np.random.default_rng(9)
         k, n_prof = 5, 30
         tau = rng.normal(0.0, 1.0, size=(k, n_prof))
@@ -522,14 +516,13 @@ class TestPoolProfiles:
         tau[:, 0] = 0.7  # equal estimates: theta2 = 0 without a search
         batch = pool_profiles(tau, v, alpha=0.1)
         for j in range(n_prof):
-            mi = meta_input(tau[:, j], v[:, j])
-            pooled = pool_cate(mi, reml_theta2(mi))
-            pi = prediction_interval(pooled, 0.1, k)
-            assert pooled.theta2 == batch.theta2[j]
-            assert pooled.tau_pooled == batch.tau_pooled[j]
-            assert pooled.var_pooled == batch.var_pooled[j]
-            assert pi.lower == batch.tau_pooled[j] - batch.half_width[j]
-            assert pi.upper == batch.tau_pooled[j] + batch.half_width[j]
+            alone = pool_profiles(tau[:, j:j + 1], v[:, j:j + 1], alpha=0.1)
+            for name in ("theta2", "tau_pooled", "var_pooled", "half_width"):
+                assert getattr(alone, name)[0] == getattr(batch, name)[j]
+            lower, center, upper = interval_at(tau[:, j], v[:, j], batch.theta2[j], 0.1)
+            assert center == batch.tau_pooled[j]
+            assert lower == batch.tau_pooled[j] - batch.half_width[j]
+            assert upper == batch.tau_pooled[j] + batch.half_width[j]
         assert batch.diagnostics["reml_boundary_hits"] == (batch.theta2 == 0.0).sum() >= 1
 
     def test_degenerate_all_zero_variance_equal_estimates(self):
@@ -687,11 +680,8 @@ class TestStage2Properties:
         assert np.all(narrow.half_width >= 0.0)
         assert np.all(wide.half_width > narrow.half_width)
         for j in range(tau.shape[1]):
-            pi = prediction_interval(
-                pool_cate(meta_input(tau[:, j], v[:, j]), float(wide.theta2[j])),
-                small, tau.shape[0],
-            )
-            assert pi.upper - pi.center == pytest.approx(pi.center - pi.lower, rel=1e-12)
+            lower, center, upper = interval_at(tau[:, j], v[:, j], float(wide.theta2[j]), small)
+            assert upper - center == pytest.approx(center - lower, rel=1e-12)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(stage2_inputs(), st.data())
@@ -725,19 +715,6 @@ class TestStage2Properties:
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(stage2_inputs(max_profiles=8))
-    def test_batch_column_equals_scalar_exactly(self, inputs):
+    def test_reml_theta2_batch_equals_pool_profiles_exactly(self, inputs):
         tau, v = inputs
-        batch = reml_theta2_batch(tau, v)
-        for j in range(tau.shape[1]):
-            assert batch[j] == reml_theta2(meta_input(tau[:, j], v[:, j]))
-
-
-class TestMetaInput:
-    def test_requires_two_studies(self):
-        with pytest.raises(InsufficientStudiesError):
-            MetaInput(0, (StudyCateEstimate(1, 0, 1.0, 1.0),))
-
-    def test_rejects_mixed_profiles(self):
-        with pytest.raises(ValueError):
-            MetaInput(0, (StudyCateEstimate(1, 0, 1.0, 1.0),
-                          StudyCateEstimate(2, 9, 1.0, 1.0)))
+        assert np.array_equal(reml_theta2_batch(tau, v), pool_profiles(tau, v).theta2)

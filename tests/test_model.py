@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from catemeta import (
-    CovariateProfile,
     DimensionMismatchError,
-    PooledCate,
-    PredictionInterval,
     TrialDataset,
     validate_target_coverage,
     validate_trial,
 )
+from catemeta.model import check_points
 
 
 def make_trial(study_id=1, n_treated=10, n_control=10, p=3, seed=0):
@@ -148,18 +146,8 @@ class TestValidateTargetCoverage:
 class TestLearnerUniformity:
     def test_every_stage1_learner_emits_study_cate_estimates(self):
         # One dataset through all three learners: the pooling stage only ever
-        # sees (study_id, profile_id, tau_hat, se2).
-        from catemeta import (
-            BartParams,
-            ForestParams,
-            StudyCateEstimate,
-            bart_cate_normal,
-            fit_bart_slearner,
-            fit_causal_forest,
-            fit_interaction_ols,
-            forest_cates,
-            linear_cate,
-        )
+        # sees one (tau_hat, se2) per profile, in profile order.
+        from catemeta import BartParams, ForestParams, estimate_study
 
         rng = np.random.default_rng(77)
         n = 200
@@ -167,49 +155,17 @@ class TestLearnerUniformity:
         a = rng.integers(0, 2, n)
         y = x[:, 0] + a * (1.0 + x[:, 1]) + rng.normal(0, 0.3, n)
         ds = TrialDataset(4, y, a, x, ("u", "v"))
-        profiles = [CovariateProfile(i, rng.normal(size=2)) for i in range(3)]
-
-        linear_fit = fit_interaction_ols(ds)
-        forest = fit_causal_forest(ds, ForestParams(n_trees=20, bag_size=20, seed=1))
-        posterior = fit_bart_slearner(
-            ds, np.array([p.x for p in profiles]),
-            BartParams(n_trees=5, n_burn=20, n_draws=30, seed=2),
-        )
-        batches = [
-            [linear_cate(linear_fit, p) for p in profiles],
-            forest_cates(forest, profiles),
-            [bart_cate_normal(posterior, i) for i in range(len(profiles))],
-        ]
-        for batch in batches:
-            for est, prof in zip(batch, profiles):
-                assert isinstance(est, StudyCateEstimate)
-                assert est.study_id == 4
-                assert est.profile_id == prof.profile_id
-                assert est.se2 >= 0.0
+        points = rng.normal(size=(3, 2))
+        for params in (None, ForestParams(n_trees=20, bag_size=20, seed=1),
+                       BartParams(n_trees=5, n_burn=20, n_draws=30, seed=2)):
+            tau, se2, _ = estimate_study(ds, points, params)
+            assert tau.shape == se2.shape == (3,)
+            assert np.isfinite(tau).all()
+            assert (se2 >= 0.0).all()
 
 
 class TestResultTypes:
     def test_profile_rejects_non_finite(self):
+        # The profile rule is the Stage-1 points rule.
         with pytest.raises(ValueError):
-            CovariateProfile(0, np.array([1.0, np.nan]))
-
-    def test_pooled_cate_checks_weight_identity(self):
-        with pytest.raises(ValueError):
-            PooledCate(0, 1.0, 2.0, 0.5, 2, (1.0, 1.0))  # 1/sum(w) = 0.5, not 2
-
-    def test_pooled_cate_rejects_nonpositive_weights(self):
-        with pytest.raises(ValueError):
-            PooledCate(0, 1.0, 0.5, 0.5, 2, (1.0, 0.0))
-
-    def test_interval_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            PredictionInterval(0, center=1.0, lower=2.0, upper=3.0, level=0.95, df=2)
-
-    def test_interval_symmetry_enforced(self):
-        with pytest.raises(ValueError):
-            PredictionInterval(0, center=1.0, lower=0.5, upper=3.0, level=0.95, df=2)
-
-    def test_valid_interval_helpers(self):
-        pi = PredictionInterval(0, center=1.0, lower=-1.0, upper=3.0, level=0.95, df=2)
-        assert pi.width == 4.0
-        assert pi.contains(0.0) and not pi.contains(3.5)
+            check_points(np.array([[1.0, np.nan]]), 2)

@@ -8,7 +8,6 @@ import pytest
 from catemeta import (
     BartParams,
     ConfigurationError,
-    CovariateProfile,
     DimensionMismatchError,
     ForestParams,
     SimConfig,
@@ -17,7 +16,7 @@ from catemeta import (
     fit_bart_slearner,
     fit_causal_forest,
     fit_interaction_ols,
-    forest_cates,
+    forest_predict,
     gen_outcomes,
     gen_study,
     gen_target_profiles,
@@ -25,9 +24,7 @@ from catemeta import (
     run_experiment,
     true_cate,
 )
-from catemeta import simulate
-from catemeta.meta import reml_theta2_batch
-from catemeta.model import StudyCateEstimate
+from catemeta import pool_profiles, simulate
 from catemeta.rng import substream
 
 
@@ -308,8 +305,6 @@ class TestHarness:
         ages = gen_target_profiles(cfg, substream(cfg.master_seed, "target-profiles"))[:10, 0]
         reps = 2000
         covered = np.zeros(len(ages))
-        from catemeta.meta import MetaInput, pool_cate, prediction_interval
-
         for r in range(reps):
             rng = substream(cfg.master_seed, "calib", r)
             effects = [draw_study_effects(1, "normal", rng) for _ in range(cfg.k_studies + 1)]
@@ -318,15 +313,10 @@ class TestHarness:
             ])
             _, b_new, c_new = effects[-1]
             target = (2.505 + b_new) + (0.82 + c_new) * ages
-            v = np.full_like(tau, 1e-6)
-            theta2 = reml_theta2_batch(tau, v)
-            for j in range(len(ages)):
-                mi = MetaInput(j, tuple(
-                    StudyCateEstimate(s + 1, j, float(tau[s, j]), 1e-6)
-                    for s in range(cfg.k_studies)
-                ))
-                pi = prediction_interval(pool_cate(mi, float(theta2[j])), 0.05, cfg.k_studies)
-                covered[j] += pi.lower <= target[j] <= pi.upper
+            pooled = pool_profiles(tau, np.full_like(tau, 1e-6), alpha=0.05)
+            lower = pooled.tau_pooled - pooled.half_width
+            upper = pooled.tau_pooled + pooled.half_width
+            covered += (lower <= target) & (target <= upper)
         coverage = covered / reps
         assert np.all(coverage >= 0.92) and np.all(coverage <= 0.98), coverage
 
@@ -335,7 +325,6 @@ class TestEstimateStudy:
     def test_agrees_with_per_profile_reference(self):
         ds = gen_study(config(n_per_study=300), 0, 1)
         points = gen_target_profiles(config(), substream(40, "t"))[:25]
-        profiles = [CovariateProfile(i, x) for i, x in enumerate(points)]
         forest_params = ForestParams(n_trees=40, bag_size=20, seed=3)
         bart_params = BartParams(n_trees=5, n_burn=20, n_draws=30, seed=4)
 
@@ -353,8 +342,8 @@ class TestEstimateStudy:
             for f1, f0 in ((post.draws[:, 2 * i + 1], post.draws[:, 2 * i])
                            for i in range(len(points)))
         ]
-        forest_ref = [(e.tau_hat, e.se2)
-                      for e in forest_cates(fit_causal_forest(ds, forest_params), profiles)]
+        forest_ref = np.column_stack(
+            forest_predict(fit_causal_forest(ds, forest_params), points)[:2])
         cases = {
             "linear": ((0, 3), linear_ref),
             "forest": (forest_params, forest_ref),
@@ -365,7 +354,7 @@ class TestEstimateStudy:
             want_tau, want_se2 = np.array(reference).T
             if learner == "forest":
                 assert np.array_equal(tau, want_tau) and np.array_equal(se2, want_se2)
-                assert 0 <= diagnostics["se2_floor_hits"] <= len(profiles)
+                assert 0 <= diagnostics["se2_floor_hits"] <= len(points)
                 assert 0.0 <= diagnostics["skipped_tree_frac"] <= 0.5
             else:
                 np.testing.assert_allclose(tau, want_tau, rtol=1e-12, atol=0.0)
