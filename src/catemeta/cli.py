@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"tree count (forest default {ForestParams.n_trees}, "
                             f"bart default {BartParams.n_trees})")
     p_est.add_argument("--bag-size", type=_parse_int, default=ForestParams.bag_size,
-                       help="trees per variance bag")
+                       help="trees per variance bag (at least 2, dividing --trees)")
     p_est.add_argument("--burn", type=_parse_int, default=BartParams.n_burn,
                        help="bart burn-in draws")
     p_est.add_argument("--draws", type=_parse_int, default=BartParams.n_draws,

@@ -58,10 +58,11 @@ _BATCH_ROWS = 1 << 15
 class ForestParams:
     """Tuning parameters for the causal forest.
 
-    ``n_trees`` must be divisible by ``bag_size``; consecutive groups of
-    ``bag_size`` trees form the bags of the variance estimator.  Each tree
-    draws its subsample from its bag's shared half-sample, so an effective
-    ``subsample_fraction`` above 0.5 is capped by the half-sample size.
+    ``n_trees`` must be divisible by ``bag_size``, which is at least 2;
+    consecutive groups of ``bag_size`` trees form the bags of the variance
+    estimator.  Each tree draws its subsample from its bag's shared
+    half-sample, so an effective ``subsample_fraction`` above 0.5 is capped
+    by the half-sample size.
     """
 
     n_trees: int = 1000
@@ -76,7 +77,11 @@ class ForestParams:
         check_integers(self, "n_trees", "min_leaf_treated", "min_leaf_control", "bag_size", "seed")
         if self.n_trees < 1:
             raise ConfigurationError("n_trees must be >= 1")
-        if self.bag_size < 1 or self.n_trees % self.bag_size != 0:
+        if self.bag_size < 2:
+            # One tree per bag has no within-bag variance, so the variance
+            # estimator would make no Monte Carlo correction.
+            raise ConfigurationError(f"bag_size must be >= 2, got {self.bag_size}")
+        if self.n_trees % self.bag_size != 0:
             raise ConfigurationError("n_trees must be divisible by bag_size")
         if self.min_leaf_treated < 2 or self.min_leaf_control < 2:
             raise ConfigurationError("per-arm leaf minima must be >= 2")

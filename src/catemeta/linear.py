@@ -8,15 +8,21 @@ where X_mod is the declared subset of moderator covariates.  The CATE at a
 profile x* is then b2 + b3 . x*_mod, with variance given by the matching
 quadratic form of the coefficient covariance.
 
-One kernel fits K studies of one shape: their designs fill one (K, n, q)
-stack, one ``np.linalg.svd`` call factors it, and ``matmul``, which works
-matrix by matrix, forms the coefficients and covariances, so a study gets
-the same bits alone as in a stack.  One contrast matrix then gives the
-(K, P) CATEs.  :func:`fit_interaction_ols` is the kernel with K = 1.
+One array kernel fits K studies of one shape, given as arrays: covariates
+(K, n, p), treatments and outcomes (K, n).  Their designs fill one
+(K, n, q) stack by slice assignment, the interaction columns from one
+product of the covariates and the treatments; one ``np.linalg.svd`` call
+factors it, and ``matmul``, which works matrix by matrix, forms the
+coefficients and covariances, so a study gets the same bits alone as in a
+stack.  One contrast matrix then gives the (K, P) CATEs.  The simulation
+harness calls the kernel on its stacked draws
+(:func:`linear_cates_arrays`); :func:`linear_cates_stack` stacks a list of
+datasets into it, and :func:`fit_interaction_ols` is the kernel with K = 1.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,9 +79,20 @@ class LinearCateFit:
 
 
 def _moderators(moderators, p: int) -> tuple[int, ...]:
+    """The moderator indices in increasing order; all ``p`` when None.
+
+    Each index is taken with ``operator.index``, so a float such as 1.0 is
+    refused rather than truncated.  A repeated or out-of-range index raises
+    ``ValueError``.
+    """
     if moderators is None:
         return tuple(range(p))
-    mods = tuple(sorted(set(int(m) for m in moderators)))
+    try:
+        mods = tuple(sorted(operator.index(m) for m in moderators))
+    except TypeError:
+        raise ValueError(f"moderator indices must be integers, got {moderators!r}") from None
+    if len(set(mods)) != len(mods):
+        raise ValueError(f"moderator indices must not repeat, got {moderators!r}")
     if mods and (mods[0] < 0 or mods[-1] >= p):
         raise ValueError(f"moderator indices must be in [0, {p})")
     return mods
@@ -85,26 +102,26 @@ def _column_names(names: tuple[str, ...], mods: tuple[int, ...]) -> tuple[str, .
     return ("intercept", *names, "treatment", *(f"treatment:{names[j]}" for j in mods))
 
 
-def _fit_stack(datasets, mods: tuple[int, ...]):
-    """``(coef (K, q), cov (K, q, q), sigma2 (K,))`` of K studies of one shape.
+def _fit_arrays(x, a, y, mods: tuple[int, ...], names, study_ids):
+    """``(coef (K, q), cov (K, q, q), sigma2 (K,))`` of K studies given as
+    covariates ``x`` (K, n, p), treatments ``a`` (K, n) and outcomes ``y``
+    (K, n), with covariate ``names`` and one id per study.
 
     Checks run study by study, in order, so the first singular or
     non-finite study raises what it raises when fitted alone.
     """
-    n, p = datasets[0].x.shape
-    k, q = len(datasets), 2 + p + len(mods)
+    k, n, p = x.shape
+    q = 2 + p + len(mods)
     if n < q:
         raise InsufficientDataError(
             f"need at least {q} rows to fit {q} coefficients, got {n}"
         )
     design = np.empty((k, n, q))
     design[:, :, 0] = 1.0
-    for d, rows in zip(datasets, design):
-        rows[:, 1:p + 1] = d.x
-        rows[:, p + 1] = d.a
-    np.multiply(design[:, :, [1 + j for j in mods]], design[:, :, p + 1:p + 2],
-                out=design[:, :, p + 2:])
-    y = np.stack([d.y for d in datasets])[:, :, None]
+    design[:, :, 1:p + 1] = x
+    design[:, :, p + 1] = a
+    design[:, :, p + 2:] = x[:, :, list(mods)] * a[:, :, None]
+    y = y[:, :, None]
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     v = vt.swapaxes(1, 2)
     # Outcomes near the float range overflow and a singular design divides
@@ -124,11 +141,10 @@ def _fit_stack(datasets, mods: tuple[int, ...]):
             for j in range(q):
                 s_j = np.linalg.svd(design[i, :, : j + 1], compute_uv=False)
                 if np.count_nonzero(s_j > _RANK_RTOL * s_j[0]) <= j:
-                    raise SingularDesignError(
-                        _column_names(datasets[i].covariate_names, mods)[j])
+                    raise SingularDesignError(_column_names(names, mods)[j])
         if not finite[i]:
             raise EstimationError(
-                f"study {datasets[i].study_id}: the least-squares coefficients or "
+                f"study {study_ids[i]}: the least-squares coefficients or "
                 "their covariance are not finite"
             )
     return coef[:, :, 0], cov, sigma2
@@ -159,7 +175,8 @@ def fit_interaction_ols(
     raise ``EstimationError``.
     """
     mods = _moderators(moderators, dataset.n_covariates)
-    coef, cov, sigma2 = _fit_stack([dataset], mods)
+    coef, cov, sigma2 = _fit_arrays(dataset.x[None], dataset.a[None], dataset.y[None], mods,
+                                    dataset.covariate_names, (dataset.study_id,))
     return LinearCateFit(
         study_id=dataset.study_id,
         coefficients=coef[0],
@@ -171,14 +188,24 @@ def fit_interaction_ols(
     )
 
 
-def linear_cates_stack(datasets, points, moderators=None):
-    """``(tau, se2)``, each (K, P), of K studies with the same row count.
+def linear_cates_arrays(x, a, y, points, names, study_ids, moderators=None):
+    """``(tau, se2)``, each (K, P), of K studies given as arrays: covariates
+    ``x`` (K, n, p), treatments ``a`` (K, n) and outcomes ``y`` (K, n), with
+    covariate ``names`` and one id per study for the error messages.
 
     ``points`` (P, p) is checked before any fit (see ``model.check_points``).
     The first study, in order, that cannot be fitted raises what
     :func:`fit_interaction_ols` raises for it.
     """
-    points = check_points(points, datasets[0].n_covariates)
-    mods = _moderators(moderators, datasets[0].n_covariates)
-    coef, cov, _ = _fit_stack(datasets, mods)
+    points = check_points(points, x.shape[2])
+    mods = _moderators(moderators, x.shape[2])
+    coef, cov, _ = _fit_arrays(x, a, y, mods, names, study_ids)
     return _contrast(coef, cov, mods, points)
+
+
+def linear_cates_stack(datasets, points, moderators=None):
+    """:func:`linear_cates_arrays` of K datasets with the same row count and
+    covariates, stacked."""
+    x, a, y = (np.stack([getattr(d, name) for d in datasets]) for name in ("x", "a", "y"))
+    return linear_cates_arrays(x, a, y, points, datasets[0].covariate_names,
+                               [d.study_id for d in datasets], moderators)

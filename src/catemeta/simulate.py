@@ -26,7 +26,7 @@ from .bart import BartParams, bart_cates, fit_bart_slearner
 from .errors import CatemetaError, ConfigurationError
 from .forest import ForestParams, fit_causal_forest, forest_predict
 # fit_interaction_ols and reml_theta2_batch are bound only for perfbench/tracing.py.
-from .linear import fit_interaction_ols, linear_cates_stack  # noqa: F401
+from .linear import fit_interaction_ols, linear_cates_arrays, linear_cates_stack  # noqa: F401
 from .meta import ndtri, pool_profiles, reml_theta2_batch  # noqa: F401
 from .model import TrialDataset, check_integers, check_points, check_seed
 from .rng import spawn_seed, substream
@@ -67,6 +67,8 @@ EFFECT_DISTRIBUTIONS = ("normal", "uniform")
 # exercises the pooling stage alone and is meant for calibration checks.
 STAGE1_METHODS = ("linear", "forest_honest", "forest_adaptive", "bart", "oracle")
 _ORACLE_SE2 = 1e-6
+# Profiles (rows of K studies) that one Stage-2 call of the harness pools.
+_POOL_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -120,19 +122,20 @@ class MetricsTable:
             object.__setattr__(self, name, arr)
 
 
-def _draw_binary(latent_col, mean, n):
-    """Dichotomize a latent normal column at probability = clamped mean.
+def _binary_cut(mean: float) -> float:
+    """The latent threshold of a binary column with study mean ``mean``.
 
     The latent value L ~ N(mean, 1) is mapped through its own CDF, so the
-    binary column keeps the latent's rank correlation with the other
-    covariates while Pr(1) equals the clamped study mean exactly.
+    binary column, L <= cut, keeps the latent's rank correlation with the
+    other covariates while Pr(1) equals the mean clamped to [0, 1] exactly.
+    A mean at or past either end gives an infinite cut: a constant column.
     """
     p = min(max(mean, 0.0), 1.0)
     if p <= 0.0:
-        return np.zeros(n)
+        return -np.inf
     if p >= 1.0:
-        return np.ones(n)
-    return (latent_col <= mean + ndtri(p)).astype(np.float64)
+        return np.inf
+    return mean + ndtri(p)
 
 
 def _study_means(config: SimConfig, rng) -> np.ndarray:
@@ -156,12 +159,21 @@ def _factor_t() -> np.ndarray:
     return factor
 
 
-def _sample_covariates(means, n, rng) -> np.ndarray:
-    x = np.dot(rng.standard_normal((n, 5)), _factor_t())
-    x += means
+def _covariate_stack(means: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Covariates (K, n, 5) of K studies from their means (K, 5) and standard
+    normals ``z`` (K, n, 5).  ``np.matmul`` multiplies ``z`` by the factor one
+    (n, 5) slice at a time, so a study gets the same bits alone as in a stack."""
+    x = np.matmul(z, _factor_t())
+    x += means[:, None, :]
     for j in _BINARY_COLUMNS:
-        x[:, j] = _draw_binary(x[:, j], means[j], n)
+        cuts = np.array([_binary_cut(m) for m in means[:, j]])
+        x[..., j] = x[..., j] <= cuts[:, None]
     return x
+
+
+def _sample_covariates(means, n, rng) -> np.ndarray:
+    """Covariates (n, 5) of one sample with the given means."""
+    return _covariate_stack(means[None], rng.standard_normal((1, n, 5)))[0]
 
 
 def gen_trial_covariates(config: SimConfig, rng) -> np.ndarray:
@@ -179,11 +191,12 @@ def gen_target_profiles(config: SimConfig, rng) -> np.ndarray:
     return x
 
 
-def true_cate(x: np.ndarray, setting: str, effects: tuple[float, float, float]) -> np.ndarray:
-    """True treatment effects at the rows of ``x`` (n, 5), read from its age
-    column, for one draw of study shifts (a, b, c); ``a`` does not enter."""
+def true_cate(x: np.ndarray, setting: str, effects) -> np.ndarray:
+    """True treatment effects at the rows of ``x`` (..., n, 5), read from its
+    age column, for one draw of study shifts (a, b, c); ``a`` does not enter.
+    The shifts are floats, or arrays that broadcast against ``x[..., 0]``."""
     _, b, c = effects
-    age = x[:, _AGE]
+    age = x[..., _AGE]
     if setting == "linear":
         return (2.505 + b) + (0.82 + c) * age
     return (2.20 + b) * np.exp((0.35 + c) * age)
@@ -201,37 +214,60 @@ def draw_study_effects(level: int, distribution: str, rng) -> tuple[float, float
     return float(a), float(b), float(c)
 
 
-def gen_outcomes(covariates, treatments, setting: str, effects, rng) -> np.ndarray:
-    """Outcomes Y = m(X) + A * tau(X) + noise for one study."""
-    a_eff, _, _ = effects
-    age = covariates[:, _AGE]
+def _mean_outcomes(x, a, setting: str, effects) -> np.ndarray:
+    """m(X) + A * tau(X) at the rows of ``x`` (..., n, 5), as in :func:`true_cate`."""
+    a_eff = effects[0]
+    age = x[..., _AGE]
     if setting == "linear":
-        main = (
-            (-17.40 + a_eff)
-            - 0.13 * age
-            - 2.05 * covariates[:, _MADRS]
-            - 0.11 * covariates[:, _SEX]
-        )
+        main = (-17.40 + a_eff) - 0.13 * age - 2.05 * x[..., _MADRS] - 0.11 * x[..., _SEX]
     else:
         main = (-17.52 + a_eff) - 0.08 * age
-    tau = true_cate(covariates, setting, effects)
-    noise = rng.normal(0.0, _NOISE_SD, size=covariates.shape[0])
-    return main + treatments * tau + noise
+    return main + a * true_cate(x, setting, effects)
+
+
+def gen_outcomes(covariates, treatments, setting: str, effects, rng) -> np.ndarray:
+    """Outcomes Y = m(X) + A * tau(X) + noise for one study."""
+    noise = rng.normal(0.0, _NOISE_SD, size=covariates.shape[:-1])
+    return _mean_outcomes(covariates, treatments, setting, effects) + noise
 
 
 def _study_effects(config: SimConfig, replication: int, study: int):
-    """One study's (a, b, c) draw, shared by gen_study and the oracle."""
+    """One study's (a, b, c) draw, shared by the study draw and the oracle."""
     rng = substream(config.master_seed, "rep", replication, "study", study, "effects")
     return draw_study_effects(config.heterogeneity_level, config.effect_distribution, rng)
 
 
+def _draw_studies(config: SimConfig, replication: int, studies):
+    """``x`` (K, n, 5), ``a`` (K, n) and ``y`` (K, n) of the given studies of
+    one replication.
+
+    Each study draws from its own four streams, in this order: its effects;
+    its covariates (the means, then the rows' standard normals); its
+    treatment; its noise.  The arithmetic then runs once on the stack, each
+    step element by element or slice by slice, so that a study gets the same
+    bits alone as in a stack.
+    """
+    k, n = len(studies), config.n_per_study
+    effects, means = np.empty((k, 3)), np.empty((k, 5))
+    z, noise = np.empty((k, n, 5)), np.empty((k, n))
+    a = np.empty((k, n), dtype=np.int64)
+    for i, s in enumerate(studies):
+        base = (config.master_seed, "rep", replication, "study", s)
+        effects[i] = _study_effects(config, replication, s)
+        rng = substream(*base, "covariates")
+        means[i] = _study_means(config, rng)
+        rng.standard_normal(out=z[i])
+        a[i] = substream(*base, "treatment").integers(0, 2, size=n)
+        noise[i] = substream(*base, "noise").normal(0.0, _NOISE_SD, size=n)
+    x = _covariate_stack(means, z)
+    y = _mean_outcomes(x, a, config.cate_setting, effects.T[:, :, None])
+    y += noise
+    return x, a, y
+
+
 def gen_study(config: SimConfig, replication: int, study: int) -> TrialDataset:
-    """Assemble one simulated trial from its derived random streams."""
-    base = (config.master_seed, "rep", replication, "study", study)
-    effects = _study_effects(config, replication, study)
-    x = gen_trial_covariates(config, substream(*base, "covariates"))
-    a = substream(*base, "treatment").integers(0, 2, size=config.n_per_study)
-    y = gen_outcomes(x, a, config.cate_setting, effects, substream(*base, "noise"))
+    """One simulated trial: the stacked draw with K = 1."""
+    (x,), (a,), (y,) = _draw_studies(config, replication, (study,))
     return TrialDataset(
         study_id=study, y=y, a=a, x=x, covariate_names=COVARIATE_NAMES
     )
@@ -280,40 +316,69 @@ linear_cate = forest_cates = bart_cate_normal = estimate_study
 pool_cate = prediction_interval = pool_profiles
 
 
-def _replication_worker(job):
-    """One replication: K fresh studies, Stage 1 fits, pooling, intervals.
+def _stage1(config: SimConfig, params, oracle: bool, replication: int, points):
+    """``(tau, v)``, each (K, P): one replication's Stage 1 at ``points``.
 
-    The linear learner fits the K studies as one stack
-    (:func:`linear_cates_stack`); the forest and BART fit them one by one.
-
-    With ``oracle`` set, each study's true effects, drawn from the same
-    effect stream as gen_study, are injected with negligible variance and no
-    data is drawn.  Returns (replication, (lower, center, upper) arrays over
-    points, None), or (replication, None, reason) if it aborted.
+    The linear learner fits the K studies' arrays from :func:`_draw_studies`
+    as one stack (:func:`linear_cates_arrays`); the forest and BART fit the
+    studies one by one.  With ``oracle`` set, each study's true effects,
+    drawn from the same effect stream as the study draw, are injected with
+    negligible variance and no data is drawn.
     """
-    config, params, oracle, replication, points, alpha = job
     studies = range(1, config.k_studies + 1)
+    if oracle:
+        tau = np.array([true_cate(points, config.cate_setting,
+                                  _study_effects(config, replication, s)) for s in studies])
+        return tau, np.full(tau.shape, _ORACLE_SE2)
+    if params is None:
+        x, a, y = _draw_studies(config, replication, studies)
+        return linear_cates_arrays(x, a, y, points, COVARIATE_NAMES, studies)
     shape = (config.k_studies, points.shape[0])
     tau, v = np.empty(shape), np.empty(shape)
+    for s in studies:  # forest and BART params carry a seed
+        seed = spawn_seed(config.master_seed, "rep", replication, "study", s, "stage1")
+        tau[s - 1], v[s - 1], _ = estimate_study(
+            gen_study(config, replication, s), points, replace(params, seed=seed))
+    return tau, v
+
+
+def _pool_block(fitted, alpha: float):
+    """Stage 2 of the ``(replication, tau, v)`` entries of ``fitted`` in one
+    :func:`pool_profiles` call over their side-by-side (K, P) columns.
+
+    A profile pools to the same bits alone as in a batch, so the call gives
+    each replication what its own call gives.  If the call raises, each
+    replication is pooled alone and aborts with its own reason.
+    """
     try:
-        if oracle:
-            for s in studies:
-                effects = _study_effects(config, replication, s)
-                tau[s - 1] = true_cate(points, config.cate_setting, effects)
-            v[:] = _ORACLE_SE2
-        elif params is None:  # linear: the K studies fitted as one stack
-            tau, v = linear_cates_stack(
-                [gen_study(config, replication, s) for s in studies], points)
-        else:  # forest and BART params carry a seed
-            for s in studies:
-                seed = spawn_seed(config.master_seed, "rep", replication, "study", s, "stage1")
-                tau[s - 1], v[s - 1], _ = estimate_study(
-                    gen_study(config, replication, s), points, replace(params, seed=seed))
-        pooled = pool_profiles(tau, v, alpha)
+        pooled = pool_profiles(np.hstack([tau for _, tau, _ in fitted]),
+                               np.hstack([v for _, _, v in fitted]), alpha)
     except CatemetaError as err:
-        return replication, None, str(err)
-    center, half = pooled.tau_pooled, pooled.half_width
-    return replication, (center - half, center, center + half), None
+        if len(fitted) == 1:
+            return [(fitted[0][0], None, str(err))]
+        return [result for one in fitted for result in _pool_block([one], alpha)]
+    center, half = (arr.reshape(len(fitted), -1) for arr in (pooled.tau_pooled, pooled.half_width))
+    return [(r, (c - h, c, c + h), None) for (r, _, _), c, h in zip(fitted, center, half)]
+
+
+def _replication_worker(job):
+    """One job: a block of consecutive replications, each with K fresh studies.
+
+    Stage 1 runs replication by replication (:func:`_stage1`); a replication
+    whose Stage 1 raises aborts with its reason.  The block's other
+    replications then share one Stage-2 call (:func:`_pool_block`).  Returns,
+    in replication order, (replication, (lower, center, upper) arrays over
+    points, None), or (replication, None, reason) if it aborted.
+    """
+    config, params, oracle, replications, points, alpha = job
+    aborted, fitted = [], []
+    for replication in replications:
+        try:
+            fitted.append((replication, *_stage1(config, params, oracle, replication, points)))
+        except CatemetaError as err:
+            aborted.append((replication, None, str(err)))
+    pooled = _pool_block(fitted, alpha) if fitted else []
+    return sorted(aborted + pooled, key=lambda result: result[0])
 
 
 def run_experiment(
@@ -363,26 +428,32 @@ def run_experiment(
     bias_sum = np.zeros(n_prof)
     aborted, reasons = [], []
 
+    # A job is a block of consecutive replications whose Stage 2 is one call
+    # over about _POOL_ROWS profiles; with several workers, each gets a block.
+    n_reps = config.n_replications
+    size = max(1, min(_POOL_ROWS // n_prof, -(-n_reps // max(n_workers, 1))))
     jobs = [
-        (config, params, method == "oracle", r, points, alpha)
-        for r in range(config.n_replications)
+        (config, params, method == "oracle", range(start, min(start + size, n_reps)),
+         points, alpha)
+        for start in range(0, n_reps, size)
     ]
     if n_workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_replication_worker, jobs, chunksize=1))
+            blocks = list(pool.map(_replication_worker, jobs, chunksize=1))
     else:
-        results = [_replication_worker(job) for job in jobs]
+        blocks = map(_replication_worker, jobs)  # one block in memory at a time
 
-    # Deterministic reduction in replication order.
-    for replication, payload, reason in sorted(results, key=lambda item: item[0]):
-        if payload is None:
-            aborted.append(replication)
-            reasons.append(reason)
-            continue
-        lower, center, upper = payload
-        covered += (lower <= true_tau) & (true_tau <= upper)
-        width_sum += upper - lower
-        bias_sum += center - true_tau
+    # Deterministic reduction in replication order, block by block.
+    for block in blocks:
+        for replication, payload, reason in block:
+            if payload is None:
+                aborted.append(replication)
+                reasons.append(reason)
+                continue
+            lower, center, upper = payload
+            covered += (lower <= true_tau) & (true_tau <= upper)
+            width_sum += upper - lower
+            bias_sum += center - true_tau
     n_eff = config.n_replications - len(aborted)
     divisor = n_eff if n_eff else np.nan  # all NaN when every replication aborted
     return MetricsTable(

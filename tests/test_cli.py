@@ -281,6 +281,17 @@ class TestEstimate:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_forest_bag_of_one_tree_exits_3(self, tmp_path, capsys):
+        # --bag-size 1 used to run: a bag of one tree has no within-bag
+        # variance, so the forest's se2 had no Monte Carlo correction.
+        trials, profiles = write_inputs(tmp_path)
+        out = tmp_path / "x"
+        code = run(["estimate", "--trials", trials, "--profiles", profiles,
+                    "--stage1", "forest", "--trees", 4, "--bag-size", 1, "--out-dir", out])
+        assert code == 3
+        assert one_error_line(capsys.readouterr().err) == "error: bag_size must be >= 2, got 1"
+        assert not out.exists()
+
     def test_invalid_stage1_estimate_exits_1(self, tmp_path, capsys, monkeypatch):
         import catemeta.cli as cli
 

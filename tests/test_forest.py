@@ -79,6 +79,14 @@ class TestForestParams:
         with pytest.raises(ConfigurationError):
             ForestParams(n_trees=50, bag_size=20)
 
+    @pytest.mark.parametrize("bag_size", [1, 0, -2])
+    def test_bag_needs_two_trees(self, bag_size):
+        # bag_size=1 used to construct: its bags have no within-bag variance,
+        # so the variance estimator silently made no Monte Carlo correction.
+        with pytest.raises(ConfigurationError, match=f"bag_size must be >= 2, got {bag_size}"):
+            ForestParams(n_trees=10, bag_size=bag_size)
+        assert ForestParams(n_trees=10, bag_size=2).n_bags == 5
+
     def test_leaf_minima_floor(self):
         with pytest.raises(ConfigurationError):
             ForestParams(min_leaf_treated=1)
@@ -446,7 +454,7 @@ def forest_cases(draw):
     x = np.column_stack(columns)
     a = rng.integers(0, 2, n)
     y = x[:, 0] + a * (1.0 + 2.0 * (x[:, -1] > 0)) + rng.normal(0.0, 0.5, n)
-    bag_size = draw(st.integers(1, 4))
+    bag_size = draw(st.integers(2, 4))
     params = ForestParams(
         n_trees=bag_size * draw(st.integers(1, 3)),
         bag_size=bag_size,

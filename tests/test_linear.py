@@ -89,6 +89,39 @@ def test_moderators_default_to_all_covariates():
     assert fit.coefficients.shape == (2 + 2 + 2,)
 
 
+class TestModeratorIndices:
+    def study(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(60, 4))
+        return dataset_from(rng.normal(size=60), rng.integers(0, 2, 60), x)
+
+    @pytest.mark.parametrize("moderators", [(0, 0), (3, 0, 3)])
+    def test_repeated_index_is_refused(self, moderators):
+        # (0, 0) used to fit (0,), and (3, 0, 3) fitted (0, 3).
+        with pytest.raises(ValueError, match="moderator indices must not repeat"):
+            linear_cates_stack([self.study()], np.zeros((2, 4)), moderators)
+
+    @pytest.mark.parametrize("moderators", [(1.0,), (0, 2.7), ("1",)])
+    def test_non_integer_index_is_refused(self, moderators):
+        # A float index used to be truncated: 2.7 fitted column 2.
+        with pytest.raises(ValueError, match="moderator indices must be integers"):
+            linear_cates_stack([self.study()], np.zeros((2, 4)), moderators)
+
+    @pytest.mark.parametrize("moderators", [(-1,), (4,)])
+    def test_index_out_of_range_is_refused(self, moderators):
+        with pytest.raises(ValueError, match=re.escape("moderator indices must be in [0, 4)")):
+            linear_cates_stack([self.study()], np.zeros((2, 4)), moderators)
+
+    def test_order_and_integer_type_do_not_matter(self):
+        # The CLI passes indices in the order the names were given; the
+        # columns are always fitted in increasing index order.
+        study, points = self.study(), np.random.default_rng(10).normal(size=(5, 4))
+        want = linear_cates_stack([study], points, (0, 3))
+        for moderators in ((3, 0), (np.int64(3), np.int8(0)), np.array([3, 0])):
+            got = linear_cates_stack([study], points, moderators)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 class TestLinearCate:
     def contrast(self, coefficients, covariance, x):
         """(tau_hat, se2) at the one-covariate point ``x`` of a study with the

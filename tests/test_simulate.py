@@ -7,8 +7,10 @@ import pytest
 
 from catemeta import (
     BartParams,
+    CatemetaError,
     ConfigurationError,
     DimensionMismatchError,
+    EstimationError,
     ForestParams,
     SimConfig,
     draw_study_effects,
@@ -25,6 +27,8 @@ from catemeta import (
     true_cate,
 )
 from catemeta import pool_profiles, simulate
+from catemeta.linear import linear_cates_stack
+from catemeta.meta import ndtri
 from catemeta.rng import substream
 
 
@@ -106,7 +110,9 @@ class TestCovariateDraw:
                 means, simulate._COVARIANCE, size=64, method="cholesky")
             want = latent.copy()
             for j in simulate._BINARY_COLUMNS:
-                want[:, j] = simulate._draw_binary(latent[:, j], means[j], 64)
+                # Pr(1) is the mean clamped to [0, 1]: past either end, a constant.
+                p = min(max(means[j], 0.0), 1.0)
+                want[:, j] = latent[:, j] <= means[j] + ndtri(p) if 0.0 < p < 1.0 else p
             assert np.array_equal(got, want), seed
 
 
@@ -319,6 +325,119 @@ class TestHarness:
             covered += (lower <= target) & (target <= upper)
         coverage = covered / reps
         assert np.all(coverage >= 0.92) and np.all(coverage <= 0.98), coverage
+
+
+class TestStackedDraw:
+    @pytest.mark.parametrize("setting", ["linear", "nonlinear"])
+    @pytest.mark.parametrize("mode", ["variable", "same", "age_only_variable"])
+    @pytest.mark.parametrize("distribution", ["normal", "uniform"])
+    def test_equals_one_study_at_a_time_bit_for_bit(self, setting, mode, distribution):
+        cfg = config(k_studies=6, n_per_study=90, cate_setting=setting, covariate_mode=mode,
+                     effect_distribution=distribution, heterogeneity_level=3, master_seed=12)
+        studies = (1, 2, 3, 4, 5, 6)
+        x, a, y = simulate._draw_studies(cfg, 5, studies)
+        assert x.shape == (6, 90, 5) and a.shape == y.shape == (6, 90)
+        for i, s in enumerate(studies):
+            one = gen_study(cfg, 5, s)
+            assert one.study_id == s
+            assert np.array_equal(x[i], one.x) and np.array_equal(a[i], one.a)
+            assert np.array_equal(y[i], one.y)
+            # The same study from the public per-study pieces, each stream in
+            # its documented order: effects, covariates, treatment, noise.
+            base = (cfg.master_seed, "rep", 5, "study", s)
+            effects = draw_study_effects(3, distribution, substream(*base, "effects"))
+            want_x = gen_trial_covariates(cfg, substream(*base, "covariates"))
+            want_a = substream(*base, "treatment").integers(0, 2, size=90)
+            want_y = gen_outcomes(want_x, want_a, setting, effects, substream(*base, "noise"))
+            assert np.array_equal(x[i], want_x) and np.array_equal(a[i], want_a)
+            assert np.array_equal(y[i], want_y)
+
+
+def per_replication_reference(cfg, alpha=0.05, skip=()):
+    """``(coverage, mean_length, bias), aborted, reasons`` of the linear
+    harness from one Stage-1 stack and one pool_profiles call per
+    replication, reduced in replication order; ``skip`` leaves replications out."""
+    points = gen_target_profiles(cfg, substream(cfg.master_seed, "target-profiles"))
+    effects = draw_study_effects(cfg.heterogeneity_level, cfg.effect_distribution,
+                                 substream(cfg.master_seed, "target-effects"))
+    truth = true_cate(points, cfg.cate_setting, effects)
+    covered, width, bias = (np.zeros(len(points)) for _ in range(3))
+    aborted, reasons = [], []
+    for r in range(cfg.n_replications):
+        if r in skip:
+            continue
+        try:
+            tau, v = linear_cates_stack(
+                [gen_study(cfg, r, s) for s in range(1, cfg.k_studies + 1)], points)
+        except CatemetaError as err:
+            aborted.append(r)
+            reasons.append(str(err))
+            continue
+        pooled = pool_profiles(tau, v, alpha)
+        lower = pooled.tau_pooled - pooled.half_width
+        upper = pooled.tau_pooled + pooled.half_width
+        covered += (lower <= truth) & (truth <= upper)
+        width += upper - lower
+        bias += pooled.tau_pooled - truth
+    n_eff = cfg.n_replications - len(skip) - len(aborted)
+    return (covered / n_eff, width / n_eff, bias / n_eff), aborted, reasons
+
+
+def assert_same_table(table, want):
+    for got, expected in zip((table.coverage, table.mean_length, table.bias), want):
+        assert np.array_equal(got, expected)
+
+
+class TestBlockPooling:
+    # 23 replications of 100 profiles run in blocks of 10, 10 and 3.
+    # Replications 21 and 22 abort in Stage 1 (a constant smoking column).
+    CFG = config(n_per_study=100, n_replications=23)
+    SINGULAR = {21: "smoking", 22: "treatment:smoking"}
+
+    def test_blocks_equal_one_pool_call_per_replication(self, monkeypatch):
+        want, aborted, reasons = per_replication_reference(self.CFG)
+        assert aborted == list(self.SINGULAR)
+        assert reasons == [f"design matrix is singular: column '{column}' is linearly "
+                           "dependent on earlier columns" for column in self.SINGULAR.values()]
+        columns = []
+
+        def recording(tau, v, alpha=None):
+            columns.append(tau.shape[1])
+            return pool_profiles(tau, v, alpha)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "pool_profiles", recording)
+            tables = [run_experiment(self.CFG, "linear")]
+        assert columns == [1000, 1000, 100]
+        tables += [run_experiment(self.CFG, "linear", n_workers=n) for n in (2, 3)]
+        for table in tables:
+            assert table.aborted_replications == tuple(aborted)
+            assert table.abort_reasons == tuple(reasons)
+            assert table.n_effective_replications == 21
+            assert_same_table(table, want)
+
+    def test_stage2_error_aborts_only_its_replication(self, monkeypatch):
+        points = gen_target_profiles(self.CFG, substream(self.CFG.master_seed, "target-profiles"))
+        fourth, _ = linear_cates_stack(
+            [gen_study(self.CFG, 4, s) for s in range(1, self.CFG.k_studies + 1)], points)
+        calls = []
+
+        def failing(tau, v, alpha=None):
+            calls.append(tau.shape[1])
+            if any(np.array_equal(tau[:, j:j + 100], fourth) for j in range(0, tau.shape[1], 100)):
+                raise EstimationError("replication 4 does not pool")
+            return pool_profiles(tau, v, alpha)
+
+        monkeypatch.setattr(simulate, "pool_profiles", failing)
+        table = run_experiment(self.CFG, "linear")
+        want, aborted, reasons = per_replication_reference(self.CFG, skip=(4,))
+        assert table.aborted_replications == (4, *aborted)
+        assert table.abort_reasons == ("replication 4 does not pool", *reasons)
+        assert table.n_effective_replications == 20
+        # The first block's one call fails; its ten replications are then
+        # pooled one by one.
+        assert calls == [1000] + [100] * 10 + [1000, 100]
+        assert_same_table(table, want)
 
 
 class TestEstimateStudy:
