@@ -69,6 +69,9 @@ STAGE1_METHODS = ("linear", "forest_honest", "forest_adaptive", "bart", "oracle"
 _ORACLE_SE2 = 1e-6
 # Profiles (rows of K studies) that one Stage-2 call of the harness pools.
 _POOL_ROWS = 1024
+# Jobs per worker a parallel run cuts its blocks of replications into, so a
+# worker that draws slow replications does not hold the others up.
+_JOBS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -361,8 +364,25 @@ def _pool_block(fitted, alpha: float):
     return [(r, (c - h, c, c + h), None) for (r, _, _), c, h in zip(fitted, center, half)]
 
 
+def _block_size(blocked: bool, n_reps: int, n_prof: int, n_workers: int) -> int:
+    """Replications per job of :func:`run_experiment`.
+
+    A linear or oracle replication (``blocked``) costs about as much in
+    Stage 2 as in Stage 1, so a job pools a block of them in one call over
+    at most :data:`_POOL_ROWS` profiles; a parallel run cuts the blocks so
+    each worker gets at least :data:`_JOBS_PER_WORKER` of them.  A forest
+    or BART replication is nearly all Stage 1, so it is a job of its own,
+    the finest balance across workers.
+    """
+    if not blocked:
+        return 1
+    per_job = n_reps if n_workers <= 1 else -(-n_reps // (_JOBS_PER_WORKER * n_workers))
+    return max(1, min(_POOL_ROWS // n_prof, per_job))
+
+
 def _replication_worker(job):
-    """One job: a block of consecutive replications, each with K fresh studies.
+    """One job: a block of consecutive replications, each with K fresh studies
+    (:func:`_block_size` says how many).
 
     Stage 1 runs replication by replication (:func:`_stage1`); a replication
     whose Stage 1 raises aborts with its reason.  The block's other
@@ -428,10 +448,9 @@ def run_experiment(
     bias_sum = np.zeros(n_prof)
     aborted, reasons = [], []
 
-    # A job is a block of consecutive replications whose Stage 2 is one call
-    # over about _POOL_ROWS profiles; with several workers, each gets a block.
+    # A job is a block of consecutive replications with one Stage-2 call.
     n_reps = config.n_replications
-    size = max(1, min(_POOL_ROWS // n_prof, -(-n_reps // max(n_workers, 1))))
+    size = _block_size(params is None, n_reps, n_prof, n_workers)
     jobs = [
         (config, params, method == "oracle", range(start, min(start + size, n_reps)),
          points, alpha)

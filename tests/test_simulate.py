@@ -439,6 +439,35 @@ class TestBlockPooling:
         assert calls == [1000] + [100] * 10 + [1000, 100]
         assert_same_table(table, want)
 
+    @pytest.mark.parametrize("blocked, n_reps, n_prof, n_workers, size", [
+        (True, 23, 100, 1, 10),    # capped by the pool's 1,024 rows
+        (True, 7, 100, 1, 7),      # fewer replications than a full block
+        (True, 23, 2000, 1, 1),    # one replication is over 1,024 rows
+        (True, 100, 100, 3, 9),    # 12 jobs: 4 per worker
+        (True, 500, 100, 8, 10),   # enough replications for full blocks
+        (True, 5, 100, 4, 1),
+        (False, 100, 100, 1, 1),   # forest and BART: one replication a job
+        (False, 500, 100, 8, 1),
+    ])
+    def test_block_size(self, blocked, n_reps, n_prof, n_workers, size):
+        assert simulate._block_size(blocked, n_reps, n_prof, n_workers) == size
+
+    def test_only_linear_and_oracle_replications_share_a_job(self, monkeypatch):
+        cfg = config(k_studies=3, n_per_study=100)
+        small = ForestParams(n_trees=4, bag_size=2)
+        worker, sizes = simulate._replication_worker, {}
+
+        def recording(job):
+            sizes.setdefault(method, []).append(len(job[3]))
+            return worker(job)
+
+        monkeypatch.setattr(simulate, "_replication_worker", recording)
+        for method in simulate.STAGE1_METHODS:
+            run_experiment(cfg, method, forest_params=small,
+                           bart_params=BartParams(n_trees=2, n_burn=2, n_draws=2))
+        assert sizes == {"linear": [3], "oracle": [3], "forest_honest": [1, 1, 1],
+                         "forest_adaptive": [1, 1, 1], "bart": [1, 1, 1]}
+
 
 class TestEstimateStudy:
     def test_agrees_with_per_profile_reference(self):
