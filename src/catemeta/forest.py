@@ -43,7 +43,8 @@ from .model import (
     check_points,
     check_seed,
 )
-from .rng import substream
+# substream is bound only for perfbench/tracing.py, which wraps it here.
+from .rng import stream, stream_states, substream  # noqa: F401
 
 _SE2_FLOOR_FACTOR = 1e-6
 _MAX_SKIP_FRACTION = 0.5
@@ -136,6 +137,11 @@ class CausalForestModel:
 def fit_causal_forest(dataset: TrialDataset, params: ForestParams) -> CausalForestModel:
     """Grow the forest on one study's data.
 
+    The streams of ``substream(seed, "bag", b)`` and ``substream(seed,
+    "tree", t)`` are derived in one :func:`rng.stream_states` call for the
+    bags and one for the trees, and each ``Generator`` is built when its
+    bag's half-sample or its tree's subsample is drawn.
+
     Raises ``ConfigurationError`` when the subsample cannot plausibly
     satisfy the per-arm leaf minima.
     """
@@ -157,9 +163,10 @@ def fit_causal_forest(dataset: TrialDataset, params: ForestParams) -> CausalFore
     a = dataset.a
     half = (n + 1) // 2
     bag_pools = [
-        substream(params.seed, "bag", b).permutation(n)[:half]
-        for b in range(params.n_bags)
+        stream(state).permutation(n)[:half]
+        for state in stream_states(params.seed, ("bag",), range(params.n_bags))[0]
     ]
+    tree_states = stream_states(params.seed, ("tree",), range(params.n_trees))[0]
     values = []
     ranks = np.empty(x.shape[::-1], dtype=np.int64)
     for j, column in enumerate(x.T):
@@ -172,7 +179,7 @@ def fit_causal_forest(dataset: TrialDataset, params: ForestParams) -> CausalFore
         samples = []
         for t in range(first, min(first + batch, params.n_trees)):
             pool = bag_pools[t // params.bag_size]
-            perm = pool[substream(params.seed, "tree", t).permutation(half)[:m]].astype(np.int32)
+            perm = pool[stream(tree_states[t]).permutation(half)[:m]].astype(np.int32)
             samples.append((perm[: m // 2], perm[m // 2 :]) if params.honest else (perm, perm))
         for nodes, (split_rows, est_rows) in zip(
             grow_trees(x, y, a, values, ranks, samples, params), samples

@@ -82,13 +82,15 @@ def _moderators(moderators, p: int) -> tuple[int, ...]:
     """The moderator indices in increasing order; all ``p`` when None.
 
     Each index is taken with ``operator.index``, so a float such as 1.0 is
-    refused rather than truncated.  A repeated or out-of-range index raises
-    ``ValueError``.
+    refused rather than truncated, and so is a ``bool``.  A repeated or
+    out-of-range index raises ``ValueError``.
     """
     if moderators is None:
         return tuple(range(p))
     try:
-        mods = tuple(sorted(operator.index(m) for m in moderators))
+        # A bool is taken as None, which operator.index refuses.
+        mods = tuple(sorted(operator.index(None if isinstance(m, bool) else m)
+                            for m in moderators))
     except TypeError:
         raise ValueError(f"moderator indices must be integers, got {moderators!r}") from None
     if len(set(mods)) != len(mods):

@@ -76,10 +76,12 @@ class TrialDataset:
 
 def check_integers(params, *names: str) -> None:
     """Raise ``ConfigurationError`` for the first of ``names`` whose value is
-    not an integer; numpy integers are, a float such as 2.0 is not."""
+    not an integer; numpy integers are, a float such as 2.0 is not, nor is a
+    ``bool``."""
     for name in names:
-        if not isinstance(getattr(params, name), numbers.Integral):
-            raise ConfigurationError(f"{name} must be an integer, got {getattr(params, name)!r}")
+        value = getattr(params, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 def check_seed(params, name: str) -> None:

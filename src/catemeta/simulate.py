@@ -29,7 +29,7 @@ from .forest import ForestParams, fit_causal_forest, forest_predict
 from .linear import fit_interaction_ols, linear_cates_arrays, linear_cates_stack  # noqa: F401
 from .meta import ndtri, pool_profiles, reml_theta2_batch  # noqa: F401
 from .model import TrialDataset, check_integers, check_points, check_seed
-from .rng import spawn_seed, substream
+from .rng import stream, stream_states, substream
 
 COVARIATE_NAMES = ("age", "sex", "smoking", "weight", "madrs")
 _AGE, _SEX, _SMOKING, _WEIGHT, _MADRS = range(5)
@@ -69,6 +69,10 @@ STAGE1_METHODS = ("linear", "forest_honest", "forest_adaptive", "bart", "oracle"
 _ORACLE_SE2 = 1e-6
 # Profiles (rows of K studies) that one Stage-2 call of the harness pools.
 _POOL_ROWS = 1024
+# The streams of one study of a replication, derived together for a block of
+# replications: its draw's four, in the order it draws from them, and the
+# seed of a forest or BART fit.
+_STUDY_STREAMS = ("effects", "covariates", "treatment", "noise", "stage1")
 # Jobs per worker a parallel run cuts its blocks of replications into, so a
 # worker that draws slow replications does not hold the others up.
 _JOBS_PER_WORKER = 4
@@ -234,34 +238,46 @@ def gen_outcomes(covariates, treatments, setting: str, effects, rng) -> np.ndarr
     return _mean_outcomes(covariates, treatments, setting, effects) + noise
 
 
-def _study_effects(config: SimConfig, replication: int, study: int):
-    """One study's (a, b, c) draw, shared by the study draw and the oracle."""
-    rng = substream(config.master_seed, "rep", replication, "study", study, "effects")
-    return draw_study_effects(config.heterogeneity_level, config.effect_distribution, rng)
+def _study_states(config: SimConfig, replications, studies) -> np.ndarray:
+    """The stream seeds (B, K, 5, 4) of the given studies of B replications:
+    study ``s`` of replication ``r`` has the :data:`_STUDY_STREAMS` of
+    ``substream(master_seed, "rep", r, "study", s, label)``, all derived in
+    one :func:`rng.stream_states` call."""
+    states = stream_states(config.master_seed, ("rep",), replications, ("study",), studies,
+                           _STUDY_STREAMS)
+    return states[0, :, 0]
 
 
-def _draw_studies(config: SimConfig, replication: int, studies):
-    """``x`` (K, n, 5), ``a`` (K, n) and ``y`` (K, n) of the given studies of
-    one replication.
+def _study_effects(config: SimConfig, state) -> tuple[float, float, float]:
+    """One study's (a, b, c) draw from its effects stream, shared by the study
+    draw and the oracle."""
+    return draw_study_effects(config.heterogeneity_level, config.effect_distribution,
+                              stream(state))
+
+
+def _draw_studies(config: SimConfig, states):
+    """``x`` (K, n, 5), ``a`` (K, n) and ``y`` (K, n) of K studies of one
+    replication, given their stream seeds ``states`` (K, 5, 4) from
+    :func:`_study_states`.
 
     Each study draws from its own four streams, in this order: its effects;
     its covariates (the means, then the rows' standard normals); its
-    treatment; its noise.  The arithmetic then runs once on the stack, each
-    step element by element or slice by slice, so that a study gets the same
-    bits alone as in a stack.
+    treatment; its noise.  Each ``Generator`` is built when its study is
+    drawn.  The arithmetic then runs once on the stack, each step element
+    by element or slice by slice, so that a study gets the same bits alone
+    as in a stack.
     """
-    k, n = len(studies), config.n_per_study
+    k, n = len(states), config.n_per_study
     effects, means = np.empty((k, 3)), np.empty((k, 5))
     z, noise = np.empty((k, n, 5)), np.empty((k, n))
     a = np.empty((k, n), dtype=np.int64)
-    for i, s in enumerate(studies):
-        base = (config.master_seed, "rep", replication, "study", s)
-        effects[i] = _study_effects(config, replication, s)
-        rng = substream(*base, "covariates")
+    for i, (effects_state, covariates_state, treatment_state, noise_state, _) in enumerate(states):
+        effects[i] = _study_effects(config, effects_state)
+        rng = stream(covariates_state)
         means[i] = _study_means(config, rng)
         rng.standard_normal(out=z[i])
-        a[i] = substream(*base, "treatment").integers(0, 2, size=n)
-        noise[i] = substream(*base, "noise").normal(0.0, _NOISE_SD, size=n)
+        a[i] = stream(treatment_state).integers(0, 2, size=n)
+        noise[i] = stream(noise_state).normal(0.0, _NOISE_SD, size=n)
     x = _covariate_stack(means, z)
     y = _mean_outcomes(x, a, config.cate_setting, effects.T[:, :, None])
     y += noise
@@ -270,7 +286,7 @@ def _draw_studies(config: SimConfig, replication: int, studies):
 
 def gen_study(config: SimConfig, replication: int, study: int) -> TrialDataset:
     """One simulated trial: the stacked draw with K = 1."""
-    (x,), (a,), (y,) = _draw_studies(config, replication, (study,))
+    (x,), (a,), (y,) = _draw_studies(config, _study_states(config, (replication,), (study,))[0])
     return TrialDataset(
         study_id=study, y=y, a=a, x=x, covariate_names=COVARIATE_NAMES
     )
@@ -319,29 +335,32 @@ linear_cate = forest_cates = bart_cate_normal = estimate_study
 pool_cate = prediction_interval = pool_profiles
 
 
-def _stage1(config: SimConfig, params, oracle: bool, replication: int, points):
-    """``(tau, v)``, each (K, P): one replication's Stage 1 at ``points``.
+def _stage1(config: SimConfig, params, oracle: bool, states, points):
+    """``(tau, v)``, each (K, P): one replication's Stage 1 at ``points``,
+    given its studies' stream seeds ``states`` (K, 5, 4).
 
-    The linear learner fits the K studies' arrays from :func:`_draw_studies`
-    as one stack (:func:`linear_cates_arrays`); the forest and BART fit the
-    studies one by one.  With ``oracle`` set, each study's true effects,
-    drawn from the same effect stream as the study draw, are injected with
-    negligible variance and no data is drawn.
+    The K studies are drawn in one :func:`_draw_studies` call.  The linear
+    learner fits them as one stack (:func:`linear_cates_arrays`); the forest
+    and BART fit them one by one, each seeded from its study's ``stage1``
+    stream as ``rng.spawn_seed`` derives a seed.  With ``oracle`` set, each
+    study's true effects, drawn from the same effect stream as the study
+    draw, are injected with negligible variance and no data is drawn.
     """
     studies = range(1, config.k_studies + 1)
     if oracle:
-        tau = np.array([true_cate(points, config.cate_setting,
-                                  _study_effects(config, replication, s)) for s in studies])
+        tau = np.array([true_cate(points, config.cate_setting, _study_effects(config, state))
+                        for state in states[:, 0]])
         return tau, np.full(tau.shape, _ORACLE_SE2)
+    x, a, y = _draw_studies(config, states)
     if params is None:
-        x, a, y = _draw_studies(config, replication, studies)
         return linear_cates_arrays(x, a, y, points, COVARIATE_NAMES, studies)
     shape = (config.k_studies, points.shape[0])
     tau, v = np.empty(shape), np.empty(shape)
-    for s in studies:  # forest and BART params carry a seed
-        seed = spawn_seed(config.master_seed, "rep", replication, "study", s, "stage1")
-        tau[s - 1], v[s - 1], _ = estimate_study(
-            gen_study(config, replication, s), points, replace(params, seed=seed))
+    for i, s in enumerate(studies):  # forest and BART params carry a seed
+        seed = int(stream(states[i, 4]).integers(1 << 63))
+        dataset = TrialDataset(study_id=s, y=y[i], a=a[i], x=x[i],
+                               covariate_names=COVARIATE_NAMES)
+        tau[i], v[i], _ = estimate_study(dataset, points, replace(params, seed=seed))
     return tau, v
 
 
@@ -384,17 +403,21 @@ def _replication_worker(job):
     """One job: a block of consecutive replications, each with K fresh studies
     (:func:`_block_size` says how many).
 
-    Stage 1 runs replication by replication (:func:`_stage1`); a replication
-    whose Stage 1 raises aborts with its reason.  The block's other
-    replications then share one Stage-2 call (:func:`_pool_block`).  Returns,
-    in replication order, (replication, (lower, center, upper) arrays over
-    points, None), or (replication, None, reason) if it aborted.
+    The streams of every study of the block are derived in one
+    :func:`_study_states` call.  Stage 1 then runs replication by
+    replication (:func:`_stage1`); a replication whose Stage 1 raises
+    aborts with its reason.  The block's other replications then share one
+    Stage-2 call (:func:`_pool_block`).  Returns, in replication order,
+    (replication, (lower, center, upper) arrays over points, None), or
+    (replication, None, reason) if it aborted.
     """
     config, params, oracle, replications, points, alpha = job
+    states = _study_states(config, replications, range(1, config.k_studies + 1))
     aborted, fitted = [], []
-    for replication in replications:
+    for replication, replication_states in zip(replications, states):
         try:
-            fitted.append((replication, *_stage1(config, params, oracle, replication, points)))
+            fitted.append((replication,
+                           *_stage1(config, params, oracle, replication_states, points)))
         except CatemetaError as err:
             aborted.append((replication, None, str(err)))
     pooled = _pool_block(fitted, alpha) if fitted else []

@@ -59,7 +59,7 @@ class TestParams:
         assert BartParams(seed=2**64 - 1).seed == 2**64 - 1
 
     @pytest.mark.parametrize("field, value", [
-        ("seed", 2.5), ("n_trees", 5.0), ("n_burn", 10.0), ("n_draws", 20.0),
+        ("seed", 2.5), ("n_trees", 5.0), ("n_burn", 10.0), ("n_draws", 20.0), ("n_trees", True),
     ])
     def test_integer_fields_must_be_integers(self, field, value):
         with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):

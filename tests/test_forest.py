@@ -104,6 +104,7 @@ class TestForestParams:
 
     @pytest.mark.parametrize("field, value", [
         ("seed", 2.5), ("n_trees", 40.0), ("bag_size", 20.0), ("min_leaf_treated", 5.0),
+        ("seed", True),
     ])
     def test_integer_fields_must_be_integers(self, field, value):
         # ForestParams(seed=2.5) used to construct and grow the seed-2 forest.

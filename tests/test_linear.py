@@ -101,9 +101,10 @@ class TestModeratorIndices:
         with pytest.raises(ValueError, match="moderator indices must not repeat"):
             linear_cates_stack([self.study()], np.zeros((2, 4)), moderators)
 
-    @pytest.mark.parametrize("moderators", [(1.0,), (0, 2.7), ("1",)])
+    @pytest.mark.parametrize("moderators", [(1.0,), (0, 2.7), ("1",), (True, 3)])
     def test_non_integer_index_is_refused(self, moderators):
-        # A float index used to be truncated: 2.7 fitted column 2.
+        # A float index used to be truncated: 2.7 fitted column 2, and True
+        # fitted column 1.
         with pytest.raises(ValueError, match="moderator indices must be integers"):
             linear_cates_stack([self.study()], np.zeros((2, 4)), moderators)
 

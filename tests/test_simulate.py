@@ -26,10 +26,10 @@ from catemeta import (
     run_experiment,
     true_cate,
 )
-from catemeta import pool_profiles, simulate
+from catemeta import forest, pool_profiles, simulate
 from catemeta.linear import linear_cates_stack
 from catemeta.meta import ndtri
-from catemeta.rng import substream
+from catemeta.rng import spawn_seed, substream
 
 
 def config(**overrides):
@@ -57,7 +57,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("k_studies", 3.5), ("n_per_study", 20.5), ("n_replications", 2.0),
-        ("master_seed", 1.5), ("heterogeneity_level", 1.0),
+        ("master_seed", 1.5), ("heterogeneity_level", 1.0), ("master_seed", True),
     ])
     def test_integer_fields_must_be_integers(self, field, value):
         # These used to construct: master_seed 1.5 ran as seed 1, and a float
@@ -335,7 +335,7 @@ class TestStackedDraw:
         cfg = config(k_studies=6, n_per_study=90, cate_setting=setting, covariate_mode=mode,
                      effect_distribution=distribution, heterogeneity_level=3, master_seed=12)
         studies = (1, 2, 3, 4, 5, 6)
-        x, a, y = simulate._draw_studies(cfg, 5, studies)
+        x, a, y = simulate._draw_studies(cfg, simulate._study_states(cfg, (5,), studies)[0])
         assert x.shape == (6, 90, 5) and a.shape == y.shape == (6, 90)
         for i, s in enumerate(studies):
             one = gen_study(cfg, 5, s)
@@ -351,6 +351,55 @@ class TestStackedDraw:
             want_y = gen_outcomes(want_x, want_a, setting, effects, substream(*base, "noise"))
             assert np.array_equal(x[i], want_x) and np.array_equal(a[i], want_a)
             assert np.array_equal(y[i], want_y)
+
+
+class TestBlockStreams:
+    """A block's streams come from one batch derivation, bit for bit the
+    streams that ``substream`` gives each study."""
+
+    def test_block_draws_equal_gen_study(self):
+        cfg = config(k_studies=3, n_per_study=50, master_seed=2**40 + 3)
+        studies = (1, 2, 3)
+        states = simulate._study_states(cfg, range(4), studies)
+        assert states.shape == (4, 3, 5, 4)
+        for r in range(4):  # replication 0's path has a one-word part of 0
+            x, a, y = simulate._draw_studies(cfg, states[r])
+            for i, s in enumerate(studies):
+                one = gen_study(cfg, r, s)
+                assert np.array_equal(x[i], one.x) and np.array_equal(a[i], one.a)
+                assert np.array_equal(y[i], one.y)
+                base = (cfg.master_seed, "rep", r, "study", s)
+                want_a = substream(*base, "treatment").integers(0, 2, size=50)
+                assert np.array_equal(a[i], want_a)
+
+    @pytest.mark.parametrize("k, n_reps", [(3, 2), (5, 4)])
+    def test_a_run_derives_two_single_streams(self, monkeypatch, k, n_reps):
+        # The target profiles' and target effects' streams are the only ones
+        # a run derives one at a time, whatever the method, K and replication
+        # count; a forest or BART fit is seeded as spawn_seed seeds it.
+        calls, seeds = [], []
+        for module in (simulate, forest):
+            monkeypatch.setattr(module, "substream",
+                                lambda *path, one=module.substream: calls.append(path) or one(*path))
+
+        def recording(dataset, points, params):
+            seeds.append((dataset.study_id, params.seed))
+            return estimate_study(dataset, points, params)
+
+        monkeypatch.setattr(simulate, "estimate_study", recording)
+        cfg = config(k_studies=k, n_per_study=100, n_replications=n_reps)
+        for method in simulate.STAGE1_METHODS:
+            calls.clear()
+            seeds.clear()
+            run_experiment(cfg, method, forest_params=ForestParams(n_trees=4, bag_size=2),
+                           bart_params=BartParams(n_trees=2, n_burn=2, n_draws=2))
+            assert calls == [(10, "target-profiles"), (10, "target-effects")], method
+            if seeds:
+                assert seeds == [(s, spawn_seed(10, "rep", r, "study", s, "stage1"))
+                                 for r in range(n_reps) for s in range(1, k + 1)]
+        calls.clear()
+        fit_causal_forest(gen_study(cfg, 0, 1), ForestParams(n_trees=20, bag_size=4, seed=9))
+        assert calls == []
 
 
 def per_replication_reference(cfg, alpha=0.05, skip=()):
