@@ -2,10 +2,10 @@
 
 Every run writes its artifacts into --out-dir together with a manifest.json
 recording a content digest of the inputs and options, per-phase timings,
-the SHA-256 of each artifact and each warning printed; ``_Manifest`` keeps
-that record.  SVG artifacts embed the manifest digest as a comment; CSV
-schemas are fixed, so CSV artifacts are linked to the digest through the
-manifest's artifact registry instead.
+the process's peak resident memory, the SHA-256 of each artifact and each
+warning printed; ``_Manifest`` keeps that record.  SVG artifacts embed the
+manifest digest as a comment; CSV schemas are fixed, so CSV artifacts are
+linked to the digest through the manifest's artifact registry instead.
 
 Exit codes: 0 success, 1 runtime estimation failure, 2 input/schema error,
 3 config error.
@@ -24,6 +24,11 @@ from collections import Counter
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
 
 import numpy as np
 
@@ -71,8 +76,26 @@ def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# Bytes of a file hashed at a time.
+_HASH_CHUNK = 1 << 20
+
+
 def _sha256_file(path: str | Path) -> str:
-    return _sha256_bytes(Path(path).read_bytes())
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set size so far in MB (2**20 bytes); None
+    where the platform does not report it.  ``ru_maxrss`` is in KiB on Linux
+    and in bytes on macOS."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 3)
 
 
 class _Manifest:
@@ -83,8 +106,9 @@ class _Manifest:
     times a block into ``timings_seconds``; ``artifact(name)`` returns
     ``out_dir / name`` and registers it; ``warn(note)`` prints ``warning:
     <note>`` to stderr and keeps the note.  ``write()`` hashes the artifacts in
-    the order they were registered, writes manifest.json and returns the exit
-    code 0.
+    the order they were registered, records the peak resident memory beside
+    the timings (neither is in the digest), writes manifest.json and returns
+    the exit code 0.
     """
 
     def __init__(self, subcommand: str, out_dir: str, input_paths: list[str], options: dict,
@@ -135,6 +159,7 @@ class _Manifest:
             "options": self.options,
             "seed": self.seed,
             "timings_seconds": {k: round(v, 6) for k, v in self.timings.items()},
+            "peak_rss_mb": _peak_rss_mb(),
             "artifacts": [{"path": p.name, "sha256": _sha256_file(p)} for p in self.artifacts],
             "notes": self.notes,
             "diagnostics": self.diagnostics,

@@ -1,21 +1,21 @@
 """CSV schemas and config-file parsing.
 
 All files are UTF-8 with ``.`` decimal separators, written with LF line
-endings.  Every file is read by ``_read_text``: it drops a leading
-byte-order mark and decodes strict UTF-8, and a byte that does not decode
-is an error naming its file and line.  The readers accept CRLF and lone CR
-endings too.
-Every table is read by ``_read_columns``: it checks the whole header before
-any value, then parses the rows with one ``np.loadtxt`` call into one array
-per column.  The row scan, ``_scan_columns``, is the rule: it decides whether
-an input is bad and names the line of a bad row, and it runs only where
+endings.  A leading byte-order mark is dropped, and a byte that does not
+decode as strict UTF-8 is an error naming its file and line (``_decode``).
+The readers accept CRLF and lone CR endings too.
+Every table is read by ``_read_columns`` from the file's bytes: it decodes
+only the header, checks it before any value, then parses an ASCII body with
+one ``np.loadtxt`` call into one array per column.  The row scan,
+``_scan_columns``, is the rule: it decides whether an input is bad and names
+the line of a bad row, and it runs, on the decoded body, only where
 ``loadtxt`` fails or cannot be trusted.  A bad header, field count or value,
 or a row that breaks a reader's rules, raises one ``InputFormatError`` naming
 ``file:line``, the line on which the row starts; a line number is worked out
-only for an error.  Every table is written by ``_write_table``: integers
-as integers, floats with ``repr`` (the shortest round-tripping form), strings
-as they are and ``None`` as an empty field, so parsing our own output and
-writing it again is byte-identical.
+only for an error.  Every table is written by ``_write_table``, a thousand
+rows at a time: integers as integers, floats with ``repr`` (the shortest
+round-tripping form), strings as they are and ``None`` as an empty field, so
+parsing our own output and writing it again is byte-identical.
 
 Schemas:
   trials       study_id,y,a,<covariate_1>,...,<covariate_p>
@@ -33,7 +33,7 @@ import csv
 import os
 from dataclasses import dataclass, fields
 from functools import partial
-from io import StringIO
+from io import BytesIO, StringIO
 from itertools import islice
 
 import numpy as np
@@ -66,14 +66,20 @@ def _fmt(value) -> str:
 _FORMATS = {"f": repr, "i": str, "U": str}
 
 
+# Rows formatted and written at a time, which bounds the strings held.
+_WRITE_ROWS = 1024
+
+
 def _write_table(path: str, header: tuple[str, ...], columns) -> None:
     """Write equal-length columns under ``header``, one row per index; ``None``
     is an empty field."""
-    texts = [list(map(_FORMATS.get(c.dtype.kind, _fmt), c.tolist()))
-             for c in map(np.asarray, columns)]
+    columns = [np.asarray(c) for c in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*texts))
+        for lo in range(0, len(columns[0]), _WRITE_ROWS):
+            texts = [list(map(_FORMATS.get(c.dtype.kind, _fmt), c[lo:lo + _WRITE_ROWS].tolist()))
+                     for c in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*texts))
 
 
 def _plain(text: str) -> bool:
@@ -102,11 +108,11 @@ def _parse_column(texts, kind: type, name: str, path: str, line) -> np.ndarray:
         raise
 
 
-def _records(body: str, line: int):
-    """(line, fields) of each non-blank row of a CSV body whose first line is
-    ``line``.  A row's line is the one it starts on: a quoted field may span
-    lines."""
-    reader = csv.reader(StringIO(body, newline=""))
+def _records(body, line: int):
+    """(line, fields) of each non-blank row of a CSV body, UTF-8 bytes whose
+    first line is ``line``.  A row's line is the one it starts on: a quoted
+    field may span lines."""
+    reader = csv.reader(StringIO(str(body, "utf-8"), newline=""))
     start = line
     for row in reader:
         if row:
@@ -114,12 +120,12 @@ def _records(body: str, line: int):
         start = line + reader.line_num
 
 
-def _row_line(body: str, line: int, index: int) -> int:
+def _row_line(body, line: int, index: int) -> int:
     """Line on which row ``index`` of a CSV body whose first line is ``line`` starts."""
     return next(islice(_records(body, line), index, None))[0]
 
 
-def _scan_columns(body: str, line: int, header: list[str], kinds, path: str) -> list[np.ndarray]:
+def _scan_columns(body, line: int, header: list[str], kinds, path: str) -> list[np.ndarray]:
     """The columns of a CSV body whose first line is ``line``, parsed row by
     row: the rule that decides whether a table is valid, and the one that
     names the line of a bad one."""
@@ -137,35 +143,46 @@ def _scan_columns(body: str, line: int, header: list[str], kinds, path: str) -> 
 _DTYPES = {int: "i8", float: "f8", str: "O"}
 
 
-def _read_text(path: str, error=InputFormatError) -> str:
-    """The text of a UTF-8 file, less a leading byte-order mark.
-
-    A byte that does not decode raises ``error`` (``InputFormatError`` or
-    ``ConfigurationError``) naming the file and the line of the byte.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    data = data.removeprefix(codecs.BOM_UTF8)
+def _decode(data: bytes, path: str, error=InputFormatError, line: int = 1,
+            final: bool = True) -> str:
+    """``data``, the bytes of ``path`` from line ``line`` on, as strict UTF-8,
+    less a character cut off at the end unless ``final``.  A byte that does
+    not decode raises ``error`` (``InputFormatError`` or
+    ``ConfigurationError``) naming the file and the line of the byte."""
     try:
-        return data.decode("utf-8")
+        return codecs.utf_8_decode(data, "strict", final)[0]
     except UnicodeDecodeError as exc:
         before = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        line = before.count(b"\n") + 1
+        line += before.count(b"\n")
         message = f"not UTF-8: byte 0x{data[exc.start]:02x}"
         if error is InputFormatError:
             raise InputFormatError(message, path, line) from None
         raise error(f"{path}:{line}: {message}") from None
 
 
-def _split_header(text: str):
-    """``(header, line, body)`` of a CSV text: the header's fields (None if
-    the text is empty), the line on which the body starts, and the body.
-    The reader takes one line at a time, as a quoted field may span lines,
-    so ``fh.tell()`` ends the header's last line."""
-    fh = StringIO(text, newline="")
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    return header, reader.line_num + 1, text[fh.tell():]
+# Bytes decoded to find a header, doubled while it runs past them.
+_HEADER_PREFIX = 1 << 16
+
+
+def _split_header(data: bytes, path: str):
+    """``(header, line, body)`` of a CSV file's bytes: the header's fields
+    (None if the file is empty), the line on which the body starts, and the
+    body's offset.  A leading byte-order mark is skipped.  The reader takes
+    one line at a time, as a quoted field may span lines, so ``fh.tell()``
+    ends the header's last line; while that ends the decoded prefix too, the
+    header (or a CR's LF) may run on, and the prefix is doubled."""
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    size = _HEADER_PREFIX
+    while True:
+        final = start + size >= len(data)
+        text = _decode(data[start:start + size], path, final=final)
+        fh = StringIO(text, newline="")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        end = fh.tell()
+        if final or end < len(text):
+            return header, reader.line_num + 1, start + len(text[:end].encode("utf-8"))
+        size *= 2
 
 
 def _read_columns(path: str, fixed: tuple[str, ...], kinds: tuple[type, ...],
@@ -175,18 +192,25 @@ def _read_columns(path: str, fixed: tuple[str, ...], kinds: tuple[type, ...],
 
     The header must be ``fixed`` followed by the float columns ``covariates``,
     or by at least one float column of any name when ``covariates`` is None.
-    It is checked before any value is parsed.  ``kinds`` holds ``int``,
-    ``float`` or ``str`` for each fixed column.
+    It is checked before any value, once the file is known to be UTF-8.
+    ``kinds`` holds ``int``, ``float`` or ``str`` for each fixed column.
 
-    An ASCII body with a row in it is parsed by one ``np.loadtxt`` call (on
-    no row it warns).  Where that fails, and on any other body,
-    ``_scan_columns`` parses it: it either raises the error that names the
-    bad line or returns the same columns.  ``loadtxt`` must accept no body
-    that the row scan rejects: it strips Unicode whitespace such as a
-    no-break space around a number, hence the ASCII gate, and
-    ``comments=None`` keeps a ``#`` in a field.
+    An ASCII body with a row in it (a byte other than CR and LF) is parsed
+    by one ``np.loadtxt`` call over the file's bytes (on no row it warns).
+    Where that fails, and on any other body, ``_scan_columns`` parses the
+    decoded body: it raises the error that names the bad line or returns the
+    same columns.  ``loadtxt`` must accept no body that the row scan
+    rejects: it strips Unicode whitespace such as a no-break space around a
+    number, hence the ASCII gate, and ``comments=None`` keeps a ``#`` in a
+    field.
     """
-    header, first, body = _split_header(_read_text(path))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header, first, body = _split_header(data, path)
+    rest = memoryview(data)[body:]
+    ascii_body = np.frombuffer(rest, np.uint8).max(initial=0) < 0x80
+    if not ascii_body:
+        _decode(data[body:], path, line=first)
     if header is None:
         raise InputFormatError("empty file", path, 1)
     for pos, name in enumerate(fixed):
@@ -206,18 +230,20 @@ def _read_columns(path: str, fixed: tuple[str, ...], kinds: tuple[type, ...],
             else f"unexpected column(s) {names} after {fixed}", path, 1,
         )
     kinds = kinds + (float,) * len(names)
-    line = partial(_row_line, body, first)
-    if body.isascii() and body.strip("\r\n"):
+    line = partial(_row_line, rest, first)
+    if ascii_body and len(rest) > data.count(b"\n", body) + data.count(b"\r", body):
         dtype = [(f"f{i}", _DTYPES[kind]) for i, kind in enumerate(kinds)]
+        fh = BytesIO(data)
+        fh.seek(body)
         try:
-            table = np.loadtxt(StringIO(body), dtype=dtype, delimiter=",",
-                               quotechar='"', comments=None, ndmin=1)
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                               comments=None, ndmin=1, encoding="ascii")
         except ValueError:
             pass
         else:
             return header, [table[name].astype(str) if kind is str else table[name]
                             for (name, _), kind in zip(dtype, kinds)], line
-    return header, _scan_columns(body, first, header, kinds, path), line
+    return header, _scan_columns(rest, first, header, kinds, path), line
 
 
 def _reject_nonfinite(header, columns, path: str, line) -> None:
@@ -414,7 +440,9 @@ def parse_sim_config(path: str) -> tuple[SimConfig, SimulateOptions]:
     """Parse a flat ``key = value`` experiment file.  A number may not hold
     ``_`` or a non-ASCII character, as in the CSV readers."""
     raw: dict[str, tuple[int, str]] = {}
-    with StringIO(_read_text(path, ConfigurationError)) as fh:
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    with StringIO(_decode(data, path, ConfigurationError)) as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):

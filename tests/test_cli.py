@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from catemeta import cli
 from catemeta.cli import main
 from catemeta.forest import ForestParams, fit_causal_forest
 from catemeta.io import read_aggregates_csv, read_predictions_csv, read_trials_csv
@@ -953,6 +954,12 @@ class TestManifest:
         assert len(notes) == n_notes
         assert warnings == [f"warning: {note}" for note in notes]
 
+    def test_file_digest_is_taken_in_chunks(self, tmp_path, monkeypatch):
+        path = tmp_path / "input.bin"
+        path.write_bytes(bytes(range(256)) * 3)
+        monkeypatch.setattr(cli, "_HASH_CHUNK", 100)
+        assert cli._sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
     @pytest.mark.parametrize("command, artifacts", [
         (["estimate", "--trials", GOLDEN / "forest_trials.csv",
           "--profiles", GOLDEN / "forest_profiles.csv", "--stage1", "bart", "--trees", 5,
@@ -970,7 +977,9 @@ class TestManifest:
         assert run(command + ["--out-dir", out]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest) == {"digest", "version", "subcommand", "inputs", "options", "seed",
-                                 "timings_seconds", "artifacts", "notes", "diagnostics"}
+                                 "timings_seconds", "peak_rss_mb", "artifacts", "notes",
+                                 "diagnostics"}
+        assert manifest["peak_rss_mb"] > 0
         assert manifest["artifacts"] == [
             {"path": name, "sha256": hashlib.sha256((out / name).read_bytes()).hexdigest()}
             for name in artifacts
