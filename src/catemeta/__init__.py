@@ -35,7 +35,6 @@ from .forest import (
     fit_causal_forest,
     forest_predict,
 )
-from .linear import LinearCateFit, fit_interaction_ols
 from .meta import (
     PooledProfiles,
     dl_theta2,
@@ -69,7 +68,6 @@ __all__ = [
     "EstimationError", "InputFormatError", "InsufficientDataError",
     "InsufficientStudiesError", "SingularDesignError",
     "CausalForestModel", "CausalTree", "ForestParams", "fit_causal_forest", "forest_predict",
-    "LinearCateFit", "fit_interaction_ols",
     "PooledProfiles", "dl_theta2", "pool_profiles", "t_quantile",
     "CoverageFlag", "TrialDataset", "ValidationReport",
     "validate_target_coverage", "validate_trial",

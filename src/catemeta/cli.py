@@ -33,8 +33,7 @@ except ImportError:  # Windows
 import numpy as np
 
 from . import __version__
-# fit_bart_slearner, fit_causal_forest and fit_interaction_ols are bound only for
-# perfbench/tracing.py.
+# fit_bart_slearner and fit_causal_forest are bound only for perfbench/tracing.py.
 from .bart import BartParams, fit_bart_slearner  # noqa: F401
 from .errors import (
     CatemetaError,
@@ -56,17 +55,17 @@ from .io import (
     write_metrics_csv,
     write_predictions_csv,
 )
-from .linear import fit_interaction_ols  # noqa: F401
 from .meta import pool_profiles
 from .model import validate_target_coverage, validate_trial
 from .rng import spawn_seed
 from .simulate import estimate_study, run_experiment
 from .svg import compare_intervals_svg, coverage_boxplot_svg, prediction_intervals_svg
 
-# perfbench/tracing.py wraps these retired one-profile names; each is bound to
-# the entry that replaced it, which no code reaches by this name, so their
-# spans read 0 calls.  ROADMAP item 1 deletes this block.
-linear_cate = forest_cates = bart_cate_normal = bart_cate_quantile = estimate_study
+# perfbench/tracing.py wraps these retired one-study and one-profile names;
+# each is bound to the entry that replaced it, which no code reaches by this
+# name, so their spans read 0 calls.  ROADMAP item 1 deletes this block.
+fit_interaction_ols = linear_cate = forest_cates = estimate_study
+bart_cate_normal = bart_cate_quantile = estimate_study
 reml_theta2 = pool_cate = prediction_interval = pool_profiles
 
 _STUDY_CI_Z = 1.96

@@ -17,65 +17,19 @@ coefficients and covariances, so a study gets the same bits alone as in a
 stack.  One contrast matrix then gives the (K, P) CATEs.  The simulation
 harness calls the kernel on its stacked draws
 (:func:`linear_cates_arrays`); :func:`linear_cates_stack` stacks a list of
-datasets into it, and :func:`fit_interaction_ols` is the kernel with K = 1.
+datasets into it, and a single study is a stack of one.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EstimationError, InsufficientDataError, SingularDesignError
-from .model import TrialDataset, check_points
+from .model import check_points
 
 _RANK_RTOL = 1e-10
-_COV_SYMMETRY_TOL = 1e-10
-_PSD_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class LinearCateFit:
-    """Fitted interaction regression for one study.
-
-    Coefficient order: intercept, the p main covariate effects, the
-    treatment main effect, then one interaction per moderator (in
-    ``moderator_indices`` order).  ``moderator_indices`` are 0-based
-    covariate column indices.
-    """
-
-    study_id: int
-    coefficients: np.ndarray
-    covariance: np.ndarray
-    moderator_indices: tuple[int, ...]
-    n_covariates: int
-    residual_variance: float
-    column_names: tuple[str, ...]
-
-    def __post_init__(self):
-        q = 2 + self.n_covariates + len(self.moderator_indices)
-        coef = np.asarray(self.coefficients, dtype=np.float64)
-        cov = np.asarray(self.covariance, dtype=np.float64)
-        if coef.shape != (q,):
-            raise ValueError(f"expected {q} coefficients, got {coef.shape}")
-        if cov.shape != (q, q):
-            raise ValueError("covariance shape must match coefficient count")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if np.abs(cov - cov.T).max() > _COV_SYMMETRY_TOL * scale:
-            raise ValueError("covariance must be symmetric")
-        eigvals = np.linalg.eigvalsh(cov)
-        if eigvals.min() < -_PSD_TOL * max(np.trace(cov), 1e-300):
-            raise ValueError("covariance must be positive semidefinite")
-        coef.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "coefficients", coef)
-        object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "moderator_indices", tuple(self.moderator_indices))
-
-    @property
-    def treatment_index(self) -> int:
-        return 1 + self.n_covariates
 
 
 def _moderators(moderators, p: int) -> tuple[int, ...]:
@@ -109,8 +63,9 @@ def _fit_arrays(x, a, y, mods: tuple[int, ...], names, study_ids):
     covariates ``x`` (K, n, p), treatments ``a`` (K, n) and outcomes ``y``
     (K, n), with covariate ``names`` and one id per study.
 
-    Checks run study by study, in order, so the first singular or
-    non-finite study raises what it raises when fitted alone.
+    n == q gives residual variance 0 and n < q raises.  Checks run study by
+    study, in order, so the first singular or non-finite study raises what
+    it raises when fitted alone.
     """
     k, n, p = x.shape
     q = 2 + p + len(mods)
@@ -163,41 +118,14 @@ def _contrast(coef, cov, mods: tuple[int, ...], points):
     return tau, np.maximum(se2, 0.0)
 
 
-def fit_interaction_ols(
-    dataset: TrialDataset, moderators: tuple[int, ...] | None = None
-) -> LinearCateFit:
-    """Least-squares fit of the interaction model for one study.
-
-    ``moderators`` are 0-based covariate indices; when omitted, every
-    covariate is treated as a moderator.  This is the stacked kernel with
-    K = 1.  Singular values below 1e-10 times the largest are rank
-    deficiencies, and the first column that depends on the columns before
-    it is reported by name.  The saturated case n == q is allowed (residual
-    variance 0); n < q raises.  Coefficients or a covariance that overflow
-    raise ``EstimationError``.
-    """
-    mods = _moderators(moderators, dataset.n_covariates)
-    coef, cov, sigma2 = _fit_arrays(dataset.x[None], dataset.a[None], dataset.y[None], mods,
-                                    dataset.covariate_names, (dataset.study_id,))
-    return LinearCateFit(
-        study_id=dataset.study_id,
-        coefficients=coef[0],
-        covariance=cov[0],
-        moderator_indices=mods,
-        n_covariates=dataset.n_covariates,
-        residual_variance=float(sigma2[0]),
-        column_names=_column_names(dataset.covariate_names, mods),
-    )
-
-
 def linear_cates_arrays(x, a, y, points, names, study_ids, moderators=None):
     """``(tau, se2)``, each (K, P), of K studies given as arrays: covariates
     ``x`` (K, n, p), treatments ``a`` (K, n) and outcomes ``y`` (K, n), with
     covariate ``names`` and one id per study for the error messages.
 
     ``points`` (P, p) is checked before any fit (see ``model.check_points``).
-    The first study, in order, that cannot be fitted raises what
-    :func:`fit_interaction_ols` raises for it.
+    The first study, in order, that cannot be fitted raises what it raises
+    as a stack of one (see :func:`_fit_arrays`).
     """
     points = check_points(points, x.shape[2])
     mods = _moderators(moderators, x.shape[2])
@@ -206,8 +134,13 @@ def linear_cates_arrays(x, a, y, points, names, study_ids, moderators=None):
 
 
 def linear_cates_stack(datasets, points, moderators=None):
-    """:func:`linear_cates_arrays` of K datasets with the same row count and
-    covariates, stacked."""
+    """:func:`linear_cates_arrays` of K datasets stacked; each must have the
+    first's row count and covariate names, or ``ValueError`` names it."""
+    first, *rest = datasets
+    for d in rest:
+        if (d.n_rows, d.covariate_names) != (first.n_rows, first.covariate_names):
+            raise ValueError(f"study {d.study_id} has {d.n_rows} rows of {d.covariate_names}, "
+                             f"not {first.n_rows} of {first.covariate_names} as the first has")
     x, a, y = (np.stack([getattr(d, name) for d in datasets]) for name in ("x", "a", "y"))
-    return linear_cates_arrays(x, a, y, points, datasets[0].covariate_names,
+    return linear_cates_arrays(x, a, y, points, first.covariate_names,
                                [d.study_id for d in datasets], moderators)

@@ -320,7 +320,7 @@ def dl_theta2(tau: np.ndarray, v: np.ndarray) -> float:
     ``tau`` and ``v`` hold the K >= 2 estimates and their variances.  With
     fixed-effect weights w_s = 1/v_s, computes
     max(0, (Q - (K-1)) / (sum(w) - sum(w^2)/sum(w))) where Q is the usual
-    heterogeneity statistic.  Requires all v_s > 0 (weights must be finite).
+    heterogeneity statistic.  Needs finite tau_hat and finite se2 > 0.
     """
     tau = np.asarray(tau, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -328,8 +328,10 @@ def dl_theta2(tau: np.ndarray, v: np.ndarray) -> float:
         raise ValueError("tau and v must both be (K,) arrays")
     if tau.shape[0] < 2:
         raise InsufficientStudiesError("pooling requires at least 2 studies")
-    if np.any(v == 0.0):
-        raise EstimationError("DerSimonian-Laird requires all se2 > 0")
+    if not np.isfinite(tau).all():
+        raise EstimationError("tau_hat must be finite")
+    if not (np.isfinite(v) & (v > 0.0)).all():
+        raise EstimationError("se2 must be > 0 and finite")
     w = 1.0 / v
     sw = w.sum()
     mu = float((w * tau).sum() / sw)

@@ -19,14 +19,15 @@ import concurrent.futures
 import functools
 import time
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from .bart import BartParams, bart_cates, fit_bart_slearner
 from .errors import CatemetaError, ConfigurationError
 from .forest import ForestParams, fit_causal_forest, forest_predict
-# fit_interaction_ols and reml_theta2_batch are bound only for perfbench/tracing.py.
-from .linear import fit_interaction_ols, linear_cates_arrays, linear_cates_stack  # noqa: F401
+from .linear import linear_cates_arrays, linear_cates_stack
+# reml_theta2_batch is bound only for perfbench/tracing.py.
 from .meta import ndtri, pool_profiles, reml_theta2_batch  # noqa: F401
 from .model import TrialDataset, check_integers, check_points, check_seed
 from .rng import stream, stream_states, substream
@@ -328,10 +329,10 @@ def estimate_study(dataset: TrialDataset, points: np.ndarray, params=None):
     return tau, se2, diagnostics
 
 
-# perfbench/tracing.py wraps these retired one-profile names; each is bound to
-# the entry that replaced it, which no code reaches by this name, so their
-# spans read 0 calls.  ROADMAP item 1 deletes this block.
-linear_cate = forest_cates = bart_cate_normal = estimate_study
+# perfbench/tracing.py wraps these retired one-study and one-profile names;
+# each is bound to the entry that replaced it, which no code reaches by this
+# name, so their spans read 0 calls.  ROADMAP item 1 deletes this block.
+fit_interaction_ols = linear_cate = forest_cates = bart_cate_normal = estimate_study
 pool_cate = prediction_interval = pool_profiles
 
 
@@ -447,6 +448,9 @@ def run_experiment(
         raise ConfigurationError("prediction intervals need k_studies >= 3")
     if not (0.0 < alpha < 1.0):
         raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
+    check_integers(SimpleNamespace(n_workers=n_workers), "n_workers")
+    if n_workers < 1:
+        raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
     forest_params = forest_params if forest_params is not None else ForestParams()
     bart_params = bart_params if bart_params is not None else BartParams()
     params = {

@@ -37,8 +37,9 @@ import tempfile
 import numpy as np
 
 from catemeta import (BartParams, ForestParams, SimConfig, SingularDesignError,
-                      TrialDataset, fit_bart_slearner, fit_interaction_ols, run_experiment)
+                      TrialDataset, fit_bart_slearner, run_experiment)
 from catemeta.cli import main
+from catemeta.linear import linear_cates_stack
 from catemeta.simulate import gen_study
 
 
@@ -69,7 +70,7 @@ with tempfile.TemporaryDirectory() as out:
     twin = TrialDataset(1, data.y, data.a, np.column_stack([data.x[:, :1]] * 2),
                         ("u", "u_copy"))
     try:
-        fit_interaction_ols(twin)
+        linear_cates_stack([twin], np.zeros((1, 2)))
         sys.exit("the design with a duplicated column was not singular")
     except SingularDesignError:
         pass

@@ -11,9 +11,8 @@ from catemeta import (
     InsufficientDataError,
     SingularDesignError,
     TrialDataset,
-    fit_interaction_ols,
 )
-from catemeta.linear import _contrast, linear_cates_stack
+from catemeta.linear import _contrast, _fit_arrays, _moderators, linear_cates_stack
 from catemeta.rng import substream
 from catemeta.simulate import SimConfig, gen_study, gen_target_profiles
 
@@ -24,17 +23,25 @@ def dataset_from(y, a, x, names=None):
     return TrialDataset(1, np.asarray(y, dtype=float), np.asarray(a), x, names)
 
 
+def fit(dataset, moderators=None):
+    """``(coefficients, covariance, residual variance)`` of one study."""
+    mods = _moderators(moderators, dataset.n_covariates)
+    (coef,), (cov,), (sigma2,) = _fit_arrays(dataset.x[None], dataset.a[None], dataset.y[None],
+                                             mods, dataset.covariate_names, (dataset.study_id,))
+    return coef, cov, sigma2
+
+
 def test_noiseless_interaction_recovered_exactly():
     rng = np.random.default_rng(0)
     n = 80
     x = rng.normal(size=(n, 3))
     a = rng.integers(0, 2, n)
     y = 2.0 * a + 3.0 * a * x[:, 0]  # x0 is the sole moderator
-    fit = fit_interaction_ols(dataset_from(y, a, x), moderators=(0,))
+    coef, _, sigma2 = fit(dataset_from(y, a, x), moderators=(0,))
     p = 3
-    assert fit.coefficients[p + 1] == pytest.approx(2.0, abs=1e-8)   # treatment
-    assert fit.coefficients[p + 2] == pytest.approx(3.0, abs=1e-8)   # interaction
-    assert fit.residual_variance == pytest.approx(0.0, abs=1e-8)
+    assert coef[p + 1] == pytest.approx(2.0, abs=1e-8)   # treatment
+    assert coef[p + 2] == pytest.approx(3.0, abs=1e-8)   # interaction
+    assert sigma2 == pytest.approx(0.0, abs=1e-8)
 
 
 def test_saturated_four_row_system_solves_exactly():
@@ -42,10 +49,10 @@ def test_saturated_four_row_system_solves_exactly():
     y = [0.0, 1.0, 2.0, 4.0]
     a = [0, 0, 1, 1]
     x = [[0.0], [1.0], [0.0], [1.0]]
-    fit = fit_interaction_ols(dataset_from(y, a, x), moderators=(0,))
-    assert fit.coefficients == pytest.approx([0.0, 1.0, 2.0, 1.0], abs=1e-10)
-    assert fit.residual_variance == 0.0
-    assert np.all(fit.covariance == 0.0)
+    coef, cov, sigma2 = fit(dataset_from(y, a, x), moderators=(0,))
+    assert coef == pytest.approx([0.0, 1.0, 2.0, 1.0], abs=1e-10)
+    assert sigma2 == 0.0
+    assert np.all(cov == 0.0)
 
 
 def test_duplicated_covariate_column_is_singular():
@@ -55,7 +62,8 @@ def test_duplicated_covariate_column_is_singular():
     a = rng.integers(0, 2, 30)
     y = rng.normal(size=30)
     with pytest.raises(SingularDesignError) as err:
-        fit_interaction_ols(dataset_from(y, a, x, ("height", "height_copy")), moderators=())
+        linear_cates_stack([dataset_from(y, a, x, ("height", "height_copy"))], np.zeros((1, 2)),
+                           moderators=())
     assert err.value.column_name == "height_copy"
 
 
@@ -69,14 +77,15 @@ def test_constant_covariate_is_named_not_the_intercept():
     a = rng.integers(0, 2, 40)
     y = rng.normal(size=40)
     with pytest.raises(SingularDesignError) as err:
-        fit_interaction_ols(dataset_from(y, a, x, ("age", "sex")))
+        linear_cates_stack([dataset_from(y, a, x, ("age", "sex"))], np.zeros((1, 2)))
     assert err.value.column_name == "sex"
     assert "column 'sex' is linearly dependent on earlier columns" in str(err.value)
 
 
 def test_too_few_rows_is_insufficient_data():
     with pytest.raises(InsufficientDataError):
-        fit_interaction_ols(dataset_from([1.0, 2.0, 3.0], [0, 1, 0], [[0.0], [1.0], [2.0]]))
+        linear_cates_stack([dataset_from([1.0, 2.0, 3.0], [0, 1, 0], [[0.0], [1.0], [2.0]])],
+                           np.zeros((1, 1)))
 
 
 def test_moderators_default_to_all_covariates():
@@ -84,9 +93,9 @@ def test_moderators_default_to_all_covariates():
     x = rng.normal(size=(60, 2))
     a = rng.integers(0, 2, 60)
     y = rng.normal(size=60)
-    fit = fit_interaction_ols(dataset_from(y, a, x))
-    assert fit.moderator_indices == (0, 1)
-    assert fit.coefficients.shape == (2 + 2 + 2,)
+    coef, cov, _ = fit(dataset_from(y, a, x))
+    assert _moderators(None, 2) == (0, 1)
+    assert coef.shape == (2 + 2 + 2,) and cov.shape == (6, 6)
 
 
 class TestModeratorIndices:
@@ -247,8 +256,23 @@ class TestStack:
             with pytest.raises(error, match=says) as err:
                 linear_cates_stack(stack, points)
             with pytest.raises(error) as alone:
-                fit_interaction_ols(stack[1])
+                linear_cates_stack([stack[1]], points)
             assert str(err.value) == str(alone.value)
+
+    @pytest.mark.parametrize("rows, names, says", [
+        (40, ("sex", "age"), "study 3 has 40 rows of ('sex', 'age'), not 40 of ('age', 'sex')"),
+        (30, ("age", "sex"), "study 3 has 30 rows of ('age', 'sex'), not 40 of ('age', 'sex')"),
+    ], ids=["covariate-order", "row-count"])
+    def test_mismatched_study_is_named(self, rows, names, says):
+        # Swapped names used to fit each study's columns under the first
+        # study's names; unequal rows failed inside np.stack.
+        rng = np.random.default_rng(11)
+        stack = [TrialDataset(s, rng.normal(size=n), rng.integers(0, 2, n),
+                              rng.normal(size=(n, 2)), covariates)
+                 for s, n, covariates in ((1, 40, ("age", "sex")), (2, 40, ("age", "sex")),
+                                          (3, rows, names), (4, 30, ("x", "y")))]
+        with pytest.raises(ValueError, match=re.escape(says)):
+            linear_cates_stack(stack, np.zeros((2, 2)))
 
     @pytest.mark.parametrize("points", [np.zeros(5), np.zeros((3, 4))], ids=["1-d", "wrong-width"])
     def test_points_checked_before_any_fit(self, points):

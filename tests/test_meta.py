@@ -347,9 +347,17 @@ class TestDlTheta2:
     def test_identical_estimates_clamp_to_zero(self):
         assert dl_theta2([1.3, 1.3, 1.3], [0.4, 0.8, 1.2]) == 0.0
 
-    def test_zero_variance_is_error(self):
-        with pytest.raises(EstimationError):
-            dl_theta2([0.0, 1.0], [0.0, 1.0])
+    @pytest.mark.parametrize("tau, se2, says", [
+        ([0.0, 1.0], [0.0, 1.0], "se2 must be > 0 and finite"),
+        ([0.0, 1.0, 2.0], [-1.0, 1.0, 1.0], "se2 must be > 0 and finite"),
+        ([0.0, 1.0], [np.nan, 1.0], "se2 must be > 0 and finite"),
+        ([0.0, 1.0], [np.inf, 1.0], "se2 must be > 0 and finite"),
+        ([np.nan, 1.0], [1.0, 1.0], "tau_hat must be finite"),
+    ], ids=["zero-se2", "negative-se2", "nan-se2", "inf-se2", "nan-tau"])
+    def test_invalid_input_is_error(self, tau, se2, says):
+        # Before the checks, negative se2 gave 3.0 and NaN se2 or tau gave 0.0.
+        with pytest.raises(EstimationError, match=says):
+            dl_theta2(tau, se2)
 
     def test_needs_two_studies_of_matching_shape(self):
         with pytest.raises(InsufficientStudiesError):

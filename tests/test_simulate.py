@@ -17,7 +17,6 @@ from catemeta import (
     estimate_study,
     fit_bart_slearner,
     fit_causal_forest,
-    fit_interaction_ols,
     forest_predict,
     gen_outcomes,
     gen_study,
@@ -27,7 +26,7 @@ from catemeta import (
     true_cate,
 )
 from catemeta import forest, pool_profiles, simulate
-from catemeta.linear import linear_cates_stack
+from catemeta.linear import _fit_arrays, linear_cates_stack
 from catemeta.meta import ndtri
 from catemeta.rng import spawn_seed, substream
 
@@ -262,6 +261,20 @@ class TestHarness:
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigurationError):
             run_experiment(config(), "kitchen_sink")
+
+    @pytest.mark.parametrize("n_workers, says", [
+        (0, "n_workers must be >= 1"), (-3, "n_workers must be >= 1"),
+        (True, "n_workers must be an integer"), (2.5, "n_workers must be an integer"),
+    ], ids=["zero", "negative", "bool", "float"])
+    def test_worker_count_checked_before_any_work(self, monkeypatch, n_workers, says):
+        # 0, -3 and True used to run one process; 2.5 failed in the pool.
+        def no_work(*args, **kwargs):
+            raise AssertionError("a replication or a process pool was started")
+
+        monkeypatch.setattr(simulate, "_replication_worker", no_work)
+        monkeypatch.setattr(simulate.concurrent.futures, "ProcessPoolExecutor", no_work)
+        with pytest.raises(ConfigurationError, match=says):
+            run_experiment(config(), n_workers=n_workers)
 
     @pytest.mark.parametrize("seed, replication, column", [
         (2, 32, "sex"),  # studies 5 (sex) and 10 (smoking) are singular
@@ -526,13 +539,15 @@ class TestEstimateStudy:
         bart_params = BartParams(n_trees=5, n_burn=20, n_draws=30, seed=4)
 
         # Linear and BART references: the per-profile loops of the parent code.
-        fit = fit_interaction_ols(ds, (0, 3))
+        (coef,), (cov,), _ = _fit_arrays(ds.x[None], ds.a[None], ds.y[None], (0, 3),
+                                         ds.covariate_names, (ds.study_id,))
+        treatment = 1 + ds.n_covariates
         linear_ref = []
         for x in points:
-            c = np.zeros(fit.coefficients.shape[0])
-            c[fit.treatment_index] = 1.0
-            c[fit.treatment_index + 1:] = x[[0, 3]]
-            linear_ref.append((c @ fit.coefficients, c @ fit.covariance @ c))
+            c = np.zeros(coef.shape[0])
+            c[treatment] = 1.0
+            c[treatment + 1:] = x[[0, 3]]
+            linear_ref.append((c @ coef, c @ cov @ c))
         post = fit_bart_slearner(ds, points, bart_params)
         bart_ref = [
             (f1.mean() - f0.mean(), np.var(f1, ddof=1) + np.var(f0, ddof=1))
