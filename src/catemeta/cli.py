@@ -35,6 +35,7 @@ import numpy as np
 from . import __version__
 # fit_bart_slearner and fit_causal_forest are bound only for perfbench/tracing.py.
 from .bart import BartParams, fit_bart_slearner  # noqa: F401
+from .config import parse_sim_config
 from .errors import (
     CatemetaError,
     ConfigurationError,
@@ -46,7 +47,6 @@ from .forest import ForestParams, fit_causal_forest  # noqa: F401
 from .io import (
     _plain,
     first_invalid_estimate,
-    parse_sim_config,
     read_aggregates_csv,
     read_predictions_csv,
     read_profiles_csv,
@@ -270,7 +270,7 @@ def cmd_predict(args) -> int:
     with manifest.phase("read"):
         pid, _, tau, se2 = read_aggregates_csv(args.aggregates)
     with manifest.phase("pool"):
-        pids, starts, ks = np.unique(pid, return_index=True, return_counts=True)
+        pids, ks = np.unique(pid, return_counts=True)
         if (ks == 1).any():
             raise InputFormatError(
                 f"profile {pids[ks == 1][0]} has only 1 study estimate; pooling needs >= 2",
@@ -278,16 +278,14 @@ def cmd_predict(args) -> int:
             )
         for p in pids[ks == 2].tolist():
             manifest.warn(f"profile {p}: K=2 studies, no prediction interval (df would be 0)")
-        center, theta2, lower, upper = np.full((4, pids.size), np.nan)
-        for k in np.unique(ks).tolist():
-            group = ks == k
-            cells = starts[group][:, None] + np.arange(k)  # (profiles, studies)
-            pooled = pool_profiles(tau[cells].T, se2[cells].T, args.alpha if k > 2 else None)
-            manifest.diagnostics.update(pooled.diagnostics)
-            center[group], theta2[group] = pooled.tau_pooled, pooled.theta2
-            if pooled.half_width is not None:  # K = 2 keeps NaN bounds: no interval
-                lower[group] = pooled.tau_pooled - pooled.half_width
-                upper[group] = pooled.tau_pooled + pooled.half_width
+        # The rows are sorted by profile, so each profile's studies are contiguous.
+        # With every profile at K = 2 there is no interval to ask for.
+        pooled = pool_profiles(tau, se2, args.alpha if (ks > 2).any() else None, k=ks)
+        manifest.diagnostics.update(pooled.diagnostics)
+        center, theta2 = pooled.tau_pooled, pooled.theta2
+        # K = 2 keeps NaN bounds: no interval
+        half = np.full(pids.size, np.nan) if pooled.half_width is None else pooled.half_width
+        lower, upper = center - half, center + half
     with manifest.phase("write"):
         write_predictions_csv(manifest.artifact("predictions.csv"),
                               pids, center, theta2, lower, upper, ks)

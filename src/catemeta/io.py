@@ -1,4 +1,4 @@
-"""CSV schemas and config-file parsing.
+"""CSV schemas: reading and writing the tables the commands take and make.
 
 All files are UTF-8 with ``.`` decimal separators, written with LF line
 endings.  A leading byte-order mark is dropped, and a byte that does not
@@ -23,7 +23,8 @@ Schemas:
   aggregates   profile_id,study_id,tau_hat,se2
   predictions  profile_id,tau_pooled,theta2,lower,upper,df,flag_nonoverlap
   metrics      profile_id,method,coverage,mean_length,bias,n_effective_replications
-  config       flat ``key = value`` lines; blank lines and ``#`` comments ignored
+
+The ``simulate`` experiment file is parsed by :mod:`catemeta.config`.
 """
 
 from __future__ import annotations
@@ -31,18 +32,14 @@ from __future__ import annotations
 import codecs
 import csv
 import os
-from dataclasses import dataclass, fields
 from functools import partial
 from io import BytesIO, StringIO
 from itertools import islice
 
 import numpy as np
 
-from .bart import BartParams
-from .errors import ConfigurationError, InputFormatError
-from .forest import ForestParams
+from .errors import InputFormatError
 from .model import TrialDataset
-from .simulate import STAGE1_METHODS, SimConfig
 
 AGGREGATE_HEADER = ("profile_id", "study_id", "tau_hat", "se2")
 PREDICTION_HEADER = (
@@ -140,7 +137,11 @@ def _scan_columns(body, line: int, header: list[str], kinds, path: str) -> list[
             for name, kind, texts in zip(header, kinds, all_texts)]
 
 
-_DTYPES = {int: "i8", float: "f8", str: "O"}
+# Bytes of a text field as loadtxt parses it.  A longer field would be cut,
+# so a table with a field this long is read by the row scan.  The longest
+# float that repr writes has 24 characters.
+_TEXT_BYTES = 25
+_DTYPES = {int: "i8", float: "f8", str: f"S{_TEXT_BYTES}"}
 
 
 def _decode(data: bytes, path: str, error=InputFormatError, line: int = 1,
@@ -193,7 +194,9 @@ def _read_columns(path: str, fixed: tuple[str, ...], kinds: tuple[type, ...],
     The header must be ``fixed`` followed by the float columns ``covariates``,
     or by at least one float column of any name when ``covariates`` is None.
     It is checked before any value, once the file is known to be UTF-8.
-    ``kinds`` holds ``int``, ``float`` or ``str`` for each fixed column.
+    ``kinds`` holds ``int``, ``float`` or ``str`` for each fixed column.  A
+    ``str`` column is bytes (numpy ``S``) when ``loadtxt`` parsed it and
+    ``str`` when the row scan did.
 
     An ASCII body with a row in it (a byte other than CR and LF) is parsed
     by one ``np.loadtxt`` call over the file's bytes (on no row it warns).
@@ -241,20 +244,26 @@ def _read_columns(path: str, fixed: tuple[str, ...], kinds: tuple[type, ...],
         except ValueError:
             pass
         else:
-            return header, [table[name].astype(str) if kind is str else table[name]
-                            for (name, _), kind in zip(dtype, kinds)], line
+            columns = [table[name] for name, _ in dtype]
+            if not any(kind is str and np.strings.str_len(c).max(initial=0) >= _TEXT_BYTES
+                       for c, kind in zip(columns, kinds)):
+                return header, columns, line
     return header, _scan_columns(rest, first, header, kinds, path), line
 
 
 def _reject_nonfinite(header, columns, path: str, line) -> None:
     """Raise for the first non-finite value in the float columns of a table,
-    taking the rows in file order and each row's cells from left to right."""
-    names, floats = zip(*((name, c) for name, c in zip(header, columns) if c.dtype.kind == "f"))
-    rows, cols = np.nonzero(~np.isfinite(np.column_stack(floats)))
-    if rows.size:
-        i, j = rows[0], cols[0]
-        raise InputFormatError(f"column '{names[j]}': not finite: {float(floats[j][i])}",
-                               path, line(i))
+    taking the rows in file order and each row's cells from left to right.
+    The columns are checked one at a time, which bounds the masks held."""
+    first = None
+    for name, column in zip(header, columns):
+        if column.dtype.kind == "f" and not np.isfinite(column).all():
+            i = int(np.argmin(np.isfinite(column)))
+            if first is None or i < first[0]:
+                first = i, name, float(column[i])
+    if first is not None:
+        i, name, value = first
+        raise InputFormatError(f"column '{name}': not finite: {value}", path, line(i))
 
 
 def _first_repeat(*keys: np.ndarray) -> tuple[int | None, np.ndarray]:
@@ -288,30 +297,47 @@ def read_trials_csv(paths: list[str]) -> list[TrialDataset]:
     if not paths:
         raise InputFormatError("no trial files given")
     cov_names: tuple[str, ...] | None = None
-    parts = []
+    files = []
     for n, path in enumerate(paths):
         if any(os.path.samefile(path, earlier) for earlier in paths[:n]):
             raise InputFormatError("trial file given more than once", path)
-        header, columns, line = _read_columns(
-            path, ("study_id", "y", "a"), (int, float, int), cov_names
-        )
-        cov_names = tuple(header[3:])
-        a = columns[2]
-        bad = np.flatnonzero((a != 0) & (a != 1))
-        if bad.size:
-            i = bad[0]
-            raise InputFormatError(f"column 'a': must be 0 or 1, got {a[i]}", path, line(i))
-        _reject_nonfinite(header, columns, path, line)
-        parts.append((*columns[:3], np.column_stack(columns[3:])))
-    study, y, a, x = (np.concatenate(column) for column in zip(*parts))
+        cov_names, columns = _trial_columns(path, cov_names)
+        files.append(columns)
+    study = np.concatenate([columns[0] for columns in files])
     if not study.size:
         raise InputFormatError("no trial rows", ", ".join(paths))
     order = np.argsort(study, kind="stable")
     ids, starts = np.unique(study[order], return_index=True)
-    return [
-        TrialDataset(study_id=sid, y=y[rows], a=a[rows], x=x[rows], covariate_names=cov_names)
-        for sid, rows in zip(ids.tolist(), np.split(order, starts[1:]))
-    ]
+    bounds = np.cumsum([0] + [columns[0].size for columns in files])
+    datasets = []
+    for sid, rows in zip(ids.tolist(), np.split(order, starts[1:])):
+        # Each column is gathered once, straight from its file's table.
+        y, a, x = np.empty(rows.size), np.empty(rows.size, np.int64), np.empty(
+            (rows.size, len(cov_names)))
+        cut = np.searchsorted(rows, bounds)  # rows[cut[f]:cut[f + 1]] are in file f
+        for f, columns in enumerate(files):
+            part = slice(cut[f], cut[f + 1])
+            local = rows[part] - bounds[f]
+            y[part], a[part] = columns[1][local], columns[2][local]
+            for j, column in enumerate(columns[3:]):
+                x[part, j] = column[local]
+        datasets.append(TrialDataset(study_id=sid, y=y, a=a, x=x, covariate_names=cov_names))
+    return datasets
+
+
+def _trial_columns(path: str, cov_names: tuple[str, ...] | None):
+    """The covariate names and checked columns of one trials file.  The file's
+    bytes, kept to name an error's line, are let go on return."""
+    header, columns, line = _read_columns(
+        path, ("study_id", "y", "a"), (int, float, int), cov_names
+    )
+    a = columns[2]
+    bad = np.flatnonzero((a != 0) & (a != 1))
+    if bad.size:
+        i = bad[0]
+        raise InputFormatError(f"column 'a': must be 0 or 1, got {a[i]}", path, line(i))
+    _reject_nonfinite(header, columns, path, line)
+    return tuple(header[3:]), columns
 
 
 def read_profiles_csv(path: str, covariate_names: tuple[str, ...]
@@ -355,10 +381,37 @@ def read_aggregates_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return tuple(column[order] for column in columns)
 
 
+def _parse_given(texts: np.ndarray, given: np.ndarray, kind: type, name: str, path: str,
+                 line) -> np.ndarray:
+    """The ``given`` fields of a text column as ``kind`` numbers, NaN (float)
+    or 0 (int) elsewhere.  They are cast as one array; numpy's cast reads a
+    field as Python's ``int`` and ``float`` do, once no field holds ``_`` or a
+    non-ASCII character.  Where the cast fails, ``_parse_column`` reads the
+    fields one by one and names the line of the bad one."""
+    if texts.dtype.kind == "S":  # read by loadtxt, so ASCII
+        plain = not (np.strings.find(texts, b"_") >= 0).any()
+    else:
+        plain = _plain("".join(texts.tolist()))
+    if plain:
+        out = np.full(texts.shape, np.nan) if kind is float else np.zeros(texts.shape, np.int64)
+        try:
+            np.copyto(out, texts, casting="unsafe", where=given)
+            return out
+        except (ValueError, OverflowError):
+            pass
+    blank = "nan" if kind is float else "0"
+    fields = [text.decode() if isinstance(text, bytes) else text for text in texts.tolist()]
+    return _parse_column([text if ok else blank for text, ok in zip(fields, given.tolist())],
+                         kind, name, path, line)
+
+
+_FLAGS = np.array(["", "positive", "negative", "crosses_zero"])
+
+
 def _flags(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """flag_nonoverlap of each interval; empty where the bounds are NaN (K = 2)."""
-    return np.select([np.isnan(lower), lower > 0.0, upper < 0.0],
-                     ["", "positive", "negative"], "crosses_zero")
+    """Index into ``_FLAGS`` of each interval's flag_nonoverlap; the empty flag
+    where the bounds are NaN (K = 2)."""
+    return np.select([np.isnan(lower), lower > 0.0, upper < 0.0], [0, 1, 2], 3)
 
 
 def write_predictions_csv(path: str, profile_id, tau_pooled, theta2, lower, upper, k) -> None:
@@ -372,7 +425,7 @@ def write_predictions_csv(path: str, profile_id, tau_pooled, theta2, lower, uppe
     given = ~np.isnan(lower)
     _write_table(path, PREDICTION_HEADER, (
         pid, tau, theta2, np.where(given, lower, None), np.where(given, upper, None),
-        np.where(given, k - 2, None), _flags(lower, upper),
+        np.where(given, k - 2, None), _FLAGS[_flags(lower, upper)],
     ))
 
 
@@ -383,27 +436,29 @@ def read_predictions_csv(path: str):
     _, (pid, tau, theta2, lower, upper, df, flag), line = _read_columns(
         path, PREDICTION_HEADER, (int, float, float, str, str, str, str)
     )
-    given = lower != ""
-    partly = ((upper != "") != given) | ((df != "") != given)
+    given = lower != lower.dtype.type()  # b"" or ""
+    partly = ((upper != upper.dtype.type()) != given) | ((df != df.dtype.type()) != given)
     if partly.any():
         raise InputFormatError("lower, upper and df must be all given or all empty (K = 2)",
                                path, line(np.argmax(partly)))
-    lower, upper = (_parse_column(np.where(given, text, "nan").tolist(), float, name, path, line)
+    lower, upper = (_parse_given(text, given, float, name, path, line)
                     for text, name in ((lower, "lower"), (upper, "upper")))
-    k = _parse_column(np.where(given, df, "0").tolist(), int, "df", path, line) + 2
+    k = _parse_given(df, given, int, "df", path, line) + 2
     for bad, message in (
         (~np.isfinite(tau), "tau_pooled must be finite"),
         (~(np.isfinite(theta2) & (theta2 >= 0.0)), "theta2 must be finite and >= 0"),
         (given & ~(np.isfinite(lower) & np.isfinite(upper)), "lower and upper must be finite"),
         (given & ~((lower <= tau) & (tau <= upper)), "expected lower <= tau_pooled <= upper"),
         (given & (k < 3), "df must be >= 1"),
-        (flag != _flags(lower, upper), "flag_nonoverlap does not match lower and upper"),
+        (flag != _FLAGS.astype(flag.dtype.kind)[_flags(lower, upper)],  # S or U, as read
+         "flag_nonoverlap does not match lower and upper"),
     ):
         if bad.any():
             raise InputFormatError(message, path, line(np.argmax(bad)))
     i, order = _first_repeat(pid)
     if i is not None:
         raise InputFormatError(f"duplicate profile_id {pid[i]}", path, line(i))
+    del line  # lets go of the file's bytes, kept only to name an error's line
     return tuple(column[order] for column in (pid, tau, theta2, lower, upper, k))
 
 
@@ -415,78 +470,3 @@ def write_metrics_csv(path: str, tables: list) -> None:
         for t in tables
     ]
     _write_table(path, METRICS_HEADER, [np.concatenate(column) for column in zip(*parts)])
-
-
-@dataclass(frozen=True)
-class SimulateOptions:
-    """Experiment-file settings beyond the generative model itself."""
-
-    methods: tuple[str, ...] = ("linear",)
-    forest_trees: int = 100  # the harness's own: it grows K forests per replication
-    forest_bag_size: int = ForestParams.bag_size
-    bart_trees: int = BartParams.n_trees
-    bart_burn: int = BartParams.n_burn
-    bart_draws: int = BartParams.n_draws
-    alpha: float = 0.05
-
-
-_SIM_CONFIG_FIELDS = {f.name for f in fields(SimConfig)}
-_OPTION_KEYS = {f.name for f in fields(SimulateOptions)}
-# Annotations are strings: both modules postpone their evaluation.
-_INT_KEYS = {f.name for f in fields(SimConfig) + fields(SimulateOptions) if f.type == "int"}
-
-
-def parse_sim_config(path: str) -> tuple[SimConfig, SimulateOptions]:
-    """Parse a flat ``key = value`` experiment file.  A number may not hold
-    ``_`` or a non-ASCII character, as in the CSV readers."""
-    raw: dict[str, tuple[int, str]] = {}
-    with open(path, "rb") as fh:
-        data = fh.read().removeprefix(codecs.BOM_UTF8)
-    with StringIO(_decode(data, path, ConfigurationError)) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ConfigurationError(
-                    f"{path}:{line_no}: expected 'key = value', got {text!r}"
-                )
-            key, _, value = text.partition("=")
-            key = key.strip()
-            if key not in _SIM_CONFIG_FIELDS and key not in _OPTION_KEYS:
-                raise ConfigurationError(f"{path}:{line_no}: unknown key '{key}'")
-            if key in raw:
-                raise ConfigurationError(f"{path}:{line_no}: duplicate key '{key}'")
-            raw[key] = line_no, value.strip()
-
-    def convert(key: str, line_no: int, value: str):
-        where = f"{path}:{line_no}: key '{key}'"
-        if key in _INT_KEYS or key == "alpha":
-            kind = int if key in _INT_KEYS else float
-            try:
-                if _plain(value):
-                    return kind(value)
-            except ValueError:
-                pass
-            raise ConfigurationError(f"{where}: bad value {value!r}")
-        if key == "methods":
-            methods = tuple(m.strip() for m in value.split(",") if m.strip())
-            if not methods:
-                raise ConfigurationError(f"{where}: no method given")
-            for i, m in enumerate(methods):
-                if m not in STAGE1_METHODS:
-                    raise ConfigurationError(f"{where}: unknown method '{m}'")
-                if m in methods[:i]:
-                    raise ConfigurationError(f"{where}: repeated method '{m}'")
-            return methods
-        return value
-
-    config_kwargs = {}
-    option_kwargs = {}
-    for key, (line_no, value) in raw.items():
-        parsed = convert(key, line_no, value)
-        if key in _SIM_CONFIG_FIELDS:
-            config_kwargs[key] = parsed
-        else:
-            option_kwargs[key] = parsed
-    return SimConfig(**config_kwargs), SimulateOptions(**option_kwargs)

@@ -14,10 +14,16 @@ pooled mean and theta2 are estimated from the data.  The t quantile, and the
 normal quantile the simulation harness uses, are computed here with ``math``
 alone, so Stage 2 loads no SciPy module.
 
-All of Stage 2 is one array kernel over P profiles that share K studies
-(:func:`pool_profiles`).  Inside it a profile is a row of K values, so each
-sum runs over a contiguous last axis, in the same order whatever P is: a
-profile pools to the same bits alone as in a batch.
+All of Stage 2 is one array kernel over P profiles with any mix of K
+(:func:`pool_profiles`).  Inside it the profiles are sorted by K, largest
+first, and their values are stored studies-major: block k holds study k + 1
+of every profile that has one, and those are the first profiles.  Every sum
+over a profile's studies is a running sum in study order, kept in code
+(``acc[:m_k] += block_k``) rather than left to numpy's reductions, whose
+order depends on an array's shape and memory layout.  So a profile pools to
+the same bits alone as in a batch, whatever the other profiles' K, their
+order or the input's memory layout.  Up to K = 7 these are also the bits of
+numpy's row sums.
 """
 
 from __future__ import annotations
@@ -36,9 +42,12 @@ from .errors import EstimationError, InsufficientStudiesError
 # likelihood's bends usually sit low in it.  0 and 1 are exact grid points,
 # as the theta2 = 0 comparison and the bound-hit test need.
 _GRID_FRAC = np.linspace(0.0, 1.0, 17) ** 3
-# Elements of one (profiles, grid, K) likelihood temporary (64 kB); larger
-# temporaries raise a run's peak resident memory.
-_GRID_CHUNK = 1 << 13
+# Stage 2 runs on chunks of at most this many profiles and values, which
+# bounds its temporaries: 512 x 17 floats (70 kB) in the likelihood scan and
+# 8,192 floats (64 kB) elsewhere.  Larger ones raise a run's peak resident
+# memory; smaller ones cost time, as each chunk runs its own numpy calls.
+_CHUNK_PROFILES = 512
+_CHUNK_VALUES = 8192
 _NEWTON_RTOL = 1e-12
 _MAX_STEPS = 200
 _BOUND_RTOL = 1e-6
@@ -77,11 +86,11 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class PooledProfiles:
-    """Stage 2 for P profiles that share K studies, as (P,) arrays.
+    """Stage 2 for P profiles, as (P,) arrays in the profiles' input order.
 
-    ``half_width`` is None when no interval was asked for.  ``diagnostics``
-    counts theta2 = 0 estimates, bound-doubling retries and Newton steps
-    replaced by bisection.
+    ``half_width`` is None when no interval was asked for, and NaN for a
+    profile with K = 2.  ``diagnostics`` counts theta2 = 0 estimates,
+    bound-doubling retries and Newton steps replaced by bisection.
     """
 
     theta2: np.ndarray
@@ -91,68 +100,130 @@ class PooledProfiles:
     diagnostics: Counter
 
 
-def _profile_log_likelihood(theta2, tau, v):
-    """Vectorized restricted log likelihood over an array of theta2 values.
+# A layout is (tau, v, m): profiles sorted by K, largest first, and their
+# values studies-major.  m[k] is the number of profiles with more than k
+# studies, so block k, the next m[k] values, holds study k + 1 of the first
+# m[k] profiles, and m[0] is the number of profiles.
 
-    ``tau`` and ``v`` hold the K estimates on their last axis, shape (K,) or
-    (P, K); ``theta2`` has shape (T,) or (P, T).  Returns shape (T,) or
-    (P, T).  Constant terms that do not involve theta2 are dropped.
+
+def _value_profiles(m):
+    """The profile of each value of a layout with block sizes ``m``."""
+    return np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+
+
+def _study_counts(m):
+    """K of each profile of a layout: the number of blocks that hold it."""
+    return np.searchsorted(-m, -np.arange(m[0]))
+
+
+def _blocks(m):
+    """(slice of its values, its size) of each block of a layout."""
+    ends = np.cumsum(m).tolist()
+    return [(slice(end - size, end), size) for end, size in zip(ends, m.tolist())]
+
+
+def _fold(op, values, m, initial):
+    """Per-profile fold of a layout's ``values`` (first axis) over its studies,
+    in study order: ``acc[:m[k]] = op(acc[:m[k]], block k)`` from ``initial``.
+
+    ``np.add`` from 0.0 is the running sum study 1 + study 2 + ... that every
+    Stage-2 sum over studies uses.  numpy's ``.sum(axis=...)`` is not used:
+    whether it sums pairwise or one value at a time depends on the array's
+    shape and memory layout, and so would a profile's bits.
     """
-    t2 = np.atleast_1d(np.asarray(theta2, dtype=np.float64))
-    tau = np.asarray(tau)[..., None, :]
+    acc = np.full((m[0], *values.shape[1:]), initial)
+    for block, size in _blocks(m):
+        part = acc[:size]
+        op(part, values[block], out=part)
+    return acc
+
+
+def _select(rows, m):
+    """Block sizes of the profiles ``rows`` (increasing indices) of a layout
+    with block sizes ``m``, and each of their values' profile and block."""
+    sizes = np.searchsorted(rows, m)  # block k holds the rows below m[k]
+    sizes = sizes[sizes > 0]
+    within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return sizes, rows[within], np.repeat(np.arange(sizes.size), sizes)
+
+
+def _take(rows, tau, v, m):
+    """The profiles ``rows`` (increasing indices) of a layout, as a layout."""
+    if rows.size == m[0]:
+        return tau, v, m
+    sizes, profile, block = _select(rows, m)
+    index = (np.cumsum(m) - m)[block] + profile
+    return tau[index], v[index], sizes
+
+
+def _profile_log_likelihood(theta2, tau, v, m):
+    """Restricted log likelihood of each profile of a layout at each of its
+    ``theta2`` values, shape (P, T) like ``theta2``.  Constant terms that do
+    not involve theta2 are dropped.
+
+    The sums over studies run block by block, so the temporaries are (P, T).
+    """
+    log_total, sw, swt, spread = np.zeros((4, *theta2.shape))  # running sums
+    v_col, tau_col = v[:, None], tau[:, None]
+    columns = [(v_col[block], tau_col[block], size) for block, size in _blocks(m)]
     # An se2 near either end of the float range overflows to inf on the way;
     # a likelihood that is not finite reads as -inf.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        total = np.asarray(v)[..., None, :] + t2[..., None]
-        w = 1.0 / total
-        sw = w.sum(axis=-1)
-        mu = (w * tau).sum(axis=-1) / sw
-        out = -0.5 * (
-            np.log(total).sum(axis=-1)
-            + np.log(sw)
-            + (((tau - mu[..., None]) ** 2) * w).sum(axis=-1)
-        )
+        for v_k, tau_k, size in columns:
+            total = v_k + theta2[:size]
+            w = 1.0 / total
+            for acc, term in ((log_total, np.log(total)), (sw, w), (swt, w * tau_k)):
+                part = acc[:size]
+                np.add(part, term, out=part)
+        mu = swt / sw
+        for v_k, tau_k, size in columns:
+            w = 1.0 / (v_k + theta2[:size])
+            part = spread[:size]
+            np.add(part, ((tau_k - mu[:size]) ** 2) * w, out=part)
+        out = -0.5 * (log_total + np.log(sw) + spread)
     return np.where(np.isfinite(out), out, -np.inf)
 
 
-def _score(theta2, tau, v):
-    """REML score and its derivative at one theta2 per row.
+def _score(theta2, tau, v, m):
+    """REML score and its derivative at one theta2 per profile of a layout.
 
     With w = 1/(v + theta2) and r = tau - mu(theta2) (Viechtbauer 2005):
         score = (S(w^2 r^2) - S(w) + S(w^2)/S(w)) / 2
         slope = (-2 S(w^3 r^2) + 2 S(w^2 r)^2/S(w) + S(w^2) - 2 S(w^3)/S(w)
                  + (S(w^2)/S(w))^2) / 2,  S summing over studies.
     """
-    w = 1.0 / (v + theta2[:, None])
-    sw = w.sum(axis=1)
-    r = tau - ((w * tau).sum(axis=1) / sw)[:, None]
-    w2, w3 = w * w, w * w * w
-    ratio = w2.sum(axis=1) / sw
-    score = 0.5 * ((w2 * r * r).sum(axis=1) - sw + ratio)
-    slope = 0.5 * (-2.0 * (w3 * r * r).sum(axis=1) + 2.0 * (w2 * r).sum(axis=1) ** 2 / sw
-                   + w2.sum(axis=1) - 2.0 * w3.sum(axis=1) / sw + ratio * ratio)
+    profile = _value_profiles(m)
+    w = 1.0 / (v + theta2[profile])
+    sw, swt = _fold(np.add, np.stack([w, w * tau], axis=1), m, 0.0).T
+    r = tau - (swt / sw)[profile]
+    terms = np.empty((w.size, 5))  # w^2 r^2, w^3 r^2, w^2 r, w^2, w^3, in place
+    w2, w3 = np.multiply(w, w, out=terms[:, 3]), terms[:, 4]
+    np.multiply(w2, w, out=w3)
+    np.multiply(np.multiply(w2, r, out=terms[:, 2]), r, out=terms[:, 0])
+    np.multiply(np.multiply(w3, r, out=terms[:, 1]), r, out=terms[:, 1])
+    s2r2, s3r2, s2r, s2, s3 = _fold(np.add, terms, m, 0.0).T
+    ratio = s2 / sw
+    score = 0.5 * (s2r2 - sw + ratio)
+    slope = 0.5 * (-2.0 * s3r2 + 2.0 * s2r ** 2 / sw + s2 - 2.0 * s3 / sw + ratio * ratio)
     return score, slope
 
 
-def _solve(tau, v, bound, counts):
-    """REML theta2 per row over [0, bound]: grid scan, then safeguarded Newton.
+def _solve(tau, v, m, bound, counts):
+    """REML theta2 per profile of a layout over [0, bound]: grid scan, then
+    safeguarded Newton.
 
     The likelihood is scanned on 17 points uniform in the cube root of
-    theta2 / bound (``_GRID_FRAC``), in chunks of rows.  Newton on the score
-    then runs between the best point's neighbours; each step narrows the
-    bracket by the sign of the score, and a step that would leave it, or is
-    taken where the likelihood is not concave, is replaced by bisection.  A
-    row stops once its step is at most 1e-12 * (1 + theta2).
-    theta2 = 0 wins whenever its likelihood is at least the refined point's.
+    theta2 / bound (``_GRID_FRAC``).  Newton on the score then runs between
+    the best point's neighbours; each step narrows the bracket by the sign of
+    the score, and a step that would leave it, or is taken where the
+    likelihood is not concave, is replaced by bisection.  A profile stops
+    once its step is at most 1e-12 * (1 + theta2).  theta2 = 0 wins whenever
+    its likelihood is at least the refined point's.
     """
     n_rows, last = len(bound), _GRID_FRAC.size - 1
     grid = bound[:, None] * _GRID_FRAC
-    best, f0 = np.empty(n_rows, dtype=np.intp), np.empty(n_rows)
-    chunk = max(1, _GRID_CHUNK // (_GRID_FRAC.size * tau.shape[1]))
-    for start in range(0, n_rows, chunk):
-        part = slice(start, start + chunk)
-        vals = _profile_log_likelihood(grid[part], tau[part], v[part])
-        best[part], f0[part] = vals.argmax(axis=1), vals[:, 0]
+    vals = _profile_log_likelihood(grid, tau, v, m)
+    best, f0 = vals.argmax(axis=1), vals[:, 0]
     rows = np.arange(n_rows)
     x = grid[rows, best]
     lo = grid[rows, np.maximum(best - 1, 0)]
@@ -162,7 +233,7 @@ def _solve(tau, v, bound, counts):
             break
         xr = x[rows]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            score, slope = _score(xr, tau[rows], v[rows])
+            score, slope = _score(xr, *_take(rows, tau, v, m))
             step = xr - score / slope
         lor = np.where(score > 0.0, xr, lo[rows])
         hir = np.where(score > 0.0, hi[rows], xr)
@@ -172,121 +243,198 @@ def _solve(tau, v, bound, counts):
         new = np.where(ok, step, 0.5 * (lor + hir))
         x[rows], lo[rows], hi[rows] = new, lor, hir
         rows = rows[np.abs(new - xr) > _NEWTON_RTOL * (1.0 + xr)]
-    fx = _profile_log_likelihood(x[:, None], tau, v)[:, 0]
+    fx = _profile_log_likelihood(x[:, None], tau, v, m)[:, 0]
     return np.where(f0 >= fx, 0.0, x)
 
 
-def _reml_rows(tau, v, counts):
-    """REML theta2 for each row of (P, K) arrays.
+def _reml_rows(tau, v, m, counts):
+    """REML theta2 for each profile of a layout.
 
-    Each row is solved in its own units, tau_hat / 2^e and se2 / 4^e with 2^e
-    the least power of two above the range of tau_hat, so that the Newton
+    Each profile is solved in its own units, tau_hat / 2^e and se2 / 4^e with
+    2^e the least power of two above the range of tau_hat, so that the Newton
     stop and the weights' powers in ``_score`` suit any scale; theta2 is the
     solution times 4^e.  Powers of two scale exactly.
 
-    theta2_max = 10 * var(tau_hat) + max(se2) bounds the search.  A row whose
-    maximizer lands on that bound is solved again, once, with the bound
+    theta2_max = 10 * var(tau_hat) + max(se2) bounds the search.  A profile
+    whose maximizer lands on that bound is solved again, once, with the bound
     doubled.  Equal estimates give theta2 = 0 without a search, and a theta2
     that overflows raises ``EstimationError``.
     """
-    theta2 = np.zeros(len(tau))
-    active = np.ptp(tau, axis=1) > 0.0
+    high, low = _fold(np.maximum, np.stack([tau, -tau], axis=1), m, -np.inf).T
+    low = -low
+    theta2 = np.zeros(m[0])
+    active = high > low
     if active.any():
-        e = np.frexp(np.ptp(0.5 * tau[active], axis=1))[1] + 1
+        rows = np.flatnonzero(active)
+        t, s, sizes = _take(rows, tau, v, m)
+        # Halving is exact and monotone: this is the range of tau_hat / 2.
+        e = np.frexp(0.5 * high[rows] - 0.5 * low[rows])[1] + 1
+        profile = _value_profiles(sizes)
         with np.errstate(over="ignore", under="ignore"):
-            t = np.ldexp(tau[active], -e[:, None])
+            t = np.ldexp(t, -e[profile])
             # An se2 past the float range in these units weighs nothing.
-            s = np.minimum(np.ldexp(v[active], -2 * e[:, None]), np.finfo(np.float64).max)
-        bound = 10.0 * np.var(t, axis=1, ddof=1) + s.max(axis=1)
-        x = _solve(t, s, bound, counts)
+            s = np.minimum(np.ldexp(s, -2 * e[profile]), np.finfo(np.float64).max)
+        k = _study_counts(sizes)
+        # np.var(t, ddof=1), its sums taken in study order
+        deviation = t - (_fold(np.add, t, sizes, 0.0) / k)[profile]
+        variance = _fold(np.add, deviation * deviation, sizes, 0.0) / (k - 1)
+        bound = 10.0 * variance + _fold(np.maximum, s, sizes, -np.inf)
+        x = _solve(t, s, sizes, bound, counts)
         hit = bound - x <= _BOUND_RTOL * bound
         if hit.any():
             bound2 = 2.0 * bound[hit]
-            x[hit] = _solve(t[hit], s[hit], bound2, counts)
+            x[hit] = _solve(*_take(np.flatnonzero(hit), t, s, sizes), bound2, counts)
             if np.any(bound2 - x[hit] <= _BOUND_RTOL * bound2):
                 raise EstimationError(
                     "REML maximizer exceeded its search bound after one retry"
                 )
             counts["reml_bound_retries"] += int(np.count_nonzero(hit))
         with np.errstate(over="ignore"):
-            theta2[active] = np.ldexp(x, 2 * e)
+            theta2[rows] = np.ldexp(x, 2 * e)
         if not np.isfinite(theta2).all():
             raise EstimationError("the REML estimate of theta2 overflows")
     counts["reml_boundary_hits"] += int(np.count_nonzero(theta2 == 0.0))
     return theta2
 
 
-def _pool_rows(tau, v, theta2):
-    """Inverse-variance pooling of each row: (weights, tau_pooled, var_pooled).
+def _pool_rows(tau, v, m, theta2):
+    """Inverse-variance pooling of each profile of a layout: (weights, in the
+    layout, tau_pooled, var_pooled).
 
-    A row with all weights infinite (se2 + theta2 zero, or too small for its
-    inverse to be a float) and equal estimates pools to that estimate with
-    variance 0 and nominal equal weights; any other infinite weight is an
-    error.  A row of finite weights whose sum or weighted sum overflows is
-    pooled on its weights times 2**-e, e the exponent of its largest weight;
-    the scaling is exact and leaves the other rows alone.  If that row still
-    overflows, it is an error.
+    A profile with all weights infinite (se2 + theta2 zero, or too small for
+    its inverse to be a float) and equal estimates pools to that estimate
+    with variance 0 and nominal equal weights; any other infinite weight is
+    an error.  A profile of finite weights whose sum or weighted sum
+    overflows is pooled on its weights times 2**-e, e the exponent of its
+    largest weight; the scaling is exact and leaves the other profiles alone.
+    If that profile still overflows, it is an error.
     """
+    profile = _value_profiles(m)
     with np.errstate(divide="ignore", over="ignore"):
-        w = 1.0 / (v + theta2[:, None])
+        w = 1.0 / (v + theta2[profile])
     with np.errstate(invalid="ignore", over="ignore"):
-        sw = w.sum(axis=1)
-        weighted = (w * tau).sum(axis=1)
+        sw, weighted = _fold(np.add, np.stack([w, w * tau], axis=1), m, 0.0).T
         tau_pooled = weighted / sw
         var_pooled = 1.0 / sw
-    zero = np.isinf(w)
-    degenerate = zero.any(axis=1)
-    overflow = ~degenerate & ~(np.isfinite(sw) & np.isfinite(weighted))
-    if overflow.any():
-        e = np.frexp(w[overflow].max(axis=1))[1]
-        scaled = np.ldexp(w[overflow], -e[:, None])
-        with np.errstate(over="ignore", invalid="ignore"):
-            sw = scaled.sum(axis=1)
-            tau_pooled[overflow] = (scaled * tau[overflow]).sum(axis=1) / sw
-        var_pooled[overflow] = np.ldexp(1.0 / sw, -e)
-        if not np.isfinite(tau_pooled[overflow]).all():
-            raise EstimationError("the pooled estimate overflows")
-    if degenerate.any():
-        if not np.all(zero[degenerate].all(axis=1)
-                      & (np.ptp(tau[degenerate], axis=1) == 0.0)):
-            raise EstimationError("degenerate variance: some 1/(se2 + theta2) are infinite")
-        w[degenerate] = 1.0 / tau.shape[1]
-        tau_pooled[degenerate] = tau[degenerate, 0]
-        var_pooled[degenerate] = 0.0
+    # An infinite weight makes its profile's sum infinite too.
+    rows = np.flatnonzero(~(np.isfinite(sw) & np.isfinite(weighted)))
+    if rows.size:
+        w_bad, tau_bad, sizes = _take(rows, w, tau, m)
+        zero = np.isinf(w_bad)
+        degenerate = _fold(np.logical_or, zero, sizes, False)
+        overflow = ~degenerate
+        if overflow.any():
+            scaled, tau_over, sizes_over = _take(np.flatnonzero(overflow), w_bad, tau_bad, sizes)
+            e = np.frexp(_fold(np.maximum, scaled, sizes_over, -np.inf))[1]
+            scaled = np.ldexp(scaled, -e[_value_profiles(sizes_over)])
+            with np.errstate(over="ignore", invalid="ignore"):
+                sw, weighted = _fold(np.add, np.stack([scaled, scaled * tau_over], axis=1),
+                                     sizes_over, 0.0).T
+                tau_pooled[rows[overflow]] = weighted / sw
+            var_pooled[rows[overflow]] = np.ldexp(1.0 / sw, -e)
+            if not np.isfinite(tau_pooled[rows[overflow]]).all():
+                raise EstimationError("the pooled estimate overflows")
+        if degenerate.any():
+            high, low = _fold(np.maximum, np.stack([tau_bad, -tau_bad], axis=1), sizes,
+                              -np.inf).T
+            if not np.all(_fold(np.logical_and, zero, sizes, True)[degenerate]
+                          & (high == -low)[degenerate]):
+                raise EstimationError("degenerate variance: some 1/(se2 + theta2) are infinite")
+            first_study = tau_bad[:rows.size]  # block 0
+            rows = rows[degenerate]
+            tau_pooled[rows] = first_study[degenerate]
+            var_pooled[rows] = 0.0
+            entries = np.zeros(m[0], dtype=bool)
+            entries[rows] = True
+            entries = entries[profile]
+            w[entries] = 1.0 / _study_counts(m)[profile[entries]]
     return w, tau_pooled, var_pooled
 
 
-def _half_width(var_pooled, theta2, alpha: float, k_studies: int):
-    """t_{K-2, 1-alpha/2} * sqrt(var_pooled + theta2).
+def _half_width(var_pooled, theta2, alpha: float, k):
+    """t_{K-2, 1-alpha/2} * sqrt(var_pooled + theta2), K the number of studies
+    of each profile (``k``, one count or one per profile); NaN where K = 2,
+    whose t has no degrees of freedom.
 
     The quantile is taken from the lower tail alpha/2, which keeps its digits
-    where 1 - alpha/2 would round (to 1 below alpha of about 1.1e-16)."""
+    where 1 - alpha/2 would round (to 1 below alpha of about 1.1e-16).  It
+    is worked out once per distinct K."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be in (0, 1)")
-    if k_studies < 3:
+    k = np.asarray(k)
+    if k.size and not (k > 2).any():
         raise InsufficientStudiesError(
-            f"prediction intervals need K >= 3 studies, got {k_studies}"
+            f"prediction intervals need K >= 3 studies, got {k.max()}"
         )
-    return -t_quantile(k_studies - 2, alpha / 2.0) * np.sqrt(var_pooled + theta2)
+    # The distinct K >= 3, by bincount: np.unique would import numpy.ma, about
+    # 18 ms of a process's first call.
+    dfs = np.flatnonzero(np.bincount(k.ravel(), minlength=3)[3:]) + 3
+    quantile = np.array([-t_quantile(int(df) - 2, alpha / 2.0) for df in dfs.tolist()])
+    factor = np.where(k > 2, quantile[np.searchsorted(dfs, k)], np.nan)
+    return factor * np.sqrt(var_pooled + theta2)
 
 
-def _as_rows(tau, v):
-    """Validate (K, P) inputs and return them as contiguous (P, K) rows.
+def _sorted_profiles(tau, v, k):
+    """Validate Stage-2 inputs: ``(tau, v, first, m, order)``, where ``tau``
+    and ``v`` hold each profile's values one profile after another, ``order``
+    lists the profiles by K, largest first (the order of a layout), ``first``
+    is where each of them starts, and ``m`` the block sizes of their layout.
 
-    Every tau_hat must be finite and every se2 >= 0.  An infinite se2 gives
-    its study weight 0, but a profile needs at least one finite se2.
+    With ``k`` None, ``tau`` and ``v`` are (K, P) arrays, one column per
+    profile.  Otherwise ``k`` holds each profile's study count (>= 2) and
+    ``tau`` and ``v`` its values, profile after profile.  Every tau_hat must
+    be finite and every se2 >= 0.  An infinite se2 gives its study weight 0,
+    but a profile needs at least one finite se2.
     """
     tau = np.asarray(tau, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if tau.shape != v.shape or tau.ndim != 2 or tau.shape[0] < 2:
-        raise ValueError("tau and v must both be (K, n_profiles) with K >= 2")
+    if k is None:
+        if tau.shape != v.shape or tau.ndim != 2 or tau.shape[0] < 2:
+            raise ValueError("tau and v must both be (K, n_profiles) with K >= 2")
+        k = np.full(tau.shape[1], tau.shape[0])
+        tau, v = tau.T.ravel(), v.T.ravel()
+    else:
+        k = np.asarray(k)
+        if (k.ndim != 1 or k.dtype.kind not in "iu" or not (k >= 2).all()
+                or tau.shape != v.shape or tau.shape != (k.sum(),)):
+            raise ValueError("k must hold integer study counts >= 2, and tau and v "
+                             "their sum(k) values, profile after profile")
+        k = k.astype(np.intp)
     if not np.isfinite(tau).all():
         raise EstimationError("tau_hat must be finite")
     if not (v >= 0.0).all():  # also false for NaN
         raise EstimationError("se2 must be >= 0 and not NaN")
-    if np.isinf(v).all(axis=0).any():
+    starts = np.cumsum(k) - k
+    if np.logical_and.reduceat(np.isinf(v), starts).any():
         raise EstimationError("a profile needs at least one finite se2")
-    return np.ascontiguousarray(tau.T), np.ascontiguousarray(v.T)
+    order = np.argsort(-k, kind="stable")
+    # m[j] = the number of profiles with more than j studies
+    m = np.cumsum(np.bincount(k, minlength=k.max(initial=1) + 1)[::-1])[::-1][1:]
+    return tau, v, starts[order], m, order
+
+
+def _chunks(tau, v, first, m):
+    """The profiles of a layout in consecutive runs, each of at most
+    ``_CHUNK_PROFILES`` profiles and ``_CHUNK_VALUES`` values (or of one
+    profile): ``(rows, tau, v, m)`` of each run, its values gathered from the
+    profile-after-profile ``tau`` and ``v`` into a layout of their own."""
+    ends = np.cumsum(_study_counts(m))
+    start = 0
+    while start < m[0]:
+        done = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, done + _CHUNK_VALUES, side="right"))
+        rows = np.arange(start, min(max(stop, start + 1), start + _CHUNK_PROFILES))
+        sizes, profile, block = _select(rows, m)
+        index = first[profile] + block
+        yield rows, tau[index], v[index], sizes
+        start = rows[-1] + 1
+
+
+def _in_input_order(order, values):
+    """Per-profile ``values`` of a layout, put back in the input's order."""
+    out = np.empty_like(values)
+    out[order] = values
+    return out
 
 
 def reml_theta2_batch(tau: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -296,22 +444,33 @@ def reml_theta2_batch(tau: np.ndarray, v: np.ndarray) -> np.ndarray:
     profile, the ``theta2`` of :func:`pool_profiles` bit for bit, without
     the pooling.
     """
-    return _reml_rows(*_as_rows(tau, v), Counter())
+    tau, v, first, m, order = _sorted_profiles(tau, v, None)
+    theta2 = np.empty(order.size)
+    for rows, *part in _chunks(tau, v, first, m):
+        theta2[rows] = _reml_rows(*part, Counter())
+    return _in_input_order(order, theta2)
 
 
-def pool_profiles(tau: np.ndarray, v: np.ndarray, alpha: float | None = None
-                  ) -> PooledProfiles:
+def pool_profiles(tau: np.ndarray, v: np.ndarray, alpha: float | None = None,
+                  k: np.ndarray | None = None) -> PooledProfiles:
     """Stage 2 for many profiles at once: REML, pooling and intervals.
 
-    ``tau`` and ``v`` have shape (K, n_profiles).  With ``alpha`` given,
-    also forms the level 1 - alpha prediction half-width (needs K >= 3).
+    ``tau`` and ``v`` have shape (K, n_profiles), or, with ``k`` given, hold
+    profile j's ``k[j]`` values one profile after another, so one call pools
+    profiles with any mix of K.  With ``alpha`` given, also forms the level
+    1 - alpha prediction half-width: NaN for a profile with K = 2, and an
+    ``InsufficientStudiesError`` if every profile has K = 2.  A profile gets
+    the same bits whatever the other profiles are.
     """
-    tau, v = _as_rows(tau, v)
+    tau, v, first, m, order = _sorted_profiles(tau, v, k)
     counts = Counter(reml_boundary_hits=0, reml_bound_retries=0, reml_bisection_fallbacks=0)
-    theta2 = _reml_rows(tau, v, counts)
-    _, tau_pooled, var_pooled = _pool_rows(tau, v, theta2)
-    half = None if alpha is None else _half_width(var_pooled, theta2, alpha, tau.shape[1])
-    return PooledProfiles(theta2, tau_pooled, var_pooled, half, counts)
+    theta2, tau_pooled, var_pooled = np.empty((3, order.size))
+    for rows, *part in _chunks(tau, v, first, m):
+        theta2[rows] = _reml_rows(*part, counts)
+        _, tau_pooled[rows], var_pooled[rows] = _pool_rows(*part, theta2[rows])
+    half = None if alpha is None else _half_width(var_pooled, theta2, alpha, _study_counts(m))
+    return PooledProfiles(*(None if a is None else _in_input_order(order, a)
+                            for a in (theta2, tau_pooled, var_pooled, half)), counts)
 
 
 def dl_theta2(tau: np.ndarray, v: np.ndarray) -> float:

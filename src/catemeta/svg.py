@@ -121,10 +121,14 @@ def prediction_intervals_svg(profile_id, center, lower, upper, digest: str = "")
                 _ZERO_COLOR, cls="zero-line", dash="4 3")
     span = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     n = len(center)
-    for i, (mid, bottom, top) in enumerate(zip(center.tolist(), lower.tolist(), upper.tolist())):
-        x = _MARGIN_LEFT + span * (i + 0.5) / max(n, 1)
-        canvas.line(x, scale(bottom), x, scale(top), _INTERVAL_COLOR, cls="interval")
-        canvas.circle(x, scale(mid), 1.6, _CENTER_COLOR, cls="center")
+    # The markup of Canvas.line and Canvas.circle, one template per profile;
+    # the coordinates are worked out as there, on arrays.
+    mark = (f'<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="{_INTERVAL_COLOR}" '
+            f'stroke-width="{_f(1.0)}" class="interval"/>\n'
+            f'<circle cx="%.2f" cy="%.2f" r="{_f(1.6)}" fill="{_CENTER_COLOR}" class="center"/>')
+    x = (_MARGIN_LEFT + span * (np.arange(n) + 0.5) / max(n, 1)).tolist()
+    canvas.parts.extend(mark % p for p in zip(
+        x, scale(lower).tolist(), x, scale(upper).tolist(), x, scale(center).tolist()))
     return canvas.render()
 
 

@@ -108,14 +108,21 @@ def test_criterion_03_length_increases_with_heterogeneity():
     report("criterion 3 (interval length grows with heterogeneity)", ok, "; ".join(details))
 
 
+def loglik(grid, tau, v):
+    """Restricted log likelihood of one profile's K estimates at each grid point."""
+    one_value_a_block = np.ones(len(tau), dtype=np.intp)
+    return _profile_log_likelihood(grid[None], np.asarray(tau, dtype=np.float64),
+                                   np.asarray(v, dtype=np.float64), one_value_a_block)[0]
+
+
 def grid_argmax(tau, v, upper, coarse=1e-3, fine=1e-6):
     """Brute-force grid maximizer: coarse scan, then a 1e-6 scan at the peak."""
     coarse_grid = np.arange(0.0, upper + coarse, coarse)
-    vals = _profile_log_likelihood(coarse_grid, tau, v)
+    vals = loglik(coarse_grid, tau, v)
     center = coarse_grid[int(np.argmax(vals))]
     lo = max(center - 2 * coarse, 0.0)
     fine_grid = np.arange(lo, min(center + 2 * coarse, upper) + fine, fine)
-    vals = _profile_log_likelihood(fine_grid, tau, v)
+    vals = loglik(fine_grid, tau, v)
     return float(fine_grid[int(np.argmax(vals))])
 
 

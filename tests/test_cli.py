@@ -438,6 +438,38 @@ class TestPredict:
         line = (out / "predictions.csv").read_text().splitlines()[1]
         assert line.endswith(",,,")
 
+    def test_profiles_of_every_k_pool_in_one_call(self, tmp_path, monkeypatch):
+        # Profiles with K = 2, 3, 5 and 9 used to take one pool_profiles call per K.
+        rng = np.random.default_rng(30)
+        lines, profiles = ["profile_id,study_id,tau_hat,se2"], {}
+        for pid, k in enumerate([5, 2, 9, 3, 5, 9, 2, 3]):
+            tau, se2 = rng.normal(0.0, 1.0, k), rng.uniform(0.05, 0.5, k)
+            profiles[pid] = tau, se2
+            lines += [f"{pid},{s + 1},{t!r},{v!r}"
+                      for s, (t, v) in enumerate(zip(tau.tolist(), se2.tolist()))]
+        agg = tmp_path / "agg.csv"
+        agg.write_text("\n".join(lines) + "\n")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return cli_pool_profiles(*args, **kwargs)
+
+        cli_pool_profiles = cli.pool_profiles
+        monkeypatch.setattr(cli, "pool_profiles", counted)
+        assert run(["predict", "--aggregates", agg, "--out-dir", tmp_path / "pred"]) == 0
+        assert len(calls) == 1
+        pid, center, theta2, lower, upper, k = read_predictions_csv(
+            tmp_path / "pred" / "predictions.csv")
+        for j, (tau, se2) in profiles.items():  # each profile's bits alone
+            alone = cli_pool_profiles(tau[:, None], se2[:, None], 0.05 if len(tau) > 2 else None)
+            assert (center[j], theta2[j], k[j]) == (alone.tau_pooled[0], alone.theta2[0], len(tau))
+            if len(tau) > 2:
+                assert lower[j] == alone.tau_pooled[0] - alone.half_width[0]
+                assert upper[j] == alone.tau_pooled[0] + alone.half_width[0]
+            else:
+                assert np.isnan(lower[j]) and np.isnan(upper[j])
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("se2", ["1e308", "5e-324"])
     def test_extreme_se2_predicts_without_warnings(self, tmp_path, capsys, se2):

@@ -121,3 +121,19 @@ def test_no_scipy_module_loaded(loaded):
 
 def test_no_multiprocessing_module_without_a_pool(loaded):
     assert loaded["pool_modules"] == []
+
+
+def test_linear_harness_loads_no_numpy_ma():
+    # np.unique loads numpy.ma on its first call, about 18 ms of a process;
+    # Stage 2 counts its distinct K with np.bincount instead, so a linear
+    # replication, which sorts nothing else, loads it nowhere.
+    code = ("import sys\n"
+            "from catemeta import SimConfig, run_experiment\n"
+            "run_experiment(SimConfig(k_studies=3, n_per_study=120, n_replications=2,"
+            " master_seed=1), 'linear')\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

@@ -31,11 +31,22 @@ def theta2_of(tau, v):
     return float(pool_profiles(np.c_[tau], np.c_[v]).theta2[0])
 
 
+def one_profile(tau, v):
+    """One profile's K estimates as a Stage-2 layout (tau, v, m): one value a block."""
+    tau = np.asarray(tau, dtype=np.float64)
+    return tau, np.asarray(v, dtype=np.float64), np.ones(tau.size, dtype=np.intp)
+
+
+def loglik(theta2, tau, v):
+    """Restricted log likelihood of one profile at each of the theta2 values."""
+    return _profile_log_likelihood(np.atleast_1d(np.asarray(theta2, dtype=np.float64))[None],
+                                   *one_profile(tau, v))[0]
+
+
 def pool_at(tau, v, theta2):
     """(weights, tau_pooled, var_pooled) of one profile pooled at a fixed theta2."""
-    w, center, var = _pool_rows(np.array([tau], dtype=np.float64),
-                                np.array([v], dtype=np.float64), np.array([theta2]))
-    return w[0], float(center[0]), float(var[0])
+    w, center, var = _pool_rows(*one_profile(tau, v), np.array([theta2]))
+    return w, float(center[0]), float(var[0])
 
 
 def interval_at(tau, v, theta2, alpha):
@@ -54,29 +65,29 @@ def grid_argmax(tau, v, upper, coarse=1e-3, fine=1e-6):
     brackets the global maximum.
     """
     coarse_grid = np.arange(0.0, upper + coarse, coarse)
-    vals = _profile_log_likelihood(coarse_grid, tau, v)
+    vals = loglik(coarse_grid, tau, v)
     center = coarse_grid[int(np.argmax(vals))]
     lo = max(center - 2 * coarse, 0.0)
     fine_grid = np.arange(lo, min(center + 2 * coarse, upper) + fine, fine)
-    vals = _profile_log_likelihood(fine_grid, tau, v)
+    vals = loglik(fine_grid, tau, v)
     return float(fine_grid[int(np.argmax(vals))])
 
 
 class TestRestrictedLogLikelihood:
     def test_hand_value_two_equal_studies(self):
-        value = _profile_log_likelihood(0.0, [1.0, 1.0], [1.0, 1.0])[0]
+        value = loglik(0.0, [1.0, 1.0], [1.0, 1.0])[0]
         assert value == pytest.approx(-0.5 * math.log(2.0), abs=1e-12)
 
     def test_decreases_as_theta2_grows_large(self):
         tau, v = [0.0, 1.0, 3.0], [0.5, 1.0, 2.0]
-        values = _profile_log_likelihood([10.0, 100.0, 1000.0, 10000.0], tau, v)
+        values = loglik([10.0, 100.0, 1000.0, 10000.0], tau, v)
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_identical_estimates_maximized_at_zero(self):
         tau, v = [2.0, 2.0, 2.0], [0.3, 0.6, 0.9]
-        at_zero = _profile_log_likelihood(0.0, tau, v)[0]
+        at_zero = loglik(0.0, tau, v)[0]
         for t2 in (0.01, 0.1, 1.0):
-            assert _profile_log_likelihood(t2, tau, v)[0] < at_zero
+            assert loglik(t2, tau, v)[0] < at_zero
 
 
 class TestRemlTheta2:
@@ -123,7 +134,10 @@ class TestRemlTheta2:
         theta2 = reml_theta2_batch(tau, v)
         inside = theta2 > 0.0
         assert inside.sum() > 25
-        score, slope = _score(theta2[inside], tau.T[inside], v.T[inside])
+        # (K, P) columns in C order are a layout: study k of every profile in block k
+        k, n = tau[:, inside].shape
+        score, slope = _score(theta2[inside], tau[:, inside].ravel(), v[:, inside].ravel(),
+                              np.full(k, n))
         assert np.all(np.abs(score / slope) <= 1e-11 * (1.0 + theta2[inside]))
 
     def test_batch_shape_validation(self):
@@ -330,10 +344,9 @@ class TestMultimodalLikelihood:
         theta2 = pool_profiles(tau, v).theta2
         for j in range(len(cases)):
             bound = 10.0 * np.var(tau[:, j], ddof=1) + v[:, j].max()
-            fine = _profile_log_likelihood(
-                bound * np.linspace(0.0, 1.0, 4097), tau[:, j], v[:, j])
+            fine = loglik(bound * np.linspace(0.0, 1.0, 4097), tau[:, j], v[:, j])
             assert n_local_maxima(fine) >= 2, f"case {cases[j]}"
-            reached = _profile_log_likelihood(theta2[j], tau[:, j], v[:, j])[0]
+            reached = loglik(theta2[j], tau[:, j], v[:, j])[0]
             assert reached >= fine.max() - 1e-9, f"case {cases[j]}"
 
 
@@ -731,19 +744,22 @@ class TestStage2Properties:
 
 @st.composite
 def pooling_blocks(draw):
-    """(tau, v, n_a): (K, P) rows of three kinds, at least one of each, to be
-    split after the first n_a: all-equal estimates (theta2 = 0 without a
-    search; with se2 all 0, the degenerate equal-weight pooling), estimates
-    close together next to their se2 (theta2 = 0 by the boundary comparison)
-    and spread estimates with small equal se2, whose theta2 is about a tenth
-    of the search bound."""
-    k = draw(st.integers(3, 30), label="k")
+    """(profiles, n_a): (tau, v) profiles of three kinds, at least one of each,
+    to be split after the first n_a, all with one K from 3 to 30 or each with
+    its own: all-equal estimates (theta2 = 0 without a search; with se2 all
+    0, the degenerate equal-weight pooling), estimates close together next to
+    their se2 (theta2 = 0 by the boundary comparison) and spread estimates
+    with small equal se2, whose theta2 is about a tenth of the search bound."""
     kinds = ["equal", "zero", "spread"] + draw(
         st.lists(st.sampled_from(["equal", "zero", "spread"]), max_size=9), label="kinds")
     kinds = draw(st.permutations(kinds), label="order")
+    k_studies = st.integers(3, 30)
+    ks = draw(st.one_of(k_studies.map(lambda k: [k] * len(kinds)),
+                        st.lists(k_studies, min_size=len(kinds), max_size=len(kinds))),
+              label="ks")
     center = st.floats(-10.0, 10.0, allow_nan=False)
-    columns = []
-    for kind in kinds:
+    profiles = []
+    for kind, k in zip(kinds, ks):
         mid = draw(center)
         if kind == "equal":
             tau = np.full(k, mid)
@@ -758,31 +774,186 @@ def pooling_blocks(draw):
             unit = draw(st.lists(st.floats(-1.0, 1.0), min_size=k - 2, max_size=k - 2))
             tau = mid + scale * np.array([-1.0, 1.0, *unit])
             v = np.full(k, scale * scale * draw(st.floats(1e-6, 1e-3)))
-        columns.append((tau, v))
+        profiles.append((tau, v))
     n_a = draw(st.integers(1, len(kinds) - 1), label="n_a")
-    tau, v = (np.column_stack(parts) for parts in zip(*columns))
-    return tau, v, n_a
+    return profiles, n_a
+
+
+def flat(profiles):
+    """(tau, v, k) of profiles for ``pool_profiles(tau, v, alpha, k=k)``."""
+    return (np.concatenate([tau for tau, _ in profiles]),
+            np.concatenate([v for _, v in profiles]), np.array([len(tau) for tau, _ in profiles]))
+
+
+def pool_mixed(profiles, alpha=0.05):
+    """``pool_profiles`` on a list of (tau, v) profiles."""
+    tau, v, k = flat(profiles)
+    return pool_profiles(tau, v, alpha, k=k)
+
+
+FIELDS = ("theta2", "tau_pooled", "var_pooled", "half_width")
 
 
 class TestRowIndependence:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(pooling_blocks())
     def test_two_blocks_pool_as_one_call(self, case):
-        # The simulation harness pools a block of replications in one call
-        # and relies on each row getting the bits it gets alone.  No row
-        # reaches the real search bound (theta2 stays under about 0.13 of
-        # it), so the bound-hit test is loosened here to reach the retry:
-        # every row whose theta2 exceeds 8% of its bound is solved again.
-        tau, v, n_a = case
+        # The simulation harness pools a block of replications in one call,
+        # and predict all of its profiles, and both rely on each profile
+        # getting the bits it gets alone.  No profile reaches the real search
+        # bound (theta2 stays under about 0.13 of it), so the bound-hit test
+        # is loosened here to reach the retry: every profile whose theta2
+        # exceeds 8% of its bound is solved again.
+        profiles, n_a = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(meta, "_BOUND_RTOL", 0.92)
-            whole = pool_profiles(tau, v, alpha=0.05)
-            parts = [pool_profiles(tau[:, cols], v[:, cols], alpha=0.05)
-                     for cols in (slice(None, n_a), slice(n_a, None))]
-        for name in ("theta2", "tau_pooled", "var_pooled", "half_width"):
+            whole = pool_mixed(profiles)
+            parts = [pool_mixed(part) for part in (profiles[:n_a], profiles[n_a:])]
+            if len({len(tau) for tau, _ in profiles}) == 1:  # the (K, P) form: the same bits
+                columns = pool_profiles(np.column_stack([tau for tau, _ in profiles]),
+                                        np.column_stack([v for _, v in profiles]), alpha=0.05)
+                for name in FIELDS:
+                    assert np.array_equal(getattr(columns, name), getattr(whole, name))
+        for name in FIELDS:
             assert np.array_equal(getattr(whole, name),
                                   np.concatenate([getattr(part, name) for part in parts]))
         for key, count in whole.diagnostics.items():
             assert count == sum(part.diagnostics[key] for part in parts)
         assert whole.diagnostics["reml_bound_retries"] >= 1
         assert whole.diagnostics["reml_boundary_hits"] >= 2
+
+
+@st.composite
+def mixed_profiles(draw, max_profiles=10):
+    """(tau, v) profiles with K from 2 to 40, at least one with K >= 3."""
+    ks = draw(st.lists(st.integers(2, 40), min_size=1, max_size=max_profiles), label="ks")
+    ks[0] = max(ks[0], 3)
+    values = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    variances = st.floats(1e-3, 10.0, allow_nan=False, allow_infinity=False)
+    return [(np.array(draw(st.lists(values, min_size=k, max_size=k))),
+             np.array(draw(st.lists(variances, min_size=k, max_size=k)))) for k in ks]
+
+
+def bits(values):
+    """The bytes of float64 values, every NaN alike."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+def python_sums(theta2, tau, v):
+    """S(w), S(w tau), S(w^2 r^2), S(w^3 r^2), S(w^2 r), S(w^2), S(w^3) of one
+    profile at theta2, each summed left to right in Python floats."""
+    w = [1.0 / (vs + theta2) for vs in v]
+    sw = swt = 0.0
+    for ws, ts in zip(w, tau):
+        sw += ws
+        swt += ws * ts
+    r = [ts - swt / sw for ts in tau]
+    s2r2 = s3r2 = s2r = s2 = s3 = 0.0
+    for ws, rs in zip(w, r):
+        w2 = ws * ws
+        w3 = w2 * ws
+        s2r2 += w2 * rs * rs
+        s3r2 += w3 * rs * rs
+        s2r += w2 * rs
+        s2 += w2
+        s3 += w3
+    return sw, swt, s2r2, s3r2, s2r, s2, s3
+
+
+class TestMixedK:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(mixed_profiles(), st.data())
+    def test_a_profile_pools_alone_as_in_any_batch_and_order(self, profiles, data):
+        order = data.draw(st.permutations(range(len(profiles))), label="order")
+        batch = pool_mixed(profiles)
+        moved = pool_mixed([profiles[i] for i in order])
+        assert moved.diagnostics == batch.diagnostics
+        for j, (tau, v) in enumerate(profiles):
+            alone = pool_profiles(tau[:, None], v[:, None], 0.05 if len(tau) > 2 else None)
+            for name in FIELDS:
+                got = getattr(batch, name)[j]
+                assert bits(got) == bits(getattr(moved, name)[order.index(j)])
+                expected = getattr(alone, name)
+                assert bits(got) == bits(np.nan if expected is None else expected[0])
+
+    def test_overflow_and_degenerate_profiles_pool_alone_as_in_a_batch(self):
+        # The rescaled overflow path and the equal-weight degenerate path run
+        # on a few profiles of a mixed layout.
+        profiles = [(np.ones(3), np.full(3, 1e-308)), (np.full(2, 2.0), np.zeros(2)),
+                    (np.array([0.1, 0.5, 0.9, 0.3]), np.array([0.1, 0.2, 0.3, 0.1])),
+                    (np.full(3, 1e300), np.full(3, 1e-10)), (np.full(4, 5.0), np.zeros(4))]
+        batch = pool_mixed(profiles)
+        for j, (tau, v) in enumerate(profiles):
+            alone = pool_profiles(tau[:, None], v[:, None], 0.05 if len(tau) > 2 else None)
+            for name in FIELDS:
+                expected = getattr(alone, name)
+                assert bits(getattr(batch, name)[j]) == bits(
+                    np.nan if expected is None else expected[0])
+        assert batch.tau_pooled[1] == 2.0 and batch.var_pooled[4] == 0.0
+
+    def test_two_study_profiles_have_no_half_width(self):
+        batch = pool_profiles([0.0, 1.0, 0.0, 1.0, 2.0], np.ones(5), alpha=0.05, k=[2, 3])
+        assert np.isnan(batch.half_width[0]) and np.isfinite(batch.half_width[1])
+        with pytest.raises(InsufficientStudiesError, match="K >= 3 studies, got 2"):
+            pool_profiles([0.0, 1.0, 0.0, 1.0], np.ones(4), alpha=0.05, k=[2, 2])
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64])
+    def test_counts_of_any_integer_type(self, dtype):
+        tau, v = [0.0, 1.0, 0.0, 1.0, 2.0], np.ones(5)
+        base = pool_profiles(tau, v, alpha=0.05, k=[2, 3])
+        other = pool_profiles(tau, v, alpha=0.05, k=np.array([2, 3], dtype=dtype))
+        for name in FIELDS:
+            assert bits(getattr(other, name)) == bits(getattr(base, name))
+
+    @pytest.mark.parametrize("k, message", [
+        ([2, 1], "k must hold"), ([2.0, 2.0], "k must hold"), ([2, 3], "k must hold"),
+        ([[2, 2]], "k must hold"),
+    ], ids=["one-study", "float", "wrong-total", "2-d"])
+    def test_counts_must_match_the_values(self, k, message):
+        with pytest.raises(ValueError, match=message):
+            pool_profiles(np.zeros(4), np.ones(4), k=k)
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(stage2_inputs(max_profiles=8))
+    def test_memory_layout_leaves_the_bits(self, inputs):
+        tau, v = inputs
+        base = pool_profiles(tau, v, alpha=0.05)
+        k = np.full(tau.shape[1], tau.shape[0])
+
+        def strided(values):
+            """``values`` as every other row and every third column of a larger array."""
+            spread = np.zeros((2 * values.shape[0], 3 * values.shape[1]))
+            spread[::2, ::3] = values
+            return spread[::2, ::3]
+
+        for layout in ((np.asfortranarray(tau), np.asfortranarray(v), None),
+                       (strided(tau), strided(v), None),
+                       (tau.T.ravel(), v.T.ravel(), k),
+                       (np.repeat(tau.T.ravel(), 2)[::2], np.repeat(v.T.ravel(), 2)[::2], k)):
+            other = pool_profiles(*layout[:2], alpha=0.05, k=layout[2])
+            for name in FIELDS:
+                assert bits(getattr(other, name)) == bits(getattr(base, name))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(mixed_profiles())
+    def test_study_sums_run_left_to_right(self, profiles):
+        # The kernel's sums equal Python's running sums for any K, where
+        # numpy's pairwise row sums differ from K = 8 on.
+        tau, v, k = flat(profiles)
+        pooled = pool_profiles(tau, v, k=k)
+        values_tau, values_v, first, m, order = meta._sorted_profiles(tau, v, k)
+        index = np.concatenate([first[:size] + s for s, size in enumerate(m.tolist())])
+        layout = values_tau[index], values_v[index], m  # studies-major, by K
+        theta2 = pooled.theta2[order]
+        score, slope = _score(theta2, *layout)
+        _, center, var = _pool_rows(*layout, theta2)
+        for j, profile in enumerate(order.tolist()):
+            tau_j, v_j = profiles[profile]
+            sw, swt, s2r2, s3r2, s2r, s2, s3 = python_sums(float(theta2[j]), tau_j.tolist(),
+                                                          v_j.tolist())
+            assert (center[j], var[j]) == (swt / sw, 1.0 / sw)
+            ratio = s2 / sw
+            assert score[j] == 0.5 * (s2r2 - sw + ratio)
+            assert slope[j] == 0.5 * (-2.0 * s3r2 + 2.0 * (s2r * s2r) / sw + s2
+                                      - 2.0 * s3 / sw + ratio * ratio)
