@@ -18,6 +18,7 @@ import concurrent.futures
 import contextlib
 import hashlib
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -108,6 +109,11 @@ class _Manifest:
     the order they were registered, records the peak resident memory beside
     the timings (neither is in the digest), writes manifest.json and returns
     the exit code 0.
+
+    A manifest lists only files beside it whose bytes match its digests.  So
+    the first ``artifact()`` call removes the ``manifest.json`` of an earlier
+    run before any file it lists can change, and ``write()`` writes a
+    temporary file and renames it into place: a run that fails leaves none.
     """
 
     def __init__(self, subcommand: str, out_dir: str, input_paths: list[str], options: dict,
@@ -141,6 +147,8 @@ class _Manifest:
         self.timings[name] = time.perf_counter() - start
 
     def artifact(self, name: str) -> Path:
+        if not self.artifacts:
+            (self.out_dir / "manifest.json").unlink(missing_ok=True)
         path = self.out_dir / name
         self.artifacts.append(path)
         return path
@@ -163,9 +171,13 @@ class _Manifest:
             "notes": self.notes,
             "diagnostics": self.diagnostics,
         }
-        (self.out_dir / "manifest.json").write_text(
-            json.dumps(body, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        partial = self.out_dir / f".manifest.json.{os.getpid()}.tmp"
+        try:
+            partial.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n",
+                               encoding="utf-8")
+            os.replace(partial, self.out_dir / "manifest.json")
+        finally:
+            partial.unlink(missing_ok=True)
         return 0
 
 

@@ -39,8 +39,9 @@ from .errors import EstimationError, InsufficientStudiesError
 # The likelihood scan's points as fractions of the search bound, uniform in
 # the cube root: 9 of the 17 lie in the lowest eighth.  The bound,
 # 10 * var(tau_hat) + max(se2), is loose by design, so the maximizer and the
-# likelihood's bends usually sit low in it.  0 and 1 are exact grid points,
-# as the theta2 = 0 comparison and the bound-hit test need.
+# likelihood's bends usually sit low in it: below the bound always, and in
+# its lower half for K >= 3 (``_reml_rows``).  0 is an exact grid point, as
+# the theta2 = 0 comparison needs.
 _GRID_FRAC = np.linspace(0.0, 1.0, 17) ** 3
 # Stage 2 runs on chunks of at most this many profiles and values, which
 # bounds its temporaries: 512 x 17 floats (70 kB) in the likelihood scan and
@@ -49,8 +50,12 @@ _GRID_FRAC = np.linspace(0.0, 1.0, 17) ** 3
 _CHUNK_PROFILES = 512
 _CHUNK_VALUES = 8192
 _NEWTON_RTOL = 1e-12
-_MAX_STEPS = 200
-_BOUND_RTOL = 1e-6
+# In a profile's own units the search bound is below 2^1024, the float range,
+# and a step stops the search once it is at most 1e-12 > 2^-40.  Bisection
+# halves the bracket, so 1,064 halvings end any search; Newton's steps, where
+# they are taken, converge faster.  A profile still moving after this many
+# steps is an error, not an estimate.
+_MAX_STEPS = 1100
 
 # Wichura (1988), algorithm AS 241 (PPND16): numerator and denominator
 # coefficients, in increasing powers, of the normal quantile's rational
@@ -89,8 +94,8 @@ class PooledProfiles:
     """Stage 2 for P profiles, as (P,) arrays in the profiles' input order.
 
     ``half_width`` is None when no interval was asked for, and NaN for a
-    profile with K = 2.  ``diagnostics`` counts theta2 = 0 estimates,
-    bound-doubling retries and Newton steps replaced by bisection.
+    profile with K = 2.  ``diagnostics`` counts theta2 = 0 estimates and
+    Newton steps replaced by bisection.
     """
 
     theta2: np.ndarray
@@ -217,8 +222,9 @@ def _solve(tau, v, m, bound, counts):
     the best point's neighbours; each step narrows the bracket by the sign of
     the score, and a step that would leave it, or is taken where the
     likelihood is not concave, is replaced by bisection.  A profile stops
-    once its step is at most 1e-12 * (1 + theta2).  theta2 = 0 wins whenever
-    its likelihood is at least the refined point's.
+    once its step is at most 1e-12 * (1 + theta2), and one still moving after
+    ``_MAX_STEPS`` steps raises ``EstimationError``.  theta2 = 0 wins
+    whenever its likelihood is at least the refined point's.
     """
     n_rows, last = len(bound), _GRID_FRAC.size - 1
     grid = bound[:, None] * _GRID_FRAC
@@ -243,6 +249,8 @@ def _solve(tau, v, m, bound, counts):
         new = np.where(ok, step, 0.5 * (lor + hir))
         x[rows], lo[rows], hi[rows] = new, lor, hir
         rows = rows[np.abs(new - xr) > _NEWTON_RTOL * (1.0 + xr)]
+    if rows.size:
+        raise EstimationError(f"the REML search did not converge in {_MAX_STEPS} steps")
     fx = _profile_log_likelihood(x[:, None], tau, v, m)[:, 0]
     return np.where(f0 >= fx, 0.0, x)
 
@@ -255,10 +263,27 @@ def _reml_rows(tau, v, m, counts):
     stop and the weights' powers in ``_score`` suit any scale; theta2 is the
     solution times 4^e.  Powers of two scale exactly.
 
-    theta2_max = 10 * var(tau_hat) + max(se2) bounds the search.  A profile
-    whose maximizer lands on that bound is solved again, once, with the bound
-    doubled.  Equal estimates give theta2 = 0 without a search, and a theta2
-    that overflows raises ``EstimationError``.
+    B = 10 * var(tau_hat) + max(se2) bounds the search, and the maximizer
+    always lies below it, by the REML score of ``_score``.  Write
+    S = sum((tau_hat - mean(tau_hat))^2) and d = max(se2) - min(se2).  At
+    theta2 = t, with weights w = 1/(se2 + t) and residuals r = tau_hat - mu(t),
+    the score is (sum(w^2 r^2) - sum(w) + sum(w^2)/sum(w)) / 2.  Every w lies
+    in [a, b], a = 1/(max(se2) + t) and b = 1/(min(se2) + t), and mu(t)
+    minimizes sum(w (tau_hat - c)^2) over c, so sum(w^2 r^2) <= b^2 S and
+    sum(w) - sum(w^2)/sum(w) >= K a - b.  The score is therefore negative
+    wherever b^2 S < K a - b, which with u = t + min(se2) reads
+    (K - 1) u^2 - (S + d) u - S d > 0.  So the likelihood falls beyond
+    T = max(0, u* - min(se2)), u* that quadratic's positive root; with equal
+    se2, T = S / (K - 1) - se2 is the estimate itself.  With c = S / (K - 1),
+    B = 10 c + d + min(se2).  At u = 10 c + d the quadratic is
+    90 (K-1) c^2 + (18 (K-1) - 10) c d + (K-2) d^2 > 0 for K >= 2, so T < B.
+    At u = 5 c + d/2, which is at most B/2 + min(se2), it is
+    20 (K-1) c^2 + (3.5 (K-1) - 5) c d + ((K-3)/4) d^2 >= 0 for K >= 3, so
+    T <= B/2.  An infinite se2 weighs nothing, and T over the other studies
+    bounds the maximizer.
+
+    Equal estimates give theta2 = 0 without a search, and a theta2 that
+    overflows raises ``EstimationError``.
     """
     high, low = _fold(np.maximum, np.stack([tau, -tau], axis=1), m, -np.inf).T
     low = -low
@@ -280,15 +305,6 @@ def _reml_rows(tau, v, m, counts):
         variance = _fold(np.add, deviation * deviation, sizes, 0.0) / (k - 1)
         bound = 10.0 * variance + _fold(np.maximum, s, sizes, -np.inf)
         x = _solve(t, s, sizes, bound, counts)
-        hit = bound - x <= _BOUND_RTOL * bound
-        if hit.any():
-            bound2 = 2.0 * bound[hit]
-            x[hit] = _solve(*_take(np.flatnonzero(hit), t, s, sizes), bound2, counts)
-            if np.any(bound2 - x[hit] <= _BOUND_RTOL * bound2):
-                raise EstimationError(
-                    "REML maximizer exceeded its search bound after one retry"
-                )
-            counts["reml_bound_retries"] += int(np.count_nonzero(hit))
         with np.errstate(over="ignore"):
             theta2[rows] = np.ldexp(x, 2 * e)
         if not np.isfinite(theta2).all():
@@ -463,7 +479,7 @@ def pool_profiles(tau: np.ndarray, v: np.ndarray, alpha: float | None = None,
     the same bits whatever the other profiles are.
     """
     tau, v, first, m, order = _sorted_profiles(tau, v, k)
-    counts = Counter(reml_boundary_hits=0, reml_bound_retries=0, reml_bisection_fallbacks=0)
+    counts = Counter(reml_boundary_hits=0, reml_bisection_fallbacks=0)
     theta2, tau_pooled, var_pooled = np.empty((3, order.size))
     for rows, *part in _chunks(tau, v, first, m):
         theta2[rows] = _reml_rows(*part, counts)

@@ -490,8 +490,8 @@ class TestPredict:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_spread_exits_1(self, tmp_path, capsys):
-        # theta2 is about 1e400; this used to print two numpy
-        # RuntimeWarnings and blame the REML search bound's retry.
+        # theta2 is about 1e400, past the float range; this used to print
+        # two numpy RuntimeWarnings.
         agg = tmp_path / "agg.csv"
         agg.write_text("profile_id,study_id,tau_hat,se2\n"
                        "0,1,1e200,0.5\n0,2,-1e200,0.5\n0,3,0,0.5\n")
@@ -499,6 +499,18 @@ class TestPredict:
         assert run(["predict", "--aggregates", agg, "--out-dir", out]) == 1
         assert capsys.readouterr().err == "error: the REML estimate of theta2 overflows\n"
         assert not (out / "predictions.csv").exists()
+
+    def test_a_weightless_study_leaves_theta2(self, tmp_path):
+        # The fourth study carries no information, but its se2 inflates the
+        # search bound; bisection from the grid's best point, near 1e96,
+        # used to stop after 200 halvings and write theta2 = 1.5e36.
+        agg = tmp_path / "agg.csv"
+        agg.write_text("profile_id,study_id,tau_hat,se2\n"
+                       "0,1,0,1e-6\n0,2,1,1e-6\n0,3,2,1e-6\n0,4,3,1e100\n")
+        out = tmp_path / "x"
+        assert run(["predict", "--aggregates", agg, "--out-dir", out]) == 0
+        assert (out / "predictions.csv").read_text().splitlines()[1] == (
+            "0,1.0,0.999999,-3.968273560397029,5.968273560397029,2,crosses_zero")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tau, se2, row", [
@@ -641,7 +653,6 @@ class TestPredict:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["diagnostics"] == {
             "reml_boundary_hits": 2,
-            "reml_bound_retries": 0,
             "reml_bisection_fallbacks": 0,
         }
         theta2 = [float(line.split(",")[2])
@@ -1017,3 +1028,30 @@ class TestManifest:
             for name in artifacts
         ]
         assert sorted(path.name for path in out.iterdir()) == sorted(artifacts + ["manifest.json"])
+
+    def test_a_failed_run_leaves_no_manifest(self, tmp_path, capsys):
+        # A manifest lists only files beside it whose bytes match its digests.
+        # This rerun writes predictions.csv, then fails on the SVG; it used to
+        # leave the first run's manifest, with alpha 0.05 and the old digest.
+        out = tmp_path / "out"
+        command = ["predict", "--aggregates", GOLDEN / "aggregates_input.csv", "--svg",
+                   "--out-dir", out]
+        assert run(command) == 0
+        (out / "predictions.svg").unlink()
+        (out / "predictions.svg").mkdir()
+        capsys.readouterr()
+        assert run(command + ["--alpha", "0.2"]) == 2
+        assert one_error_line(capsys.readouterr().err).startswith("error: ")
+        assert sorted(path.name for path in out.iterdir()) == ["predictions.csv",
+                                                               "predictions.svg"]
+
+    def test_a_failed_manifest_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def refuse(source, target):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        out = tmp_path / "out"
+        assert run(["predict", "--aggregates", GOLDEN / "aggregates_input.csv",
+                    "--out-dir", out]) == 2
+        assert one_error_line(capsys.readouterr().err) == "error: replace refused"
+        assert [path.name for path in out.iterdir()] == ["predictions.csv"]
