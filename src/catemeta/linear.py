@@ -9,15 +9,17 @@ profile x* is then b2 + b3 . x*_mod, with variance given by the matching
 quadratic form of the coefficient covariance.
 
 One array kernel fits K studies of one shape, given as arrays: covariates
-(K, n, p), treatments and outcomes (K, n).  Their designs fill one
-(K, n, q) stack by slice assignment, the interaction columns from one
-product of the covariates and the treatments; one ``np.linalg.svd`` call
-factors it, and ``matmul``, which works matrix by matrix, forms the
-coefficients and covariances, so a study gets the same bits alone as in a
-stack.  One contrast matrix then gives the (K, P) CATEs.  The simulation
-harness calls the kernel on its stacked draws
-(:func:`linear_cates_arrays`); :func:`linear_cates_stack` stacks a list of
-datasets into it, and a single study is a stack of one.
+(K, n, p), treatments and outcomes (K, n).  Each study's design, with its
+outcomes as a last column, fills one stack by slice assignment, the
+interaction columns from one product of the covariates and the treatments;
+each design column is scaled by a power of two, so no unit decides the
+rank.  One ``np.linalg.qr`` call factors the stack, and ``inv`` and
+``matmul``, which work matrix by matrix, form the coefficients and
+covariances, so a study gets the same bits alone as in a stack.  One
+contrast matrix then gives the (K, P) CATEs.  The simulation harness calls
+the kernel on its stacked draws (:func:`linear_cates_arrays`);
+:func:`linear_cates_stack` stacks a list of datasets into it, and a single
+study is a stack of one.
 """
 
 from __future__ import annotations
@@ -63,6 +65,13 @@ def _fit_arrays(x, a, y, mods: tuple[int, ...], names, study_ids):
     covariates ``x`` (K, n, p), treatments ``a`` (K, n) and outcomes ``y``
     (K, n), with covariate ``names`` and one id per study.
 
+    The R factor of a study's column-scaled [design | y] holds its whole
+    fit (Golub & Van Loan, *Matrix Computations*, 4th ed., 5.3): its top
+    left q x q block is the design's R, with the design's singular values;
+    the rest of its last column is z = Q^T y, and its corner is the
+    residual norm.  The coefficients are R^-1 z and the covariance
+    sigma2 R^-1 R^-T; ``ldexp`` then undoes the column scaling exactly.
+
     n == q gives residual variance 0 and n < q raises.  Checks run study by
     study, in order, so the first singular or non-finite study raises what
     it raises when fitted alone.
@@ -73,30 +82,43 @@ def _fit_arrays(x, a, y, mods: tuple[int, ...], names, study_ids):
         raise InsufficientDataError(
             f"need at least {q} rows to fit {q} coefficients, got {n}"
         )
-    design = np.empty((k, n, q))
-    design[:, :, 0] = 1.0
-    design[:, :, 1:p + 1] = x
-    design[:, :, p + 1] = a
-    design[:, :, p + 2:] = x[:, :, list(mods)] * a[:, :, None]
-    y = y[:, :, None]
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    v = vt.swapaxes(1, 2)
-    # Outcomes near the float range overflow and a singular design divides
-    # by zero; the checks below report both.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        coef = v @ ((u.swapaxes(1, 2) @ y) / s[:, :, None])
-        resid = y - design @ coef
-        sigma2 = (resid.swapaxes(1, 2) @ resid)[:, 0, 0] / (n - q) if n > q else np.zeros(k)
-        cov = sigma2[:, None, None] * ((v / s[:, None, :] ** 2) @ vt)
-        cov = 0.5 * (cov + cov.swapaxes(1, 2))
+    # Row j of a study is design column j, and row q its outcomes: the
+    # transpose hands LAPACK each [design | y] in the column-major layout
+    # it factors.
+    cols = np.empty((k, q + 1, n))
+    cols[:, 0] = 1.0
+    cols[:, 1:p + 1] = x.swapaxes(1, 2)
+    cols[:, p + 1] = a
+    np.multiply(cols[:, [1 + j for j in mods]], a[:, None, :], out=cols[:, p + 2:q])
+    cols[:, q] = y
+    # Each design column times the power of two that puts its largest |value|
+    # in [0.5, 1), so the rank test does not compare units; an all-zero
+    # column keeps exponent 0.  The scaling is exact and is undone exactly.
+    _, e = np.frexp(np.abs(cols[:, :q]).max(axis=2))
+    np.ldexp(cols[:, :q], -e[:, :, None], out=cols[:, :q])
+    r_aug = np.linalg.qr(cols.swapaxes(1, 2), mode="r")
+    r = r_aug[:, :q, :q]
+    s = np.linalg.svd(r, compute_uv=False)
     full_rank = (s > _RANK_RTOL * s[:, :1]).sum(axis=1) == q
-    finite = np.isfinite(coef).all(axis=(1, 2)) & np.isfinite(cov).all(axis=(1, 2))
+    if not full_rank.all():
+        # inv raises on an exactly singular R; such a study raises below.
+        r = np.where(full_rank[:, None, None], r, np.eye(q))
+    r_inv = np.linalg.inv(r)
+    # Outcomes near the float range overflow; the checks below report it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = np.ldexp((r_inv @ r_aug[:, :q, q:])[:, :, 0], -e)
+        sigma2 = r_aug[:, q, q] ** 2 / (n - q) if n > q else np.zeros(k)
+        cov = sigma2[:, None, None] * (r_inv @ r_inv.swapaxes(1, 2))
+        cov = np.ldexp(0.5 * (cov + cov.swapaxes(1, 2)), -(e[:, :, None] + e[:, None, :]))
+    finite = np.isfinite(coef).all(axis=1) & np.isfinite(cov).all(axis=(1, 2))
     for i in range(k):
         if not full_rank[i]:
-            # Name the first column whose prefix fails the same rank test;
-            # the whole design fails it, so the search ends at the last column.
+            # Name the first column whose prefix fails the same rank test.
+            # R's leading (j + 1) x (j + 1) block is the R of the design's
+            # first j + 1 columns, and the last block is the whole test, so
+            # the search ends by the last column.
             for j in range(q):
-                s_j = np.linalg.svd(design[i, :, : j + 1], compute_uv=False)
+                s_j = np.linalg.svd(r_aug[i, : j + 1, : j + 1], compute_uv=False)
                 if np.count_nonzero(s_j > _RANK_RTOL * s_j[0]) <= j:
                     raise SingularDesignError(_column_names(names, mods)[j])
         if not finite[i]:
@@ -104,7 +126,7 @@ def _fit_arrays(x, a, y, mods: tuple[int, ...], names, study_ids):
                 f"study {study_ids[i]}: the least-squares coefficients or "
                 "their covariance are not finite"
             )
-    return coef[:, :, 0], cov, sigma2
+    return coef, cov, sigma2
 
 
 def _contrast(coef, cov, mods: tuple[int, ...], points):

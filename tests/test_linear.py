@@ -14,7 +14,7 @@ from catemeta import (
 )
 from catemeta.linear import _contrast, _fit_arrays, _moderators, linear_cates_stack
 from catemeta.rng import substream
-from catemeta.simulate import SimConfig, gen_study, gen_target_profiles
+from catemeta.simulate import SimConfig, gen_study, gen_target_profiles, run_experiment
 
 
 def dataset_from(y, a, x, names=None):
@@ -80,6 +80,50 @@ def test_constant_covariate_is_named_not_the_intercept():
         linear_cates_stack([dataset_from(y, a, x, ("age", "sex"))], np.zeros((1, 2)))
     assert err.value.column_name == "sex"
     assert "column 'sex' is linearly dependent on earlier columns" in str(err.value)
+
+
+@pytest.mark.parametrize("noise, refused", [(1e-13, True), (1e-7, False)])
+def test_near_copy_of_a_column_is_refused_below_the_rank_threshold(noise, refused):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(100, 2))
+    x = np.column_stack([x, x[:, 1] + noise * rng.normal(size=100)])
+    study = dataset_from(rng.normal(size=100), rng.integers(0, 2, 100), x,
+                         ("age", "weight", "weight_kg"))
+    if refused:
+        with pytest.raises(SingularDesignError) as err:
+            linear_cates_stack([study], np.zeros((1, 3)), moderators=())
+        assert err.value.column_name == "weight_kg"
+    else:
+        linear_cates_stack([study], np.zeros((1, 3)), moderators=())
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-11, 1e9, 1e12])
+def test_covariate_units_do_not_decide_the_rank(scale):
+    # Each of these scales of 'dose' used to be refused as linearly
+    # dependent, except 1e9, which moved tau by up to 3.1e-6 relative: the
+    # rank test compared singular values across columns of different units.
+    rng = np.random.default_rng(5)
+    n = 200
+    x = rng.normal(size=(n, 3))
+    a = rng.integers(0, 2, n)
+    y = 1 + a * (2 + x[:, 0]) + 0.1 * rng.normal(size=n)
+    points = rng.normal(size=(10, 3))
+    names = ("age", "dose", "bmi")
+    (want_tau,), (want_se2,) = linear_cates_stack([dataset_from(y, a, x, names)], points)
+    unit = np.array([1.0, scale, 1.0])
+    (tau,), (se2,) = linear_cates_stack([dataset_from(y, a, x * unit, names)], points * unit)
+    np.testing.assert_allclose(tau, want_tau, rtol=1e-13)
+    np.testing.assert_allclose(se2, want_se2, rtol=1e-13)
+
+
+def test_harness_aborts_the_same_replication_for_the_same_reason():
+    # Aborts are the benchmark's failed items: a change to the rank test
+    # that moves them changes what the harness measures.
+    table = run_experiment(SimConfig(k_studies=10, n_per_study=500, n_replications=100,
+                                     master_seed=7), "linear")
+    assert table.aborted_replications == (25,)
+    assert table.abort_reasons == ("design matrix is singular: column 'sex' is linearly "
+                                   "dependent on earlier columns",)
 
 
 def test_too_few_rows_is_insufficient_data():
@@ -208,32 +252,75 @@ def test_noiseless_generative_model_reproduced_at_profiles():
     assert tau == pytest.approx(beta2 + points @ beta3, abs=1e-8)
 
 
+def simulated_stack(seed):
+    """The 10 studies of replication 0 at 200 rows, and the target profiles."""
+    cfg = SimConfig(n_per_study=200, master_seed=seed)
+    studies = [gen_study(cfg, 0, s) for s in range(1, cfg.k_studies + 1)]
+    return studies, gen_target_profiles(cfg, substream(seed, "target-profiles"))
+
+
+def design_of(dataset, mods):
+    """One study's design: intercept, covariates, treatment, interactions."""
+    x, a = dataset.x, dataset.a.astype(np.float64)
+    return np.column_stack([np.ones(dataset.n_rows), x, a[:, None], x[:, mods] * a[:, None]])
+
+
 def scalar_reference(dataset, moderators, points):
     """One study's fit and CATEs as a per-study loop computes them: the
     stacked kernel must give these bits for every study of the stack."""
     p = dataset.n_covariates
     mods = tuple(range(p)) if moderators is None else moderators
-    x, a = dataset.x, dataset.a.astype(np.float64)
-    design = np.column_stack([np.ones(dataset.n_rows), x, a[:, None], x[:, mods] * a[:, None]])
+    design = design_of(dataset, mods)
     n, q = design.shape
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    coef = vt.T @ ((u.T @ dataset.y) / s)
-    resid = dataset.y - design @ coef
-    cov = float(resid @ resid) / (n - q) * ((vt.T / s**2) @ vt)
-    cov = 0.5 * (cov + cov.T)
+    _, e = np.frexp(np.abs(design).max(axis=0))
+    r_aug = np.linalg.qr(np.column_stack([np.ldexp(design, -e), dataset.y]), mode="r")
+    r_inv = np.linalg.inv(r_aug[:q, :q])
+    coef = np.ldexp(r_inv @ r_aug[:q, q], -e)
+    cov = r_aug[q, q] ** 2 / (n - q) * (r_inv @ r_inv.T)
+    cov = np.ldexp(0.5 * (cov + cov.T), -np.add.outer(e, e))
     contrast = np.zeros((points.shape[0], q))
     contrast[:, p + 1] = 1.0
     contrast[:, p + 2:] = points[:, mods]
     return contrast @ coef, np.maximum(((contrast @ cov) * contrast).sum(axis=1), 0.0)
 
 
+class TestKernelRelations:
+    """Relations the fit obeys whatever arithmetic computes it."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("moderators", [None, (0,), ()], ids=["all", "age", "none"])
+    @pytest.mark.parametrize("kx, ky", [(4, 3), (-7, 5), (0, 9), (12, 0)])
+    def test_power_of_two_units_scale_the_cates_exactly(self, kx, ky, moderators, seed):
+        # Covariates and points times 2**kx leave the CATEs' bits; outcomes
+        # times 2**ky scale tau by exactly 2**ky and se2 by 4**ky.
+        studies, points = simulated_stack(seed)
+        tau, se2 = linear_cates_stack(studies, points, moderators)
+        scaled = [TrialDataset(d.study_id, np.ldexp(d.y, ky), d.a, np.ldexp(d.x, kx),
+                               d.covariate_names) for d in studies]
+        got_tau, got_se2 = linear_cates_stack(scaled, np.ldexp(points, kx), moderators)
+        assert np.array_equal(got_tau, np.ldexp(tau, ky))
+        assert np.array_equal(got_se2, np.ldexp(se2, 2 * ky))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("moderators", [None, (0,), ()], ids=["all", "age", "none"])
+    def test_fit_agrees_with_lstsq(self, seed, moderators):
+        studies, _ = simulated_stack(seed)
+        for study in studies:
+            coef, cov, sigma2 = fit(study, moderators)
+            design = design_of(study, _moderators(moderators, study.n_covariates))
+            n, q = design.shape
+            want, (rss,), _, _ = np.linalg.lstsq(design, study.y, rcond=None)
+            want_cov = rss / (n - q) * np.linalg.inv(design.T @ design)
+            assert np.linalg.norm(coef - want) <= 1e-10 * np.linalg.norm(want)
+            assert sigma2 == pytest.approx(rss / (n - q), rel=1e-10)
+            assert np.linalg.norm(cov - want_cov) <= 1e-10 * np.linalg.norm(want_cov)
+
+
 class TestStack:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("moderators", [None, (0,), ()], ids=["all", "age", "none"])
     def test_equals_per_study_fits_bit_for_bit(self, seed, moderators):
-        cfg = SimConfig(n_per_study=200, master_seed=seed)
-        studies = [gen_study(cfg, 0, s) for s in range(1, cfg.k_studies + 1)]
-        points = gen_target_profiles(cfg, substream(seed, "target-profiles"))
+        studies, points = simulated_stack(seed)
         tau, se2 = linear_cates_stack(studies, points, moderators)
         for k, study in enumerate(studies):
             want_tau, want_se2 = scalar_reference(study, moderators, points)
