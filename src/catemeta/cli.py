@@ -224,8 +224,10 @@ def cmd_estimate(args) -> int:
     if params is None:  # linear: the moderators name the trials' covariates
         params = _resolve_moderators(args.moderators, trials[0].covariate_names)
     with manifest.phase("fit"):
+        # A study's seed is keyed by its id, read as 64-bit unsigned so that
+        # a negative id has one too (the seed path takes [0, 2**64)).
         study_params = [
-            replace(params, seed=spawn_seed(args.seed, "study", ds.study_id))
+            replace(params, seed=spawn_seed(args.seed, "study", ds.study_id % (1 << 64)))
             if hasattr(params, "seed") else params  # the moderator tuple has no seed
             for ds in trials
         ]

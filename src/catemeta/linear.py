@@ -17,7 +17,8 @@ rank.  One ``np.linalg.qr`` call factors the stack, and ``inv`` and
 ``matmul``, which work matrix by matrix, form the coefficients and
 covariances, so a study gets the same bits alone as in a stack.  One
 contrast matrix then gives the (K, P) CATEs.  The simulation harness calls
-the kernel on its stacked draws (:func:`linear_cates_arrays`);
+the kernel on its stacked draws (:func:`linear_cates_arrays`), handing every
+replication of a job the one stack that :func:`design_stack` allocates;
 :func:`linear_cates_stack` stacks a list of datasets into it, and a single
 study is a stack of one.
 """
@@ -60,10 +61,26 @@ def _column_names(names: tuple[str, ...], mods: tuple[int, ...]) -> tuple[str, .
     return ("intercept", *names, "treatment", *(f"treatment:{names[j]}" for j in mods))
 
 
-def _fit_arrays(x, a, y, mods: tuple[int, ...], names, study_ids):
+def design_stack(k: int, n: int, p: int, moderators=None) -> np.ndarray:
+    """An uninitialized (K, q + 1, n) array for :func:`linear_cates_arrays`'s
+    ``stack``: room for K studies of n rows, p covariates and the given
+    moderators (all ``p`` when None), q being the number of coefficients."""
+    return np.empty((k, _n_coefficients(p, _moderators(moderators, p)) + 1, n))
+
+
+def _n_coefficients(p: int, mods: tuple[int, ...]) -> int:
+    return 2 + p + len(mods)
+
+
+def _fit_arrays(x, a, y, mods: tuple[int, ...], names, study_ids, stack=None):
     """``(coef (K, q), cov (K, q, q), sigma2 (K,))`` of K studies given as
     covariates ``x`` (K, n, p), treatments ``a`` (K, n) and outcomes ``y``
     (K, n), with covariate ``names`` and one id per study.
+
+    The scaled [design | y] of the studies is built in ``stack``, a
+    C-contiguous float64 (K, q + 1, n) array (see :func:`design_stack`)
+    whose every element is written before it is read, or in a new array
+    when None; any other ``stack`` raises ``ValueError``.
 
     The R factor of a study's column-scaled [design | y] holds its whole
     fit (Golub & Van Loan, *Matrix Computations*, 4th ed., 5.3): its top
@@ -77,7 +94,7 @@ def _fit_arrays(x, a, y, mods: tuple[int, ...], names, study_ids):
     it raises when fitted alone.
     """
     k, n, p = x.shape
-    q = 2 + p + len(mods)
+    q = _n_coefficients(p, mods)
     if n < q:
         raise InsufficientDataError(
             f"need at least {q} rows to fit {q} coefficients, got {n}"
@@ -85,7 +102,13 @@ def _fit_arrays(x, a, y, mods: tuple[int, ...], names, study_ids):
     # Row j of a study is design column j, and row q its outcomes: the
     # transpose hands LAPACK each [design | y] in the column-major layout
     # it factors.
-    cols = np.empty((k, q + 1, n))
+    if stack is None:
+        cols = np.empty((k, q + 1, n))
+    elif (stack.shape, stack.dtype, stack.flags.c_contiguous) == ((k, q + 1, n), np.float64, True):
+        cols = stack
+    else:
+        raise ValueError(f"stack is a {stack.dtype} array of shape {stack.shape}, expected a "
+                         f"C-contiguous float64 array of shape {(k, q + 1, n)}")
     cols[:, 0] = 1.0
     cols[:, 1:p + 1] = x.swapaxes(1, 2)
     cols[:, p + 1] = a
@@ -140,24 +163,43 @@ def _contrast(coef, cov, mods: tuple[int, ...], points):
     return tau, np.maximum(se2, 0.0)
 
 
-def linear_cates_arrays(x, a, y, points, names, study_ids, moderators=None):
+def linear_cates_arrays(x, a, y, points, names, study_ids, moderators=None, stack=None):
     """``(tau, se2)``, each (K, P), of K studies given as arrays: covariates
     ``x`` (K, n, p), treatments ``a`` (K, n) and outcomes ``y`` (K, n), with
-    covariate ``names`` and one id per study for the error messages.
+    p covariate ``names`` and K study ids for the error messages.
 
-    ``points`` (P, p) is checked before any fit (see ``model.check_points``).
-    The first study, in order, that cannot be fitted raises what it raises
-    as a stack of one (see :func:`_fit_arrays`).
+    Before any fit, an ``a``, ``y``, ``names`` or ``study_ids`` that does
+    not match ``x`` raises ``ValueError`` naming it (nothing is broadcast),
+    and ``points`` (P, p) is checked (see ``model.check_points``).  The
+    first study, in order, that cannot be fitted raises what it raises as a
+    stack of one (see :func:`_fit_arrays`).  ``stack``, if given, is the
+    :func:`design_stack` array the fit is built in, so a caller that fits
+    many stacks of one shape allocates it once; the results do not depend
+    on what it held.
     """
-    points = check_points(points, x.shape[2])
-    mods = _moderators(moderators, x.shape[2])
-    coef, cov, _ = _fit_arrays(x, a, y, mods, names, study_ids)
+    if x.ndim != 3:
+        raise ValueError(f"x has shape {x.shape}, expected (K, n, p)")
+    k, _, p = x.shape
+    for name, arr in (("a", a), ("y", y)):
+        if np.shape(arr) != x.shape[:2]:
+            raise ValueError(f"{name} has shape {np.shape(arr)}, expected {x.shape[:2]}, "
+                             "the (K, n) of x")
+    for name, values, want, per in (("names", names, p, "covariate"),
+                                    ("study_ids", study_ids, k, "study")):
+        if len(values) != want:
+            raise ValueError(f"{name} has {len(values)} entries, expected one per {per} "
+                             f"of x ({want})")
+    points = check_points(points, p)
+    mods = _moderators(moderators, p)
+    coef, cov, _ = _fit_arrays(x, a, y, mods, names, study_ids, stack)
     return _contrast(coef, cov, mods, points)
 
 
 def linear_cates_stack(datasets, points, moderators=None):
-    """:func:`linear_cates_arrays` of K datasets stacked; each must have the
-    first's row count and covariate names, or ``ValueError`` names it."""
+    """:func:`linear_cates_arrays` of K >= 1 datasets stacked; each must have
+    the first's row count and covariate names, or ``ValueError`` names it."""
+    if not datasets:
+        raise ValueError("linear_cates_stack needs at least one dataset")
     first, *rest = datasets
     for d in rest:
         if (d.n_rows, d.covariate_names) != (first.n_rows, first.covariate_names):

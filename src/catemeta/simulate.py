@@ -26,7 +26,7 @@ import numpy as np
 from .bart import BartParams, bart_cates, fit_bart_slearner
 from .errors import CatemetaError, ConfigurationError
 from .forest import ForestParams, fit_causal_forest, forest_predict
-from .linear import linear_cates_arrays, linear_cates_stack
+from .linear import design_stack, linear_cates_arrays, linear_cates_stack
 # reml_theta2_batch is bound only for perfbench/tracing.py.
 from .meta import ndtri, pool_profiles, reml_theta2_batch  # noqa: F401
 from .model import TrialDataset, check_integers, check_points, check_seed
@@ -167,11 +167,12 @@ def _factor_t() -> np.ndarray:
     return factor
 
 
-def _covariate_stack(means: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _covariate_stack(means: np.ndarray, z: np.ndarray, out=None) -> np.ndarray:
     """Covariates (K, n, 5) of K studies from their means (K, 5) and standard
-    normals ``z`` (K, n, 5).  ``np.matmul`` multiplies ``z`` by the factor one
-    (n, 5) slice at a time, so a study gets the same bits alone as in a stack."""
-    x = np.matmul(z, _factor_t())
+    normals ``z`` (K, n, 5), written to ``out`` if given.  ``np.matmul``
+    multiplies ``z`` by the factor one (n, 5) slice at a time, so a study gets
+    the same bits alone as in a stack."""
+    x = np.matmul(z, _factor_t(), out=out)
     x += means[:, None, :]
     for j in _BINARY_COLUMNS:
         cuts = np.array([_binary_cut(m) for m in means[:, j]])
@@ -256,10 +257,18 @@ def _study_effects(config: SimConfig, state) -> tuple[float, float, float]:
                               stream(state))
 
 
-def _draw_studies(config: SimConfig, states):
+def _draw_arrays(k: int, n: int):
+    """Uninitialized ``z`` (K, n, 5), ``x`` (K, n, 5), ``a`` (K, n) and
+    ``noise`` (K, n) for :func:`_draw_studies` to fill."""
+    return np.empty((k, n, 5)), np.empty((k, n, 5)), np.empty((k, n), np.int64), np.empty((k, n))
+
+
+def _draw_studies(config: SimConfig, states, arrays=None):
     """``x`` (K, n, 5), ``a`` (K, n) and ``y`` (K, n) of K studies of one
     replication, given their stream seeds ``states`` (K, 5, 4) from
-    :func:`_study_states`.
+    :func:`_study_states`.  The draw fills the :func:`_draw_arrays`
+    ``arrays`` if given, so ``x`` and ``a`` are two of them, and new ones
+    otherwise.
 
     Each study draws from its own four streams, in this order: its effects;
     its covariates (the means, then the rows' standard normals); its
@@ -270,8 +279,7 @@ def _draw_studies(config: SimConfig, states):
     """
     k, n = len(states), config.n_per_study
     effects, means = np.empty((k, 3)), np.empty((k, 5))
-    z, noise = np.empty((k, n, 5)), np.empty((k, n))
-    a = np.empty((k, n), dtype=np.int64)
+    z, x, a, noise = _draw_arrays(k, n) if arrays is None else arrays
     for i, (effects_state, covariates_state, treatment_state, noise_state, _) in enumerate(states):
         effects[i] = _study_effects(config, effects_state)
         rng = stream(covariates_state)
@@ -279,7 +287,7 @@ def _draw_studies(config: SimConfig, states):
         rng.standard_normal(out=z[i])
         a[i] = stream(treatment_state).integers(0, 2, size=n)
         noise[i] = stream(noise_state).normal(0.0, _NOISE_SD, size=n)
-    x = _covariate_stack(means, z)
+    _covariate_stack(means, z, x)
     y = _mean_outcomes(x, a, config.cate_setting, effects.T[:, :, None])
     y += noise
     return x, a, y
@@ -336,12 +344,14 @@ fit_interaction_ols = linear_cate = forest_cates = bart_cate_normal = estimate_s
 pool_cate = prediction_interval = pool_profiles
 
 
-def _stage1(config: SimConfig, params, oracle: bool, states, points):
+def _stage1(config: SimConfig, params, oracle: bool, states, points, work=None):
     """``(tau, v)``, each (K, P): one replication's Stage 1 at ``points``,
     given its studies' stream seeds ``states`` (K, 5, 4).
 
     The K studies are drawn in one :func:`_draw_studies` call.  The linear
-    learner fits them as one stack (:func:`linear_cates_arrays`); the forest
+    learner fits them as one stack (:func:`linear_cates_arrays`); ``work``,
+    the job's ``(draw arrays, design stack)`` workspace or None, holds the
+    arrays the draw and the fit fill.  The forest
     and BART fit them one by one, each seeded from its study's ``stage1``
     stream as ``rng.spawn_seed`` derives a seed.  With ``oracle`` set, each
     study's true effects, drawn from the same effect stream as the study
@@ -352,9 +362,10 @@ def _stage1(config: SimConfig, params, oracle: bool, states, points):
         tau = np.array([true_cate(points, config.cate_setting, _study_effects(config, state))
                         for state in states[:, 0]])
         return tau, np.full(tau.shape, _ORACLE_SE2)
-    x, a, y = _draw_studies(config, states)
+    arrays, stack = (None, None) if work is None else work
+    x, a, y = _draw_studies(config, states, arrays)
     if params is None:
-        return linear_cates_arrays(x, a, y, points, COVARIATE_NAMES, studies)
+        return linear_cates_arrays(x, a, y, points, COVARIATE_NAMES, studies, stack=stack)
     shape = (config.k_studies, points.shape[0])
     tau, v = np.empty(shape), np.empty(shape)
     for i, s in enumerate(studies):  # forest and BART params carry a seed
@@ -407,18 +418,28 @@ def _replication_worker(job):
     The streams of every study of the block are derived in one
     :func:`_study_states` call.  Stage 1 then runs replication by
     replication (:func:`_stage1`); a replication whose Stage 1 raises
-    aborts with its reason.  The block's other replications then share one
+    aborts with its reason.  A linear job allocates once, as its
+    workspace, the arrays its draws and fits fill (:func:`_draw_arrays` and
+    ``linear.design_stack``), and each replication refills them: allocated
+    anew each replication, arrays this large were handed back to the system
+    and faulted in again page by page.  No result depends on what they
+    held.  Oracle, forest and BART jobs get no workspace.  The block's
+    other replications then share one
     Stage-2 call (:func:`_pool_block`).  Returns, in replication order,
     (replication, (lower, center, upper) arrays over points, None), or
     (replication, None, reason) if it aborted.
     """
     config, params, oracle, replications, points, alpha = job
-    states = _study_states(config, replications, range(1, config.k_studies + 1))
+    k, n = config.k_studies, config.n_per_study
+    states = _study_states(config, replications, range(1, k + 1))
+    work = None
+    if params is None and not oracle:
+        work = _draw_arrays(k, n), design_stack(k, n, len(COVARIATE_NAMES))
     aborted, fitted = [], []
     for replication, replication_states in zip(replications, states):
         try:
             fitted.append((replication,
-                           *_stage1(config, params, oracle, replication_states, points)))
+                           *_stage1(config, params, oracle, replication_states, points, work)))
         except CatemetaError as err:
             aborted.append((replication, None, str(err)))
     pooled = _pool_block(fitted, alpha) if fitted else []

@@ -12,7 +12,14 @@ from catemeta import (
     SingularDesignError,
     TrialDataset,
 )
-from catemeta.linear import _contrast, _fit_arrays, _moderators, linear_cates_stack
+from catemeta.linear import (
+    _contrast,
+    _fit_arrays,
+    _moderators,
+    design_stack,
+    linear_cates_arrays,
+    linear_cates_stack,
+)
 from catemeta.rng import substream
 from catemeta.simulate import SimConfig, gen_study, gen_target_profiles, run_experiment
 
@@ -368,3 +375,91 @@ class TestStack:
         want = f"points have shape {points.shape}, expected (P, 5)"
         with pytest.raises(DimensionMismatchError, match=re.escape(want)):
             linear_cates_stack([study], points)
+
+
+def stacked_arrays(studies):
+    """``x``, ``a`` and ``y`` of equal-shaped studies, stacked."""
+    return (np.stack([getattr(d, name) for d in studies]) for name in ("x", "a", "y"))
+
+
+class TestArrayShapes:
+    """The kernel refuses arrays that do not match ``x`` rather than
+    broadcasting them."""
+
+    @pytest.fixture
+    def arrays(self):
+        studies, points = simulated_stack(0)
+        x, a, y = stacked_arrays(studies[:2])
+        return x, a, y, points, studies[0].covariate_names, (1, 2)
+
+    @pytest.mark.parametrize("arg, bad, says", [
+        # y[:1] used to fit both studies on study 1's outcomes.
+        ("y", lambda y: y[:1], "y has shape (1, 200), expected (2, 200)"),
+        ("y", lambda y: y[:, :150], "y has shape (2, 150), expected (2, 200)"),
+        ("a", lambda a: a[:1], "a has shape (1, 200), expected (2, 200)"),
+        ("a", lambda a: a[0], "a has shape (200,), expected (2, 200)"),
+        ("names", lambda names: names[:4], "names has 4 entries, expected one per covariate"),
+        ("study_ids", lambda ids: (1, 2, 3), "study_ids has 3 entries, expected one per study"),
+    ], ids=["y-one-study", "y-short-rows", "a-one-study", "a-1-d", "names", "study-ids"])
+    def test_mismatch_is_named(self, arrays, arg, bad, says):
+        args = dict(zip(("x", "a", "y", "points", "names", "study_ids"), arrays))
+        args[arg] = bad(args[arg])
+        with pytest.raises(ValueError, match=re.escape(says)):
+            linear_cates_arrays(**args)
+
+    def test_x_must_be_a_stack(self, arrays):
+        x, a, y, points, names, ids = arrays
+        with pytest.raises(ValueError, match=re.escape("x has shape (200, 5), expected (K, n, p)")):
+            linear_cates_arrays(x[0], a[0], y[0], points, names, ids[:1])
+
+    def test_no_datasets_is_refused(self):
+        with pytest.raises(ValueError, match="at least one dataset"):
+            linear_cates_stack([], np.zeros((2, 5)))
+
+
+class TestWorkspace:
+    """A caller-given stack changes no bit, whatever it held."""
+
+    @pytest.mark.parametrize("moderators", [None, (0,), ()], ids=["all", "age", "none"])
+    def test_a_nan_filled_stack_gives_the_fresh_bits(self, moderators):
+        studies, points = simulated_stack(1)
+        x, a, y = stacked_arrays(studies)
+        names, ids = studies[0].covariate_names, range(1, 11)
+        want = linear_cates_arrays(x, a, y, points, names, ids, moderators)
+        stack = design_stack(10, 200, 5, moderators)
+        stack.fill(np.nan)
+        got = linear_cates_arrays(x, a, y, points, names, ids, moderators, stack=stack)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_a_stack_left_by_a_singular_study_gives_the_fresh_bits(self):
+        studies, points = simulated_stack(2)
+        x, a, y = stacked_arrays(studies)
+        names, ids = studies[0].covariate_names, range(1, 11)
+        want = linear_cates_arrays(x, a, y, points, names, ids)
+        stack = design_stack(10, 200, 5)
+        singular = x.copy()
+        singular[3, :, 2] = 1.0  # study 4's smoking column is constant
+        # The failed fit leaves other covariates and outcomes in the stack.
+        with pytest.raises(SingularDesignError, match="'smoking'"):
+            linear_cates_arrays(singular, a, 1e3 * y, points, names, ids, stack=stack)
+        got = linear_cates_arrays(x, a, y, points, names, ids, stack=stack)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("stack, says", [
+        (np.empty((2, 12, 200)), "shape (2, 12, 200)"),
+        (np.empty((2, 13, 150)), "shape (2, 13, 150)"),
+        (np.empty((2, 13, 200), np.float32), "float32"),
+        (np.empty((2, 200, 13)).swapaxes(1, 2), "shape (2, 13, 200)"),
+    ], ids=["rows", "columns", "dtype", "layout"])
+    def test_a_stack_of_another_shape_or_layout_is_refused(self, stack, says):
+        studies, points = simulated_stack(0)
+        x, a, y = stacked_arrays(studies[:2])
+        with pytest.raises(ValueError, match=re.escape(says)) as err:
+            linear_cates_arrays(x, a, y, points, studies[0].covariate_names, (1, 2), stack=stack)
+        assert "expected a C-contiguous float64 array of shape (2, 13, 200)" in str(err.value)
+
+    @pytest.mark.parametrize("moderators, q", [(None, 12), ((0, 3), 9), ((), 7)])
+    def test_design_stack_has_one_row_per_coefficient_and_one_for_y(self, moderators, q):
+        stack = design_stack(3, 40, 5, moderators)
+        assert stack.shape == (3, q + 1, 40) and stack.dtype == np.float64
+        assert stack.flags.c_contiguous

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catemeta.cli import main
@@ -125,6 +125,80 @@ def test_profile_row_order_leaves_the_aggregates(tmp_path, stage1):
              "--stage1", *stage1, "--seed", 7, "--out-dir", out])
         tables.append((out / "aggregates.csv").read_bytes())
     assert tables[0] == tables[1]
+
+
+def golden_trials():
+    """The golden trials' header and its rows, the rows of each study in
+    file order by id."""
+    header, *rows = (GOLDEN / "forest_trials.csv").read_text().splitlines()
+    studies = {}
+    for row in rows:
+        studies.setdefault(int(row.split(",", 1)[0]), []).append(row)
+    return header, rows, dict(sorted(studies.items()))
+
+
+@STAGE1
+@settings(derandomize=True, max_examples=3, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       cuts=st.lists(st.integers(1, n_rows("forest_trials.csv") - 1), max_size=2, unique=True))
+def test_trial_rows_across_studies_and_files_leave_the_aggregates(unscaled, stage1, seed, cuts):
+    # The trial rows in a random order that keeps each study's rows in
+    # their own order, cut into one to three files.  A study's rows are a
+    # sample in that order (the forest draws its subsamples by position),
+    # so only the order across studies and files may change.
+    header, _, studies = golden_trials()
+    owners = np.random.default_rng(seed).permutation(
+        np.repeat(list(studies), [len(rows) for rows in studies.values()]))
+    nexts = {sid: iter(rows) for sid, rows in studies.items()}
+    shuffled = [next(nexts[sid]) for sid in owners.tolist()]
+    with tempfile.TemporaryDirectory() as directory:
+        trials = []
+        for f, (start, stop) in enumerate(zip([0, *sorted(cuts)], [*sorted(cuts), len(shuffled)])):
+            trials.append(Path(directory) / f"trials_{f}.csv")
+            trials[-1].write_text("\n".join([header, *shuffled[start:stop]]) + "\n")
+        out = Path(directory) / "out"
+        run(["estimate", "--trials", *trials, "--profiles", GOLDEN / "forest_profiles.csv",
+             "--stage1", *stage1, "--seed", 7, "--out-dir", out])
+        assert (out / "aggregates.csv").read_bytes() == unscaled(stage1)
+
+
+@st.composite
+def relabellings(draw):
+    """New ids for the golden trials' studies, in the old ids' order, that
+    keep one drawn study's id: any 64-bit ids below it before it and above
+    it after it."""
+    ids = list(golden_trials()[2])
+    kept = draw(st.integers(0, len(ids) - 1))
+    below = draw(st.lists(st.integers(-2**63, ids[kept] - 1), min_size=kept, max_size=kept,
+                          unique=True))
+    above = draw(st.lists(st.integers(ids[kept] + 1, 2**63 - 1), min_size=len(ids) - 1 - kept,
+                          max_size=len(ids) - 1 - kept, unique=True))
+    return dict(zip(ids, [*sorted(below), ids[kept], *sorted(above)]))
+
+
+@STAGE1
+@settings(derandomize=True, max_examples=3, deadline=None, database=None)
+@given(relabel=relabellings())
+# A negative id used to stop the forest and BART with a traceback: the seed
+# path of a study took its id, and a path takes integers in [0, 2**64).
+@example(relabel={1: -2**63, 2: -1, 3: 3, 4: 2**63 - 1})
+def test_relabelled_study_ids_leave_the_other_columns(unscaled, stage1, relabel):
+    # The linear learner never reads an id, so every row keeps its bytes
+    # but the study_id cell.  The forest and BART seed each study from its
+    # id, so only the rows of a study that keeps its id keep their bytes.
+    header, rows, _ = golden_trials()
+    want = [line.split(",") for line in unscaled(stage1).decode().splitlines()]
+    with tempfile.TemporaryDirectory() as directory:
+        trials = Path(directory) / "relabelled.csv"
+        trials.write_text("\n".join([header, *(f"{relabel[int(sid)]},{rest}" for sid, rest in
+                                               (row.split(",", 1) for row in rows))]) + "\n")
+        got = [line.split(",") for line in aggregates(directory, stage1, trials).decode()
+               .splitlines()]
+    assert got[0] == want[0] and len(got) == len(want)
+    for new, old in zip(got[1:], want[1:]):
+        assert new[1] == str(relabel[int(old[1])])
+        if stage1 == ["linear"] or new[1] == old[1]:
+            assert new[:1] + new[2:] == old[:1] + old[2:]
 
 
 def test_aggregate_row_order_leaves_the_predictions(tmp_path):

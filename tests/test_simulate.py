@@ -1,6 +1,11 @@
 """Synthetic multi-study generator and the replication harness."""
 
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +31,7 @@ from catemeta import (
     true_cate,
 )
 from catemeta import forest, pool_profiles, simulate
-from catemeta.linear import _fit_arrays, linear_cates_stack
+from catemeta.linear import _fit_arrays, design_stack, linear_cates_stack
 from catemeta.meta import ndtri
 from catemeta.rng import spawn_seed, substream
 
@@ -241,11 +246,14 @@ class TestHarness:
         assert m1.n_effective_replications == 4
 
     def test_worker_pool_matches_sequential(self):
-        cfg = config(n_replications=4, n_per_study=150)
+        # One job of 12 replications against six of 2, each job reusing its
+        # own workspace; replications 3 and 7 abort.
+        cfg = config(n_replications=12, n_per_study=30)
         seq = run_experiment(cfg, "linear")
         par = run_experiment(cfg, "linear", n_workers=2)
-        assert np.array_equal(seq.coverage, par.coverage)
-        assert np.array_equal(seq.mean_length, par.mean_length)
+        assert seq.aborted_replications == par.aborted_replications == (3, 7)
+        assert seq.abort_reasons == par.abort_reasons
+        assert_same_table(par, (seq.coverage, seq.mean_length, seq.bias))
 
     def test_aborted_replications_are_reported(self):
         cfg = config(n_replications=3, n_per_study=60)
@@ -529,6 +537,74 @@ class TestBlockPooling:
                            bart_params=BartParams(n_trees=2, n_burn=2, n_draws=2))
         assert sizes == {"linear": [3], "oracle": [3], "forest_honest": [1, 1, 1],
                          "forest_adaptive": [1, 1, 1], "bart": [1, 1, 1]}
+
+
+class TestWorkspace:
+    """A linear job allocates the arrays its draws and fits fill once."""
+
+    def test_a_linear_job_hands_every_replication_one_stack(self, monkeypatch):
+        # 23 replications run in jobs of 10, 10 and 3; 21 and 22 abort.
+        cfg = TestBlockPooling.CFG
+        worker, kernel, jobs = simulate._replication_worker, simulate.linear_cates_arrays, []
+
+        def recording_worker(job):
+            jobs.append([])
+            return worker(job)
+
+        def recording_kernel(x, a, y, *args, stack=None):
+            jobs[-1].append((stack, x, a))
+            return kernel(x, a, y, *args, stack=stack)
+
+        monkeypatch.setattr(simulate, "_replication_worker", recording_worker)
+        monkeypatch.setattr(simulate, "linear_cates_arrays", recording_kernel)
+        table = run_experiment(cfg, "linear")
+        want, _, _ = per_replication_reference(cfg)
+        assert_same_table(table, want)
+        assert [len(calls) for calls in jobs] == [10, 10, 3]
+        for calls in jobs:
+            (stack, x, a), *rest = calls
+            assert stack.shape == design_stack(4, 100, 5).shape
+            assert all(s is stack and xi is x and ai is a for s, xi, ai in rest)
+        assert len({id(calls[0][0]) for calls in jobs}) == 3  # not module-level
+
+    @pytest.mark.parametrize("method", ["oracle", "forest_honest", "forest_adaptive", "bart"])
+    def test_other_jobs_get_none(self, monkeypatch, method):
+        stage1, works = simulate._stage1, []
+
+        def recording(*args):
+            works.append(args[5])
+            return stage1(*args)
+
+        monkeypatch.setattr(simulate, "_stage1", recording)
+        run_experiment(config(k_studies=3, n_per_study=100), method,
+                       forest_params=ForestParams(n_trees=4, bag_size=2),
+                       bart_params=BartParams(n_trees=2, n_burn=2, n_draws=2))
+        assert works == [None] * 3
+
+
+FAULTS_PER_REPLICATION = """
+import resource
+from catemeta import SimConfig, run_experiment
+cfg = SimConfig(k_studies=10, n_per_study=500, n_replications=30, master_seed=3)
+run_experiment(cfg, "linear")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_experiment(cfg, "linear")
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / cfg.n_replications)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the fault count is glibc's: its heap trimming on Linux is what "
+                           "the linear workspace avoids")
+def test_a_warm_linear_pass_faults_in_few_pages():
+    # Each replication used to free its draw and design arrays at the top of
+    # the heap, past glibc's trim threshold, so the next one faulted about
+    # 265 pages back in; with one workspace a job it takes about 55.
+    env = dict(os.environ, PYTHONPATH=str(Path(simulate.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", FAULTS_PER_REPLICATION], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 120
 
 
 class TestEstimateStudy:
