@@ -15,7 +15,10 @@ interaction columns from one product of the covariates and the treatments;
 each design column is scaled by a power of two, so no unit decides the
 rank.  One ``np.linalg.qr`` call factors the stack, and ``inv`` and
 ``matmul``, which work matrix by matrix, form the coefficients and
-covariances, so a study gets the same bits alone as in a stack.  One
+covariances, so a study gets the same bits alone as in a stack.  The rank
+test is a rule on R's singular values, but it reads ||R||_F ||R^-1||_F
+first, from the inverse the fit takes anyway, and runs the SVD only for a
+stack that bound cannot certify (see :func:`_rank_and_inverse`).  One
 contrast matrix then gives the (K, P) CATEs.  The simulation harness calls
 the kernel on its stacked draws (:func:`linear_cates_arrays`), handing every
 replication of a job the one stack that :func:`design_stack` allocates;
@@ -89,9 +92,15 @@ def _fit_arrays(x, a, y, mods: tuple[int, ...], names, study_ids, stack=None):
     residual norm.  The coefficients are R^-1 z and the covariance
     sigma2 R^-1 R^-T; ``ldexp`` then undoes the column scaling exactly.
 
-    n == q gives residual variance 0 and n < q raises.  Checks run study by
-    study, in order, so the first singular or non-finite study raises what
-    it raises when fitted alone.
+    The inverse comes first: the rank test reads it, and needs an SVD only
+    for a stack it cannot certify (see :func:`_rank_and_inverse`).
+
+    n == q gives residual variance 0 and n < q raises.  A non-finite
+    covariate raises ``ValueError`` naming the first study that has one, and
+    the covariate, before the QR; the column maxima of the scaling show it.
+    The treatments must be coded 0/1 (:func:`linear_cates_arrays` checks
+    them).  The other checks run study by study, in order, so the first
+    singular or non-finite study raises what it raises when fitted alone.
     """
     k, n, p = x.shape
     q = _n_coefficients(p, mods)
@@ -112,21 +121,24 @@ def _fit_arrays(x, a, y, mods: tuple[int, ...], names, study_ids, stack=None):
     cols[:, 0] = 1.0
     cols[:, 1:p + 1] = x.swapaxes(1, 2)
     cols[:, p + 1] = a
-    np.multiply(cols[:, [1 + j for j in mods]], a[:, None, :], out=cols[:, p + 2:q])
+    # An infinite covariate times a zero treatment is NaN; the check below
+    # names the covariate.
+    with np.errstate(invalid="ignore"):
+        np.multiply(cols[:, [1 + j for j in mods]], a[:, None, :], out=cols[:, p + 2:q])
     cols[:, q] = y
+    col_max = np.abs(cols[:, :q]).max(axis=2)
+    if not np.isfinite(col_max).all():
+        # With every covariate finite, so is every design column.
+        bad = ~np.isfinite(col_max[:, 1:p + 1])
+        i, j = np.unravel_index(bad.argmax(), bad.shape)
+        raise ValueError(f"study {study_ids[i]}: non-finite covariate '{names[j]}'")
     # Each design column times the power of two that puts its largest |value|
     # in [0.5, 1), so the rank test does not compare units; an all-zero
     # column keeps exponent 0.  The scaling is exact and is undone exactly.
-    _, e = np.frexp(np.abs(cols[:, :q]).max(axis=2))
+    _, e = np.frexp(col_max)
     np.ldexp(cols[:, :q], -e[:, :, None], out=cols[:, :q])
     r_aug = np.linalg.qr(cols.swapaxes(1, 2), mode="r")
-    r = r_aug[:, :q, :q]
-    s = np.linalg.svd(r, compute_uv=False)
-    full_rank = (s > _RANK_RTOL * s[:, :1]).sum(axis=1) == q
-    if not full_rank.all():
-        # inv raises on an exactly singular R; such a study raises below.
-        r = np.where(full_rank[:, None, None], r, np.eye(q))
-    r_inv = np.linalg.inv(r)
+    full_rank, r_inv = _rank_and_inverse(r_aug[:, :q, :q])
     # Outcomes near the float range overflow; the checks below report it.
     with np.errstate(over="ignore", invalid="ignore"):
         coef = np.ldexp((r_inv @ r_aug[:, :q, q:])[:, :, 0], -e)
@@ -152,6 +164,44 @@ def _fit_arrays(x, a, y, mods: tuple[int, ...], names, study_ids, stack=None):
     return coef, cov, sigma2
 
 
+def _rank_and_inverse(r):
+    """``(full_rank (K,), r_inv (K, q, q))`` of K upper triangular R factors:
+    whether each passes the rank test, and the inverse of each R, or of the
+    identity in place of one that fails.
+
+    The rank test is the SVD rule: R is singular when its least singular
+    value is at most ``_RANK_RTOL`` times its largest.  A stack is certified
+    full rank without an SVD when ``inv`` succeeds and every study has
+    ||R||_F^2 ||R^-1||_F^2 < 1 / (4 _RANK_RTOL^2).  With s_1 >= ... >= s_q
+    the singular values of R, ||R||_F^2 = sum s_i^2 >= s_1^2 and
+    ||R^-1||_F^2 = sum 1/s_i^2 >= 1/s_q^2 (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., 2.3), so the certificate gives
+    s_1 / s_q < 1 / (2 _RANK_RTOL), that is s_q > 2 _RANK_RTOL s_1: the SVD
+    rule holds with a factor of 2 to spare.  That margin is far above the
+    rounding of the norms (about q eps relative), of the computed inverse and
+    of the computed singular values (about cond eps <= 5e9 eps, 6e-7
+    relative), so a certified study is one the SVD passes.  A stack with an
+    exactly singular R (``inv`` raises), a product that is not finite, or one
+    that reaches the bound runs the SVD rule on every study.
+    """
+    q = r.shape[1]
+    try:
+        r_inv = np.linalg.inv(r)
+    except np.linalg.LinAlgError:  # an exactly singular R: the SVD decides
+        pass
+    else:
+        with np.errstate(over="ignore"):
+            cond2 = np.einsum("kij,kij->k", r, r) * np.einsum("kij,kij->k", r_inv, r_inv)
+        if (cond2 < 0.25 / _RANK_RTOL ** 2).all():
+            return np.ones(len(r), dtype=bool), r_inv
+    s = np.linalg.svd(r, compute_uv=False)
+    full_rank = (s > _RANK_RTOL * s[:, :1]).sum(axis=1) == q
+    if not full_rank.all():
+        # inv raises on an exactly singular R; such a study raises in the fit.
+        r = np.where(full_rank[:, None, None], r, np.eye(q))
+    return full_rank, np.linalg.inv(r)
+
+
 def _contrast(coef, cov, mods: tuple[int, ...], points):
     """``(tau, se2)``, each (K, P), from the one contrast matrix of ``points``."""
     treatment = coef.shape[1] - len(mods) - 1
@@ -170,12 +220,13 @@ def linear_cates_arrays(x, a, y, points, names, study_ids, moderators=None, stac
 
     Before any fit, an ``a``, ``y``, ``names`` or ``study_ids`` that does
     not match ``x`` raises ``ValueError`` naming it (nothing is broadcast),
-    and ``points`` (P, p) is checked (see ``model.check_points``).  The
+    as does a treatment other than 0 or 1, naming the first study with one
+    and its codes, and a non-finite covariate (see :func:`_fit_arrays`);
+    ``points`` (P, p) is checked (see ``model.check_points``).  Then the
     first study, in order, that cannot be fitted raises what it raises as a
-    stack of one (see :func:`_fit_arrays`).  ``stack``, if given, is the
-    :func:`design_stack` array the fit is built in, so a caller that fits
-    many stacks of one shape allocates it once; the results do not depend
-    on what it held.
+    stack of one.  ``stack``, if given, is the :func:`design_stack` array
+    the fit is built in, so a caller that fits many stacks of one shape
+    allocates it once; the results do not depend on what it held.
     """
     if x.ndim != 3:
         raise ValueError(f"x has shape {x.shape}, expected (K, n, p)")
@@ -189,6 +240,11 @@ def linear_cates_arrays(x, a, y, points, names, study_ids, moderators=None, stac
         if len(values) != want:
             raise ValueError(f"{name} has {len(values)} entries, expected one per {per} "
                              f"of x ({want})")
+    if np.count_nonzero(a) != np.count_nonzero(a == 1):
+        bad = (a != 0) & (a != 1)
+        i = bad.any(axis=1).argmax()
+        raise ValueError(f"study {study_ids[i]}: treatment must be coded 0/1, found "
+                         f"{np.unique(a[i][bad[i]]).tolist()}")
     points = check_points(points, p)
     mods = _moderators(moderators, p)
     coef, cov, _ = _fit_arrays(x, a, y, mods, names, study_ids, stack)

@@ -147,10 +147,14 @@ def _binary_cut(mean: float) -> float:
 
 
 def _study_means(config: SimConfig, rng) -> np.ndarray:
-    means = _MEAN_CENTERS.copy()
+    """One study's covariate means (5,).  The "variable" draw is
+    ``rng.normal(_MEAN_CENTERS, _MEAN_SDS)`` in one call: numpy forms each
+    normal as loc + scale * z from one standard normal, so this is the same
+    stream and the same bits (``tests/test_simulate.py`` pins them)."""
     if config.covariate_mode == "variable":
-        means = rng.normal(_MEAN_CENTERS, _MEAN_SDS)
-    elif config.covariate_mode == "age_only_variable":
+        return _MEAN_CENTERS + _MEAN_SDS * rng.standard_normal(5)
+    means = _MEAN_CENTERS.copy()
+    if config.covariate_mode == "age_only_variable":
         means[_AGE] = rng.normal(_MEAN_CENTERS[_AGE], _MEAN_SDS[_AGE])
     return means
 
@@ -212,15 +216,14 @@ def true_cate(x: np.ndarray, setting: str, effects) -> np.ndarray:
 
 
 def draw_study_effects(level: int, distribution: str, rng) -> tuple[float, float, float]:
-    """One study's (a_s, b_s, c_s) heterogeneity draw."""
+    """One study's (a_s, b_s, c_s) heterogeneity draw.  The normal one takes
+    three standard normals in one call, times the level's sigmas: the
+    stream and bits of three ``rng.normal(0.0, sigma)`` calls."""
     if distribution == "uniform":
-        a, b, c = rng.uniform(-1.0, 1.0, size=3)
-    else:
-        sa, sb, sc = _HETEROGENEITY_SIGMAS[level]
-        a = rng.normal(0.0, sa)
-        b = rng.normal(0.0, sb)
-        c = rng.normal(0.0, sc)
-    return float(a), float(b), float(c)
+        return tuple(rng.uniform(-1.0, 1.0, size=3).tolist())
+    za, zb, zc = rng.standard_normal(3).tolist()
+    sa, sb, sc = _HETEROGENEITY_SIGMAS[level]
+    return sa * za, sb * zb, sc * zc
 
 
 def _mean_outcomes(x, a, setting: str, effects) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Interaction least squares: exact recovery, contrasts, failure modes."""
 
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catemeta import (
     DimensionMismatchError,
@@ -11,11 +15,15 @@ from catemeta import (
     InsufficientDataError,
     SingularDesignError,
     TrialDataset,
+    simulate,
 )
 from catemeta.linear import (
+    _RANK_RTOL,
+    _column_names,
     _contrast,
     _fit_arrays,
     _moderators,
+    _rank_and_inverse,
     design_stack,
     linear_cates_arrays,
     linear_cates_stack,
@@ -463,3 +471,139 @@ class TestWorkspace:
         stack = design_stack(3, 40, 5, moderators)
         assert stack.shape == (3, q + 1, 40) and stack.dtype == np.float64
         assert stack.flags.c_contiguous
+
+
+class TestInputValues:
+    """Treatments other than 0/1 and non-finite covariates are refused
+    before the QR, naming the study."""
+
+    @pytest.fixture
+    def arrays(self):
+        rng = np.random.default_rng(13)
+        return (rng.normal(size=(2, 50, 3)), rng.integers(0, 2, (2, 50)),
+                rng.normal(size=(2, 50)), np.zeros((1, 3)), ("age", "sex", "dose"), (4, 9))
+
+    def test_treatment_codes_other_than_0_and_1_are_named(self, arrays):
+        # A 2 used to fit silently, giving a CATE per 2 units of treatment.
+        x, a, *rest = arrays
+        a = a.astype(float)
+        a[1, 3], a[1, 7], a[1, 8] = 2, -1, np.nan
+        with pytest.raises(ValueError, match=re.escape(
+                "study 9: treatment must be coded 0/1, found [-1.0, 2.0, nan]")):
+            linear_cates_arrays(x, a, *rest)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_covariate_is_named_without_a_warning(self, arrays, value):
+        # These used to escape as LinAlgError("SVD did not converge"), an inf
+        # with a RuntimeWarning too.
+        x, *rest = arrays
+        x = x.copy()
+        x[1, 3, 2] = x[1, 5, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="study 9: non-finite covariate 'age'"):
+                linear_cates_arrays(x, *rest)
+
+
+# Squared Frobenius condition numbers below this are certified full rank.
+CERTIFIED = 0.25 / _RANK_RTOL ** 2
+# log10 of a condition number: 1e2 to 1e14, dense about the certificate's
+# bound (cond_F = 5e9 lies between cond_2 = 5e9 / sqrt(q) and 5e9) and the
+# rank rule's (cond_2 = 1e10).
+LOG_CONDS = st.one_of(st.floats(2.0, 14.0), st.floats(9.0, 10.1), st.floats(9.999, 10.001))
+
+
+def conditioned_r(seed, log_cond, q=12):
+    """The R factor of U diag(s) V^T, U and V random orthogonal, with
+    singular values s from 1 down to 10**-log_cond."""
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.normal(size=(q, q)))[0] for _ in range(2))
+    s = np.concatenate([[0.0], np.sort(rng.uniform(0.0, log_cond, q - 2)), [log_cond]])
+    return np.linalg.qr((u * 10.0 ** -s) @ v.T, mode="r")
+
+
+def svd_rule_fails(r):
+    s = np.linalg.svd(r, compute_uv=False)
+    return s[-1] <= _RANK_RTOL * s[0]
+
+
+def svd_rule_column(r_aug, columns):
+    """The column the SVD rule names for a stack of R factors: in the first
+    study whose design R fails it, the first column whose prefix fails."""
+    q = len(columns)
+    for r in r_aug:
+        if svd_rule_fails(r[:q, :q]):
+            return next(columns[j] for j in range(q) if svd_rule_fails(r[:j + 1, :j + 1]))
+    return None
+
+
+class TestRankCertificate:
+    """||R||_F ||R^-1||_F certifies full rank; the SVD rule stays the
+    definition of singular."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_cond=LOG_CONDS)
+    def test_decides_as_the_svd_rule_and_runs_it_only_uncertified(self, seed, log_cond):
+        r = conditioned_r(seed, log_cond)
+        s = np.linalg.svd(r, compute_uv=False)
+        cond_f2 = (s ** 2).sum() * (s ** -2.0).sum()
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            (full_rank,), (r_inv,) = _rank_and_inverse(r[None])
+        assert full_rank == (not svd_rule_fails(r))
+        assert np.array_equal(r_inv, np.linalg.inv(r if full_rank else np.eye(12)))
+        if abs(cond_f2 / CERTIFIED - 1.0) > 1e-6:  # rounding may decide a tie
+            assert svd.called == (cond_f2 >= CERTIFIED)
+
+    def test_a_product_at_the_bound_is_not_certified(self):
+        r = np.diag([1.0000000000000007, 2.0000000000000014e-10])
+        assert (r ** 2).sum() * (np.linalg.inv(r) ** 2).sum() == CERTIFIED
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            (full_rank,), _ = _rank_and_inverse(r[None])
+        assert full_rank and svd.call_count == 1
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_conds=st.lists(LOG_CONDS, min_size=2, max_size=4))
+    def test_mixed_stacks_raise_what_the_svd_rule_raises(self, seed, log_conds):
+        # Study i's dose is a near copy of its sex column, 10**-log_conds[i]
+        # away; the kernel must name what the SVD rule names on its own R.
+        rng = np.random.default_rng(seed)
+        k, names = len(log_conds), ("age", "sex", "dose")
+        x, a, y = rng.normal(size=(k, 40, 3)), rng.integers(0, 2, (k, 40)), rng.normal(size=(k, 40))
+        x[:, :, 2] = x[:, :, 1] + 10.0 ** -np.array(log_conds)[:, None] * rng.normal(size=(k, 40))
+        qr, r_aug = np.linalg.qr, []
+
+        def recording_qr(*args, **kwargs):
+            r_aug.append(qr(*args, **kwargs))
+            return r_aug[-1]
+
+        with mock.patch.object(np.linalg, "qr", recording_qr):
+            try:
+                linear_cates_arrays(x, a, y, np.zeros((1, 3)), names, range(1, k + 1))
+                raised = None
+            except SingularDesignError as err:
+                raised = err.column_name
+        assert raised == svd_rule_column(r_aug[0], _column_names(names, (0, 1, 2)))
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_a_warm_harness_pass_runs_the_svd_only_where_it_aborts(monkeypatch, seed):
+    # Seed 3 aborts none of its 30 replications, seed 7 aborts replication 25.
+    cfg = SimConfig(k_studies=10, n_per_study=500, n_replications=30, master_seed=seed)
+    run_experiment(cfg, "linear")
+    kernel, fits = simulate.linear_cates_arrays, []
+
+    def recording_kernel(*args, **kwargs):
+        before, aborted = svd.call_count, True
+        try:
+            result = kernel(*args, **kwargs)
+            aborted = False
+        finally:
+            fits.append((aborted, svd.call_count - before))
+        return result
+
+    monkeypatch.setattr(simulate, "linear_cates_arrays", recording_kernel)
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        table = run_experiment(cfg, "linear")
+    assert len(fits) == cfg.n_replications
+    assert [i for i, (aborted, _) in enumerate(fits) if aborted] == list(table.aborted_replications)
+    assert all((calls > 0) == aborted for aborted, calls in fits)

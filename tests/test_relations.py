@@ -104,6 +104,40 @@ def test_outcomes_times_a_power_of_two_scale_the_estimates_exactly(unscaled, sta
     assert np.array_equal(se2, np.ldexp(want_se2, 2 * k))
 
 
+def predictions(directory, aggregates_csv):
+    """``predict``'s ``predictions.csv`` from the aggregates at a path: the
+    columns tau_pooled, theta2, lower and upper as floats, and df and
+    flag_nonoverlap as text."""
+    out = Path(directory) / "predicted"
+    run(["predict", "--aggregates", aggregates_csv, "--out-dir", out])
+    rows = [line.split(",") for line in (out / "predictions.csv").read_text().splitlines()[1:]]
+    return ({name: np.array([float(row[c]) for row in rows])
+             for c, name in enumerate(("tau_pooled", "theta2", "lower", "upper"), start=1)},
+            [row[5:] for row in rows])
+
+
+@STAGE1
+@settings(derandomize=True, max_examples=2, deadline=None, database=None)
+@given(k=POWERS)
+# At k = 300 every learner's largest theta2 is past 1e154, so its square,
+# and the square of its weight, leave the float range.
+@example(k=300)
+@example(k=-300)
+def test_outcomes_times_a_power_of_two_scale_the_predictions_exactly(unscaled, stage1, k):
+    with tempfile.TemporaryDirectory() as directory:
+        aggregates_csv = Path(directory) / "aggregates.csv"
+        aggregates_csv.write_bytes(unscaled(stage1))
+        want, want_text = predictions(directory, aggregates_csv)
+        trials = golden_scaled_in(directory, "forest_trials.csv", ["y"], k)
+        aggregates(directory, stage1, trials)
+        got, got_text = predictions(directory, Path(directory) / "out" / "aggregates.csv")
+    if k == 300:
+        assert got["theta2"].max() > 1e154
+    assert got_text == want_text  # df and the flag
+    for name, power in (("tau_pooled", k), ("lower", k), ("upper", k), ("theta2", 2 * k)):
+        assert np.array_equal(got[name], np.ldexp(want[name], power)), name
+
+
 @STAGE1
 @settings(derandomize=True, max_examples=12, deadline=None, database=None)
 @given(k=POWERS)

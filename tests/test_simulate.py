@@ -104,6 +104,16 @@ class TestTrialCovariates:
 
 
 class TestCovariateDraw:
+    def test_variable_means_have_the_bits_of_numpys_normal(self):
+        # The five means are drawn in one call as centers + sds * z, which
+        # must be numpy's own rng.normal(centers, sds) bit for bit.
+        cfg = config(covariate_mode="variable")
+        for seed in range(200):
+            got_rng, want_rng = substream(seed, "means"), substream(seed, "means")
+            got = simulate._study_means(cfg, got_rng)
+            want = want_rng.normal(simulate._MEAN_CENTERS, simulate._MEAN_SDS)
+            assert np.array_equal(got, want) and got_rng.random() == want_rng.random(), seed
+
     def test_equals_numpys_cholesky_draw_bit_for_bit(self):
         # The latent rows are standard normals times the constant Cholesky
         # factor, which is what multivariate_normal(method="cholesky") draws.
@@ -203,6 +213,19 @@ class TestStudyEffects:
         draws3 = np.array([draw_study_effects(3, "normal", rng) for _ in range(10_000)])
         assert np.std(draws3[:, 1]) == pytest.approx(1.0, rel=0.1)
         assert np.std(draws3[:, 2]) == pytest.approx(0.5, rel=0.1)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_normal_draw_has_the_bits_of_three_numpy_normals(self, level):
+        # One call of three standard normals times the sigmas: the same
+        # stream and bits as numpy's loc + scale * z, one normal at a time.
+        # A numpy build that contracted that to a fused multiply-add fails
+        # here, not in a golden.
+        for seed in range(200):
+            got_rng, want_rng = substream(seed, "eff"), substream(seed, "eff")
+            got = draw_study_effects(level, "normal", got_rng)
+            want = tuple(float(want_rng.normal(0.0, sigma))
+                         for sigma in simulate._HETEROGENEITY_SIGMAS[level])
+            assert np.array_equal(got, want) and got_rng.random() == want_rng.random(), seed
 
     def test_uniform_mode_bounds_and_mean(self):
         rng = substream(32, "eff")
