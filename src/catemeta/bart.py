@@ -66,10 +66,10 @@ class BartParams:
         if min(self.n_trees, self.n_burn) < 1 or self.n_draws < 2:
             # se2 is a sample variance across draws, so it needs two of them.
             raise ConfigurationError("tree and burn counts must be >= 1, draws >= 2")
-        if not (0.0 < self.alpha < 1.0) or self.beta <= 0.0:
-            raise ConfigurationError("tree prior requires alpha in (0,1), beta > 0")
-        if self.k <= 0.0:
-            raise ConfigurationError("leaf prior requires k > 0")
+        if not (0.0 < self.alpha < 1.0) or not (0.0 < self.beta < math.inf):
+            raise ConfigurationError("tree prior requires alpha in (0,1) and a finite beta > 0")
+        if not (0.0 < self.k < math.inf):
+            raise ConfigurationError("leaf prior requires a finite k > 0")
         check_seed(self, "seed")
 
 
@@ -90,12 +90,28 @@ class BartPosterior:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _log_split_prior(alpha, beta, depth):
+    """Log prior ratio of splitting a leaf at ``depth``, less the rule's
+    prior probability, which cancels against the proposal's.  Where the
+    split probability underflows to 0 the ratio is -inf: no grow there is
+    accepted, so no node there is ever pruned."""
+    ps, ps_child = (alpha * (1.0 + d) ** -beta for d in (depth, depth + 1))
+    if ps == 0.0:
+        return -math.inf
+    return math.log(ps) + 2.0 * math.log1p(-ps_child) - math.log1p(-ps)
+
+
 class _Tree:
     """One tree as flat per-slot lists; pruned slots are reused.  ``feature`` is
     -1 at a leaf; ``[lo, hi)`` is the range of cut indexes a node's box allows
     per column, and ``avail`` lists the columns where it is non-empty (a leaf
     with any is growable).  ``leaf_of`` maps the data rows, then the points,
-    to leaf slots; ``count`` and ``mu`` are indexed by slot."""
+    to leaf slots, and ``rows`` is its data-row part.  ``mu`` and ``count``,
+    each slot's data rows (also as the list ``counts``, which the caller keeps
+    up to date), are indexed by slot."""
+
+    __slots__ = ("feature", "left", "right", "parent", "depth", "lo", "hi", "avail", "growable",
+                 "prunable", "free", "leaf_of", "rows", "counts", "count", "mu")
 
     def __init__(self, n_rows, n_points, n_cuts):
         self.feature, self.left, self.right, self.parent, self.depth = [-1], [-1], [-1], [-1], [0]
@@ -104,7 +120,9 @@ class _Tree:
         self.growable = [0] if self.avail[0] else []
         self.prunable, self.free = [], []
         self.leaf_of = np.zeros(n_points, dtype=np.intp)
-        self.count = np.array([n_rows, 0, 0, 0])
+        self.rows = self.leaf_of[:n_rows]
+        self.counts = [n_rows, 0, 0, 0]
+        self.count = np.array(self.counts)
         self.mu = np.zeros(4)
 
     def _slot(self):
@@ -116,6 +134,7 @@ class _Tree:
         slot = len(self.feature) - 1
         if slot == self.mu.shape[0]:  # the caller redraws every mean
             self.mu = np.zeros(2 * slot)
+            self.counts += [0] * slot
         return slot
 
     def set_rule(self, node, f, c):
@@ -157,7 +176,9 @@ class _Tree:
 
 class _Chain:
     """Backfitting sampler state for one study.  ``resid`` is y minus the sum
-    of trees on the data rows, then minus the sum of trees at the points."""
+    of trees on the data rows, then minus the sum of trees at the points.
+    ``leaves`` holds each tree's leaf count, and ``prior`` the log split prior
+    ratio of each depth reached so far."""
 
     def __init__(self, ranks, n_cuts, y_scaled, params, rng):
         n = y_scaled.shape[0]
@@ -169,108 +190,119 @@ class _Chain:
         self.lam = sd * sd * _CHI2_Q / _NU
         self.sigma2 = sd * sd
         self.trees = [_Tree(n, ranks.shape[1], n_cuts) for _ in range(params.n_trees)]
+        self.leaves = [1] * params.n_trees
+        self.prior = []
         self.resid = np.concatenate([y_scaled, np.zeros(ranks.shape[1] - n)])
         self.proposed = dict.fromkeys(_MOVES, 0)
         self.accepted = dict.fromkeys(_MOVES, 0)
 
-    def _log_prior_ratio(self, depth):
-        """Log prior ratio of splitting a leaf at ``depth``, less the rule's
-        prior probability, which cancels against the proposal's."""
-        ps, ps_child = (self.params.alpha * (1.0 + d) ** -self.params.beta
-                        for d in (depth, depth + 1))
-        return math.log(ps) + 2.0 * math.log1p(-ps_child) - math.log1p(-ps)
-
-    def _log_marginal(self, rows_sum, count):
-        """A leaf's log marginal likelihood, less the terms that cancel in
-        every ratio: the row sum of squares and count * log(2 pi sigma2)."""
-        return self._lm_const[count] + self._lm_coef[count] * rows_sum * rows_sum
-
-    def _split(self, tree, node, in_node, n_all, s_all, log_rest, u, r):
-        """Propose a rule for ``node`` (rows ``in_node``); accept it at log
-        ratio ``log_rest`` plus the children's marginals unless a child is empty."""
-        avail = tree.avail[node]
-        f = avail[int(u[2] * len(avail))]
-        lo, hi = tree.lo[node][f], tree.hi[node][f]
-        c = lo + int(u[3] * (hi - lo))
-        right = in_node & (self.ranks[f] > c)
-        n_r = int(np.count_nonzero(right[: self.n]))
-        if n_r == 0 or n_r == n_all:
-            return False
-        s_r = float(r @ right[: self.n])
-        log_ratio = (log_rest + self._log_marginal(s_all - s_r, n_all - n_r)
-                     + self._log_marginal(s_r, n_r))
-        if math.log1p(-u[4]) >= log_ratio:
-            return False
-        tree.set_rule(node, f, c)
-        tree.leaf_of[in_node] = tree.left[node]
-        tree.leaf_of[right] = tree.right[node]
-        return True
-
-    def _grow(self, tree, leaf, u, counts, sums, r):
-        n_all, s_all = counts[leaf], sums[leaf]
-        n_prunable = len(tree.prunable) + 1 - (tree.parent[leaf] in tree.prunable)
-        log_rest = (self._log_prior_ratio(tree.depth[leaf]) - self._log_marginal(s_all, n_all)
-                    + math.log(_MOVE_PRUNE / _MOVE_GROW * len(tree.growable) / n_prunable))
-        return self._split(tree, leaf, tree.leaf_of == leaf, n_all, s_all, log_rest, u, r)
-
-    def _prune(self, tree, node, u, counts, sums, r):
-        left, right = tree.left[node], tree.right[node]
-        n_l, n_r, s_l, s_r = counts[left], counts[right], sums[left], sums[right]
-        n_growable = len(tree.growable) + 1 - bool(tree.avail[left]) - bool(tree.avail[right])
-        log_ratio = (
-            self._log_marginal(s_l + s_r, n_l + n_r) - self._log_marginal(s_l, n_l)
-            - self._log_marginal(s_r, n_r) - self._log_prior_ratio(tree.depth[node])
-            + math.log(_MOVE_GROW / _MOVE_PRUNE * len(tree.prunable) / n_growable)
-        )
-        if math.log1p(-u[4]) >= log_ratio:
-            return False
-        tree.prune(node)
-        leaf_of = tree.leaf_of
-        leaf_of[(leaf_of == left) | (leaf_of == right)] = node
-        return True
-
-    def _change(self, tree, node, u, counts, sums, r):
-        left, right = tree.left[node], tree.right[node]
-        n_l, n_r, s_l, s_r = counts[left], counts[right], sums[left], sums[right]
-        log_rest = -self._log_marginal(s_l, n_l) - self._log_marginal(s_r, n_r)
-        in_node = (tree.leaf_of == left) | (tree.leaf_of == right)
-        return self._split(tree, node, in_node, n_l + n_r, s_l + s_r, log_rest, u, r)
-
-    def update_tree(self, tree, u):
-        """One move, then fresh leaf means.  ``u`` holds five uniforms: move,
-        node, the rule's column and cut, and acceptance."""
-        n, resid, leaf_of = self.n, self.resid, tree.leaf_of
-        resid += tree.mu[leaf_of]
-        r = resid[:n]
-        sums = np.bincount(leaf_of[:n], weights=r, minlength=tree.mu.shape[0])
-        if u[0] < _MOVE_GROW:
-            move, nodes, step = "grow", tree.growable, self._grow
-        elif u[0] < _MOVE_GROW + _MOVE_PRUNE:
-            move, nodes, step = "prune", tree.prunable, self._prune
-        else:
-            move, nodes, step = "change", tree.prunable, self._change
-        self.proposed[move] += bool(nodes)
-        if nodes and step(tree, nodes[int(u[1] * len(nodes))], u, tree.count.tolist(),
-                          sums.tolist(), r):
-            self.accepted[move] += 1
-            size = tree.mu.shape[0]
-            tree.count = np.bincount(leaf_of[:n], minlength=size)
-            sums = np.bincount(leaf_of[:n], weights=r, minlength=size)
-        noise = self.rng.standard_normal(sums.shape[0])
-        tree.mu = sums * self._shrink[tree.count] + self._post_sd[tree.count] * noise
-        resid -= tree.mu[leaf_of]
-
     def sweep(self):
-        """Update every tree once, then the error variance."""
-        # A leaf of c rows: mu has posterior mean shrink[c] * sum, sd post_sd[c].
+        """Update every tree once, then the error variance.
+
+        A tree update adds the tree back into the residual, sums the residual
+        over its leaves, makes one move, draws fresh leaf means and takes the
+        tree out of the residual again.  The move reads five uniforms: move,
+        node, the rule's column and cut, and acceptance.  A grow or change
+        proposes a rule for ``node`` (rows ``in_node``) at log ratio
+        ``log_rest`` plus the children's marginals, unless a child is empty.
+        """
+        n, ranks, resid, params = self.n, self.ranks, self.resid, self.params
+        r = resid[:n]
+        # A leaf of c rows with residual sum s: mu has posterior mean
+        # shrink[c] * s and sd post_sd[c], and the log marginal likelihood
+        # lm_const[c] + lm_coef[c] * s * s, less the terms that cancel in every
+        # ratio: the row sum of squares and c * log(2 pi sigma2).
         s2, sm2 = self.sigma2, self.sigma_mu**2
-        denom = s2 + np.arange(self.n + 1) * sm2
-        self._shrink = sm2 / denom
-        self._post_sd = np.sqrt(s2 * self._shrink)
-        self._lm_const = (0.5 * np.log(s2 / denom)).tolist()
-        self._lm_coef = (self._shrink / (2.0 * s2)).tolist()
-        for tree, u in zip(self.trees, self.rng.random((len(self.trees), 5)).tolist()):
-            self.update_tree(tree, u)
+        denom = s2 + np.arange(n + 1) * sm2
+        shrink = sm2 / denom
+        post_sd = np.sqrt(s2 * shrink)
+        lm_const = (0.5 * np.log(s2 / denom)).tolist()
+        lm_coef = (shrink / (2.0 * s2)).tolist()
+        grow_odds, prune_odds = _MOVE_PRUNE / _MOVE_GROW, _MOVE_GROW / _MOVE_PRUNE
+        prior, leaves, proposed, accepted = self.prior, self.leaves, self.proposed, self.accepted
+        bincount, count_nonzero, normal = np.bincount, np.count_nonzero, self.rng.standard_normal
+        log, log1p = math.log, math.log1p
+        uniforms = self.rng.random((len(self.trees), 5)).tolist()
+        for t, (tree, (u_move, u_node, u_col, u_cut, u_accept)) in enumerate(
+                zip(self.trees, uniforms)):
+            leaf_of, rows, counts = tree.leaf_of, tree.rows, tree.counts
+            resid += tree.mu[leaf_of]
+            sums = bincount(rows, r, tree.mu.shape[0])
+            move, moved = None, False
+            if u_move < _MOVE_GROW:
+                nodes = tree.growable
+                if nodes:
+                    move = "grow"
+                    node = nodes[int(u_node * len(nodes))]
+                    n_all, s_all = counts[node], sums.tolist()[node]
+                    depth, prunable = tree.depth[node], tree.prunable
+                    if depth == len(prior):
+                        prior.append(_log_split_prior(params.alpha, params.beta, depth))
+                    log_rest = (prior[depth] - (lm_const[n_all] + lm_coef[n_all] * s_all * s_all)
+                                + log(grow_odds * len(nodes)
+                                      / (len(prunable) + 1 - (tree.parent[node] in prunable))))
+                    in_node = leaf_of == node
+            else:
+                nodes = tree.prunable
+                if nodes:
+                    node = nodes[int(u_node * len(nodes))]
+                    left, right = tree.left[node], tree.right[node]
+                    sum_list = sums.tolist()
+                    n_l, n_r = counts[left], counts[right]
+                    s_l, s_r = sum_list[left], sum_list[right]
+                    n_all, s_all = n_l + n_r, s_l + s_r
+                    if u_move < _MOVE_GROW + _MOVE_PRUNE:
+                        proposed["prune"] += 1
+                        n_growable = (len(tree.growable) + 1
+                                      - bool(tree.avail[left]) - bool(tree.avail[right]))
+                        log_ratio = ((lm_const[n_all] + lm_coef[n_all] * s_all * s_all)
+                                     - (lm_const[n_l] + lm_coef[n_l] * s_l * s_l)
+                                     - (lm_const[n_r] + lm_coef[n_r] * s_r * s_r)
+                                     - prior[tree.depth[node]]
+                                     + log(prune_odds * len(nodes) / n_growable))
+                        if log1p(-u_accept) < log_ratio:
+                            tree.prune(node)
+                            leaf_of[(leaf_of == left) | (leaf_of == right)] = node
+                            counts[node], counts[left], counts[right] = n_all, 0, 0
+                            accepted["prune"] += 1
+                            leaves[t] -= 1
+                            moved = True
+                    else:
+                        move = "change"
+                        log_rest = (-(lm_const[n_l] + lm_coef[n_l] * s_l * s_l)
+                                    - (lm_const[n_r] + lm_coef[n_r] * s_r * s_r))
+                        in_node = (leaf_of == left) | (leaf_of == right)
+            if move is not None:
+                proposed[move] += 1
+                avail = tree.avail[node]
+                f = avail[int(u_col * len(avail))]
+                lo = tree.lo[node][f]
+                c = lo + int(u_cut * (tree.hi[node][f] - lo))
+                goes_right = in_node & (ranks[f] > c)
+                n_r = int(count_nonzero(goes_right[:n]))
+                if 0 < n_r < n_all:
+                    s_r = float(r @ goes_right[:n])
+                    n_l, s_l = n_all - n_r, s_all - s_r
+                    log_ratio = (log_rest + (lm_const[n_l] + lm_coef[n_l] * s_l * s_l)
+                                 + (lm_const[n_r] + lm_coef[n_r] * s_r * s_r))
+                    if log1p(-u_accept) < log_ratio:
+                        tree.set_rule(node, f, c)
+                        left, right = tree.left[node], tree.right[node]
+                        leaf_of[in_node] = left
+                        leaf_of[goes_right] = right
+                        counts[node], counts[left], counts[right] = 0, n_l, n_r
+                        accepted[move] += 1
+                        if move == "grow":
+                            leaves[t] += 1
+                        moved = True
+            if moved:
+                tree.count = np.array(counts)
+                sums = bincount(rows, r, tree.mu.shape[0])  # a grow may have reallocated mu
+            count = tree.count
+            mu = sums * shrink[count]
+            mu += post_sd[count] * normal(sums.shape[0])
+            tree.mu = mu
+            resid -= mu[leaf_of]
         err = self.resid[: self.n]
         shape = _NU + self.n
         scale = _NU * self.lam + float(err @ err)
@@ -316,16 +348,22 @@ def fit_bart_slearner(
         n_cuts.append(values.shape[0] - 1)
         ranks[j] = np.searchsorted(values, stacked[:, j], "left")
 
-    chain = _Chain(ranks, n_cuts, y_scaled, params, substream(params.seed, "bart-chain"))
     n = y.shape[0]
-    draws = np.empty((params.n_draws, eval_points.shape[0]))
-    leaf_counts = np.empty((params.n_draws, params.n_trees), dtype=np.int64)
+    # Allocated before the chain, so that a draw count numpy refuses stops here.
+    try:
+        draws = np.empty((params.n_draws, eval_points.shape[0]))
+        leaf_counts = np.empty((params.n_draws, params.n_trees), dtype=np.int64)
+    except (ValueError, MemoryError) as err:
+        raise ConfigurationError(
+            f"n_draws = {params.n_draws}: cannot allocate the kept draws "
+            f"({eval_points.shape[0]} values and {params.n_trees} leaf counts each): {err}"
+        ) from None
+    chain = _Chain(ranks, n_cuts, y_scaled, params, substream(params.seed, "bart-chain"))
     for it in range(params.n_burn + params.n_draws):
         chain.sweep()
         if it >= params.n_burn:
             draws[it - params.n_burn] = (0.5 - chain.resid[n:]) * y_range + y_min
-            leaf_counts[it - params.n_burn] = [  # L leaves use 2L - 1 slots
-                (len(tree.feature) - len(tree.free) + 1) // 2 for tree in chain.trees]
+            leaf_counts[it - params.n_burn] = chain.leaves
     draws.setflags(write=False)
     return BartPosterior(
         study_id=dataset.study_id,

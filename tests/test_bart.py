@@ -1,20 +1,27 @@
 """BART S-learner: sampler behavior, interval options, determinism."""
 
+import math
 import re
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from bart_reference import fit_bart_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catemeta import (
     BartParams,
     BartPosterior,
     ConfigurationError,
     DimensionMismatchError,
+    SimConfig,
     TrialDataset,
     bart_cates,
     fit_bart_slearner,
+    run_experiment,
 )
+from catemeta.bart import _CHI2_Q, _NU, _Chain
 
 FAST = BartParams(n_trees=20, n_burn=100, n_draws=150, seed=7)
 
@@ -52,6 +59,16 @@ class TestParams:
         with pytest.raises(ConfigurationError, match="k > 0"):
             BartParams(k=0.0)
 
+    # beta = nan accepted every proposal with non-empty children, k = nan gave
+    # NaN tau and se2, k = inf gave tau = se2 = 0, and beta = inf ended in a
+    # math domain error.
+    @pytest.mark.parametrize("field", ["alpha", "beta", "k"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_prior_rejected(self, field, value):
+        want = {"alpha": "alpha in (0,1)", "beta": "a finite beta > 0", "k": "a finite k > 0"}
+        with pytest.raises(ConfigurationError, match=re.escape(want[field])):
+            BartParams(**{field: value})
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ConfigurationError, match=r"seed must be in \[0, 2\*\*64\)"):
@@ -73,8 +90,6 @@ class TestSigmaPrior:
         # quantile at 1.0 - 0.90 = 0.09999999999999998: at 0.1 its last digit
         # moves, and so do the draws, yet no golden comparison notices.
         from scipy.stats import chi2
-
-        from catemeta.bart import _CHI2_Q, _Chain
 
         quantile = float(chi2.ppf(1.0 - 0.90, 3.0))
         assert _CHI2_Q == quantile
@@ -145,6 +160,146 @@ class TestSampler:
         reversed_post = fit_bart_slearner(ds, points[::-1], params)
         pairs = post.draws.reshape(30, 3, 2)
         assert np.array_equal(reversed_post.draws.reshape(30, 3, 2), pairs[:, ::-1])
+
+    def test_split_probability_that_underflows_is_never_split(self):
+        # 2 ** -1e300 is 0.0, so a leaf at depth 1 has split probability 0.
+        # Its log prior ratio is -inf, not a math domain error.
+        ds, rng = make_dataset(80, lambda x, a: x[:, 0] + a, seed=11)
+        post = fit_bart_slearner(ds, rng.normal(size=(2, 3)),
+                                 BartParams(n_trees=5, n_burn=20, n_draws=20, beta=1e300))
+        assert np.isfinite(post.draws).all()
+        assert post.diagnostics["leaf_counts"].max() <= 2
+
+
+class TestDrawAllocation:
+    """numpy refuses these shapes without allocating anything, on any host."""
+
+    @pytest.mark.parametrize("n_draws", [2**62, 10**19])
+    def test_impossible_draw_count_is_a_configuration_error(self, n_draws):
+        ds, rng = make_dataset(30, lambda x, a: a.astype(float), seed=12)
+        with pytest.raises(ConfigurationError, match=f"^n_draws = {n_draws}: cannot allocate"):
+            fit_bart_slearner(ds, rng.normal(size=(2, 3)), BartParams(n_draws=n_draws))
+
+    def test_harness_aborts_each_replication_with_the_reason(self):
+        table = run_experiment(SimConfig(k_studies=3, n_per_study=40, n_replications=2),
+                               "bart", bart_params=BartParams(n_draws=2**62))
+        assert table.aborted_replications == (0, 1)
+        assert all(reason.startswith(f"n_draws = {2**62}: cannot allocate")
+                   for reason in table.abort_reasons)
+
+
+@st.composite
+def sampler_cases(draw):
+    """A small study (binary, coarse and continuous columns), points and a
+    short chain with its own priors."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(20, 80))
+    kinds = draw(st.lists(st.sampled_from(["binary", "coarse", "continuous"]),
+                          min_size=1, max_size=3))
+    columns = {"binary": lambda m: (rng.random(m) < 0.4).astype(float),
+               "coarse": lambda m: rng.integers(0, 4, m).astype(float),
+               "continuous": lambda m: rng.normal(size=m)}
+    x = np.column_stack([columns[kind](n) for kind in kinds])
+    a = rng.permutation(np.arange(n) % 2)
+    noise = draw(st.sampled_from([0.1, 1.0]))
+    y = 2.0 * x[:, 0] + a * (1.0 + x[:, -1]) + rng.normal(0.0, noise, n)
+    n_points = draw(st.integers(1, 3))
+    points = np.column_stack([columns[kind](n_points) for kind in kinds])
+    params = BartParams(
+        n_trees=draw(st.integers(1, 8)), n_burn=draw(st.integers(1, 12)),
+        n_draws=draw(st.integers(2, 12)), alpha=draw(st.floats(0.3, 0.99)),
+        beta=draw(st.floats(0.1, 3.0)), k=draw(st.floats(0.5, 6.0)),
+        seed=draw(st.integers(0, 2**64 - 1)))
+    dataset = TrialDataset(1, y, a, x, tuple(f"c{j}" for j in range(len(kinds))))
+    return dataset, points, params
+
+
+def assert_matches_oracle(dataset, points, params):
+    """``fit_bart_slearner`` and the per-tree oracle agree bit for bit."""
+    post = fit_bart_slearner(dataset, points, params)
+    want = fit_bart_reference(dataset, points, params)
+    assert post.draws.tobytes() == want.draws.tobytes()
+    for key in ("proposed", "accepted"):
+        assert post.diagnostics[key] == want.diagnostics[key]
+    counts, want_counts = post.diagnostics["leaf_counts"], want.diagnostics["leaf_counts"]
+    assert counts.dtype == want_counts.dtype and np.array_equal(counts, want_counts)
+    return post
+
+
+class TestOracle:
+    """The one-loop sweep against the per-tree sampler it replaced
+    (``tests/bart_reference.py``)."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None, database=None)
+    @given(sampler_cases())
+    def test_matches_the_per_tree_sampler_bit_for_bit(self, case):
+        assert_matches_oracle(*case)
+
+    def test_matches_where_trees_outgrow_four_slots(self):
+        # Three leaves take five slots, so these trees reallocate their means.
+        ds, rng = make_dataset(80, lambda x, a: 3.0 * np.sign(x[:, 0]) + 3.0 * np.sign(x[:, 1]) + a,
+                               seed=13, noise=0.1)
+        params = BartParams(n_trees=3, n_burn=40, n_draws=20, alpha=0.99, beta=0.5, seed=4)
+        post = assert_matches_oracle(ds, rng.normal(size=(3, 3)), params)
+        assert post.diagnostics["leaf_counts"].max() >= 3
+
+
+def batch_means_z(values, want, n_batches=50):
+    """z-score of the mean of ``values`` against ``want``, with the Monte Carlo
+    error from the means of ``n_batches`` consecutive batches."""
+    batches = values[: len(values) // n_batches * n_batches].reshape(n_batches, -1).mean(axis=1)
+    return (values.mean() - want) / (batches.std(ddof=1) / math.sqrt(n_batches))
+
+
+class TestSemiConjugate:
+    """One tree that never splits (alpha = 1e-12) is the normal model
+    y_i ~ N(mu, sigma2), mu ~ N(0, sigma_mu^2), sigma2 ~ nu lambda / chi2_nu,
+    whose posterior moments one quadrature over sigma2 gives."""
+
+    @staticmethod
+    def exact_moments(y, sm2, lam):
+        from scipy.integrate import quad
+
+        n, s, q = y.shape[0], float(y.sum()), float(y @ y)
+
+        def log_post(s2):  # log p(sigma2 | y), up to a constant
+            return (-(_NU / 2.0 + 1.0 + n / 2.0) * math.log(s2) - _NU * lam / (2.0 * s2)
+                    - 0.5 * math.log1p(n * sm2 / s2)
+                    - (q - s * s * sm2 / (s2 + n * sm2)) / (2.0 * s2))
+
+        center = (q - s * s / n + _NU * lam) / (n + _NU)  # near the posterior mode
+        peak = log_post(center)
+
+        def moment(g):  # over t = log sigma2, so that d sigma2 = sigma2 dt
+            return quad(lambda t: g(math.exp(t)) * math.exp(log_post(math.exp(t)) - peak + t),
+                        math.log(center) - 4.0, math.log(center) + 4.0, epsabs=0.0,
+                        epsrel=1e-11)[0]
+
+        z = moment(lambda s2: 1.0)
+        mean_mu = moment(lambda s2: s * sm2 / (s2 + n * sm2)) / z
+        mu2 = moment(lambda s2: s2 * sm2 / (s2 + n * sm2) + (s * sm2 / (s2 + n * sm2)) ** 2) / z
+        mean_s2 = moment(lambda s2: s2) / z
+        s2_2 = moment(lambda s2: s2 * s2) / z
+        return mean_mu, mu2 - mean_mu**2, mean_s2, s2_2 - mean_s2**2
+
+    def test_chain_matches_quadrature(self):
+        rng = np.random.default_rng(20261020)
+        n = 40
+        y = 0.1 + 0.15 * rng.standard_normal(n)
+        ranks = np.argsort(np.argsort(rng.normal(size=n)))[None, :]  # one continuous column
+        chain = _Chain(ranks, [n - 1], y, BartParams(n_trees=1, alpha=1e-12),
+                       np.random.default_rng(8))
+        burn, keep = 200, 20000
+        mu, sigma2 = np.empty(keep), np.empty(keep)
+        for it in range(burn + keep):
+            chain.sweep()
+            if it >= burn:
+                mu[it - burn], sigma2[it - burn] = chain.trees[0].mu[0], chain.sigma2
+        assert chain.accepted["grow"] == 0 and chain.proposed["grow"] > 0
+        mean_mu, var_mu, mean_s2, var_s2 = self.exact_moments(y, chain.sigma_mu**2, chain.lam)
+        z = [batch_means_z(mu, mean_mu), batch_means_z((mu - mean_mu) ** 2, var_mu),
+             batch_means_z(sigma2, mean_s2), batch_means_z((sigma2 - mean_s2) ** 2, var_s2)]
+        assert np.all(np.abs(z) < 4.0), z
 
 
 def tree_prior_leaf_shares(alpha, beta, max_leaves):

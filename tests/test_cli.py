@@ -282,6 +282,19 @@ class TestEstimate:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("draws", [2**62, 10**19])
+    def test_bart_draws_numpy_cannot_allocate_exits_3(self, tmp_path, capsys, draws):
+        # numpy refuses both shapes without allocating; they used to end in a
+        # ValueError traceback from np.empty after the chain was built.
+        trials, profiles = write_inputs(tmp_path)
+        out = tmp_path / "x"
+        code = run(["estimate", "--trials", trials, "--profiles", profiles, "--stage1", "bart",
+                    "--trees", 5, "--burn", 10, "--draws", draws, "--out-dir", out])
+        assert code == 3
+        assert one_error_line(capsys.readouterr().err).startswith(
+            f"error: n_draws = {draws}: cannot allocate the kept draws")
+        assert not (out / "manifest.json").exists()
+
     def test_forest_bag_of_one_tree_exits_3(self, tmp_path, capsys):
         # --bag-size 1 used to run: a bag of one tree has no within-bag
         # variance, so the forest's se2 had no Monte Carlo correction.
