@@ -53,9 +53,7 @@ from .simulate import (
     SimConfig,
     draw_study_effects,
     estimate_study,
-    gen_outcomes,
     gen_target_profiles,
-    gen_trial_covariates,
     gen_study,
     run_experiment,
     true_cate,
@@ -72,6 +70,6 @@ __all__ = [
     "CoverageFlag", "TrialDataset", "ValidationReport",
     "validate_target_coverage", "validate_trial",
     "MetricsTable", "SimConfig", "draw_study_effects", "estimate_study",
-    "gen_outcomes", "gen_target_profiles", "gen_trial_covariates", "gen_study",
+    "gen_target_profiles", "gen_study",
     "run_experiment", "true_cate",
 ]

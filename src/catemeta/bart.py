@@ -70,6 +70,14 @@ class BartParams:
             raise ConfigurationError("tree prior requires alpha in (0,1) and a finite beta > 0")
         if not (0.0 < self.k < math.inf):
             raise ConfigurationError("leaf prior requires a finite k > 0")
+        try:  # the leaf prior's variance, as the chain computes it
+            leaf_var = (0.5 / (float(self.k) * math.sqrt(self.n_trees))) ** 2
+        except OverflowError:
+            leaf_var = math.inf
+        if not (0.0 < leaf_var < math.inf):
+            raise ConfigurationError(
+                f"leaf prior: k = {self.k} with n_trees = {self.n_trees} gives a leaf variance "
+                "(0.5 / (k sqrt(n_trees)))**2 that is not a finite positive float")
         check_seed(self, "seed")
 
 

@@ -416,10 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=True):
+    def add_common(p, seed=True, threads=True):
         if seed:  # simulate's only seed is its config's master_seed
             p.add_argument("--seed", type=_parse_seed, default=0, help="master seed")
-        p.add_argument("--threads", type=_parse_threads, default=1, help="worker processes")
+        if threads:  # compare-intervals runs nothing in parallel
+            p.add_argument("--threads", type=_parse_threads, default=1, help="worker processes")
         p.add_argument("--out-dir", default=".", help="output directory")
 
     p_est = sub.add_parser("estimate", help="fit Stage-1 models, write aggregates")
@@ -457,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--predictions", required=True)
     p_cmp.add_argument("--profile", type=_parse_profile_ids, required=True,
                        help="comma-separated profile ids")
-    add_common(p_cmp)
+    add_common(p_cmp, threads=False)
     p_cmp.set_defaults(func=cmd_compare_intervals)
 
     p_sim = sub.add_parser("simulate", help="run the replication experiment")

@@ -35,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigurationError, EstimationError
+from .errors import ConfigurationError, EstimationError, InsufficientDataError
 from .grower import grow_trees, run_stat
 from .model import (
     TrialDataset,
@@ -142,8 +142,9 @@ def fit_causal_forest(dataset: TrialDataset, params: ForestParams) -> CausalFore
     bags and one for the trees, and each ``Generator`` is built when its
     bag's half-sample or its tree's subsample is drawn.
 
-    Raises ``ConfigurationError`` when the subsample cannot plausibly
-    satisfy the per-arm leaf minima.
+    Raises ``InsufficientDataError`` when the subsample cannot plausibly
+    satisfy the per-arm leaf minima: a failure of the study's data, which
+    aborts only its own replication in the simulation harness.
     """
     n = dataset.n_rows
     n_treated = int(dataset.a.sum())
@@ -153,7 +154,7 @@ def fit_causal_forest(dataset: TrialDataset, params: ForestParams) -> CausalFore
         params.subsample_fraction * n_treated / divisor < params.min_leaf_treated
         or params.subsample_fraction * n_control / divisor < params.min_leaf_control
     ):
-        raise ConfigurationError(
+        raise InsufficientDataError(
             "subsample too small for the per-arm leaf minima: "
             f"{n_treated} treated / {n_control} control rows at fraction "
             f"{params.subsample_fraction}"

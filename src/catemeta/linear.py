@@ -19,11 +19,10 @@ covariances, so a study gets the same bits alone as in a stack.  The rank
 test is a rule on R's singular values, but it reads ||R||_F ||R^-1||_F
 first, from the inverse the fit takes anyway, and runs the SVD only for a
 stack that bound cannot certify (see :func:`_rank_and_inverse`).  One
-contrast matrix then gives the (K, P) CATEs.  The simulation harness calls
-the kernel on its stacked draws (:func:`linear_cates_arrays`), handing every
-replication of a job the one stack that :func:`design_stack` allocates;
-:func:`linear_cates_stack` stacks a list of datasets into it, and a single
-study is a stack of one.
+contrast matrix then gives the (K, P) CATEs.  :func:`linear_cates_arrays`
+is the one entry: the simulation harness calls it on its stacked draws,
+handing every replication of a job the one stack that :func:`design_stack`
+allocates, and a single study is a stack of one.
 """
 
 from __future__ import annotations
@@ -249,18 +248,3 @@ def linear_cates_arrays(x, a, y, points, names, study_ids, moderators=None, stac
     mods = _moderators(moderators, p)
     coef, cov, _ = _fit_arrays(x, a, y, mods, names, study_ids, stack)
     return _contrast(coef, cov, mods, points)
-
-
-def linear_cates_stack(datasets, points, moderators=None):
-    """:func:`linear_cates_arrays` of K >= 1 datasets stacked; each must have
-    the first's row count and covariate names, or ``ValueError`` names it."""
-    if not datasets:
-        raise ValueError("linear_cates_stack needs at least one dataset")
-    first, *rest = datasets
-    for d in rest:
-        if (d.n_rows, d.covariate_names) != (first.n_rows, first.covariate_names):
-            raise ValueError(f"study {d.study_id} has {d.n_rows} rows of {d.covariate_names}, "
-                             f"not {first.n_rows} of {first.covariate_names} as the first has")
-    x, a, y = (np.stack([getattr(d, name) for d in datasets]) for name in ("x", "a", "y"))
-    return linear_cates_arrays(x, a, y, points, first.covariate_names,
-                               [d.study_id for d in datasets], moderators)

@@ -314,20 +314,19 @@ def _reml_rows(tau, v, m, counts):
 
 
 def _pool_rows(tau, v, m, theta2):
-    """Inverse-variance pooling of each profile of a layout: (weights, in the
-    layout, tau_pooled, var_pooled).
+    """Inverse-variance pooling of each profile of a layout: (tau_pooled,
+    var_pooled).
 
     A profile with all weights infinite (se2 + theta2 zero, or too small for
     its inverse to be a float) and equal estimates pools to that estimate
-    with variance 0 and nominal equal weights; any other infinite weight is
-    an error.  A profile of finite weights whose sum or weighted sum
-    overflows is pooled on its weights times 2**-e, e the exponent of its
-    largest weight; the scaling is exact and leaves the other profiles alone.
-    If that profile still overflows, it is an error.
+    with variance 0; any other infinite weight is an error.  A profile of
+    finite weights whose sum or weighted sum overflows is pooled on its
+    weights times 2**-e, e the exponent of its largest weight; the scaling is
+    exact and leaves the other profiles alone.  If that profile still
+    overflows, it is an error.
     """
-    profile = _value_profiles(m)
     with np.errstate(divide="ignore", over="ignore"):
-        w = 1.0 / (v + theta2[profile])
+        w = 1.0 / (v + theta2[_value_profiles(m)])
     with np.errstate(invalid="ignore", over="ignore"):
         sw, weighted = _fold(np.add, np.stack([w, w * tau], axis=1), m, 0.0).T
         tau_pooled = weighted / sw
@@ -357,14 +356,9 @@ def _pool_rows(tau, v, m, theta2):
                           & (high == -low)[degenerate]):
                 raise EstimationError("degenerate variance: some 1/(se2 + theta2) are infinite")
             first_study = tau_bad[:rows.size]  # block 0
-            rows = rows[degenerate]
-            tau_pooled[rows] = first_study[degenerate]
-            var_pooled[rows] = 0.0
-            entries = np.zeros(m[0], dtype=bool)
-            entries[rows] = True
-            entries = entries[profile]
-            w[entries] = 1.0 / _study_counts(m)[profile[entries]]
-    return w, tau_pooled, var_pooled
+            tau_pooled[rows[degenerate]] = first_study[degenerate]
+            var_pooled[rows[degenerate]] = 0.0
+    return tau_pooled, var_pooled
 
 
 def _half_width(var_pooled, theta2, alpha: float, k):
@@ -483,7 +477,7 @@ def pool_profiles(tau: np.ndarray, v: np.ndarray, alpha: float | None = None,
     theta2, tau_pooled, var_pooled = np.empty((3, order.size))
     for rows, *part in _chunks(tau, v, first, m):
         theta2[rows] = _reml_rows(*part, counts)
-        _, tau_pooled[rows], var_pooled[rows] = _pool_rows(*part, theta2[rows])
+        tau_pooled[rows], var_pooled[rows] = _pool_rows(*part, theta2[rows])
     half = None if alpha is None else _half_width(var_pooled, theta2, alpha, _study_counts(m))
     return PooledProfiles(*(None if a is None else _in_input_order(order, a)
                             for a in (theta2, tau_pooled, var_pooled, half)), counts)

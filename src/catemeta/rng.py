@@ -11,19 +11,17 @@ Each part is a 64-bit value: an integer in [0, 2**64) as it is, a label as
 the first 8 bytes of its BLAKE2s hash (computed once per label).  An integer
 outside that range, or a part that is neither an integer (numpy integers
 are; a ``bool`` is not) nor a string, such as the float 1.9, raises
-``ValueError``, so no two seeds share a stream.  The entropy handed to
-``SeedSequence`` is the values' 32-bit words, each value giving its low
-word, then its high word when that is non-zero.  That is numpy's own
-coercion of a list of Python ints (``[0]`` for 0), which it does one int at
-a time; a ``uint32`` array skips it and gives the same streams.
+``ValueError``, so no two seeds share a stream.  A stream is numpy's PCG64
+seeded by the ``SeedSequence`` of the values' 32-bit words, each value
+giving its low word, then its high word when that is non-zero.  That is
+numpy's own coercion of a list of Python ints (``[0]`` for 0), which it does
+one int at a time; a ``uint32`` array skips it and gives the same streams.
 
-A caller that needs many streams at once asks :func:`stream_states` for
-their seeds and builds each ``Generator`` with :func:`stream` when it draws
-from it.  That runs ``SeedSequence``'s mixing, a fixed sequence of 32-bit
-multiply, xor and shift steps, as ``uint32`` array operations over all the
-streams, so every stream is numpy's own, bit for bit.  One call costs about
-as much as ten :func:`substream` calls, which stays the path for a single
-stream.
+:func:`stream_states` derives the seeds of many streams at once, and
+:func:`stream` builds the ``Generator`` of one when it is drawn from.  That
+runs ``SeedSequence``'s mixing, a fixed sequence of 32-bit multiply, xor and
+shift steps, as ``uint32`` array operations over all the streams, so every
+stream is numpy's own, bit for bit.  :func:`substream` is the one-path case.
 """
 
 from __future__ import annotations
@@ -65,15 +63,9 @@ def _encode(part: int | str) -> int:
 
 
 def substream(master_seed: int, *path: int | str) -> np.random.Generator:
-    """Return a ``numpy.random.Generator`` for the given seed and path."""
-    words = []
-    for part in (master_seed, *path):
-        value = _encode(part)
-        words.append(value & _WORD)
-        if value >> 32:
-            words.append(value >> 32)
-    entropy = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.Generator(np.random.PCG64(entropy))
+    """Return a ``numpy.random.Generator`` for the given seed and path: the
+    one-path case of :func:`stream_states`."""
+    return stream(stream_states(master_seed, *((part,) for part in path)).reshape(4))
 
 
 def spawn_seed(master_seed: int, *path: int | str) -> int:
@@ -141,15 +133,15 @@ def _pcg64_seeds(words: np.ndarray) -> np.ndarray:
 
 
 def stream_states(master_seed: int, *axes) -> np.ndarray:
-    """The PCG64 seeds of ``substream(master_seed, *path)`` for every path in
-    ``itertools.product(*axes)``, as a ``uint64`` array of shape
+    """The PCG64 seeds of the stream of ``(master_seed, *path)`` for every path
+    in ``itertools.product(*axes)``, as a ``uint64`` array of shape
     ``(*map(len, axes), 4)``; :func:`stream` builds the Generator of one.
 
     A fixed part of the paths is an axis of one, e.g. ``stream_states(seed,
     ("tree",), range(100))``.  Each part of an axis is encoded once, and
     paths whose parts have the same word counts (a part of 0 gives one word,
     a part of 2**32 or more two, a label one or two) are mixed together.  A
-    bad part raises what :func:`substream` raises for it.
+    bad part raises ``ValueError`` (see :func:`_encode`).
     """
     axes = ((master_seed,), *axes)
     shape = tuple(len(axis) for axis in axes)
@@ -192,6 +184,6 @@ def _seeded_type() -> type:
 
 
 def stream(state: np.ndarray) -> np.random.Generator:
-    """The ``Generator`` of one row of :func:`stream_states`: bit for bit the
-    one :func:`substream` returns for the same seed and path."""
+    """The ``Generator`` of one row of :func:`stream_states`: bit for bit
+    ``Generator(PCG64(SeedSequence(entropy)))`` for that row's entropy words."""
     return np.random.Generator(np.random.PCG64(_seeded_type()(state)))

@@ -26,7 +26,7 @@ import numpy as np
 from .bart import BartParams, bart_cates, fit_bart_slearner
 from .errors import CatemetaError, ConfigurationError
 from .forest import ForestParams, fit_causal_forest, forest_predict
-from .linear import design_stack, linear_cates_arrays, linear_cates_stack
+from .linear import design_stack, linear_cates_arrays
 # reml_theta2_batch is bound only for perfbench/tracing.py.
 from .meta import ndtri, pool_profiles, reml_theta2_batch  # noqa: F401
 from .model import TrialDataset, check_integers, check_points, check_seed
@@ -184,22 +184,11 @@ def _covariate_stack(means: np.ndarray, z: np.ndarray, out=None) -> np.ndarray:
     return x
 
 
-def _sample_covariates(means, n, rng) -> np.ndarray:
-    """Covariates (n, 5) of one sample with the given means."""
-    return _covariate_stack(means[None], rng.standard_normal((1, n, 5)))[0]
-
-
-def gen_trial_covariates(config: SimConfig, rng) -> np.ndarray:
-    """Covariate matrix (n, 5) for one study: draw means, then rows."""
-    means = _study_means(config, rng)
-    return _sample_covariates(means, config.n_per_study, rng)
-
-
 def gen_target_profiles(config: SimConfig, rng) -> np.ndarray:
     """The frozen target sample: a read-only (100, 5) array of profiles drawn
     from the shifted distribution."""
     means = _MEAN_CENTERS + _TARGET_SHIFTS
-    x = _sample_covariates(means, _N_TARGET_PROFILES, rng)
+    x = _covariate_stack(means[None], rng.standard_normal((1, _N_TARGET_PROFILES, 5)))[0]
     x.setflags(write=False)
     return x
 
@@ -235,12 +224,6 @@ def _mean_outcomes(x, a, setting: str, effects) -> np.ndarray:
     else:
         main = (-17.52 + a_eff) - 0.08 * age
     return main + a * true_cate(x, setting, effects)
-
-
-def gen_outcomes(covariates, treatments, setting: str, effects, rng) -> np.ndarray:
-    """Outcomes Y = m(X) + A * tau(X) + noise for one study."""
-    noise = rng.normal(0.0, _NOISE_SD, size=covariates.shape[:-1])
-    return _mean_outcomes(covariates, treatments, setting, effects) + noise
 
 
 def _study_states(config: SimConfig, replications, studies) -> np.ndarray:
@@ -323,7 +306,9 @@ def estimate_study(dataset: TrialDataset, points: np.ndarray, params=None):
     points = check_points(points, dataset.n_covariates)
     diagnostics = {}
     if params is None or isinstance(params, tuple):
-        (tau,), (se2,) = linear_cates_stack([dataset], points, params)
+        (tau,), (se2,) = linear_cates_arrays(dataset.x[None], dataset.a[None], dataset.y[None],
+                                             points, dataset.covariate_names,
+                                             (dataset.study_id,), params)
     elif isinstance(params, ForestParams):
         tau, se2, diagnostics = forest_predict(fit_causal_forest(dataset, params), points)
     elif isinstance(params, BartParams):
@@ -421,8 +406,9 @@ def _replication_worker(job):
     The streams of every study of the block are derived in one
     :func:`_study_states` call.  Stage 1 then runs replication by
     replication (:func:`_stage1`); a replication whose Stage 1 raises
-    aborts with its reason.  A linear job allocates once, as its
-    workspace, the arrays its draws and fits fill (:func:`_draw_arrays` and
+    aborts with its reason, unless the error is a ``ConfigurationError``,
+    which propagates.  A linear job allocates once, as its workspace, the
+    arrays its draws and fits fill (:func:`_draw_arrays` and
     ``linear.design_stack``), and each replication refills them: allocated
     anew each replication, arrays this large were handed back to the system
     and faulted in again page by page.  No result depends on what they
@@ -443,6 +429,8 @@ def _replication_worker(job):
         try:
             fitted.append((replication,
                            *_stage1(config, params, oracle, replication_states, points, work)))
+        except ConfigurationError:
+            raise  # every replication meets it alike: it ends the run
         except CatemetaError as err:
             aborted.append((replication, None, str(err)))
     pooled = _pool_block(fitted, alpha) if fitted else []
@@ -463,8 +451,9 @@ def run_experiment(
     contains the frozen true target CATE; length is the mean interval width;
     bias is the mean of (interval center - true CATE).  A replication whose
     estimation fails is counted as aborted and excluded from all three,
-    never silently dropped.  Deterministic given ``config.master_seed``,
-    regardless of ``n_workers``.
+    never silently dropped.  A ``ConfigurationError`` in any replication,
+    such as BART kept draws that numpy cannot allocate, ends the run.
+    Deterministic given ``config.master_seed``, regardless of ``n_workers``.
     """
     if method not in STAGE1_METHODS:
         raise ConfigurationError(f"method must be one of {STAGE1_METHODS}")

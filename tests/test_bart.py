@@ -69,6 +69,21 @@ class TestParams:
         with pytest.raises(ConfigurationError, match=re.escape(want[field])):
             BartParams(**{field: value})
 
+    # k = 1e-200 passed, then the chain's sigma_mu**2 ended in OverflowError.
+    @pytest.mark.parametrize("k, n_trees", [(1e-200, 50), (1e300, 10**10), (2.0, 10**400)],
+                             ids=["overflows", "underflows", "tree-count-past-floats"])
+    def test_leaf_variance_must_be_a_finite_positive_float(self, k, n_trees):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"leaf prior: k = {k} with n_trees = {n_trees} gives a leaf variance")):
+            BartParams(k=k, n_trees=n_trees)
+
+    def test_leaf_variance_near_the_float_range_fits(self):
+        # (0.5 / 1e-150)**2 = 2.5e299 is a float: the chain runs on it.
+        ds, rng = make_dataset(30, lambda x, a: a.astype(float), seed=12)
+        params = BartParams(k=1e-150, n_trees=1, n_burn=2, n_draws=2)
+        tau, se2, _, _ = bart_cates(fit_bart_slearner(ds, rng.normal(size=(2, 3)), params))
+        assert np.isfinite(tau).all() and np.isfinite(se2).all()
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ConfigurationError, match=r"seed must be in \[0, 2\*\*64\)"):
@@ -180,12 +195,13 @@ class TestDrawAllocation:
         with pytest.raises(ConfigurationError, match=f"^n_draws = {n_draws}: cannot allocate"):
             fit_bart_slearner(ds, rng.normal(size=(2, 3)), BartParams(n_draws=n_draws))
 
-    def test_harness_aborts_each_replication_with_the_reason(self):
-        table = run_experiment(SimConfig(k_studies=3, n_per_study=40, n_replications=2),
-                               "bart", bart_params=BartParams(n_draws=2**62))
-        assert table.aborted_replications == (0, 1)
-        assert all(reason.startswith(f"n_draws = {2**62}: cannot allocate")
-                   for reason in table.abort_reasons)
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_harness_run_ends_with_the_error(self, n_workers):
+        # Every replication meets it alike; each used to abort with it as
+        # its reason, leaving an all-NaN table.
+        with pytest.raises(ConfigurationError, match=f"^n_draws = {2**62}: cannot allocate"):
+            run_experiment(SimConfig(k_studies=3, n_per_study=40, n_replications=2),
+                           "bart", bart_params=BartParams(n_draws=2**62), n_workers=n_workers)
 
 
 @st.composite

@@ -306,6 +306,19 @@ class TestEstimate:
         assert one_error_line(capsys.readouterr().err) == "error: bag_size must be >= 2, got 1"
         assert not out.exists()
 
+    def test_forest_subsample_too_small_for_a_study_exits_1(self, tmp_path, capsys):
+        # A study's own arm counts decide it, so it is a data error, not a
+        # config error: about 15 rows an arm give an honest tree 3.75 of
+        # each, under the leaf minimum of 5.
+        trials, profiles = write_inputs(tmp_path, n_rows=30)
+        out = tmp_path / "x"
+        code = run(["estimate", "--trials", trials, "--profiles", profiles,
+                    "--stage1", "forest", "--trees", 4, "--bag-size", 2, "--out-dir", out])
+        assert code == 1
+        assert one_error_line(capsys.readouterr().err).startswith(
+            "error: subsample too small for the per-arm leaf minima: ")
+        assert not (out / "manifest.json").exists()
+
     def test_invalid_stage1_estimate_exits_1(self, tmp_path, capsys, monkeypatch):
         import catemeta.cli as cli
 
@@ -841,6 +854,19 @@ class TestSimulate:
         assert "; 1: subsample too small" in notes[0]
         assert (out / "coverage.svg").read_text().count('class="box"') == 0
 
+    def test_config_error_in_every_replication_ends_the_run_with_exit_3(self, tmp_path, capsys):
+        # BART kept draws that numpy cannot allocate fail every replication
+        # alike.  This used to warn of two aborted replications, write an
+        # all-NaN metrics.csv and exit 0.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("k_studies = 3\nn_per_study = 40\nn_replications = 2\n"
+                       "methods = bart\nbart_draws = 4611686018427387904\n")
+        out = tmp_path / "sim"
+        assert run(["simulate", "--config", cfg, "--out-dir", out]) == 3
+        assert one_error_line(capsys.readouterr().err).startswith(
+            "error: n_draws = 4611686018427387904: cannot allocate the kept draws")
+        assert not (out / "metrics.csv").exists() and not (out / "manifest.json").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert run(["simulate", "--config", tmp_path / "nope.cfg",
                     "--out-dir", tmp_path / "x"]) == 2
@@ -904,6 +930,16 @@ class TestExitCodeMapping:
         assert err.startswith("usage: ")
         assert f"--threads: expected an integer >= 1, got '{threads}'" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_compare_intervals_takes_no_threads(self, tmp_path, capsys):
+        # It runs nothing in parallel; it used to accept --threads and ignore it.
+        with pytest.raises(SystemExit) as exc:
+            run(["compare-intervals", "--aggregates", "agg.csv", "--predictions", "pred.csv",
+                 "--profile", "0", "--threads", "2", "--out-dir", tmp_path / "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "unrecognized arguments: --threads 2" in err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])

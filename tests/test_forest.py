@@ -3,9 +3,11 @@ the threshold rule, exact ragged-run reductions, agreement with the
 recursive grower, and the count search of two-valued covariates against the
 padded scan."""
 
+import math
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 from dataclasses import replace
@@ -26,6 +28,7 @@ from catemeta import (
     DimensionMismatchError,
     EstimationError,
     ForestParams,
+    InsufficientDataError,
     TrialDataset,
     fit_causal_forest,
     forest,
@@ -181,9 +184,29 @@ class TestGrowth:
 
     def test_infeasible_minima_rejected_up_front(self):
         ds = make_dataset(40, lambda x: np.ones(x.shape[0]), seed=7)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(InsufficientDataError):
             fit_causal_forest(ds, ForestParams(n_trees=20, bag_size=20,
                                                min_leaf_treated=30, min_leaf_control=30))
+
+    @pytest.mark.parametrize("arm", ["treated", "control"])
+    @pytest.mark.parametrize("n_small, refused", [(15, True), (20, False)])
+    def test_honest_subsample_needs_each_arms_leaf_minimum(self, arm, n_small, refused):
+        # An honest tree estimates on half of its subsample, so an arm of n
+        # rows gives it about 0.5 * n / 2 of them: 3.75 at n = 15, under the
+        # minimum of 5, and exactly 5 at n = 20.  The other arm has plenty.
+        rng = np.random.default_rng(40)
+        n = 100 + n_small
+        a = np.r_[np.ones(100, dtype=int), np.zeros(n_small, dtype=int)]
+        counts = f"100 treated / {n_small} control rows"
+        if arm == "treated":
+            a, counts = 1 - a, f"{n_small} treated / 100 control rows"
+        ds = TrialDataset(1, rng.normal(size=n), a, rng.normal(size=(n, 2)), ("u", "v"))
+        params = ForestParams(n_trees=4, bag_size=2, seed=1)
+        if refused:
+            with pytest.raises(InsufficientDataError, match=re.escape(counts)):
+                fit_causal_forest(ds, params)
+        else:
+            assert len(fit_causal_forest(ds, params).trees) == 4
 
 
 class TestRecovery:
@@ -222,6 +245,32 @@ class TestVarianceEstimator:
         tau, se2, _ = forest_predict(model, np.zeros((1, 2)))
         assert tau[0] == 2.0
         assert se2[0] == 2.0  # var({1, 3}, ddof=1), within-bag variance zero
+
+    def test_matches_a_direct_per_bag_computation(self):
+        # Four bags of four trees at three profiles, NaN where a tree is
+        # skipped.  se2 = max(var(bag means) - mean(within-bag var) / 4, floor),
+        # over the bags with a valid tree, a within-bag variance needing two;
+        # a profile with under two bag means stays at the floor.
+        nan = np.nan
+        pred = np.array([
+            [1.0, 0.5, 1.0], [1.4, nan, 2.0], [nan, nan, 3.0], [nan, nan, 4.0],
+            [2.0, 1.5, nan], [2.6, 1.9, nan], [2.3, 1.7, nan], [nan, 1.6, nan],
+            [3.1, 2.8, nan], [3.5, 2.2, nan], [2.9, nan, nan], [3.3, 2.5, nan],
+            [nan, 4.0, nan], [nan, 4.4, nan], [nan, 4.1, nan], [nan, 3.8, nan],
+        ])
+        floor = 1e-6
+        with np.errstate(divide="ignore", invalid="ignore"):
+            se2 = forest._bag_se2(pred, np.isfinite(pred), ForestParams(n_trees=16, bag_size=4),
+                                  floor)
+        for j in range(3):
+            bags = [[v for v in pred[b:b + 4, j] if not math.isnan(v)] for b in range(0, 16, 4)]
+            means = [statistics.fmean(bag) for bag in bags if bag]
+            within = [statistics.variance(bag) for bag in bags if len(bag) > 1]
+            want = floor
+            if len(means) > 1:
+                want = max(statistics.variance(means) - statistics.fmean(within) / 4, floor)
+            assert se2[j] == pytest.approx(want, rel=1e-12), j
+        assert se2[0] > 0.5 and se2[1] > 0.5 and se2[2] == floor
 
     def test_se2_never_below_floor(self):
         ds = make_dataset(600, lambda x: x[:, 0], seed=20, noise=0.5)
@@ -481,7 +530,7 @@ class TestAgainstRecursiveGrower:
                 mp.setattr(grower, "_SEARCH_CELLS", 1)
             try:
                 model = fit_causal_forest(dataset, params)
-            except ConfigurationError:
+            except InsufficientDataError:
                 assume(False)
         reference = fit_reference_forest(dataset, params)
         for tree, ref in zip(model.trees, reference.trees, strict=True):

@@ -37,9 +37,9 @@ import tempfile
 import numpy as np
 
 from catemeta import (BartParams, ForestParams, SimConfig, SingularDesignError,
-                      TrialDataset, fit_bart_slearner, run_experiment)
+                      fit_bart_slearner, run_experiment)
 from catemeta.cli import main
-from catemeta.linear import linear_cates_stack
+from catemeta.linear import linear_cates_arrays
 from catemeta.simulate import gen_study
 
 
@@ -67,10 +67,10 @@ with tempfile.TemporaryDirectory() as out:
     ), out)
     for method in ("linear", "forest_honest", "forest_adaptive", "oracle"):
         run_experiment(config, method, forest_params=ForestParams(n_trees=4, bag_size=2))
-    twin = TrialDataset(1, data.y, data.a, np.column_stack([data.x[:, :1]] * 2),
-                        ("u", "u_copy"))
+    twin = np.column_stack([data.x[:, :1]] * 2)
     try:
-        linear_cates_stack([twin], np.zeros((1, 2)))
+        linear_cates_arrays(twin[None], data.a[None], data.y[None], np.zeros((1, 2)),
+                            ("u", "u_copy"), (1,))
         sys.exit("the design with a duplicated column was not singular")
     except SingularDesignError:
         pass

@@ -26,7 +26,6 @@ from catemeta.linear import (
     _rank_and_inverse,
     design_stack,
     linear_cates_arrays,
-    linear_cates_stack,
 )
 from catemeta.rng import substream
 from catemeta.simulate import SimConfig, gen_study, gen_target_profiles, run_experiment
@@ -36,6 +35,18 @@ def dataset_from(y, a, x, names=None):
     x = np.asarray(x, dtype=float)
     names = names or tuple(f"c{j}" for j in range(x.shape[1]))
     return TrialDataset(1, np.asarray(y, dtype=float), np.asarray(a), x, names)
+
+
+def stacked_arrays(studies):
+    """``x``, ``a`` and ``y`` of equal-shaped studies, stacked."""
+    return (np.stack([getattr(d, name) for d in studies]) for name in ("x", "a", "y"))
+
+
+def cates(studies, points, moderators=None):
+    """``(tau, se2)`` (K, P) of equal-shaped studies from their stacked arrays."""
+    x, a, y = stacked_arrays(studies)
+    return linear_cates_arrays(x, a, y, points, studies[0].covariate_names,
+                               [d.study_id for d in studies], moderators)
 
 
 def fit(dataset, moderators=None):
@@ -77,8 +88,8 @@ def test_duplicated_covariate_column_is_singular():
     a = rng.integers(0, 2, 30)
     y = rng.normal(size=30)
     with pytest.raises(SingularDesignError) as err:
-        linear_cates_stack([dataset_from(y, a, x, ("height", "height_copy"))], np.zeros((1, 2)),
-                           moderators=())
+        cates([dataset_from(y, a, x, ("height", "height_copy"))], np.zeros((1, 2)),
+              moderators=())
     assert err.value.column_name == "height_copy"
 
 
@@ -92,7 +103,7 @@ def test_constant_covariate_is_named_not_the_intercept():
     a = rng.integers(0, 2, 40)
     y = rng.normal(size=40)
     with pytest.raises(SingularDesignError) as err:
-        linear_cates_stack([dataset_from(y, a, x, ("age", "sex"))], np.zeros((1, 2)))
+        cates([dataset_from(y, a, x, ("age", "sex"))], np.zeros((1, 2)))
     assert err.value.column_name == "sex"
     assert "column 'sex' is linearly dependent on earlier columns" in str(err.value)
 
@@ -106,10 +117,10 @@ def test_near_copy_of_a_column_is_refused_below_the_rank_threshold(noise, refuse
                          ("age", "weight", "weight_kg"))
     if refused:
         with pytest.raises(SingularDesignError) as err:
-            linear_cates_stack([study], np.zeros((1, 3)), moderators=())
+            cates([study], np.zeros((1, 3)), moderators=())
         assert err.value.column_name == "weight_kg"
     else:
-        linear_cates_stack([study], np.zeros((1, 3)), moderators=())
+        cates([study], np.zeros((1, 3)), moderators=())
 
 
 @pytest.mark.parametrize("scale", [1e-13, 1e-11, 1e9, 1e12])
@@ -124,9 +135,9 @@ def test_covariate_units_do_not_decide_the_rank(scale):
     y = 1 + a * (2 + x[:, 0]) + 0.1 * rng.normal(size=n)
     points = rng.normal(size=(10, 3))
     names = ("age", "dose", "bmi")
-    (want_tau,), (want_se2,) = linear_cates_stack([dataset_from(y, a, x, names)], points)
+    (want_tau,), (want_se2,) = cates([dataset_from(y, a, x, names)], points)
     unit = np.array([1.0, scale, 1.0])
-    (tau,), (se2,) = linear_cates_stack([dataset_from(y, a, x * unit, names)], points * unit)
+    (tau,), (se2,) = cates([dataset_from(y, a, x * unit, names)], points * unit)
     np.testing.assert_allclose(tau, want_tau, rtol=1e-13)
     np.testing.assert_allclose(se2, want_se2, rtol=1e-13)
 
@@ -143,8 +154,8 @@ def test_harness_aborts_the_same_replication_for_the_same_reason():
 
 def test_too_few_rows_is_insufficient_data():
     with pytest.raises(InsufficientDataError):
-        linear_cates_stack([dataset_from([1.0, 2.0, 3.0], [0, 1, 0], [[0.0], [1.0], [2.0]])],
-                           np.zeros((1, 1)))
+        cates([dataset_from([1.0, 2.0, 3.0], [0, 1, 0], [[0.0], [1.0], [2.0]])],
+              np.zeros((1, 1)))
 
 
 def test_moderators_default_to_all_covariates():
@@ -167,27 +178,27 @@ class TestModeratorIndices:
     def test_repeated_index_is_refused(self, moderators):
         # (0, 0) used to fit (0,), and (3, 0, 3) fitted (0, 3).
         with pytest.raises(ValueError, match="moderator indices must not repeat"):
-            linear_cates_stack([self.study()], np.zeros((2, 4)), moderators)
+            cates([self.study()], np.zeros((2, 4)), moderators)
 
     @pytest.mark.parametrize("moderators", [(1.0,), (0, 2.7), ("1",), (True, 3)])
     def test_non_integer_index_is_refused(self, moderators):
         # A float index used to be truncated: 2.7 fitted column 2, and True
         # fitted column 1.
         with pytest.raises(ValueError, match="moderator indices must be integers"):
-            linear_cates_stack([self.study()], np.zeros((2, 4)), moderators)
+            cates([self.study()], np.zeros((2, 4)), moderators)
 
     @pytest.mark.parametrize("moderators", [(-1,), (4,)])
     def test_index_out_of_range_is_refused(self, moderators):
         with pytest.raises(ValueError, match=re.escape("moderator indices must be in [0, 4)")):
-            linear_cates_stack([self.study()], np.zeros((2, 4)), moderators)
+            cates([self.study()], np.zeros((2, 4)), moderators)
 
     def test_order_and_integer_type_do_not_matter(self):
         # The CLI passes indices in the order the names were given; the
         # columns are always fitted in increasing index order.
         study, points = self.study(), np.random.default_rng(10).normal(size=(5, 4))
-        want = linear_cates_stack([study], points, (0, 3))
+        want = cates([study], points, (0, 3))
         for moderators in ((3, 0), (np.int64(3), np.int8(0)), np.array([3, 0])):
-            got = linear_cates_stack([study], points, moderators)
+            got = cates([study], points, moderators)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
@@ -219,7 +230,7 @@ class TestLinearCate:
         study = dataset_from([0.0, 1.0, 2.0, 4.0], [0, 0, 1, 1], [[0.0], [1.0], [0.0], [1.0]])
         want = "points have shape (1, 2), expected (P, 1)"
         with pytest.raises(DimensionMismatchError, match=re.escape(want)):
-            linear_cates_stack([study], np.array([[1.0, 2.0]]))
+            cates([study], np.array([[1.0, 2.0]]))
 
     def test_se2_nonnegative_over_random_fits(self):
         rng = np.random.default_rng(3)
@@ -228,7 +239,7 @@ class TestLinearCate:
             x = rng.normal(size=(n, p))
             a = rng.integers(0, 2, n)
             y = rng.normal(size=n)
-            _, se2 = linear_cates_stack([dataset_from(y, a, x)], rng.normal(size=(5, p)))
+            _, se2 = cates([dataset_from(y, a, x)], rng.normal(size=(5, p)))
             assert (se2 >= 0.0).all()
 
 
@@ -239,8 +250,8 @@ def test_outcome_shift_leaves_cate_unchanged():
     a = rng.integers(0, 2, n)
     y = 1.0 + x[:, 0] + a * (0.5 + 0.3 * x[:, 1]) + rng.normal(0, 0.4, n)
     points = rng.normal(size=(10, p))
-    (t0,), _ = linear_cates_stack([dataset_from(y, a, x)], points)
-    (t1,), _ = linear_cates_stack([dataset_from(y + 17.3, a, x)], points)
+    (t0,), _ = cates([dataset_from(y, a, x)], points)
+    (t1,), _ = cates([dataset_from(y + 17.3, a, x)], points)
     assert t1 == pytest.approx(t0, abs=1e-9)
 
 
@@ -250,8 +261,7 @@ def test_treatment_label_swap_negates_cate():
     x = rng.normal(size=(n, p))
     a = rng.integers(0, 2, n)
     y = x[:, 0] + a * (1.0 + 0.5 * x[:, 0]) + rng.normal(0, 0.3, n)
-    tau, _ = linear_cates_stack([dataset_from(y, a, x), dataset_from(y, 1 - a, x)],
-                                rng.normal(size=(10, p)))
+    tau, _ = cates([dataset_from(y, a, x), dataset_from(y, 1 - a, x)], rng.normal(size=(10, p)))
     assert tau[1] == pytest.approx(-tau[0], abs=1e-9)
 
 
@@ -263,7 +273,7 @@ def test_noiseless_generative_model_reproduced_at_profiles():
     beta2, beta3 = 1.7, np.array([0.4, -0.9, 0.0, 2.2])
     y = 0.3 + x @ np.array([1.0, -1.0, 0.5, 0.0]) + a * (beta2 + x @ beta3)
     points = rng.normal(size=(20, p))
-    (tau,), _ = linear_cates_stack([dataset_from(y, a, x)], points)
+    (tau,), _ = cates([dataset_from(y, a, x)], points)
     assert tau == pytest.approx(beta2 + points @ beta3, abs=1e-8)
 
 
@@ -309,10 +319,10 @@ class TestKernelRelations:
         # Covariates and points times 2**kx leave the CATEs' bits; outcomes
         # times 2**ky scale tau by exactly 2**ky and se2 by 4**ky.
         studies, points = simulated_stack(seed)
-        tau, se2 = linear_cates_stack(studies, points, moderators)
+        tau, se2 = cates(studies, points, moderators)
         scaled = [TrialDataset(d.study_id, np.ldexp(d.y, ky), d.a, np.ldexp(d.x, kx),
                                d.covariate_names) for d in studies]
-        got_tau, got_se2 = linear_cates_stack(scaled, np.ldexp(points, kx), moderators)
+        got_tau, got_se2 = cates(scaled, np.ldexp(points, kx), moderators)
         assert np.array_equal(got_tau, np.ldexp(tau, ky))
         assert np.array_equal(got_se2, np.ldexp(se2, 2 * ky))
 
@@ -336,11 +346,11 @@ class TestStack:
     @pytest.mark.parametrize("moderators", [None, (0,), ()], ids=["all", "age", "none"])
     def test_equals_per_study_fits_bit_for_bit(self, seed, moderators):
         studies, points = simulated_stack(seed)
-        tau, se2 = linear_cates_stack(studies, points, moderators)
+        tau, se2 = cates(studies, points, moderators)
         for k, study in enumerate(studies):
             want_tau, want_se2 = scalar_reference(study, moderators, points)
             assert np.array_equal(tau[k], want_tau) and np.array_equal(se2[k], want_se2)
-            alone_tau, alone_se2 = linear_cates_stack([study], points, moderators)
+            alone_tau, alone_se2 = cates([study], points, moderators)
             assert np.array_equal(tau[k], alone_tau[0]) and np.array_equal(se2[k], alone_se2[0])
 
     def test_first_failing_study_raises_in_study_order(self):
@@ -356,25 +366,10 @@ class TestStack:
             stack = [TrialDataset(s + 1, d.y, d.a, d.x, d.covariate_names)
                      for s, d in enumerate(stack)]
             with pytest.raises(error, match=says) as err:
-                linear_cates_stack(stack, points)
+                cates(stack, points)
             with pytest.raises(error) as alone:
-                linear_cates_stack([stack[1]], points)
+                cates([stack[1]], points)
             assert str(err.value) == str(alone.value)
-
-    @pytest.mark.parametrize("rows, names, says", [
-        (40, ("sex", "age"), "study 3 has 40 rows of ('sex', 'age'), not 40 of ('age', 'sex')"),
-        (30, ("age", "sex"), "study 3 has 30 rows of ('age', 'sex'), not 40 of ('age', 'sex')"),
-    ], ids=["covariate-order", "row-count"])
-    def test_mismatched_study_is_named(self, rows, names, says):
-        # Swapped names used to fit each study's columns under the first
-        # study's names; unequal rows failed inside np.stack.
-        rng = np.random.default_rng(11)
-        stack = [TrialDataset(s, rng.normal(size=n), rng.integers(0, 2, n),
-                              rng.normal(size=(n, 2)), covariates)
-                 for s, n, covariates in ((1, 40, ("age", "sex")), (2, 40, ("age", "sex")),
-                                          (3, rows, names), (4, 30, ("x", "y")))]
-        with pytest.raises(ValueError, match=re.escape(says)):
-            linear_cates_stack(stack, np.zeros((2, 2)))
 
     @pytest.mark.parametrize("points", [np.zeros(5), np.zeros((3, 4))], ids=["1-d", "wrong-width"])
     def test_points_checked_before_any_fit(self, points):
@@ -382,12 +377,7 @@ class TestStack:
         study = dataset_from(np.zeros(30), np.zeros(30, dtype=int), np.ones((30, 5)))
         want = f"points have shape {points.shape}, expected (P, 5)"
         with pytest.raises(DimensionMismatchError, match=re.escape(want)):
-            linear_cates_stack([study], points)
-
-
-def stacked_arrays(studies):
-    """``x``, ``a`` and ``y`` of equal-shaped studies, stacked."""
-    return (np.stack([getattr(d, name) for d in studies]) for name in ("x", "a", "y"))
+            cates([study], points)
 
 
 class TestArrayShapes:
@@ -419,10 +409,6 @@ class TestArrayShapes:
         x, a, y, points, names, ids = arrays
         with pytest.raises(ValueError, match=re.escape("x has shape (200, 5), expected (K, n, p)")):
             linear_cates_arrays(x[0], a[0], y[0], points, names, ids[:1])
-
-    def test_no_datasets_is_refused(self):
-        with pytest.raises(ValueError, match="at least one dataset"):
-            linear_cates_stack([], np.zeros((2, 5)))
 
 
 class TestWorkspace:

@@ -44,15 +44,15 @@ def loglik(theta2, tau, v):
 
 
 def pool_at(tau, v, theta2):
-    """(weights, tau_pooled, var_pooled) of one profile pooled at a fixed theta2."""
-    w, center, var = _pool_rows(*one_profile(tau, v), np.array([theta2]))
-    return w, float(center[0]), float(var[0])
+    """(tau_pooled, var_pooled) of one profile pooled at a fixed theta2."""
+    center, var = _pool_rows(*one_profile(tau, v), np.array([theta2]))
+    return float(center[0]), float(var[0])
 
 
 def interval_at(tau, v, theta2, alpha):
     """(lower, center, upper) of the level 1 - alpha prediction interval of one
     profile pooled at a fixed theta2."""
-    _, center, var = pool_at(tau, v, theta2)
+    center, var = pool_at(tau, v, theta2)
     half = float(_half_width(var, theta2, alpha, len(tau)))
     return center - half, center, center + half
 
@@ -520,22 +520,22 @@ class TestDlTheta2:
 
 class TestPoolCate:
     def test_hand_example(self):
-        w, center, var = pool_at([0.0, 2.0], [1.0, 1.0], theta2=1.0)
+        center, var = pool_at([0.0, 2.0], [1.0, 1.0], theta2=1.0)
         assert center == pytest.approx(1.0)
         assert var == pytest.approx(1.0)
-        assert w.tolist() == [0.5, 0.5]
+        assert var == 1.0 / (1.0 / (1.0 + 1.0) + 1.0 / (1.0 + 1.0))
 
     def test_dominant_study_takes_over(self):
-        _, center, _ = pool_at([5.0, 0.0, 0.0], [1e-8, 1.0, 1.0], theta2=0.0)
+        center, _ = pool_at([5.0, 0.0, 0.0], [1e-8, 1.0, 1.0], theta2=0.0)
         assert center == pytest.approx(5.0, abs=1e-4)
 
     def test_huge_theta2_approaches_unweighted_mean(self):
         tau = [0.0, 1.0, 5.0]
-        _, center, _ = pool_at(tau, [0.1, 1.0, 3.0], theta2=1e12)
+        center, _ = pool_at(tau, [0.1, 1.0, 3.0], theta2=1e12)
         assert center == pytest.approx(np.mean(tau), abs=1e-6)
 
     def test_degenerate_all_zero_variance_equal_estimates(self):
-        _, center, var = pool_at([2.0, 2.0], [0.0, 0.0], theta2=0.0)
+        center, var = pool_at([2.0, 2.0], [0.0, 0.0], theta2=0.0)
         assert center == 2.0
         assert var == 0.0
 
@@ -548,11 +548,10 @@ class TestPoolCate:
         for _ in range(30):
             k = int(rng.integers(2, 9))
             tau = rng.normal(size=k)
-            w, center, var = pool_at(tau, rng.uniform(0.1, 2.0, size=k),
-                                     float(rng.uniform(0.0, 2.0)))
+            se2, theta2 = rng.uniform(0.1, 2.0, size=k), float(rng.uniform(0.0, 2.0))
+            center, var = pool_at(tau, se2, theta2)
             assert tau.min() - 1e-12 <= center <= tau.max() + 1e-12
-            assert (w / w.sum()).sum() == pytest.approx(1.0, abs=1e-12)
-            assert var == pytest.approx(1.0 / w.sum(), abs=1e-12)
+            assert var == pytest.approx(1.0 / sum(1.0 / (s + theta2) for s in se2), abs=1e-12)
 
 
 class TestTQuantile:
@@ -1080,7 +1079,7 @@ class TestMixedK:
         layout = values_tau[index], values_v[index], m  # studies-major, by K
         theta2 = pooled.theta2[order]
         score, slope = _score(theta2, *layout)
-        _, center, var = _pool_rows(*layout, theta2)
+        center, var = _pool_rows(*layout, theta2)
         for j, profile in enumerate(order.tolist()):
             tau_j, v_j = profiles[profile]
             sw, swt, s2r2, s3r2, s2r, s2, s3 = python_sums(float(theta2[j]), tau_j.tolist(),

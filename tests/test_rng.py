@@ -1,7 +1,8 @@
-"""Random streams: ``substream`` forms numpy's own entropy words, the batch
-kernel ``stream_states`` gives the same streams, and a seed or path integer
-outside [0, 2**64), or a part that is not an integer or a label, is an
-error in both."""
+"""Random streams: every row of the batch kernel ``stream_states``, and
+``substream``, its one-path case, is the stream of numpy's own
+``SeedSequence`` of the path's entropy, and a seed or path integer outside
+[0, 2**64), or a part that is not an integer or a label, is an error in
+both."""
 
 import hashlib
 import itertools
@@ -19,11 +20,17 @@ EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
 def ref(part):
     """A path part as one Python int of the entropy list that
     ``SeedSequence`` coerces to words itself: the reference for the words
-    that ``substream`` forms."""
+    that ``stream_states`` forms."""
     if isinstance(part, str):
         digest = hashlib.blake2s(part.encode("utf-8"), digest_size=8).digest()
         return int.from_bytes(digest, "little")
     return int(part) & ((1 << 64) - 1)
+
+
+def reference_state(seed, path):
+    """The PCG64 state of numpy's own stream of ``(seed, *path)``."""
+    return np.random.default_rng(np.random.SeedSequence([ref(p) for p in (seed, *path)])
+                                 ).bit_generator.state
 
 
 seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1))
@@ -46,8 +53,7 @@ parts = st.one_of(
 @example(2**63, [0, 0, 0, 0, 0, 0])
 @example(2**64 - 1, ["rep", 3, "study", 7, "noise"])
 def test_stream_is_numpys_own_coercion(seed, path):
-    expected = np.random.default_rng(np.random.SeedSequence([ref(p) for p in (seed, *path)]))
-    assert substream(seed, *path).bit_generator.state == expected.bit_generator.state
+    assert substream(seed, *path).bit_generator.state == reference_state(seed, path)
 
 
 # Parts of every word count in one axis: 0 and small integers give one word,
@@ -67,8 +73,7 @@ def test_batch_states_are_substreams(seed, axes):
     assert states.shape == (*map(len, axes), 4) and states.dtype == np.uint64
     for index in itertools.product(*(range(len(axis)) for axis in axes)):
         path = [axis[i] for axis, i in zip(axes, index)]
-        got = stream(states[index]).bit_generator.state
-        assert got == substream(seed, *path).bit_generator.state
+        assert stream(states[index]).bit_generator.state == reference_state(seed, path)
 
 
 def test_stream_takes_a_strided_state():
@@ -77,7 +82,7 @@ def test_stream_takes_a_strided_state():
     states = np.zeros((2, 8), dtype=np.uint64)
     states[:, ::2] = stream_states(3, ["a", "b"])
     for state, label in zip(states[:, ::2], "ab"):
-        assert stream(state).bit_generator.state == substream(3, label).bit_generator.state
+        assert stream(state).bit_generator.state == reference_state(3, [label])
 
 
 @pytest.mark.parametrize("seed, path", [

@@ -23,15 +23,13 @@ from catemeta import (
     fit_bart_slearner,
     fit_causal_forest,
     forest_predict,
-    gen_outcomes,
     gen_study,
     gen_target_profiles,
-    gen_trial_covariates,
     run_experiment,
     true_cate,
 )
 from catemeta import forest, pool_profiles, simulate
-from catemeta.linear import _fit_arrays, design_stack, linear_cates_stack
+from catemeta.linear import _fit_arrays, design_stack, linear_cates_arrays
 from catemeta.meta import ndtri
 from catemeta.rng import spawn_seed, substream
 
@@ -71,35 +69,50 @@ class TestConfig:
         assert getattr(config(**{field: np.int64(value)}), field) == int(value)
 
 
+def reference_covariates(means, n, rng):
+    """n covariate rows drawn from ``rng`` as the model defines them: numpy's
+    Cholesky ``multivariate_normal`` latents, each binary column thresholded
+    so that Pr(1) is its mean clamped to [0, 1] (past either end, a constant)."""
+    latent = rng.multivariate_normal(means, simulate._COVARIANCE, size=n, method="cholesky")
+    x = latent.copy()
+    for j in simulate._BINARY_COLUMNS:
+        p = min(max(means[j], 0.0), 1.0)
+        x[:, j] = latent[:, j] <= means[j] + ndtri(p) if 0.0 < p < 1.0 else p
+    return x
+
+
+def noisy_outcomes(x, a, setting, effects, rng):
+    """Outcomes m(X) + A tau(X) plus the model's noise, drawn from ``rng``."""
+    noise = rng.normal(0.0, simulate._NOISE_SD, size=x.shape[0])
+    return simulate._mean_outcomes(x, a, setting, effects) + noise
+
+
 class TestTrialCovariates:
     def test_same_mode_centers_age_at_zero(self):
         cfg = config(covariate_mode="same", n_per_study=2000)
-        x = gen_trial_covariates(cfg, substream(1, "cov"))
+        x = gen_study(cfg, 0, 1).x
         assert abs(x[:, 0].mean()) <= 3.0 / np.sqrt(2000)
 
     def test_variable_mode_age_means_spread(self):
         cfg = config(n_per_study=500)
-        means = []
-        for s in range(200):
-            x = gen_trial_covariates(cfg, substream(2, "cov", s))
-            means.append(x[:, 0].mean())
+        means = [gen_study(cfg, 0, s).x[:, 0].mean() for s in range(200)]
         observed_sd = np.std(means, ddof=1)
         # across-study sd of observed age means: sqrt(0.2^2 + 1/n)
         assert 0.16 <= observed_sd <= 0.25
 
     def test_age_only_variable_fixes_other_means(self):
         cfg = config(covariate_mode="age_only_variable", n_per_study=4000)
-        x = gen_trial_covariates(cfg, substream(3, "cov"))
+        x = gen_study(cfg, 0, 1).x
         assert abs(x[:, 3].mean()) <= 3.0 / np.sqrt(4000)  # weight centered
 
     def test_binary_columns_are_binary(self):
         cfg = config(n_per_study=300)
-        x = gen_trial_covariates(cfg, substream(4, "cov"))
+        x = gen_study(cfg, 0, 1).x
         assert set(np.unique(x[:, 1])) <= {0.0, 1.0}
         assert set(np.unique(x[:, 2])) <= {0.0, 1.0}
 
     def test_shape(self):
-        x = gen_trial_covariates(config(), substream(5, "cov"))
+        x = gen_study(config(), 0, 1).x
         assert x.shape == (400, 5)
 
 
@@ -119,14 +132,9 @@ class TestCovariateDraw:
         # factor, which is what multivariate_normal(method="cholesky") draws.
         for seed in range(25):
             means = substream(seed, "means").normal(size=5)
-            got = simulate._sample_covariates(means, 64, substream(seed, "rows"))
-            latent = substream(seed, "rows").multivariate_normal(
-                means, simulate._COVARIANCE, size=64, method="cholesky")
-            want = latent.copy()
-            for j in simulate._BINARY_COLUMNS:
-                # Pr(1) is the mean clamped to [0, 1]: past either end, a constant.
-                p = min(max(means[j], 0.0), 1.0)
-                want[:, j] = latent[:, j] <= means[j] + ndtri(p) if 0.0 < p < 1.0 else p
+            z = substream(seed, "rows").standard_normal((1, 64, 5))
+            got = simulate._covariate_stack(means[None], z)[0]
+            want = reference_covariates(means, 64, substream(seed, "rows"))
             assert np.array_equal(got, want), seed
 
 
@@ -145,7 +153,7 @@ class TestTargetProfiles:
         for r in range(200):
             profs = gen_target_profiles(cfg, substream(7, "t", r))
             target_ages.extend(profs[:, 0])
-            trial_ages.extend(gen_trial_covariates(cfg, substream(7, "c", r))[:, 0])
+            trial_ages.extend(gen_study(cfg, r, 1).x[:, 0])
         assert np.mean(target_ages) > np.mean(trial_ages)
 
 
@@ -173,11 +181,10 @@ class TestTrueCate:
 
 class TestOutcomes:
     def test_noise_variance(self):
-        rng = np.random.default_rng(20)
         n = 100_000
         x = np.zeros((n, 5))
         a = np.zeros(n, dtype=int)
-        y = gen_outcomes(x, a, "linear", (0.0, 0.0, 0.0), substream(21, "noise"))
+        y = noisy_outcomes(x, a, "linear", (0.0, 0.0, 0.0), substream(21, "noise"))
         resid = y - (-17.40)
         assert np.var(resid) == pytest.approx(0.0025, rel=0.2)
 
@@ -185,19 +192,19 @@ class TestOutcomes:
         n = 50_000
         x = np.zeros((n, 5))
         a = np.zeros(n, dtype=int)
-        y = gen_outcomes(x, a, "linear", (0.0, 0.0, 0.0), substream(22, "noise"))
+        y = noisy_outcomes(x, a, "linear", (0.0, 0.0, 0.0), substream(22, "noise"))
         assert y.mean() == pytest.approx(-17.40, abs=3 * 0.05 / np.sqrt(n))
-        y2 = gen_outcomes(x, a, "nonlinear", (0.0, 0.0, 0.0), substream(23, "noise"))
+        y2 = noisy_outcomes(x, a, "nonlinear", (0.0, 0.0, 0.0), substream(23, "noise"))
         assert y2.mean() == pytest.approx(-17.52, abs=3 * 0.05 / np.sqrt(n))
 
     def test_treated_minus_control_at_matched_covariates(self):
         rng = np.random.default_rng(24)
         n = 20_000
         x = np.tile(rng.normal(size=(1, 5)), (n, 1))
-        treated = gen_outcomes(x, np.ones(n, dtype=int), "linear", (0.3, 0.1, -0.2),
-                               substream(25, "a"))
-        control = gen_outcomes(x, np.zeros(n, dtype=int), "linear", (0.3, 0.1, -0.2),
-                               substream(25, "b"))
+        treated = noisy_outcomes(x, np.ones(n, dtype=int), "linear", (0.3, 0.1, -0.2),
+                                 substream(25, "a"))
+        control = noisy_outcomes(x, np.zeros(n, dtype=int), "linear", (0.3, 0.1, -0.2),
+                                 substream(25, "b"))
         expected = true_cate(x[:1], "linear", (0.3, 0.1, -0.2))[0]
         assert treated.mean() - control.mean() == pytest.approx(expected, abs=0.002)
 
@@ -386,13 +393,15 @@ class TestStackedDraw:
             assert one.study_id == s
             assert np.array_equal(x[i], one.x) and np.array_equal(a[i], one.a)
             assert np.array_equal(y[i], one.y)
-            # The same study from the public per-study pieces, each stream in
-            # its documented order: effects, covariates, treatment, noise.
+            # The same study from the model's formulas, each stream in its
+            # documented order: effects, covariates (means, then rows),
+            # treatment, noise.
             base = (cfg.master_seed, "rep", 5, "study", s)
             effects = draw_study_effects(3, distribution, substream(*base, "effects"))
-            want_x = gen_trial_covariates(cfg, substream(*base, "covariates"))
+            rng = substream(*base, "covariates")
+            want_x = reference_covariates(simulate._study_means(cfg, rng), 90, rng)
             want_a = substream(*base, "treatment").integers(0, 2, size=90)
-            want_y = gen_outcomes(want_x, want_a, setting, effects, substream(*base, "noise"))
+            want_y = noisy_outcomes(want_x, want_a, setting, effects, substream(*base, "noise"))
             assert np.array_equal(x[i], want_x) and np.array_equal(a[i], want_a)
             assert np.array_equal(y[i], want_y)
 
@@ -446,6 +455,15 @@ class TestBlockStreams:
         assert calls == []
 
 
+def linear_stage1(cfg, replication, points):
+    """``(tau, v)`` (K, P) of one replication's linear Stage 1: its
+    :func:`gen_study` draws, stacked, in one kernel call."""
+    studies = [gen_study(cfg, replication, s) for s in range(1, cfg.k_studies + 1)]
+    x, a, y = (np.stack([getattr(d, name) for d in studies]) for name in ("x", "a", "y"))
+    return linear_cates_arrays(x, a, y, points, simulate.COVARIATE_NAMES,
+                               [d.study_id for d in studies])
+
+
 def per_replication_reference(cfg, alpha=0.05, skip=()):
     """``(coverage, mean_length, bias), aborted, reasons`` of the linear
     harness from one Stage-1 stack and one pool_profiles call per
@@ -460,8 +478,7 @@ def per_replication_reference(cfg, alpha=0.05, skip=()):
         if r in skip:
             continue
         try:
-            tau, v = linear_cates_stack(
-                [gen_study(cfg, r, s) for s in range(1, cfg.k_studies + 1)], points)
+            tau, v = linear_stage1(cfg, r, points)
         except CatemetaError as err:
             aborted.append(r)
             reasons.append(str(err))
@@ -511,8 +528,7 @@ class TestBlockPooling:
 
     def test_stage2_error_aborts_only_its_replication(self, monkeypatch):
         points = gen_target_profiles(self.CFG, substream(self.CFG.master_seed, "target-profiles"))
-        fourth, _ = linear_cates_stack(
-            [gen_study(self.CFG, 4, s) for s in range(1, self.CFG.k_studies + 1)], points)
+        fourth, _ = linear_stage1(self.CFG, 4, points)
         calls = []
 
         def failing(tau, v, alpha=None):
