@@ -42,7 +42,6 @@ from .meta import (
     t_quantile,
 )
 from .model import (
-    CoverageFlag,
     TrialDataset,
     ValidationReport,
     validate_target_coverage,
@@ -67,8 +66,7 @@ __all__ = [
     "InsufficientStudiesError", "SingularDesignError",
     "CausalForestModel", "CausalTree", "ForestParams", "fit_causal_forest", "forest_predict",
     "PooledProfiles", "dl_theta2", "pool_profiles", "t_quantile",
-    "CoverageFlag", "TrialDataset", "ValidationReport",
-    "validate_target_coverage", "validate_trial",
+    "TrialDataset", "ValidationReport", "validate_target_coverage", "validate_trial",
     "MetricsTable", "SimConfig", "draw_study_effects", "estimate_study",
     "gen_target_profiles", "gen_study",
     "run_experiment", "true_cate",

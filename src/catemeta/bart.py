@@ -192,6 +192,11 @@ class _Chain:
         n = y_scaled.shape[0]
         self.n, self.ranks, self.params, self.rng = n, ranks, params, rng
         self.sigma_mu = 0.5 / (params.k * math.sqrt(params.n_trees))
+        if not math.isfinite(n * self.sigma_mu**2):  # ``sweep``'s largest leaf term
+            raise ConfigurationError(
+                f"leaf prior: k = {params.k} with n_trees = {params.n_trees} gives a leaf "
+                f"variance (0.5 / (k sqrt(n_trees)))**2 whose product with the study's {n} "
+                "rows is not finite")
         sd = float(np.std(y_scaled, ddof=1)) if n > 1 else 1.0
         sd = max(sd, 1e-12)
         # lambda places the 0.90 quantile of the sigma prior at the sample sd
@@ -219,12 +224,17 @@ class _Chain:
         # A leaf of c rows with residual sum s: mu has posterior mean
         # shrink[c] * s and sd post_sd[c], and the log marginal likelihood
         # lm_const[c] + lm_coef[c] * s * s, less the terms that cancel in every
-        # ratio: the row sum of squares and c * log(2 pi sigma2).
+        # ratio: the row sum of squares and c * log(2 pi sigma2).  A ratio
+        # s2 / denom that underflows to 0 takes its log as a difference.
         s2, sm2 = self.sigma2, self.sigma_mu**2
         denom = s2 + np.arange(n + 1) * sm2
+        ratio = s2 / denom
+        lm_const = (0.5 * (np.log(ratio) if ratio[-1] > 0.0
+                           else math.log(s2) - np.log(denom))).tolist()
+        # A slot of no rows is no leaf, so no row reads its mean: make it 0.
+        denom[0] = math.inf
         shrink = sm2 / denom
         post_sd = np.sqrt(s2 * shrink)
-        lm_const = (0.5 * np.log(s2 / denom)).tolist()
         lm_coef = (shrink / (2.0 * s2)).tolist()
         grow_odds, prune_odds = _MOVE_PRUNE / _MOVE_GROW, _MOVE_GROW / _MOVE_PRUNE
         prior, leaves, proposed, accepted = self.prior, self.leaves, self.proposed, self.accepted

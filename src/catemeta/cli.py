@@ -42,11 +42,10 @@ from .errors import (
     ConfigurationError,
     EstimationError,
     InputFormatError,
-    InsufficientStudiesError,
 )
 from .forest import ForestParams, fit_causal_forest  # noqa: F401
 from .io import (
-    _plain,
+    _plain_number,
     first_invalid_estimate,
     read_aggregates_csv,
     read_predictions_csv,
@@ -216,10 +215,10 @@ def cmd_estimate(args) -> int:
             if not report.ok:
                 raise InputFormatError(
                     f"study {dataset.study_id}: " + "; ".join(report.violations))
-        for flag in validate_target_coverage(profile_ids, points, trials):
-            if flag.flagged:
-                manifest.warn(f"profile {flag.profile_id} outside pooled trial range on: "
-                              + ",".join(flag.out_of_range))
+        outside = validate_target_coverage(points, trials)
+        for i in np.flatnonzero(outside.any(axis=1)).tolist():
+            manifest.warn(f"profile {profile_ids[i]} outside pooled trial range on: "
+                          + ",".join(np.array(trials[0].covariate_names)[outside[i]]))
 
     if params is None:  # linear: the moderators name the trials' covariates
         params = _resolve_moderators(args.moderators, trials[0].covariate_names)
@@ -293,13 +292,11 @@ def cmd_predict(args) -> int:
         for p in pids[ks == 2].tolist():
             manifest.warn(f"profile {p}: K=2 studies, no prediction interval (df would be 0)")
         # The rows are sorted by profile, so each profile's studies are contiguous.
-        # With every profile at K = 2 there is no interval to ask for.
-        pooled = pool_profiles(tau, se2, args.alpha if (ks > 2).any() else None, k=ks)
+        pooled = pool_profiles(tau, se2, args.alpha, k=ks)
         manifest.diagnostics.update(pooled.diagnostics)
         center, theta2 = pooled.tau_pooled, pooled.theta2
         # K = 2 keeps NaN bounds: no interval
-        half = np.full(pids.size, np.nan) if pooled.half_width is None else pooled.half_width
-        lower, upper = center - half, center + half
+        lower, upper = center - pooled.half_width, center + pooled.half_width
     with manifest.phase("write"):
         write_predictions_csv(manifest.artifact("predictions.csv"),
                               pids, center, theta2, lower, upper, ks)
@@ -353,6 +350,11 @@ def cmd_simulate(args) -> int:
             for method in options.methods
         ]
     for table in tables:
+        if not table.n_effective_replications:
+            raise EstimationError(
+                f"{table.method}: all {len(table.aborted_replications)} replications aborted; "
+                f"the first: {table.abort_reasons[0]}")
+    for table in tables:
         if table.aborted_replications:
             manifest.warn(f"{table.method}: aborted replications " + "; ".join(
                 f"{r}: {reason}"
@@ -367,13 +369,10 @@ def cmd_simulate(args) -> int:
 
 def _number(kind, expected: str, valid=lambda number: True):
     """An argparse type: a ``kind`` (int or float) written as the file readers
-    take numbers (``io._plain``: ASCII, no ``_``) for which ``valid`` holds.
-    Any other text makes argparse exit 2, saying what was expected."""
+    take numbers (``io._plain_number``) for which ``valid`` holds.  Any other
+    text makes argparse exit 2, saying what was expected."""
     def parse(value: str):
-        try:
-            number = kind(value) if _plain(value) else None
-        except ValueError:
-            number = None
+        number = _plain_number(value, kind)
         if number is None or not valid(number):
             raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
         return number
@@ -472,7 +471,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, InsufficientStudiesError, OSError) as err:
+    except (InputFormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ConfigurationError as err:

@@ -16,7 +16,7 @@ from io import StringIO
 from .bart import BartParams
 from .errors import ConfigurationError
 from .forest import ForestParams
-from .io import _decode, _plain
+from .io import _decode, _plain_number
 from .simulate import STAGE1_METHODS, SimConfig
 
 
@@ -65,13 +65,10 @@ def parse_sim_config(path: str) -> tuple[SimConfig, SimulateOptions]:
     def convert(key: str, line_no: int, value: str):
         where = f"{path}:{line_no}: key '{key}'"
         if key in _INT_KEYS or key == "alpha":
-            kind = int if key in _INT_KEYS else float
-            try:
-                if _plain(value):
-                    return kind(value)
-            except ValueError:
-                pass
-            raise ConfigurationError(f"{where}: bad value {value!r}")
+            number = _plain_number(value, int if key in _INT_KEYS else float)
+            if number is None:
+                raise ConfigurationError(f"{where}: bad value {value!r}")
+            return number
         if key == "methods":
             methods = tuple(m.strip() for m in value.split(",") if m.strip())
             if not methods:

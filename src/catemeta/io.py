@@ -83,6 +83,15 @@ def _plain(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
+def _plain_number(text: str, kind: type):
+    """``kind(text)``, ``kind`` int or float, where ``text`` is a number as the
+    readers take it (ASCII, no ``_``); None for any other text."""
+    try:
+        return kind(text) if _plain(text) else None
+    except ValueError:
+        return None
+
+
 def _parse_column(texts, kind: type, name: str, path: str, line) -> np.ndarray:
     """Field texts as an int64, float64 or str array; ``line(i)`` is the line of
     text ``i``.  A number may not hold ``_`` or a non-ASCII character, which

@@ -10,20 +10,21 @@ with the between-study variance theta2 estimated by restricted maximum
 likelihood (REML).  The DerSimonian-Laird moment estimator is provided as a
 cross-check.  Prediction intervals for the effect in a new setting use a
 t critical value with K-2 degrees of freedom, reflecting that both the
-pooled mean and theta2 are estimated from the data.  The t quantile, and the
+pooled mean and theta2 are estimated from the data; a profile with K = 2
+has no interval, and its half-width is NaN.  The t quantile, and the
 normal quantile the simulation harness uses, are computed here with ``math``
 alone, so Stage 2 loads no SciPy module.
 
 All of Stage 2 is one array kernel over P profiles with any mix of K
-(:func:`pool_profiles`).  Inside it the profiles are sorted by K, largest
-first, and their values are stored studies-major: block k holds study k + 1
-of every profile that has one, and those are the first profiles.  Every sum
-over a profile's studies is a running sum in study order, kept in code
-(``acc[:m_k] += block_k``) rather than left to numpy's reductions, whose
-order depends on an array's shape and memory layout.  So a profile pools to
-the same bits alone as in a batch, whatever the other profiles' K, their
-order or the input's memory layout.  Up to K = 7 these are also the bits of
-numpy's row sums.
+(:func:`pool_profiles`), and each of its results is a (P,) array.  Inside it
+the profiles are sorted by K, largest first, and their values are stored
+studies-major: block k holds study k + 1 of every profile that has one, and
+those are the first profiles.  Every sum over a profile's studies is a
+running sum in study order, kept in code (``acc[:m_k] += block_k``) rather
+than left to numpy's reductions, whose order depends on an array's shape and
+memory layout.  So a profile pools to the same bits alone as in a batch,
+whatever the other profiles' K, their order or the input's memory layout.
+Up to K = 7 these are also the bits of numpy's row sums.
 """
 
 from __future__ import annotations
@@ -93,15 +94,14 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class PooledProfiles:
     """Stage 2 for P profiles, as (P,) arrays in the profiles' input order.
 
-    ``half_width`` is None when no interval was asked for, and NaN for a
-    profile with K = 2.  ``diagnostics`` counts theta2 = 0 estimates and
-    Newton steps replaced by bisection.
+    ``half_width`` is NaN for a profile with K = 2.  ``diagnostics`` counts
+    theta2 = 0 estimates and Newton steps replaced by bisection.
     """
 
     theta2: np.ndarray
     tau_pooled: np.ndarray
     var_pooled: np.ndarray
-    half_width: np.ndarray | None
+    half_width: np.ndarray
     diagnostics: Counter
 
 
@@ -256,7 +256,8 @@ def _solve(tau, v, m, bound, counts):
 
 
 def _reml_rows(tau, v, m, counts):
-    """REML theta2 for each profile of a layout.
+    """REML theta2 for each profile of a layout, and whether its estimates
+    are all equal.
 
     Each profile is solved in its own units, tau_hat / 2^e and se2 / 4^e with
     2^e the least power of two above the range of tau_hat, so that the Newton
@@ -310,12 +311,13 @@ def _reml_rows(tau, v, m, counts):
         if not np.isfinite(theta2).all():
             raise EstimationError("the REML estimate of theta2 overflows")
     counts["reml_boundary_hits"] += int(np.count_nonzero(theta2 == 0.0))
-    return theta2
+    return theta2, ~active
 
 
-def _pool_rows(tau, v, m, theta2):
-    """Inverse-variance pooling of each profile of a layout: (tau_pooled,
-    var_pooled).
+def _pool_rows(tau, v, m, theta2, equal):
+    """Inverse-variance pooling of each profile of a layout at its ``theta2``:
+    (tau_pooled, var_pooled).  ``equal`` marks the profiles whose estimates
+    are all equal.
 
     A profile with all weights infinite (se2 + theta2 zero, or too small for
     its inverse to be a float) and equal estimates pools to that estimate
@@ -350,10 +352,7 @@ def _pool_rows(tau, v, m, theta2):
             if not np.isfinite(tau_pooled[rows[overflow]]).all():
                 raise EstimationError("the pooled estimate overflows")
         if degenerate.any():
-            high, low = _fold(np.maximum, np.stack([tau_bad, -tau_bad], axis=1), sizes,
-                              -np.inf).T
-            if not np.all(_fold(np.logical_and, zero, sizes, True)[degenerate]
-                          & (high == -low)[degenerate]):
+            if not np.all((_fold(np.logical_and, zero, sizes, True) & equal[rows])[degenerate]):
                 raise EstimationError("degenerate variance: some 1/(se2 + theta2) are infinite")
             first_study = tau_bad[:rows.size]  # block 0
             tau_pooled[rows[degenerate]] = first_study[degenerate]
@@ -372,16 +371,13 @@ def _half_width(var_pooled, theta2, alpha: float, k):
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be in (0, 1)")
     k = np.asarray(k)
-    if k.size and not (k > 2).any():
-        raise InsufficientStudiesError(
-            f"prediction intervals need K >= 3 studies, got {k.max()}"
-        )
-    # The distinct K >= 3, by bincount: np.unique would import numpy.ma, about
-    # 18 ms of a process's first call.
-    dfs = np.flatnonzero(np.bincount(k.ravel(), minlength=3)[3:]) + 3
-    quantile = np.array([-t_quantile(int(df) - 2, alpha / 2.0) for df in dfs.tolist()])
-    factor = np.where(k > 2, quantile[np.searchsorted(dfs, k)], np.nan)
-    return factor * np.sqrt(var_pooled + theta2)
+    # The profiles of each K, by bincount: np.unique would import numpy.ma,
+    # about 18 ms of a process's first call.
+    present = np.bincount(k.ravel(), minlength=3)
+    factor = np.full(present.size, np.nan)  # t_{K-2, 1-alpha/2} by K
+    for df in (np.flatnonzero(present[3:]) + 3).tolist():
+        factor[df] = -t_quantile(df - 2, alpha / 2.0)
+    return factor[k] * np.sqrt(var_pooled + theta2)
 
 
 def _sorted_profiles(tau, v, k):
@@ -450,36 +446,30 @@ def _in_input_order(order, values):
 def reml_theta2_batch(tau: np.ndarray, v: np.ndarray) -> np.ndarray:
     """REML between-study variance for many profiles at once.
 
-    ``tau`` and ``v`` have shape (K, n_profiles); returns one theta2 per
-    profile, the ``theta2`` of :func:`pool_profiles` bit for bit, without
-    the pooling.
+    ``tau`` and ``v`` have shape (K, n_profiles); returns the ``theta2`` of
+    :func:`pool_profiles`, and raises whatever it raises.
     """
-    tau, v, first, m, order = _sorted_profiles(tau, v, None)
-    theta2 = np.empty(order.size)
-    for rows, *part in _chunks(tau, v, first, m):
-        theta2[rows] = _reml_rows(*part, Counter())
-    return _in_input_order(order, theta2)
+    return pool_profiles(tau, v).theta2
 
 
-def pool_profiles(tau: np.ndarray, v: np.ndarray, alpha: float | None = None,
+def pool_profiles(tau: np.ndarray, v: np.ndarray, alpha: float = 0.05,
                   k: np.ndarray | None = None) -> PooledProfiles:
-    """Stage 2 for many profiles at once: REML, pooling and intervals.
+    """Stage 2 for many profiles at once: REML, pooling and the level
+    1 - alpha prediction half-width.
 
     ``tau`` and ``v`` have shape (K, n_profiles), or, with ``k`` given, hold
     profile j's ``k[j]`` values one profile after another, so one call pools
-    profiles with any mix of K.  With ``alpha`` given, also forms the level
-    1 - alpha prediction half-width: NaN for a profile with K = 2, and an
-    ``InsufficientStudiesError`` if every profile has K = 2.  A profile gets
-    the same bits whatever the other profiles are.
+    profiles with any mix of K.  A profile with K = 2 has a NaN half-width.
+    A profile gets the same bits whatever the other profiles are.
     """
     tau, v, first, m, order = _sorted_profiles(tau, v, k)
     counts = Counter(reml_boundary_hits=0, reml_bisection_fallbacks=0)
     theta2, tau_pooled, var_pooled = np.empty((3, order.size))
     for rows, *part in _chunks(tau, v, first, m):
-        theta2[rows] = _reml_rows(*part, counts)
-        tau_pooled[rows], var_pooled[rows] = _pool_rows(*part, theta2[rows])
-    half = None if alpha is None else _half_width(var_pooled, theta2, alpha, _study_counts(m))
-    return PooledProfiles(*(None if a is None else _in_input_order(order, a)
+        theta2[rows], equal = _reml_rows(*part, counts)
+        tau_pooled[rows], var_pooled[rows] = _pool_rows(*part, theta2[rows], equal)
+    half = _half_width(var_pooled, theta2, alpha, _study_counts(m))
+    return PooledProfiles(*(_in_input_order(order, a)
                             for a in (theta2, tau_pooled, var_pooled, half)), counts)
 
 

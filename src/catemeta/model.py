@@ -1,14 +1,15 @@
 """Domain types and input checks for multi-study CATE estimation.
 
-Stage-1 and Stage-2 results are plain arrays.  All types are immutable
-after construction: arrays are stored read-only, so instances can be shared
-freely across worker processes and threads.
+Stage-1 and Stage-2 results are plain arrays, and so is the target-coverage
+check's: one row per profile.  All types are immutable after construction:
+arrays are stored read-only, so instances can be shared freely across worker
+processes and threads.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,18 +120,6 @@ class ValidationReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class CoverageFlag:
-    """Covariates of one profile that fall outside the pooled trial range."""
-
-    profile_id: int
-    out_of_range: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def flagged(self) -> bool:
-        return bool(self.out_of_range)
-
-
 _MIN_ARM_ROWS = 2
 
 
@@ -156,28 +145,20 @@ def validate_trial(dataset: TrialDataset) -> ValidationReport:
     )
 
 
-def validate_target_coverage(
-    profile_ids, points: np.ndarray, trials: list[TrialDataset]
-) -> list[CoverageFlag]:
-    """Flag profiles with any covariate outside the pooled trial range.
+def validate_target_coverage(points: np.ndarray, trials: list[TrialDataset]) -> np.ndarray:
+    """Mark each coordinate of each profile that falls outside the pooled
+    trial range: a (P, p) bool array.
 
-    ``points`` holds one row per id in ``profile_ids``, in the trials'
-    covariate order; every trial has those covariates.  The pooled range for
-    covariate j is [min, max] over all rows of all trials (closed interval; a
-    profile exactly at the boundary is not flagged).  This is a cheap,
-    conservative box heuristic: flagged profiles are still processed
-    downstream but should be marked in reports.  Returns one flag per
-    profile, in order.
+    ``points`` holds one row per profile, in the trials' covariate order;
+    every trial has those covariates.  The pooled range for covariate j is
+    [min, max] over all rows of all trials (closed interval; a profile
+    exactly at the boundary is not marked).  This is a cheap, conservative
+    box heuristic: marked profiles are still processed downstream but should
+    be flagged in reports.
     """
     if not trials:
         raise ValueError("at least one trial is required")
-    names = trials[0].covariate_names
-    ids = np.asarray(profile_ids).tolist()
-    points = check_points(points, len(names))
-    if points.shape[0] != len(ids):
-        raise DimensionMismatchError(f"{points.shape[0]} points for {len(ids)} profile ids")
+    points = check_points(points, trials[0].n_covariates)
     lo = np.min([t.x.min(axis=0) for t in trials], axis=0)
     hi = np.max([t.x.max(axis=0) for t in trials], axis=0)
-    outside = (points < lo) | (points > hi)
-    return [CoverageFlag(pid, tuple(names[j] for j in np.flatnonzero(row)))
-            for pid, row in zip(ids, outside)]
+    return (points < lo) | (points > hi)

@@ -84,6 +84,26 @@ class TestParams:
         tau, se2, _, _ = bart_cates(fit_bart_slearner(ds, rng.normal(size=(2, 3)), params))
         assert np.isfinite(tau).all() and np.isfinite(se2).all()
 
+    @pytest.mark.filterwarnings("error")
+    def test_leaf_variance_times_the_rows_must_be_finite(self):
+        # 1,000 * (0.5 / (3e-155 sqrt(5)))**2 overflows: the chain used to
+        # warn 48 times and return tau = se2 = 0.
+        ds, rng = make_dataset(1000, lambda x, a: a.astype(float), seed=13)
+        params = BartParams(k=3e-155, n_trees=5, n_burn=3, n_draws=3)
+        want = r"k = 3e-155 with n_trees = 5 .* the study's 1000 rows is not finite"
+        with pytest.raises(ConfigurationError, match=want):
+            fit_bart_slearner(ds, rng.normal(size=(2, 3)), params)
+
+    @pytest.mark.filterwarnings("error")
+    def test_constant_outcome_at_a_huge_leaf_variance_fits_without_warnings(self):
+        # sigma2 at its floor against a leaf variance of 5e297: the means of
+        # slots with no rows overflowed, and s2 / (s2 + c sigma_mu**2)
+        # underflowed to 0 before its log.
+        ds, rng = make_dataset(200, lambda x, a: np.zeros(len(a)), seed=14, noise=0.0)
+        params = BartParams(k=1e-150, n_burn=20, n_draws=20)
+        tau, se2, _, _ = bart_cates(fit_bart_slearner(ds, rng.normal(size=(2, 3)), params))
+        assert np.all(np.abs(tau) < 1e-9) and np.all((0.0 <= se2) & (se2 < 1e-20))
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ConfigurationError, match=r"seed must be in \[0, 2\*\*64\)"):

@@ -8,10 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from catemeta import cli
+from catemeta import SimConfig, cli, run_experiment
 from catemeta.cli import main
 from catemeta.forest import ForestParams, fit_causal_forest
-from catemeta.io import read_aggregates_csv, read_predictions_csv, read_trials_csv
+from catemeta.io import (
+    read_aggregates_csv,
+    read_predictions_csv,
+    read_trials_csv,
+    write_metrics_csv,
+)
 from catemeta.rng import spawn_seed
 from test_acceptance import grid_argmax
 
@@ -488,7 +493,7 @@ class TestPredict:
         pid, center, theta2, lower, upper, k = read_predictions_csv(
             tmp_path / "pred" / "predictions.csv")
         for j, (tau, se2) in profiles.items():  # each profile's bits alone
-            alone = cli_pool_profiles(tau[:, None], se2[:, None], 0.05 if len(tau) > 2 else None)
+            alone = cli_pool_profiles(tau[:, None], se2[:, None])
             assert (center[j], theta2[j], k[j]) == (alone.tau_pooled[0], alone.theta2[0], len(tau))
             if len(tau) > 2:
                 assert lower[j] == alone.tau_pooled[0] - alone.half_width[0]
@@ -844,15 +849,40 @@ class TestSimulate:
 
     def test_manifest_notes_abort_reasons(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("k_studies = 3\nn_per_study = 20\nn_replications = 2\n"
-                       "methods = forest_honest\nforest_trees = 20\n")
+        cfg.write_text(TestManifest.ABORTING)
         out = tmp_path / "sim"
         assert run(["simulate", "--config", cfg, "--out-dir", out]) == 0
         notes = json.loads((out / "manifest.json").read_text())["notes"]
         assert len(notes) == 1
         assert notes[0].startswith("forest_honest: aborted replications 0: subsample too small")
-        assert "; 1: subsample too small" in notes[0]
-        assert (out / "coverage.svg").read_text().count('class="box"') == 0
+        assert "; 1: subsample too small" in notes[0] and "; 2:" not in notes[0]
+        assert (out / "coverage.svg").read_text().count('class="box"') == 1
+
+    @pytest.mark.parametrize("methods", ["linear", "linear, oracle"])
+    def test_method_without_an_effective_replication_exits_1(self, tmp_path, capsys, methods):
+        # 8 rows cannot fit the linear model's 12 coefficients, so every
+        # replication aborts.  This used to exit 0 with an all-NaN metrics.csv.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("k_studies = 3\nn_per_study = 8\nn_replications = 2\n"
+                       f"methods = {methods}\nmaster_seed = 1\n")
+        out = tmp_path / "sim"
+        assert run(["simulate", "--config", cfg, "--out-dir", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: linear: all 2 replications aborted; the first: "
+            "need at least 12 rows to fit 12 coefficients, got 8\n")
+        assert not (out / "metrics.csv").exists() and not (out / "coverage.svg").exists()
+
+    def test_some_replications_aborted_keep_exit_0_and_the_tables_bytes(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("k_studies = 4\nn_per_study = 30\nn_replications = 12\n"
+                       "master_seed = 10\nmethods = linear\n")
+        out = tmp_path / "sim"
+        assert run(["simulate", "--config", cfg, "--out-dir", out]) == 0
+        table = run_experiment(
+            SimConfig(k_studies=4, n_per_study=30, n_replications=12, master_seed=10), "linear")
+        assert table.aborted_replications == (3, 7)
+        write_metrics_csv(tmp_path / "library.csv", [table])
+        assert (out / "metrics.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
 
     def test_config_error_in_every_replication_ends_the_run_with_exit_3(self, tmp_path, capsys):
         # BART kept draws that numpy cannot allocate fail every replication
@@ -1014,7 +1044,8 @@ class TestExitCodeMapping:
 
 
 class TestManifest:
-    ABORTING = ("k_studies = 3\nn_per_study = 20\nn_replications = 2\n"
+    # Replications 0 and 1 abort, 2 and 3 do not.
+    ABORTING = ("k_studies = 3\nn_per_study = 48\nn_replications = 4\nmaster_seed = 1\n"
                 "methods = forest_honest\nforest_trees = 20\n")
 
     def warning_run(self, tmp_path, command):

@@ -45,7 +45,8 @@ def loglik(theta2, tau, v):
 
 def pool_at(tau, v, theta2):
     """(tau_pooled, var_pooled) of one profile pooled at a fixed theta2."""
-    center, var = _pool_rows(*one_profile(tau, v), np.array([theta2]))
+    equal = np.array([min(tau) == max(tau)])
+    center, var = _pool_rows(*one_profile(tau, v), np.array([theta2]), equal)
     return float(center[0]), float(var[0])
 
 
@@ -661,8 +662,9 @@ class TestPredictionInterval:
         assert widths[0] < widths[1] < widths[2]
 
     def test_too_few_studies_is_error(self):
-        with pytest.raises(InsufficientStudiesError):
-            interval_at([0.0, 1.0], [1.0, 1.0], theta2=0.5, alpha=0.05)
+        # K = 2 leaves the t distribution no degrees of freedom: no interval.
+        lower, center, upper = interval_at([0.0, 1.0], [1.0, 1.0], theta2=0.5, alpha=0.05)
+        assert center == 0.5 and math.isnan(lower) and math.isnan(upper)
 
 
 class TestPoolProfiles:
@@ -712,10 +714,10 @@ class TestPoolProfiles:
         np.testing.assert_allclose(scaled, base, rtol=1e-10)
 
     def test_interval_needs_three_studies(self):
-        batch = pool_profiles(np.array([[0.0], [1.0]]), np.ones((2, 1)))
-        assert batch.half_width is None
-        with pytest.raises(InsufficientStudiesError):
-            pool_profiles(np.array([[0.0], [1.0]]), np.ones((2, 1)), alpha=0.05)
+        for alpha in (0.05, 0.2):
+            batch = pool_profiles(np.array([[0.0], [1.0]]), np.ones((2, 1)), alpha=alpha)
+            assert batch.half_width.shape == (1,) and np.isnan(batch.half_width[0])
+            assert batch.tau_pooled.tolist() == [0.5]
 
     def test_alpha_outside_unit_interval_is_error(self):
         for alpha in (0.0, 1.0, 1.5):
@@ -883,18 +885,24 @@ class TestStage2Properties:
 @st.composite
 def pooling_blocks(draw):
     """(profiles, n_a): (tau, v) profiles of three kinds, at least one of each,
-    to be split after the first n_a, all with one K from 3 to 30 or each with
-    its own: all-equal estimates (theta2 = 0 without a search; with se2 all
-    0, the degenerate equal-weight pooling), estimates close together next to
-    their se2 (theta2 = 0 by the boundary comparison) and spread estimates
-    with small equal se2, whose theta2 is about a tenth of the search bound."""
+    to be split after the first n_a, all with one K from 2 to 30 or each with
+    its own, and at times one part of K = 2 profiles only: all-equal
+    estimates (theta2 = 0 without a search; with se2 all 0, the degenerate
+    equal-weight pooling), estimates close together next to their se2
+    (theta2 = 0 by the boundary comparison) and spread estimates with small
+    equal se2, whose theta2 is about a tenth of the search bound."""
     kinds = ["equal", "zero", "spread"] + draw(
         st.lists(st.sampled_from(["equal", "zero", "spread"]), max_size=9), label="kinds")
     kinds = draw(st.permutations(kinds), label="order")
-    k_studies = st.integers(3, 30)
+    k_studies = st.integers(2, 30)
     ks = draw(st.one_of(k_studies.map(lambda k: [k] * len(kinds)),
                         st.lists(k_studies, min_size=len(kinds), max_size=len(kinds))),
               label="ks")
+    n_a = draw(st.integers(1, len(kinds) - 1), label="n_a")
+    two_only = draw(st.sampled_from([None, slice(None, n_a), slice(n_a, None)]),
+                    label="part of K = 2 only")
+    if two_only is not None:
+        ks[two_only] = [2] * len(ks[two_only])
     center = st.floats(-10.0, 10.0, allow_nan=False)
     profiles = []
     for kind, k in zip(kinds, ks):
@@ -913,7 +921,6 @@ def pooling_blocks(draw):
             tau = mid + scale * np.array([-1.0, 1.0, *unit])
             v = np.full(k, scale * scale * draw(st.floats(1e-6, 1e-3)))
         profiles.append((tau, v))
-    n_a = draw(st.integers(1, len(kinds) - 1), label="n_a")
     return profiles, n_a
 
 
@@ -946,10 +953,12 @@ class TestRowIndependence:
             columns = pool_profiles(np.column_stack([tau for tau, _ in profiles]),
                                     np.column_stack([v for _, v in profiles]), alpha=0.05)
             for name in FIELDS:
-                assert np.array_equal(getattr(columns, name), getattr(whole, name))
+                assert np.array_equal(getattr(columns, name), getattr(whole, name),
+                                      equal_nan=True)
         for name in FIELDS:
             assert np.array_equal(getattr(whole, name),
-                                  np.concatenate([getattr(part, name) for part in parts]))
+                                  np.concatenate([getattr(part, name) for part in parts]),
+                                  equal_nan=True)
         for key, count in whole.diagnostics.items():
             assert count == sum(part.diagnostics[key] for part in parts)
         assert whole.diagnostics["reml_boundary_hits"] >= 2
@@ -1002,12 +1011,11 @@ class TestMixedK:
         moved = pool_mixed([profiles[i] for i in order])
         assert moved.diagnostics == batch.diagnostics
         for j, (tau, v) in enumerate(profiles):
-            alone = pool_profiles(tau[:, None], v[:, None], 0.05 if len(tau) > 2 else None)
+            alone = pool_profiles(tau[:, None], v[:, None])
             for name in FIELDS:
                 got = getattr(batch, name)[j]
                 assert bits(got) == bits(getattr(moved, name)[order.index(j)])
-                expected = getattr(alone, name)
-                assert bits(got) == bits(np.nan if expected is None else expected[0])
+                assert bits(got) == bits(getattr(alone, name)[0])
 
     def test_overflow_and_degenerate_profiles_pool_alone_as_in_a_batch(self):
         # The rescaled overflow path and the equal-weight degenerate path run
@@ -1017,18 +1025,19 @@ class TestMixedK:
                     (np.full(3, 1e300), np.full(3, 1e-10)), (np.full(4, 5.0), np.zeros(4))]
         batch = pool_mixed(profiles)
         for j, (tau, v) in enumerate(profiles):
-            alone = pool_profiles(tau[:, None], v[:, None], 0.05 if len(tau) > 2 else None)
+            alone = pool_profiles(tau[:, None], v[:, None])
             for name in FIELDS:
-                expected = getattr(alone, name)
-                assert bits(getattr(batch, name)[j]) == bits(
-                    np.nan if expected is None else expected[0])
+                assert bits(getattr(batch, name)[j]) == bits(getattr(alone, name)[0])
         assert batch.tau_pooled[1] == 2.0 and batch.var_pooled[4] == 0.0
 
     def test_two_study_profiles_have_no_half_width(self):
+        # NaN whether the other profiles have K = 2 or not: a call of K = 2
+        # profiles only used to raise InsufficientStudiesError.
         batch = pool_profiles([0.0, 1.0, 0.0, 1.0, 2.0], np.ones(5), alpha=0.05, k=[2, 3])
         assert np.isnan(batch.half_width[0]) and np.isfinite(batch.half_width[1])
-        with pytest.raises(InsufficientStudiesError, match="K >= 3 studies, got 2"):
-            pool_profiles([0.0, 1.0, 0.0, 1.0], np.ones(4), alpha=0.05, k=[2, 2])
+        for k in ([2], [2, 2]):
+            alone = pool_profiles(np.zeros(2 * len(k)), np.ones(2 * len(k)), alpha=0.05, k=k)
+            assert alone.half_width.shape == (len(k),) and np.isnan(alone.half_width).all()
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64])
     def test_counts_of_any_integer_type(self, dtype):
@@ -1079,7 +1088,8 @@ class TestMixedK:
         layout = values_tau[index], values_v[index], m  # studies-major, by K
         theta2 = pooled.theta2[order]
         score, slope = _score(theta2, *layout)
-        center, var = _pool_rows(*layout, theta2)
+        equal = np.array([profiles[p][0].min() == profiles[p][0].max() for p in order.tolist()])
+        center, var = _pool_rows(*layout, theta2, equal)
         for j, profile in enumerate(order.tolist()):
             tau_j, v_j = profiles[profile]
             sw, swt, s2r2, s3r2, s2r, s2, s3 = python_sums(float(theta2[j]), tau_j.tolist(),

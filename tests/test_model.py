@@ -100,47 +100,42 @@ class TestValidateTargetCoverage:
 
     def test_profile_equal_to_trial_row_not_flagged(self):
         trials = self.trials()
-        flags = validate_target_coverage([0], trials[0].x[4:5], trials)
-        assert not flags[0].flagged
+        outside = validate_target_coverage(trials[0].x[4:5], trials)
+        assert outside.shape == (1, 2) and outside.dtype == bool and not outside.any()
 
     def test_profile_outside_range_flagged_by_name(self):
         trials = self.trials()
         pooled_max = max(t.x[:, 0].max() for t in trials)
-        flags = validate_target_coverage([7], np.array([[pooled_max + 10.0, 0.0]]), trials)
-        assert flags[0].flagged
-        assert flags[0].out_of_range == ("age",)
-        assert flags[0].profile_id == 7
+        outside = validate_target_coverage(np.array([[pooled_max + 10.0, 0.0]]), trials)
+        assert outside.tolist() == [[True, False]]  # ("age", "weight")
 
     def test_boundary_is_closed(self):
         trials = self.trials()
         pooled_min = min(t.x[:, 1].min() for t in trials)
-        flags = validate_target_coverage([1], np.array([[0.0, pooled_min]]), trials)
-        assert not flags[0].flagged
+        outside = validate_target_coverage(np.array([[0.0, pooled_min]]), trials)
+        assert not outside.any()
 
     def test_widening_a_range_never_adds_flags(self):
         trials = self.trials()
         rng = np.random.default_rng(11)
-        ids, points = np.arange(40), rng.uniform(-2, 3, (40, 2))
-        before = validate_target_coverage(ids, points, trials)
+        points = rng.uniform(-2, 3, (40, 2))
+        before = validate_target_coverage(points, trials)
         widened = trials + [
             TrialDataset(3, np.zeros(4), np.array([0, 0, 1, 1]),
                          np.array([[-5.0, -5.0], [5.0, 5.0], [0.0, 0.0], [1.0, 1.0]]),
                          ("age", "weight"))
         ]
-        after = validate_target_coverage(ids, points, widened)
-        for fb, fa in zip(before, after):
-            assert set(fa.out_of_range) <= set(fb.out_of_range)
+        after = validate_target_coverage(points, widened)
+        assert before.any() and not (after & ~before).any()
 
     def test_dimension_mismatch_is_hard_error(self):
         trials = self.trials()
         want = "points have shape (1, 3), expected (P, 2)"
         with pytest.raises(DimensionMismatchError, match=re.escape(want)):
-            validate_target_coverage([0], np.zeros((1, 3)), trials)
-        with pytest.raises(DimensionMismatchError, match="1 points for 2 profile ids"):
-            validate_target_coverage([0, 1], np.zeros((1, 2)), trials)
+            validate_target_coverage(np.zeros((1, 3)), trials)
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match="points must be finite"):
-                validate_target_coverage([0], np.array([[value, 0.0]]), trials)
+                validate_target_coverage(np.array([[value, 0.0]]), trials)
 
 
 class TestLearnerUniformity:
