@@ -17,14 +17,15 @@ alone, so Stage 2 loads no SciPy module.
 
 All of Stage 2 is one array kernel over P profiles with any mix of K
 (:func:`pool_profiles`), and each of its results is a (P,) array.  Inside it
-the profiles are sorted by K, largest first, and their values are stored
-studies-major: block k holds study k + 1 of every profile that has one, and
-those are the first profiles.  Every sum over a profile's studies is a
-running sum in study order, kept in code (``acc[:m_k] += block_k``) rather
-than left to numpy's reductions, whose order depends on an array's shape and
-memory layout.  So a profile pools to the same bits alone as in a batch,
-whatever the other profiles' K, their order or the input's memory layout.
-Up to K = 7 these are also the bits of numpy's row sums.
+the profiles are sorted by K, largest first, and their values form a (K, P)
+array: column j holds profile j's studies in rows 0 to K_j - 1, so row k
+holds study k + 1 of the first m[k] profiles.  Every sum over a profile's
+studies is a running sum in study order, kept in code
+(``acc[:m_k] += row_k[:m_k]``) rather than left to numpy's reductions, whose
+order depends on an array's shape and memory layout.  So a profile pools to
+the same bits alone as in a batch, whatever the other profiles' K, their
+order or the input's memory layout.  Up to K = 7 these are also the bits of
+numpy's row sums.
 """
 
 from __future__ import annotations
@@ -44,10 +45,11 @@ from .errors import EstimationError, InsufficientStudiesError
 # its lower half for K >= 3 (``_reml_rows``).  0 is an exact grid point, as
 # the theta2 = 0 comparison needs.
 _GRID_FRAC = np.linspace(0.0, 1.0, 17) ** 3
-# Stage 2 runs on chunks of at most this many profiles and values, which
-# bounds its temporaries: 512 x 17 floats (70 kB) in the likelihood scan and
-# 8,192 floats (64 kB) elsewhere.  Larger ones raise a run's peak resident
-# memory; smaller ones cost time, as each chunk runs its own numpy calls.
+# Stage 2 runs on chunks of at most this many profiles and (K, P) cells,
+# padding included, which bounds its temporaries: 512 x 17 floats (70 kB) in
+# the likelihood scan and 8,192 floats (64 kB) elsewhere.  Larger ones raise
+# a run's peak resident memory; smaller ones cost time, as each chunk runs its
+# own numpy calls.
 _CHUNK_PROFILES = 512
 _CHUNK_VALUES = 8192
 _NEWTON_RTOL = 1e-12
@@ -105,60 +107,43 @@ class PooledProfiles:
     diagnostics: Counter
 
 
-# A layout is (tau, v, m): profiles sorted by K, largest first, and their
-# values studies-major.  m[k] is the number of profiles with more than k
-# studies, so block k, the next m[k] values, holds study k + 1 of the first
-# m[k] profiles, and m[0] is the number of profiles.
-
-
-def _value_profiles(m):
-    """The profile of each value of a layout with block sizes ``m``."""
-    return np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+# A layout is (tau, v, m): (K, P) arrays of profiles sorted by K, largest
+# first, and m[k] the number of profiles with more than k studies.  Column j
+# holds profile j's studies in rows 0 to K_j - 1, so row k holds study k + 1
+# of the first m[k] profiles, and m[0] is the number of profiles.  A cell
+# below a short column repeats its profile's first study: element-wise work
+# on it meets only values the profile has, and no fold reads it.
 
 
 def _study_counts(m):
-    """K of each profile of a layout: the number of blocks that hold it."""
+    """K of each profile of a layout: the number of rows that hold it."""
     return np.searchsorted(-m, -np.arange(m[0]))
 
 
-def _blocks(m):
-    """(slice of its values, its size) of each block of a layout."""
-    ends = np.cumsum(m).tolist()
-    return [(slice(end - size, end), size) for end, size in zip(ends, m.tolist())]
-
-
 def _fold(op, values, m, initial):
-    """Per-profile fold of a layout's ``values`` (first axis) over its studies,
-    in study order: ``acc[:m[k]] = op(acc[:m[k]], block k)`` from ``initial``.
+    """Per-profile fold of a layout's ``values`` (K, P, ...) over its studies,
+    in study order: ``acc[:m[k]] = op(acc[:m[k]], values[k, :m[k]])`` from
+    ``initial``.
 
     ``np.add`` from 0.0 is the running sum study 1 + study 2 + ... that every
     Stage-2 sum over studies uses.  numpy's ``.sum(axis=...)`` is not used:
     whether it sums pairwise or one value at a time depends on the array's
     shape and memory layout, and so would a profile's bits.
     """
-    acc = np.full((m[0], *values.shape[1:]), initial)
-    for block, size in _blocks(m):
+    acc = np.full(values.shape[1:], initial)
+    for row, size in zip(values, m.tolist()):
         part = acc[:size]
-        op(part, values[block], out=part)
+        op(part, row[:size], out=part)
     return acc
-
-
-def _select(rows, m):
-    """Block sizes of the profiles ``rows`` (increasing indices) of a layout
-    with block sizes ``m``, and each of their values' profile and block."""
-    sizes = np.searchsorted(rows, m)  # block k holds the rows below m[k]
-    sizes = sizes[sizes > 0]
-    within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return sizes, rows[within], np.repeat(np.arange(sizes.size), sizes)
 
 
 def _take(rows, tau, v, m):
     """The profiles ``rows`` (increasing indices) of a layout, as a layout."""
     if rows.size == m[0]:
         return tau, v, m
-    sizes, profile, block = _select(rows, m)
-    index = (np.cumsum(m) - m)[block] + profile
-    return tau[index], v[index], sizes
+    sizes = np.searchsorted(rows, m)  # row k holds the profiles below m[k]
+    sizes = sizes[sizes > 0]
+    return tau[:sizes.size, rows], v[:sizes.size, rows], sizes
 
 
 def _profile_log_likelihood(theta2, tau, v, m):
@@ -166,22 +151,22 @@ def _profile_log_likelihood(theta2, tau, v, m):
     ``theta2`` values, shape (P, T) like ``theta2``.  Constant terms that do
     not involve theta2 are dropped.
 
-    The sums over studies run block by block, so the temporaries are (P, T).
+    The sums over studies run row by row, so the temporaries are (P, T).
     """
     log_total, sw, swt, spread = np.zeros((4, *theta2.shape))  # running sums
-    v_col, tau_col = v[:, None], tau[:, None]
-    columns = [(v_col[block], tau_col[block], size) for block, size in _blocks(m)]
+    studies = [(v[k, :size, None], tau[k, :size, None], size)
+               for k, size in enumerate(m.tolist())]
     # An se2 near either end of the float range overflows to inf on the way;
     # a likelihood that is not finite reads as -inf.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for v_k, tau_k, size in columns:
+        for v_k, tau_k, size in studies:
             total = v_k + theta2[:size]
             w = 1.0 / total
             for acc, term in ((log_total, np.log(total)), (sw, w), (swt, w * tau_k)):
                 part = acc[:size]
                 np.add(part, term, out=part)
         mu = swt / sw
-        for v_k, tau_k, size in columns:
+        for v_k, tau_k, size in studies:
             w = 1.0 / (v_k + theta2[:size])
             part = spread[:size]
             np.add(part, ((tau_k - mu[:size]) ** 2) * w, out=part)
@@ -197,15 +182,14 @@ def _score(theta2, tau, v, m):
         slope = (-2 S(w^3 r^2) + 2 S(w^2 r)^2/S(w) + S(w^2) - 2 S(w^3)/S(w)
                  + (S(w^2)/S(w))^2) / 2,  S summing over studies.
     """
-    profile = _value_profiles(m)
-    w = 1.0 / (v + theta2[profile])
-    sw, swt = _fold(np.add, np.stack([w, w * tau], axis=1), m, 0.0).T
-    r = tau - (swt / sw)[profile]
-    terms = np.empty((w.size, 5))  # w^2 r^2, w^3 r^2, w^2 r, w^2, w^3, in place
-    w2, w3 = np.multiply(w, w, out=terms[:, 3]), terms[:, 4]
+    w = 1.0 / (v + theta2)
+    sw, swt = _fold(np.add, np.stack([w, w * tau], axis=-1), m, 0.0).T
+    r = tau - swt / sw
+    terms = np.empty((*w.shape, 5))  # w^2 r^2, w^3 r^2, w^2 r, w^2, w^3, in place
+    w2, w3 = np.multiply(w, w, out=terms[..., 3]), terms[..., 4]
     np.multiply(w2, w, out=w3)
-    np.multiply(np.multiply(w2, r, out=terms[:, 2]), r, out=terms[:, 0])
-    np.multiply(np.multiply(w3, r, out=terms[:, 1]), r, out=terms[:, 1])
+    np.multiply(np.multiply(w2, r, out=terms[..., 2]), r, out=terms[..., 0])
+    np.multiply(np.multiply(w3, r, out=terms[..., 1]), r, out=terms[..., 1])
     s2r2, s3r2, s2r, s2, s3 = _fold(np.add, terms, m, 0.0).T
     ratio = s2 / sw
     score = 0.5 * (s2r2 - sw + ratio)
@@ -286,7 +270,7 @@ def _reml_rows(tau, v, m, counts):
     Equal estimates give theta2 = 0 without a search, and a theta2 that
     overflows raises ``EstimationError``.
     """
-    high, low = _fold(np.maximum, np.stack([tau, -tau], axis=1), m, -np.inf).T
+    high, low = _fold(np.maximum, np.stack([tau, -tau], axis=-1), m, -np.inf).T
     low = -low
     theta2 = np.zeros(m[0])
     active = high > low
@@ -295,14 +279,13 @@ def _reml_rows(tau, v, m, counts):
         t, s, sizes = _take(rows, tau, v, m)
         # Halving is exact and monotone: this is the range of tau_hat / 2.
         e = np.frexp(0.5 * high[rows] - 0.5 * low[rows])[1] + 1
-        profile = _value_profiles(sizes)
         with np.errstate(over="ignore", under="ignore"):
-            t = np.ldexp(t, -e[profile])
+            t = np.ldexp(t, -e)
             # An se2 past the float range in these units weighs nothing.
-            s = np.minimum(np.ldexp(s, -2 * e[profile]), np.finfo(np.float64).max)
+            s = np.minimum(np.ldexp(s, -2 * e), np.finfo(np.float64).max)
         k = _study_counts(sizes)
         # np.var(t, ddof=1), its sums taken in study order
-        deviation = t - (_fold(np.add, t, sizes, 0.0) / k)[profile]
+        deviation = t - _fold(np.add, t, sizes, 0.0) / k
         variance = _fold(np.add, deviation * deviation, sizes, 0.0) / (k - 1)
         bound = 10.0 * variance + _fold(np.maximum, s, sizes, -np.inf)
         x = _solve(t, s, sizes, bound, counts)
@@ -319,43 +302,42 @@ def _pool_rows(tau, v, m, theta2, equal):
     (tau_pooled, var_pooled).  ``equal`` marks the profiles whose estimates
     are all equal.
 
-    A profile with all weights infinite (se2 + theta2 zero, or too small for
-    its inverse to be a float) and equal estimates pools to that estimate
-    with variance 0; any other infinite weight is an error.  A profile of
-    finite weights whose sum or weighted sum overflows is pooled on its
-    weights times 2**-e, e the exponent of its largest weight; the scaling is
-    exact and leaves the other profiles alone.  If that profile still
-    overflows, it is an error.
+    A profile with an infinite weight (se2 + theta2 zero, or too small for
+    its inverse to be a float) pools to its estimate with variance 0 when its
+    estimates are all equal, whatever its other weights: every weighting of
+    equal estimates gives that estimate.  An infinite weight on unequal
+    estimates is an error.  A profile of finite weights whose sum or weighted
+    sum overflows is pooled on its weights times 2**-e, e the exponent of its
+    largest weight; the scaling is exact and leaves the other profiles alone.
+    If that profile still overflows, it is an error.
     """
     with np.errstate(divide="ignore", over="ignore"):
-        w = 1.0 / (v + theta2[_value_profiles(m)])
+        w = 1.0 / (v + theta2)
     with np.errstate(invalid="ignore", over="ignore"):
-        sw, weighted = _fold(np.add, np.stack([w, w * tau], axis=1), m, 0.0).T
+        sw, weighted = _fold(np.add, np.stack([w, w * tau], axis=-1), m, 0.0).T
         tau_pooled = weighted / sw
         var_pooled = 1.0 / sw
     # An infinite weight makes its profile's sum infinite too.
     rows = np.flatnonzero(~(np.isfinite(sw) & np.isfinite(weighted)))
     if rows.size:
         w_bad, tau_bad, sizes = _take(rows, w, tau, m)
-        zero = np.isinf(w_bad)
-        degenerate = _fold(np.logical_or, zero, sizes, False)
+        degenerate = _fold(np.logical_or, np.isinf(w_bad), sizes, False)
         overflow = ~degenerate
         if overflow.any():
             scaled, tau_over, sizes_over = _take(np.flatnonzero(overflow), w_bad, tau_bad, sizes)
             e = np.frexp(_fold(np.maximum, scaled, sizes_over, -np.inf))[1]
-            scaled = np.ldexp(scaled, -e[_value_profiles(sizes_over)])
+            scaled = np.ldexp(scaled, -e)
             with np.errstate(over="ignore", invalid="ignore"):
-                sw, weighted = _fold(np.add, np.stack([scaled, scaled * tau_over], axis=1),
+                sw, weighted = _fold(np.add, np.stack([scaled, scaled * tau_over], axis=-1),
                                      sizes_over, 0.0).T
                 tau_pooled[rows[overflow]] = weighted / sw
             var_pooled[rows[overflow]] = np.ldexp(1.0 / sw, -e)
             if not np.isfinite(tau_pooled[rows[overflow]]).all():
                 raise EstimationError("the pooled estimate overflows")
         if degenerate.any():
-            if not np.all((_fold(np.logical_and, zero, sizes, True) & equal[rows])[degenerate]):
+            if not equal[rows][degenerate].all():
                 raise EstimationError("degenerate variance: some 1/(se2 + theta2) are infinite")
-            first_study = tau_bad[:rows.size]  # block 0
-            tau_pooled[rows[degenerate]] = first_study[degenerate]
+            tau_pooled[rows[degenerate]] = tau_bad[0, degenerate]
             var_pooled[rows[degenerate]] = 0.0
     return tau_pooled, var_pooled
 
@@ -381,59 +363,63 @@ def _half_width(var_pooled, theta2, alpha: float, k):
 
 
 def _sorted_profiles(tau, v, k):
-    """Validate Stage-2 inputs: ``(tau, v, first, m, order)``, where ``tau``
-    and ``v`` hold each profile's values one profile after another, ``order``
-    lists the profiles by K, largest first (the order of a layout), ``first``
-    is where each of them starts, and ``m`` the block sizes of their layout.
+    """Validate Stage-2 inputs: ``(tau, v, first, stride, ks, order)``, where
+    ``order`` lists the profiles by K, largest first (the order of a layout),
+    ``ks`` holds their K in that order, and study s of the profile at
+    ``order[j]`` is ``tau[first[j] + stride * s]`` of the flattened ``tau``
+    (and of ``v``).
 
     With ``k`` None, ``tau`` and ``v`` are (K, P) arrays, one column per
-    profile.  Otherwise ``k`` holds each profile's study count (>= 2) and
-    ``tau`` and ``v`` its values, profile after profile.  Every tau_hat must
-    be finite and every se2 >= 0.  An infinite se2 gives its study weight 0,
-    but a profile needs at least one finite se2.
+    profile, and the stride is P.  Otherwise ``k`` holds each profile's study
+    count (>= 2) and ``tau`` and ``v`` its values, profile after profile, and
+    the stride is 1.  Every tau_hat must be finite and every se2 >= 0.  An
+    infinite se2 gives its study weight 0, but a profile needs at least one
+    finite se2.
     """
     tau = np.asarray(tau, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if k is None:
         if tau.shape != v.shape or tau.ndim != 2 or tau.shape[0] < 2:
             raise ValueError("tau and v must both be (K, n_profiles) with K >= 2")
-        k = np.full(tau.shape[1], tau.shape[0])
-        tau, v = tau.T.ravel(), v.T.ravel()
+        n_studies, stride = tau.shape
+        k, first = np.full(stride, n_studies), np.arange(stride)
+        weightless = np.isinf(v).all(axis=0)
     else:
         k = np.asarray(k)
         if (k.ndim != 1 or k.dtype.kind not in "iu" or not (k >= 2).all()
                 or tau.shape != v.shape or tau.shape != (k.sum(),)):
             raise ValueError("k must hold integer study counts >= 2, and tau and v "
                              "their sum(k) values, profile after profile")
-        k = k.astype(np.intp)
+        k, stride = k.astype(np.intp), 1
+        first = np.cumsum(k) - k
+        weightless = np.logical_and.reduceat(np.isinf(v), first)
     if not np.isfinite(tau).all():
         raise EstimationError("tau_hat must be finite")
     if not (v >= 0.0).all():  # also false for NaN
         raise EstimationError("se2 must be >= 0 and not NaN")
-    starts = np.cumsum(k) - k
-    if np.logical_and.reduceat(np.isinf(v), starts).any():
+    if weightless.any():
         raise EstimationError("a profile needs at least one finite se2")
     order = np.argsort(-k, kind="stable")
-    # m[j] = the number of profiles with more than j studies
-    m = np.cumsum(np.bincount(k, minlength=k.max(initial=1) + 1)[::-1])[::-1][1:]
-    return tau, v, starts[order], m, order
+    return tau.ravel(), v.ravel(), first[order], stride, k[order], order
 
 
-def _chunks(tau, v, first, m):
-    """The profiles of a layout in consecutive runs, each of at most
-    ``_CHUNK_PROFILES`` profiles and ``_CHUNK_VALUES`` values (or of one
-    profile): ``(rows, tau, v, m)`` of each run, its values gathered from the
-    profile-after-profile ``tau`` and ``v`` into a layout of their own."""
-    ends = np.cumsum(_study_counts(m))
+def _chunks(tau, v, first, stride, ks):
+    """The profiles of :func:`_sorted_profiles` in consecutive runs,
+    ``(rows, tau, v, m)`` of each: its values gathered from the flattened
+    inputs into a layout of its own by one index, ``first + stride * study``,
+    whose padding cells point at study 0.  A run of profiles of K studies
+    and less holds at most ``_CHUNK_PROFILES`` and ``_CHUNK_VALUES // K`` of
+    them (at least one), so its layout has at most ``_CHUNK_VALUES`` cells,
+    padding included."""
     start = 0
-    while start < m[0]:
-        done = ends[start - 1] if start else 0
-        stop = int(np.searchsorted(ends, done + _CHUNK_VALUES, side="right"))
-        rows = np.arange(start, min(max(stop, start + 1), start + _CHUNK_PROFILES))
-        sizes, profile, block = _select(rows, m)
-        index = first[profile] + block
-        yield rows, tau[index], v[index], sizes
-        start = rows[-1] + 1
+    while start < ks.size:
+        stop = min(ks.size, start + _CHUNK_PROFILES, start + max(1, _CHUNK_VALUES // ks[start]))
+        run = ks[start:stop]
+        study = np.arange(run[0])[:, None]
+        index = first[start:stop] + stride * np.where(study < run, study, 0)
+        m = np.count_nonzero(run > study, axis=1)  # profiles with more than s studies
+        yield slice(start, stop), tau[index], v[index], m
+        start = stop
 
 
 def _in_input_order(order, values):
@@ -462,13 +448,13 @@ def pool_profiles(tau: np.ndarray, v: np.ndarray, alpha: float = 0.05,
     profiles with any mix of K.  A profile with K = 2 has a NaN half-width.
     A profile gets the same bits whatever the other profiles are.
     """
-    tau, v, first, m, order = _sorted_profiles(tau, v, k)
+    *inputs, ks, order = _sorted_profiles(tau, v, k)
     counts = Counter(reml_boundary_hits=0, reml_bisection_fallbacks=0)
     theta2, tau_pooled, var_pooled = np.empty((3, order.size))
-    for rows, *part in _chunks(tau, v, first, m):
+    for rows, *part in _chunks(*inputs, ks):
         theta2[rows], equal = _reml_rows(*part, counts)
         tau_pooled[rows], var_pooled[rows] = _pool_rows(*part, theta2[rows], equal)
-    half = _half_width(var_pooled, theta2, alpha, _study_counts(m))
+    half = _half_width(var_pooled, theta2, alpha, ks)
     return PooledProfiles(*(_in_input_order(order, a)
                             for a in (theta2, tau_pooled, var_pooled, half)), counts)
 

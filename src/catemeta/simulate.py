@@ -366,7 +366,8 @@ def _stage1(config: SimConfig, params, oracle: bool, states, points, work=None):
 
 def _pool_block(fitted, alpha: float):
     """Stage 2 of the ``(replication, tau, v)`` entries of ``fitted`` in one
-    :func:`pool_profiles` call over their side-by-side (K, P) columns.
+    :func:`pool_profiles` call over their side-by-side (K, P) columns, which
+    it reads chunk by chunk from that array as it stands.
 
     A profile pools to the same bits alone as in a batch, so the call gives
     each replication what its own call gives.  If the call raises, each

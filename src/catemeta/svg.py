@@ -182,7 +182,10 @@ def _box_stats(values: np.ndarray):
 
 
 def coverage_boxplot_svg(tables, digest: str = "") -> str:
-    """Boxplot of per-profile coverage, one box per Stage-1 method."""
+    """Boxplot of per-profile coverage, one box per Stage-1 method.
+
+    Each table needs an effective replication, and so finite coverage:
+    ``simulate`` stops before it plots a method that has none."""
     canvas = _Canvas("Per-profile coverage by method", digest)
     scale = _YScale(0.0, 1.0)
     _frame(canvas, scale, "stage-1 method", "coverage")
@@ -190,12 +193,8 @@ def coverage_boxplot_svg(tables, digest: str = "") -> str:
     n = len(tables)
     for g, table in enumerate(tables):
         values = np.asarray(table.coverage, dtype=np.float64)
-        values = values[np.isfinite(values)]
         center_x = _MARGIN_LEFT + span * (g + 0.5) / n
         half = min(40.0, span / (3.0 * n))
-        if not values.size:  # every replication aborted: label only, no box
-            canvas.text(center_x, _HEIGHT - _MARGIN_BOTTOM + 16, table.method, anchor="middle")
-            continue
         q1, med, q3, w_lo, w_hi, outliers = _box_stats(values)
         canvas.line(center_x, scale(w_lo), center_x, scale(q1), _AXIS_COLOR)
         canvas.line(center_x, scale(q3), center_x, scale(w_hi), _AXIS_COLOR)

@@ -110,9 +110,9 @@ def test_criterion_03_length_increases_with_heterogeneity():
 
 def loglik(grid, tau, v):
     """Restricted log likelihood of one profile's K estimates at each grid point."""
-    one_value_a_block = np.ones(len(tau), dtype=np.intp)
-    return _profile_log_likelihood(grid[None], np.asarray(tau, dtype=np.float64),
-                                   np.asarray(v, dtype=np.float64), one_value_a_block)[0]
+    column = np.ones(len(tau), dtype=np.intp)  # row sizes of a (K, 1) layout
+    return _profile_log_likelihood(grid[None], np.asarray(tau, dtype=np.float64)[:, None],
+                                   np.asarray(v, dtype=np.float64)[:, None], column)[0]
 
 
 def grid_argmax(tau, v, upper, coarse=1e-3, fine=1e-6):

@@ -543,6 +543,18 @@ class TestPredict:
         assert (out / "predictions.csv").read_text().splitlines()[1] == (
             "0,1.0,0.999999,-3.968273560397029,5.968273560397029,2,crosses_zero")
 
+    def test_equal_estimates_with_some_zero_se2_are_a_point(self, tmp_path, capsys):
+        # Every weighting of equal estimates gives that estimate, and a zero
+        # se2 a variance of 0; this used to exit 1 ("degenerate variance").
+        agg = tmp_path / "agg.csv"
+        agg.write_text("profile_id,study_id,tau_hat,se2\n"
+                       "0,1,0.3,0\n0,2,0.3,0.1\n0,3,0.3,0.2\n")
+        out = tmp_path / "x"
+        assert run(["predict", "--aggregates", agg, "--out-dir", out]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "predictions.csv").read_text().splitlines()[1] == (
+            "0,0.3,0.0,0.3,0.3,1,positive")
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tau, se2, row", [
         ("1.0", "1e-308", "0,1.0,0.0,1.0,1.0,1,positive"),

@@ -32,9 +32,9 @@ def theta2_of(tau, v):
 
 
 def one_profile(tau, v):
-    """One profile's K estimates as a Stage-2 layout (tau, v, m): one value a block."""
-    tau = np.asarray(tau, dtype=np.float64)
-    return tau, np.asarray(v, dtype=np.float64), np.ones(tau.size, dtype=np.intp)
+    """One profile's K estimates as a Stage-2 layout (tau, v, m): a (K, 1) column."""
+    tau = np.asarray(tau, dtype=np.float64)[:, None]
+    return tau, np.asarray(v, dtype=np.float64)[:, None], np.ones(tau.size, dtype=np.intp)
 
 
 def loglik(theta2, tau, v):
@@ -135,10 +135,9 @@ class TestRemlTheta2:
         theta2 = reml_theta2_batch(tau, v)
         inside = theta2 > 0.0
         assert inside.sum() > 25
-        # (K, P) columns in C order are a layout: study k of every profile in block k
+        # Profiles of one K are a layout as they stand: study k of each in row k
         k, n = tau[:, inside].shape
-        score, slope = _score(theta2[inside], tau[:, inside].ravel(), v[:, inside].ravel(),
-                              np.full(k, n))
+        score, slope = _score(theta2[inside], tau[:, inside], v[:, inside], np.full(k, n))
         assert np.all(np.abs(score / slope) <= 1e-11 * (1.0 + theta2[inside]))
 
     def test_batch_shape_validation(self):
@@ -695,10 +694,14 @@ class TestPoolProfiles:
         assert batch.half_width.tolist() == [0.0, 0.0]
 
     def test_some_zero_variance_is_error(self):
+        # An infinite weight is an error on unequal estimates only: every
+        # weighting of equal estimates gives that estimate, with variance 0.
         tau = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
         v = np.array([[0.0, 0.5], [0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(EstimationError):
-            pool_profiles(tau, v)
+        batch = pool_profiles(tau, v)
+        assert (batch.tau_pooled[0], batch.var_pooled[0], batch.half_width[0]) == (1.0, 0.0, 0.0)
+        with pytest.raises(EstimationError, match="degenerate variance"):
+            pool_at([1.0, 2.0], [0.0, 1.0], theta2=0.0)
 
     @pytest.mark.parametrize("c", [1e-150, 1e-6, 1e-5, 1e80, 1e120, 1e150])
     def test_theta2_scales_with_the_square_of_the_units(self, c):
@@ -887,10 +890,10 @@ def pooling_blocks(draw):
     """(profiles, n_a): (tau, v) profiles of three kinds, at least one of each,
     to be split after the first n_a, all with one K from 2 to 30 or each with
     its own, and at times one part of K = 2 profiles only: all-equal
-    estimates (theta2 = 0 without a search; with se2 all 0, the degenerate
-    equal-weight pooling), estimates close together next to their se2
-    (theta2 = 0 by the boundary comparison) and spread estimates with small
-    equal se2, whose theta2 is about a tenth of the search bound."""
+    estimates (theta2 = 0 without a search; with some or all se2 0, the
+    degenerate pooling to the estimate), estimates close together next to
+    their se2 (theta2 = 0 by the boundary comparison) and spread estimates
+    with small equal se2, whose theta2 is about a tenth of the search bound."""
     kinds = ["equal", "zero", "spread"] + draw(
         st.lists(st.sampled_from(["equal", "zero", "spread"]), max_size=9), label="kinds")
     kinds = draw(st.permutations(kinds), label="order")
@@ -909,8 +912,8 @@ def pooling_blocks(draw):
         mid = draw(center)
         if kind == "equal":
             tau = np.full(k, mid)
-            v = (np.zeros(k) if draw(st.booleans()) else  # pooled with equal weights
-                 np.array(draw(st.lists(st.floats(1e-3, 5.0), min_size=k, max_size=k))))
+            v = np.array(draw(st.lists(st.floats(1e-3, 5.0), min_size=k, max_size=k)))
+            v[:draw(st.integers(0, k), label="zero se2")] = 0.0  # none, some or all
         elif kind == "zero":
             jitter = draw(st.lists(st.floats(-1e-3, 1e-3), min_size=k, max_size=k))
             tau = mid + np.array(jitter)
@@ -1076,6 +1079,28 @@ class TestMixedK:
             for name in FIELDS:
                 assert bits(getattr(other, name)) == bits(getattr(base, name))
 
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(mixed_profiles(max_profiles=20), stage2_inputs(max_profiles=8))
+    def test_chunk_boundaries_leave_the_bits(self, profiles, inputs):
+        # Runs of at most 3 profiles and 20 cells: runs of mixed K with
+        # padding cells, and runs of one profile wider than the cap.
+        tau, v = inputs
+        empty = [(np.zeros((3, 0)), np.zeros((3, 0)), None),
+                 (np.zeros(0), np.zeros(0), np.array([], dtype=np.intp))]
+        default = [pool_mixed(profiles), pool_profiles(tau, v)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(meta, "_CHUNK_PROFILES", 3)
+            patch.setattr(meta, "_CHUNK_VALUES", 20)
+            small = [pool_mixed(profiles), pool_profiles(tau, v)]
+            none = [pool_profiles(tau_e, v_e, k=k_e) for tau_e, v_e, k_e in empty]
+        for base, other in zip(default, small):
+            assert other.diagnostics == base.diagnostics
+            for name in FIELDS:
+                assert bits(getattr(other, name)) == bits(getattr(base, name))
+        for pooled in none:
+            assert all(getattr(pooled, name).shape == (0,) for name in FIELDS)
+            assert sum(pooled.diagnostics.values()) == 0
+
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(mixed_profiles())
     def test_study_sums_run_left_to_right(self, profiles):
@@ -1083,9 +1108,11 @@ class TestMixedK:
         # numpy's pairwise row sums differ from K = 8 on.
         tau, v, k = flat(profiles)
         pooled = pool_profiles(tau, v, k=k)
-        values_tau, values_v, first, m, order = meta._sorted_profiles(tau, v, k)
-        index = np.concatenate([first[:size] + s for s, size in enumerate(m.tolist())])
-        layout = values_tau[index], values_v[index], m  # studies-major, by K
+        values_tau, values_v, first, stride, ks, order = meta._sorted_profiles(tau, v, k)
+        study = np.arange(ks[0])[:, None]
+        index = first + stride * np.where(study < ks, study, 0)
+        m = np.array([np.count_nonzero(ks > s) for s in range(ks[0])])
+        layout = values_tau[index], values_v[index], m  # (K, P), columns by K
         theta2 = pooled.theta2[order]
         score, slope = _score(theta2, *layout)
         equal = np.array([profiles[p][0].min() == profiles[p][0].max() for p in order.tolist()])
