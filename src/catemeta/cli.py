@@ -283,7 +283,9 @@ def cmd_predict(args) -> int:
     with manifest.phase("read"):
         pid, _, tau, se2 = read_aggregates_csv(args.aggregates)
     with manifest.phase("pool"):
-        pids, ks = np.unique(pid, return_counts=True)
+        # The rows are sorted by profile, so each profile's studies are one run.
+        ends = np.append(np.flatnonzero(pid[1:] != pid[:-1]) + 1, pid.size)
+        pids, ks = pid[ends - 1], np.diff(ends, prepend=0)
         if (ks == 1).any():
             raise InputFormatError(
                 f"profile {pids[ks == 1][0]} has only 1 study estimate; pooling needs >= 2",
@@ -291,8 +293,10 @@ def cmd_predict(args) -> int:
             )
         for p in pids[ks == 2].tolist():
             manifest.warn(f"profile {p}: K=2 studies, no prediction interval (df would be 0)")
-        # The rows are sorted by profile, so each profile's studies are contiguous.
-        pooled = pool_profiles(tau, se2, args.alpha, k=ks)
+        try:
+            pooled = pool_profiles(tau, se2, args.alpha, k=ks)
+        except ValueError as err:  # the reader checked the rows: only alpha is left
+            raise ConfigurationError(f"--alpha: {err}") from None
         manifest.diagnostics.update(pooled.diagnostics)
         center, theta2 = pooled.tau_pooled, pooled.theta2
         # K = 2 keeps NaN bounds: no interval

@@ -12,10 +12,16 @@ the line of a bad row, and it runs, on the decoded body, only where
 ``loadtxt`` fails or cannot be trusted.  A bad header, field count or value,
 or a row that breaks a reader's rules, raises one ``InputFormatError`` naming
 ``file:line``, the line on which the row starts; a line number is worked out
-only for an error.  Every table is written by ``_write_table``, a thousand
-rows at a time: integers as integers, floats with ``repr`` (the shortest
-round-tripping form), strings as they are and ``None`` as an empty field, so
-parsing our own output and writing it again is byte-identical.
+only for an error.  The aggregates and predictions readers return rows
+sorted by their keys, and a duplicate key is an error naming the line of
+the first row that repeats an earlier one (``_first_repeat``).  Rows already
+strictly in key order, as the writers leave them, are not sorted again; any
+other row order gives the same arrays.  Every table is written by
+``_write_table``, a thousand rows at a time: integers as integers, floats
+with ``repr`` (the shortest round-tripping form) and strings as they are,
+so parsing our own output and writing it again is byte-identical.  A cell
+the caller marks blank is an empty field: a K = 2 prediction's lower, upper
+and df (its flag is the empty string).
 
 Schemas:
   trials       study_id,y,a,<covariate_1>,...,<covariate_p>
@@ -32,6 +38,7 @@ from __future__ import annotations
 import codecs
 import csv
 import os
+import re
 from functools import partial
 from io import BytesIO, StringIO
 from itertools import islice
@@ -51,15 +58,7 @@ METRICS_HEADER = (
 )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-# Field text of a value, by the kind of its column's dtype; other kinds go through _fmt.
+# Field text of a value, by the kind of its column's dtype.
 _FORMATS = {"f": repr, "i": str, "U": str}
 
 
@@ -67,15 +66,20 @@ _FORMATS = {"f": repr, "i": str, "U": str}
 _WRITE_ROWS = 1024
 
 
-def _write_table(path: str, header: tuple[str, ...], columns) -> None:
-    """Write equal-length columns under ``header``, one row per index; ``None``
-    is an empty field."""
+def _write_table(path: str, header: tuple[str, ...], columns, blank=None) -> None:
+    """Write equal-length columns under ``header``, one row per index.  A cell
+    is an empty field where ``blank``, a (rows, columns) boolean array, is
+    True."""
     columns = [np.asarray(c) for c in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(columns[0]), _WRITE_ROWS):
-            texts = [list(map(_FORMATS.get(c.dtype.kind, _fmt), c[lo:lo + _WRITE_ROWS].tolist()))
+            texts = [list(map(_FORMATS[c.dtype.kind], c[lo:lo + _WRITE_ROWS].tolist()))
                      for c in columns]
+            if blank is not None:
+                rows, cols = np.nonzero(blank[lo:lo + _WRITE_ROWS])
+                for i, j in zip(rows.tolist(), cols.tolist()):
+                    texts[j][i] = ""
             fh.writelines(",".join(row) + "\n" for row in zip(*texts))
 
 
@@ -151,6 +155,8 @@ def _scan_columns(body, line: int, header: list[str], kinds, path: str) -> list[
 # float that repr writes has 24 characters.
 _TEXT_BYTES = 25
 _DTYPES = {int: "i8", float: "f8", str: f"S{_TEXT_BYTES}"}
+# A byte of a row: a body without one holds only line ends.
+_ROW_BYTE = re.compile(rb"[^\r\n]")
 
 
 def _decode(data: bytes, path: str, error=InputFormatError, line: int = 1,
@@ -243,7 +249,7 @@ def _read_columns(path: str, fixed: tuple[str, ...], kinds: tuple[type, ...],
         )
     kinds = kinds + (float,) * len(names)
     line = partial(_row_line, rest, first)
-    if ascii_body and len(rest) > data.count(b"\n", body) + data.count(b"\r", body):
+    if ascii_body and _ROW_BYTE.search(data, body):
         dtype = [(f"f{i}", _DTYPES[kind]) for i, kind in enumerate(kinds)]
         fh = BytesIO(data)
         fh.seek(body)
@@ -275,14 +281,23 @@ def _reject_nonfinite(header, columns, path: str, line) -> None:
         raise InputFormatError(f"column '{name}': not finite: {value}", path, line(i))
 
 
-def _first_repeat(*keys: np.ndarray) -> tuple[int | None, np.ndarray]:
-    """``(i, order)``: the index of the first row, in file order, whose keys
-    (equal-length columns) all equal those of an earlier row, None if no row
-    repeats one, and the stable order that sorts the rows by the keys, the
-    first key most significant."""
+def _first_repeat(*keys: np.ndarray):
+    """``(i, order, ordered)`` of equal-length key columns: the index of the
+    first row, in file order, whose keys all equal those of an earlier row
+    (None if no row repeats one), the stable order that sorts the rows by
+    the keys, the first key most significant, and the keys in that order,
+    each C-contiguous.  Keys already strictly increasing, as the writers
+    leave them, are not sorted: their order is ``slice(None)``."""
+    keys = [np.ascontiguousarray(k) for k in keys]
+    increasing = keys[-1][1:] > keys[-1][:-1]
+    for k in keys[-2::-1]:
+        increasing = (k[1:] > k[:-1]) | ((k[1:] == k[:-1]) & increasing)
+    if increasing.all():
+        return None, slice(None), keys
     order = np.lexsort(keys[::-1])  # stable: equal keys keep their file order
-    same = np.logical_and.reduce([k[order][1:] == k[order][:-1] for k in keys])
-    return (int(order[1:][same].min()) if same.any() else None), order
+    ordered = [k[order] for k in keys]
+    same = np.logical_and.reduce([k[1:] == k[:-1] for k in ordered])
+    return (int(order[1:][same].min()) if same.any() else None), order, ordered
 
 
 def first_invalid_estimate(tau_hat: np.ndarray, se2: np.ndarray) -> tuple[int, str] | None:
@@ -358,7 +373,7 @@ def read_profiles_csv(path: str, covariate_names: tuple[str, ...]
     pid = columns[0]
     if not pid.size:
         raise InputFormatError("no target profiles", path)
-    i, _ = _first_repeat(pid)
+    i, _, _ = _first_repeat(pid)
     if i is not None:
         raise InputFormatError(f"duplicate profile_id {pid[i]}", path, line(i))
     _reject_nonfinite(header, columns, path, line)
@@ -374,20 +389,21 @@ def write_aggregates_csv(path: str, profile_id, study_id, **values) -> None:
 
 
 def read_aggregates_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Aggregates as ``(profile_id, study_id, tau_hat, se2)`` arrays sorted by
-    profile_id, then study_id; each (profile, study) pair is one valid estimate."""
+    """Aggregates as ``(profile_id, study_id, tau_hat, se2)`` C-contiguous
+    arrays sorted by profile_id, then study_id; each (profile, study) pair is
+    one valid estimate.  Rows already in that order are not sorted again."""
     _, columns, line = _read_columns(path, AGGREGATE_HEADER, (int, int, float, float))
     if not columns[0].size:
         raise InputFormatError("no aggregate rows", path)
     invalid = first_invalid_estimate(columns[2], columns[3])
     if invalid is not None:
         raise InputFormatError(invalid[1], path, line(invalid[0]))
-    i, order = _first_repeat(columns[0], columns[1])
+    i, order, (pid, sid) = _first_repeat(columns[0], columns[1])
     if i is not None:
         raise InputFormatError(
             f"duplicate row for profile {columns[0][i]}, study {columns[1][i]}", path, line(i)
         )
-    return tuple(column[order] for column in columns)
+    return pid, sid, *(np.ascontiguousarray(column[order]) for column in columns[2:])
 
 
 def _parse_given(texts: np.ndarray, given: np.ndarray, kind: type, name: str, path: str,
@@ -415,6 +431,8 @@ def _parse_given(texts: np.ndarray, given: np.ndarray, kind: type, name: str, pa
 
 
 _FLAGS = np.array(["", "positive", "negative", "crosses_zero"])
+# The prediction columns a K = 2 row leaves empty; its flag is _FLAGS[0].
+_BLANK_AT_K2 = np.array([name in ("lower", "upper", "df") for name in PREDICTION_HEADER])
 
 
 def _flags(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -431,11 +449,9 @@ def write_predictions_csv(path: str, profile_id, tau_pooled, theta2, lower, uppe
     pid, tau, theta2, lower, upper, k = (
         np.asarray(c)[order] for c in (profile_id, tau_pooled, theta2, lower, upper, k)
     )
-    given = ~np.isnan(lower)
-    _write_table(path, PREDICTION_HEADER, (
-        pid, tau, theta2, np.where(given, lower, None), np.where(given, upper, None),
-        np.where(given, k - 2, None), _FLAGS[_flags(lower, upper)],
-    ))
+    _write_table(path, PREDICTION_HEADER,
+                 (pid, tau, theta2, lower, upper, k - 2, _FLAGS[_flags(lower, upper)]),
+                 blank=np.isnan(lower)[:, None] & _BLANK_AT_K2)
 
 
 def read_predictions_csv(path: str):
@@ -464,11 +480,12 @@ def read_predictions_csv(path: str):
     ):
         if bad.any():
             raise InputFormatError(message, path, line(np.argmax(bad)))
-    i, order = _first_repeat(pid)
+    i, order, (ordered,) = _first_repeat(pid)
     if i is not None:
         raise InputFormatError(f"duplicate profile_id {pid[i]}", path, line(i))
     del line  # lets go of the file's bytes, kept only to name an error's line
-    return tuple(column[order] for column in (pid, tau, theta2, lower, upper, k))
+    return ordered, *(np.ascontiguousarray(column[order])
+                      for column in (tau, theta2, lower, upper, k))
 
 
 def write_metrics_csv(path: str, tables: list) -> None:

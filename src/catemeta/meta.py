@@ -347,9 +347,7 @@ def _half_width(var_pooled, theta2, alpha: float, k):
     of each profile (``k``, one count or one per profile); NaN where K = 2,
     whose t has no degrees of freedom.
 
-    The quantile is taken from the lower tail alpha/2, which keeps its digits
-    where 1 - alpha/2 would round (to 1 below alpha of about 1.1e-16).  It
-    is worked out once per distinct K."""
+    The quantile is worked out once per distinct K by :func:`interval_t`."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be in (0, 1)")
     k = np.asarray(k)
@@ -357,9 +355,25 @@ def _half_width(var_pooled, theta2, alpha: float, k):
     # about 18 ms of a process's first call.
     present = np.bincount(k.ravel(), minlength=3)
     factor = np.full(present.size, np.nan)  # t_{K-2, 1-alpha/2} by K
-    for df in (np.flatnonzero(present[3:]) + 3).tolist():
-        factor[df] = -t_quantile(df - 2, alpha / 2.0)
+    for n in (np.flatnonzero(present[3:]) + 3).tolist():
+        factor[n] = interval_t(alpha, n - 2)
     return factor[k] * np.sqrt(var_pooled + theta2)
+
+
+def interval_t(alpha: float, df: int) -> float:
+    """t_{df, 1-alpha/2}, the factor of a level 1 - alpha interval.
+
+    The quantile is taken from the lower tail alpha/2, which keeps its digits
+    where 1 - alpha/2 would round (to 1 below alpha of about 1.1e-16).  An
+    alpha whose quantile is not a finite float raises ValueError: alpha/2
+    underflows to 0 at alpha = 5e-324, and t_1 overflows below alpha of
+    about 3.5e-309."""
+    tail = alpha / 2.0
+    t = -t_quantile(df, tail) if tail > 0.0 else math.inf
+    if not math.isfinite(t):
+        raise ValueError(f"alpha = {alpha!r} is too small: the t quantile at "
+                         f"1 - alpha/2 with df = {df} is not a finite float")
+    return t
 
 
 def _sorted_profiles(tau, v, k):
@@ -386,6 +400,8 @@ def _sorted_profiles(tau, v, k):
         weightless = np.isinf(v).all(axis=0)
     else:
         k = np.asarray(k)
+        if k.size == 0:  # an empty list is float64
+            k = k.astype(np.intp)
         if (k.ndim != 1 or k.dtype.kind not in "iu" or not (k >= 2).all()
                 or tau.shape != v.shape or tau.shape != (k.sum(),)):
             raise ValueError("k must hold integer study counts >= 2, and tau and v "

@@ -28,7 +28,7 @@ from .errors import CatemetaError, ConfigurationError
 from .forest import ForestParams, fit_causal_forest, forest_predict
 from .linear import design_stack, linear_cates_arrays
 # reml_theta2_batch is bound only for perfbench/tracing.py.
-from .meta import ndtri, pool_profiles, reml_theta2_batch  # noqa: F401
+from .meta import interval_t, ndtri, pool_profiles, reml_theta2_batch  # noqa: F401
 from .model import TrialDataset, check_integers, check_points, check_seed
 from .rng import stream, stream_states, substream
 
@@ -462,6 +462,10 @@ def run_experiment(
         raise ConfigurationError("prediction intervals need k_studies >= 3")
     if not (0.0 < alpha < 1.0):
         raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
+    try:
+        interval_t(alpha, config.k_studies - 2)
+    except ValueError as err:
+        raise ConfigurationError(str(err)) from None
     check_integers(SimpleNamespace(n_workers=n_workers), "n_workers")
     if n_workers < 1:
         raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")

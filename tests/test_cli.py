@@ -682,6 +682,50 @@ class TestPredict:
         t2 = [(1.0 - 2.0 * u) / math.sqrt(2.0 * u * (1.0 - u)) for u in (0.025, float(alpha) / 2)]
         np.testing.assert_allclose(widths[1] / widths[0], t2[1] / t2[0], rtol=1e-12)
 
+    @pytest.mark.parametrize("alpha", ["5e-324", "1e-310", "1e-300"])
+    def test_alpha_needs_a_finite_t_quantile(self, tmp_path, capsys, alpha):
+        # At K = 3, 5e-324 used to end in a "p must be in (0, 1)" traceback,
+        # and 1e-310 in -inf,inf bounds that compare-intervals refuses.
+        agg = tmp_path / "agg.csv"
+        agg.write_text("profile_id,study_id,tau_hat,se2\n"
+                       + "".join(f"{p},{s},{p + s},0.5\n" for p in (0, 1) for s in (1, 2, 3)))
+        out = tmp_path / "x"
+        code = run(["predict", "--aggregates", agg, "--alpha", alpha, "--out-dir", out])
+        err = capsys.readouterr().err
+        if alpha == "1e-300":
+            assert (code, err) == (0, "")
+            _, center, _, lower, upper, _ = read_predictions_csv(out / "predictions.csv")
+            assert np.isfinite(lower).all() and np.isfinite(upper).all()
+            assert (lower < center).all() and (center < upper).all()
+            return
+        assert code == 3
+        assert err == (f"error: --alpha: alpha = {float(alpha)!r} is too small: the t quantile "
+                       "at 1 - alpha/2 with df = 1 is not a finite float\n")
+        assert not (out / "predictions.csv").exists() and not (out / "manifest.json").exists()
+
+    def test_key_ordered_aggregates_are_not_sorted_again(self, tmp_path):
+        # estimate writes rows in (profile, study) order; sorting them again
+        # cost cli-predict about 4% of its time.  Rows in any other order are
+        # sorted, and give the same arrays and the same predictions.
+        agg = GOLDEN / "aggregates_input.csv"
+        header, *rows = agg.read_text().splitlines()
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join([header, *rows[::-1]]) + "\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.lexsort called on rows in key order")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "lexsort", refuse)
+            in_order = read_aggregates_csv(str(agg))
+            assert run(["predict", "--aggregates", agg, "--out-dir", tmp_path / "a"]) == 0
+        assert all(column.flags.c_contiguous for column in in_order)
+        again = read_aggregates_csv(str(shuffled))
+        assert [c.tolist() for c in again] == [c.tolist() for c in in_order]
+        assert run(["predict", "--aggregates", shuffled, "--out-dir", tmp_path / "b"]) == 0
+        assert ((tmp_path / "a" / "predictions.csv").read_bytes()
+                == (tmp_path / "b" / "predictions.csv").read_bytes())
+
     def test_manifest_records_reml_diagnostics(self, tmp_path):
         agg = tmp_path / "agg.csv"
         rows = ["profile_id,study_id,tau_hat,se2"]
@@ -858,6 +902,19 @@ class TestSimulate:
         rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
         lengths = np.array([float(row[3]) for row in rows])
         assert len(rows) == 200 and np.isfinite(lengths).all() and (lengths > 1e6).all()
+
+    @pytest.mark.parametrize("alpha", ["5e-324", "1e-310"])
+    def test_alpha_without_a_finite_t_quantile_exits_3(self, tmp_path, capsys, alpha):
+        # With k_studies = 3 (df = 1), 5e-324 used to end in a traceback and
+        # 1e-310 to write mean_length = inf in every row.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"k_studies = 3\nn_replications = 1\nmethods = oracle\nalpha = {alpha}\n")
+        out = tmp_path / "x"
+        assert run(["simulate", "--config", cfg, "--out-dir", out]) == 3
+        assert capsys.readouterr().err == (
+            f"error: alpha = {float(alpha)!r} is too small: the t quantile at 1 - alpha/2 "
+            "with df = 1 is not a finite float\n")
+        assert not (out / "metrics.csv").exists()
 
     def test_manifest_notes_abort_reasons(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

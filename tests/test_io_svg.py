@@ -14,6 +14,7 @@ from catemeta import ConfigurationError, InputFormatError, MetricsTable, pool_pr
 from catemeta.config import parse_sim_config
 from catemeta.io import (
     PREDICTION_HEADER,
+    _first_repeat,
     read_aggregates_csv,
     read_predictions_csv,
     read_profiles_csv,
@@ -113,16 +114,23 @@ class TestAggregatesCsv:
             assert second.read_bytes() == source.read_bytes()
 
 
+# Ids from a few values, so that keys repeat, or from the whole int64 range.
+IDS = st.sampled_from([-(2**63 - 1), -1, 0, 1, 2, 2**63 - 1]) | st.integers(-2**63, 2**63 - 1)
+
+
 class TestFirstRepeat:
     @pytest.mark.parametrize("read,text,message", [
         (read_aggregates_csv,
          "profile_id,study_id,tau_hat,se2\n0,1,1.0,0.5\n1,1,1.0,0.5\n1,1,1.0,0.5\n0,1,1.0,0.5\n",
          "duplicate row for profile 1, study 1"),
+        (read_aggregates_csv,
+         "profile_id,study_id,tau_hat,se2\n0,1,1.0,0.5\n0,2,1.0,0.5\n0,2,1.0,0.5\n1,1,1.0,0.5\n",
+         "duplicate row for profile 0, study 2"),
         (read_predictions_csv,
          ",".join(PREDICTION_HEADER) + "\n"
          + "".join(f"{p},1.0,0.5,-1.0,3.0,2,crosses_zero\n" for p in (5, 1, 5, 1)),
          "duplicate profile_id 5"),
-    ], ids=["aggregates", "predictions"])
+    ], ids=["aggregates", "aggregates-in-key-order", "predictions"])
     def test_names_the_first_row_that_repeats_an_earlier_one(self, tmp_path, read, text,
                                                              message):
         # The first repeat in sorted order used to be named: line 5 here.
@@ -130,6 +138,29 @@ class TestFirstRepeat:
         path.write_text(text)
         with pytest.raises(InputFormatError, match=f"in.csv:4: {message}$"):
             read(str(path))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(IDS, IDS), min_size=1, max_size=12),
+           arrange=st.sampled_from(["as-drawn", "sorted", "increasing"]))
+    def test_matches_a_brute_force_reference(self, rows, arrange):
+        if arrange != "as-drawn":
+            rows = sorted(set(rows) if arrange == "increasing" else rows)
+        # Strided key columns, as loadtxt parses them.
+        table = np.array(rows, dtype=[("pid", "i8"), ("sid", "i8")])
+        for keys, key_rows in (((table["pid"], table["sid"]), rows),
+                               ((table["pid"],), [(pid,) for pid, _ in rows])):
+            seen, first = set(), None
+            for i, key in enumerate(key_rows):
+                if key in seen:
+                    first = i
+                    break
+                seen.add(key)
+            order = sorted(range(len(key_rows)), key=key_rows.__getitem__)  # stable
+            i, got, ordered = _first_repeat(*keys)
+            assert i == first
+            assert np.arange(len(rows))[got].tolist() == order
+            assert [k.tolist() for k in ordered] == [k[order].tolist() for k in keys]
+            assert all(k.flags.c_contiguous for k in ordered)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -421,6 +452,22 @@ class TestPredictionsCsv:
         second = tmp_path / "again.csv"
         write_predictions_csv(str(second), *parsed)
         assert path.read_bytes() == second.read_bytes()
+
+    def test_writes_the_hand_written_text(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        big, nan = 2**63 - 1, float("nan")
+        write_predictions_csv(str(path), [big, -big, 3, 0, 5],
+                              [-0.0, 1e-05, 1e16, -1e-05, 0.5], [0.0, 5e-324, 1e-05, 0.0, 0.25],
+                              [nan, -1e16, -0.0, -2e-05, nan], [nan, 1e16, 2e16, -5e-324, nan],
+                              [2, 3, 30, 4, 2])
+        assert path.read_text() == (
+            "profile_id,tau_pooled,theta2,lower,upper,df,flag_nonoverlap\n"
+            "-9223372036854775807,1e-05,5e-324,-1e+16,1e+16,1,crosses_zero\n"
+            "0,-1e-05,0.0,-2e-05,-5e-324,2,negative\n"
+            "3,1e+16,1e-05,-0.0,2e+16,28,crosses_zero\n"
+            "5,0.5,0.25,,,,\n"
+            "9223372036854775807,-0.0,0.0,,,,\n"
+        )
 
     def test_rows_sorted_by_profile_id(self, tmp_path):
         sorted_path, shuffled_path = tmp_path / "sorted.csv", tmp_path / "shuffled.csv"

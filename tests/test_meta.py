@@ -1050,6 +1050,29 @@ class TestMixedK:
         for name in FIELDS:
             assert bits(getattr(other, name)) == bits(getattr(base, name))
 
+    @pytest.mark.parametrize("k", [[], np.array([]), np.array([], dtype=np.uint8)],
+                             ids=["list", "float", "uint8"])
+    def test_no_profiles_of_any_dtype(self, k):
+        # An empty list is float64, and used to be refused as not integer counts.
+        pooled = pool_profiles(np.zeros(0), np.zeros(0), k=k)
+        assert all(getattr(pooled, name).shape == (0,) for name in FIELDS)
+
+    @pytest.mark.parametrize("alpha, k, df", [
+        (5e-324, [3], 1), (5e-324, [4, 30], 2), (1e-310, [3, 4], 1),
+    ], ids=["underflow-df1", "underflow-df2", "overflow-df1"])
+    def test_alpha_without_a_finite_t_quantile(self, alpha, k, df):
+        # alpha / 2 underflows to 0 at 5e-324, and t_1 overflows at 1e-310:
+        # these used to raise "p must be in (0, 1)" or give infinite widths.
+        tau = np.arange(sum(k), dtype=float)
+        with pytest.raises(ValueError, match=f"alpha = {alpha!r} .*df = {df} "):
+            pool_profiles(tau, np.ones(tau.size), alpha=alpha, k=k)
+
+    @pytest.mark.parametrize("alpha, k", [(1e-300, [3, 4]), (1e-310, [4]), (1e-323, [30])])
+    def test_smallest_alphas_with_a_finite_t_quantile(self, alpha, k):
+        tau = np.arange(sum(k), dtype=float)
+        pooled = pool_profiles(tau, np.ones(tau.size), alpha=alpha, k=k)
+        assert np.isfinite(pooled.half_width).all()
+
     @pytest.mark.parametrize("k, message", [
         ([2, 1], "k must hold"), ([2.0, 2.0], "k must hold"), ([2, 3], "k must hold"),
         ([[2, 2]], "k must hold"),

@@ -235,6 +235,27 @@ def test_relabelled_study_ids_leave_the_other_columns(unscaled, stage1, relabel)
             assert new[:1] + new[2:] == old[:1] + old[2:]
 
 
+def generated_aggregates(rng, n_profiles):
+    """Aggregate rows in key order: each profile has K from 2 to 30 studies;
+    every tenth has equal estimates and every tenth, from the second, has
+    estimates so close that theta2 is 0."""
+    rows = []
+    for pid in range(n_profiles):
+        k = int(rng.integers(2, 31))
+        mu, se2 = rng.normal(), rng.uniform(0.01, 0.3, k)
+        if pid % 10 == 0:
+            tau = np.full(k, mu)
+        elif pid % 10 == 1:
+            se2 = rng.uniform(0.5, 1.0, k)
+            tau = mu + 1e-3 * rng.standard_normal(k)
+        else:
+            tau = mu + np.sqrt(rng.uniform(0.01, 0.5) + se2) * rng.standard_normal(k)
+        studies = np.sort(rng.choice(np.arange(1, 41), size=k, replace=False))
+        rows += [f"{pid},{s},{t!r},{v!r}" for s, t, v in zip(studies.tolist(), tau.tolist(),
+                                                               se2.tolist())]
+    return rows
+
+
 def test_aggregate_row_order_leaves_the_predictions(tmp_path):
     order = np.random.default_rng(31).permutation(n_rows("aggregates_input.csv"))
     tables = []
@@ -244,3 +265,18 @@ def test_aggregate_row_order_leaves_the_predictions(tmp_path):
         run(["predict", "--aggregates", aggregates, "--out-dir", out])
         tables.append((out / "predictions.csv").read_bytes())
     assert tables[0] == tables[1]
+    # 700 profiles span several Stage-2 chunks (at most 512 profiles each).
+    rng = np.random.default_rng(32)
+    rows = generated_aggregates(rng, 700)
+    tables = []
+    for name, arranged in (("in_order", rows), ("shuffled", [rows[i] for i in
+                                                             rng.permutation(len(rows))])):
+        aggregates = tmp_path / f"{name}.csv"
+        aggregates.write_text("\n".join(["profile_id,study_id,tau_hat,se2", *arranged]) + "\n")
+        run(["predict", "--aggregates", aggregates, "--out-dir", tmp_path / name])
+        tables.append((tmp_path / name / "predictions.csv").read_bytes())
+    assert tables[0] == tables[1]
+    predictions = [line.split(",") for line in tables[0].decode().splitlines()[1:]]
+    assert len(predictions) == 700
+    assert any(row[3] == "" for row in predictions)  # K = 2
+    assert any(row[2] == "0.0" for row in predictions)
