@@ -185,8 +185,7 @@ class _Tree:
 class _Chain:
     """Backfitting sampler state for one study.  ``resid`` is y minus the sum
     of trees on the data rows, then minus the sum of trees at the points.
-    ``leaves`` holds each tree's leaf count, and ``prior`` the log split prior
-    ratio of each depth reached so far."""
+    ``prior`` holds the log split prior ratio of each depth reached so far."""
 
     def __init__(self, ranks, n_cuts, y_scaled, params, rng):
         n = y_scaled.shape[0]
@@ -203,7 +202,6 @@ class _Chain:
         self.lam = sd * sd * _CHI2_Q / _NU
         self.sigma2 = sd * sd
         self.trees = [_Tree(n, ranks.shape[1], n_cuts) for _ in range(params.n_trees)]
-        self.leaves = [1] * params.n_trees
         self.prior = []
         self.resid = np.concatenate([y_scaled, np.zeros(ranks.shape[1] - n)])
         self.proposed = dict.fromkeys(_MOVES, 0)
@@ -237,12 +235,11 @@ class _Chain:
         post_sd = np.sqrt(s2 * shrink)
         lm_coef = (shrink / (2.0 * s2)).tolist()
         grow_odds, prune_odds = _MOVE_PRUNE / _MOVE_GROW, _MOVE_GROW / _MOVE_PRUNE
-        prior, leaves, proposed, accepted = self.prior, self.leaves, self.proposed, self.accepted
+        prior, proposed, accepted = self.prior, self.proposed, self.accepted
         bincount, count_nonzero, normal = np.bincount, np.count_nonzero, self.rng.standard_normal
         log, log1p = math.log, math.log1p
         uniforms = self.rng.random((len(self.trees), 5)).tolist()
-        for t, (tree, (u_move, u_node, u_col, u_cut, u_accept)) in enumerate(
-                zip(self.trees, uniforms)):
+        for tree, (u_move, u_node, u_col, u_cut, u_accept) in zip(self.trees, uniforms):
             leaf_of, rows, counts = tree.leaf_of, tree.rows, tree.counts
             resid += tree.mu[leaf_of]
             sums = bincount(rows, r, tree.mu.shape[0])
@@ -283,7 +280,6 @@ class _Chain:
                             leaf_of[(leaf_of == left) | (leaf_of == right)] = node
                             counts[node], counts[left], counts[right] = n_all, 0, 0
                             accepted["prune"] += 1
-                            leaves[t] -= 1
                             moved = True
                     else:
                         move = "change"
@@ -310,8 +306,6 @@ class _Chain:
                         leaf_of[goes_right] = right
                         counts[node], counts[left], counts[right] = 0, n_l, n_r
                         accepted[move] += 1
-                        if move == "grow":
-                            leaves[t] += 1
                         moved = True
             if moved:
                 tree.count = np.array(counts)
@@ -381,7 +375,8 @@ def fit_bart_slearner(
         chain.sweep()
         if it >= params.n_burn:
             draws[it - params.n_burn] = (0.5 - chain.resid[n:]) * y_range + y_min
-            leaf_counts[it - params.n_burn] = chain.leaves
+            leaf_counts[it - params.n_burn] = [  # L leaves use 2L - 1 slots
+                (len(tree.feature) - len(tree.free) + 1) // 2 for tree in chain.trees]
     draws.setflags(write=False)
     return BartPosterior(
         study_id=dataset.study_id,

@@ -180,6 +180,15 @@ class _Manifest:
         return 0
 
 
+def _check_two_bags(params: ForestParams, trees: str, bag_size: str):
+    """Refuse a forest of one variance bag: its se2 is a variance over bag
+    means, so one bag would put every se2 at the floor."""
+    if params.n_bags < 2:
+        raise ConfigurationError(
+            f"{trees} ({params.n_trees}) is below twice {bag_size} ({params.bag_size}): "
+            "a forest of one variance bag puts every se2 at its floor")
+
+
 def cmd_estimate(args) -> int:
     if args.stage1 == "linear":
         stage1_options = {"moderators": args.moderators}
@@ -192,6 +201,7 @@ def cmd_estimate(args) -> int:
         }
         params = ForestParams(n_trees=stage1_options["trees"], honest=args.honest,
                               bag_size=args.bag_size)
+        _check_two_bags(params, "--trees", "--bag-size")
     else:
         stage1_options = {
             "trees": BartParams.n_trees if args.trees is None else args.trees, "burn": args.burn,
@@ -317,13 +327,18 @@ def cmd_compare_intervals(args) -> int:
                          {"profiles": args.profile}, args.seed)
     with manifest.phase("read"):
         pid, sid, tau, se2 = read_aggregates_csv(args.aggregates)
-        pred_pid, center, _, lower, upper, _ = read_predictions_csv(args.predictions)
+        pred_pid, center, _, lower, upper, pred_k = read_predictions_csv(args.predictions)
     per_profile = []
     for wanted in args.profile:
         in_profile = pid == wanted
         row = np.searchsorted(pred_pid, wanted)
         if not in_profile.any() or row == pred_pid.size or pred_pid[row] != wanted:
             raise InputFormatError(f"unknown profile id {wanted}")
+        n_studies = int(np.count_nonzero(in_profile))
+        if n_studies != pred_k[row]:
+            raise InputFormatError(f"profile {wanted} has {n_studies} studies, but its "
+                                   f"prediction was pooled from K = {pred_k[row]}",
+                                   args.aggregates)
         if np.isnan(lower[row]):
             raise InputFormatError(f"profile {wanted} has no prediction interval")
         studies = [
@@ -339,8 +354,10 @@ def cmd_compare_intervals(args) -> int:
 
 def cmd_simulate(args) -> int:
     config, options = parse_sim_config(args.config)
-    manifest = _Manifest("simulate", args.out_dir, [args.config], {}, config.master_seed)
     forest_params = ForestParams(n_trees=options.forest_trees, bag_size=options.forest_bag_size)
+    if any(method.startswith("forest") for method in options.methods):
+        _check_two_bags(forest_params, "forest_trees", "forest_bag_size")
+    manifest = _Manifest("simulate", args.out_dir, [args.config], {}, config.master_seed)
     bart_params = BartParams(
         n_trees=options.bart_trees, n_burn=options.bart_burn, n_draws=options.bart_draws
     )

@@ -10,12 +10,16 @@ class DimensionMismatchError(CatemetaError):
 
 
 class SingularDesignError(CatemetaError):
-    """Regression design matrix is rank deficient."""
+    """A study's regression design matrix is rank deficient."""
 
-    def __init__(self, column_name: str):
+    def __init__(self, column_name: str, study_id: int):
         self.column_name = column_name
-        super().__init__(f"design matrix is singular: column '{column_name}' "
-                         "is linearly dependent on earlier columns")
+        self.study_id = study_id
+        super().__init__(f"study {study_id}: design matrix is singular: column "
+                         f"'{column_name}' is linearly dependent on earlier columns")
+
+    def __reduce__(self):  # a worker process's error pickles with both fields
+        return type(self), (self.column_name, self.study_id)
 
 
 class InsufficientDataError(CatemetaError):

@@ -155,7 +155,7 @@ def fit_causal_forest(dataset: TrialDataset, params: ForestParams) -> CausalFore
         or params.subsample_fraction * n_control / divisor < params.min_leaf_control
     ):
         raise InsufficientDataError(
-            "subsample too small for the per-arm leaf minima: "
+            f"study {dataset.study_id}: subsample too small for the per-arm leaf minima: "
             f"{n_treated} treated / {n_control} control rows at fraction "
             f"{params.subsample_fraction}"
         )

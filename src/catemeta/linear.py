@@ -105,7 +105,7 @@ def _fit_arrays(x, a, y, mods: tuple[int, ...], names, study_ids, stack=None):
     q = _n_coefficients(p, mods)
     if n < q:
         raise InsufficientDataError(
-            f"need at least {q} rows to fit {q} coefficients, got {n}"
+            f"study {study_ids[0]}: need at least {q} rows to fit {q} coefficients, got {n}"
         )
     # Row j of a study is design column j, and row q its outcomes: the
     # transpose hands LAPACK each [design | y] in the column-major layout
@@ -154,7 +154,7 @@ def _fit_arrays(x, a, y, mods: tuple[int, ...], names, study_ids, stack=None):
             for j in range(q):
                 s_j = np.linalg.svd(r_aug[i, : j + 1, : j + 1], compute_uv=False)
                 if np.count_nonzero(s_j > _RANK_RTOL * s_j[0]) <= j:
-                    raise SingularDesignError(_column_names(names, mods)[j])
+                    raise SingularDesignError(_column_names(names, mods)[j], study_ids[i])
         if not finite[i]:
             raise EstimationError(
                 f"study {study_ids[i]}: the least-squares coefficients or "

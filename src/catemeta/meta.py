@@ -115,11 +115,6 @@ class PooledProfiles:
 # on it meets only values the profile has, and no fold reads it.
 
 
-def _study_counts(m):
-    """K of each profile of a layout: the number of rows that hold it."""
-    return np.searchsorted(-m, -np.arange(m[0]))
-
-
 def _fold(op, values, m, initial):
     """Per-profile fold of a layout's ``values`` (K, P, ...) over its studies,
     in study order: ``acc[:m[k]] = op(acc[:m[k]], values[k, :m[k]])`` from
@@ -239,9 +234,9 @@ def _solve(tau, v, m, bound, counts):
     return np.where(f0 >= fx, 0.0, x)
 
 
-def _reml_rows(tau, v, m, counts):
-    """REML theta2 for each profile of a layout, and whether its estimates
-    are all equal.
+def _reml_rows(tau, v, m, k, counts):
+    """REML theta2 for each profile of a layout, whose study counts are
+    ``k``, and whether its estimates are all equal.
 
     Each profile is solved in its own units, tau_hat / 2^e and se2 / 4^e with
     2^e the least power of two above the range of tau_hat, so that the Newton
@@ -283,7 +278,7 @@ def _reml_rows(tau, v, m, counts):
             t = np.ldexp(t, -e)
             # An se2 past the float range in these units weighs nothing.
             s = np.minimum(np.ldexp(s, -2 * e), np.finfo(np.float64).max)
-        k = _study_counts(sizes)
+        k = k[rows]
         # np.var(t, ddof=1), its sums taken in study order
         deviation = t - _fold(np.add, t, sizes, 0.0) / k
         variance = _fold(np.add, deviation * deviation, sizes, 0.0) / (k - 1)
@@ -302,43 +297,37 @@ def _pool_rows(tau, v, m, theta2, equal):
     (tau_pooled, var_pooled).  ``equal`` marks the profiles whose estimates
     are all equal.
 
+    Each profile pools its weights w = 1/(se2 + theta2) times 2^-e, e the
+    exponent of its largest weight, so that the largest lies in [0.5, 1):
+    tau_pooled = sum(w 2^-e tau_hat) / sum(w 2^-e) and
+    var_pooled = 2^-e / sum(w 2^-e).  Powers of two scale exactly, so these
+    are the bits of the unscaled sums wherever those neither overflow nor
+    underflow; a sum of finite scaled weights lies in [0.5, K) and does
+    neither.  A pooled estimate outside the float range is an error.
+
     A profile with an infinite weight (se2 + theta2 zero, or too small for
     its inverse to be a float) pools to its estimate with variance 0 when its
     estimates are all equal, whatever its other weights: every weighting of
     equal estimates gives that estimate.  An infinite weight on unequal
-    estimates is an error.  A profile of finite weights whose sum or weighted
-    sum overflows is pooled on its weights times 2**-e, e the exponent of its
-    largest weight; the scaling is exact and leaves the other profiles alone.
-    If that profile still overflows, it is an error.
+    estimates is an error.
     """
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         w = 1.0 / (v + theta2)
-    with np.errstate(invalid="ignore", over="ignore"):
+        # A padding cell repeats its profile's first study, so it is never
+        # the largest weight; an infinite one has exponent 0 and stays.
+        e = np.frexp(w.max(axis=0))[1]
+        np.ldexp(w, -e, out=w)
         sw, weighted = _fold(np.add, np.stack([w, w * tau], axis=-1), m, 0.0).T
         tau_pooled = weighted / sw
-        var_pooled = 1.0 / sw
-    # An infinite weight makes its profile's sum infinite too.
-    rows = np.flatnonzero(~(np.isfinite(sw) & np.isfinite(weighted)))
-    if rows.size:
-        w_bad, tau_bad, sizes = _take(rows, w, tau, m)
-        degenerate = _fold(np.logical_or, np.isinf(w_bad), sizes, False)
-        overflow = ~degenerate
-        if overflow.any():
-            scaled, tau_over, sizes_over = _take(np.flatnonzero(overflow), w_bad, tau_bad, sizes)
-            e = np.frexp(_fold(np.maximum, scaled, sizes_over, -np.inf))[1]
-            scaled = np.ldexp(scaled, -e)
-            with np.errstate(over="ignore", invalid="ignore"):
-                sw, weighted = _fold(np.add, np.stack([scaled, scaled * tau_over], axis=-1),
-                                     sizes_over, 0.0).T
-                tau_pooled[rows[overflow]] = weighted / sw
-            var_pooled[rows[overflow]] = np.ldexp(1.0 / sw, -e)
-            if not np.isfinite(tau_pooled[rows[overflow]]).all():
-                raise EstimationError("the pooled estimate overflows")
-        if degenerate.any():
-            if not equal[rows][degenerate].all():
-                raise EstimationError("degenerate variance: some 1/(se2 + theta2) are infinite")
-            tau_pooled[rows[degenerate]] = tau_bad[0, degenerate]
-            var_pooled[rows[degenerate]] = 0.0
+        var_pooled = np.ldexp(1.0 / sw, -e)
+    degenerate = ~np.isfinite(sw)  # an infinite weight
+    if not np.isfinite(tau_pooled[~degenerate]).all():
+        raise EstimationError("the pooled estimate overflows")
+    if degenerate.any():
+        if not equal[degenerate].all():
+            raise EstimationError("degenerate variance: some 1/(se2 + theta2) are infinite")
+        tau_pooled[degenerate] = tau[0, degenerate]
+        var_pooled[degenerate] = 0.0
     return tau_pooled, var_pooled
 
 
@@ -468,7 +457,7 @@ def pool_profiles(tau: np.ndarray, v: np.ndarray, alpha: float = 0.05,
     counts = Counter(reml_boundary_hits=0, reml_bisection_fallbacks=0)
     theta2, tau_pooled, var_pooled = np.empty((3, order.size))
     for rows, *part in _chunks(*inputs, ks):
-        theta2[rows], equal = _reml_rows(*part, counts)
+        theta2[rows], equal = _reml_rows(*part, ks[rows], counts)
         tau_pooled[rows], var_pooled[rows] = _pool_rows(*part, theta2[rows], equal)
     half = _half_width(var_pooled, theta2, alpha, ks)
     return PooledProfiles(*(_in_input_order(order, a)

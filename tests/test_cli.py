@@ -3,12 +3,13 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from catemeta import SimConfig, cli, run_experiment
+from catemeta import SimConfig, cli, pool_profiles, run_experiment
 from catemeta.cli import main
 from catemeta.forest import ForestParams, fit_causal_forest
 from catemeta.io import (
@@ -311,6 +312,39 @@ class TestEstimate:
         assert one_error_line(capsys.readouterr().err) == "error: bag_size must be >= 2, got 1"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, trees, bag_size", [
+        (["--trees", 20], 20, 20), (["--trees", 6, "--bag-size", 6], 6, 6),
+    ], ids=["default-bag", "given-bag"])
+    def test_forest_of_one_variance_bag_exits_3(self, tmp_path, capsys, flags, trees, bag_size):
+        # se2 is a variance over bag means: one bag used to put every se2 at
+        # the floor (30 of 30 profiles in each study) with exit 0.
+        out = tmp_path / "x"
+        code = run(["estimate", "--trials", GOLDEN / "forest_trials.csv",
+                    "--profiles", GOLDEN / "forest_profiles.csv", "--stage1", "forest",
+                    *flags, "--out-dir", out])
+        assert code == 3
+        assert one_error_line(capsys.readouterr().err) == (
+            f"error: --trees ({trees}) is below twice --bag-size ({bag_size}): "
+            "a forest of one variance bag puts every se2 at its floor")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_singular_study_is_named(self, tmp_path, capsys, threads):
+        # Study 3's smoker column is constant.  The error used to name no
+        # study, and from a worker process it named its own message as the
+        # column.
+        rows = (GOLDEN / "forest_trials.csv").read_text().splitlines()
+        trials = golden_with_cells(tmp_path, "forest_trials.csv", {
+            (i, 4): "1.0" for i, row in enumerate(rows) if row.startswith("3,")})
+        out = tmp_path / "x"
+        code = run(["estimate", "--trials", trials, "--profiles", GOLDEN / "forest_profiles.csv",
+                    "--stage1", "linear", "--threads", threads, "--out-dir", out])
+        assert code == 1
+        assert one_error_line(capsys.readouterr().err) == (
+            "error: study 3: design matrix is singular: column 'smoker' is linearly "
+            "dependent on earlier columns")
+        assert not (out / "aggregates.csv").exists()
+
     def test_forest_subsample_too_small_for_a_study_exits_1(self, tmp_path, capsys):
         # A study's own arm counts decide it, so it is a data error, not a
         # config error: about 15 rows an arm give an honest tree 3.75 of
@@ -321,7 +355,7 @@ class TestEstimate:
                     "--stage1", "forest", "--trees", 4, "--bag-size", 2, "--out-dir", out])
         assert code == 1
         assert one_error_line(capsys.readouterr().err).startswith(
-            "error: subsample too small for the per-arm leaf minima: ")
+            "error: study 1: subsample too small for the per-arm leaf minima: ")
         assert not (out / "manifest.json").exists()
 
     def test_invalid_stage1_estimate_exits_1(self, tmp_path, capsys, monkeypatch):
@@ -374,7 +408,8 @@ class TestEstimate:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_outcome_forest_exits_1(self, tmp_path, capsys):
-        self._overflowing_outcome_exits_1(tmp_path, capsys, ["forest", "--trees", 20])
+        self._overflowing_outcome_exits_1(tmp_path, capsys,
+                                          ["forest", "--trees", 20, "--bag-size", 10])
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_outcome_bart_exits_1(self, tmp_path, capsys):
@@ -390,7 +425,8 @@ class TestEstimate:
         trials = golden_with_cells(tmp_path, "forest_trials.csv", {
             (i, 1): repr(float(row[1]) * 1e306) for i, row in enumerate(rows) if row[0] == "3"})
         code = run(["estimate", "--trials", trials, "--profiles", GOLDEN / "forest_profiles.csv",
-                    "--stage1", "forest", "--trees", 20, "--out-dir", tmp_path / "x"])
+                    "--stage1", "forest", "--trees", 20, "--bag-size", 10,
+                    "--out-dir", tmp_path / "x"])
         assert code == 1
         err = capsys.readouterr().err
         assert "Warning" not in err
@@ -572,6 +608,35 @@ class TestPredict:
         assert (out / "predictions.csv").read_text().splitlines()[1] == row
         assert run(["compare-intervals", "--aggregates", agg, "--predictions",
                     out / "predictions.csv", "--profile", "0", "--out-dir", out]) == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_weighted_estimates_pool(self, tmp_path):
+        # Profile 1's weights 1/se2 times its estimates (1e-400 and less)
+        # underflow; it used to pool to 0.0 with exit 0.  Profiles 2 and 3
+        # keep their bytes.
+        agg = tmp_path / "agg.csv"
+        agg.write_text("profile_id,study_id,tau_hat,se2\n"
+                       "1,1,1e-200,1e200\n1,2,2e-200,1e200\n1,3,3e-200,1e200\n"
+                       "2,1,0.5,0.1\n2,2,1.25,0.2\n2,3,-0.75,0.3\n"
+                       "3,1,2.0,0.05\n3,2,2.5,0.4\n3,3,1.0,0.1\n")
+        exact = (Fraction(1e-200) + Fraction(2e-200) + Fraction(3e-200)) / 3
+
+        def near(value):  # within 4 ulp
+            return abs(Fraction(value) - exact) <= 4 * Fraction(math.ulp(2e-200))
+
+        _, _, tau, se2 = read_aggregates_csv(agg)
+        pooled = pool_profiles(tau, se2, k=[3, 3, 3])
+        assert near(pooled.tau_pooled[0])
+        out = tmp_path / "x"
+        assert run(["predict", "--aggregates", agg, "--out-dir", out]) == 0
+        rows = (out / "predictions.csv").read_text().splitlines()
+        assert near(float(rows[1].split(",")[1]))
+        assert rows[2:] == [
+            "2,0.3759619893233151,0.7016316913565733,-12.328341588009144,13.080265566655774,"
+            "1,crosses_zero",
+            "3,1.7467293985243388,0.3815128479505041,-7.7427048226213735,11.236163619670052,"
+            "1,crosses_zero"]
+        assert [float(row.split(",")[1]) for row in rows[2:]] == pooled.tau_pooled[1:].tolist()
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_pooled_estimate_exits_1(self, tmp_path, capsys):
@@ -774,6 +839,25 @@ class TestCompareIntervals:
                     "--profile", "42", "--out-dir", tmp_path / "x"])
         assert code == 2
 
+    @pytest.mark.parametrize("edit, n_studies", [("drop", 3), ("add", 5)])
+    def test_studies_other_than_the_pooled_ones_exit_2(self, tmp_path, capsys, edit, n_studies):
+        # Profile 0's prediction was pooled from studies 1 to 4.  Aggregates
+        # without study 4, or with a study 5, used to be drawn beside it.
+        lines = (GOLDEN / "aggregates_input.csv").read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("0,4,"))
+        lines[i:i + 1] = [] if edit == "drop" else [lines[i], "0,5,0.25,0.125"]
+        agg = tmp_path / "agg.csv"
+        agg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x"
+        code = run(["compare-intervals", "--aggregates", agg, "--predictions",
+                    GOLDEN / "predictions.csv", "--profile", "1,0", "--out-dir", out])
+        assert code == 2
+        assert one_error_line(capsys.readouterr().err) == (
+            f"error: {agg}: profile 0 has {n_studies} studies, but its prediction was "
+            "pooled from K = 4")
+        assert not (out / "compare_intervals.svg").exists()
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("profile", ["abc", "", ",", "1,x"])
     def test_bad_profile_flag_exits_2(self, tmp_path, capsys, profile):
         with pytest.raises(SystemExit) as exc:
@@ -916,6 +1000,21 @@ class TestSimulate:
             "with df = 1 is not a finite float\n")
         assert not (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("methods, code", [
+        ("forest_adaptive", 3), ("oracle, forest_honest", 3), ("oracle", 0),
+    ], ids=["forest", "forest-second", "no-forest"])
+    def test_forest_of_one_variance_bag_exits_3(self, tmp_path, capsys, methods, code):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("k_studies = 3\nn_per_study = 60\nn_replications = 1\n"
+                       f"methods = {methods}\nforest_trees = 20\n")
+        out = tmp_path / "sim"
+        assert run(["simulate", "--config", cfg, "--out-dir", out]) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "error: forest_trees (20) is below twice forest_bag_size (20): "
+                "a forest of one variance bag puts every se2 at its floor\n")
+            assert not out.exists()
+
     def test_manifest_notes_abort_reasons(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(TestManifest.ABORTING)
@@ -923,8 +1022,9 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out-dir", out]) == 0
         notes = json.loads((out / "manifest.json").read_text())["notes"]
         assert len(notes) == 1
-        assert notes[0].startswith("forest_honest: aborted replications 0: subsample too small")
-        assert "; 1: subsample too small" in notes[0] and "; 2:" not in notes[0]
+        assert notes[0].startswith(
+            "forest_honest: aborted replications 0: study 1: subsample too small")
+        assert "; 1: study 2: subsample too small" in notes[0] and "; 2:" not in notes[0]
         assert (out / "coverage.svg").read_text().count('class="box"') == 1
 
     @pytest.mark.parametrize("methods", ["linear", "linear, oracle"])
@@ -938,7 +1038,7 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out-dir", out]) == 1
         assert capsys.readouterr().err == (
             "error: linear: all 2 replications aborted; the first: "
-            "need at least 12 rows to fit 12 coefficients, got 8\n")
+            "study 1: need at least 12 rows to fit 12 coefficients, got 8\n")
         assert not (out / "metrics.csv").exists() and not (out / "coverage.svg").exists()
 
     def test_some_replications_aborted_keep_exit_0_and_the_tables_bytes(self, tmp_path):
@@ -992,7 +1092,8 @@ class TestTextDecoding:
         trials.write_bytes(b"\n".join(lines))
         out = tmp_path / "x"
         assert run(["estimate", "--trials", trials, "--profiles", GOLDEN / "forest_profiles.csv",
-                    "--stage1", "forest", "--trees", 20, "--out-dir", out]) == 2
+                    "--stage1", "forest", "--trees", 20, "--bag-size", 10,
+                    "--out-dir", out]) == 2
         assert capsys.readouterr().err == f"error: {trials}:5: not UTF-8: byte 0xff\n"
 
     def test_latin1_comment_in_config_exits_3(self, tmp_path, capsys):
@@ -1115,7 +1216,7 @@ class TestExitCodeMapping:
 class TestManifest:
     # Replications 0 and 1 abort, 2 and 3 do not.
     ABORTING = ("k_studies = 3\nn_per_study = 48\nn_replications = 4\nmaster_seed = 1\n"
-                "methods = forest_honest\nforest_trees = 20\n")
+                "methods = forest_honest\nforest_trees = 20\nforest_bag_size = 2\n")
 
     def warning_run(self, tmp_path, command):
         if command == "estimate":

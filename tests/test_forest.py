@@ -601,7 +601,8 @@ class TestThresholdRule:
         code = run_cli_with_timeout(
             ["estimate", "--trials", tmp_path / "trials.csv", "--profiles",
              tmp_path / "profiles.csv", "--stage1", "forest", "--honest", honest,
-             "--trees", 20, "--threads", threads, "--out-dir", out], timeout=120)
+             "--trees", 20, "--bag-size", 10, "--threads", threads, "--out-dir", out],
+            timeout=120)
         assert code == 0
         rows = (out / "aggregates.csv").read_text().splitlines()[1:]
         tau = {(int(r.split(",")[0]), int(r.split(",")[1])): float(r.split(",")[2]) for r in rows}

@@ -148,8 +148,8 @@ def test_harness_aborts_the_same_replication_for_the_same_reason():
     table = run_experiment(SimConfig(k_studies=10, n_per_study=500, n_replications=100,
                                      master_seed=7), "linear")
     assert table.aborted_replications == (25,)
-    assert table.abort_reasons == ("design matrix is singular: column 'sex' is linearly "
-                                   "dependent on earlier columns",)
+    assert table.abort_reasons == ("study 7: design matrix is singular: column 'sex' is "
+                                   "linearly dependent on earlier columns",)
 
 
 def test_too_few_rows_is_insufficient_data():

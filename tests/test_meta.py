@@ -1,6 +1,7 @@
 """Stage-2 pooling: REML, DerSimonian-Laird, t quantiles, prediction intervals."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1021,8 +1022,8 @@ class TestMixedK:
                 assert bits(got) == bits(getattr(alone, name)[0])
 
     def test_overflow_and_degenerate_profiles_pool_alone_as_in_a_batch(self):
-        # The rescaled overflow path and the equal-weight degenerate path run
-        # on a few profiles of a mixed layout.
+        # Profiles whose unscaled weight sums overflow, and the equal-weight
+        # degenerate path, on a few columns of a mixed layout.
         profiles = [(np.ones(3), np.full(3, 1e-308)), (np.full(2, 2.0), np.zeros(2)),
                     (np.array([0.1, 0.5, 0.9, 0.3]), np.array([0.1, 0.2, 0.3, 0.1])),
                     (np.full(3, 1e300), np.full(3, 1e-10)), (np.full(4, 5.0), np.zeros(4))]
@@ -1149,3 +1150,85 @@ class TestMixedK:
             assert score[j] == 0.5 * (s2r2 - sw + ratio)
             assert slope[j] == 0.5 * (-2.0 * s3r2 + 2.0 * (s2r * s2r) / sw + s2
                                       - 2.0 * s3 / sw + ratio * ratio)
+
+
+UNIT, ETA = Fraction(1, 2**53), Fraction(1, 2**1075)  # unit roundoff; half the least subnormal
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u)."""
+    return n * UNIT / (1 - n * UNIT)
+
+
+def pooling_bounds(tau, v, theta2):
+    """``(T, V, dT, dV)``: the exact pooled estimate T and variance V of one
+    profile at ``theta2``, and bounds on the errors of ``_pool_rows``' float
+    values, all as Fractions.
+
+    ``_pool_rows`` forms w_i = fl(1 / fl(se2_i + theta2)), scales them by
+    2^-e, e the exponent of the largest, and returns fl(S_p / S_w) and
+    2^-e fl(1 / S_w), S_w and S_p being the running sums of the scaled
+    weights and of their rounded products with tau_i.  Every operation rounds
+    to nearest, so with u = 2^-53 and eta = 2^-1075 (Higham 2002, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 2-4):
+    - fl(se2 + theta2) is off by at most u relative (a subnormal sum is
+      exact), and its inverse, being at least 2^-1024, by at most 4u, so
+      w_i = W_i (1 + phi_i) with W_i = 1/(se2_i + theta2) and
+      |phi_i| <= c = (1 + 4u)/(1 - u) - 1;
+    - the scaling is exact except below 2^-1022, where it is off by at most
+      eta, and a product is off by at most u relative plus eta;
+    - a running sum of K terms x_i is sum x_i (1 + s_i), |s_i| <= g =
+      gamma_{K-1}, and adds no underflow error.
+    In units of 2^-e, with Omega = sum W_i 2^-e and A = sum W_i 2^-e |tau_i|:
+      |S_w - Omega| <= D_w = ((1 + c)(1 + g) - 1) Omega + K eta (1 + g),
+      |S_p - T Omega| <= D_p = ((1 + c)(1 + u)(1 + g) - 1) A
+                               + eta (1 + u)(1 + g) sum |tau_i| + K eta (1 + g).
+    So S_p / S_w is within E = (D_p + |T| D_w) / (Omega - D_w) of T, and the
+    returned tau_pooled within dT = E + u (|T| + E) + eta.  1 / S_w is within
+    F = D_w / (Omega (Omega - D_w)) of 1 / Omega, so var_pooled is within
+    dV = 2^-e (F + u (1 / Omega + F)) + eta of V = 2^-e / Omega.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        e = int(np.frexp((1.0 / (v + theta2)).max())[1])
+    scale = Fraction(2) ** -e
+    weights = [scale / (Fraction(s) + Fraction(theta2)) for s in v.tolist()]
+    taus = [Fraction(t) for t in tau.tolist()]
+    k, c, g = len(taus), (1 + 4 * UNIT) / (1 - UNIT) - 1, gamma(len(taus) - 1)
+    omega = sum(weights)
+    exact = sum(w * t for w, t in zip(weights, taus)) / omega
+    d_w = ((1 + c) * (1 + g) - 1) * omega + k * ETA * (1 + g)
+    d_p = (((1 + c) * (1 + UNIT) * (1 + g) - 1) * sum(w * abs(t) for w, t in zip(weights, taus))
+           + ETA * (1 + UNIT) * (1 + g) * sum(abs(t) for t in taus) + k * ETA * (1 + g))
+    spread = (d_p + abs(exact) * d_w) / (omega - d_w)
+    inverse = d_w / (omega * (omega - d_w))
+    return (exact, scale / omega, spread + UNIT * (abs(exact) + spread) + ETA,
+            scale * (inverse + UNIT * (1 / omega + inverse)) + ETA)
+
+
+@st.composite
+def scaled_profiles(draw):
+    """1 to 4 profiles of K = 3 to 8 studies: tau_hat in [-1, 1] times 2^a
+    and se2 in [2^-10, 4] times 2^b, a in [-1074, 500] and b in
+    [-1000, 1000] drawn for each profile, so that the products of weights and
+    estimates span the float range and beyond."""
+    profiles = []
+    for _ in range(draw(st.integers(1, 4), label="profiles")):
+        k = draw(st.integers(3, 8), label="k")
+        tau = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k)))
+        v = np.array(draw(st.lists(st.floats(2.0**-10, 4.0), min_size=k, max_size=k)))
+        a, b = draw(st.integers(-1074, 500), label="a"), draw(st.integers(-1000, 1000), label="b")
+        profiles.append((np.ldexp(tau, a), np.ldexp(v, b)))
+    return profiles
+
+
+class TestScaledWeights:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(scaled_profiles())
+    def test_pooled_values_within_the_summation_bound(self, profiles):
+        # Unscaled weights times estimates underflowed or overflowed here:
+        # tau_pooled came out 0, NaN or 1e6 ulp and more off.
+        pooled = pool_mixed(profiles)
+        for j, (tau, v) in enumerate(profiles):
+            exact, var, d_tau, d_var = pooling_bounds(tau, v, pooled.theta2[j])
+            assert abs(Fraction(pooled.tau_pooled[j]) - exact) <= d_tau
+            assert abs(Fraction(pooled.var_pooled[j]) - var) <= d_var

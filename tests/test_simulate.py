@@ -314,18 +314,18 @@ class TestHarness:
         with pytest.raises(ConfigurationError, match=says):
             run_experiment(config(), n_workers=n_workers)
 
-    @pytest.mark.parametrize("seed, replication, column", [
-        (2, 32, "sex"),  # studies 5 (sex) and 10 (smoking) are singular
-        (0, 30, "treatment:sex"),  # study 8
-    ])
-    def test_singular_study_aborts_with_its_reason(self, seed, replication, column):
+    @pytest.mark.parametrize("seed, replication, study, column", [
+        (2, 32, 5, "sex"),  # studies 5 (sex) and 10 (smoking) are singular
+        (0, 30, 8, "treatment:sex"),
+    ], ids=["2-32-sex", "0-30-treatment:sex"])
+    def test_singular_study_aborts_with_its_reason(self, seed, replication, study, column):
         # A binary covariate whose clamped study mean makes its column
         # constant; the first singular study, in study order, is reported.
         table = run_experiment(SimConfig(master_seed=seed, n_replications=replication + 1))
         assert table.aborted_replications[-1] == replication
         assert table.abort_reasons[-1] == (
-            f"design matrix is singular: column '{column}' is linearly dependent on "
-            "earlier columns")
+            f"study {study}: design matrix is singular: column '{column}' is linearly "
+            "dependent on earlier columns")
 
     def test_bart_method_runs_end_to_end(self):
         cfg = config(n_replications=1, n_per_study=80)
@@ -500,15 +500,17 @@ def assert_same_table(table, want):
 
 class TestBlockPooling:
     # 23 replications of 100 profiles run in blocks of 10, 10 and 3.
-    # Replications 21 and 22 abort in Stage 1 (a constant smoking column).
+    # Replications 21 and 22 abort in Stage 1 (a constant smoking column in
+    # study 1, then in study 2).
     CFG = config(n_per_study=100, n_replications=23)
-    SINGULAR = {21: "smoking", 22: "treatment:smoking"}
+    SINGULAR = {21: (1, "smoking"), 22: (2, "treatment:smoking")}
 
     def test_blocks_equal_one_pool_call_per_replication(self, monkeypatch):
         want, aborted, reasons = per_replication_reference(self.CFG)
         assert aborted == list(self.SINGULAR)
-        assert reasons == [f"design matrix is singular: column '{column}' is linearly "
-                           "dependent on earlier columns" for column in self.SINGULAR.values()]
+        assert reasons == [f"study {study}: design matrix is singular: column '{column}' is "
+                           "linearly dependent on earlier columns"
+                           for study, column in self.SINGULAR.values()]
         columns = []
 
         def recording(tau, v, alpha=None):
