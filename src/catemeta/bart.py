@@ -7,13 +7,16 @@ Appl. Stat.*).  Outcomes are rescaled to [-0.5, 0.5] before sampling (the
 usual convention that makes the default priors reasonable) and de-scaled
 on output.
 
-The error variance has the scaled inverse-chi-square prior nu * lambda /
-chi2_nu with nu = 3, and lambda places the q = 0.90 quantile of sigma at the
-sample sd of the scaled outcome: lambda = sd^2 * chi2_{3}^{-1}(0.10) / 3.
-These are the defaults of Chipman, George & McCulloch, fixed here; the
-chi-square quantile is the constant ``_CHI2_Q``, the value that
-``scipy.stats.chi2.ppf(1.0 - 0.90, 3.0)`` returns (1.0 - 0.90 is
-0.09999999999999998, not 0.1), so no SciPy module is loaded.
+The priors are the defaults of Chipman, George & McCulloch, fixed here.  A
+node at depth d splits with probability alpha (1 + d)^-beta, alpha = 0.95
+and beta = 2, and a leaf mean is N(0, sigma_mu^2) with sigma_mu = 0.5 /
+(k sqrt(n_trees)), k = 2.  The error variance has the scaled
+inverse-chi-square prior nu * lambda / chi2_nu with nu = 3, and lambda
+places the q = 0.90 quantile of sigma at the sample sd of the scaled
+outcome: lambda = sd^2 * chi2_{3}^{-1}(0.10) / 3.  The chi-square quantile
+is the constant ``_CHI2_Q``, the value that ``scipy.stats.chi2.ppf(1.0 -
+0.90, 3.0)`` returns (1.0 - 0.90 is 0.09999999999999998, not 0.1), so no
+SciPy module is loaded.
 
 The cutpoints of a column of z are all its distinct values but the largest
 (``numcut`` at its maximum in the BART R package), found once per study.
@@ -47,6 +50,10 @@ _MOVE_GROW = 0.5
 _MOVE_PRUNE = 0.4
 # change probability is the remainder, 0.1
 _MOVES = ("grow", "prune", "change")
+# A node at depth d splits with prior probability _ALPHA * (1 + d)**-_BETA.
+_ALPHA = 0.95
+_BETA = 2.0
+_K = 2.0  # leaf prior: mu ~ N(0, sigma_mu^2), sigma_mu = 0.5 / (_K sqrt(n_trees))
 _NU = 3.0  # degrees of freedom of the sigma prior
 _CHI2_Q = 0.5843743741551833  # chi2.ppf(1.0 - 0.90, 3.0): Pr(sigma < sd) = 0.90
 
@@ -56,9 +63,6 @@ class BartParams:
     n_trees: int = 50
     n_burn: int = 500
     n_draws: int = 1000
-    alpha: float = 0.95
-    beta: float = 2.0
-    k: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
@@ -66,18 +70,14 @@ class BartParams:
         if min(self.n_trees, self.n_burn) < 1 or self.n_draws < 2:
             # se2 is a sample variance across draws, so it needs two of them.
             raise ConfigurationError("tree and burn counts must be >= 1, draws >= 2")
-        if not (0.0 < self.alpha < 1.0) or not (0.0 < self.beta < math.inf):
-            raise ConfigurationError("tree prior requires alpha in (0,1) and a finite beta > 0")
-        if not (0.0 < self.k < math.inf):
-            raise ConfigurationError("leaf prior requires a finite k > 0")
-        try:  # the leaf prior's variance, as the chain computes it
-            leaf_var = (0.5 / (float(self.k) * math.sqrt(self.n_trees))) ** 2
+        # The chain's leaf variance (0.5 / (_K sqrt(n_trees)))**2 = 1 / (16 n_trees) is
+        # a positive float for every n_trees whose square root is a float.
+        try:
+            math.sqrt(self.n_trees)
         except OverflowError:
-            leaf_var = math.inf
-        if not (0.0 < leaf_var < math.inf):
             raise ConfigurationError(
-                f"leaf prior: k = {self.k} with n_trees = {self.n_trees} gives a leaf variance "
-                "(0.5 / (k sqrt(n_trees)))**2 that is not a finite positive float")
+                f"leaf prior: n_trees = {self.n_trees} gives a leaf variance "
+                "1 / (16 n_trees) that is not a finite positive float") from None
         check_seed(self, "seed")
 
 
@@ -98,14 +98,10 @@ class BartPosterior:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _log_split_prior(alpha, beta, depth):
+def _log_split_prior(depth):
     """Log prior ratio of splitting a leaf at ``depth``, less the rule's
-    prior probability, which cancels against the proposal's.  Where the
-    split probability underflows to 0 the ratio is -inf: no grow there is
-    accepted, so no node there is ever pruned."""
-    ps, ps_child = (alpha * (1.0 + d) ** -beta for d in (depth, depth + 1))
-    if ps == 0.0:
-        return -math.inf
+    prior probability, which cancels against the proposal's."""
+    ps, ps_child = (_ALPHA * (1.0 + d) ** -_BETA for d in (depth, depth + 1))
     return math.log(ps) + 2.0 * math.log1p(-ps_child) - math.log1p(-ps)
 
 
@@ -189,13 +185,8 @@ class _Chain:
 
     def __init__(self, ranks, n_cuts, y_scaled, params, rng):
         n = y_scaled.shape[0]
-        self.n, self.ranks, self.params, self.rng = n, ranks, params, rng
-        self.sigma_mu = 0.5 / (params.k * math.sqrt(params.n_trees))
-        if not math.isfinite(n * self.sigma_mu**2):  # ``sweep``'s largest leaf term
-            raise ConfigurationError(
-                f"leaf prior: k = {params.k} with n_trees = {params.n_trees} gives a leaf "
-                f"variance (0.5 / (k sqrt(n_trees)))**2 whose product with the study's {n} "
-                "rows is not finite")
+        self.n, self.ranks, self.rng = n, ranks, rng
+        self.sigma_mu = 0.5 / (_K * math.sqrt(params.n_trees))
         sd = float(np.std(y_scaled, ddof=1)) if n > 1 else 1.0
         sd = max(sd, 1e-12)
         # lambda places the 0.90 quantile of the sigma prior at the sample sd
@@ -217,18 +208,18 @@ class _Chain:
         proposes a rule for ``node`` (rows ``in_node``) at log ratio
         ``log_rest`` plus the children's marginals, unless a child is empty.
         """
-        n, ranks, resid, params = self.n, self.ranks, self.resid, self.params
+        n, ranks, resid = self.n, self.ranks, self.resid
         r = resid[:n]
         # A leaf of c rows with residual sum s: mu has posterior mean
         # shrink[c] * s and sd post_sd[c], and the log marginal likelihood
         # lm_const[c] + lm_coef[c] * s * s, less the terms that cancel in every
-        # ratio: the row sum of squares and c * log(2 pi sigma2).  A ratio
-        # s2 / denom that underflows to 0 takes its log as a difference.
+        # ratio: the row sum of squares and c * log(2 pi sigma2).  sigma2 is a
+        # scale of at least 3 lambda = sd^2 _CHI2_Q >= 5.8e-25 over a chi-square
+        # draw of about n, and sigma_mu**2 = 1 / (16 n_trees) is at most 1/16, so
+        # s2 / denom stays above about 1e-41 for any study of up to 10^9 rows.
         s2, sm2 = self.sigma2, self.sigma_mu**2
         denom = s2 + np.arange(n + 1) * sm2
-        ratio = s2 / denom
-        lm_const = (0.5 * (np.log(ratio) if ratio[-1] > 0.0
-                           else math.log(s2) - np.log(denom))).tolist()
+        lm_const = (0.5 * np.log(s2 / denom)).tolist()
         # A slot of no rows is no leaf, so no row reads its mean: make it 0.
         denom[0] = math.inf
         shrink = sm2 / denom
@@ -252,7 +243,7 @@ class _Chain:
                     n_all, s_all = counts[node], sums.tolist()[node]
                     depth, prunable = tree.depth[node], tree.prunable
                     if depth == len(prior):
-                        prior.append(_log_split_prior(params.alpha, params.beta, depth))
+                        prior.append(_log_split_prior(depth))
                     log_rest = (prior[depth] - (lm_const[n_all] + lm_coef[n_all] * s_all * s_all)
                                 + log(grow_odds * len(nodes)
                                       / (len(prunable) + 1 - (tree.parent[node] in prunable))))
@@ -387,22 +378,20 @@ def fit_bart_slearner(
     )
 
 
-def bart_cates(posterior: BartPosterior, level: float = 0.95):
+def bart_cates(posterior: BartPosterior):
     """CATE arrays over the evaluation points, in row order.
 
     Returns ``(tau, se2, lower, upper)``.  tau_hat is the difference of the
     posterior-mean outcomes under the two arms; se2 is the sum of the two
     arms' sample variances across draws, treating the arms as uncorrelated
-    (the conservative choice).  lower and upper are the ((1-level)/2,
-    1-(1-level)/2) quantiles of the per-draw differences f(x,1) - f(x,0),
-    with linear interpolation between order statistics.
+    (the conservative choice).  lower and upper are the 0.025 and 0.975
+    quantiles of the per-draw differences f(x,1) - f(x,0), with linear
+    interpolation between order statistics.
     """
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must be in (0, 1)")
     # One contiguous row per point: each row reduces exactly like a 1-d column.
     f1 = np.ascontiguousarray(posterior.draws[:, 1::2].T)
     f0 = np.ascontiguousarray(posterior.draws[:, 0::2].T)
-    tail = (1.0 - level) / 2.0
+    tail = (1.0 - 0.95) / 2.0
     # Draws near the end of the float range overflow these to inf or NaN; the
     # checks downstream name the study.
     with np.errstate(over="ignore", invalid="ignore"):

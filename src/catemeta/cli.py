@@ -501,6 +501,9 @@ def main(argv=None) -> int:
     except CatemetaError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError as err:  # a legal run larger than this host's memory
+        print("error: out of memory" + (f": {err}" if str(err) else ""), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

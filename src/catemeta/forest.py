@@ -1,8 +1,9 @@
 """Stage-1 CATE estimation with a causal forest of honest or adaptive trees.
 
-Each tree is grown on a random subsample.  In honest mode the subsample
-is halved: one half chooses splits, the other estimates leaf effects, and
-no outcome contributes to both.  The trees grow level-synchronously, in
+Each tree is grown on a random subsample of half the study's rows, drawn
+from its bag's half-sample.  In honest mode the subsample is halved: one
+half chooses splits, the other estimates leaf effects, and no outcome
+contributes to both.  The trees grow level-synchronously, in
 batches of at most ``_BATCH_ROWS`` subsample rows (to bound memory), by
 :func:`catemeta.grower.grow_trees`: one batched split search per depth,
 bit-identical to growing each node on its own.  Each batch pays every
@@ -36,7 +37,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, EstimationError, InsufficientDataError
-from .grower import grow_trees, run_stat
+from .grower import MIN_LEAF, grow_trees, run_stat
 from .model import (
     TrialDataset,
     check_integers,
@@ -61,21 +62,17 @@ class ForestParams:
 
     ``n_trees`` must be divisible by ``bag_size``, which is at least 2;
     consecutive groups of ``bag_size`` trees form the bags of the variance
-    estimator.  Each tree draws its subsample from its bag's shared
-    half-sample, so an effective ``subsample_fraction`` above 0.5 is capped
-    by the half-sample size.
+    estimator.  The subsample size and the per-arm leaf minimum are fixed:
+    see :func:`fit_causal_forest`.
     """
 
     n_trees: int = 1000
     honest: bool = True
-    min_leaf_treated: int = 5
-    min_leaf_control: int = 5
-    subsample_fraction: float = 0.5
     bag_size: int = 20
     seed: int = 0
 
     def __post_init__(self):
-        check_integers(self, "n_trees", "min_leaf_treated", "min_leaf_control", "bag_size", "seed")
+        check_integers(self, "n_trees", "bag_size", "seed")
         if self.n_trees < 1:
             raise ConfigurationError("n_trees must be >= 1")
         if self.bag_size < 2:
@@ -84,10 +81,6 @@ class ForestParams:
             raise ConfigurationError(f"bag_size must be >= 2, got {self.bag_size}")
         if self.n_trees % self.bag_size != 0:
             raise ConfigurationError("n_trees must be divisible by bag_size")
-        if self.min_leaf_treated < 2 or self.min_leaf_control < 2:
-            raise ConfigurationError("per-arm leaf minima must be >= 2")
-        if not (0.0 < self.subsample_fraction <= 1.0):
-            raise ConfigurationError("subsample_fraction must be in (0, 1]")
         check_seed(self, "seed")
 
     @property
@@ -101,7 +94,7 @@ class CausalTree:
 
     Nodes are numbered in level order from the root (node 0).  ``feature``
     is -1 at leaves.  ``leaf_tau`` is NaN for leaves that may not be used
-    for prediction (estimation-arm counts below the minima).
+    for prediction (fewer than ``MIN_LEAF`` estimation rows in an arm).
     """
 
     feature: np.ndarray
@@ -140,24 +133,21 @@ def fit_causal_forest(dataset: TrialDataset, params: ForestParams) -> CausalFore
     The streams of ``substream(seed, "bag", b)`` and ``substream(seed,
     "tree", t)`` are derived in one :func:`rng.stream_states` call for the
     bags and one for the trees, and each ``Generator`` is built when its
-    bag's half-sample or its tree's subsample is drawn.
+    bag's half-sample or its tree's subsample is drawn.  A tree's subsample
+    is ``n // 2`` rows (at least 1) of its bag's ``(n + 1) // 2``.
 
     Raises ``InsufficientDataError`` when the subsample cannot plausibly
-    satisfy the per-arm leaf minima: a failure of the study's data, which
-    aborts only its own replication in the simulation harness.
+    give a leaf ``MIN_LEAF`` rows of each arm: a failure of the study's
+    data, which aborts only its own replication in the simulation harness.
     """
     n = dataset.n_rows
     n_treated = int(dataset.a.sum())
     n_control = n - n_treated
     divisor = 2.0 if params.honest else 1.0
-    if (
-        params.subsample_fraction * n_treated / divisor < params.min_leaf_treated
-        or params.subsample_fraction * n_control / divisor < params.min_leaf_control
-    ):
+    if 0.5 * min(n_treated, n_control) / divisor < MIN_LEAF:
         raise InsufficientDataError(
             f"study {dataset.study_id}: subsample too small for the per-arm leaf minima: "
-            f"{n_treated} treated / {n_control} control rows at fraction "
-            f"{params.subsample_fraction}"
+            f"{n_treated} treated / {n_control} control rows at fraction 0.5"
         )
     x = dataset.x
     y = dataset.y
@@ -173,7 +163,7 @@ def fit_causal_forest(dataset: TrialDataset, params: ForestParams) -> CausalFore
     for j, column in enumerate(x.T):
         v, ranks[j] = np.unique(column, return_inverse=True)
         values.append(v)
-    m = min(max(int(params.subsample_fraction * n), 1), half)
+    m = max(n // 2, 1)
     batch = max(_BATCH_ROWS // m, 1)
     trees = []
     for first in range(0, params.n_trees, batch):
@@ -183,7 +173,7 @@ def fit_causal_forest(dataset: TrialDataset, params: ForestParams) -> CausalFore
             perm = pool[stream(tree_states[t]).permutation(half)[:m]].astype(np.int32)
             samples.append((perm[: m // 2], perm[m // 2 :]) if params.honest else (perm, perm))
         for nodes, (split_rows, est_rows) in zip(
-            grow_trees(x, y, a, values, ranks, samples, params), samples
+            grow_trees(x, y, a, values, ranks, samples, params.honest), samples
         ):
             trees.append(CausalTree(*nodes, split_rows=split_rows, est_rows=est_rows))
     # An outcome near the end of the float range overflows the variance, and
@@ -260,8 +250,8 @@ def _bag_se2(pred: np.ndarray, valid: np.ndarray, params: ForestParams, floor: f
 def forest_predict(model: CausalForestModel, points: np.ndarray):
     """``(tau, se2, diagnostics)`` at the rows of ``points`` (P, p).
 
-    A tree is skipped for a point that lands in a leaf whose estimation-set
-    arm counts fall below the minima; more than half the trees skipped at
+    A tree is skipped for a point that lands in a leaf with fewer than
+    ``MIN_LEAF`` estimation rows in an arm; more than half the trees skipped at
     any point is an estimation error.  ``diagnostics`` holds the count of
     se2 values clamped at the floor, the mean skipped-tree fraction, the
     mean node count per tree and the fraction of leaves usable for

@@ -2,7 +2,8 @@
 
 Splits maximize the heterogeneity criterion sum_children n_child *
 tau_child^2, where tau_child is the treated-minus-control mean outcome
-difference in the child.  The trees given (a batch of a forest) grow one
+difference in the child, and each child must keep ``MIN_LEAF`` = 5 split
+rows of each arm.  The trees given (a batch of a forest) grow one
 depth at a time, and each depth is one split search over every open node
 of every tree, as in breadth-first boosting with batched nodes.  Only the
 entries of the nodes being searched go on to the next depth
@@ -19,9 +20,9 @@ node on its own, with the same tie-break (lowest covariate index, then
 smallest threshold), so a tree does not depend on the trees grown beside
 it.  Outcomes near the float range can make a criterion NaN (inf - inf);
 ``argmax`` then picks the first NaN in that same order, as the one-node
-grower of the tests does.  In honest mode a split must also leave the
-per-arm minima of the node's estimation rows on both sides; for each node
-and covariate the thresholds that do form one interval
+grower of the tests does.  In honest mode a split must also leave
+``MIN_LEAF`` estimation rows of each arm on both sides; for each node and
+covariate the thresholds that do form one interval
 (:meth:`_Entries.threshold_bounds`).
 
 A split threshold is the midpoint of two consecutive distinct values
@@ -32,13 +33,11 @@ A split threshold is the midpoint of two consecutive distinct values
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-if TYPE_CHECKING:
-    from .forest import ForestParams
-
+# Rows of each arm that a usable leaf needs, among its split rows and, in
+# honest mode, its estimation rows.
+MIN_LEAF = 5
 # Cells of one padded split-search array; bounds the search's memory.
 _SEARCH_CELLS = 4096
 
@@ -121,19 +120,19 @@ class _Entries:
         self.seg_len = np.bincount(self.seg, minlength=n_seg)
         self.seg_treated = np.bincount(self.seg, weights=self.arm, minlength=n_seg)
 
-    def threshold_bounds(self, ranks, n_values, min_t, min_c):
+    def threshold_bounds(self, ranks, n_values):
         """Per covariate ``j``, ranks ``(low, high)`` for each segment.
 
         ``ranks[j]`` ranks the study's rows by covariate ``j``, which has
         ``n_values[j]`` distinct values.  A threshold ``t`` leaves at least
-        the per-arm minima of the segment's entries on both sides exactly
-        when ``values[low] <= t < values[high]``: ``low`` is the larger rank
-        of the ``min_t``-th treated and the ``min_c``-th control entry from
-        below, ``high`` the smaller of the same from above.  Each segment
-        must hold twice the minima of each arm.  A constant covariate gets
-        None.  For a two-valued one, ``low`` is 0 exactly when the rank-0
-        entries hold both minima, and ``high`` is 1 exactly when the rank-1
-        entries do.
+        ``MIN_LEAF`` of each arm of the segment's entries on both sides
+        exactly when ``values[low] <= t < values[high]``: ``low`` is the
+        larger rank of the ``MIN_LEAF``-th treated and the ``MIN_LEAF``-th
+        control entry from below, ``high`` the smaller of the same from
+        above.  Each segment must hold twice the minimum of each arm.  A
+        constant covariate gets None.  For a two-valued one, ``low`` is 0
+        exactly when the rank-0 entries hold the minimum of both arms, and
+        ``high`` is 1 exactly when the rank-1 entries do.
         """
         seg, rows, arm = self.seg, self.rows, self.arm
         n_seg = self.seg_len.shape[0]
@@ -141,9 +140,9 @@ class _Entries:
         # blocks, so the targets below are the same for all of them.
         t_before = np.cumsum(self.seg_treated) - self.seg_treated
         c_before = np.cumsum(self.seg_len) - self.seg_len - t_before
-        targets = (t_before + min_t, c_before + min_c,
-                   t_before + self.seg_treated - min_t + 1,
-                   c_before + self.seg_len - self.seg_treated - min_c + 1)
+        targets = (t_before + MIN_LEAF, c_before + MIN_LEAF,
+                   t_before + self.seg_treated - MIN_LEAF + 1,
+                   c_before + self.seg_len - self.seg_treated - MIN_LEAF + 1)
         counts = np.arange(1, seg.shape[0] + 1)
         bounds = []
         for rank, n in zip(ranks, n_values):
@@ -154,7 +153,7 @@ class _Entries:
                 # cells[s, r, arm]: segment s's entries of rank r in that arm.
                 cells = np.bincount((seg * 2 + rank[rows]) * 2 + arm,
                                     minlength=4 * n_seg).reshape(n_seg, 2, 2)
-                holds = (cells[:, :, 1] >= min_t) & (cells[:, :, 0] >= min_c)
+                holds = cells.min(axis=2) >= MIN_LEAF
                 bounds.append((np.where(holds[:, 0], 0, 1), np.where(holds[:, 1], 1, 0)))
                 continue
             # Ties do not change the counts, so any order within a rank will do.
@@ -178,22 +177,23 @@ def _search_groups(lens):
         start = stop
 
 
-def _criterion(n_left, n_right, n1_left, treated, left1, left0, total1, total0, params):
+def _criterion(n_left, n_right, n1_left, treated, left1, left0, total1, total0):
     """``(ok, crit)`` of candidate splits from their left and total sums.
 
     ``crit = n_left * tau_left**2 + n_right * tau_right**2``, computed in
     place; ``left1`` and ``left0`` sum the outcomes of the left child's
     treated and control entries, and ``total1`` and ``total0`` those of the
-    whole segment.  ``ok`` holds where both children keep the per-arm minima.
+    whole segment.  ``ok`` holds where both children keep ``MIN_LEAF`` rows
+    of each arm.
     """
     n0_left = n_left - n1_left
     n1_right = treated - n1_left
     n0_right = n_right - n1_right
     ok = (
-        (n1_left >= params.min_leaf_treated)
-        & (n0_left >= params.min_leaf_control)
-        & (n1_right >= params.min_leaf_treated)
-        & (n0_right >= params.min_leaf_control)
+        (n1_left >= MIN_LEAF)
+        & (n0_left >= MIN_LEAF)
+        & (n1_right >= MIN_LEAF)
+        & (n0_right >= MIN_LEAF)
     )
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         crit = left1 / n1_left
@@ -209,8 +209,7 @@ def _criterion(n_left, n_right, n1_left, treated, left1, left0, total1, total0, 
     return ok, crit
 
 
-def _best_splits(split, order, starts, group, y1, y0, values, ranks, bounds,
-                 params: ForestParams):
+def _best_splits(split, order, starts, group, y1, y0, values, ranks, bounds):
     """Search segments ``group`` of ``split`` for their best admissible split.
 
     ``order`` is :meth:`_Entries.sort_by` of ``split``, and segment ``s``
@@ -218,8 +217,8 @@ def _best_splits(split, order, starts, group, y1, y0, values, ranks, bounds,
     segment of the group and covariate, the best criterion and its
     threshold, or -inf where no split is admissible.  Covariates that
     ``sort_by`` left unsorted stay at -inf (see :func:`_count_splits`).  A
-    split is admissible when both children keep at least the per-arm minima
-    in the split set and, in honest mode, in the estimation set as well:
+    split is admissible when both children keep ``MIN_LEAF`` rows of each
+    arm in the split set and, in honest mode, in the estimation set as well:
     there ``bounds[j]`` holds the estimation set's threshold bounds for
     covariate ``j`` (see :meth:`_Entries.threshold_bounds`), else
     ``bounds`` is None.
@@ -229,7 +228,7 @@ def _best_splits(split, order, starts, group, y1, y0, values, ranks, bounds,
 
     Segment ``r`` is row ``r`` of a padded array; positions past its end
     hold other segments' entries, and their running treated count
-    leaves no treated rows to the right, so the minima reject them.
+    leaves no treated rows to the right, so the minimum rejects them.
     """
     starts = starts[group]
     lens = split.seg_len[group]
@@ -252,7 +251,7 @@ def _best_splits(split, order, starts, group, y1, y0, values, ranks, bounds,
         cy1 = np.cumsum(y1[ent], axis=1)
         cy0 = np.cumsum(y0[ent], axis=1)
         ok, crit = _criterion(n_left, n_right, n1_left, treated, cy1[:, :-1], cy0[:, :-1],
-                              cy1[rows, last][:, None], cy0[rows, last][:, None], params)
+                              cy1[rows, last][:, None], cy0[rows, last][:, None])
         ok &= rank[:, :-1] < rank[:, 1:]
         thr = _midpoint(values[j][rank[:, :-1]], values[j][rank[:, 1:]])
         if bounds is not None:
@@ -265,7 +264,7 @@ def _best_splits(split, order, starts, group, y1, y0, values, ranks, bounds,
     return best, best_threshold
 
 
-def _count_splits(split, y, values, ranks, bounds, params: ForestParams, best, best_threshold):
+def _count_splits(split, y, values, ranks, bounds, best, best_threshold):
     """Score the one split of each two-valued covariate in every segment.
 
     Writes the criterion, or -inf where the split is not admissible, into
@@ -296,7 +295,7 @@ def _count_splits(split, y, values, ranks, bounds, params: ForestParams, best, b
         total = np.bincount(k, weights=w, minlength=n_bins).reshape(-1, 2)
         n_left = counts[:, 0] + counts[:, 1]
         ok, crit = _criterion(n_left, split.seg_len - n_left, counts[:, 1], split.seg_treated,
-                              left[:, 1], left[:, 0], total[:, 1], total[:, 0], params)
+                              left[:, 1], left[:, 0], total[:, 1], total[:, 0])
         thr = _midpoint(values[j][0], values[j][1])
         if bounds is not None:
             low, high = bounds[j]
@@ -320,20 +319,21 @@ def run_stat(values, starts, lengths, stat):
     return out
 
 
-def grow_trees(x, y, a, values, ranks, samples, params: ForestParams):
+def grow_trees(x, y, a, values, ranks, samples, honest):
     """Grow one tree per ``(split_rows, est_rows)`` sample, one depth at a time.
 
-    ``values[j]`` holds the distinct values of covariate ``j`` in ascending
-    order and ``ranks[j]`` each row's index into them.  Returns, per tree,
+    ``honest`` trees choose their splits on the split rows and estimate
+    their leaves on the estimation rows; other trees use the split rows for
+    both.  ``values[j]`` holds the distinct values of covariate ``j`` in
+    ascending order and ``ranks[j]`` each row's index into them.  Returns, per tree,
     its node arrays ``(feature, threshold, left, right, leaf_tau,
     leaf_n_treated, leaf_n_control)``, nodes numbered in level order.
     """
     p = x.shape[1]
-    min_t, min_c = params.min_leaf_treated, params.min_leaf_control
     n_values = [v.shape[0] for v in values]
     split = _Entries([s for s, _ in samples], a)
-    est = _Entries([e for _, e in samples], a) if params.honest else split
-    row_sets = (split, est) if params.honest else (split,)
+    est = _Entries([e for _, e in samples], a) if honest else split
+    row_sets = (split, est) if honest else (split,)
 
     n_trees = len(samples)
     seg_node = np.arange(n_trees)
@@ -344,17 +344,15 @@ def grow_trees(x, y, a, values, ranks, samples, params: ForestParams):
         # Only a node with enough rows of each arm for two children is searched.
         can_split = np.ones(seg_node.shape[0], dtype=bool)
         for entries in row_sets:
-            can_split &= (entries.seg_treated >= 2 * min_t) & (
-                entries.seg_len - entries.seg_treated >= 2 * min_c
+            can_split &= (entries.seg_treated >= 2 * MIN_LEAF) & (
+                entries.seg_len - entries.seg_treated >= 2 * MIN_LEAF
             )
         if not can_split.any():
             break
         for entries in row_sets:
             entries.keep(can_split)
         seg_node = seg_node[can_split]
-        bounds = None
-        if params.honest:
-            bounds = est.threshold_bounds(ranks, n_values, min_t, min_c)
+        bounds = est.threshold_bounds(ranks, n_values) if honest else None
         best = np.full((seg_node.shape[0], p), -np.inf)
         best_threshold = np.empty((seg_node.shape[0], p))
         order = split.sort_by(ranks, n_values)
@@ -364,8 +362,8 @@ def grow_trees(x, y, a, values, ranks, samples, params: ForestParams):
         with np.errstate(over="ignore"):  # running outcome sums near the float range
             for group in _search_groups(split.seg_len):
                 best[group], best_threshold[group] = _best_splits(
-                    split, order, starts, group, y1, y0, values, ranks, bounds, params)
-        _count_splits(split, y, values, ranks, bounds, params, best, best_threshold)
+                    split, order, starts, group, y1, y0, values, ranks, bounds)
+        _count_splits(split, y, values, ranks, bounds, best, best_threshold)
         # Ties on the criterion break to the lowest covariate index.
         feature = best.argmax(axis=1)
         at = np.arange(seg_node.shape[0])
@@ -400,7 +398,7 @@ def grow_trees(x, y, a, values, ranks, samples, params: ForestParams):
     counts = np.bincount(group, minlength=2 * n_nodes)
     starts = np.cumsum(counts) - counts
     n0, n1 = counts[0::2], counts[1::2]
-    usable = np.flatnonzero((node_feature < 0) & (n1 >= min_t) & (n0 >= min_c))
+    usable = np.flatnonzero((node_feature < 0) & (n1 >= MIN_LEAF) & (n0 >= MIN_LEAF))
     leaf_tau = np.full(n_nodes, np.nan)
     y_sorted = y[est.all_rows[order]]
     with np.errstate(invalid="ignore"):  # inf - inf: a NaN leaf, skipped by predictions

@@ -112,23 +112,23 @@ class PooledProfiles:
 # holds profile j's studies in rows 0 to K_j - 1, so row k holds study k + 1
 # of the first m[k] profiles, and m[0] is the number of profiles.  A cell
 # below a short column repeats its profile's first study: element-wise work
-# on it meets only values the profile has, and no fold reads it.
+# and a max or min down a column meet only values the profile has, and no
+# sum reads it.
 
 
-def _fold(op, values, m, initial):
-    """Per-profile fold of a layout's ``values`` (K, P, ...) over its studies,
-    in study order: ``acc[:m[k]] = op(acc[:m[k]], values[k, :m[k]])`` from
-    ``initial``.
+def _fold(values, m):
+    """Per-profile sum of a layout's ``values`` (K, P, ...) over its studies,
+    in study order: ``acc[:m[k]] += values[k, :m[k]]`` from 0.0.
 
-    ``np.add`` from 0.0 is the running sum study 1 + study 2 + ... that every
-    Stage-2 sum over studies uses.  numpy's ``.sum(axis=...)`` is not used:
-    whether it sums pairwise or one value at a time depends on the array's
-    shape and memory layout, and so would a profile's bits.
+    That is the running sum study 1 + study 2 + ... that every Stage-2 sum
+    over studies uses.  numpy's ``.sum(axis=...)`` is not used: whether it
+    sums pairwise or one value at a time depends on the array's shape and
+    memory layout, and so would a profile's bits.
     """
-    acc = np.full(values.shape[1:], initial)
+    acc = np.zeros(values.shape[1:])
     for row, size in zip(values, m.tolist()):
         part = acc[:size]
-        op(part, row[:size], out=part)
+        np.add(part, row[:size], out=part)
     return acc
 
 
@@ -178,14 +178,14 @@ def _score(theta2, tau, v, m):
                  + (S(w^2)/S(w))^2) / 2,  S summing over studies.
     """
     w = 1.0 / (v + theta2)
-    sw, swt = _fold(np.add, np.stack([w, w * tau], axis=-1), m, 0.0).T
+    sw, swt = _fold(np.stack([w, w * tau], axis=-1), m).T
     r = tau - swt / sw
     terms = np.empty((*w.shape, 5))  # w^2 r^2, w^3 r^2, w^2 r, w^2, w^3, in place
     w2, w3 = np.multiply(w, w, out=terms[..., 3]), terms[..., 4]
     np.multiply(w2, w, out=w3)
     np.multiply(np.multiply(w2, r, out=terms[..., 2]), r, out=terms[..., 0])
     np.multiply(np.multiply(w3, r, out=terms[..., 1]), r, out=terms[..., 1])
-    s2r2, s3r2, s2r, s2, s3 = _fold(np.add, terms, m, 0.0).T
+    s2r2, s3r2, s2r, s2, s3 = _fold(terms, m).T
     ratio = s2 / sw
     score = 0.5 * (s2r2 - sw + ratio)
     slope = 0.5 * (-2.0 * s3r2 + 2.0 * s2r ** 2 / sw + s2 - 2.0 * s3 / sw + ratio * ratio)
@@ -265,8 +265,7 @@ def _reml_rows(tau, v, m, k, counts):
     Equal estimates give theta2 = 0 without a search, and a theta2 that
     overflows raises ``EstimationError``.
     """
-    high, low = _fold(np.maximum, np.stack([tau, -tau], axis=-1), m, -np.inf).T
-    low = -low
+    high, low = tau.max(axis=0), tau.min(axis=0)
     theta2 = np.zeros(m[0])
     active = high > low
     if active.any():
@@ -280,9 +279,9 @@ def _reml_rows(tau, v, m, k, counts):
             s = np.minimum(np.ldexp(s, -2 * e), np.finfo(np.float64).max)
         k = k[rows]
         # np.var(t, ddof=1), its sums taken in study order
-        deviation = t - _fold(np.add, t, sizes, 0.0) / k
-        variance = _fold(np.add, deviation * deviation, sizes, 0.0) / (k - 1)
-        bound = 10.0 * variance + _fold(np.maximum, s, sizes, -np.inf)
+        deviation = t - _fold(t, sizes) / k
+        variance = _fold(deviation * deviation, sizes) / (k - 1)
+        bound = 10.0 * variance + s.max(axis=0)
         x = _solve(t, s, sizes, bound, counts)
         with np.errstate(over="ignore"):
             theta2[rows] = np.ldexp(x, 2 * e)
@@ -317,7 +316,7 @@ def _pool_rows(tau, v, m, theta2, equal):
         # the largest weight; an infinite one has exponent 0 and stays.
         e = np.frexp(w.max(axis=0))[1]
         np.ldexp(w, -e, out=w)
-        sw, weighted = _fold(np.add, np.stack([w, w * tau], axis=-1), m, 0.0).T
+        sw, weighted = _fold(np.stack([w, w * tau], axis=-1), m).T
         tau_pooled = weighted / sw
         var_pooled = np.ldexp(1.0 / sw, -e)
     degenerate = ~np.isfinite(sw)  # an infinite weight

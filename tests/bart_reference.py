@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from catemeta.bart import BartParams, BartPosterior
+from catemeta.bart import _ALPHA, _BETA, _K, BartParams, BartPosterior
 from catemeta.errors import ConfigurationError, EstimationError
 from catemeta.model import TrialDataset, check_points
 from catemeta.rng import substream
@@ -97,8 +97,8 @@ class _Chain:
 
     def __init__(self, ranks, n_cuts, y_scaled, params, rng):
         n = y_scaled.shape[0]
-        self.n, self.ranks, self.params, self.rng = n, ranks, params, rng
-        self.sigma_mu = 0.5 / (params.k * math.sqrt(params.n_trees))
+        self.n, self.ranks, self.rng = n, ranks, rng
+        self.sigma_mu = 0.5 / (_K * math.sqrt(params.n_trees))
         sd = float(np.std(y_scaled, ddof=1)) if n > 1 else 1.0
         sd = max(sd, 1e-12)
         # lambda places the 0.90 quantile of the sigma prior at the sample sd
@@ -112,8 +112,7 @@ class _Chain:
     def _log_prior_ratio(self, depth):
         """Log prior ratio of splitting a leaf at ``depth``, less the rule's
         prior probability, which cancels against the proposal's."""
-        ps, ps_child = (self.params.alpha * (1.0 + d) ** -self.params.beta
-                        for d in (depth, depth + 1))
+        ps, ps_child = (_ALPHA * (1.0 + d) ** -_BETA for d in (depth, depth + 1))
         return math.log(ps) + 2.0 * math.log1p(-ps_child) - math.log1p(-ps)
 
     def _log_marginal(self, rows_sum, count):

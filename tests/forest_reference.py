@@ -11,6 +11,7 @@ children are grown depth-first.  Both sides use the same threshold rule
 import numpy as np
 
 from catemeta.forest import CausalForestModel, CausalTree, ForestParams
+from catemeta.grower import MIN_LEAF
 from catemeta.rng import substream
 
 
@@ -25,13 +26,13 @@ def _midpoint(lo, hi):
     return np.where((lo <= mid) & (mid < hi), mid, lo)
 
 
-def _best_split(x, y, a, split_rows, est_rows, min_t, min_c, honest):
+def _best_split(x, y, a, split_rows, est_rows, honest):
     """Scan all (covariate, threshold) candidates in one vectorized pass.
 
     Returns (feature, threshold) or None.  Thresholds are midpoints between
     consecutive distinct sorted values of the split-set.  A split is
-    admissible when both children keep at least the per-arm minima in the
-    split set and, in honest mode, in the estimation set as well.  Ties on
+    admissible when both children keep at least ``MIN_LEAF`` rows of each
+    arm in the split set and, in honest mode, in the estimation set as well.  Ties on
     the criterion break to the lowest covariate index, then the smallest
     threshold.
     """
@@ -60,10 +61,10 @@ def _best_split(x, y, a, split_rows, est_rows, min_t, min_c, honest):
 
     ok = (
         (x_sorted[:-1] < x_sorted[1:])
-        & (n1_left >= min_t)
-        & (n0_left >= min_c)
-        & (n1_right >= min_t)
-        & (n0_right >= min_c)
+        & (n1_left >= MIN_LEAF)
+        & (n0_left >= MIN_LEAF)
+        & (n1_right >= MIN_LEAF)
+        & (n0_right >= MIN_LEAF)
     )
     if honest:
         if est_rows.shape[0] == 0:
@@ -85,10 +86,10 @@ def _best_split(x, y, a, split_rows, est_rows, min_t, min_c, honest):
             e1 = np.where(pos > 0, ce1[np.maximum(pos - 1, 0), j], 0)
             e0 = np.where(pos > 0, ce0[np.maximum(pos - 1, 0), j], 0)
             ok[:, j] &= (
-                (e1 >= min_t)
-                & (e0 >= min_c)
-                & (te1 - e1 >= min_t)
-                & (te0 - e0 >= min_c)
+                (e1 >= MIN_LEAF)
+                & (e0 >= MIN_LEAF)
+                & (te1 - e1 >= MIN_LEAF)
+                & (te0 - e0 >= MIN_LEAF)
             )
     if not ok.any():
         return None
@@ -112,7 +113,7 @@ def _best_split(x, y, a, split_rows, est_rows, min_t, min_c, honest):
 
 def _grow_tree(x, y, a, pool, params: ForestParams, rng) -> CausalTree:
     n = x.shape[0]
-    m = min(max(int(params.subsample_fraction * n), 1), pool.shape[0])
+    m = min(max(int(0.5 * n), 1), pool.shape[0])
     perm = pool[rng.permutation(pool.shape[0])[:m]]
     if params.honest:
         split_all = perm[: m // 2]
@@ -143,10 +144,7 @@ def _grow_tree(x, y, a, pool, params: ForestParams, rng) -> CausalTree:
         node = stack.pop()
         split_rows = node_split[node]
         est_rows = node_est[node]
-        found = _best_split(
-            x, y, a, split_rows, est_rows,
-            params.min_leaf_treated, params.min_leaf_control, params.honest,
-        )
+        found = _best_split(x, y, a, split_rows, est_rows, params.honest)
         if found is None:
             continue
         f, thr = found
@@ -180,7 +178,7 @@ def _grow_tree(x, y, a, pool, params: ForestParams, rng) -> CausalTree:
         n0 = rows.shape[0] - n1
         leaf_n1[node] = n1
         leaf_n0[node] = n0
-        if n1 >= params.min_leaf_treated and n0 >= params.min_leaf_control:
+        if n1 >= MIN_LEAF and n0 >= MIN_LEAF:
             yr = y[rows]
             with np.errstate(over="ignore", invalid="ignore"):
                 leaf_tau[node] = float(yr[arm == 1].mean()) - float(yr[arm == 0].mean())

@@ -21,7 +21,7 @@ from catemeta import (
     fit_bart_slearner,
     run_experiment,
 )
-from catemeta.bart import _CHI2_Q, _NU, _Chain
+from catemeta.bart import _ALPHA, _BETA, _CHI2_Q, _NU, _Chain
 
 FAST = BartParams(n_trees=20, n_burn=100, n_draws=150, seed=7)
 
@@ -51,56 +51,21 @@ class TestParams:
         with pytest.raises(ConfigurationError):  # se2 is a sample variance over draws
             BartParams(n_draws=1)
 
-    def test_tree_prior_range(self):
-        with pytest.raises(ConfigurationError):
-            BartParams(alpha=1.5)
-
-    def test_leaf_prior_requires_positive_k(self):
-        with pytest.raises(ConfigurationError, match="k > 0"):
-            BartParams(k=0.0)
-
-    # beta = nan accepted every proposal with non-empty children, k = nan gave
-    # NaN tau and se2, k = inf gave tau = se2 = 0, and beta = inf ended in a
-    # math domain error.
-    @pytest.mark.parametrize("field", ["alpha", "beta", "k"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_prior_rejected(self, field, value):
-        want = {"alpha": "alpha in (0,1)", "beta": "a finite beta > 0", "k": "a finite k > 0"}
-        with pytest.raises(ConfigurationError, match=re.escape(want[field])):
-            BartParams(**{field: value})
-
-    # k = 1e-200 passed, then the chain's sigma_mu**2 ended in OverflowError.
-    @pytest.mark.parametrize("k, n_trees", [(1e-200, 50), (1e300, 10**10), (2.0, 10**400)],
-                             ids=["overflows", "underflows", "tree-count-past-floats"])
-    def test_leaf_variance_must_be_a_finite_positive_float(self, k, n_trees):
+    # n_trees = 10**400 has no float square root: the chain's sigma_mu
+    # ended in OverflowError.
+    @pytest.mark.parametrize("n_trees", [10**400], ids=["tree-count-past-floats"])
+    def test_leaf_variance_must_be_a_finite_positive_float(self, n_trees):
         with pytest.raises(ConfigurationError, match=re.escape(
-                f"leaf prior: k = {k} with n_trees = {n_trees} gives a leaf variance")):
-            BartParams(k=k, n_trees=n_trees)
-
-    def test_leaf_variance_near_the_float_range_fits(self):
-        # (0.5 / 1e-150)**2 = 2.5e299 is a float: the chain runs on it.
-        ds, rng = make_dataset(30, lambda x, a: a.astype(float), seed=12)
-        params = BartParams(k=1e-150, n_trees=1, n_burn=2, n_draws=2)
-        tau, se2, _, _ = bart_cates(fit_bart_slearner(ds, rng.normal(size=(2, 3)), params))
-        assert np.isfinite(tau).all() and np.isfinite(se2).all()
-
-    @pytest.mark.filterwarnings("error")
-    def test_leaf_variance_times_the_rows_must_be_finite(self):
-        # 1,000 * (0.5 / (3e-155 sqrt(5)))**2 overflows: the chain used to
-        # warn 48 times and return tau = se2 = 0.
-        ds, rng = make_dataset(1000, lambda x, a: a.astype(float), seed=13)
-        params = BartParams(k=3e-155, n_trees=5, n_burn=3, n_draws=3)
-        want = r"k = 3e-155 with n_trees = 5 .* the study's 1000 rows is not finite"
-        with pytest.raises(ConfigurationError, match=want):
-            fit_bart_slearner(ds, rng.normal(size=(2, 3)), params)
+                f"leaf prior: n_trees = {n_trees} gives a leaf variance 1 / (16 n_trees)")):
+            BartParams(n_trees=n_trees)
 
     @pytest.mark.filterwarnings("error")
     def test_constant_outcome_at_a_huge_leaf_variance_fits_without_warnings(self):
-        # sigma2 at its floor against a leaf variance of 5e297: the means of
-        # slots with no rows overflowed, and s2 / (s2 + c sigma_mu**2)
-        # underflowed to 0 before its log.
+        # sigma2 starts at its floor, 1e-24, and falls to about 2e-27, against
+        # a leaf variance of 1/800: s2 / (s2 + c sigma_mu**2) falls to about
+        # 1e-26, and slots with no rows must draw no mean.
         ds, rng = make_dataset(200, lambda x, a: np.zeros(len(a)), seed=14, noise=0.0)
-        params = BartParams(k=1e-150, n_burn=20, n_draws=20)
+        params = BartParams(n_burn=20, n_draws=20)
         tau, se2, _, _ = bart_cates(fit_bart_slearner(ds, rng.normal(size=(2, 3)), params))
         assert np.all(np.abs(tau) < 1e-9) and np.all((0.0 <= se2) & (se2 < 1e-20))
 
@@ -196,15 +161,6 @@ class TestSampler:
         pairs = post.draws.reshape(30, 3, 2)
         assert np.array_equal(reversed_post.draws.reshape(30, 3, 2), pairs[:, ::-1])
 
-    def test_split_probability_that_underflows_is_never_split(self):
-        # 2 ** -1e300 is 0.0, so a leaf at depth 1 has split probability 0.
-        # Its log prior ratio is -inf, not a math domain error.
-        ds, rng = make_dataset(80, lambda x, a: x[:, 0] + a, seed=11)
-        post = fit_bart_slearner(ds, rng.normal(size=(2, 3)),
-                                 BartParams(n_trees=5, n_burn=20, n_draws=20, beta=1e300))
-        assert np.isfinite(post.draws).all()
-        assert post.diagnostics["leaf_counts"].max() <= 2
-
 
 class TestDrawAllocation:
     """numpy refuses these shapes without allocating anything, on any host."""
@@ -227,9 +183,9 @@ class TestDrawAllocation:
 @st.composite
 def sampler_cases(draw):
     """A small study (binary, coarse and continuous columns), points and a
-    short chain with its own priors."""
+    short chain."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(20, 80))
+    n = draw(st.integers(8, 32))
     kinds = draw(st.lists(st.sampled_from(["binary", "coarse", "continuous"]),
                           min_size=1, max_size=3))
     columns = {"binary": lambda m: (rng.random(m) < 0.4).astype(float),
@@ -242,10 +198,8 @@ def sampler_cases(draw):
     n_points = draw(st.integers(1, 3))
     points = np.column_stack([columns[kind](n_points) for kind in kinds])
     params = BartParams(
-        n_trees=draw(st.integers(1, 8)), n_burn=draw(st.integers(1, 12)),
-        n_draws=draw(st.integers(2, 12)), alpha=draw(st.floats(0.3, 0.99)),
-        beta=draw(st.floats(0.1, 3.0)), k=draw(st.floats(0.5, 6.0)),
-        seed=draw(st.integers(0, 2**64 - 1)))
+        n_trees=draw(st.integers(1, 20)), n_burn=draw(st.integers(1, 12)),
+        n_draws=draw(st.integers(2, 12)), seed=draw(st.integers(0, 2**64 - 1)))
     dataset = TrialDataset(1, y, a, x, tuple(f"c{j}" for j in range(len(kinds))))
     return dataset, points, params
 
@@ -275,7 +229,7 @@ class TestOracle:
         # Three leaves take five slots, so these trees reallocate their means.
         ds, rng = make_dataset(80, lambda x, a: 3.0 * np.sign(x[:, 0]) + 3.0 * np.sign(x[:, 1]) + a,
                                seed=13, noise=0.1)
-        params = BartParams(n_trees=3, n_burn=40, n_draws=20, alpha=0.99, beta=0.5, seed=4)
+        params = BartParams(n_trees=3, n_burn=40, n_draws=20, seed=4)
         post = assert_matches_oracle(ds, rng.normal(size=(3, 3)), params)
         assert post.diagnostics["leaf_counts"].max() >= 3
 
@@ -288,9 +242,10 @@ def batch_means_z(values, want, n_batches=50):
 
 
 class TestSemiConjugate:
-    """One tree that never splits (alpha = 1e-12) is the normal model
-    y_i ~ N(mu, sigma2), mu ~ N(0, sigma_mu^2), sigma2 ~ nu lambda / chi2_nu,
-    whose posterior moments one quadrature over sigma2 gives."""
+    """One tree that never splits (its root's split prior set to 0) is the
+    normal model y_i ~ N(mu, sigma2), mu ~ N(0, sigma_mu^2), sigma2 ~ nu
+    lambda / chi2_nu, whose posterior moments one quadrature over sigma2
+    gives."""
 
     @staticmethod
     def exact_moments(y, sm2, lam):
@@ -323,8 +278,8 @@ class TestSemiConjugate:
         n = 40
         y = 0.1 + 0.15 * rng.standard_normal(n)
         ranks = np.argsort(np.argsort(rng.normal(size=n)))[None, :]  # one continuous column
-        chain = _Chain(ranks, [n - 1], y, BartParams(n_trees=1, alpha=1e-12),
-                       np.random.default_rng(8))
+        chain = _Chain(ranks, [n - 1], y, BartParams(n_trees=1), np.random.default_rng(8))
+        chain.prior = [-math.inf]  # log prior ratio of a split at depth 0: never grow
         burn, keep = 200, 20000
         mu, sigma2 = np.empty(keep), np.empty(keep)
         for it in range(burn + keep):
@@ -355,15 +310,22 @@ def tree_prior_leaf_shares(alpha, beta, max_leaves):
 
 class TestTreePrior:
     def test_prior_only_chain_matches_branching_process(self):
-        # k = 1e12 makes sigma_mu ~ 1e-14, so every marginal-likelihood ratio
-        # is 1 to within ~1e-24 and the chain samples the tree prior alone.
-        ds, rng = make_dataset(500, lambda x, a: np.zeros(x.shape[0]), seed=10)
-        params = BartParams(n_trees=20, n_burn=100, n_draws=1900, k=1e12, seed=5)
-        post = fit_bart_slearner(ds, rng.normal(size=(1, 3)), params)
-        leaf_counts = post.diagnostics["leaf_counts"]
-        assert leaf_counts.shape == (1900, 20)
+        # sigma_mu = 1e-14 makes every marginal-likelihood ratio 1 to within
+        # ~1e-24, so the chain samples the tree prior alone.
+        ds, _ = make_dataset(500, lambda x, a: np.zeros(x.shape[0]), seed=10)
+        z = np.column_stack([ds.x, ds.a])
+        ranks = np.array([np.unique(column, return_inverse=True)[1] for column in z.T])
+        chain = _Chain(ranks, [int(r.max()) for r in ranks], ds.y, BartParams(n_trees=20),
+                       np.random.default_rng(5))
+        chain.sigma_mu = 1e-14
+        leaf_counts = np.empty((1900, 20), dtype=np.int64)
+        for it in range(100 + 1900):
+            chain.sweep()
+            if it >= 100:  # L leaves use 2L - 1 slots
+                leaf_counts[it - 100] = [(len(tree.feature) - len(tree.free) + 1) // 2
+                                         for tree in chain.trees]
         shares = np.array([np.mean(leaf_counts == leaves) for leaves in range(1, 5)])
-        exact = tree_prior_leaf_shares(params.alpha, params.beta, 4)
+        exact = tree_prior_leaf_shares(_ALPHA, _BETA, 4)
         # 38,000 autocorrelated tree draws: 0.02 is several standard errors.
         np.testing.assert_allclose(shares, exact, atol=0.02)
 
@@ -414,13 +376,13 @@ class TestNormalOption:
 class TestQuantileOption:
     def test_constant_differences(self):
         post = manual_posterior([0.0] * 4, [1.0] * 4)
-        tau, _, lower, upper = bart_cates(post, 0.5)
+        tau, _, lower, upper = bart_cates(post)
         assert (tau[0], lower[0], upper[0]) == (1.0, 1.0, 1.0)
 
     def test_linear_interpolation_hand_example(self):
         d = np.arange(101, dtype=float)
         post = manual_posterior(np.zeros(101), d)
-        (tau,), _, (lower,), (upper,) = bart_cates(post, 0.95)
+        (tau,), _, (lower,), (upper,) = bart_cates(post)
         assert tau == 50.0
         assert lower == pytest.approx(2.5, abs=1e-12)
         assert upper == pytest.approx(97.5, abs=1e-12)
@@ -429,11 +391,5 @@ class TestQuantileOption:
         rng = np.random.default_rng(9)
         d = rng.normal(size=63)
         post = manual_posterior(np.zeros(63), d)
-        for level in (0.5, 0.8, 0.95, 0.99):
-            _, _, (lower,), (upper,) = bart_cates(post, level)
-            assert d.min() <= lower <= upper <= d.max()
-
-    def test_level_must_be_in_unit_interval(self):
-        post = manual_posterior([0.0, 1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            bart_cates(post, 1.0)
+        _, _, (lower,), (upper,) = bart_cates(post)
+        assert d.min() <= lower <= upper <= d.max()

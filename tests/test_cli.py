@@ -1,16 +1,19 @@
 """Command-line behavior: schemas, exit codes, determinism of artifacts."""
 
+import argparse
 import hashlib
 import json
 import math
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from catemeta import SimConfig, cli, pool_profiles, run_experiment
+from catemeta import BartParams, SimConfig, cli, pool_profiles, run_experiment
 from catemeta.cli import main
+from catemeta.config import SimulateOptions
 from catemeta.forest import ForestParams, fit_causal_forest
 from catemeta.io import (
     read_aggregates_csv,
@@ -1116,6 +1119,34 @@ class TestTextDecoding:
         assert capsys.readouterr().err == ""
 
 
+# The estimate flag and the simulate experiment-file key that set each learner
+# field but the seed.  A simulate run takes ``honest`` from its method names
+# (forest_honest, forest_adaptive) in the ``methods`` key.
+LEARNER_SETTINGS = {
+    (ForestParams, "n_trees"): ("--trees", "forest_trees"),
+    (ForestParams, "honest"): ("--honest", "methods"),
+    (ForestParams, "bag_size"): ("--bag-size", "forest_bag_size"),
+    (BartParams, "n_trees"): ("--trees", "bart_trees"),
+    (BartParams, "n_burn"): ("--burn", "bart_burn"),
+    (BartParams, "n_draws"): ("--draws", "bart_draws"),
+}
+
+
+class TestLearnerSettings:
+    def test_every_learner_field_is_set_by_a_flag_and_a_key(self):
+        # A field that no flag or key sets is a setting no run changes: it is
+        # a constant of its learner, not a parameter.
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {flag for action in commands.choices["estimate"]._actions
+                 for flag in action.option_strings}
+        keys = {f.name for f in fields(SimConfig) + fields(SimulateOptions)}
+        assert set(LEARNER_SETTINGS) == {(params, f.name) for params in (ForestParams, BartParams)
+                                         for f in fields(params) if f.name != "seed"}
+        for flag, key in LEARNER_SETTINGS.values():
+            assert flag in flags and key in keys, (flag, key)
+
+
 class TestExitCodeMapping:
     @pytest.mark.parametrize("threads", ["0", "-1", "x"])
     @pytest.mark.parametrize("command", [
@@ -1211,6 +1242,27 @@ class TestExitCodeMapping:
         agg = tmp_path / "agg.csv"
         agg.write_text("profile_id,study_id,tau_hat,se2\n0,1,1.0,0.5\n0,2,2.0,0.5\n")
         assert run(["predict", "--aggregates", agg, "--out-dir", tmp_path / "x"]) == 1
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+    @pytest.mark.parametrize("command, args", [
+        ("cmd_estimate", ["estimate", "--trials", "t.csv", "--profiles", "p.csv",
+                          "--stage1", "forest"]),
+        ("cmd_predict", ["predict", "--aggregates", "agg.csv"]),
+        ("cmd_compare_intervals", ["compare-intervals", "--aggregates", "agg.csv",
+                                   "--predictions", "pred.csv", "--profile", "0"]),
+        ("cmd_simulate", ["simulate", "--config", "exp.cfg"]),
+    ], ids=["estimate", "predict", "compare-intervals", "simulate"])
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch, command, args,
+                                   message):
+        # A legal run larger than the host's memory used to end in a
+        # MemoryError traceback.  The command raises it without allocating.
+        def out_of_memory(parsed):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, command, out_of_memory)
+        assert run(args + ["--out-dir", tmp_path / "x"]) == 1
+        want = "error: out of memory" + (f": {message}" if message else "")
+        assert one_error_line(capsys.readouterr().err) == want
 
 
 class TestManifest:

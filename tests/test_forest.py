@@ -90,14 +90,6 @@ class TestForestParams:
             ForestParams(n_trees=10, bag_size=bag_size)
         assert ForestParams(n_trees=10, bag_size=2).n_bags == 5
 
-    def test_leaf_minima_floor(self):
-        with pytest.raises(ConfigurationError):
-            ForestParams(min_leaf_treated=1)
-
-    def test_subsample_fraction_range(self):
-        with pytest.raises(ConfigurationError):
-            ForestParams(subsample_fraction=0.0)
-
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
         # Such a seed used to construct and fail later in the stream encoder.
@@ -106,8 +98,7 @@ class TestForestParams:
         assert ForestParams(seed=2**64 - 1).seed == 2**64 - 1
 
     @pytest.mark.parametrize("field, value", [
-        ("seed", 2.5), ("n_trees", 40.0), ("bag_size", 20.0), ("min_leaf_treated", 5.0),
-        ("seed", True),
+        ("seed", 2.5), ("n_trees", 40.0), ("bag_size", 20.0), ("seed", True),
     ])
     def test_integer_fields_must_be_integers(self, field, value):
         # ForestParams(seed=2.5) used to construct and grow the seed-2 forest.
@@ -147,14 +138,13 @@ class TestGrowth:
 
     def test_usable_leaves_respect_arm_minima(self):
         ds = make_dataset(600, lambda x: x[:, 0], seed=4, noise=0.5)
-        params = ForestParams(n_trees=40, bag_size=20, seed=6,
-                              min_leaf_treated=4, min_leaf_control=3)
-        model = fit_causal_forest(ds, params)
+        model = fit_causal_forest(ds, ForestParams(n_trees=40, bag_size=20, seed=6))
         for tree in model.trees:
             leaves = tree.feature < 0
             usable = leaves & np.isfinite(tree.leaf_tau)
-            assert np.all(tree.leaf_n_treated[usable] >= 4)
-            assert np.all(tree.leaf_n_control[usable] >= 3)
+            enough = (tree.leaf_n_treated >= grower.MIN_LEAF) & (
+                tree.leaf_n_control >= grower.MIN_LEAF)
+            assert np.array_equal(usable, leaves & enough)
 
     def test_criterion_ties_break_to_lowest_covariate_index(self):
         # Duplicated covariate columns produce bitwise-equal split criteria;
@@ -183,10 +173,10 @@ class TestGrowth:
         assert tau[0] == tau[1] and abs(tau[0] - 2.0) < 0.5
 
     def test_infeasible_minima_rejected_up_front(self):
-        ds = make_dataset(40, lambda x: np.ones(x.shape[0]), seed=7)
+        # At most 15 rows in one arm give an honest tree about 3.75 of them.
+        ds = make_dataset(30, lambda x: np.ones(x.shape[0]), seed=7)
         with pytest.raises(InsufficientDataError):
-            fit_causal_forest(ds, ForestParams(n_trees=20, bag_size=20,
-                                               min_leaf_treated=30, min_leaf_control=30))
+            fit_causal_forest(ds, ForestParams(n_trees=20, bag_size=20))
 
     @pytest.mark.parametrize("arm", ["treated", "control"])
     @pytest.mark.parametrize("n_small, refused", [(15, True), (20, False)])
@@ -300,8 +290,7 @@ class TestPredictionEdgeCases:
     def test_majority_skipped_is_error(self):
         usable = [single_leaf_tree(1.0)] * 9
         skipped = [single_leaf_tree(np.nan, n1=0, n0=5)] * 11
-        params = ForestParams(n_trees=20, bag_size=20, seed=0, min_leaf_treated=2,
-                              min_leaf_control=2)
+        params = ForestParams(n_trees=20, bag_size=20, seed=0)
         model = CausalForestModel(1, tuple(usable + skipped), params, 2, 1.0)
         with pytest.raises(EstimationError):
             forest_predict(model, np.zeros((1, 2)))
@@ -399,11 +388,9 @@ class TestCountSearch:
         a = rng.integers(0, 2, n)
         y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, n)
         values, ranks = zip(*(np.unique(column, return_inverse=True) for column in x.T))
-        params = ForestParams(n_trees=40, bag_size=20, seed=0, min_leaf_treated=3,
-                              min_leaf_control=2)
         split = grower._Entries([rng.permutation(n)[:m] for m in rng.integers(20, 300, 40)], a)
         # As grow_trees does, search only segments with twice the minima.
-        can_split = (split.seg_treated >= 6) & (split.seg_len - split.seg_treated >= 4)
+        can_split = (split.seg_treated >= 10) & (split.seg_len - split.seg_treated >= 10)
         split.keep(can_split & (rng.random(40) < 0.8))
         y1, y0 = y[split.rows] * split.arm, y[split.rows] * (1 - split.arm)
         # Sorted as if every column had more values, the padded scan takes all.
@@ -411,18 +398,18 @@ class TestCountSearch:
         lens = split.seg_len
         want, want_threshold = grower._best_splits(
             split, split.sort_by(ranks, padded_n_values), np.cumsum(lens) - lens,
-            np.arange(lens.shape[0]), y1, y0, values, ranks, None, params)
+            np.arange(lens.shape[0]), y1, y0, values, ranks, None)
         got = np.full_like(want, -np.inf)
         got_threshold = np.empty_like(want_threshold)
-        grower._count_splits(split, y, values, ranks, None, params, got, got_threshold)
+        grower._count_splits(split, y, values, ranks, None, got, got_threshold)
         assert np.isfinite(got[:, :2]).sum() > 20
         assert got[:, :2].tobytes() == want[:, :2].tobytes()
         finite = np.isfinite(got[:, :2])
         assert got_threshold[:, :2][finite].tobytes() == want_threshold[:, :2][finite].tobytes()
         assert (got[:, 2] == -np.inf).all()
 
-        bounds = split.threshold_bounds(ranks, [v.shape[0] for v in values], 3, 2)
-        general = split.threshold_bounds(ranks, padded_n_values, 3, 2)
+        bounds = split.threshold_bounds(ranks, [v.shape[0] for v in values])
+        general = split.threshold_bounds(ranks, padded_n_values)
         for j in (0, 1):
             for got_rank, want_rank in zip(bounds[j], general[j]):
                 assert np.array_equal(got_rank, want_rank)
@@ -509,9 +496,6 @@ def forest_cases(draw):
         n_trees=bag_size * draw(st.integers(1, 3)),
         bag_size=bag_size,
         honest=draw(st.booleans()),
-        min_leaf_treated=draw(st.integers(2, 6)),
-        min_leaf_control=draw(st.integers(2, 6)),
-        subsample_fraction=draw(st.sampled_from([0.5, 0.8, 1.0])),
         seed=draw(st.integers(0, 1000)),
     )
     names = tuple(f"c{j}" for j in range(x.shape[1]))

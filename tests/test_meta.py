@@ -400,6 +400,7 @@ def extreme_profiles(draw):
 
 
 class TestSearchBound:
+    @pytest.mark.slow
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(extreme_profiles(), st.integers(0, 1100))
     def test_theta2_stays_below_the_proven_bound(self, profile, halvings):

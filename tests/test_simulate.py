@@ -286,10 +286,11 @@ class TestHarness:
         assert_same_table(par, (seq.coverage, seq.mean_length, seq.bias))
 
     def test_aborted_replications_are_reported(self):
-        cfg = config(n_replications=3, n_per_study=60)
-        bad_forest = ForestParams(n_trees=20, bag_size=20,
-                                  min_leaf_treated=50, min_leaf_control=50)
-        table = run_experiment(cfg, "forest_honest", forest_params=bad_forest)
+        # An arm of at most 15 rows gives an honest tree about 3.75 of them,
+        # under the leaf minimum of 5.
+        cfg = config(n_replications=3, n_per_study=30)
+        table = run_experiment(cfg, "forest_honest",
+                               forest_params=ForestParams(n_trees=20, bag_size=20))
         assert table.aborted_replications == (0, 1, 2)
         assert len(table.abort_reasons) == 3
         assert all("subsample too small" in reason for reason in table.abort_reasons)
