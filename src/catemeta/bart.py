@@ -29,6 +29,12 @@ non-empty leaves.  Each tree maps the data rows, then the evaluation
 points, to leaves in one index vector; leaf statistics come from
 ``np.bincount``.
 
+A sweep draws its uniforms, five per tree, in one call, and then all of its
+leaf-mean normals in one more, one per slot of every tree.  A grow that
+enlarges its tree's slots draws just the missing normals when it happens.
+The trees read the normals in the order that one draw per tree would give,
+so the chain's draws do not depend on how the normals are batched.
+
 The CATE at a profile is obtained by differencing the posterior function at
 treatment 1 and treatment 0.  Two interval constructions are supported:
 a normal approximation that adds the two arm variances (the conservative
@@ -192,6 +198,7 @@ class _Chain:
         # lambda places the 0.90 quantile of the sigma prior at the sample sd
         self.lam = sd * sd * _CHI2_Q / _NU
         self.sigma2 = sd * sd
+        self.row_counts = np.arange(n + 1, dtype=np.float64)  # a leaf's possible row counts
         self.trees = [_Tree(n, ranks.shape[1], n_cuts) for _ in range(params.n_trees)]
         self.prior = []
         self.resid = np.concatenate([y_scaled, np.zeros(ranks.shape[1] - n)])
@@ -207,6 +214,13 @@ class _Chain:
         node, the rule's column and cut, and acceptance.  A grow or change
         proposes a rule for ``node`` (rows ``in_node``) at log ratio
         ``log_rest`` plus the children's marginals, unless a child is empty.
+
+        The sweep's uniforms come first, then one standard normal per slot of
+        every tree, in tree order, then the error variance's chi-square.  The
+        normals are drawn in one call, sized by the trees' slot counts at the
+        start of the sweep, and each tree takes the next slice.  A grow that
+        enlarges its tree's slots draws only the shortfall, at that point, so
+        the trees read the normals that one draw per tree would give them.
         """
         n, ranks, resid = self.n, self.ranks, self.resid
         r = resid[:n]
@@ -218,7 +232,7 @@ class _Chain:
         # draw of about n, and sigma_mu**2 = 1 / (16 n_trees) is at most 1/16, so
         # s2 / denom stays above about 1e-41 for any study of up to 10^9 rows.
         s2, sm2 = self.sigma2, self.sigma_mu**2
-        denom = s2 + np.arange(n + 1) * sm2
+        denom = s2 + self.row_counts * sm2
         lm_const = (0.5 * np.log(s2 / denom)).tolist()
         # A slot of no rows is no leaf, so no row reads its mean: make it 0.
         denom[0] = math.inf
@@ -227,12 +241,18 @@ class _Chain:
         lm_coef = (shrink / (2.0 * s2)).tolist()
         grow_odds, prune_odds = _MOVE_PRUNE / _MOVE_GROW, _MOVE_GROW / _MOVE_PRUNE
         prior, proposed, accepted = self.prior, self.proposed, self.accepted
-        bincount, count_nonzero, normal = np.bincount, np.count_nonzero, self.rng.standard_normal
+        bincount, count_nonzero, dot = np.bincount, np.count_nonzero, np.dot
+        normal = self.rng.standard_normal
         log, log1p = math.log, math.log1p
+        # numpy compares an intp array with a 0-d intp array, or writes one
+        # into it, faster than a Python int, which it converts on every call:
+        # each slot or cut index goes into ``key`` first.
+        key = np.empty((), dtype=np.intp)
         uniforms = self.rng.random((len(self.trees), 5)).tolist()
+        noise, at = normal(sum(tree.mu.shape[0] for tree in self.trees)), 0
         for tree, (u_move, u_node, u_col, u_cut, u_accept) in zip(self.trees, uniforms):
             leaf_of, rows, counts = tree.leaf_of, tree.rows, tree.counts
-            resid += tree.mu[leaf_of]
+            resid += tree.mu.take(leaf_of)
             sums = bincount(rows, r, tree.mu.shape[0])
             move, moved = None, False
             if u_move < _MOVE_GROW:
@@ -240,22 +260,22 @@ class _Chain:
                 if nodes:
                     move = "grow"
                     node = nodes[int(u_node * len(nodes))]
-                    n_all, s_all = counts[node], sums.tolist()[node]
+                    n_all, s_all = counts[node], sums.item(node)
                     depth, prunable = tree.depth[node], tree.prunable
                     if depth == len(prior):
                         prior.append(_log_split_prior(depth))
                     log_rest = (prior[depth] - (lm_const[n_all] + lm_coef[n_all] * s_all * s_all)
                                 + log(grow_odds * len(nodes)
                                       / (len(prunable) + 1 - (tree.parent[node] in prunable))))
-                    in_node = leaf_of == node
+                    key[()] = node
+                    in_node = leaf_of == key
             else:
                 nodes = tree.prunable
                 if nodes:
                     node = nodes[int(u_node * len(nodes))]
                     left, right = tree.left[node], tree.right[node]
-                    sum_list = sums.tolist()
                     n_l, n_r = counts[left], counts[right]
-                    s_l, s_r = sum_list[left], sum_list[right]
+                    s_l, s_r = sums.item(left), sums.item(right)
                     n_all, s_all = n_l + n_r, s_l + s_r
                     if u_move < _MOVE_GROW + _MOVE_PRUNE:
                         proposed["prune"] += 1
@@ -268,7 +288,12 @@ class _Chain:
                                      + log(prune_odds * len(nodes) / n_growable))
                         if log1p(-u_accept) < log_ratio:
                             tree.prune(node)
-                            leaf_of[(leaf_of == left) | (leaf_of == right)] = node
+                            key[()] = left
+                            merged = leaf_of == key
+                            key[()] = right
+                            merged |= leaf_of == key
+                            key[()] = node
+                            leaf_of[merged] = key
                             counts[node], counts[left], counts[right] = n_all, 0, 0
                             accepted["prune"] += 1
                             moved = True
@@ -276,36 +301,47 @@ class _Chain:
                         move = "change"
                         log_rest = (-(lm_const[n_l] + lm_coef[n_l] * s_l * s_l)
                                     - (lm_const[n_r] + lm_coef[n_r] * s_r * s_r))
-                        in_node = (leaf_of == left) | (leaf_of == right)
+                        key[()] = left
+                        in_node = leaf_of == key
+                        key[()] = right
+                        in_node |= leaf_of == key
             if move is not None:
                 proposed[move] += 1
                 avail = tree.avail[node]
                 f = avail[int(u_col * len(avail))]
                 lo = tree.lo[node][f]
                 c = lo + int(u_cut * (tree.hi[node][f] - lo))
-                goes_right = in_node & (ranks[f] > c)
-                n_r = int(count_nonzero(goes_right[:n]))
+                key[()] = c
+                goes_right = in_node & (ranks[f] > key)
+                right_rows = goes_right[:n]
+                n_r = int(count_nonzero(right_rows))
                 if 0 < n_r < n_all:
-                    s_r = float(r @ goes_right[:n])
+                    s_r = float(dot(r, right_rows))
                     n_l, s_l = n_all - n_r, s_all - s_r
                     log_ratio = (log_rest + (lm_const[n_l] + lm_coef[n_l] * s_l * s_l)
                                  + (lm_const[n_r] + lm_coef[n_r] * s_r * s_r))
                     if log1p(-u_accept) < log_ratio:
                         tree.set_rule(node, f, c)
                         left, right = tree.left[node], tree.right[node]
-                        leaf_of[in_node] = left
-                        leaf_of[goes_right] = right
+                        key[()] = left
+                        leaf_of[in_node] = key
+                        key[()] = right
+                        leaf_of[goes_right] = key
                         counts[node], counts[left], counts[right] = 0, n_l, n_r
                         accepted[move] += 1
                         moved = True
             if moved:
                 tree.count = np.array(counts)
-                sums = bincount(rows, r, tree.mu.shape[0])  # a grow may have reallocated mu
-            count = tree.count
+                size = tree.mu.shape[0]
+                if size > sums.shape[0]:  # a grow reallocated mu: draw the shortfall
+                    noise, at = np.concatenate((noise[at:], normal(size - sums.shape[0]))), 0
+                sums = bincount(rows, r, size)
+            count, end = tree.count, at + sums.shape[0]
             mu = sums * shrink[count]
-            mu += post_sd[count] * normal(sums.shape[0])
+            mu += post_sd[count] * noise[at:end]
+            at = end
             tree.mu = mu
-            resid -= mu[leaf_of]
+            resid -= mu.take(leaf_of)
         err = self.resid[: self.n]
         shape = _NU + self.n
         scale = _NU * self.lam + float(err @ err)

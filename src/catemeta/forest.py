@@ -41,6 +41,7 @@ from .grower import MIN_LEAF, grow_trees, run_stat
 from .model import (
     TrialDataset,
     check_integers,
+    check_list_counts,
     check_points,
     check_seed,
 )
@@ -75,6 +76,7 @@ class ForestParams:
         check_integers(self, "n_trees", "bag_size", "seed")
         if self.n_trees < 1:
             raise ConfigurationError("n_trees must be >= 1")
+        check_list_counts(self, "n_trees")
         if self.bag_size < 2:
             # One tree per bag has no within-bag variance, so the variance
             # estimator would make no Monte Carlo correction.

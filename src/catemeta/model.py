@@ -85,6 +85,22 @@ def check_integers(params, *names: str) -> None:
             raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
+MAX_LIST_COUNT = 1 << 24
+
+
+def check_list_counts(params, *names: str) -> None:
+    """Raise ``ConfigurationError`` for the first of ``names`` above
+    ``MAX_LIST_COUNT``.  Each sizes a Python list with one entry per tree,
+    study or job, which a larger count would grow until the host's memory
+    ran out."""
+    for name in names:
+        value = getattr(params, name)
+        if value > MAX_LIST_COUNT:
+            raise ConfigurationError(
+                f"{name} = {value} is above the bound 2**24 = {MAX_LIST_COUNT} "
+                "on counts of trees, studies and replications")
+
+
 def check_seed(params, name: str) -> None:
     """Raise ``ConfigurationError`` unless ``params.<name>`` is in [0, 2**64),
     the range of one stream part (``rng.substream``)."""

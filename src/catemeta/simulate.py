@@ -29,7 +29,7 @@ from .forest import ForestParams, fit_causal_forest, forest_predict
 from .linear import design_stack, linear_cates_arrays
 # reml_theta2_batch is bound only for perfbench/tracing.py.
 from .meta import interval_t, ndtri, pool_profiles, reml_theta2_batch  # noqa: F401
-from .model import TrialDataset, check_integers, check_points, check_seed
+from .model import TrialDataset, check_integers, check_list_counts, check_points, check_seed
 from .rng import stream, stream_states, substream
 
 COVARIATE_NAMES = ("age", "sex", "smoking", "weight", "madrs")
@@ -97,6 +97,7 @@ class SimConfig:
             raise ConfigurationError("k_studies must be >= 2")
         if self.n_per_study < 1 or self.n_replications < 1:
             raise ConfigurationError("sample and replication counts must be positive")
+        check_list_counts(self, "k_studies", "n_replications")
         check_seed(self, "master_seed")
         if self.cate_setting not in CATE_SETTINGS:
             raise ConfigurationError(f"cate_setting must be one of {CATE_SETTINGS}")

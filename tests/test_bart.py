@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from bart_reference import _Chain as ReferenceChain
 from bart_reference import fit_bart_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,6 +233,71 @@ class TestOracle:
         params = BartParams(n_trees=3, n_burn=40, n_draws=20, seed=4)
         post = assert_matches_oracle(ds, rng.normal(size=(3, 3)), params)
         assert post.diagnostics["leaf_counts"].max() >= 3
+
+
+class _CountingRng:
+    """Delegates a chain's draws to ``rng`` and counts its ``standard_normal`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.normal_calls = rng, 0
+
+    def random(self, size):
+        return self.rng.random(size)
+
+    def standard_normal(self, size):
+        self.normal_calls += 1
+        return self.rng.standard_normal(size)
+
+    def chisquare(self, df):
+        return self.rng.chisquare(df)
+
+
+class TestNormalDraws:
+    """A sweep draws its leaf-mean normals in one call, plus one per tree whose
+    slots a grow enlarged, and reads as many as one draw per tree does."""
+
+    @staticmethod
+    def chain_inputs():
+        """Ranks, cut counts and the scaled outcome of one study whose trees
+        grow past four slots."""
+        ds, _ = make_dataset(120, lambda x, a: 3.0 * np.sign(x[:, 0]) + 3.0 * np.sign(x[:, 1]) + a,
+                             seed=15, noise=0.1)
+        z = np.column_stack([ds.x, ds.a])
+        ranks = np.array([np.unique(column, return_inverse=True)[1] for column in z.T])
+        y = (ds.y - ds.y.min()) / (ds.y.max() - ds.y.min()) - 0.5
+        return ranks, [int(r.max()) for r in ranks], y
+
+    @staticmethod
+    def slots(chain):
+        return [tree.mu.shape[0] for tree in chain.trees]
+
+    def test_stream_position_matches_the_per_tree_sampler(self):
+        ranks, n_cuts, y = self.chain_inputs()
+        params = BartParams(n_trees=10)
+        chain = _Chain(ranks, n_cuts, y, params, np.random.default_rng(21))
+        reference = ReferenceChain(ranks, n_cuts, y, params, np.random.default_rng(21))
+        grown_later = 0
+        for sweep in range(40):
+            before = self.slots(chain)
+            chain.sweep()
+            reference.sweep()
+            assert chain.rng.bit_generator.state == reference.rng.bit_generator.state
+            if sweep:
+                grown_later += sum(a > b for a, b in zip(self.slots(chain), before))
+        assert grown_later > 0  # the shortfall draw ran
+
+    def test_one_normal_call_per_sweep_plus_one_per_shortfall(self):
+        ranks, n_cuts, y = self.chain_inputs()
+        rng = _CountingRng(np.random.default_rng(21))
+        chain = _Chain(ranks, n_cuts, y, BartParams(n_trees=10), rng)
+        shortfalls = 0
+        for _ in range(40):
+            before, calls = self.slots(chain), rng.normal_calls
+            chain.sweep()
+            grown = sum(a > b for a, b in zip(self.slots(chain), before))
+            assert rng.normal_calls - calls == 1 + grown
+            shortfalls += grown
+        assert shortfalls > 0
 
 
 def batch_means_z(values, want, n_batches=50):

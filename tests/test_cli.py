@@ -304,6 +304,19 @@ class TestEstimate:
             f"error: n_draws = {draws}: cannot allocate the kept draws")
         assert not (out / "manifest.json").exists()
 
+    def test_forest_tree_count_above_the_list_bound_exits_3(self, tmp_path, capsys):
+        # 10**12 trees used to grow the forest's per-tree stream list until
+        # the host ran out of memory.
+        trials, profiles = write_inputs(tmp_path)
+        out = tmp_path / "x"
+        code = run(["estimate", "--trials", trials, "--profiles", profiles,
+                    "--stage1", "forest", "--trees", 10**12, "--out-dir", out])
+        assert code == 3
+        assert one_error_line(capsys.readouterr().err) == (
+            "error: n_trees = 1000000000000 is above the bound 2**24 = 16777216 "
+            "on counts of trees, studies and replications")
+        assert not out.exists()
+
     def test_forest_bag_of_one_tree_exits_3(self, tmp_path, capsys):
         # --bag-size 1 used to run: a bag of one tree has no within-bag
         # variance, so the forest's se2 had no Monte Carlo correction.
@@ -1017,6 +1030,23 @@ class TestSimulate:
                 "error: forest_trees (20) is below twice forest_bag_size (20): "
                 "a forest of one variance bag puts every se2 at its floor\n")
             assert not out.exists()
+
+    @pytest.mark.parametrize("line, field, value", [
+        ("methods = forest_honest\nforest_trees = 1000000000000", "n_trees", 10**12),
+        ("k_studies = 1000000000000", "k_studies", 10**12),
+        ("n_replications = 1000000000000000", "n_replications", 10**15),
+    ], ids=["forest-trees", "k-studies", "n-replications"])
+    def test_count_above_the_list_bound_exits_3(self, tmp_path, capsys, line, field, value):
+        # Each used to grow a list, of stream states or of jobs, until the
+        # host ran out of memory.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "x"
+        assert run(["simulate", "--config", cfg, "--out-dir", out]) == 3
+        assert one_error_line(capsys.readouterr().err) == (
+            f"error: {field} = {value} is above the bound 2**24 = 16777216 "
+            "on counts of trees, studies and replications")
+        assert not out.exists()
 
     def test_manifest_notes_abort_reasons(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -90,6 +90,14 @@ class TestForestParams:
             ForestParams(n_trees=10, bag_size=bag_size)
         assert ForestParams(n_trees=10, bag_size=2).n_bags == 5
 
+    def test_tree_count_bounded(self):
+        # 10**12 used to construct, and a fit grew its per-tree stream list
+        # until the host ran out of memory.
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "n_trees = 1000000000000 is above the bound 2**24 = 16777216")):
+            ForestParams(n_trees=10**12)
+        assert ForestParams(n_trees=2**24, bag_size=2).n_bags == 2**23
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
         # Such a seed used to construct and fail later in the stream encoder.
@@ -466,9 +474,13 @@ def leaf_of_rows(tree, x, rows):
 @st.composite
 def forest_cases(draw):
     """Small datasets with continuous, binary, two-valued, constant, tied and
-    duplicated columns."""
+    duplicated columns.  Each arm has at least the rows the forest asks of it
+    up front (20 for honest trees, 10 for adaptive ones), so no draw is
+    refused."""
     seed = draw(st.integers(0, 2**32 - 1))
-    n = draw(st.integers(30, 160))
+    honest = draw(st.booleans())
+    min_arm = (4 if honest else 2) * grower.MIN_LEAF
+    n = draw(st.integers(max(30, 2 * min_arm), 160))
     kinds = draw(st.lists(st.sampled_from(["normal", "binary", "two_valued", "constant",
                                            "tied", "copy"]),
                           min_size=1, max_size=4))
@@ -489,13 +501,16 @@ def forest_cases(draw):
         else:
             columns.append(columns[-1].copy() if columns else rng.normal(size=n))
     x = np.column_stack(columns)
-    a = rng.integers(0, 2, n)
+    # A fair coin per row, with the treated count clipped so that each arm
+    # keeps min_arm rows.
+    n_treated = min(max(int(rng.binomial(n, 0.5)), min_arm), n - min_arm)
+    a = rng.permutation(np.arange(n) < n_treated).astype(np.int64)
     y = x[:, 0] + a * (1.0 + 2.0 * (x[:, -1] > 0)) + rng.normal(0.0, 0.5, n)
     bag_size = draw(st.integers(2, 4))
     params = ForestParams(
         n_trees=bag_size * draw(st.integers(1, 3)),
         bag_size=bag_size,
-        honest=draw(st.booleans()),
+        honest=honest,
         seed=draw(st.integers(0, 1000)),
     )
     names = tuple(f"c{j}" for j in range(x.shape[1]))

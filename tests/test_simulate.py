@@ -2,6 +2,7 @@
 
 import os
 import platform
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -56,6 +57,15 @@ class TestConfig:
     def test_counts_positive(self):
         with pytest.raises(ConfigurationError):
             config(n_replications=0)
+
+    @pytest.mark.parametrize("field, value", [("k_studies", 10**12), ("n_replications", 10**15)])
+    def test_list_sized_counts_bounded(self, field, value):
+        # These used to construct, and a run grew its per-study stream list
+        # or its job list until the host ran out of memory.
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"{field} = {value} is above the bound 2**24 = 16777216")):
+            config(**{field: value})
+        assert getattr(config(**{field: 2**24}), field) == 2**24
 
     @pytest.mark.parametrize("field, value", [
         ("k_studies", 3.5), ("n_per_study", 20.5), ("n_replications", 2.0),
